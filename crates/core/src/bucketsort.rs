@@ -22,12 +22,13 @@
 
 use std::sync::Arc;
 
-use pi_storage::btree::{BTreeBuilder, StaticBTree, DEFAULT_FANOUT};
+use pi_storage::btree::DEFAULT_FANOUT;
 use pi_storage::scan::{scan_range_sum, ScanResult};
 use pi_storage::{sorted, Column, Value};
 
 use crate::buckets::{BucketSet, DEFAULT_BLOCK_CAPACITY, DEFAULT_BUCKET_COUNT};
 use crate::budget::{BudgetController, BudgetPolicy};
+use crate::consolidation::Consolidation;
 use crate::cost_model::{CostConstants, CostModel};
 use crate::index::RangeIndex;
 use crate::result::{IndexStatus, Phase, QueryResult};
@@ -95,15 +96,8 @@ enum State {
         stage: MergeStage,
         merged: Vec<Value>,
     },
-    Consolidation {
-        sorted_data: Vec<Value>,
-        builder: BTreeBuilder,
-        total_copies: usize,
-    },
-    Converged {
-        sorted_data: Vec<Value>,
-        tree: StaticBTree,
-    },
+    /// Consolidation and converged phases.
+    Sorted(Consolidation),
 }
 
 /// Progressive Bucketsort (Equi-Height) index over a single integer column.
@@ -147,10 +141,7 @@ impl ProgressiveBucketsort {
         let model = CostModel::new(constants, n);
         let bounds = equi_height_bounds(&column, config.bucket_count, config.bound_sample_size);
         let state = if n == 0 {
-            State::Converged {
-                sorted_data: Vec::new(),
-                tree: StaticBTree::build(&[], config.btree_fanout),
-            }
+            State::Sorted(Consolidation::new(Vec::new(), config.btree_fanout))
         } else {
             State::Creation {
                 buckets: BucketSet::new(config.bucket_count, config.block_capacity),
@@ -195,8 +186,7 @@ impl ProgressiveBucketsort {
             // The refinement phase runs Progressive Quicksort inside each
             // bucket region, so the quicksort swap cost applies.
             State::Refinement { .. } => self.model.t_swap(),
-            State::Consolidation { total_copies, .. } => self.model.t_consolidate(*total_copies),
-            State::Converged { .. } => return 0.0,
+            State::Sorted(tail) => return tail.delta(&self.model, &mut self.budget),
         };
         self.budget.delta_for_query(unit_cost)
     }
@@ -447,82 +437,7 @@ impl ProgressiveBucketsort {
             return;
         }
         let sorted_data = std::mem::take(merged);
-        debug_assert!(sorted::is_sorted(&sorted_data));
-        let total_copies = BTreeBuilder::total_copies(sorted_data.len(), self.config.btree_fanout);
-        let builder = BTreeBuilder::new(sorted_data.len(), self.config.btree_fanout);
-        self.state = State::Consolidation {
-            sorted_data,
-            builder,
-            total_copies,
-        };
-        self.maybe_finish_consolidation();
-    }
-
-    // ------------------------------------------------------------------
-    // Consolidation phase
-    // ------------------------------------------------------------------
-
-    fn query_consolidation(&mut self, low: Value, high: Value, delta: f64) -> QueryResult {
-        let State::Consolidation {
-            sorted_data,
-            builder,
-            total_copies,
-        } = &mut self.state
-        else {
-            unreachable!("query_consolidation called outside the consolidation phase");
-        };
-        let result = sorted::sorted_range_sum(sorted_data, low, high);
-        let scanned = result.count;
-        let alpha = scanned as f64 / sorted_data.len().max(1) as f64;
-        let copies = ((delta * *total_copies as f64).ceil() as usize).max(1);
-        let performed = builder.step(sorted_data, copies);
-        let predicted = self.model.consolidation(alpha, delta, *total_copies);
-        self.maybe_finish_consolidation();
-        QueryResult {
-            sum: result.sum,
-            count: result.count,
-            phase: Phase::Consolidation,
-            delta,
-            predicted_cost: Some(predicted),
-            indexing_ops: performed as u64,
-            elements_scanned: scanned,
-        }
-    }
-
-    fn maybe_finish_consolidation(&mut self) {
-        let State::Consolidation {
-            sorted_data,
-            builder,
-            ..
-        } = &mut self.state
-        else {
-            return;
-        };
-        if !builder.is_complete() {
-            return;
-        }
-        let tree = builder
-            .clone()
-            .finish()
-            .expect("complete builder must finish");
-        let sorted_data = std::mem::take(sorted_data);
-        self.state = State::Converged { sorted_data, tree };
-    }
-
-    fn query_converged(&self, low: Value, high: Value) -> QueryResult {
-        let State::Converged { sorted_data, tree } = &self.state else {
-            unreachable!("query_converged called before convergence");
-        };
-        let result = tree.range_sum(sorted_data, low, high);
-        QueryResult {
-            sum: result.sum,
-            count: result.count,
-            phase: Phase::Converged,
-            delta: 0.0,
-            predicted_cost: None,
-            indexing_ops: 0,
-            elements_scanned: result.count,
-        }
+        self.state = State::Sorted(Consolidation::new(sorted_data, self.config.btree_fanout));
     }
 }
 
@@ -530,11 +445,10 @@ impl RangeIndex for ProgressiveBucketsort {
     fn query(&mut self, low: Value, high: Value) -> QueryResult {
         self.queries_executed += 1;
         let delta = self.current_delta();
-        match self.state {
+        match &mut self.state {
             State::Creation { .. } => self.query_creation(low, high, delta),
             State::Refinement { .. } => self.query_refinement(low, high, delta),
-            State::Consolidation { .. } => self.query_consolidation(low, high, delta),
-            State::Converged { .. } => self.query_converged(low, high),
+            State::Sorted(tail) => tail.query(&self.model, low, high, delta),
         }
     }
 
@@ -553,13 +467,7 @@ impl RangeIndex for ProgressiveBucketsort {
                 phase_progress: *current as f64 / self.config.bucket_count as f64,
                 converged: false,
             },
-            State::Consolidation { builder, .. } => IndexStatus {
-                phase: Phase::Consolidation,
-                fraction_indexed: 1.0,
-                phase_progress: builder.progress(),
-                converged: false,
-            },
-            State::Converged { .. } => IndexStatus::converged(),
+            State::Sorted(tail) => tail.status(),
         }
     }
 

@@ -74,6 +74,7 @@
 pub mod buckets;
 pub mod bucketsort;
 pub mod budget;
+mod consolidation;
 pub mod cost_model;
 pub mod decision;
 pub mod index;

@@ -23,11 +23,12 @@
 
 use std::sync::Arc;
 
-use pi_storage::btree::{BTreeBuilder, StaticBTree, DEFAULT_FANOUT};
+use pi_storage::btree::DEFAULT_FANOUT;
 use pi_storage::scan::{scan_range_sum, ScanResult};
-use pi_storage::{sorted, Column, Value};
+use pi_storage::{Column, Value};
 
 use crate::budget::{BudgetController, BudgetPolicy};
+use crate::consolidation::Consolidation;
 use crate::cost_model::{CostConstants, CostModel};
 use crate::index::RangeIndex;
 use crate::result::{IndexStatus, Phase, QueryResult};
@@ -72,20 +73,16 @@ enum State {
     Refinement {
         sorter: IncrementalSorter,
     },
-    Consolidation {
-        builder: BTreeBuilder,
-        total_copies: usize,
-    },
-    Converged {
-        tree: StaticBTree,
-    },
+    /// Consolidation and converged phases; owns the working array.
+    Sorted(Consolidation),
 }
 
 /// Progressive Quicksort index over a single integer column.
 pub struct ProgressiveQuicksort {
     column: Arc<Column>,
     /// The working array ("the index"): during creation it is filled from
-    /// both ends; from refinement onwards it holds all N elements.
+    /// both ends; during refinement it holds all N elements; once sorted
+    /// it moves into [`State::Sorted`].
     index: Vec<Value>,
     state: State,
     budget: BudgetController,
@@ -125,9 +122,7 @@ impl ProgressiveQuicksort {
         let pivot = midpoint(column.min(), column.max());
         // An empty column has nothing to index: start converged.
         let state = if n == 0 {
-            State::Converged {
-                tree: StaticBTree::build(&[], config.btree_fanout),
-            }
+            State::Sorted(Consolidation::new(Vec::new(), config.btree_fanout))
         } else {
             State::Creation {
                 pivot,
@@ -162,8 +157,7 @@ impl ProgressiveQuicksort {
         let unit_cost = match &self.state {
             State::Creation { .. } => self.model.t_pivot(),
             State::Refinement { .. } => self.model.t_swap(),
-            State::Consolidation { total_copies, .. } => self.model.t_consolidate(*total_copies),
-            State::Converged { .. } => return 0.0,
+            State::Sorted(tail) => return tail.delta(&self.model, &mut self.budget),
         };
         self.budget.delta_for_query(unit_cost)
     }
@@ -287,66 +281,6 @@ impl ProgressiveQuicksort {
         }
     }
 
-    /// Executes one consolidation-phase query.
-    fn query_consolidation(&mut self, low: Value, high: Value, delta: f64) -> QueryResult {
-        let State::Consolidation {
-            builder,
-            total_copies,
-        } = &mut self.state
-        else {
-            unreachable!("query_consolidation called outside the consolidation phase");
-        };
-
-        // Answer via binary search on the (fully sorted) array.
-        let result = sorted::sorted_range_sum(&self.index, low, high);
-        let scanned = result.count;
-        let alpha = scanned as f64 / self.index.len().max(1) as f64;
-
-        // Budgeted B+-tree construction.
-        let copies = ((delta * *total_copies as f64).ceil() as usize).max(1);
-        let performed = builder.step(&self.index, copies);
-        let predicted = self.model.consolidation(alpha, delta, *total_copies);
-
-        if builder.is_complete() {
-            let tree = builder
-                .clone()
-                .finish()
-                .expect("complete builder must finish");
-            self.state = State::Converged { tree };
-        }
-
-        QueryResult {
-            sum: result.sum,
-            count: result.count,
-            phase: Phase::Consolidation,
-            delta,
-            predicted_cost: Some(predicted),
-            indexing_ops: performed as u64,
-            elements_scanned: scanned,
-        }
-    }
-
-    /// Executes a query once the index has converged.
-    fn query_converged(&self, low: Value, high: Value) -> QueryResult {
-        let State::Converged { tree } = &self.state else {
-            unreachable!("query_converged called before convergence");
-        };
-        let result = tree.range_sum(&self.index, low, high);
-        QueryResult {
-            sum: result.sum,
-            count: result.count,
-            phase: Phase::Converged,
-            delta: 0.0,
-            predicted_cost: Some(self.model.consolidation(
-                result.count as f64 / self.index.len().max(1) as f64,
-                0.0,
-                0,
-            )),
-            indexing_ops: 0,
-            elements_scanned: result.count,
-        }
-    }
-
     /// Moves from refinement to consolidation once the array is sorted.
     fn maybe_finish_refinement(&mut self) {
         let State::Refinement { sorter } = &self.state else {
@@ -356,33 +290,16 @@ impl ProgressiveQuicksort {
             return;
         }
         debug_assert!(sorter.verify_sorted(&self.index));
-        let total_copies = BTreeBuilder::total_copies(self.index.len(), self.config.btree_fanout);
-        let builder = BTreeBuilder::new(self.index.len(), self.config.btree_fanout);
-        self.state = State::Consolidation {
-            builder,
-            total_copies,
-        };
-        self.maybe_finish_consolidation();
-    }
-
-    /// Completes consolidation immediately when there is nothing to build
-    /// (tiny columns).
-    fn maybe_finish_consolidation(&mut self) {
-        let State::Consolidation { builder, .. } = &self.state else {
-            return;
-        };
-        if builder.is_complete() {
-            let tree = builder
-                .clone()
-                .finish()
-                .expect("complete builder must finish");
-            self.state = State::Converged { tree };
-        }
+        let sorted = std::mem::take(&mut self.index);
+        self.state = State::Sorted(Consolidation::new(sorted, self.config.btree_fanout));
     }
 
     /// Read access to the working array (exposed for tests and examples).
     pub fn working_array(&self) -> &[Value] {
-        &self.index
+        match &self.state {
+            State::Sorted(tail) => tail.sorted(),
+            _ => &self.index,
+        }
     }
 }
 
@@ -390,11 +307,10 @@ impl RangeIndex for ProgressiveQuicksort {
     fn query(&mut self, low: Value, high: Value) -> QueryResult {
         self.queries_executed += 1;
         let delta = self.current_delta();
-        match self.state {
+        match &mut self.state {
             State::Creation { .. } => self.query_creation(low, high, delta),
             State::Refinement { .. } => self.query_refinement(low, high, delta),
-            State::Consolidation { .. } => self.query_consolidation(low, high, delta),
-            State::Converged { .. } => self.query_converged(low, high),
+            State::Sorted(tail) => tail.query(&self.model, low, high, delta),
         }
     }
 
@@ -413,13 +329,7 @@ impl RangeIndex for ProgressiveQuicksort {
                 phase_progress: if sorter.is_sorted() { 1.0 } else { 0.0 },
                 converged: false,
             },
-            State::Consolidation { builder, .. } => IndexStatus {
-                phase: Phase::Consolidation,
-                fraction_indexed: 1.0,
-                phase_progress: builder.progress(),
-                converged: false,
-            },
-            State::Converged { .. } => IndexStatus::converged(),
+            State::Sorted(tail) => tail.status(),
         }
     }
 

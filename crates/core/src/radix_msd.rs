@@ -18,7 +18,7 @@
 use std::collections::VecDeque;
 use std::sync::Arc;
 
-use pi_storage::btree::{BTreeBuilder, StaticBTree, DEFAULT_FANOUT};
+use pi_storage::btree::DEFAULT_FANOUT;
 use pi_storage::scan::{scan_range_sum, ScanResult};
 use pi_storage::{sorted, Column, Value};
 
@@ -26,6 +26,7 @@ use crate::buckets::{
     domain_bits, BlockBucket, BucketSet, DEFAULT_BLOCK_CAPACITY, DEFAULT_BUCKET_COUNT,
 };
 use crate::budget::{BudgetController, BudgetPolicy};
+use crate::consolidation::Consolidation;
 use crate::cost_model::{CostConstants, CostModel};
 use crate::index::RangeIndex;
 use crate::kernels::{ScatterScratch, MAX_SCATTER_BUCKETS};
@@ -112,15 +113,8 @@ enum State {
         /// Total elements already written into `merged`.
         merged_len: usize,
     },
-    Consolidation {
-        sorted_data: Vec<Value>,
-        builder: BTreeBuilder,
-        total_copies: usize,
-    },
-    Converged {
-        sorted_data: Vec<Value>,
-        tree: StaticBTree,
-    },
+    /// Consolidation and converged phases.
+    Sorted(Consolidation),
 }
 
 /// Progressive Radixsort (MSD) index over a single integer column.
@@ -173,10 +167,7 @@ impl ProgressiveRadixsortMsd {
         let domain_bits = domain_bits(column.min(), column.max());
         let radix_bits = config.bucket_count.trailing_zeros();
         let state = if n == 0 {
-            State::Converged {
-                sorted_data: Vec::new(),
-                tree: StaticBTree::build(&[], config.btree_fanout),
-            }
+            State::Sorted(Consolidation::new(Vec::new(), config.btree_fanout))
         } else {
             State::Creation {
                 buckets: BucketSet::new(config.bucket_count, config.block_capacity),
@@ -225,8 +216,7 @@ impl ProgressiveRadixsortMsd {
             State::Creation { .. } | State::Refinement { .. } => {
                 self.model.t_bucketize(self.config.block_capacity)
             }
-            State::Consolidation { total_copies, .. } => self.model.t_consolidate(*total_copies),
-            State::Converged { .. } => return 0.0,
+            State::Sorted(tail) => return tail.delta(&self.model, &mut self.budget),
         };
         self.budget.delta_for_query(unit_cost)
     }
@@ -432,82 +422,7 @@ impl ProgressiveRadixsortMsd {
             return;
         }
         let sorted_data = std::mem::take(merged);
-        debug_assert!(sorted::is_sorted(&sorted_data));
-        let total_copies = BTreeBuilder::total_copies(sorted_data.len(), self.config.btree_fanout);
-        let builder = BTreeBuilder::new(sorted_data.len(), self.config.btree_fanout);
-        self.state = State::Consolidation {
-            sorted_data,
-            builder,
-            total_copies,
-        };
-        self.maybe_finish_consolidation();
-    }
-
-    // ------------------------------------------------------------------
-    // Consolidation phase (shared structure with Progressive Quicksort)
-    // ------------------------------------------------------------------
-
-    fn query_consolidation(&mut self, low: Value, high: Value, delta: f64) -> QueryResult {
-        let State::Consolidation {
-            sorted_data,
-            builder,
-            total_copies,
-        } = &mut self.state
-        else {
-            unreachable!("query_consolidation called outside the consolidation phase");
-        };
-        let result = sorted::sorted_range_sum(sorted_data, low, high);
-        let scanned = result.count;
-        let alpha = scanned as f64 / sorted_data.len().max(1) as f64;
-        let copies = ((delta * *total_copies as f64).ceil() as usize).max(1);
-        let performed = builder.step(sorted_data, copies);
-        let predicted = self.model.consolidation(alpha, delta, *total_copies);
-        self.maybe_finish_consolidation();
-        QueryResult {
-            sum: result.sum,
-            count: result.count,
-            phase: Phase::Consolidation,
-            delta,
-            predicted_cost: Some(predicted),
-            indexing_ops: performed as u64,
-            elements_scanned: scanned,
-        }
-    }
-
-    fn maybe_finish_consolidation(&mut self) {
-        let State::Consolidation {
-            sorted_data,
-            builder,
-            ..
-        } = &mut self.state
-        else {
-            return;
-        };
-        if !builder.is_complete() {
-            return;
-        }
-        let tree = builder
-            .clone()
-            .finish()
-            .expect("complete builder must finish");
-        let sorted_data = std::mem::take(sorted_data);
-        self.state = State::Converged { sorted_data, tree };
-    }
-
-    fn query_converged(&self, low: Value, high: Value) -> QueryResult {
-        let State::Converged { sorted_data, tree } = &self.state else {
-            unreachable!("query_converged called before convergence");
-        };
-        let result = tree.range_sum(sorted_data, low, high);
-        QueryResult {
-            sum: result.sum,
-            count: result.count,
-            phase: Phase::Converged,
-            delta: 0.0,
-            predicted_cost: None,
-            indexing_ops: 0,
-            elements_scanned: result.count,
-        }
+        self.state = State::Sorted(Consolidation::new(sorted_data, self.config.btree_fanout));
     }
 }
 
@@ -758,11 +673,10 @@ impl RangeIndex for ProgressiveRadixsortMsd {
     fn query(&mut self, low: Value, high: Value) -> QueryResult {
         self.queries_executed += 1;
         let delta = self.current_delta();
-        match self.state {
+        match &mut self.state {
             State::Creation { .. } => self.query_creation(low, high, delta),
             State::Refinement { .. } => self.query_refinement(low, high, delta),
-            State::Consolidation { .. } => self.query_consolidation(low, high, delta),
-            State::Converged { .. } => self.query_converged(low, high),
+            State::Sorted(tail) => tail.query(&self.model, low, high, delta),
         }
     }
 
@@ -781,13 +695,7 @@ impl RangeIndex for ProgressiveRadixsortMsd {
                 phase_progress: *merged_len as f64 / n,
                 converged: false,
             },
-            State::Consolidation { builder, .. } => IndexStatus {
-                phase: Phase::Consolidation,
-                fraction_indexed: 1.0,
-                phase_progress: builder.progress(),
-                converged: false,
-            },
-            State::Converged { .. } => IndexStatus::converged(),
+            State::Sorted(tail) => tail.status(),
         }
     }
 

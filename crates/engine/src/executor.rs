@@ -5,18 +5,22 @@
 //! indexing budget δ. The executor extends that guarantee to concurrent
 //! serving:
 //!
-//! * **Fan-out on a persistent pool** — each query of a batch is
-//!   decomposed into one sub-query list per overlapping `(column, shard)`;
-//!   the shard tasks are dispatched onto a persistent, shard-affine
-//!   [`pi_sched::Pool`] (shards pinned to workers by row weight for cache
-//!   locality, work-stealing for balance, the submitting client helps
-//!   drain) and the partial [`ScanResult`]s are merged per query. A shard
+//! * **Cost-gated fan-out on a persistent pool** — each query of a batch
+//!   is decomposed into one sub-query list per overlapping `(column,
+//!   shard)` and the partial [`ScanResult`]s are merged per query. A shard
 //!   performs its budgeted δ-slice of indexing work for every sub-query it
 //!   answers, on a shard that holds only ~`rows / shard_count` elements —
 //!   so the extra work a query pays stays bounded even when it spans
-//!   several shards. Nothing is spawned per batch: the pool outlives every
-//!   batch, which is what makes shard-parallelism profitable at
-//!   microsecond task granularity.
+//!   several shards. The shard tasks run on the calling thread unless the
+//!   work that could be handed to other workers is predicted to exceed the
+//!   cost of waking them (`FAN_OUT_BREAK_EVEN_ELEMENTS`): a persistent
+//!   pool saves the thread spawn, not the park/wake round trip, and that
+//!   round trip is worth tens of microseconds of scanning. A probe of a
+//!   fully indexed shard is O(log n), so batches on a converged table
+//!   always run inline; batches that still scan large unindexed shards are
+//!   dispatched onto the shard-affine [`pi_sched::Pool`] (shards pinned to
+//!   workers by row weight for cache locality, work-stealing for balance,
+//!   the submitting client helps drain).
 //! * **Maintenance budget** — after answering, a fire-and-forget pool job
 //!   spends at most [`ExecutorConfig::maintenance_steps`] additional
 //!   empty-query steps per batch, round-robin over the not-yet-converged
@@ -115,6 +119,20 @@ impl From<crate::durability::DurabilityError> for EngineError {
     }
 }
 
+/// Elements a probe of a fully indexed shard is priced at: two B+-tree
+/// descents and at most two partial 256-leaf blocks.
+const PROBE_ELEMENTS: usize = 512;
+
+/// Predicted elements read by the shard tasks a batch could hand to other
+/// workers, above which handing them over beats running them inline.
+///
+/// Measured on the 2-vCPU dev box with 2 workers plus the helping caller,
+/// 8 unindexed shards, one sub-query each, inline against fanned per batch:
+/// 56k elements handed over 43 against 47 µs, 112k 116 against 94 µs, 224k
+/// 251 against 168 µs. Below the crossing the park/wake round trip
+/// (15–25 µs per batch) is all a fan-out adds.
+const FAN_OUT_BREAK_EVEN_ELEMENTS: usize = 64 * 1024;
+
 /// Executor tuning knobs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ExecutorConfig {
@@ -167,6 +185,10 @@ struct ExecutorObs {
     /// Converged-cache invalidations: shards reopened for maintenance
     /// because a mutation landed after they were observed converged.
     shards_reopened: Arc<Counter>,
+    /// Batches whose shard tasks all ran on the calling thread.
+    batches_inline: Arc<Counter>,
+    /// Batches whose shard tasks were dispatched onto the pool.
+    batches_fanned: Arc<Counter>,
     /// Batch framing: name resolution and per-shard sub-query routing.
     decompose_ns: Arc<Histogram>,
     /// Shard fan-out: pool dispatch plus every shard probe.
@@ -184,6 +206,8 @@ impl ExecutorObs {
             queries: registry.counter("executor.queries"),
             digest_hits: registry.counter("executor.digest_hits"),
             shards_reopened: registry.counter("executor.shards_reopened"),
+            batches_inline: registry.counter("executor.batches_inline"),
+            batches_fanned: registry.counter("executor.batches_fanned"),
             decompose_ns: registry.histogram("executor.phase.decompose_ns"),
             scan_ns: registry.histogram("executor.phase.scan_ns"),
             merge_ns: registry.histogram("executor.phase.merge_ns"),
@@ -632,17 +656,39 @@ impl Executor {
         Ok(results)
     }
 
+    /// Elements the tasks a caller could hand to other workers are
+    /// predicted to read: everything but the largest task, which it runs
+    /// itself. Priced from lock-free inputs only — each sub-query scans
+    /// its shard's not-yet-indexed share and probes the rest.
+    fn predicted_handover(&self, tasks: &[ShardTask]) -> usize {
+        let (total, largest) = tasks.iter().fold((0, 0), |(total, largest), task| {
+            let column = &self.table.columns()[task.column];
+            let unindexed = (1.0 - column.shard_rho_estimate(task.shard)).max(0.0)
+                * column.shard_rows()[task.shard] as f64;
+            let elements = task.sub_queries.len() * (unindexed as usize + PROBE_ELEMENTS);
+            (total + elements, largest.max(elements))
+        });
+        total - largest
+    }
+
     /// The single dispatch path for shard tasks: runs every task and
     /// returns the `(query index, partial result)` pairs, in arbitrary
     /// order (the merge is commutative).
     ///
-    /// Tiny batches and single-worker pools execute inline — the caller
-    /// would drain its own queue anyway, so queueing would only add
-    /// overhead; everything else goes through the pool with shard-affine
-    /// placement, the caller helping.
+    /// The caller runs at least the largest task itself; the rest goes
+    /// through the pool, shard-affine and with the caller helping, only
+    /// when it is predicted to exceed `FAN_OUT_BREAK_EVEN_ELEMENTS`.
     fn run_shard_tasks(&self, tasks: Vec<ShardTask>) -> Vec<(usize, ScanResult)> {
-        let inline = tasks.len() <= 1 || self.pool.workers() == 1;
-        if inline {
+        let fan_out = self.pool.workers() > 1
+            && self.predicted_handover(&tasks) > FAN_OUT_BREAK_EVEN_ELEMENTS;
+        if let Some(obs) = self.maintenance.obs.as_deref() {
+            if fan_out {
+                obs.batches_fanned.inc();
+            } else {
+                obs.batches_inline.inc();
+            }
+        }
+        if !fan_out {
             let expected: usize = tasks.iter().map(|t| t.sub_queries.len()).sum();
             let mut partials = Vec::with_capacity(expected);
             for task in &tasks {
@@ -1106,6 +1152,73 @@ mod tests {
             assert_eq!(*r, scan_range_sum(base, q.low, q.high), "{q:?}");
         }
         assert!(executor.pool_stats().total_executed() > 0);
+    }
+
+    /// One narrow range per shard of column `a`.
+    fn narrow_batch(rows: usize, shards: usize) -> Vec<TableQuery> {
+        (0..shards)
+            .map(|s| {
+                let low = (s * rows / shards + rows / shards / 2) as u64;
+                TableQuery::new("a", low, low + 40)
+            })
+            .collect()
+    }
+
+    /// `(batches_inline, batches_fanned)` of a metered executor.
+    fn dispatch_counts(executor: &Executor) -> (u64, u64) {
+        let snap = executor.metrics().expect("metered").snapshot();
+        (
+            snap.counter("executor.batches_inline").unwrap(),
+            snap.counter("executor.batches_fanned").unwrap(),
+        )
+    }
+
+    #[test]
+    fn converged_batches_run_inline_on_a_multi_worker_pool() {
+        let (table, a, _) = test_table(128_000, 8);
+        let executor = Executor::with_metrics(
+            Arc::clone(&table),
+            foreground_config(2, 0),
+            Arc::new(MetricsRegistry::new()),
+        );
+        assert_eq!(dispatch_counts(&executor), (0, 0));
+        executor.drive_to_convergence(usize::MAX);
+        assert!(table.is_converged());
+        let jobs_before = executor.pool_stats().total_executed();
+        // Eight shards, thirty-two sub-queries, and one wide range whose
+        // two end shards are probed: all O(log n), none worth a wake-up.
+        let mut batch = narrow_batch(128_000, 8);
+        batch.extend(batch.clone());
+        batch.extend(batch.clone());
+        batch.push(TableQuery::new("a", 10_000, 100_000));
+        let results = executor.execute_batch(&batch).unwrap();
+        for (q, r) in batch.iter().zip(&results) {
+            assert_eq!(*r, scan_range_sum(&a, q.low, q.high), "{q:?}");
+        }
+        assert_eq!(executor.pool_stats().total_executed(), jobs_before);
+        assert_eq!(dispatch_counts(&executor), (1, 0));
+    }
+
+    #[test]
+    fn unindexed_large_shards_still_fan_out() {
+        let (table, a, _) = test_table(128_000, 8);
+        let executor = Executor::with_metrics(
+            table,
+            foreground_config(2, 0),
+            Arc::new(MetricsRegistry::new()),
+        );
+        // Nothing is indexed yet: each of the eight sub-queries scans its
+        // whole 16k-row shard, seven of them more than the break-even.
+        let batch = narrow_batch(128_000, 8);
+        let results = executor.execute_batch(&batch).unwrap();
+        for (q, r) in batch.iter().zip(&results) {
+            assert_eq!(*r, scan_range_sum(&a, q.low, q.high), "{q:?}");
+        }
+        assert_eq!(executor.pool_stats().total_executed(), 8);
+        assert_eq!(dispatch_counts(&executor), (0, 1));
+        // A single shard task has nothing to hand over, however large.
+        executor.execute_batch(&batch[..1]).unwrap();
+        assert_eq!(dispatch_counts(&executor), (1, 1));
     }
 
     #[test]

@@ -3,9 +3,17 @@
 //!
 //! Clients do not call the engine directly; they [`Server::submit`] (or
 //! [`Server::try_submit`]) a batch of requests and receive a [`Ticket`] —
-//! a one-shot future resolved by the dispatcher threads. The server owns
-//! admission control:
+//! a one-shot future. The server owns admission control:
 //!
+//! * **Who runs a batch.** A blocking [`Server::submit`] that finds the
+//!   server idle — nothing queued, no batch in flight — runs its batch on
+//!   the submitting thread and returns a ticket that is already resolved:
+//!   handing an uncontended batch to a dispatcher and waiting for it costs
+//!   two condvar round trips, more than most batches. Everything else is
+//!   queued for the dispatcher threads, which coalesce it.
+//!   [`Server::try_submit`] always queues. Batches therefore *start* in
+//!   admission order: a submitter runs its own batch only when nothing
+//!   admitted before it is still waiting or running.
 //! * **Bounded queue.** At most [`ServerConfig::queue_capacity`]
 //!   submissions wait at any time. `try_submit` returns
 //!   [`SubmitError::QueueFull`] instead of queueing unboundedly —
@@ -25,8 +33,9 @@
 //!   ever queries their range.
 //! * **Graceful shutdown.** [`Server::shutdown`] stops admissions
 //!   (subsequent submits fail with [`SubmitError::ShutDown`]), lets the
-//!   dispatchers drain every already-accepted submission, and joins them.
-//!   Every accepted ticket is always resolved.
+//!   dispatchers drain every already-accepted submission, joins them and
+//!   waits for the batches submitters are running themselves. Every
+//!   accepted ticket is resolved when it returns.
 //! * **Observability.** Admission, execution and coalescing land in a
 //!   [`pi_obs::MetricsRegistry`] under `server.*` names (see
 //!   [`Server::with_metrics`]); [`Server::stats`] is a consistent read of
@@ -167,10 +176,13 @@ struct ServerObs {
     served_requests: Arc<Counter>,
     maintenance_steps: Arc<Counter>,
     coalesced_batches: Arc<Counter>,
+    /// Batches run by their own submitter instead of a dispatcher.
+    caller_runs: Arc<Counter>,
     queue_depth: Arc<Gauge>,
     /// Requests per delivered engine batch (after coalescing).
     coalesced_size: Arc<Histogram>,
-    /// Enqueue → dispatcher pop, nanoseconds. Gated on the `obs` feature.
+    /// Enqueue → dispatcher pop, nanoseconds; zero for a batch its
+    /// submitter runs. Gated on the `obs` feature.
     queue_wait_ns: Arc<Histogram>,
     /// Enqueue → ticket fulfilled, nanoseconds. Gated on the `obs`
     /// feature.
@@ -186,6 +198,7 @@ impl ServerObs {
             served_requests: registry.counter("server.served_requests"),
             maintenance_steps: registry.counter("server.maintenance_steps"),
             coalesced_batches: registry.counter("server.coalesced_batches"),
+            caller_runs: registry.counter("server.caller_runs"),
             queue_depth: registry.gauge("server.queue_depth"),
             coalesced_size: registry.histogram("server.coalesced_size"),
             queue_wait_ns: registry.histogram("server.queue_wait_ns"),
@@ -312,20 +325,52 @@ struct Submission<E: BatchExecutor> {
     enqueued_at: Option<Instant>,
 }
 
+impl<E: BatchExecutor> Submission<E> {
+    /// Stamps `requests` as admitted now; the ticket shares its slot.
+    fn admit(requests: Vec<E::Request>) -> (Self, Ticket<E>) {
+        let slot = Arc::new(Slot::new());
+        let submission = Submission {
+            requests,
+            slot: Arc::clone(&slot),
+            enqueued_at: pi_obs::ENABLED.then(Instant::now),
+        };
+        (submission, Ticket { slot })
+    }
+}
+
+/// What the queue lock guards.
+struct Admission<E: BatchExecutor> {
+    waiting: VecDeque<Submission<E>>,
+    /// Batches taken for execution and not yet resolved, by dispatchers
+    /// and by submitters running their own.
+    in_flight: usize,
+}
+
 struct ServerShared<E: BatchExecutor> {
     executor: Arc<E>,
     config: ServerConfig,
-    queue: Mutex<VecDeque<Submission<E>>>,
+    queue: Mutex<Admission<E>>,
     /// Wakes dispatchers (new submission / shutdown).
     dispatch: Condvar,
     /// Wakes blocked `submit` callers (space freed / shutdown).
     space: Condvar,
+    /// Wakes a `shutdown` waiting for the last in-flight batch.
+    drained: Condvar,
     shutdown: AtomicBool,
     registry: Arc<MetricsRegistry>,
     obs: ServerObs,
 }
 
 impl<E: BatchExecutor> ServerShared<E> {
+    /// Marks one batch taken by [`Admission::in_flight`] as resolved.
+    fn batch_done(&self) {
+        let mut queue = self.queue.lock().expect("server queue poisoned");
+        queue.in_flight -= 1;
+        if queue.in_flight == 0 && self.shutdown.load(Ordering::Acquire) {
+            self.drained.notify_all();
+        }
+    }
+
     /// Calls the executor, catching a panic so the dispatcher thread
     /// survives: a dead dispatcher would strand every queued and future
     /// ticket. `None` means the executor panicked.
@@ -429,20 +474,21 @@ impl<E: BatchExecutor> ServerShared<E> {
                 let mut queue = self.queue.lock().expect("server queue poisoned");
                 let mut run = Vec::new();
                 let mut queries = 0;
-                while let Some(front) = queue.front() {
+                while let Some(front) = queue.waiting.front() {
                     if !run.is_empty()
                         && queries + front.requests.len() > self.config.max_coalesced_queries
                     {
                         break;
                     }
-                    let submission = queue.pop_front().expect("front checked");
+                    let submission = queue.waiting.pop_front().expect("front checked");
                     queries += submission.requests.len();
                     run.push(submission);
                     if queries >= self.config.max_coalesced_queries {
                         break;
                     }
                 }
-                self.obs.queue_depth.set_u64(queue.len() as u64);
+                self.obs.queue_depth.set_u64(queue.waiting.len() as u64);
+                queue.in_flight += usize::from(!run.is_empty());
                 run
             };
             if run.is_empty() {
@@ -452,7 +498,8 @@ impl<E: BatchExecutor> ServerShared<E> {
                     // that won the admission race is visible here — exit
                     // only when the queue is truly empty, or it would
                     // strand an accepted ticket.
-                    if self.queue.lock().expect("server queue poisoned").is_empty() {
+                    let queue = self.queue.lock().expect("server queue poisoned");
+                    if queue.waiting.is_empty() {
                         return;
                     }
                     continue;
@@ -462,7 +509,7 @@ impl<E: BatchExecutor> ServerShared<E> {
                     continue;
                 }
                 let queue = self.queue.lock().expect("server queue poisoned");
-                if queue.is_empty() && !self.shutdown.load(Ordering::Acquire) {
+                if queue.waiting.is_empty() && !self.shutdown.load(Ordering::Acquire) {
                     let _ = self
                         .dispatch
                         .wait_timeout(queue, self.config.idle_park)
@@ -483,6 +530,7 @@ impl<E: BatchExecutor> ServerShared<E> {
                 }
             }
             self.deliver_coalesced(run);
+            self.batch_done();
         }
     }
 }
@@ -537,9 +585,13 @@ impl<E: BatchExecutor> Server<E> {
         let shared = Arc::new(ServerShared {
             executor,
             config,
-            queue: Mutex::new(VecDeque::new()),
+            queue: Mutex::new(Admission {
+                waiting: VecDeque::new(),
+                in_flight: 0,
+            }),
             dispatch: Condvar::new(),
             space: Condvar::new(),
+            drained: Condvar::new(),
             shutdown: AtomicBool::new(false),
             registry,
             obs,
@@ -576,8 +628,9 @@ impl<E: BatchExecutor> Server<E> {
         &self.shared.registry
     }
 
-    /// Non-blocking admission: enqueues `requests` or hands them back
-    /// with the backpressure reason.
+    /// Non-blocking admission: enqueues `requests` for the dispatchers or
+    /// hands them back with the backpressure reason. Never runs the batch
+    /// itself, so it returns without waiting for any execution.
     pub fn try_submit(
         &self,
         requests: Vec<E::Request>,
@@ -590,7 +643,7 @@ impl<E: BatchExecutor> Server<E> {
                 requests,
             });
         }
-        if queue.len() >= self.shared.config.queue_capacity {
+        if queue.waiting.len() >= self.shared.config.queue_capacity {
             self.shared.obs.rejected.inc();
             return Err(TrySubmitError {
                 error: SubmitError::QueueFull,
@@ -602,36 +655,58 @@ impl<E: BatchExecutor> Server<E> {
 
     /// Blocking admission: waits for queue space. Fails only with
     /// [`SubmitError::ShutDown`].
+    ///
+    /// When nothing is queued and no batch is in flight, the batch runs
+    /// here, on the submitting thread, and the returned ticket is already
+    /// resolved (or poisoned, if the executor panicked — [`Ticket::wait`]
+    /// re-raises that, exactly as for a dispatcher-run batch).
     pub fn submit(&self, requests: Vec<E::Request>) -> Result<Ticket<E>, SubmitError> {
-        let mut queue = self.shared.queue.lock().expect("server queue poisoned");
-        while queue.len() >= self.shared.config.queue_capacity {
-            if self.shared.shutdown.load(Ordering::Acquire) {
+        let shared = &*self.shared;
+        let mut queue = shared.queue.lock().expect("server queue poisoned");
+        while queue.waiting.len() >= shared.config.queue_capacity {
+            if shared.shutdown.load(Ordering::Acquire) {
                 return Err(SubmitError::ShutDown);
             }
-            queue = self
-                .shared
+            queue = shared
                 .space
                 .wait_timeout(queue, Duration::from_millis(20))
                 .expect("server queue poisoned")
                 .0;
         }
-        if self.shared.shutdown.load(Ordering::Acquire) {
+        if shared.shutdown.load(Ordering::Acquire) {
             return Err(SubmitError::ShutDown);
         }
-        Ok(self.enqueue(&mut queue, requests))
+        if !queue.waiting.is_empty() || queue.in_flight > 0 {
+            return Ok(self.enqueue(&mut queue, requests));
+        }
+        // Taken under the same lock hold that saw the server idle and not
+        // shut down: a later admission queues behind this batch, and a
+        // later `shutdown` waits for it.
+        queue.in_flight += 1;
+        drop(queue);
+        let obs = &shared.obs;
+        obs.accepted.inc();
+        obs.caller_runs.inc();
+        obs.coalesced_size.record(requests.len() as u64);
+        if pi_obs::ENABLED {
+            obs.queue_wait_ns.record(0);
+        }
+        let (submission, ticket) = Submission::admit(requests);
+        shared.deliver(submission);
+        shared.batch_done();
+        Ok(ticket)
     }
 
-    fn enqueue(&self, queue: &mut VecDeque<Submission<E>>, requests: Vec<E::Request>) -> Ticket<E> {
-        let slot = Arc::new(Slot::new());
-        queue.push_back(Submission {
-            requests,
-            slot: Arc::clone(&slot),
-            enqueued_at: pi_obs::ENABLED.then(Instant::now),
-        });
+    fn enqueue(&self, queue: &mut Admission<E>, requests: Vec<E::Request>) -> Ticket<E> {
+        let (submission, ticket) = Submission::admit(requests);
+        queue.waiting.push_back(submission);
         self.shared.obs.accepted.inc();
-        self.shared.obs.queue_depth.set_u64(queue.len() as u64);
+        self.shared
+            .obs
+            .queue_depth
+            .set_u64(queue.waiting.len() as u64);
         self.shared.dispatch.notify_one();
-        Ticket { slot }
+        ticket
     }
 
     /// Convenience: submit one batch (blocking admission) and wait for its
@@ -661,13 +736,14 @@ impl<E: BatchExecutor> Server<E> {
             served_requests: obs.served_requests.get(),
             maintenance_steps: obs.maintenance_steps.get(),
             coalesced_batches: obs.coalesced_batches.get(),
-            queue_depth: queue.len() as u64,
+            queue_depth: queue.waiting.len() as u64,
         }
     }
 
     /// Graceful shutdown: stops admissions (subsequent submits fail with
     /// [`SubmitError::ShutDown`]), drains every accepted submission (all
-    /// tickets resolve), joins the dispatchers. Idempotent, and callable
+    /// tickets resolve), joins the dispatchers and waits for batches that
+    /// submitters are still running themselves. Idempotent, and callable
     /// through a shared reference — clients typically hold the server in
     /// an `Arc` while an owner shuts it down. Dropping the server does
     /// the same.
@@ -690,6 +766,16 @@ impl<E: BatchExecutor> Server<E> {
         );
         for handle in handles {
             handle.join().expect("dispatcher panicked");
+        }
+        // The dispatchers are gone and admissions are closed: what is
+        // still in flight is on its submitter's own thread.
+        let mut queue = self.shared.queue.lock().expect("server queue poisoned");
+        while queue.in_flight > 0 {
+            queue = self
+                .shared
+                .drained
+                .wait(queue)
+                .expect("server queue poisoned");
         }
     }
 }

@@ -361,3 +361,129 @@ fn executor_panic_poisons_the_ticket_but_not_the_server() {
     assert_eq!(stats.served_requests, 2, "panicked batch must not count");
     server.shutdown();
 }
+
+/// Answers every request with the thread it ran on.
+struct RanOn;
+
+impl BatchExecutor for RanOn {
+    type Request = ();
+    type Response = std::thread::ThreadId;
+    type Error = String;
+
+    fn execute_batch(&self, batch: &[()]) -> Result<Vec<std::thread::ThreadId>, String> {
+        Ok(vec![std::thread::current().id(); batch.len()])
+    }
+}
+
+fn caller_runs<E: BatchExecutor>(server: &Server<E>) -> u64 {
+    server
+        .metrics()
+        .snapshot()
+        .counter("server.caller_runs")
+        .expect("registered whether or not it fires")
+}
+
+#[test]
+fn uncontended_submit_runs_on_the_submitter_and_returns_a_resolved_ticket() {
+    let server = Server::with_defaults(Arc::new(RanOn));
+    assert_eq!(caller_runs(&server), 0);
+    let me = std::thread::current().id();
+    for round in 1..=3 {
+        let ticket = server.submit(vec![(), ()]).unwrap();
+        assert_eq!(ticket.try_wait(), Some(Ok(vec![me, me])));
+        assert_eq!(caller_runs(&server), round);
+    }
+    // `try_submit` never runs the batch itself, idle server or not.
+    let queued = server.try_submit(vec![()]).unwrap().wait().unwrap();
+    assert_ne!(queued, vec![me]);
+    let stats = server.stats();
+    assert_eq!(caller_runs(&server), 3);
+    assert_eq!((stats.accepted, stats.executed_batches), (4, 4));
+    assert_eq!(stats.served_requests, 7);
+    let snap = server.metrics().snapshot();
+    let waits = snap.histogram("server.queue_wait_ns").unwrap();
+    let latencies = snap.histogram("server.ticket_latency_ns").unwrap();
+    if pi_obs::ENABLED {
+        assert_eq!((waits.count, latencies.count), (4, 4));
+    } else {
+        assert_eq!(waits.count + latencies.count, 0);
+    }
+    server.shutdown();
+}
+
+#[test]
+fn panic_on_the_submitter_poisons_only_its_ticket() {
+    let server = Server::with_defaults(Arc::new(PanickyExec));
+    // The panic happens on this thread, inside `submit`, and must not
+    // escape it: it comes out of the ticket, as on the dispatcher path.
+    let poisoned = server.submit(vec![99]).unwrap();
+    assert_eq!(caller_runs(&server), 1);
+    let polled = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| poisoned.try_wait()));
+    assert!(
+        polled.is_err(),
+        "try_wait() must re-raise the executor panic"
+    );
+    let waited = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || poisoned.wait()));
+    assert!(waited.is_err(), "wait() must re-raise the executor panic");
+    // The server is idle again and serves both admission paths.
+    assert_eq!(
+        server.submit(vec![1]).unwrap().try_wait(),
+        Some(Ok(vec![2]))
+    );
+    assert_eq!(server.try_submit(vec![2]).unwrap().wait(), Ok(vec![3]));
+    assert_eq!(caller_runs(&server), 2);
+    assert_eq!(server.stats().served_requests, 2);
+    server.shutdown();
+}
+
+#[test]
+fn busy_server_queues_blocking_submits_behind_the_batch_in_flight() {
+    let exec = Arc::new(MockExec::new(true));
+    let server = Arc::new(Server::with_defaults(Arc::clone(&exec)));
+    // A submitter-run batch blocks inside the executor on its own thread.
+    let first = {
+        let server = Arc::clone(&server);
+        std::thread::spawn(move || server.submit(vec![1]).unwrap())
+    };
+    exec.wait_entered(1);
+    // The server is no longer idle: a second blocking submit is queued and
+    // returns at once, its batch handed to the dispatcher.
+    let second = server.submit(vec![2]).unwrap();
+    exec.wait_entered(2);
+    assert_eq!(second.try_wait(), None);
+    assert_eq!(caller_runs(&server), 1);
+    exec.release();
+    assert_eq!(first.join().unwrap().try_wait(), Some(Ok(vec![2])));
+    assert_eq!(second.wait(), Ok(vec![4]));
+    server.shutdown();
+}
+
+#[test]
+fn shutdown_waits_for_a_batch_its_submitter_is_still_running() {
+    let exec = Arc::new(MockExec::new(true));
+    let server = Arc::new(Server::with_defaults(Arc::clone(&exec)));
+    let submitter = {
+        let server = Arc::clone(&server);
+        std::thread::spawn(move || server.submit(vec![1]).unwrap())
+    };
+    exec.wait_entered(1);
+    // The only batch is blocked on its submitter's thread and the
+    // dispatcher has nothing to drain: joining it is not enough, `shutdown`
+    // has to wait for the submitter. The gate opens 20 ms after `shutdown`
+    // was called, so one that does not wait returns with no batch done.
+    let (starting, started) = std::sync::mpsc::channel();
+    let stopper = {
+        let (server, exec) = (Arc::clone(&server), Arc::clone(&exec));
+        std::thread::spawn(move || {
+            starting.send(()).unwrap();
+            server.shutdown();
+            exec.batches.load(Ordering::Relaxed)
+        })
+    };
+    started.recv().unwrap();
+    std::thread::sleep(Duration::from_millis(20));
+    exec.release();
+    assert_eq!(stopper.join().unwrap(), 1, "shutdown returned early");
+    assert_eq!(submitter.join().unwrap().try_wait(), Some(Ok(vec![2])));
+    assert!(matches!(server.submit(vec![3]), Err(SubmitError::ShutDown)));
+}

@@ -24,7 +24,15 @@
 //! The tree does **not** own the leaf array: the progressive indexes keep
 //! ownership of their sorted data and pass it to every lookup. This keeps
 //! the consolidation phase allocation-free apart from the internal levels
-//! themselves.
+//! and the block sums.
+//!
+//! Beside the key levels the tree carries one exact prefix sum per block
+//! of leaves, so [`StaticBTree::range_sum`] costs two descents, one prefix
+//! difference and at most two partial blocks however wide the range is.
+//! The sums are built during consolidation, on the level-0 pass that
+//! already walks the leaf array, and are never filled in lazily: a first
+//! query that allocates leaves the allocator in another state for every
+//! build after it.
 
 use crate::column::Value;
 use crate::scan::{sum_positions, ScanResult};
@@ -37,6 +45,16 @@ use crate::sorted;
 /// levels), matching the order of magnitude used in the paper's setup.
 pub const DEFAULT_FANOUT: usize = 64;
 
+/// Fewest leaves a block sum may cover: a 16-byte `u128` per 256 8-byte
+/// leaves keeps the sums under 0.8% of the leaf array.
+const MIN_BLOCK_LEAVES: usize = 256;
+
+/// Leaves per block sum: the smallest multiple of `fanout` that reaches
+/// [`MIN_BLOCK_LEAVES`], so every block ends where a level-0 copy does.
+fn block_len(fanout: usize) -> usize {
+    fanout * MIN_BLOCK_LEAVES.div_ceil(fanout)
+}
+
 /// A static (read-only) B+-tree over an externally owned sorted array.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StaticBTree {
@@ -45,6 +63,12 @@ pub struct StaticBTree {
     /// `levels[k]` samples `levels[k-1]` every `fanout` elements.
     /// The last level holds at most `fanout` keys.
     levels: Vec<Vec<Value>>,
+    /// Leaves per entry of `block_sums`.
+    block: usize,
+    /// `block_sums[k]` is the exact sum of `leaves[..(k + 1) * block]`, one
+    /// entry per *full* block. A leaf array that fits one node has no
+    /// level-0 pass and therefore no sums.
+    block_sums: Vec<u128>,
     /// Length of the leaf array the tree was built over; lookups verify it.
     leaf_len: usize,
 }
@@ -116,15 +140,46 @@ impl StaticBTree {
     /// Answers `SELECT SUM(a), COUNT(a) WHERE a BETWEEN low AND high` over
     /// the sorted leaf array using the tree to locate the qualifying run.
     pub fn range_sum(&self, leaves: &[Value], low: Value, high: Value) -> ScanResult {
+        self.range_sum_touched(leaves, low, high).0
+    }
+
+    /// [`StaticBTree::range_sum`] together with the number of leaves read
+    /// to produce it: the whole blocks inside the run come from one prefix
+    /// difference, so only the partial blocks at its two ends are summed
+    /// leaf by leaf.
+    pub fn range_sum_touched(
+        &self,
+        leaves: &[Value],
+        low: Value,
+        high: Value,
+    ) -> (ScanResult, u64) {
         if low > high || leaves.is_empty() {
-            return ScanResult::EMPTY;
+            return (ScanResult::EMPTY, 0);
         }
         let start = self.lower_bound(leaves, low);
         let end = self.upper_bound(leaves, high);
         if end <= start {
-            return ScanResult::EMPTY;
+            return (ScanResult::EMPTY, 0);
         }
-        sum_positions(leaves, start, end)
+        let first = start.div_ceil(self.block);
+        let last = (end / self.block).min(self.block_sums.len());
+        if first >= last {
+            let run = sum_positions(leaves, start, end);
+            return (run, run.count);
+        }
+        let head = sum_positions(leaves, start, first * self.block);
+        let tail = sum_positions(leaves, last * self.block, end);
+        let result = ScanResult {
+            sum: head.sum + (self.prefix_sum(last) - self.prefix_sum(first)) + tail.sum,
+            count: (end - start) as u64,
+        };
+        (result, head.count + tail.count)
+    }
+
+    /// Exact sum of the first `blocks` full blocks of the leaf array.
+    #[inline]
+    fn prefix_sum(&self, blocks: usize) -> u128 {
+        blocks.checked_sub(1).map_or(0, |k| self.block_sums[k])
     }
 
     /// Half-open `[start, end)` leaf range of values within `[low, high]`.
@@ -192,6 +247,11 @@ pub struct BTreeBuilder {
     /// Index (into the *source* level) of the next element to sample for
     /// the level currently under construction.
     cursor: usize,
+    block: usize,
+    /// Prefix sums of the full blocks the level-0 pass has walked past.
+    block_sums: Vec<u128>,
+    /// Sum of every leaf the level-0 pass has walked past.
+    leaf_sum: u128,
     done: bool,
 }
 
@@ -206,11 +266,19 @@ impl BTreeBuilder {
         // A leaf level that already fits in one node needs no internal
         // levels at all.
         let done = leaf_len <= fanout;
+        let block = block_len(fanout);
         Self {
             fanout,
             leaf_len,
             levels: if done { Vec::new() } else { vec![Vec::new()] },
             cursor: 0,
+            block,
+            block_sums: if done {
+                Vec::new()
+            } else {
+                Vec::with_capacity(leaf_len / block)
+            },
+            leaf_sum: 0,
             done,
         }
     }
@@ -242,6 +310,11 @@ impl BTreeBuilder {
     /// Performs at most `max_copies` element copies, sampling from `leaves`
     /// (which must be the same sorted array on every call). Returns the
     /// number of copies actually performed.
+    ///
+    /// A level-0 copy also adds the `fanout` leaves below the copied key
+    /// into the block sums. That is work beside the copy, not a copy:
+    /// [`BTreeBuilder::total_copies`], and with it the number of steps a
+    /// budget needs, counts keys only.
     pub fn step(&mut self, leaves: &[Value], max_copies: usize) -> usize {
         assert_eq!(
             leaves.len(),
@@ -263,6 +336,11 @@ impl BTreeBuilder {
             };
             if self.cursor < source_len {
                 let value = if current == 0 {
+                    let below_end = (self.cursor + self.fanout).min(self.leaf_len);
+                    self.leaf_sum += sum_positions(leaves, self.cursor, below_end).sum;
+                    if below_end.is_multiple_of(self.block) {
+                        self.block_sums.push(self.leaf_sum);
+                    }
                     leaves[self.cursor]
                 } else {
                     self.levels[current - 1][self.cursor]
@@ -292,6 +370,8 @@ impl BTreeBuilder {
         Some(StaticBTree {
             fanout: self.fanout,
             levels: self.levels,
+            block: self.block,
+            block_sums: self.block_sums,
             leaf_len: self.leaf_len,
         })
     }
@@ -387,19 +467,43 @@ mod tests {
     }
 
     #[test]
-    fn incremental_builder_matches_bulk_build() {
-        let data = sorted_data(4_096);
+    fn incremental_builder_matches_bulk_build_under_every_step_budget() {
+        // 4 099 leaves at fan-out 8: four internal levels, sixteen full
+        // 256-leaf blocks and a partial one. `==` compares the key levels
+        // and the block sums.
+        let data = sorted_data(4_099);
         let bulk = StaticBTree::build(&data, 8);
-        let mut builder = BTreeBuilder::new(data.len(), 8);
-        let mut steps = 0;
-        while !builder.is_complete() {
-            let copied = builder.step(&data, 13);
-            assert!(copied > 0, "step must make progress until complete");
-            steps += 1;
-            assert!(steps < 100_000, "builder failed to converge");
+        assert_eq!(bulk.block_sums.len(), 16);
+        let total = BTreeBuilder::total_copies(data.len(), 8);
+        for budget in (1..=64).chain([total - 1, total, total + 1]) {
+            let mut builder = BTreeBuilder::new(data.len(), 8);
+            while !builder.is_complete() {
+                // A budget that ends exactly on the last copy leaves the
+                // completion to be noticed by one more, empty step.
+                let copied = builder.step(&data, budget);
+                assert!(
+                    copied > 0 || builder.is_complete(),
+                    "budget {budget} stalled"
+                );
+            }
+            assert_eq!(builder.copies_done(), total);
+            let incremental = builder.finish().expect("builder is complete");
+            assert_eq!(incremental, bulk, "budget {budget}");
         }
-        let incremental = builder.finish().expect("builder is complete");
-        assert_eq!(incremental, bulk);
+    }
+
+    #[test]
+    fn wide_range_sum_reads_at_most_two_partial_blocks() {
+        let data = sorted_data(100_000);
+        let tree = StaticBTree::build_default(&data);
+        let (low, high) = (data[1_000], data[90_000]);
+        let (result, touched) = tree.range_sum_touched(&data, low, high);
+        assert_eq!(result, scan_range_sum(&data, low, high));
+        assert!(result.count > 80_000);
+        assert!(touched < 2 * tree.block as u64, "{touched} leaves read");
+        // A run inside one block is read whole.
+        let (narrow, touched) = tree.range_sum_touched(&data, data[300], data[310]);
+        assert_eq!(touched, narrow.count);
     }
 
     #[test]

@@ -114,16 +114,29 @@ pub fn scan_range_select(data: &[Value], low: Value, high: Value) -> Vec<usize> 
     out
 }
 
+/// Elements summed per chunk by [`sum_positions`]. Within a chunk the low
+/// and high 32-bit halves accumulate in separate `u64` lanes, each bounded
+/// by `SUM_CHUNK · 2³²`, so any chunk length up to 2³² keeps them exact.
+const SUM_CHUNK: usize = 1 << 12;
+
 /// Sums a contiguous run of a *sorted* array between positions
 /// `[start, end)`. This is the "scan the α fraction of the index" step of
 /// the refinement and consolidation phases once the qualifying range has
 /// been located by binary search or a B+-tree lookup.
+///
+/// A `u128` accumulator costs an add/adc pair per element and does not
+/// vectorise; the split halves are plain `u64` adds and fold into the
+/// exact `u128` once per chunk.
 #[inline]
 pub fn sum_positions(data: &[Value], start: usize, end: usize) -> ScanResult {
-    let slice = &data[start..end];
     let mut sum: u128 = 0;
-    for &v in slice {
-        sum += v as u128;
+    for chunk in data[start..end].chunks(SUM_CHUNK) {
+        let (mut low, mut high) = (0u64, 0u64);
+        for &v in chunk {
+            low += v & 0xFFFF_FFFF;
+            high += v >> 32;
+        }
+        sum += low as u128 + ((high as u128) << 32);
     }
     ScanResult {
         sum,
@@ -213,6 +226,25 @@ mod tests {
         let r = sum_positions(&data, 2, 5);
         assert_eq!(r.count, 3);
         assert_eq!(r.sum, (data[2] + data[3] + data[4]) as u128);
+    }
+
+    #[test]
+    fn sum_positions_is_exact_on_extreme_values_at_chunk_boundaries() {
+        let data = vec![Value::MAX; 2 * SUM_CHUNK + 1];
+        for len in [
+            1,
+            SUM_CHUNK - 1,
+            SUM_CHUNK,
+            SUM_CHUNK + 1,
+            2 * SUM_CHUNK + 1,
+        ] {
+            for start in [0, 1] {
+                let end = (start + len).min(data.len());
+                let r = sum_positions(&data, start, end);
+                assert_eq!(r.count as usize, end - start);
+                assert_eq!(r.sum, Value::MAX as u128 * (end - start) as u128);
+            }
+        }
     }
 
     #[test]

@@ -1,0 +1,105 @@
+#!/usr/bin/env bash
+# Paired A/B of one pibench workload: a parent commit against this working
+# tree, by the rule of the choosing-metrics guide, section 8.
+#
+#   scripts/pibench_ab.sh <parent-ref> <workload> [seed]
+#
+# Both sides are exported into trees of their own under target/pibench_ab/
+# (the parent from git, the change from the working tree's tracked and
+# untracked-but-not-ignored files), so each builds pibench from its own
+# source into its own pibench/target. The BENCHMARK.json command is then
+# run PAIRS times (default 10) on each side, alternating which side goes
+# first, and every end-to-end metric is printed with each side's median
+# and quartiles, the pairs the change won, and a verdict: a gain (>= 9/10
+# of the pairs won, medians apart by more than the parent's interquartile
+# distance), worse by the same rule but within the metric's bound, a
+# regression (median worse by more than the bound), or neither.
+#
+# The run length and the command come from the working tree's
+# BENCHMARK.json and are the same on both sides.
+set -euo pipefail
+
+if [ $# -lt 2 ]; then
+    sed -n '2,6p' "$0" >&2
+    exit 2
+fi
+parent_ref=$1
+workload=$2
+seed=${3:-1}
+pairs=${PAIRS:-10}
+
+root=$(git rev-parse --show-toplevel)
+cd "$root"
+work=$root/target/pibench_ab
+rm -rf "$work/parent" "$work/change" "$work/runs"
+mkdir -p "$work/parent" "$work/change" "$work/runs"
+
+git archive "$parent_ref" | tar -x -C "$work/parent"
+git ls-files -z --cached --others --exclude-standard |
+    tar --null --ignore-failed-read -T - -cf - 2>/dev/null | tar -x -C "$work/change"
+
+mapfile -t command < <(python3 - <<'EOF'
+import json
+print(*json.load(open("BENCHMARK.json"))["command"], sep="\n")
+EOF
+)
+seconds=$(python3 -c 'import json; print(json.load(open("BENCHMARK.json"))["run_seconds"])')
+
+run() { # <side> <pair>
+    (cd "$work/$1" && "${command[@]}" --workload "$workload" --seed "$seed" \
+        --seconds "$seconds" --trace 0) | tail -n 1 >"$work/runs/$1.$2.json"
+}
+
+echo "building both sides (one untimed run each)" >&2
+run parent warmup
+run change warmup
+rm "$work"/runs/*.warmup.json
+
+for pair in $(seq 1 "$pairs"); do
+    if [ $((pair % 2)) -eq 1 ]; then order="parent change"; else order="change parent"; fi
+    for side in $order; do run "$side" "$pair"; done
+    echo "pair $pair/$pairs done ($order)" >&2
+done
+
+python3 - "$work/runs" "$pairs" <<'EOF'
+import json, statistics, sys
+runs, pairs = sys.argv[1], int(sys.argv[2])
+bench = json.load(open("BENCHMARK.json"))
+side = {s: [json.load(open(f"{runs}/{s}.{p}.json")) for p in range(1, pairs + 1)]
+        for s in ("parent", "change")}
+for s, results in side.items():
+    attempted = sum(r["attempted"] for r in results)
+    failed = sum(r["failed"] for r in results)
+    wrong = sum(not r["correct"] for r in results)
+    print(f"{s}: failed {failed} of {attempted} attempted, {wrong} runs with a wrong answer")
+
+def quartiles(xs):
+    q1, median, q3 = statistics.quantiles(xs, n=4, method="inclusive")
+    return q1, median, q3
+
+print(f"{'metric':<16}{'unit':<5}{'parent median [q1, q3]':<38}{'change median [q1, q3]':<38}"
+      f"{'ratio':>7}  won  verdict")
+for metric in bench["end_to_end"]:
+    name, higher = metric["name"], metric["better"] == "higher"
+    parent = [r["metrics"][name]["value"] for r in side["parent"]]
+    change = [r["metrics"][name]["value"] for r in side["change"]]
+    won = sum((c > p) if higher else (c < p) for p, c in zip(parent, change))
+    lost = sum((c < p) if higher else (c > p) for p, c in zip(parent, change))
+    (pq1, pm, pq3), (cq1, cm, cq3) = quartiles(parent), quartiles(change)
+    apart = abs(cm - pm) > pq3 - pq1
+    worse_by = ((pm - cm) if higher else (cm - pm)) / pm if pm else 0.0
+    if worse_by > metric["bound"]:
+        verdict = f"REGRESSION (bound {metric['bound']})"
+    elif apart and worse_by < 0 and won * 10 >= pairs * 9:
+        verdict = "gain"
+    elif apart and worse_by > 0 and lost * 10 >= pairs * 9:
+        verdict = f"worse, within bound {metric['bound']}"
+    elif won == lost == 0:
+        verdict = "equal"
+    else:
+        verdict = "-"
+    fmt = lambda m, a, b: f"{m:.6g} [{a:.6g}, {b:.6g}]"
+    ratio = cm / pm if pm else float("nan")
+    print(f"{name:<16}{metric['unit']:<5}{fmt(pm, pq1, pq3):<38}{fmt(cm, cq1, cq3):<38}"
+          f"{ratio:>7.3f}  {won:>2}/{pairs}  {verdict}")
+EOF
