@@ -32,8 +32,7 @@ use pi_engine::typed::{TableKey, TypedColumnSpec, TypedExecutor, TypedQuery, Typ
 use pi_engine::{ColumnSpec, Executor, ExecutorConfig, Table, TableQuery, TableServer};
 use pi_engine::{DurabilityConfig, DurableTable};
 use pi_engine::{
-    ErasedColumn, ErasedKey, GroupedQuery, MultiColumnSpec, MultiExecutor, MultiTable, PlanMode,
-    Predicate,
+    ErasedColumn, ErasedKey, GroupedQuery, MultiColumnSpec, MultiExecutor, MultiTable, Predicate,
 };
 use pi_obs::MetricsRegistry;
 use pi_sched::ServerConfig;
@@ -680,12 +679,8 @@ fn bench_typed_domains(
 ///
 /// * `conjunctions` — the skewed-selectivity sweep: every conjunction
 ///   pairs a ~90%-selective predicate on column `a` with a
-///   ~0.1%-selective predicate on column `b`. The `planned`
-///   configuration lets the planner pick the driving column (it drives
-///   `b`); `first_predicate` is the always-scan-first-column baseline
-///   that drives `a` and validates ~900× the survivors. The planner
-///   must beat the baseline here — that is the acceptance gate for the
-///   planning layer.
+///   ~0.1%-selective predicate on column `b`; the planner drives `b`
+///   and evaluates it first.
 /// * `grouped` — `SUM/COUNT/MIN/MAX GROUP BY bucket` over the sub-shard
 ///   digest trees: `fresh` rebuilds a table (and thus every per-shard
 ///   tree) each sample, `cached` re-serves the same queries from a
@@ -695,10 +690,6 @@ fn bench_multicolumn(
     latency_out: &mut Vec<(String, LatencySummary)>,
     params: BenchParams,
 ) {
-    const MODES: [(&str, PlanMode); 2] = [
-        ("planned", PlanMode::Planned),
-        ("first_predicate", PlanMode::FirstPredicate),
-    ];
     let domain = params.rows as u64;
     let columns = multicol::u64_columns(2, params.rows, domain, 89);
     let conjunctions =
@@ -719,14 +710,11 @@ fn bench_multicolumn(
         maintenance_steps: 2,
         ..ExecutorConfig::default()
     };
-    let ids = MODES
-        .iter()
-        .map(|(name, _)| format!("engine_throughput/multicolumn/conjunctions/{name}"))
-        .collect();
-    paired_rounds(c, latency_out, ids, params.rounds, |i| {
-        // Fresh table per sample: both configurations pay the same cold
-        // start, and the planner's ρ input starts from the same state.
-        let executor = MultiExecutor::with_config(build(), config).with_mode(MODES[i].1);
+    let ids = vec!["engine_throughput/multicolumn/conjunctions/planned".to_string()];
+    paired_rounds(c, latency_out, ids, params.rounds, |_| {
+        // Fresh table per sample: every sample pays the same cold start,
+        // and the planner's ρ input starts from the same state.
+        let executor = MultiExecutor::with_config(build(), config);
         let mut latencies = Vec::new();
         let start = Instant::now();
         for conj in &conjunctions {

@@ -9,12 +9,14 @@
 //! * [`ErasedKey`] — one key of any supported domain (`u64`, `i64`,
 //!   `f64`, `String`), with its order-preserving code
 //!   ([`ErasedKey::to_code`]) and the **exact** same-domain comparison
-//!   ([`ErasedKey::cmp_same`]) the conjunction validator uses.
+//!   ([`ErasedKey::cmp_same`]).
 //! * [`ErasedColumn`] — a row-aligned vector of keys of one domain,
-//!   storing the *full* typed keys. Candidate selection happens in code
-//!   space (a superset for prefix-encoded strings, by encoding
-//!   monotonicity); validation compares full keys, so prefix ties never
-//!   need a side table here.
+//!   storing the *full* typed keys. Conjunctions evaluate a predicate
+//!   over a whole column per call — [`select`](ErasedColumn::select),
+//!   [`refine`](ErasedColumn::refine),
+//!   [`sum_selected`](ErasedColumn::sum_selected) — unwrapping domain
+//!   and bounds once, never per row, and comparing full keys, so prefix
+//!   ties never need a side table here.
 //!
 //! Sums stay capability-gated exactly like the typed facade's digest
 //! matrix: `u64`/`i64` sums are exact ([`ErasedSum`]), `f64` and
@@ -67,8 +69,8 @@ impl ErasedKey {
 
     /// The key's order-preserving code in the `u64` core. For `Str` this
     /// is the 8-byte prefix code: distinct strings can tie, so a code
-    /// range is a *superset* of the typed range — callers correct it with
-    /// [`ErasedKey::cmp_same`] validation.
+    /// range is a *superset* of the typed range — membership is decided
+    /// over full keys ([`ErasedKey::cmp_same`], the column kernels).
     pub fn to_code(&self) -> u64 {
         match self {
             ErasedKey::U64(v) => TableKey::to_code(v),
@@ -167,43 +169,13 @@ impl ErasedColumn {
         }
     }
 
-    /// The key's code at `row` (no clone — the hot candidate-scan path).
+    /// The key's code at `row` (no clone; the delete path's index lookup).
     pub fn code_at(&self, row: usize) -> Value {
         match self {
             ErasedColumn::U64(v) => TableKey::to_code(&v[row]),
             ErasedColumn::I64(v) => TableKey::to_code(&v[row]),
             ErasedColumn::F64(v) => TableKey::to_code(&v[row]),
             ErasedColumn::Str(v) => TableKey::to_code(&v[row]),
-        }
-    }
-
-    /// Exact typed test of `low ≤ key(row) ≤ high` (the conjunction
-    /// validator; full-key order, so string prefix ties resolve exactly).
-    ///
-    /// # Panics
-    /// Panics when the bounds' domain differs from the column's.
-    pub fn matches(&self, row: usize, low: &ErasedKey, high: &ErasedKey) -> bool {
-        match (self, low, high) {
-            (ErasedColumn::U64(v), ErasedKey::U64(lo), ErasedKey::U64(hi)) => {
-                (lo..=hi).contains(&&v[row])
-            }
-            (ErasedColumn::I64(v), ErasedKey::I64(lo), ErasedKey::I64(hi)) => {
-                (lo..=hi).contains(&&v[row])
-            }
-            (ErasedColumn::F64(v), ErasedKey::F64(lo), ErasedKey::F64(hi)) => {
-                TableKey::key_cmp(&v[row], lo) != Ordering::Less
-                    && TableKey::key_cmp(&v[row], hi) != Ordering::Greater
-            }
-            (ErasedColumn::Str(v), ErasedKey::Str(lo), ErasedKey::Str(hi)) => {
-                let key = v[row].as_bytes();
-                key >= lo.as_bytes() && key <= hi.as_bytes()
-            }
-            _ => panic!(
-                "predicate domain {:?}/{:?} does not match column domain {:?}",
-                low.domain(),
-                high.domain(),
-                self.domain()
-            ),
         }
     }
 
@@ -251,21 +223,66 @@ impl ErasedColumn {
         }
     }
 
-    /// Adds the key at `row` into `sum` (capability-gated: `None` stays
-    /// `None` for domains without exact sums).
-    pub fn add_to_sum(&self, row: usize, sum: &mut Option<ErasedSum>) {
-        match (self, &mut *sum) {
-            (ErasedColumn::U64(v), Some(ErasedSum::U64(acc))) => *acc += v[row] as u128,
-            (ErasedColumn::I64(v), Some(ErasedSum::I64(acc))) => *acc += v[row] as i128,
-            _ => {}
+    /// Appends to `sel`, in ascending order, the live rows whose key lies
+    /// in `[low, high]` (full-key order; `low > high` selects nothing).
+    ///
+    /// # Panics
+    /// Panics when the bounds' domain differs from the column's, or when
+    /// `live` is not row-aligned with the column.
+    pub fn select(&self, live: &[bool], low: &ErasedKey, high: &ErasedKey, sel: &mut Vec<u32>) {
+        assert_eq!(live.len(), self.len(), "the live bitmap is row-aligned");
+        self.filter(low, high, Rows::Live(live, sel));
+    }
+
+    /// Keeps, in place and in order, the rows of `sel` whose key lies in
+    /// `[low, high]`.
+    ///
+    /// # Panics
+    /// Panics when the bounds' domain differs from the column's.
+    pub fn refine(&self, sel: &mut Vec<u32>, low: &ErasedKey, high: &ErasedKey) {
+        self.filter(low, high, Rows::Selected(sel));
+    }
+
+    /// One domain dispatch and bounds unwrap per predicate. Fixed-width
+    /// domains test in their key order (for `f64` code space, the total
+    /// order [`TableKey::key_cmp`] realises: `-0.0 < +0.0`, `±inf`
+    /// ordinary keys); strings compare full keys.
+    fn filter(&self, low: &ErasedKey, high: &ErasedKey, rows: Rows<'_>) {
+        match (self, low, high) {
+            (ErasedColumn::U64(v), ErasedKey::U64(lo), ErasedKey::U64(hi)) => {
+                filter_rows(v, rows, |k| (lo..=hi).contains(&k))
+            }
+            (ErasedColumn::I64(v), ErasedKey::I64(lo), ErasedKey::I64(hi)) => {
+                filter_rows(v, rows, |k| (lo..=hi).contains(&k))
+            }
+            (ErasedColumn::F64(v), ErasedKey::F64(lo), ErasedKey::F64(hi)) => {
+                let (lo, hi) = (TableKey::to_code(lo), TableKey::to_code(hi));
+                filter_rows(v, rows, |k| (lo..=hi).contains(&TableKey::to_code(k)))
+            }
+            (ErasedColumn::Str(v), ErasedKey::Str(lo), ErasedKey::Str(hi)) => {
+                let (lo, hi) = (lo.as_bytes(), hi.as_bytes());
+                filter_rows(v, rows, |k| (lo..=hi).contains(&k.as_bytes()))
+            }
+            _ => panic!(
+                "predicate domain {:?}/{:?} does not match column domain {:?}",
+                low.domain(),
+                high.domain(),
+                self.domain()
+            ),
         }
     }
 
-    /// The domain's zero sum, `None` where sums are unsupported.
-    pub fn zero_sum(&self) -> Option<ErasedSum> {
+    /// The exact sum of the keys at the rows of `sel`; `None` where the
+    /// domain has no exact sum (so the empty selection gives the
+    /// domain's zero sum).
+    pub fn sum_selected(&self, sel: &[u32]) -> Option<ErasedSum> {
         match self {
-            ErasedColumn::U64(_) => Some(ErasedSum::U64(0)),
-            ErasedColumn::I64(_) => Some(ErasedSum::I64(0)),
+            ErasedColumn::U64(v) => Some(ErasedSum::U64(
+                sel.iter().map(|&row| v[row as usize] as u128).sum(),
+            )),
+            ErasedColumn::I64(v) => Some(ErasedSum::I64(
+                sel.iter().map(|&row| v[row as usize] as i128).sum(),
+            )),
             ErasedColumn::F64(_) | ErasedColumn::Str(_) => None,
         }
     }
@@ -295,9 +312,264 @@ impl ErasedColumn {
     }
 }
 
+/// Rows per block of the dense pass: matches are compacted branch-free
+/// into a block-sized stack buffer, then appended to the selection.
+const BLOCK: usize = 1024;
+
+/// The rows a filter kernel runs over.
+enum Rows<'a> {
+    /// Every row the bitmap marks live; matches are appended.
+    Live(&'a [bool], &'a mut Vec<u32>),
+    /// The rows of a selection, compacted in place.
+    Selected(&'a mut Vec<u32>),
+}
+
+/// The two filter kernels over one typed slice. Both advance the write
+/// cursor by the test's result instead of branching on it: a predicate
+/// that half the rows pass costs the same as one all of them pass.
+fn filter_rows<T>(keys: &[T], rows: Rows<'_>, test: impl Fn(&T) -> bool) {
+    match rows {
+        Rows::Live(live, sel) => {
+            let mut block = [0u32; BLOCK];
+            let blocks = keys.chunks(BLOCK).zip(live.chunks(BLOCK));
+            for (b, (keys, live)) in blocks.enumerate() {
+                let base = (b * BLOCK) as u32;
+                let mut kept = 0;
+                for (i, (key, &live)) in keys.iter().zip(live).enumerate() {
+                    // `kept ≤ i < BLOCK`; the mask only tells the compiler.
+                    block[kept % BLOCK] = base + i as u32;
+                    kept += usize::from(live & test(key));
+                }
+                sel.extend_from_slice(&block[..kept]);
+            }
+        }
+        Rows::Selected(sel) => {
+            let mut kept = 0;
+            for i in 0..sel.len() {
+                let row = sel[i];
+                sel[kept] = row;
+                kept += usize::from(test(&keys[row as usize]));
+            }
+            sel.truncate(kept);
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The per-row reference the kernels are held to: one `key_at` and
+    /// two `cmp_same` per row.
+    fn reference(
+        col: &ErasedColumn,
+        rows: impl Iterator<Item = u32>,
+        low: &ErasedKey,
+        high: &ErasedKey,
+    ) -> Vec<u32> {
+        rows.filter(|&row| {
+            let key = col.key_at(row as usize);
+            key.cmp_same(low) != Ordering::Less && key.cmp_same(high) != Ordering::Greater
+        })
+        .collect()
+    }
+
+    fn reference_sum(col: &ErasedColumn, sel: &[u32]) -> Option<ErasedSum> {
+        let mut sum = match col.domain() {
+            KeyDomain::U64 => Some(ErasedSum::U64(0)),
+            KeyDomain::I64 => Some(ErasedSum::I64(0)),
+            KeyDomain::F64 | KeyDomain::Str => None,
+        };
+        for &row in sel {
+            match (col.key_at(row as usize), &mut sum) {
+                (ErasedKey::U64(k), Some(ErasedSum::U64(acc))) => *acc += k as u128,
+                (ErasedKey::I64(k), Some(ErasedSum::I64(acc))) => *acc += k as i128,
+                _ => {}
+            }
+        }
+        sum
+    }
+
+    /// Lengths around the 64-row and the block edges, and one that is no
+    /// multiple of the block.
+    const LENGTHS: [usize; 7] = [0, 1, 63, 64, 65, BLOCK, 2 * BLOCK + 37];
+
+    /// `select`, `refine` and `sum_selected` against the reference, with
+    /// every row live and with dead rows at the block edges.
+    fn check(col: &ErasedColumn, low: &ErasedKey, high: &ErasedKey) {
+        let n = col.len();
+        let mut holed = vec![true; n];
+        for edge in [0, 1, 63, 64, BLOCK - 1, BLOCK, 2 * BLOCK - 1, 2 * BLOCK] {
+            if edge < n {
+                holed[edge] = false;
+            }
+        }
+        if let Some(last) = holed.last_mut() {
+            *last = false;
+        }
+        for live in [vec![true; n], holed] {
+            let live_rows = (0..n as u32).filter(|&row| live[row as usize]);
+            let want = reference(col, live_rows, low, high);
+            let mut sel = Vec::new();
+            col.select(&live, low, high, &mut sel);
+            assert_eq!(sel, want, "select {low:?}..={high:?} over {n} rows");
+            assert_eq!(col.sum_selected(&sel), reference_sum(col, &want));
+        }
+        // Any ascending selection refines; this one ignores liveness.
+        let mut sel: Vec<u32> = (0..n as u32).filter(|row| row % 3 != 1).collect();
+        let want = reference(col, sel.iter().copied(), low, high);
+        col.refine(&mut sel, low, high);
+        assert_eq!(sel, want, "refine {low:?}..={high:?} over {n} rows");
+    }
+
+    #[test]
+    fn u64_kernels_match_the_per_row_reference() {
+        for n in LENGTHS {
+            let col = ErasedColumn::U64(
+                (0..n as u64)
+                    .map(|i| match i % 97 {
+                        5 => u64::MAX,
+                        6 => 0,
+                        _ => i * 2_654_435_761 % 1_000,
+                    })
+                    .collect(),
+            );
+            let bounds = [
+                (100, 600),
+                (600, 100),
+                (500, 500),
+                (0, u64::MAX),
+                (u64::MAX, u64::MAX),
+                (601, u64::MAX - 1),
+            ];
+            for (low, high) in bounds {
+                check(&col, &ErasedKey::U64(low), &ErasedKey::U64(high));
+            }
+        }
+    }
+
+    #[test]
+    fn i64_kernels_match_the_per_row_reference() {
+        for n in LENGTHS {
+            let col = ErasedColumn::I64(
+                (0..n as i64)
+                    .map(|i| match i % 89 {
+                        3 => i64::MIN,
+                        4 => i64::MAX,
+                        _ => i * 7_919 % 1_000 - 500,
+                    })
+                    .collect(),
+            );
+            let bounds = [
+                (-100, 100),
+                (100, -100),
+                (i64::MIN, -1),
+                (0, i64::MAX),
+                (-1, 0),
+                (i64::MIN, i64::MAX),
+            ];
+            for (low, high) in bounds {
+                check(&col, &ErasedKey::I64(low), &ErasedKey::I64(high));
+            }
+        }
+    }
+
+    #[test]
+    fn f64_kernels_keep_the_total_order() {
+        let special = [
+            -0.0,
+            0.0,
+            f64::NEG_INFINITY,
+            f64::INFINITY,
+            f64::MIN_POSITIVE,
+        ];
+        for n in LENGTHS {
+            let col = ErasedColumn::F64(
+                (0..n)
+                    .map(|i| match i % 11 {
+                        s @ 0..=4 => special[s],
+                        _ => (i * 7_919 % 1_000) as f64 / 8.0 - 60.0,
+                    })
+                    .collect(),
+            );
+            let bounds = [
+                (-25.0, 25.0),
+                (25.0, -25.0),
+                (-0.0, 0.0),
+                (0.0, 0.0),
+                (-0.0, -0.0),
+                (0.0, -0.0),
+                (f64::NEG_INFINITY, f64::INFINITY),
+                (f64::NEG_INFINITY, f64::NEG_INFINITY),
+                (f64::INFINITY, f64::INFINITY),
+                (f64::MIN_POSITIVE, f64::MAX),
+            ];
+            for (low, high) in bounds {
+                check(&col, &ErasedKey::F64(low), &ErasedKey::F64(high));
+            }
+        }
+        // The reference shares `key_cmp` with the kernels; pin the order
+        // itself against `f64::total_cmp` once.
+        let keys = vec![-0.0, 0.0, f64::NEG_INFINITY, f64::INFINITY, -1.0];
+        let col = ErasedColumn::F64(keys.clone());
+        for (low, high) in [(0.0, 0.0), (-0.0, 0.0), (-1.0, -0.0), (-0.0, f64::INFINITY)] {
+            let want: Vec<u32> = (0..keys.len() as u32)
+                .filter(|&row| {
+                    let key = keys[row as usize];
+                    key.total_cmp(&low).is_ge() && key.total_cmp(&high).is_le()
+                })
+                .collect();
+            let mut sel = Vec::new();
+            col.select(
+                &[true; 5],
+                &ErasedKey::F64(low),
+                &ErasedKey::F64(high),
+                &mut sel,
+            );
+            assert_eq!(sel, want, "[{low:?}, {high:?}]");
+        }
+    }
+
+    #[test]
+    fn string_kernels_resolve_prefix_ties_at_either_bound() {
+        for n in LENGTHS {
+            let col = ErasedColumn::Str(
+                (0..n)
+                    .map(|i| match i % 7 {
+                        0 => "quicksort".to_string(),
+                        1 => String::new(),
+                        2 => "progress".to_string(),
+                        _ => format!("progressive-{:02}", i * 31 % 50),
+                    })
+                    .collect(),
+            );
+            // Bounds sharing the rows' 8-byte prefix at the low end, the
+            // high end, and both; then no tie, inverted, and a point.
+            let bounds = [
+                ("progressive-10", "zzz"),
+                ("a", "progressive-30"),
+                ("progressive-10", "progressive-30"),
+                ("", "~"),
+                ("progressive-30", "progressive-10"),
+                ("progress", "progress"),
+            ];
+            for (low, high) in bounds {
+                check(
+                    &col,
+                    &ErasedKey::Str(low.into()),
+                    &ErasedKey::Str(high.into()),
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn select_appends_to_the_selection_it_is_given() {
+        let col = ErasedColumn::U64(vec![9, 1, 9]);
+        let mut sel = vec![7];
+        col.select(&[true; 3], &ErasedKey::U64(9), &ErasedKey::U64(9), &mut sel);
+        assert_eq!(sel, vec![7, 0, 2]);
+    }
 
     #[test]
     fn codes_preserve_each_domain_order() {
@@ -319,38 +591,39 @@ mod tests {
             "quicksort".into(),
         ]);
         assert_eq!(col.code_at(0), col.code_at(1), "8-byte prefix ties");
-        // Code-range candidate selection over-selects…
+        // A code range over-selects…
         let low = ErasedKey::Str("progressive-a".into());
         let high = ErasedKey::Str("progressive-z".into());
         assert!((low.to_code()..=high.to_code()).contains(&col.code_at(0)));
-        // …and exact validation corrects it.
-        assert!(!col.matches(0, &low, &high));
-        assert!(col.matches(1, &low, &high));
-        assert!(!col.matches(2, &low, &high));
+        // …and the kernels, comparing full keys, do not.
+        let mut sel = Vec::new();
+        col.select(&[true; 3], &low, &high, &mut sel);
+        assert_eq!(sel, vec![1]);
+        let mut sel = vec![0, 1, 2];
+        col.refine(&mut sel, &low, &high);
+        assert_eq!(sel, vec![1]);
     }
 
     #[test]
     fn sums_are_capability_gated() {
-        let u = ErasedColumn::U64(vec![3, 4]);
-        let mut sum = u.zero_sum();
-        u.add_to_sum(0, &mut sum);
-        u.add_to_sum(1, &mut sum);
-        assert_eq!(sum, Some(ErasedSum::U64(7)));
+        let u = ErasedColumn::U64(vec![3, u64::MAX, 4]);
+        assert_eq!(u.sum_selected(&[]), Some(ErasedSum::U64(0)));
+        assert_eq!(u.sum_selected(&[0, 2]), Some(ErasedSum::U64(7)));
+        assert_eq!(
+            u.sum_selected(&[0, 1, 2]),
+            Some(ErasedSum::U64(u64::MAX as u128 + 7))
+        );
 
         let i = ErasedColumn::I64(vec![-10, 4]);
-        let mut sum = i.zero_sum();
-        i.add_to_sum(0, &mut sum);
-        i.add_to_sum(1, &mut sum);
-        assert_eq!(sum, Some(ErasedSum::I64(-6)));
+        assert_eq!(i.sum_selected(&[]), Some(ErasedSum::I64(0)));
+        assert_eq!(i.sum_selected(&[0, 1]), Some(ErasedSum::I64(-6)));
 
         for col in [
             ErasedColumn::F64(vec![1.0]),
             ErasedColumn::Str(vec!["a".into()]),
         ] {
-            let mut sum = col.zero_sum();
-            assert_eq!(sum, None);
-            col.add_to_sum(0, &mut sum);
-            assert_eq!(sum, None);
+            assert_eq!(col.sum_selected(&[]), None);
+            assert_eq!(col.sum_selected(&[0]), None);
         }
     }
 
@@ -368,6 +641,6 @@ mod tests {
     #[should_panic(expected = "does not match column domain")]
     fn cross_domain_predicates_rejected() {
         let col = ErasedColumn::U64(vec![1]);
-        let _ = col.matches(0, &ErasedKey::F64(0.0), &ErasedKey::F64(1.0));
+        col.refine(&mut vec![0], &ErasedKey::F64(0.0), &ErasedKey::F64(1.0));
     }
 }

@@ -49,9 +49,10 @@
 //!   [`multicol::MultiExecutor`] turn independently-refined columns into
 //!   a small progressive database: conjunctions
 //!   (`WHERE a BETWEEN .. AND b BETWEEN ..`) are planned by
-//!   [`planner`] (drive the estimated-cheapest column through the
-//!   shard-parallel path, validate survivors exactly against the other
-//!   predicates' full typed keys), heterogeneous column sets mix
+//!   [`planner`] (the estimated-cheapest column is scanned through the
+//!   shard-parallel path and pays the refinement; the answer is computed
+//!   predicate-at-a-time over a selection vector of row ids, exact over
+//!   full typed keys), heterogeneous column sets mix
 //!   u64/i64/f64/string domains through the column-erased handle
 //!   ([`erased::ErasedColumn`]), and grouped aggregates
 //!   (`SUM/COUNT/MIN/MAX GROUP BY bucket`) are answered from sub-shard
@@ -120,7 +121,7 @@ pub use erased::{ErasedColumn, ErasedKey, ErasedSum, KeyDomain};
 pub use executor::{EngineError, Executor, ExecutorConfig, TableQuery};
 pub use multicol::{
     ConjunctionAnswer, GroupRow, GroupedQuery, MultiColumnSpec, MultiExecutor, MultiTable,
-    PlanMode, Predicate, RowMutation,
+    Predicate, RowMutation,
 };
 pub use pi_core::tuning::{KernelMode, TuningParameters};
 pub use planner::{choose_driving, Plan, PredicateStats, RHO_WEIGHT};

@@ -12,14 +12,15 @@
 //!   ([`RowMutation`]) update both sides under the write lock, so the
 //!   row store and the shard multisets always agree.
 //! * [`MultiExecutor`] — executes conjunctions
-//!   (`WHERE a BETWEEN .. AND b BETWEEN ..`) as *drive one column,
-//!   validate the rest*: the [`planner`](crate::planner) picks the
-//!   driving predicate from estimated selectivity + refinement state ρ,
-//!   the driving scan goes through the normal shard-parallel
-//!   [`Executor`] path (paying the paper's per-query δ of refinement
-//!   work), and every surviving row is validated **exactly** against
-//!   all predicates over the full typed keys. Answers are exact at
-//!   every refinement stage and under concurrent mutation.
+//!   (`WHERE a BETWEEN .. AND b BETWEEN ..`) in two decoupled parts. The
+//!   [`planner`](crate::planner) picks a *driving* predicate; its scan
+//!   goes through the normal shard-parallel [`Executor`] path and pays
+//!   the paper's per-query δ of refinement work on that column. The
+//!   answer is computed **predicate-at-a-time over a selection vector**
+//!   in the planner's cost order: the first predicate selects row ids
+//!   ([`ErasedColumn::select`]), every later one compacts the selection
+//!   ([`ErasedColumn::refine`]) — each predicate evaluated once, over
+//!   full typed keys, exact at every refinement stage.
 //! * Grouped aggregates ([`MultiExecutor::grouped`]) —
 //!   `SUM/COUNT/MIN/MAX GROUP BY bucket` answered from per-shard
 //!   [`DigestTree`]s behind a hot-range [`AggregateCache`], invalidated
@@ -31,13 +32,14 @@
 //! ## Exactness under concurrency
 //!
 //! Conjunction reads hold the row store's read lock across the driving
-//! scan and validation; writers hold the write lock across both the row
-//! store update and the inner shard mutations. Lock order is always
-//! `row store → shard mutex`, on both paths, so there is no deadlock
-//! and every conjunction observes a consistent row-store/shard state.
-//! Validation compares **full typed keys** — prefix-encoded string
-//! candidates over-selected in code space are corrected here, which is
-//! also why predicate order can never change a result set.
+//! scan and the selection passes; writers hold the write lock across
+//! both the row store update and the inner shard mutations. Lock order
+//! is always `row store → shard mutex`, on both paths, so there is no
+//! deadlock and every conjunction observes a consistent row-store/shard
+//! state. The answer is an intersection over **full typed keys**, so
+//! neither predicate order nor the driving choice can change it. Code
+//! ranges only ever over-select (string prefix ties), which is why a
+//! driving count of 0 proves the conjunction empty.
 //!
 //! ## Grouped-aggregate semantics
 //!
@@ -61,7 +63,7 @@ use pi_storage::scan::ScanResult;
 use pi_storage::Value;
 
 use crate::erased::{ErasedColumn, ErasedKey, ErasedSum};
-use crate::executor::{EngineError, Executor, ExecutorConfig, TableQuery};
+use crate::executor::{EngineError, Executor, ExecutorConfig};
 use crate::planner::{choose_driving, Plan, PredicateStats};
 use crate::table::{AlgorithmChoice, ColumnSpec, ShardedColumn, Table};
 
@@ -183,18 +185,6 @@ pub struct ConjunctionAnswer {
     pub driving: usize,
 }
 
-/// How the executor picks the driving predicate of a conjunction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum PlanMode {
-    /// Score every predicate (selectivity + refinement state) and drive
-    /// the cheapest — the planner the bench sweep measures.
-    #[default]
-    Planned,
-    /// Always drive the first predicate — the baseline the planner is
-    /// measured against.
-    FirstPredicate,
-}
-
 /// One group's aggregate row, decoded into the column's key domain.
 #[derive(Debug, Clone, PartialEq)]
 pub struct GroupRow {
@@ -245,10 +235,12 @@ impl MultiTableBuilder {
     ///
     /// # Panics
     /// Panics on duplicate column names, on columns of unequal row
-    /// counts, and on an empty column list.
+    /// counts, on an empty column list, and on more than `u32::MAX` rows
+    /// (selection vectors hold `u32` row ids).
     pub fn build(self) -> MultiTable {
         assert!(!self.specs.is_empty(), "a table needs at least one column");
         let rows = self.specs[0].keys.len();
+        assert!(rows <= u32::MAX as usize, "at most u32::MAX rows");
         let mut builder = Table::builder();
         let mut names = Vec::with_capacity(self.specs.len());
         let mut columns = Vec::with_capacity(self.specs.len());
@@ -311,9 +303,10 @@ impl MultiTable {
     ///
     /// # Panics
     /// Panics when an insert/update's key list does not match the
-    /// table's column count or a key's domain does not match its
-    /// column's (programmer errors; dead/out-of-range rows are runtime
-    /// conditions and return `false`).
+    /// table's column count, a key's domain does not match its column's,
+    /// or an insert would grow the row store past `u32::MAX` rows
+    /// (programmer errors; dead/out-of-range rows are runtime conditions
+    /// and return `false`).
     pub fn apply_rows(&self, mutations: &[RowMutation]) -> Vec<bool> {
         let mut store = self.store.write().expect("row store poisoned");
         mutations
@@ -329,6 +322,10 @@ impl MultiTable {
                     keys.len(),
                     store.columns.len(),
                     "insert arity must match the column count"
+                );
+                assert!(
+                    store.live.len() < u32::MAX as usize,
+                    "at most u32::MAX rows"
                 );
                 for (c, key) in keys.iter().enumerate() {
                     let code = key.to_code();
@@ -408,8 +405,9 @@ struct Resolved {
 struct PlannerObs {
     /// `planner.conjunctions` — conjunctions executed.
     conjunctions: Arc<Counter>,
-    /// `planner.survivors_validated` — candidate rows validated against
-    /// the non-driving predicates (the cost the planner minimises).
+    /// `planner.survivors_validated` — the size of the selection after
+    /// the first evaluated predicate: the rows that still had to be
+    /// checked against the conjunction's other predicates.
     survivors_validated: Arc<Counter>,
     /// `planner.agg.cache_hits` — grouped-aggregate digest trees served
     /// from the cache.
@@ -417,8 +415,9 @@ struct PlannerObs {
     /// `planner.agg.cache_invalidations` — cached trees discarded
     /// because a mutation bumped their shard's counter.
     agg_cache_invalidations: Arc<Counter>,
-    /// `planner.driving.<column>` — driving-column choices, per column.
-    driving: HashMap<String, Arc<Counter>>,
+    /// `planner.driving.<column>` — driving-column choices, in column
+    /// order.
+    driving: Vec<Arc<Counter>>,
 }
 
 impl PlannerObs {
@@ -432,7 +431,7 @@ impl PlannerObs {
                 .iter()
                 .map(|name| {
                     let metric = format!("planner.driving.{}", pi_obs::sanitize_component(name));
-                    (name.clone(), registry.counter(&metric))
+                    registry.counter(&metric)
                 })
                 .collect(),
         }
@@ -558,7 +557,6 @@ impl GroupedQuery {
 pub struct MultiExecutor {
     table: Arc<MultiTable>,
     exec: Executor,
-    mode: PlanMode,
     agg_cache: AggregateCache,
     obs: Option<PlannerObs>,
 }
@@ -575,7 +573,6 @@ impl MultiExecutor {
         MultiExecutor {
             table,
             exec,
-            mode: PlanMode::default(),
             agg_cache: AggregateCache::new(),
             obs: None,
         }
@@ -595,18 +592,9 @@ impl MultiExecutor {
         MultiExecutor {
             table,
             exec,
-            mode: PlanMode::default(),
             agg_cache: AggregateCache::new(),
             obs: Some(obs),
         }
-    }
-
-    /// Sets the planning mode (builder style). [`PlanMode::Planned`] is
-    /// the default; [`PlanMode::FirstPredicate`] is the baseline the
-    /// bench sweep measures the planner against.
-    pub fn with_mode(mut self, mode: PlanMode) -> Self {
-        self.mode = mode;
-        self
     }
 
     /// The table this executor serves.
@@ -669,112 +657,98 @@ impl MultiExecutor {
 
     /// The planner's decision inputs for each predicate, gathered
     /// lock-free from the inner columns' digests and ρ caches.
-    fn gather_stats(&self, resolved: &[Resolved], predicates: &[Predicate]) -> Vec<PredicateStats> {
+    fn gather_stats(&self, store: &RowStore, resolved: &[Resolved]) -> Vec<PredicateStats<'_>> {
         resolved
             .iter()
-            .zip(predicates)
-            .map(|(r, p)| {
+            .map(|r| {
                 let column = &self.table.inner.columns()[r.pos];
                 PredicateStats {
-                    column: p.column.clone(),
+                    column: &self.table.names[r.pos],
                     selectivity: column.estimate_selectivity(r.low_code, r.high_code),
                     rho: column.rho_estimate(),
+                    prefix_encoded: store.columns[r.pos].prefix_encoded(),
                 }
             })
             .collect()
     }
 
-    /// Plans a conjunction without executing it: the driving choice and
-    /// the per-predicate decision inputs behind it (for tests,
-    /// `EXPLAIN`-style introspection and observability).
-    pub fn plan(&self, predicates: &[Predicate]) -> Result<Plan, EngineError> {
+    /// Plans a conjunction without executing it: the driving choice, the
+    /// evaluation order and the per-predicate decision inputs behind
+    /// them (for tests, `EXPLAIN`-style introspection and observability).
+    pub fn plan(&self, predicates: &[Predicate]) -> Result<Plan<'_>, EngineError> {
         let store = self.table.store.read().expect("row store poisoned");
         let resolved = self.resolve(&store, predicates)?;
-        Ok(choose_driving(self.gather_stats(&resolved, predicates)))
+        Ok(choose_driving(self.gather_stats(&store, &resolved)))
     }
 
     /// Executes a conjunction: every predicate must hold
     /// (`WHERE p₀ AND p₁ AND …`). Exact at every refinement stage and
     /// under concurrent row mutations; the result set never depends on
-    /// predicate order or the planner's choice.
+    /// predicate order or the planner's choices.
     pub fn execute(&self, predicates: &[Predicate]) -> Result<ConjunctionAnswer, EngineError> {
         let store = self.table.store.read().expect("row store poisoned");
         let resolved = self.resolve(&store, predicates)?;
-        let zero_sums: Vec<Option<ErasedSum>> = resolved
-            .iter()
-            .map(|r| store.columns[r.pos].zero_sum())
-            .collect();
         if let Some(obs) = &self.obs {
             obs.conjunctions.inc();
         }
+        let answer = |sel: &[u32], driving| ConjunctionAnswer {
+            count: sel.len() as u64,
+            sums: resolved
+                .iter()
+                .map(|r| store.columns[r.pos].sum_selected(sel))
+                .collect(),
+            driving,
+        };
         if resolved.iter().any(|r| r.empty) {
             // A typed-empty predicate empties the conjunction before any
             // scan: encoding could not represent `low > high` faithfully.
-            return Ok(ConjunctionAnswer {
-                count: 0,
-                sums: zero_sums,
-                driving: 0,
-            });
+            return Ok(answer(&[], 0));
         }
-        let driving = match self.mode {
-            PlanMode::FirstPredicate => 0,
-            PlanMode::Planned => choose_driving(self.gather_stats(&resolved, predicates)).driving,
-        };
-        let d = &resolved[driving];
+        let plan = choose_driving(self.gather_stats(&store, &resolved));
+        let d = &resolved[plan.driving];
         // The driving scan runs through the normal shard-parallel path,
         // paying the paper's per-query δ of refinement work on the
         // driving column (and enjoying its covered-shard shortcuts).
-        let driving_scan = self.exec.execute_batch(&[TableQuery::new(
-            predicates[driving].column.clone(),
-            d.low_code,
-            d.high_code,
-        )])?[0];
-        // Stage 1: candidate rows from the row-aligned driving column,
-        // selected in code space (for prefix-encoded strings this
-        // over-selects; validation corrects it).
-        let driving_column = &store.columns[d.pos];
-        let mut candidates = Vec::new();
-        for (row, &live) in store.live.iter().enumerate() {
-            if live {
-                let code = driving_column.code_at(row);
-                if code >= d.low_code && code <= d.high_code {
-                    candidates.push(row);
-                }
-            }
-        }
+        let driving_rows = self
+            .exec
+            .execute_one(plan.stats[plan.driving].column, d.low_code, d.high_code)?
+            .count;
         debug_assert_eq!(
-            candidates.len() as u64,
-            driving_scan.count,
-            "row-store candidates must agree with the driving index scan"
+            (0..store.live.len())
+                .filter(|&row| store.live[row])
+                .map(|row| store.columns[d.pos].code_at(row))
+                .filter(|code| (d.low_code..=d.high_code).contains(code))
+                .count() as u64,
+            driving_rows,
+            "the row store must agree with the driving index scan"
         );
-        // Stage 2: validate every candidate against every predicate over
-        // the full typed keys — including the driving one, which keeps
-        // prefix-code over-selection exact and makes the result set
-        // independent of the planner's choice by construction.
-        let mut count = 0u64;
-        let mut sums = zero_sums;
-        'rows: for &row in &candidates {
-            for (r, p) in resolved.iter().zip(predicates) {
-                if !store.columns[r.pos].matches(row, &p.low, &p.high) {
-                    continue 'rows;
-                }
-            }
-            count += 1;
-            for (r, sum) in resolved.iter().zip(sums.iter_mut()) {
-                store.columns[r.pos].add_to_sum(row, sum);
-            }
-        }
         if let Some(obs) = &self.obs {
-            obs.survivors_validated.add(candidates.len() as u64);
-            if let Some(counter) = obs.driving.get(&predicates[driving].column) {
-                counter.inc();
-            }
+            obs.driving[d.pos].inc();
         }
-        Ok(ConjunctionAnswer {
-            count,
-            sums,
-            driving,
-        })
+        if driving_rows == 0 {
+            // A code range is a superset of its typed range in every
+            // domain: no row can pass the driving predicate.
+            return Ok(answer(&[], plan.driving));
+        }
+        // Predicate-at-a-time over a selection vector, in cost order. The
+        // driving count bounds the driving predicate's own selection;
+        // for any other first predicate the estimate sizes it.
+        let (&first, rest) = plan.order.split_first().expect("plans are never empty");
+        let mut sel = Vec::with_capacity(if first == plan.driving {
+            driving_rows as usize
+        } else {
+            (plan.stats[first].selectivity * store.live_count as f64) as usize
+        });
+        let (p, column) = (&predicates[first], &store.columns[resolved[first].pos]);
+        column.select(&store.live, &p.low, &p.high, &mut sel);
+        if let Some(obs) = &self.obs {
+            obs.survivors_validated.add(sel.len() as u64);
+        }
+        for &next in rest {
+            let (p, column) = (&predicates[next], &store.columns[resolved[next].pos]);
+            column.refine(&mut sel, &p.low, &p.high);
+        }
+        Ok(answer(&sel, plan.driving))
     }
 
     /// Answers a grouped aggregate from the per-shard digest trees,

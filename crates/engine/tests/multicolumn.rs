@@ -1,6 +1,8 @@
 //! Multi-column serving: conjunction planning, metamorphic
-//! order-independence, grouped-aggregate cache freshness under
-//! mutation, heterogeneous tables, and empty-column digests.
+//! order-independence (every permutation of a predicate list, at every
+//! refinement stage and across row mutations), the empty-driving-scan
+//! shortcut, grouped-aggregate cache freshness under mutation,
+//! heterogeneous tables, and empty-column digests.
 //!
 //! The planner-pinning tests fix the two decision inputs the issue
 //! names: refinement state ρ breaks selectivity ties towards converged
@@ -13,7 +15,7 @@ use std::sync::Arc;
 
 use pi_engine::{
     EngineError, ErasedColumn, ErasedKey, ErasedSum, ExecutorConfig, GroupedQuery, MultiColumnSpec,
-    MultiExecutor, MultiTable, PlanMode, Predicate, RowMutation,
+    MultiExecutor, MultiTable, Predicate, RowMutation,
 };
 use pi_obs::MetricsRegistry;
 use pi_workloads::multicol::{conjunction_ranges, hetero_rows, u64_columns};
@@ -118,37 +120,213 @@ fn selectivity_gap_overrides_any_convergence_gap() {
     assert!(plan.stats[1].selectivity < 0.05);
 }
 
+/// Every ordering of a three-predicate list.
+const ORDERS: [[usize; 3]; 6] = [
+    [0, 1, 2],
+    [0, 2, 1],
+    [1, 0, 2],
+    [1, 2, 0],
+    [2, 0, 1],
+    [2, 1, 0],
+];
+
+/// Executes `predicates` in every order and holds each answer to the
+/// first: same count, sums realigned to the permuted predicate list.
+/// Returns the answer in the given order.
+fn execute_in_every_order(
+    exec: &MultiExecutor,
+    predicates: &[Predicate; 3],
+) -> pi_engine::ConjunctionAnswer {
+    let base = exec.execute(predicates).unwrap();
+    for order in ORDERS {
+        let permuted: Vec<Predicate> = order.iter().map(|&p| predicates[p].clone()).collect();
+        let answer = exec.execute(&permuted).unwrap();
+        assert_eq!(answer.count, base.count, "order {order:?}");
+        let realigned: Vec<_> = order.iter().map(|&p| base.sums[p]).collect();
+        assert_eq!(answer.sums, realigned, "order {order:?}");
+    }
+    base
+}
+
 #[test]
-fn predicate_order_and_plan_mode_never_change_the_result_set() {
+fn predicate_order_never_changes_the_result_set() {
     let cols = u64_columns(2, 8_000, 50_000, 17);
     let (a, b) = (cols[0].clone(), cols[1].clone());
     let table = two_u64_columns(8_000, 50_000, 17);
-    // Skew the refinement state so Planned and FirstPredicate genuinely
-    // disagree on the driving column.
+    // Skew the refinement state so the driving column is not simply the
+    // most selective one.
     converge_column(&table, 1);
-    let planned = MultiExecutor::with_config(Arc::clone(&table), foreground());
-    let first = MultiExecutor::with_config(Arc::clone(&table), foreground())
-        .with_mode(PlanMode::FirstPredicate);
+    let exec = MultiExecutor::with_config(Arc::clone(&table), foreground());
     for conj in conjunction_ranges(&[0.4, 0.02], 50_000, 12, 19) {
         let (ra, rb) = (conj[0], conj[1]);
-        let fwd = [
+        // A second range on "a": same-column predicates intersect.
+        let ra2 = (ra.0 + (ra.1 - ra.0) / 4, u64::MAX);
+        let predicates = [
             Predicate::between_u64("a", ra.0, ra.1),
             Predicate::between_u64("b", rb.0, rb.1),
+            Predicate::between_u64("a", ra2.0, ra2.1),
         ];
-        let rev = [fwd[1].clone(), fwd[0].clone()];
-        let x = planned.execute(&fwd).unwrap();
-        let y = planned.execute(&rev).unwrap();
-        let z = first.execute(&fwd).unwrap();
-        // Metamorphic: same rows, sums realigned to predicate order.
-        assert_eq!(x.count, y.count);
-        assert_eq!(x.sums, vec![y.sums[1], y.sums[0]]);
-        assert_eq!((x.count, &x.sums), (z.count, &z.sums));
-        // And both agree with the raw-row oracle.
-        let (count, sum_a, sum_b) = conj_oracle(&a, &b, ra, rb);
-        assert_eq!(x.count, count, "a={ra:?} b={rb:?}");
+        let x = execute_in_every_order(&exec, &predicates);
+        // And all of them agree with the raw-row oracle.
+        let (count, sum_a, sum_b) = conj_oracle(&a, &b, (ra2.0, ra.1), rb);
+        assert_eq!(x.count, count, "a={ra:?}∩{ra2:?} b={rb:?}");
         assert_eq!(x.sums[0], Some(ErasedSum::U64(sum_a)));
         assert_eq!(x.sums[1], Some(ErasedSum::U64(sum_b)));
+        assert_eq!(x.sums[2], x.sums[0]);
     }
+}
+
+#[test]
+fn three_domain_conjunctions_are_order_independent_at_every_stage_and_across_mutations() {
+    let (ids, floats, strings) = hetero_rows(Distribution::Skewed, 4_000, 100.0, 53);
+    let table = Arc::new(
+        MultiTable::builder()
+            .column(MultiColumnSpec::new("id", ErasedColumn::U64(ids.clone())))
+            .column(MultiColumnSpec::new(
+                "temp",
+                ErasedColumn::F64(floats.clone()),
+            ))
+            .column(MultiColumnSpec::new(
+                "name",
+                ErasedColumn::Str(strings.clone()),
+            ))
+            .build(),
+    );
+    let exec = MultiExecutor::with_config(Arc::clone(&table), foreground());
+    let mut rows: Vec<(u64, f64, String, bool)> = ids
+        .iter()
+        .zip(&floats)
+        .zip(&strings)
+        .map(|((&i, &f), s)| (i, f, s.clone(), true))
+        .collect();
+    // Inside the hot shared prefix (one code, most rows tie on it), all
+    // strings, and a selective id range with −0.0 as a float bound.
+    let cases = [
+        ((500, 3_500), (-50.0, 50.0), ("progressivd", "progressivq")),
+        ((0, u64::MAX), (-100.0, 0.0), ("a", "zzzzzzzzzzzzz")),
+        ((1_000, 1_200), (-0.0, 100.0), ("", "progressivz")),
+    ];
+    let check = |rows: &[(u64, f64, String, bool)], stage: &str| {
+        for &(ir, fr, sr) in &cases {
+            let predicates = [
+                Predicate::between_u64("id", ir.0, ir.1),
+                Predicate::new("temp", ErasedKey::F64(fr.0), ErasedKey::F64(fr.1)),
+                Predicate::new(
+                    "name",
+                    ErasedKey::Str(sr.0.into()),
+                    ErasedKey::Str(sr.1.into()),
+                ),
+            ];
+            let answer = execute_in_every_order(&exec, &predicates);
+            let matching = rows.iter().filter(|(i, f, s, live)| {
+                *live
+                    && (ir.0..=ir.1).contains(i)
+                    && f.total_cmp(&fr.0).is_ge()
+                    && f.total_cmp(&fr.1).is_le()
+                    && (sr.0..=sr.1).contains(&s.as_str())
+            });
+            let (count, id_sum) = matching.fold((0, 0u128), |(count, sum), row| {
+                (count + 1, sum + row.0 as u128)
+            });
+            assert!(count > 0, "a vacuous case checks nothing");
+            assert_eq!(answer.count, count, "{stage}: {ir:?} {fr:?} {sr:?}");
+            assert_eq!(
+                answer.sums,
+                vec![Some(ErasedSum::U64(id_sum)), None, None],
+                "{stage}"
+            );
+        }
+    };
+    check(&rows, "cold");
+    exec.drive_to_convergence(48);
+    check(&rows, "partially refined");
+    // Mutations interleaved with refinement: rows inside the hot prefix,
+    // at a float bound, and a re-used slot.
+    let mutations = [
+        RowMutation::Delete(7),
+        RowMutation::Insert(vec![
+            ErasedKey::U64(1_100),
+            ErasedKey::F64(-0.0),
+            ErasedKey::Str("progressivm-inserted".into()),
+        ]),
+        RowMutation::Update {
+            row: 11,
+            keys: vec![
+                ErasedKey::U64(1_150),
+                ErasedKey::F64(0.0),
+                ErasedKey::Str("progressivd".into()),
+            ],
+        },
+        RowMutation::Delete(11),
+        RowMutation::Update {
+            row: 12,
+            keys: vec![
+                ErasedKey::U64(3_500),
+                ErasedKey::F64(50.0),
+                ErasedKey::Str("progressivq".into()),
+            ],
+        },
+    ];
+    assert_eq!(exec.apply_rows(&mutations), vec![true; 5]);
+    rows[7].3 = false;
+    rows.push((1_100, -0.0, "progressivm-inserted".into(), true));
+    rows[11] = (1_150, 0.0, "progressivd".into(), false);
+    rows[12] = (3_500, 50.0, "progressivq".into(), true);
+    check(&rows, "mutated");
+    exec.drive_to_convergence(usize::MAX);
+    assert!(table.inner().is_converged());
+    check(&rows, "converged");
+}
+
+#[test]
+fn an_empty_driving_scan_answers_without_a_row_store_pass() {
+    let registry = Arc::new(MetricsRegistry::new());
+    let table = Arc::new(
+        MultiTable::builder()
+            .column(MultiColumnSpec::new(
+                "id",
+                ErasedColumn::U64((0..1_000).collect()),
+            ))
+            .column(MultiColumnSpec::new(
+                "name",
+                ErasedColumn::Str((0..1_000).map(|i| format!("row-{i:04}")).collect()),
+            ))
+            .build(),
+    );
+    let exec = MultiExecutor::with_metrics(Arc::clone(&table), foreground(), Arc::clone(&registry));
+    let counter = |name: &str| registry.snapshot().counter(name).unwrap();
+    // No id is ≥ 5000: the estimate is 0, so "id" drives, and its index
+    // scan counts nothing — in code space, a superset of the typed range.
+    let nothing = [
+        Predicate::new(
+            "name",
+            ErasedKey::Str("row-".into()),
+            ErasedKey::Str("row-9".into()),
+        ),
+        Predicate::between_u64("id", 5_000, 6_000),
+    ];
+    let answer = exec.execute(&nothing).unwrap();
+    assert_eq!((answer.count, answer.driving), (0, 1));
+    assert_eq!(answer.sums, vec![None, Some(ErasedSum::U64(0))]);
+    assert_eq!(counter("planner.driving.id"), 1);
+    assert_eq!(
+        counter("planner.survivors_validated"),
+        0,
+        "no selection was made"
+    );
+    // A conjunction that does select counts its first selection.
+    let some = [nothing[0].clone(), Predicate::between_u64("id", 10, 19)];
+    assert_eq!(exec.execute(&some).unwrap().count, 10);
+    assert_eq!(counter("planner.survivors_validated"), 10);
+
+    // Delete every row: whatever drives now counts zero.
+    let deletes: Vec<RowMutation> = (0..1_000).map(RowMutation::Delete).collect();
+    assert_eq!(exec.apply_rows(&deletes), vec![true; 1_000]);
+    let answer = exec.execute(&some).unwrap();
+    assert_eq!(answer.count, 0);
+    assert_eq!(answer.sums, vec![None, Some(ErasedSum::U64(0))]);
+    assert_eq!(counter("planner.survivors_validated"), 10);
+    assert_eq!(counter("planner.conjunctions"), 3);
 }
 
 /// Grouped-aggregate oracle over the live rows of a u64 column

@@ -94,11 +94,43 @@ impl DigestTree {
     }
 
     /// Builds the tree of `values` over the global grid of width `width`.
+    ///
+    /// When the bucket span (one min/max pass) is below the value count —
+    /// a shard's values cluster, so it nearly always is — values fold
+    /// into a dense window of cells indexed by bucket offset, bulk-loaded
+    /// into the map in order: no map lookup per value. A wider span would
+    /// cost more window than data and takes [`DigestTree::absorb`].
     pub fn build(values: &[Value], width: Value) -> Self {
         let mut tree = Self::empty(width);
-        for &v in values {
-            tree.absorb(v);
+        let (min, max) = values
+            .iter()
+            .fold((Value::MAX, Value::MIN), |(min, max), &v| {
+                (min.min(v), max.max(v))
+            });
+        if values.is_empty() {
+            return tree;
         }
+        let (first, last) = (bucket_of(min, width), bucket_of(max, width));
+        if last - first >= values.len() as u64 {
+            values.iter().for_each(|&v| tree.absorb(v));
+            return tree;
+        }
+        // An untouched window cell has `count == 0` and is never
+        // materialised; its min/max are the folds' identities, not data.
+        let untouched = GroupCell {
+            sum: 0,
+            count: 0,
+            min: Value::MAX,
+            max: Value::MIN,
+        };
+        let mut window = vec![untouched; (last - first) as usize + 1];
+        for &v in values {
+            window[(bucket_of(v, width) - first) as usize].absorb(v);
+        }
+        let cells = (first..=last)
+            .zip(window)
+            .filter(|(_, cell)| cell.count > 0);
+        tree.cells = cells.collect();
         tree
     }
 
@@ -207,6 +239,56 @@ mod tests {
         assert_eq!(tree.cell(10), Some(&GroupCell::of(100)));
         assert_eq!(tree.cell(3), None, "empty buckets are not materialised");
         assert_eq!(tree.total_count(), values.len() as u64);
+    }
+
+    /// The reference `build` is held to: one map lookup per value.
+    fn absorb_each(values: &[Value], width: Value) -> DigestTree {
+        let mut tree = DigestTree::empty(width);
+        values.iter().for_each(|&v| tree.absorb(v));
+        tree
+    }
+
+    #[test]
+    fn dense_window_build_matches_the_absorb_loop() {
+        // A shard's slice of a domain: many values, few buckets, far from 0.
+        let clustered: Vec<Value> = (0..5_000).map(|i| 1_000_000 + i * 7_919 % 40_000).collect();
+        for width in [1, 7, 625, 40_000, 1 << 40] {
+            assert_eq!(
+                DigestTree::build(&clustered, width),
+                absorb_each(&clustered, width),
+                "width {width}"
+            );
+        }
+        // Holes inside the window are not materialised.
+        let holed = [10, 11, 95, 12, 97];
+        let tree = DigestTree::build(&holed, 10);
+        assert_eq!(tree, absorb_each(&holed, 10));
+        assert_eq!(tree.len(), 2);
+        // One value, repeated or alone, is a one-cell window.
+        for values in [vec![42], vec![42; 100], vec![0], vec![u64::MAX]] {
+            assert_eq!(DigestTree::build(&values, 5), absorb_each(&values, 5));
+            assert_eq!(DigestTree::build(&values, 5).len(), 1);
+        }
+    }
+
+    #[test]
+    fn build_survives_the_last_bucket_and_falls_back_when_sparse() {
+        // Width 1 at the top of the domain: bucket ids reach u64::MAX.
+        let top = [u64::MAX, u64::MAX - 1, u64::MAX, u64::MAX - 3];
+        let tree = DigestTree::build(&top, 1);
+        assert_eq!(tree, absorb_each(&top, 1));
+        assert_eq!(tree.cell(u64::MAX).map(|c| c.count), Some(2));
+        // Span ≥ value count: a window would outweigh the data (here it
+        // would not even be addressable), so the map path builds it.
+        let sparse = [0, u64::MAX, 1 << 40, 3, 1 << 20];
+        for width in [1, 1 << 10, 1 << 62] {
+            assert_eq!(
+                DigestTree::build(&sparse, width),
+                absorb_each(&sparse, width),
+                "width {width}"
+            );
+        }
+        assert_eq!(DigestTree::build(&sparse, 1).len(), 5);
     }
 
     #[test]
