@@ -858,133 +858,6 @@ fn convergence_trace(params: BenchParams) -> String {
     )
 }
 
-/// Per-kernel microbenchmarks for the tuned refinement kernels
-/// (`pi_core::kernels`), paired tuned-vs-scalar like every other group:
-///
-/// * `kernel_scatter` — 8-wide unrolled two-pass scatter
-///   ([`pi_core::kernels::ScatterScratch`]) vs the checked
-///   `Vec<Vec<_>>`-groups reference (`scatter_scalar`).
-/// * `kernel_histogram` — byte-digit counting at unroll 8 vs unroll 1,
-///   plus the pooled per-chunk variant
-///   ([`pi_sched::par_chunk_counts`]) the engine's distribution
-///   estimator uses above the parallel-count threshold.
-/// * `kernel_cycle_swap` — ska-style in-place byte-radix sort
-///   (`ska_sort_by_level`) vs `slice::sort_unstable`.
-/// * `kernel_refine_step` — end to end: a progressive Radixsort (LSD)
-///   index driven from creation to convergence with tuned vs scalar
-///   kernels (`TuningParameters::scalar`). This is the number the
-///   performance model in `docs/PERFORMANCE.md` is judged by.
-fn bench_kernels(
-    c: &Criterion,
-    latency_out: &mut Vec<(String, LatencySummary)>,
-    params: BenchParams,
-) {
-    use pi_core::kernels::{self, ScatterScratch};
-    use pi_core::{Algorithm, CostConstants, TuningParameters};
-    use pi_storage::Column;
-
-    let values = data::generate(Distribution::UniformRandom, params.rows, 57);
-    let digit = |v: u64| (v >> 56) as u8;
-    let no_latency = LatencyPercentiles::default;
-
-    // Scatter: tuned unrolled two-pass vs checked scalar groups.
-    {
-        let ids = ["tuned", "scalar"]
-            .iter()
-            .map(|p| format!("engine_throughput/kernel_scatter/{p}"))
-            .collect();
-        let mut scratch = ScatterScratch::new();
-        paired_rounds(c, latency_out, ids, params.rounds, |i| {
-            let start = Instant::now();
-            if i == 0 {
-                let (grouped, offsets) = scratch.scatter(&values, 256, 8, &digit);
-                black_box((grouped.len(), offsets[256]));
-            } else {
-                let (grouped, offsets) = kernels::scatter_scalar(&values, 256, &digit);
-                black_box((grouped.len(), offsets[256]));
-            }
-            (start.elapsed(), no_latency())
-        });
-    }
-
-    // Histogram: unroll 8 vs unroll 1 vs pooled per-chunk counting.
-    {
-        let ids = ["unroll8", "unroll1", "pooled"]
-            .iter()
-            .map(|p| format!("engine_throughput/kernel_histogram/{p}"))
-            .collect();
-        let pool = pi_sched::Pool::new(4);
-        paired_rounds(c, latency_out, ids, params.rounds, |i| {
-            let start = Instant::now();
-            let counts = match i {
-                0 => kernels::histogram(&values, 8, &digit),
-                1 => kernels::histogram(&values, 1, &digit),
-                _ => pi_sched::par_chunk_counts(&pool, &values, &digit),
-            };
-            black_box(counts[0]);
-            (start.elapsed(), no_latency())
-        });
-    }
-
-    // In-place byte-radix sort vs the standard comparison sort.
-    {
-        let ids = ["ska", "std_sort"]
-            .iter()
-            .map(|p| format!("engine_throughput/kernel_cycle_swap/{p}"))
-            .collect();
-        paired_rounds(c, latency_out, ids, params.rounds, |i| {
-            let mut data = values.clone();
-            let start = Instant::now();
-            if i == 0 {
-                let threshold = TuningParameters::default().comparison_sort_threshold;
-                kernels::ska_sort_by_level(&mut data, 7, threshold);
-            } else {
-                data.sort_unstable();
-            }
-            black_box(data[0]);
-            (start.elapsed(), no_latency())
-        });
-    }
-
-    // End-to-end refinement: drive an LSD index to convergence.
-    {
-        let ids = ["tuned", "scalar"]
-            .iter()
-            .map(|p| format!("engine_throughput/kernel_refine_step/{p}"))
-            .collect();
-        let tunings = [TuningParameters::default(), TuningParameters::scalar()];
-        let column = Arc::new(Column::from_vec(values.clone()));
-        let point = column.min();
-        paired_rounds(c, latency_out, ids, params.rounds, |i| {
-            let mut index = Algorithm::RadixsortLsd.build_tuned(
-                Arc::clone(&column),
-                BudgetPolicy::FixedDelta(0.25),
-                CostConstants::synthetic(),
-                tunings[i],
-            );
-            // Drive through the creation phase (identical per-element
-            // routing in both modes) outside the timer, then time the
-            // refinement + merging phases — the passes the tuned kernels
-            // rewrite. Point queries keep the answering scan down to two
-            // buckets, so the measurement is dominated by the budgeted
-            // indexing work.
-            let mut guard = 0usize;
-            while index.status().phase == pi_core::Phase::Creation {
-                black_box(index.query(point, point));
-                guard += 1;
-                assert!(guard < 10_000, "creation did not finish");
-            }
-            let start = Instant::now();
-            while index.status().phase == pi_core::Phase::Refinement {
-                black_box(index.query(point, point));
-                guard += 1;
-                assert!(guard < 10_000, "refinement did not finish");
-            }
-            (start.elapsed(), no_latency())
-        });
-    }
-}
-
 /// Renders the results as `BENCH_engine.json`: queries/s per benchmark,
 /// grouped the way the ids are (`shards`, `delta`, `converged`, `server`,
 /// `mixed`, `float`, `string`). `queries_per_second` comes from the
@@ -1056,7 +929,6 @@ fn main() {
     bench_recovery_time(&c, &mut latency, params);
     bench_typed_domains(&c, &mut latency, params);
     bench_multicolumn(&c, &mut latency, params);
-    bench_kernels(&c, &mut latency, params);
     // The instrumented convergence pass runs in both modes (smoke keeps
     // the code path exercised) but only full runs persist it.
     let trace = convergence_trace(params);

@@ -263,8 +263,8 @@ impl BlockBucket {
 
     /// Iterator over the contiguous block sub-slices covering insertion
     /// positions `[from, from + len)`. This is the bucket-drain primitive:
-    /// the tuned refinement kernels pull whole slices out of the source
-    /// bucket and scatter them, instead of calling [`BlockBucket::get`]
+    /// the refinement steps pull whole slices out of the source bucket
+    /// and scatter them, instead of calling [`BlockBucket::get`]
     /// once per element.
     ///
     /// # Panics
@@ -366,8 +366,7 @@ impl BucketSet {
 
     /// Appends a whole run of values to bucket `bucket` block-wise,
     /// keeping the allocation count identical to pushing them one by
-    /// one. The tuned refinement kernels land each scatter group with
-    /// one call.
+    /// one. The refinement steps land each scatter group with one call.
     ///
     /// # Panics
     /// Panics when `bucket` is out of range.

@@ -33,7 +33,6 @@ use crate::cost_model::{CostConstants, CostModel};
 use crate::index::RangeIndex;
 use crate::result::{IndexStatus, Phase, QueryResult};
 use crate::sorter::{IncrementalSorter, DEFAULT_SMALL_NODE_ELEMENTS};
-use crate::tuning::{KernelMode, TuningParameters};
 
 /// Tuning parameters for [`ProgressiveBucketsort`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -49,9 +48,6 @@ pub struct BucketsortConfig {
     /// Number of evenly spaced elements sampled to estimate the
     /// equi-height bounds.
     pub bound_sample_size: usize,
-    /// Kernel tuning constants for the merge/sort steps; result-neutral
-    /// (see [`crate::tuning`]).
-    pub tuning: TuningParameters,
 }
 
 impl Default for BucketsortConfig {
@@ -62,7 +58,6 @@ impl Default for BucketsortConfig {
             small_node_elements: DEFAULT_SMALL_NODE_ELEMENTS,
             btree_fanout: DEFAULT_FANOUT,
             bound_sample_size: 4096,
-            tuning: TuningParameters::default(),
         }
     }
 }
@@ -288,7 +283,6 @@ impl ProgressiveBucketsort {
         let n = self.n();
         let bucket_count = self.config.bucket_count;
         let small_node = self.config.small_node_elements;
-        let tuning = self.config.tuning;
         let lo_b = self.bucket_of(low);
         let hi_b = self.bucket_of(high).min(bucket_count - 1);
         let column_min = self.column.min();
@@ -363,16 +357,10 @@ impl ProgressiveBucketsort {
                 MergeStage::Copying { copied } => {
                     let take = (budget - ops).min(len - *copied);
                     let bucket = buckets.bucket(b);
-                    if tuning.mode == KernelMode::Tuned {
-                        // Block-wise copy instead of a per-element `get`
-                        // (an integer division per element).
-                        let out = &mut merged[offset + *copied..offset + *copied + take];
-                        bucket.copy_range_to(*copied, out);
-                    } else {
-                        for i in 0..take {
-                            merged[offset + *copied + i] = bucket.get(*copied + i);
-                        }
-                    }
+                    // Block-wise copy instead of a per-element `get` (an
+                    // integer division per element).
+                    let out = &mut merged[offset + *copied..offset + *copied + take];
+                    bucket.copy_range_to(*copied, out);
                     *copied += take;
                     ops += take.max(1);
                     if *copied == len {
@@ -390,8 +378,7 @@ impl ProgressiveBucketsort {
                                 dom_min,
                                 dom_max,
                                 small_node,
-                            )
-                            .with_tuning(tuning),
+                            ),
                         };
                     }
                 }

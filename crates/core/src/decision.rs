@@ -30,13 +30,9 @@
 
 use std::sync::Arc;
 
-use crate::bucketsort::BucketsortConfig;
 use crate::budget::BudgetPolicy;
 use crate::cost_model::CostConstants;
 use crate::index::RangeIndex;
-use crate::quicksort::QuicksortConfig;
-use crate::radix_lsd::RadixLsdConfig;
-use crate::radix_msd::RadixMsdConfig;
 use crate::tuning::TuningParameters;
 use crate::{
     ProgressiveBucketsort, ProgressiveQuicksort, ProgressiveRadixsortLsd, ProgressiveRadixsortMsd,
@@ -127,73 +123,34 @@ impl Algorithm {
         }
     }
 
-    /// [`Algorithm::build_with_constants`] with explicit kernel tuning
-    /// constants — the engine's `TableBuilder` threads the
-    /// machine-calibrated [`TuningParameters`] through here so every
-    /// shard runs the tuned refinement kernels. Tuning is result-neutral:
-    /// it selects between bit-identical kernel implementations (see
-    /// [`crate::tuning`]).
+    /// Forwards to [`Algorithm::build_with_constants`]; the last argument
+    /// is ignored. Kept only because `pibench/` calls it — see
+    /// [`crate::tuning`].
     ///
     /// ```
     /// use std::sync::Arc;
-    /// use pi_core::cost_model::CostConstants;
     /// use pi_core::prelude::*;
     ///
     /// let column = Arc::new(pi_core::testing::random_column(10_000, 50_000, 7));
-    /// let mut index = Algorithm::RadixsortLsd.build_tuned(
-    ///     column,
-    ///     BudgetPolicy::FixedDelta(0.5),
-    ///     CostConstants::synthetic(),
-    ///     TuningParameters::calibrated(),
+    /// let policy = BudgetPolicy::FixedDelta(0.5);
+    /// let constants = CostConstants::synthetic();
+    /// let mut a = Algorithm::RadixsortLsd.build_tuned(
+    ///     Arc::clone(&column),
+    ///     policy,
+    ///     constants,
+    ///     pi_core::TuningParameters::default(),
     /// );
-    /// let result = index.query(1_000, 2_000);
-    /// assert!(result.count > 0);
+    /// let mut b = Algorithm::RadixsortLsd.build_with_constants(column, policy, constants);
+    /// assert_eq!(a.query(1_000, 2_000), b.query(1_000, 2_000));
     /// ```
     pub fn build_tuned(
         self,
         column: Arc<Column>,
         policy: BudgetPolicy,
         constants: CostConstants,
-        tuning: TuningParameters,
+        _tuning: TuningParameters,
     ) -> Box<dyn RangeIndex + Send> {
-        match self {
-            Algorithm::Quicksort => {
-                let config = QuicksortConfig {
-                    tuning,
-                    ..QuicksortConfig::default()
-                };
-                Box::new(ProgressiveQuicksort::with_config(
-                    column, policy, constants, config,
-                ))
-            }
-            Algorithm::RadixsortMsd => {
-                let config = RadixMsdConfig {
-                    tuning,
-                    ..RadixMsdConfig::default()
-                };
-                Box::new(ProgressiveRadixsortMsd::with_config(
-                    column, policy, constants, config,
-                ))
-            }
-            Algorithm::RadixsortLsd => {
-                let config = RadixLsdConfig {
-                    tuning,
-                    ..RadixLsdConfig::default()
-                };
-                Box::new(ProgressiveRadixsortLsd::with_config(
-                    column, policy, constants, config,
-                ))
-            }
-            Algorithm::Bucketsort => {
-                let config = BucketsortConfig {
-                    tuning,
-                    ..BucketsortConfig::default()
-                };
-                Box::new(ProgressiveBucketsort::with_config(
-                    column, policy, constants, config,
-                ))
-            }
-        }
+        self.build_with_constants(column, policy, constants)
     }
 }
 

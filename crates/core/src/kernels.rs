@@ -1,30 +1,15 @@
-//! Memory-bound refinement kernels: unrolled radix scatter, histogram
-//! counting with level skipping, and ska-sort-style in-place swaps.
+//! The radix scatter every bucket-to-bucket refinement step runs.
 //!
-//! The paper's refinement loops are *branch-bound*: one element per
-//! iteration, a bounds-checked block lookup (`i / cap`, `i % cap` — an
-//! integer division per element) and an unpredictable per-bucket branch.
-//! The kernels here restructure the same work to be *memory-bound*:
+//! The paper's refinement loops move one element per iteration through a
+//! block lookup (`i / cap`, `i % cap` — an integer division per element)
+//! and an unpredictable per-bucket branch. [`ScatterScratch::scatter`]
+//! does the same work over a contiguous slice in two passes: a counting
+//! pass that also records each element's digit, then an unchecked scatter
+//! into a reused output buffer. The result groups elements by digit, so
+//! callers append whole runs per bucket (memcpy-class) instead of pushing
+//! one element at a time.
 //!
-//! * [`ScatterScratch::scatter`] — two passes over a contiguous slice:
-//!   an 8-wide unrolled counting pass that also records each element's
-//!   digit, then an unchecked scatter into a reused output buffer. The
-//!   result groups elements by digit, so callers append whole runs per
-//!   bucket (memcpy-class) instead of pushing one element at a time.
-//! * [`histogram`] — the standalone unrolled counting pass.
-//! * [`counts_and_level_descending`] — all byte-level histograms in one
-//!   pass, returning the highest level whose histogram is non-degenerate
-//!   (the `get_counts_and_level_descending` pattern): levels where every
-//!   key shares one byte are skipped entirely.
-//! * [`ska_sort`] — in-place byte-radix sort using american-flag cycle
-//!   swaps, falling back to `sort_unstable` below the machine's measured
-//!   comparison-sort crossover ([`TuningParameters`]).
-//! * [`sort_region`] — the façade the algorithms call for small-node
-//!   sorts; picks comparison vs radix sort from the tuning constants.
-//!
-//! Every kernel is bit-identical to its scalar reference (kept here as
-//! `*_scalar` functions and pinned by `tests/proptest_kernels.rs`), so
-//! [`KernelMode`] only selects speed, never answers.
+//! [`scatter_scalar`] is the checked reference the tests pin it to.
 //!
 //! # Safety
 //!
@@ -35,78 +20,10 @@
 //! destinations therefore agree by construction, and each bucket cursor
 //! writes exactly `counts[d]` elements into its reserved range.
 
-use crate::tuning::{KernelMode, TuningParameters};
 use pi_storage::Value;
 
-/// Maximum digit fan-out the scatter kernels support (one byte).
+/// Maximum digit fan-out the scatter supports (one byte).
 pub const MAX_SCATTER_BUCKETS: usize = 256;
-
-/// Unrolled histogram: counts `digit_of(v)` over `values`.
-///
-/// `unroll` selects the 8-wide unrolled pass (`8`) or the plain loop
-/// (anything else); both return identical counts — the probe in
-/// [`TuningParameters::calibrated`] times them against each other.
-/// Digits must be `< MAX_SCATTER_BUCKETS`; the returned array is indexed
-/// by digit.
-pub fn histogram<F: Fn(Value) -> u8>(
-    values: &[Value],
-    unroll: usize,
-    digit_of: &F,
-) -> [usize; 256] {
-    let mut counts = [0usize; 256];
-    if unroll == 8 {
-        let mut chunks = values.chunks_exact(8);
-        for chunk in &mut chunks {
-            // Manually unrolled: 8 independent increments per iteration
-            // keep the loop throughput-bound on the store port instead
-            // of the loop-carried branch.
-            counts[digit_of(chunk[0]) as usize] += 1;
-            counts[digit_of(chunk[1]) as usize] += 1;
-            counts[digit_of(chunk[2]) as usize] += 1;
-            counts[digit_of(chunk[3]) as usize] += 1;
-            counts[digit_of(chunk[4]) as usize] += 1;
-            counts[digit_of(chunk[5]) as usize] += 1;
-            counts[digit_of(chunk[6]) as usize] += 1;
-            counts[digit_of(chunk[7]) as usize] += 1;
-        }
-        for &v in chunks.remainder() {
-            counts[digit_of(v) as usize] += 1;
-        }
-    } else {
-        for &v in values {
-            counts[digit_of(v) as usize] += 1;
-        }
-    }
-    counts
-}
-
-/// All eight byte-level histograms of `data` in a single pass, plus the
-/// highest level `<= max_level` whose histogram is non-degenerate (more
-/// than one occupied bucket).
-///
-/// Returns `None` when every level at or below `max_level` is degenerate
-/// — i.e. all keys are equal in those bytes and no radix pass is needed
-/// at all. This is the level-skipping pattern: a dataset whose keys
-/// share their top bytes skips straight to the first byte that actually
-/// discriminates.
-pub fn counts_and_level_descending(data: &[Value], max_level: u32) -> Option<(u32, [usize; 256])> {
-    debug_assert!(max_level < 8);
-    let levels = max_level as usize + 1;
-    let mut counts = vec![[0usize; 256]; levels];
-    for &v in data {
-        let bytes = v.to_le_bytes();
-        for (level, c) in counts.iter_mut().enumerate() {
-            c[bytes[level] as usize] += 1;
-        }
-    }
-    for level in (0..levels).rev() {
-        let occupied = counts[level].iter().filter(|&&c| c > 0).count();
-        if occupied > 1 {
-            return Some((level as u32, counts[level]));
-        }
-    }
-    None
-}
 
 /// Reusable scratch for [`ScatterScratch::scatter`]: counts, bucket
 /// cursors, the per-element digit buffer and the grouped output.
@@ -122,7 +39,7 @@ pub fn counts_and_level_descending(data: &[Value], max_level: u32) -> Option<(u3
 ///
 /// let mut scratch = ScatterScratch::new();
 /// let values = [3u64, 1, 2, 1, 3, 0];
-/// let (grouped, offsets) = scratch.scatter(&values, 4, 8, &|v| v as u8);
+/// let (grouped, offsets) = scratch.scatter(&values, 4, &|v| v as u8);
 /// assert_eq!(grouped, &[0, 1, 1, 2, 3, 3]);
 /// // `offsets[d]..offsets[d + 1]` is digit d's run.
 /// assert_eq!(&offsets[..5], &[0, 1, 3, 4, 6]);
@@ -160,12 +77,11 @@ impl ScatterScratch {
     ///
     /// `digit_of` must return digits `< buckets`; `buckets` must be
     /// `<= MAX_SCATTER_BUCKETS`. Panics otherwise (the counting pass is
-    /// fully checked). `unroll` follows [`histogram`].
+    /// fully checked).
     pub fn scatter<F: Fn(Value) -> u8>(
         &mut self,
         values: &[Value],
         buckets: usize,
-        unroll: usize,
         digit_of: &F,
     ) -> (&[Value], &[usize; 257]) {
         assert!(buckets <= MAX_SCATTER_BUCKETS, "scatter fan-out too wide");
@@ -176,31 +92,11 @@ impl ScatterScratch {
         self.digits.clear();
         self.digits.reserve(n);
         let mut counts = [0usize; 256];
-        let mut push_digit = |v: Value| {
+        for &v in values {
             let d = digit_of(v);
             assert!((d as usize) < buckets, "digit out of range");
             counts[d as usize] += 1;
             self.digits.push(d);
-        };
-        if unroll == 8 {
-            let mut chunks = values.chunks_exact(8);
-            for chunk in &mut chunks {
-                push_digit(chunk[0]);
-                push_digit(chunk[1]);
-                push_digit(chunk[2]);
-                push_digit(chunk[3]);
-                push_digit(chunk[4]);
-                push_digit(chunk[5]);
-                push_digit(chunk[6]);
-                push_digit(chunk[7]);
-            }
-            for &v in chunks.remainder() {
-                push_digit(v);
-            }
-        } else {
-            for &v in values {
-                push_digit(v);
-            }
         }
 
         // Prefix sums -> per-bucket write cursors + final offsets.
@@ -252,7 +148,7 @@ impl ScatterScratch {
 
 /// Scalar reference for [`ScatterScratch::scatter`]: stable counting
 /// sort by digit using only checked indexing. The proptest oracle pins
-/// the tuned scatter to this.
+/// the scatter to this.
 pub fn scatter_scalar<F: Fn(Value) -> u8>(
     values: &[Value],
     buckets: usize,
@@ -275,96 +171,6 @@ pub fn scatter_scalar<F: Fn(Value) -> u8>(
     (out, offsets)
 }
 
-/// In-place byte-radix sort with american-flag cycle swaps and level
-/// skipping; equivalent to `sort_unstable` on `u64` keys.
-///
-/// Regions at or below `tuning.comparison_sort_threshold` (and every
-/// call in [`KernelMode::Scalar`]) use `sort_unstable` directly — the
-/// calibration probe measures where the crossover sits on this machine.
-///
-/// # Examples
-///
-/// ```
-/// use pi_core::{kernels::ska_sort, TuningParameters};
-///
-/// let mut data = vec![5u64, 3, 9, 1, 3];
-/// ska_sort(&mut data, &TuningParameters::default());
-/// assert_eq!(data, [1, 3, 3, 5, 9]);
-/// ```
-pub fn ska_sort(data: &mut [Value], tuning: &TuningParameters) {
-    if tuning.mode == KernelMode::Scalar {
-        data.sort_unstable();
-        return;
-    }
-    ska_sort_by_level(data, 7, tuning.comparison_sort_threshold);
-}
-
-/// Recursive worker behind [`ska_sort`]: sorts `data` by bytes
-/// `level, level - 1, …, 0` (most significant first). Exposed for the
-/// calibration probe and the kernel benches; normal callers use
-/// [`ska_sort`] / [`sort_region`].
-pub fn ska_sort_by_level(data: &mut [Value], level: u32, comparison_sort_threshold: usize) {
-    if data.len() <= comparison_sort_threshold.max(1) {
-        data.sort_unstable();
-        return;
-    }
-    // Level skipping: jump straight to the highest byte that actually
-    // discriminates; if none does, all keys are equal — done.
-    let Some((level, counts)) = counts_and_level_descending(data, level) else {
-        return;
-    };
-    let shift = level * 8;
-
-    // Bucket boundaries from the histogram.
-    let mut starts = [0usize; 256];
-    let mut ends = [0usize; 256];
-    let mut sum = 0usize;
-    for b in 0..256 {
-        starts[b] = sum;
-        sum += counts[b];
-        ends[b] = sum;
-    }
-
-    // American-flag permutation: walk each bucket's unplaced region and
-    // cycle-swap elements home. Every swap places at least one element
-    // into its final bucket, so the whole pass is <= 2n moves and O(1)
-    // extra space.
-    let mut next = starts;
-    for b in 0..256 {
-        while next[b] < ends[b] {
-            let d = ((data[next[b]] >> shift) & 0xff) as usize;
-            if d == b {
-                next[b] += 1;
-            } else {
-                data.swap(next[b], next[d]);
-                next[d] += 1;
-            }
-        }
-    }
-
-    // Recurse into each bucket on the next discriminating byte.
-    if level > 0 {
-        for b in 0..256 {
-            let bucket = &mut data[starts[b]..ends[b]];
-            if bucket.len() > 1 {
-                ska_sort_by_level(bucket, level - 1, comparison_sort_threshold);
-            }
-        }
-    }
-}
-
-/// Sorts one small-node region: the façade [`crate::sorter`] and the
-/// MSD merge path call. Comparison sort below the tuned threshold (or in
-/// scalar mode), in-place radix above it. Output is always identical to
-/// `sort_unstable`.
-pub fn sort_region(data: &mut [Value], tuning: &TuningParameters) {
-    if tuning.mode == KernelMode::Scalar || data.len() <= tuning.comparison_sort_threshold {
-        data.sort_unstable();
-    } else {
-        ska_sort_by_level(data, 7, tuning.comparison_sort_threshold);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -382,41 +188,25 @@ mod tests {
     }
 
     #[test]
-    fn histogram_unrolled_matches_plain() {
-        let data = probe(1013, 7);
-        let digit = |v: Value| (v >> 13) as u8;
-        assert_eq!(histogram(&data, 8, &digit), histogram(&data, 1, &digit));
-    }
-
-    #[test]
-    fn histogram_counts_every_element() {
-        let data = probe(777, 3);
-        let counts = histogram(&data, 8, &|v| v as u8);
-        assert_eq!(counts.iter().sum::<usize>(), data.len());
-    }
-
-    #[test]
     fn scatter_matches_scalar_reference() {
-        for unroll in [1usize, 8] {
-            let mut scratch = ScatterScratch::new();
-            for (len, buckets) in [(0usize, 64usize), (1, 64), (7, 3), (1000, 64), (4096, 256)] {
-                let data = probe(len, len as u64 + 1);
-                let digit = move |v: Value| ((v >> 5) as usize % buckets) as u8;
-                let (grouped, offsets) = scratch.scatter(&data, buckets, unroll, &digit);
-                let (want, want_offsets) = scatter_scalar(&data, buckets, &digit);
-                assert_eq!(grouped, &want[..]);
-                assert_eq!(&offsets[..=buckets], &want_offsets[..]);
-            }
+        let mut scratch = ScatterScratch::new();
+        for (len, buckets) in [(0usize, 64usize), (1, 64), (7, 3), (1000, 64), (4096, 256)] {
+            let data = probe(len, len as u64 + 1);
+            let digit = move |v: Value| ((v >> 5) as usize % buckets) as u8;
+            let (grouped, offsets) = scratch.scatter(&data, buckets, &digit);
+            let (want, want_offsets) = scatter_scalar(&data, buckets, &digit);
+            assert_eq!(grouped, &want[..]);
+            assert_eq!(&offsets[..=buckets], &want_offsets[..]);
         }
     }
 
     #[test]
     fn scatter_is_stable_within_buckets() {
-        // Values sharing a digit must keep their input order (the
-        // algorithms' scalar loops preserve arrival order per bucket).
+        // Values sharing a digit must keep their input order (the LSD
+        // passes rely on it).
         let data = vec![0x10, 0x11, 0x12, 0x20, 0x13, 0x21];
         let mut scratch = ScatterScratch::new();
-        let (grouped, _) = scratch.scatter(&data, 16, 8, &|v| (v >> 4) as u8);
+        let (grouped, _) = scratch.scatter(&data, 16, &|v| (v >> 4) as u8);
         assert_eq!(grouped, &[0x10, 0x11, 0x12, 0x13, 0x20, 0x21]);
     }
 
@@ -426,8 +216,8 @@ mod tests {
         let a = probe(500, 1);
         let b = probe(300, 2);
         let digit = |v: Value| v as u8;
-        scratch.scatter(&a, 256, 8, &digit);
-        let (grouped, _) = scratch.scatter(&b, 256, 8, &digit);
+        scratch.scatter(&a, 256, &digit);
+        let (grouped, _) = scratch.scatter(&b, 256, &digit);
         let (want, _) = scatter_scalar(&b, 256, &digit);
         assert_eq!(grouped, &want[..]);
     }
@@ -436,80 +226,6 @@ mod tests {
     #[should_panic(expected = "digit out of range")]
     fn scatter_rejects_out_of_range_digits() {
         let mut scratch = ScatterScratch::new();
-        scratch.scatter(&[300], 4, 8, &|v| v as u8);
-    }
-
-    #[test]
-    fn counts_and_level_skips_degenerate_levels() {
-        // Keys differ only in byte 0: every higher level is degenerate.
-        let data = vec![0xAA00u64 + 3, 0xAA00 + 1, 0xAA00 + 2];
-        let (level, counts) = counts_and_level_descending(&data, 7).unwrap();
-        assert_eq!(level, 0);
-        assert_eq!(counts[1] + counts[2] + counts[3], 3);
-    }
-
-    #[test]
-    fn counts_and_level_none_when_all_equal() {
-        assert!(counts_and_level_descending(&[42, 42, 42], 7).is_none());
-        assert!(counts_and_level_descending(&[], 7).is_none());
-        assert!(counts_and_level_descending(&[9], 7).is_none());
-    }
-
-    #[test]
-    fn counts_and_level_respects_max_level() {
-        // Keys differ only in byte 6; capped at level 5 that's invisible.
-        let data = vec![1u64 << 48, 2u64 << 48];
-        assert_eq!(counts_and_level_descending(&data, 7).unwrap().0, 6);
-        assert!(counts_and_level_descending(&data, 5).is_none());
-    }
-
-    #[test]
-    fn ska_sort_matches_sort_unstable() {
-        let tuning = TuningParameters {
-            comparison_sort_threshold: 16, // force the radix path
-            ..TuningParameters::default()
-        };
-        for len in [0usize, 1, 2, 15, 16, 17, 1000, 5000] {
-            let mut data = probe(len, len as u64);
-            let mut want = data.clone();
-            want.sort_unstable();
-            ska_sort(&mut data, &tuning);
-            assert_eq!(data, want, "len {len}");
-        }
-    }
-
-    #[test]
-    fn ska_sort_handles_degenerate_inputs() {
-        let tuning = TuningParameters {
-            comparison_sort_threshold: 1,
-            ..TuningParameters::default()
-        };
-        let mut all_equal = vec![7u64; 4096];
-        ska_sort(&mut all_equal, &tuning);
-        assert!(all_equal.iter().all(|&v| v == 7));
-
-        let mut sorted: Vec<Value> = (0..4096).collect();
-        ska_sort(&mut sorted, &tuning);
-        assert!(sorted.windows(2).all(|w| w[0] <= w[1]));
-
-        let mut reversed: Vec<Value> = (0..4096).rev().collect();
-        ska_sort(&mut reversed, &tuning);
-        assert!(reversed.windows(2).all(|w| w[0] <= w[1]));
-    }
-
-    #[test]
-    fn sort_region_scalar_and_tuned_agree() {
-        let data = probe(3000, 99);
-        let mut tuned = data.clone();
-        let mut scalar = data;
-        sort_region(
-            &mut tuned,
-            &TuningParameters {
-                comparison_sort_threshold: 64,
-                ..TuningParameters::default()
-            },
-        );
-        sort_region(&mut scalar, &TuningParameters::scalar());
-        assert_eq!(tuned, scalar);
+        scratch.scatter(&[300], 4, &|v| v as u8);
     }
 }

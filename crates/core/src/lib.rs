@@ -100,7 +100,7 @@ pub use quicksort::ProgressiveQuicksort;
 pub use radix_lsd::ProgressiveRadixsortLsd;
 pub use radix_msd::ProgressiveRadixsortMsd;
 pub use result::{IndexStatus, Phase, QueryResult};
-pub use tuning::{KernelMode, TuningParameters};
+pub use tuning::TuningParameters;
 
 /// Convenient glob-import of the types needed to use the library:
 /// `use pi_core::prelude::*;`.
@@ -115,5 +115,4 @@ pub mod prelude {
     pub use crate::radix_lsd::ProgressiveRadixsortLsd;
     pub use crate::radix_msd::ProgressiveRadixsortMsd;
     pub use crate::result::{IndexStatus, Phase, QueryResult};
-    pub use crate::tuning::{KernelMode, TuningParameters};
 }

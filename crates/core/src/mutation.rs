@@ -83,7 +83,6 @@ use crate::decision::Algorithm;
 use crate::index::RangeIndex;
 use crate::metrics::IndexMetrics;
 use crate::result::{IndexStatus, Phase, QueryResult};
-use crate::tuning::TuningParameters;
 
 /// Callback invoked every time a [`MutableIndex`] completes an
 /// incremental sidecar merge (the argument is the index's total completed
@@ -129,10 +128,6 @@ pub struct MutableConfig {
     /// Fraction of the merged snapshot's rows copied per budgeted merge
     /// step — the merge-phase analogue of the per-query δ.
     pub merge_delta: f64,
-    /// Kernel tuning constants handed to the inner progressive index
-    /// (and to every rebuilt snapshot after a merge). Result-neutral —
-    /// see [`crate::tuning`].
-    pub tuning: TuningParameters,
 }
 
 impl Default for MutableConfig {
@@ -141,7 +136,6 @@ impl Default for MutableConfig {
             merge_fraction: 0.1,
             merge_min_pending: 256,
             merge_delta: 0.25,
-            tuning: TuningParameters::default(),
         }
     }
 }
@@ -265,12 +259,7 @@ impl MutableIndex {
         config: MutableConfig,
     ) -> Self {
         let inner = (!column.is_empty()).then(|| {
-            algorithm.build_tuned(
-                Arc::clone(&column),
-                policy,
-                CostConstants::synthetic(),
-                config.tuning,
-            )
+            algorithm.build_with_constants(Arc::clone(&column), policy, CostConstants::synthetic())
         });
         MutableIndex {
             base: column,
@@ -449,11 +438,10 @@ impl MutableIndex {
             let merge = self.merge.take().expect("merge in flight");
             let column = Arc::new(Column::from_vec(merge.out));
             self.inner = (!column.is_empty()).then(|| {
-                self.algorithm.build_tuned(
+                self.algorithm.build_with_constants(
                     Arc::clone(&column),
                     self.policy,
                     CostConstants::synthetic(),
-                    self.config.tuning,
                 )
             });
             self.base = column;

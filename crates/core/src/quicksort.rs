@@ -33,7 +33,6 @@ use crate::cost_model::{CostConstants, CostModel};
 use crate::index::RangeIndex;
 use crate::result::{IndexStatus, Phase, QueryResult};
 use crate::sorter::{IncrementalSorter, DEFAULT_SMALL_NODE_ELEMENTS};
-use crate::tuning::TuningParameters;
 
 /// Tuning parameters for [`ProgressiveQuicksort`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -43,9 +42,6 @@ pub struct QuicksortConfig {
     pub small_node_elements: usize,
     /// Fan-out β of the consolidation-phase B+-tree.
     pub btree_fanout: usize,
-    /// Kernel tuning constants for the small-node sorts; result-neutral
-    /// (see [`crate::tuning`]).
-    pub tuning: TuningParameters,
 }
 
 impl Default for QuicksortConfig {
@@ -53,7 +49,6 @@ impl Default for QuicksortConfig {
         QuicksortConfig {
             small_node_elements: DEFAULT_SMALL_NODE_ELEMENTS,
             btree_fanout: DEFAULT_FANOUT,
-            tuning: TuningParameters::default(),
         }
     }
 }
@@ -233,8 +228,7 @@ impl ProgressiveQuicksort {
                 pivot,
                 boundary,
                 self.config.small_node_elements,
-            )
-            .with_tuning(self.config.tuning);
+            );
             self.state = State::Refinement { sorter };
             self.maybe_finish_refinement();
         }

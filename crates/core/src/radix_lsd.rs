@@ -29,20 +29,17 @@ use crate::cost_model::{CostConstants, CostModel};
 use crate::index::RangeIndex;
 use crate::kernels::{ScatterScratch, MAX_SCATTER_BUCKETS};
 use crate::result::{IndexStatus, Phase, QueryResult};
-use crate::tuning::{KernelMode, TuningParameters};
 
 /// Tuning parameters for [`ProgressiveRadixsortLsd`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RadixLsdConfig {
-    /// Number of buckets `b` per round (power of two, defaults to 64).
+    /// Number of buckets `b` per round (a power of two in `2..=256`,
+    /// defaults to 64).
     pub bucket_count: usize,
     /// Elements per bucket block (`s_b`).
     pub block_capacity: usize,
     /// Fan-out β of the consolidation-phase B+-tree.
     pub btree_fanout: usize,
-    /// Kernel tuning constants for the radix passes; result-neutral
-    /// (see [`crate::tuning`]).
-    pub tuning: TuningParameters,
 }
 
 impl Default for RadixLsdConfig {
@@ -51,7 +48,6 @@ impl Default for RadixLsdConfig {
             bucket_count: DEFAULT_BUCKET_COUNT,
             block_capacity: DEFAULT_BLOCK_CAPACITY,
             btree_fanout: DEFAULT_FANOUT,
-            tuning: TuningParameters::default(),
         }
     }
 }
@@ -97,7 +93,7 @@ pub struct ProgressiveRadixsortLsd {
     radix_bits: u32,
     rounds_total: u32,
     queries_executed: u64,
-    /// Reused scratch for the tuned scatter kernel; grows to the largest
+    /// Reused scratch for the refinement scatter; grows to the largest
     /// refinement step and is never reallocated afterwards.
     scratch: ScatterScratch,
 }
@@ -126,8 +122,9 @@ impl ProgressiveRadixsortLsd {
         config: RadixLsdConfig,
     ) -> Self {
         assert!(
-            config.bucket_count.is_power_of_two() && config.bucket_count >= 2,
-            "bucket count must be a power of two >= 2"
+            config.bucket_count.is_power_of_two()
+                && (2..=MAX_SCATTER_BUCKETS).contains(&config.bucket_count),
+            "bucket count must be a power of two in 2..=256"
         );
         let n = column.len();
         let model = CostModel::new(constants, n);
@@ -373,8 +370,7 @@ impl ProgressiveRadixsortLsd {
             };
             let shift = self.radix_bits * (*round - 1);
             let mask = (bucket_count - 1) as u64;
-            let tuning = self.config.tuning;
-            let tuned = tuning.mode == KernelMode::Tuned && bucket_count <= MAX_SCATTER_BUCKETS;
+            let digit = |v: Value| (((v - min) >> shift) & mask) as u8;
             while ops < budget && *src_bucket < bucket_count {
                 let bucket_len = source.bucket(*src_bucket).len();
                 if *src_pos >= bucket_len {
@@ -384,30 +380,17 @@ impl ProgressiveRadixsortLsd {
                     continue;
                 }
                 let take = (budget - ops).min(bucket_len - *src_pos);
-                if tuned {
-                    // Tuned kernel: drain the source bucket block-wise
-                    // (no per-element division), group each slice by
-                    // target digit with the unrolled scatter, then land
-                    // every group with one block-wise append. Target
-                    // bucket contents — and the block-allocation count —
-                    // are bit-identical to the scalar loop below.
-                    let digit = |v: Value| (((v - min) >> shift) & mask) as u8;
-                    for slice in source.bucket(*src_bucket).block_slices(*src_pos, take) {
-                        let (grouped, offsets) =
-                            self.scratch
-                                .scatter(slice, bucket_count, tuning.unroll, &digit);
-                        for b in 0..bucket_count {
-                            let group = &grouped[offsets[b]..offsets[b + 1]];
-                            if !group.is_empty() {
-                                target.extend_from_slice(b, group);
-                            }
+                // Drain the source bucket block-wise (no per-element
+                // division), group each slice by target digit, then land
+                // every group with one bulk append. The scatter is stable,
+                // which the LSD passes rely on.
+                for slice in source.bucket(*src_bucket).block_slices(*src_pos, take) {
+                    let (grouped, offsets) = self.scratch.scatter(slice, bucket_count, &digit);
+                    for b in 0..bucket_count {
+                        let group = &grouped[offsets[b]..offsets[b + 1]];
+                        if !group.is_empty() {
+                            target.extend_from_slice(b, group);
                         }
-                    }
-                } else {
-                    for i in 0..take {
-                        let value = source.bucket(*src_bucket).get(*src_pos + i);
-                        let b = (((value - min) >> shift) & mask) as usize;
-                        target.push(b, value);
                     }
                 }
                 *src_pos += take;
@@ -536,17 +519,11 @@ impl ProgressiveRadixsortLsd {
                 continue;
             }
             let take = (budget - ops).min(bucket_len - *cur_pos);
-            if self.config.tuning.mode == KernelMode::Tuned {
-                // Block-wise copy instead of a per-element `get` (which
-                // costs an integer division per element).
-                buckets
-                    .bucket(*cur_bucket)
-                    .copy_range_to(*cur_pos, &mut merged[*written..*written + take]);
-            } else {
-                for i in 0..take {
-                    merged[*written + i] = buckets.bucket(*cur_bucket).get(*cur_pos + i);
-                }
-            }
+            // Block-wise copy instead of a per-element `get` (which costs
+            // an integer division per element).
+            buckets
+                .bucket(*cur_bucket)
+                .copy_range_to(*cur_pos, &mut merged[*written..*written + take]);
             *written += take;
             *cur_pos += take;
             ops += take;

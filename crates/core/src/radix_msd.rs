@@ -32,13 +32,12 @@ use crate::index::RangeIndex;
 use crate::kernels::{ScatterScratch, MAX_SCATTER_BUCKETS};
 use crate::result::{IndexStatus, Phase, QueryResult};
 use crate::sorter::DEFAULT_SMALL_NODE_ELEMENTS;
-use crate::tuning::{KernelMode, TuningParameters};
 
 /// Tuning parameters for [`ProgressiveRadixsortMsd`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RadixMsdConfig {
-    /// Number of buckets `b` per partitioning level (must be a power of
-    /// two, defaults to 64).
+    /// Number of buckets `b` per partitioning level (a power of two in
+    /// `2..=256`, defaults to 64).
     pub bucket_count: usize,
     /// Elements per bucket block (`s_b`).
     pub block_capacity: usize,
@@ -47,9 +46,6 @@ pub struct RadixMsdConfig {
     pub small_bucket_elements: usize,
     /// Fan-out β of the consolidation-phase B+-tree.
     pub btree_fanout: usize,
-    /// Kernel tuning constants for the partition/sort steps;
-    /// result-neutral (see [`crate::tuning`]).
-    pub tuning: TuningParameters,
 }
 
 impl Default for RadixMsdConfig {
@@ -59,7 +55,6 @@ impl Default for RadixMsdConfig {
             block_capacity: DEFAULT_BLOCK_CAPACITY,
             small_bucket_elements: DEFAULT_SMALL_NODE_ELEMENTS,
             btree_fanout: DEFAULT_FANOUT,
-            tuning: TuningParameters::default(),
         }
     }
 }
@@ -130,7 +125,7 @@ pub struct ProgressiveRadixsortMsd {
     domain_bits: u32,
     radix_bits: u32,
     queries_executed: u64,
-    /// Reused scratch for the tuned scatter kernel.
+    /// Reused scratch for the refinement scatter.
     scratch: ScatterScratch,
 }
 
@@ -158,8 +153,9 @@ impl ProgressiveRadixsortMsd {
         config: RadixMsdConfig,
     ) -> Self {
         assert!(
-            config.bucket_count.is_power_of_two() && config.bucket_count >= 2,
-            "bucket count must be a power of two >= 2"
+            config.bucket_count.is_power_of_two()
+                && (2..=MAX_SCATTER_BUCKETS).contains(&config.bucket_count),
+            "bucket count must be a power of two in 2..=256"
         );
         let n = column.len();
         let model = CostModel::new(constants, n);
@@ -335,7 +331,6 @@ impl ProgressiveRadixsortMsd {
         let block_capacity = self.config.block_capacity;
         let bucket_count = self.config.bucket_count;
         let small = self.config.small_bucket_elements;
-        let tuning = self.config.tuning;
 
         let State::Refinement {
             nodes,
@@ -385,7 +380,6 @@ impl ProgressiveRadixsortMsd {
                 block_capacity,
                 small,
                 budget - ops,
-                &tuning,
                 &mut self.scratch,
             );
             ops += used;
@@ -495,7 +489,6 @@ fn refine_msd_node(
     block_capacity: usize,
     small: usize,
     budget: usize,
-    tuning: &TuningParameters,
     scratch: &mut ScatterScratch,
 ) -> (bool, usize) {
     if budget == 0 {
@@ -517,14 +510,8 @@ fn refine_msd_node(
             unreachable!("state checked above");
         };
         let out = &mut merged[node_offset..node_offset + node_len];
-        if tuning.mode == KernelMode::Tuned {
-            bucket.copy_range_to(0, out);
-        } else {
-            for (slot, value) in out.iter_mut().zip(bucket.iter()) {
-                *slot = value;
-            }
-        }
-        crate::kernels::sort_region(out, tuning);
+        bucket.copy_range_to(0, out);
+        out.sort_unstable();
         *merged_len += node_len;
         return (true, node_len.max(1));
     }
@@ -560,20 +547,18 @@ fn refine_msd_node(
         };
     }
 
-    refine_msd_step(nodes, id, pending, min, budget, tuning, scratch)
+    refine_msd_step(nodes, id, pending, min, budget, scratch)
 }
 
 /// Moves up to `budget` elements of a `Refining` node from its source
 /// bucket into its children; finalises child offsets and enqueues the
 /// children when the source is exhausted.
-#[allow(clippy::too_many_arguments)]
 fn refine_msd_step(
     nodes: &mut [MsdNode],
     id: usize,
     pending: &mut VecDeque<usize>,
     min: Value,
     budget: usize,
-    tuning: &TuningParameters,
     scratch: &mut ScatterScratch,
 ) -> (bool, usize) {
     let node_base = nodes[id].base;
@@ -594,51 +579,29 @@ fn refine_msd_step(
     let radix_bits = (children.len().max(1)).next_power_of_two().trailing_zeros();
     let shift = node_width.saturating_sub(radix_bits);
     let child_count = children.len();
-    let mut ops = 0usize;
+    // Drain the source bucket block-wise, group each slice by child digit
+    // (the value's next radix digit relative to the node's normalised
+    // base), then land each group in its child with one bulk append.
     let take = (source.len() - consumed).min(budget);
-    if tuning.mode == KernelMode::Tuned && child_count <= MAX_SCATTER_BUCKETS && take > 0 {
-        // Tuned kernel: drain the source bucket block-wise, group each
-        // slice by child digit with the unrolled scatter, then land each
-        // group in its child with one block-wise append. Child contents
-        // and lengths are bit-identical to the scalar loop below.
-        let digit = |v: Value| {
-            let local = ((v - min) - node_base) >> shift;
-            (local as usize).min(child_count - 1) as u8
-        };
-        for slice in source.block_slices(consumed, take) {
-            let (grouped, offsets) = scratch.scatter(slice, child_count, tuning.unroll, &digit);
-            for c in 0..child_count {
-                let group = &grouped[offsets[c]..offsets[c + 1]];
-                if group.is_empty() {
-                    continue;
-                }
-                let child_id = children[c];
-                let MsdNodeState::Pending { bucket } = &mut nodes[child_id].state else {
-                    unreachable!("children of a refining node are pending buckets");
-                };
-                bucket.extend_from_slice(group);
-                nodes[child_id].len += group.len();
+    let digit = |v: Value| {
+        let local = ((v - min) - node_base) >> shift;
+        (local as usize).min(child_count - 1) as u8
+    };
+    for slice in source.block_slices(consumed, take) {
+        let (grouped, offsets) = scratch.scatter(slice, child_count, &digit);
+        for (c, &child_id) in children.iter().enumerate() {
+            let group = &grouped[offsets[c]..offsets[c + 1]];
+            if group.is_empty() {
+                continue;
             }
-        }
-        consumed += take;
-        ops = take;
-    } else {
-        while consumed < source.len() && ops < budget {
-            let value = source.get(consumed);
-            // Child index: the next radix digit of the value, relative to
-            // the node's normalised base.
-            let local = ((value - min) - node_base) >> shift;
-            let c = (local as usize).min(child_count - 1);
-            let child_id = children[c];
             let MsdNodeState::Pending { bucket } = &mut nodes[child_id].state else {
                 unreachable!("children of a refining node are pending buckets");
             };
-            bucket.push(value);
-            nodes[child_id].len += 1;
-            consumed += 1;
-            ops += 1;
+            bucket.extend_from_slice(group);
+            nodes[child_id].len += group.len();
         }
     }
+    consumed += take;
 
     if consumed == source.len() {
         // Fix up child offsets (value order == child order) and enqueue
@@ -658,14 +621,14 @@ fn refine_msd_step(
             consumed: 0,
             children,
         };
-        (true, ops)
+        (true, take)
     } else {
         nodes[id].state = MsdNodeState::Refining {
             source,
             consumed,
             children,
         };
-        (false, ops)
+        (false, take)
     }
 }
 

@@ -24,7 +24,6 @@
 //!   partially sorted state, using the pivot tree to skip sections that
 //!   cannot contain qualifying values.
 
-use crate::tuning::TuningParameters;
 use pi_storage::scan::{scan_range_sum, ScanResult};
 use pi_storage::{sorted, Value};
 
@@ -80,9 +79,6 @@ pub struct IncrementalSorter {
     unsorted_leaves: usize,
     /// Maximum node depth ever created (h of the cost model).
     max_depth: usize,
-    /// Kernel constants for the small-node sorts
-    /// ([`crate::kernels::sort_region`]).
-    tuning: TuningParameters,
 }
 
 impl IncrementalSorter {
@@ -109,18 +105,9 @@ impl IncrementalSorter {
             small_node,
             unsorted_leaves: 0,
             max_depth: 0,
-            tuning: TuningParameters::default(),
         };
         sorter.root = sorter.alloc_node(start, end, min, max, None, 0);
         sorter
-    }
-
-    /// Replaces the kernel tuning constants (chainable). Tuning only
-    /// selects between result-identical small-node sort implementations;
-    /// it never changes query answers.
-    pub fn with_tuning(mut self, tuning: TuningParameters) -> Self {
-        self.tuning = tuning;
-        self
     }
 
     /// Creates a sorter whose root is already split at `boundary` around
@@ -155,7 +142,6 @@ impl IncrementalSorter {
             small_node,
             unsorted_leaves: 0,
             max_depth: 0,
-            tuning: TuningParameters::default(),
         };
         // Allocate the root first so child parent pointers are valid.
         sorter.root = sorter.alloc_node(start, end, min, max, None, 0);
@@ -286,7 +272,7 @@ impl IncrementalSorter {
         // Small nodes are sorted outright (atomically), as the paper does
         // for pieces that fit in the L1 cache.
         if len <= self.small_node {
-            crate::kernels::sort_region(&mut data[start..end], &self.tuning);
+            data[start..end].sort_unstable();
             self.mark_sorted(node_id);
             return len.max(1);
         }

@@ -1,243 +1,57 @@
-//! Machine-tuned constants for the refinement kernels.
+//! Inert compile surface kept for `pibench/`; nothing reads it.
 //!
-//! The progressive algorithms spend almost all of their per-query δ·N
-//! budget inside a handful of tight loops (radix scatter, histogram
-//! counting, small-region sorts). Which implementation of each loop wins
-//! depends on the machine: cache sizes move the comparison-sort
-//! crossover, core count moves the point where parallel counting pays,
-//! and store-buffer depth decides whether unrolling helps. Rather than
-//! hard-coding one machine's answers, every constant the kernels consult
-//! lives in [`TuningParameters`], and [`TuningParameters::calibrated`]
-//! fills them from a short startup probe.
+//! `pi-core` has one refinement path (block-wise drain →
+//! [`crate::kernels::ScatterScratch::scatter`] → bulk append) and no
+//! tuning constants. The kernel mode flag, the ska-sort band, the unroll
+//! width, the pooled histogram and the start-up probe that used to live
+//! here were measured, moved no end-to-end metric, and were deleted (the
+//! table is in `docs/PERFORMANCE.md`).
 //!
-//! Two invariants keep tuning safe to thread everywhere:
+//! `pibench/` may not change in the same PR as the code it measures, and
+//! it names five items, so exactly these stay until the next benchmark
+//! issue drops them together with the two `core.tuning.*` metrics:
 //!
-//! 1. **Tuning never changes results.** Every tuned kernel is
-//!    bit-identical to its scalar reference (`tests/proptest_kernels.rs`
-//!    pins this); the constants only pick *which* equivalent
-//!    implementation runs.
-//! 2. **Tuning never changes accounting.** Budget (`ops`) charging in
-//!    the algorithms counts logical elements moved, identical in tuned
-//!    and scalar mode, so convergence traces are mode-independent.
-//!
-//! See `docs/PERFORMANCE.md` for the measured model behind each
-//! constant.
+//! | item | pibench call sites |
+//! |---|---|
+//! | [`TuningParameters`]`::{comparison_sort_threshold, unroll}` | `probes.rs` (`core.tuning.calibrated_sort_threshold`, `core.tuning.calibrated_unroll`) |
+//! | `TuningParameters::default()` | `peel.rs`, `probes.rs`, `workloads/{explore_cold,serve_hot,mixed_durable}.rs` |
+//! | [`TuningParameters::calibrated`] | `probes.rs` |
+//! | [`crate::Algorithm::build_tuned`] | `peel.rs`, `probes.rs` |
+//! | `pi_engine::TableBuilder::tuning` | `peel.rs`, `probes.rs`, the three workloads above |
 
-use std::sync::OnceLock;
-use std::time::Instant;
-
-/// Which implementation family the refinement kernels run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum KernelMode {
-    /// Unrolled scatter, ska-style in-place swaps, block-wise bucket
-    /// drains. The default; bit-identical to [`KernelMode::Scalar`].
-    #[default]
-    Tuned,
-    /// The paper's original per-element loops. Kept selectable as the
-    /// bench baseline and the oracle reference for the equivalence
-    /// proptests.
-    Scalar,
-}
-
-/// Tuning constants consulted by the `pi-core` refinement kernels.
-///
-/// Thread one of these through [`crate::Algorithm::build_tuned`] (the
-/// engine's `TableBuilder` does this for every shard) or set it on an
-/// algorithm config directly. [`TuningParameters::default`] uses
-/// conservative portable constants; [`TuningParameters::calibrated`]
-/// probes the machine once and caches the result.
-///
-/// # Examples
+/// Two numbers `pibench` reports; no code in the workspace reads them.
 ///
 /// ```
-/// use pi_core::{KernelMode, TuningParameters};
+/// use pi_core::TuningParameters;
 ///
-/// let tuned = TuningParameters::default();
-/// assert_eq!(tuned.mode, KernelMode::Tuned);
-///
-/// // The scalar reference path, for paired benchmarks and oracles.
-/// let scalar = TuningParameters::scalar();
-/// assert_eq!(scalar.mode, KernelMode::Scalar);
-///
-/// // Machine-probed constants; cached after the first call.
-/// let calibrated = TuningParameters::calibrated();
-/// assert!(calibrated.comparison_sort_threshold >= 32);
+/// // There is no probe: "calibrated" is the default.
+/// assert_eq!(TuningParameters::calibrated(), TuningParameters::default());
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TuningParameters {
-    /// Implementation family; [`KernelMode::Scalar`] disables every
-    /// tuned path at once.
-    pub mode: KernelMode,
-    /// Regions at or below this many elements sort with
-    /// `sort_unstable` (comparison sort); larger regions use the
-    /// in-place byte-radix [`crate::kernels::ska_sort`]. The probe
-    /// measures the actual crossover on this machine.
+    /// Reported as `core.tuning.calibrated_sort_threshold`. Small nodes
+    /// always sort with `sort_unstable`.
     pub comparison_sort_threshold: usize,
-    /// Columns at or below this many rows use the sequential histogram
-    /// path; larger ones may count per-chunk on the `pi-sched` pool
-    /// (wired at the engine layer — `pi-core` has no scheduler
-    /// dependency, see `docs/PERFORMANCE.md`).
-    pub parallel_count_threshold: usize,
-    /// Scatter/histogram unroll width: `8` (unrolled) or `1` (plain
-    /// loop). Probed; anything other than 8 falls back to the plain
-    /// loop.
+    /// Reported as `core.tuning.calibrated_unroll`. The scatter's
+    /// counting pass is always the plain loop.
     pub unroll: usize,
 }
 
 impl Default for TuningParameters {
-    /// Portable defaults: tuned kernels on, 1024-element comparison-sort
-    /// crossover, 1 Mi-row parallel-count threshold, 8-wide unroll.
+    /// What the one remaining path does: comparison sort at every
+    /// small-node size (16384 was the deleted probe's "radix never won"
+    /// reading), plain counting loop.
     fn default() -> Self {
         TuningParameters {
-            mode: KernelMode::Tuned,
-            comparison_sort_threshold: 1024,
-            parallel_count_threshold: 1 << 20,
-            unroll: 8,
+            comparison_sort_threshold: 1 << 14,
+            unroll: 1,
         }
     }
 }
 
 impl TuningParameters {
-    /// The scalar reference configuration: the paper's per-element
-    /// loops, used as the bench baseline and proptest oracle.
-    pub fn scalar() -> Self {
-        TuningParameters {
-            mode: KernelMode::Scalar,
-            ..TuningParameters::default()
-        }
-    }
-
-    /// Machine-tuned constants from a one-shot startup probe.
-    ///
-    /// The probe runs once per process (cached in a `OnceLock`) and
-    /// takes a few milliseconds. It only selects thresholds between
-    /// result-identical implementations, so calibration can never
-    /// change query answers — `tests/proptest_kernels.rs` pins this.
+    /// Same as [`TuningParameters::default`]; there is no probe.
     pub fn calibrated() -> Self {
-        static CALIBRATED: OnceLock<TuningParameters> = OnceLock::new();
-        *CALIBRATED.get_or_init(calibrate)
-    }
-}
-
-/// Median-of-3 wall time of `f` over fresh copies of `data`.
-fn time_sort(data: &[u64], f: &mut dyn FnMut(&mut [u64])) -> std::time::Duration {
-    let mut samples = [std::time::Duration::ZERO; 3];
-    for slot in &mut samples {
-        let mut copy = data.to_vec();
-        let start = Instant::now();
-        f(&mut copy);
-        *slot = start.elapsed();
-        std::hint::black_box(&copy);
-    }
-    samples.sort();
-    samples[1]
-}
-
-/// Deterministic pseudo-random probe data (splitmix64). The probe must
-/// not depend on `rand`: `pi-core` is dependency-free and the shimmed
-/// `rand` lives above it.
-fn probe_data(len: usize) -> Vec<u64> {
-    let mut state = 0x9e37_79b9_7f4a_7c15u64;
-    (0..len)
-        .map(|_| {
-            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-            let mut z = state;
-            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-            z ^ (z >> 31)
-        })
-        .collect()
-}
-
-/// The startup probe behind [`TuningParameters::calibrated`].
-///
-/// * `comparison_sort_threshold`: smallest probed size where the
-///   in-place byte-radix sort beats `sort_unstable`; if radix never
-///   wins, the threshold lands above every probed size so the kernels
-///   keep using the comparison sort.
-/// * `unroll`: 8 when the unrolled histogram pass beats the plain loop
-///   on 64 Ki elements, else 1.
-/// * `parallel_count_threshold`: sized so a sequential count of that
-///   many rows costs roughly a millisecond (the point where fan-out
-///   overhead is clearly amortised), clamped to `[1 << 16, 1 << 24]`.
-fn calibrate() -> TuningParameters {
-    // -- comparison-sort crossover ------------------------------------
-    let mut comparison_sort_threshold = 1 << 14; // "radix never won"
-    for shift in 8..=13 {
-        let len = 1usize << shift;
-        let data = probe_data(len);
-        let cmp = time_sort(&data, &mut |d| d.sort_unstable());
-        let radix = time_sort(&data, &mut |d| {
-            crate::kernels::ska_sort_by_level(d, crate::buckets::ENCODED_DOMAIN_BITS / 8 - 1, 0)
-        });
-        if radix < cmp {
-            comparison_sort_threshold = len / 2;
-            break;
-        }
-    }
-
-    // -- unroll width ---------------------------------------------------
-    let data = probe_data(1 << 16);
-    let digit = |v: u64| (v >> 56) as u8;
-    let unrolled = time_sort(&data, &mut |d| {
-        std::hint::black_box(crate::kernels::histogram(d, 8, &digit));
-    });
-    let plain = time_sort(&data, &mut |d| {
-        std::hint::black_box(crate::kernels::histogram(d, 1, &digit));
-    });
-    let unroll = if unrolled <= plain { 8 } else { 1 };
-
-    // -- parallel-count threshold --------------------------------------
-    // Rows countable in ~1ms sequentially; below that, fan-out overhead
-    // dominates. Derived from the measured per-row cost on 64 Ki rows.
-    let per_row_nanos = (plain.min(unrolled).as_nanos().max(1) as f64) / (1 << 16) as f64;
-    let rows_per_ms = (1_000_000.0 / per_row_nanos) as usize;
-    let parallel_count_threshold = rows_per_ms.clamp(1 << 16, 1 << 24);
-
-    TuningParameters {
-        mode: KernelMode::Tuned,
-        comparison_sort_threshold,
-        parallel_count_threshold,
-        unroll,
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn default_is_tuned_with_portable_constants() {
-        let t = TuningParameters::default();
-        assert_eq!(t.mode, KernelMode::Tuned);
-        assert_eq!(t.comparison_sort_threshold, 1024);
-        assert_eq!(t.parallel_count_threshold, 1 << 20);
-        assert_eq!(t.unroll, 8);
-    }
-
-    #[test]
-    fn scalar_only_flips_the_mode() {
-        let t = TuningParameters::scalar();
-        assert_eq!(t.mode, KernelMode::Scalar);
-        assert_eq!(
-            t.comparison_sort_threshold,
-            TuningParameters::default().comparison_sort_threshold
-        );
-    }
-
-    #[test]
-    fn calibrated_is_cached_and_in_range() {
-        let a = TuningParameters::calibrated();
-        let b = TuningParameters::calibrated();
-        assert_eq!(a, b, "probe must run once and cache");
-        assert_eq!(a.mode, KernelMode::Tuned);
-        assert!(a.comparison_sort_threshold >= 32);
-        assert!((1 << 16..=1 << 24).contains(&a.parallel_count_threshold));
-        assert!(a.unroll == 1 || a.unroll == 8);
-    }
-
-    #[test]
-    fn probe_data_is_deterministic() {
-        assert_eq!(probe_data(64), probe_data(64));
+        TuningParameters::default()
     }
 }

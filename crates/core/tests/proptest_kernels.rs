@@ -1,179 +1,29 @@
-//! Property-based oracle for the tuned refinement kernels: with the same
-//! query script, an index running the tuned kernels must be
-//! **bit-identical** in every observable to the same index running the
-//! scalar reference loops — same answers, same indexing-ops accounting,
-//! same phase trajectory — at every refinement stage, for all four
-//! algorithms. [`pi_core::tuning::KernelMode`] selects speed, never
-//! results.
-//!
-//! The kernel-level primitives are pinned the same way: the unrolled
-//! unchecked scatter against the checked `Vec<Vec<_>>` counting sort,
-//! and the ska-style radix sort against `sort_unstable`.
-
-use std::sync::Arc;
+//! Property-based pin for the one refinement kernel: the unchecked
+//! scatter against the checked `Vec<Vec<_>>` counting sort. The
+//! algorithm-level pins (per-query indexing ops, phases, answers) are in
+//! `trajectory_pins.rs`.
 
 use proptest::prelude::*;
 
 use pi_core::kernels::{self, ScatterScratch};
-use pi_core::{Algorithm, BudgetPolicy, CostConstants, TuningParameters};
-use pi_storage::{Column, Value};
-
-const DOMAIN: u64 = 1 << 20;
-
-/// Drives tuned and scalar twins of one algorithm through the same query
-/// script and asserts every observable matches step for step.
-fn assert_twins_agree(
-    algorithm: Algorithm,
-    base: &[Value],
-    script: &[(u64, u64)],
-    tuned: TuningParameters,
-    scalar: TuningParameters,
-) {
-    let column = Arc::new(Column::from_vec(base.to_vec()));
-    let policy = BudgetPolicy::FixedDelta(0.3);
-    let constants = CostConstants::synthetic();
-    let mut a = algorithm.build_tuned(Arc::clone(&column), policy, constants, tuned);
-    let mut b = algorithm.build_tuned(Arc::clone(&column), policy, constants, scalar);
-    for (step, &(x, y)) in script.iter().enumerate() {
-        // Mix of narrow ranges, point queries (x == y collapses), and the
-        // occasional full-domain sweep.
-        let (low, high) = if x % 7 == 0 {
-            (0, DOMAIN * 2)
-        } else {
-            (x.min(y), x.max(y))
-        };
-        let ra = a.query(low, high);
-        let rb = b.query(low, high);
-        assert_eq!(
-            ra.scan_result(),
-            rb.scan_result(),
-            "{algorithm}: step {step} answer [{low}, {high}]"
-        );
-        assert_eq!(
-            ra.indexing_ops, rb.indexing_ops,
-            "{algorithm}: step {step} ops accounting"
-        );
-        assert_eq!(
-            ra.phase, rb.phase,
-            "{algorithm}: step {step} phase trajectory"
-        );
-        assert_eq!(a.status(), b.status(), "{algorithm}: step {step} status");
-    }
-    // Converge both and re-verify terminal answers.
-    let mut guard = 0;
-    while !a.is_converged() || !b.is_converged() {
-        a.query(1, 0);
-        b.query(1, 0);
-        guard += 1;
-        assert!(guard < 1_000_000, "{algorithm}: did not converge");
-    }
-    for (low, high) in [(0, DOMAIN * 2), (DOMAIN / 4, DOMAIN / 2), (7, 7), (5, 3)] {
-        assert_eq!(
-            a.query(low, high).scan_result(),
-            b.query(low, high).scan_result(),
-            "{algorithm}: post-convergence [{low}, {high}]"
-        );
-    }
-}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Tuned vs scalar over all four algorithms, arbitrary data and
-    /// arbitrary refinement stages (script length varies, so the twins
-    /// are compared mid-creation, mid-refinement, mid-merge and after
-    /// convergence).
-    #[test]
-    fn tuned_and_scalar_kernels_are_result_identical(
-        base in prop::collection::vec(0..DOMAIN, 0..800),
-        script in prop::collection::vec((0..DOMAIN, 0..DOMAIN), 1..40),
-    ) {
-        for algorithm in Algorithm::ALL {
-            assert_twins_agree(
-                algorithm,
-                &base,
-                &script,
-                TuningParameters::default(),
-                TuningParameters::scalar(),
-            );
-        }
-    }
-
-    /// The startup calibration probe may pick any thresholds it likes —
-    /// it must never change a single answer.
-    #[test]
-    fn calibration_never_changes_results(
-        base in prop::collection::vec(0..DOMAIN, 0..400),
-        script in prop::collection::vec((0..DOMAIN, 0..DOMAIN), 1..20),
-    ) {
-        for algorithm in Algorithm::ALL {
-            assert_twins_agree(
-                algorithm,
-                &base,
-                &script,
-                TuningParameters::calibrated(),
-                TuningParameters::scalar(),
-            );
-        }
-    }
-
-    /// Kernel-level pin: the unrolled unchecked scatter is a stable
-    /// grouping identical to the checked counting-sort reference, for
-    /// both unroll widths and arbitrary bucket counts.
+    /// The scatter is a stable grouping identical to the checked
+    /// counting-sort reference, for arbitrary bucket counts.
     #[test]
     fn scatter_matches_scalar_reference(
         values in prop::collection::vec(any::<u64>(), 0..2_000),
-        bucket_bits in 1..8u32,
-        unroll_tag in 0..2u64,
+        bucket_bits in 1..9u32,
     ) {
-        // The shim has no value-list strategy; a small tag picks the width.
-        let unroll = if unroll_tag == 0 { 1 } else { 8 };
         let buckets = 1usize << bucket_bits;
         let mask = (buckets - 1) as u64;
         let digit = move |v: u64| (v & mask) as u8;
         let mut scratch = ScatterScratch::new();
-        let (grouped, offsets) = scratch.scatter(&values, buckets, unroll, &digit);
+        let (grouped, offsets) = scratch.scatter(&values, buckets, &digit);
         let (want_grouped, want_offsets) = kernels::scatter_scalar(&values, buckets, &digit);
         prop_assert_eq!(grouped, &want_grouped[..]);
         prop_assert_eq!(&offsets[..=buckets], &want_offsets[..]);
-    }
-
-    /// Kernel-level pin: the ska-style radix sort sorts exactly like the
-    /// standard sort for any threshold (including 0 — pure radix — and
-    /// huge — pure comparison fallback).
-    #[test]
-    fn ska_sort_matches_sort_unstable(
-        mut values in prop::collection::vec(any::<u64>(), 0..2_000),
-        threshold_tag in 0..5u64,
-    ) {
-        let threshold = [0usize, 1, 64, 1 << 14, usize::MAX][threshold_tag as usize];
-        let mut want = values.clone();
-        want.sort_unstable();
-        kernels::ska_sort_by_level(&mut values, 7, threshold);
-        prop_assert_eq!(values, want);
-    }
-}
-
-/// Degenerate shapes the random strategies rarely hit exactly.
-#[test]
-fn degenerate_inputs_are_result_identical() {
-    let cases: Vec<Vec<Value>> = vec![
-        vec![],
-        vec![42],
-        vec![7; 500],
-        (0..500).collect(),
-        (0..500).rev().collect(),
-    ];
-    let script = [(3u64, 900u64), (5, 5), (0, 0), (11, 400)];
-    for base in &cases {
-        for algorithm in Algorithm::ALL {
-            assert_twins_agree(
-                algorithm,
-                base,
-                &script,
-                TuningParameters::default(),
-                TuningParameters::scalar(),
-            );
-        }
     }
 }

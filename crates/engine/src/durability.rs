@@ -262,14 +262,7 @@ impl DurableTable {
                 .into_iter()
                 .map(|ShardState { base, sidecar }| (base, sidecar))
                 .collect();
-            let mut column = ShardedColumn::restore(
-                name,
-                algorithm,
-                policy,
-                boundaries,
-                parts,
-                pi_core::tuning::TuningParameters::calibrated(),
-            );
+            let mut column = ShardedColumn::restore(name, algorithm, policy, boundaries, parts);
             if let Some(registry) = registry {
                 column.attach_metrics(registry);
             }

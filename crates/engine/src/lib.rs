@@ -123,9 +123,9 @@ pub use multicol::{
     ConjunctionAnswer, GroupRow, GroupedQuery, MultiColumnSpec, MultiExecutor, MultiTable,
     Predicate, RowMutation,
 };
-pub use pi_core::tuning::{KernelMode, TuningParameters};
+pub use pi_core::tuning::TuningParameters;
 pub use planner::{choose_driving, Plan, PredicateStats, RHO_WEIGHT};
-pub use stats::{estimate_distribution, estimate_distribution_pooled, WorkloadStats};
+pub use stats::{estimate_distribution, WorkloadStats};
 pub use table::{AlgorithmChoice, ColumnSpec, Shard, ShardedColumn, Table, TableBuilder};
 pub use typed::{
     TableKey, TypedColumnSpec, TypedExecutor, TypedMutation, TypedQuery, TypedResult, TypedTable,

@@ -14,16 +14,11 @@
 //!   column to the new recommendation is a future re-indexing PR.
 //! * [`estimate_distribution`] classifies a column's value distribution
 //!   from a sample, mirroring the paper's uniform-vs-skewed dichotomy; it
-//!   feeds the build-time algorithm choice. [`estimate_distribution_pooled`]
-//!   is the large-column variant: above the machine's calibrated
-//!   parallel-count threshold it replaces the 4096-row sample with an
-//!   *exact* 256-bin histogram counted per-chunk on the `pi-sched` pool.
+//!   feeds the build-time algorithm choice.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use pi_core::decision::{DataDistribution, QueryShape, Scenario};
-use pi_core::tuning::TuningParameters;
-use pi_sched::Pool;
 use pi_storage::Value;
 
 /// Running per-column workload statistics.
@@ -164,61 +159,6 @@ pub fn estimate_distribution(values: &[Value]) -> DataDistribution {
     }
 }
 
-/// [`estimate_distribution`] for columns large enough that sampling can
-/// misjudge them: at or above `tuning.parallel_count_threshold` rows the
-/// classification runs on an **exact** 256-bin histogram of the full
-/// column, counted per-chunk on the pool
-/// ([`pi_sched::parallel::par_chunk_counts`]) — every row is seen, no
-/// sampling variance. Below the threshold (where fan-out overhead would
-/// dominate) it simply delegates to the sequential sampled estimator.
-///
-/// The skew rule is the same 5th–95th-percentile span test, evaluated at
-/// bin resolution (1/256 of the domain — far finer than the 0.5 span
-/// threshold it feeds).
-pub fn estimate_distribution_pooled(
-    values: &[Value],
-    pool: &Pool,
-    tuning: &TuningParameters,
-) -> DataDistribution {
-    if values.len() < tuning.parallel_count_threshold {
-        return estimate_distribution(values);
-    }
-    let (min, max) = values
-        .iter()
-        .fold((Value::MAX, Value::MIN), |(lo, hi), &v| {
-            (lo.min(v), hi.max(v))
-        });
-    if min == max {
-        return DataDistribution::Unknown;
-    }
-    let span = (max - min) as u128 + 1;
-    let bin_of = move |v: Value| (((v - min) as u128 * 256) / span) as u8;
-    let counts = pi_sched::par_chunk_counts(pool, values, &bin_of);
-
-    let total = values.len();
-    let mut cumulative = 0usize;
-    let mut q05_bin = 0usize;
-    let mut q95_bin = 255usize;
-    let mut q05_found = false;
-    for (bin, &c) in counts.iter().enumerate() {
-        cumulative += c;
-        if !q05_found && cumulative * 100 >= total * 5 {
-            q05_bin = bin;
-            q05_found = true;
-        }
-        if cumulative * 100 >= total * 95 {
-            q95_bin = bin;
-            break;
-        }
-    }
-    let bulk_span = (q95_bin - q05_bin) as f64 / 256.0;
-    if bulk_span < SKEW_SPAN_THRESHOLD {
-        DataDistribution::Skewed
-    } else {
-        DataDistribution::Uniform
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -322,84 +262,5 @@ mod tests {
         assert_eq!(estimate_distribution(&[1, 2, 3]), DataDistribution::Unknown);
         let constant = vec![7u64; 1_000];
         assert_eq!(estimate_distribution(&constant), DataDistribution::Unknown);
-    }
-
-    /// Tuning that forces every column through the pooled (exact) path.
-    fn always_pooled() -> TuningParameters {
-        TuningParameters {
-            parallel_count_threshold: 0,
-            ..TuningParameters::default()
-        }
-    }
-
-    #[test]
-    fn pooled_estimator_agrees_with_sequential_on_uniform_data() {
-        let pool = Pool::new(3);
-        let values: Vec<Value> = (0..50_000).collect();
-        assert_eq!(
-            estimate_distribution_pooled(&values, &pool, &always_pooled()),
-            DataDistribution::Uniform
-        );
-        assert_eq!(
-            estimate_distribution_pooled(&values, &pool, &always_pooled()),
-            estimate_distribution(&values)
-        );
-    }
-
-    #[test]
-    fn pooled_estimator_agrees_with_sequential_on_skewed_data() {
-        let pool = Pool::new(3);
-        let mut values: Vec<Value> = Vec::new();
-        for i in 0..90_000u64 {
-            values.push(47_500 + i % 5_000);
-        }
-        for i in 0..10_000u64 {
-            values.push(i * 10);
-        }
-        assert_eq!(
-            estimate_distribution_pooled(&values, &pool, &always_pooled()),
-            DataDistribution::Skewed
-        );
-        assert_eq!(
-            estimate_distribution_pooled(&values, &pool, &always_pooled()),
-            estimate_distribution(&values)
-        );
-    }
-
-    #[test]
-    fn pooled_estimator_handles_degenerate_and_small_columns() {
-        let pool = Pool::new(2);
-        let constant = vec![7u64; 1_000];
-        assert_eq!(
-            estimate_distribution_pooled(&constant, &pool, &always_pooled()),
-            DataDistribution::Unknown
-        );
-        // Below the threshold the sampled estimator is used verbatim.
-        let tiny: Vec<Value> = (0..100).collect();
-        let tuning = TuningParameters::default(); // threshold ≥ 2^16 ≫ 100
-        assert_eq!(
-            estimate_distribution_pooled(&tiny, &pool, &tuning),
-            estimate_distribution(&tiny)
-        );
-    }
-
-    #[test]
-    fn pooled_estimator_sees_skew_a_sample_cannot_hide() {
-        // Full-column exactness: edge-clustered mass near the maximum,
-        // with a thin (2%) tail spread across the rest of the domain so
-        // the 5th–95th-percentile window sits entirely inside the hot
-        // cluster.
-        let pool = Pool::new(4);
-        let mut values: Vec<Value> = Vec::new();
-        for i in 0..98_000u64 {
-            values.push(1_000_000 + i % 1_000);
-        }
-        for i in 0..2_000u64 {
-            values.push(i * 500);
-        }
-        assert_eq!(
-            estimate_distribution_pooled(&values, &pool, &always_pooled()),
-            DataDistribution::Skewed
-        );
     }
 }

@@ -32,10 +32,7 @@ use pi_storage::scan::ScanResult;
 use pi_storage::shard::{sample_values, RangePartition};
 use pi_storage::{Column, Value};
 
-use pi_core::tuning::TuningParameters;
-use pi_sched::Pool;
-
-use crate::stats::{estimate_distribution, estimate_distribution_pooled, WorkloadStats};
+use crate::stats::{estimate_distribution, WorkloadStats};
 
 /// How a column's indexing algorithm is selected.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -67,10 +64,6 @@ pub struct ColumnSpec {
     pub policy: BudgetPolicy,
     /// Algorithm selection.
     pub choice: AlgorithmChoice,
-    /// Kernel tuning constants handed to every shard's index. Defaults to
-    /// the machine-calibrated set ([`TuningParameters::calibrated`]);
-    /// result-neutral in either case (see [`pi_core::tuning`]).
-    pub tuning: TuningParameters,
 }
 
 impl ColumnSpec {
@@ -83,7 +76,6 @@ impl ColumnSpec {
             shards: 4,
             policy: BudgetPolicy::FixedDelta(0.25),
             choice: AlgorithmChoice::default(),
-            tuning: TuningParameters::calibrated(),
         }
     }
 
@@ -104,13 +96,6 @@ impl ColumnSpec {
         self.choice = choice;
         self
     }
-
-    /// Sets the kernel tuning constants (builder style). Pass
-    /// [`TuningParameters::scalar`] to pin the reference scalar kernels.
-    pub fn with_tuning(mut self, tuning: TuningParameters) -> Self {
-        self.tuning = tuning;
-        self
-    }
 }
 
 /// One shard: a mutable progressive index ([`MutableIndex`]) over the rows
@@ -122,22 +107,9 @@ pub struct Shard {
 }
 
 impl Shard {
-    fn new(
-        column: Column,
-        algorithm: Algorithm,
-        policy: BudgetPolicy,
-        tuning: TuningParameters,
-    ) -> Self {
+    fn new(column: Column, algorithm: Algorithm, policy: BudgetPolicy) -> Self {
         Shard {
-            index: MutableIndex::with_config(
-                Arc::new(column),
-                algorithm,
-                policy,
-                MutableConfig {
-                    tuning,
-                    ..MutableConfig::default()
-                },
-            ),
+            index: MutableIndex::new(Arc::new(column), algorithm, policy),
         }
     }
 
@@ -148,7 +120,6 @@ impl Shard {
         sidecar: DeltaSidecar,
         algorithm: Algorithm,
         policy: BudgetPolicy,
-        tuning: TuningParameters,
     ) -> Self {
         Shard {
             index: MutableIndex::from_parts(
@@ -156,10 +127,7 @@ impl Shard {
                 sidecar,
                 algorithm,
                 policy,
-                MutableConfig {
-                    tuning,
-                    ..MutableConfig::default()
-                },
+                MutableConfig::default(),
             ),
         }
     }
@@ -297,9 +265,6 @@ pub struct ShardedColumn {
     algorithm: Algorithm,
     policy: BudgetPolicy,
     distribution: DataDistribution,
-    /// Kernel tuning constants every shard's index was built with (and
-    /// every rebuilt shard after a re-balance will be built with).
-    tuning: TuningParameters,
     partition: RangePartition,
     /// Rows per shard **at construction / last re-balance** — the
     /// task-granularity weights the scheduler pins shards to workers by
@@ -340,22 +305,9 @@ pub struct ShardedColumn {
 }
 
 impl ShardedColumn {
-    #[cfg(test)]
     fn from_spec(spec: ColumnSpec) -> Self {
-        Self::from_spec_with_pool(spec, None)
-    }
-
-    /// [`ShardedColumn::from_spec`], optionally classifying the value
-    /// distribution with the exact pooled histogram estimator
-    /// ([`estimate_distribution_pooled`]) when a pool is available —
-    /// columns at or above the tuning's parallel-count threshold get a
-    /// full-column classification instead of a 4096-row sample.
-    fn from_spec_with_pool(spec: ColumnSpec, pool: Option<&Pool>) -> Self {
         assert!(spec.shards > 0, "a column needs at least one shard");
-        let distribution = match pool {
-            Some(pool) => estimate_distribution_pooled(&spec.values, pool, &spec.tuning),
-            None => estimate_distribution(&spec.values),
-        };
+        let distribution = estimate_distribution(&spec.values);
         let algorithm = match spec.choice {
             AlgorithmChoice::Fixed(a) => a,
             AlgorithmChoice::Auto(shape) => recommend(Scenario {
@@ -373,7 +325,6 @@ impl ShardedColumn {
             algorithm,
             spec.policy,
             distribution,
-            spec.tuning,
         )
     }
 
@@ -385,7 +336,6 @@ impl ShardedColumn {
         algorithm: Algorithm,
         policy: BudgetPolicy,
         distribution: DataDistribution,
-        tuning: TuningParameters,
     ) -> Self {
         let rows = column.len();
         let domain = column.domain().unwrap_or((0, 0));
@@ -410,7 +360,7 @@ impl ShardedColumn {
         let rho_cache = sub_columns.iter().map(|_| AtomicU64::new(0)).collect();
         let shards: Vec<Mutex<Shard>> = sub_columns
             .into_iter()
-            .map(|sub| Mutex::new(Shard::new(sub, algorithm, policy, tuning)))
+            .map(|sub| Mutex::new(Shard::new(sub, algorithm, policy)))
             .collect();
         let column = ShardedColumn {
             name,
@@ -419,7 +369,6 @@ impl ShardedColumn {
             algorithm,
             policy,
             distribution,
-            tuning,
             partition,
             shard_rows,
             digests,
@@ -461,7 +410,6 @@ impl ShardedColumn {
         policy: BudgetPolicy,
         boundaries: Vec<Value>,
         shard_states: Vec<(Arc<Column>, DeltaSidecar)>,
-        tuning: TuningParameters,
     ) -> Self {
         assert_eq!(
             shard_states.len(),
@@ -480,9 +428,7 @@ impl ShardedColumn {
         let distribution = estimate_distribution(&sampled);
         let shards: Vec<Mutex<Shard>> = shard_states
             .into_iter()
-            .map(|(base, sidecar)| {
-                Mutex::new(Shard::from_parts(base, sidecar, algorithm, policy, tuning))
-            })
+            .map(|(base, sidecar)| Mutex::new(Shard::from_parts(base, sidecar, algorithm, policy)))
             .collect();
         let digests: Vec<RwLock<ShardDigest>> = shards
             .iter()
@@ -529,7 +475,6 @@ impl ShardedColumn {
             algorithm,
             policy,
             distribution,
-            tuning,
             partition,
             shard_rows,
             digests,
@@ -1033,7 +978,6 @@ impl ShardedColumn {
             self.algorithm,
             self.policy,
             self.distribution,
-            self.tuning,
         );
         // The rebuilt shards keep reporting into the same metric family
         // (same shard count, so the gauge handles stay valid) and keep
@@ -1122,8 +1066,6 @@ pub struct TableBuilder {
     specs: Vec<ColumnSpec>,
     metrics: Option<Arc<MetricsRegistry>>,
     durability: Option<crate::durability::DurabilityConfig>,
-    tuning: Option<TuningParameters>,
-    pool: Option<Arc<Pool>>,
 }
 
 impl TableBuilder {
@@ -1133,23 +1075,9 @@ impl TableBuilder {
         self
     }
 
-    /// Overrides the kernel tuning constants of **every** column added to
-    /// this builder (per-column [`ColumnSpec::with_tuning`] values are
-    /// replaced). The default is each spec's own tuning — normally the
-    /// machine-calibrated set. Pass [`TuningParameters::scalar`] to pin
-    /// the reference scalar kernels table-wide, e.g. for A/B benchmarks.
-    pub fn tuning(mut self, tuning: TuningParameters) -> Self {
-        self.tuning = Some(tuning);
-        self
-    }
-
-    /// Lends a worker pool to the build so large columns (at or above the
-    /// tuning's parallel-count threshold) are classified with the exact
-    /// pooled histogram estimator instead of a 4096-row sample; see
-    /// [`crate::stats::estimate_distribution_pooled`]. Build-time only —
-    /// the table holds no reference to the pool afterwards.
-    pub fn pool(mut self, pool: Arc<Pool>) -> Self {
-        self.pool = Some(pool);
+    /// Does nothing; kept only because `pibench/` calls it — see
+    /// [`pi_core::tuning`].
+    pub fn tuning(self, _tuning: pi_core::TuningParameters) -> Self {
         self
     }
 
@@ -1178,11 +1106,8 @@ impl TableBuilder {
     pub fn build(self) -> Table {
         let mut columns = Vec::with_capacity(self.specs.len());
         let mut by_name = HashMap::new();
-        for mut spec in self.specs {
-            if let Some(tuning) = self.tuning {
-                spec.tuning = tuning;
-            }
-            let mut column = ShardedColumn::from_spec_with_pool(spec, self.pool.as_deref());
+        for spec in self.specs {
+            let mut column = ShardedColumn::from_spec(spec);
             if let Some(registry) = &self.metrics {
                 column.attach_metrics(registry);
             }
@@ -1361,52 +1286,6 @@ mod tests {
             assert_eq!(
                 column.query(low, high),
                 scan_range_sum(&values, low, high),
-                "[{low}, {high}]"
-            );
-        }
-    }
-
-    #[test]
-    fn scalar_and_tuned_tables_answer_identically() {
-        let values = uniform_values(20_000, 41);
-        let tuned = Table::builder()
-            .column(ColumnSpec::new("a", values.clone()).with_shards(4))
-            .build();
-        let scalar = Table::builder()
-            .column(ColumnSpec::new("a", values.clone()).with_shards(4))
-            .tuning(TuningParameters::scalar())
-            .build();
-        for (low, high) in [(0, 5_000), (7_500, 12_500), (19_999, 19_999), (5, 3)] {
-            let t = tuned.query("a", low, high).unwrap();
-            let s = scalar.query("a", low, high).unwrap();
-            assert_eq!(t, s, "[{low}, {high}]");
-            assert_eq!(t, scan_range_sum(&values, low, high), "[{low}, {high}]");
-        }
-    }
-
-    #[test]
-    fn pooled_build_matches_sequential_build() {
-        let values = uniform_values(30_000, 42);
-        let pool = Arc::new(Pool::new(3));
-        let pooled = Table::builder()
-            .column(
-                ColumnSpec::new("a", values.clone())
-                    .with_shards(4)
-                    .with_tuning(TuningParameters {
-                        // Force the exact pooled estimator for this column.
-                        parallel_count_threshold: 0,
-                        ..TuningParameters::default()
-                    }),
-            )
-            .pool(pool)
-            .build();
-        let plain = Table::builder()
-            .column(ColumnSpec::new("a", values.clone()).with_shards(4))
-            .build();
-        for (low, high) in [(0, 10_000), (25_000, 29_999), (7, 7)] {
-            assert_eq!(
-                pooled.query("a", low, high).unwrap(),
-                plain.query("a", low, high).unwrap(),
                 "[{low}, {high}]"
             );
         }

@@ -23,11 +23,6 @@
 //! * [`plan_affinity`] — longest-processing-time-first pinning of
 //!   weighted shards onto workers, used by the engine to balance pinned
 //!   row counts.
-//! * [`parallel`] — scoped data-parallel helpers over the pool:
-//!   [`run_scoped`] erases the `'static` job bound behind
-//!   [`Pool::run`]'s completion barrier, and [`par_chunk_counts`] fans
-//!   exact histogram counting out per-chunk (the engine's distribution
-//!   estimator uses it above the machine's parallel-count threshold).
 //!
 //! The crate is dependency-free (std only) and knows nothing about
 //! indexes: `pi-engine` implements [`BatchExecutor`] for its `Executor`
@@ -58,11 +53,9 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod parallel;
 pub mod pool;
 pub mod server;
 
-pub use parallel::{par_chunk_counts, run_scoped};
 pub use pool::{plan_affinity, IdleTask, Job, Pool, PoolConfig, PoolStats};
 pub use server::{
     BatchExecutor, ServeError, Server, ServerConfig, ServerStats, SubmitError, Ticket,

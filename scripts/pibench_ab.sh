@@ -1,19 +1,20 @@
 #!/usr/bin/env bash
-# Paired A/B of one pibench workload: a parent commit against this working
+# Paired A/B of pibench workloads: a parent commit against this working
 # tree, by the rule of the choosing-metrics guide, section 8.
 #
-#   scripts/pibench_ab.sh <parent-ref> <workload> [seed]
+#   scripts/pibench_ab.sh <parent-ref> <workload>[,<workload>...]|all [seed]
 #
 # Both sides are exported into trees of their own under target/pibench_ab/
 # (the parent from git, the change from the working tree's tracked and
 # untracked-but-not-ignored files), so each builds pibench from its own
-# source into its own pibench/target. The BENCHMARK.json command is then
+# source into its own pibench/target. For each workload in turn (`all`:
+# every workload BENCHMARK.json lists) the BENCHMARK.json command is then
 # run PAIRS times (default 10) on each side, alternating which side goes
-# first, and every end-to-end metric is printed with each side's median
-# and quartiles, the pairs the change won, and a verdict: a gain (>= 9/10
-# of the pairs won, medians apart by more than the parent's interquartile
-# distance), worse by the same rule but within the metric's bound, a
-# regression (median worse by more than the bound), or neither.
+# first, and one table is printed: every end-to-end metric with each
+# side's median and quartiles, the pairs the change won, and a verdict: a
+# gain (>= 9/10 of the pairs won, medians apart by more than the parent's
+# interquartile distance), worse by the same rule but within the metric's
+# bound, a regression (median worse by more than the bound), or neither.
 #
 # The run length and the command come from the working tree's
 # BENCHMARK.json and are the same on both sides.
@@ -24,7 +25,7 @@ if [ $# -lt 2 ]; then
     exit 2
 fi
 parent_ref=$1
-workload=$2
+workloads=$2
 seed=${3:-1}
 pairs=${PAIRS:-10}
 
@@ -45,27 +46,34 @@ EOF
 )
 seconds=$(python3 -c 'import json; print(json.load(open("BENCHMARK.json"))["run_seconds"])')
 
-run() { # <side> <pair>
-    (cd "$work/$1" && "${command[@]}" --workload "$workload" --seed "$seed" \
-        --seconds "$seconds" --trace 0) | tail -n 1 >"$work/runs/$1.$2.json"
+if [ "$workloads" = all ]; then
+    workloads=$(python3 -c 'import json; print(*[w["name"] for w in json.load(open("BENCHMARK.json"))["workloads"]])')
+fi
+
+run() { # <side> <workload> <pair>
+    (cd "$work/$1" && "${command[@]}" --workload "$2" --seed "$seed" \
+        --seconds "$seconds" --trace 0) | tail -n 1 >"$work/runs/$1.$2.$3.json"
 }
 
+first=${workloads%%[, ]*}
 echo "building both sides (one untimed run each)" >&2
-run parent warmup
-run change warmup
+run parent "$first" warmup
+run change "$first" warmup
 rm "$work"/runs/*.warmup.json
 
-for pair in $(seq 1 "$pairs"); do
-    if [ $((pair % 2)) -eq 1 ]; then order="parent change"; else order="change parent"; fi
-    for side in $order; do run "$side" "$pair"; done
-    echo "pair $pair/$pairs done ($order)" >&2
-done
+for workload in ${workloads//,/ }; do
+    for pair in $(seq 1 "$pairs"); do
+        if [ $((pair % 2)) -eq 1 ]; then order="parent change"; else order="change parent"; fi
+        for side in $order; do run "$side" "$workload" "$pair"; done
+        echo "$workload: pair $pair/$pairs done ($order)" >&2
+    done
 
-python3 - "$work/runs" "$pairs" <<'EOF'
+    python3 - "$work/runs" "$pairs" "$workload" "$seed" <<'EOF'
 import json, statistics, sys
-runs, pairs = sys.argv[1], int(sys.argv[2])
+runs, pairs, workload, seed = sys.argv[1], int(sys.argv[2]), sys.argv[3], sys.argv[4]
+print(f"\n== {workload} (seed {seed}, {pairs} pairs) ==")
 bench = json.load(open("BENCHMARK.json"))
-side = {s: [json.load(open(f"{runs}/{s}.{p}.json")) for p in range(1, pairs + 1)]
+side = {s: [json.load(open(f"{runs}/{s}.{workload}.{p}.json")) for p in range(1, pairs + 1)]
         for s in ("parent", "change")}
 for s, results in side.items():
     attempted = sum(r["attempted"] for r in results)
@@ -103,3 +111,4 @@ for metric in bench["end_to_end"]:
     print(f"{name:<16}{metric['unit']:<5}{fmt(pm, pq1, pq3):<38}{fmt(cm, cq1, cq3):<38}"
           f"{ratio:>7.3f}  {won:>2}/{pairs}  {verdict}")
 EOF
+done

@@ -147,6 +147,17 @@ fn server_front_end_shares_the_stack_registry() {
         },
         Arc::clone(&registry),
     ));
+    // Makes a pool job certain. Each range ends inside the first and the
+    // last shard (the two in between are answered from their digests), so
+    // on the still-unindexed table the batch hands twelve 10k-row scans to
+    // the pool — above the executor's fan-out break-even — and `Pool::run`
+    // returns only after its jobs were counted. The per-batch maintenance
+    // jobs of the submissions below are fire-and-forget and may still be
+    // queued when the snapshot is taken.
+    let wide: Vec<TableQuery> = (0..12)
+        .map(|i| TableQuery::new("a", 5_000 + i, 35_000 + i))
+        .collect();
+    executor.execute_batch(&wide).expect("known column");
     let server =
         TableServer::with_metrics(executor, ServerConfig::default(), Arc::clone(&registry));
     let mut tickets = Vec::new();
