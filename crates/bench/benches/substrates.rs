@@ -1,12 +1,13 @@
-//! Micro-benchmarks of the storage and indexing substrates: predicated vs
-//! branching scans, cracking kernels, bucket appends, binary search and
-//! B+-tree lookups. These are the building blocks whose costs the paper's
+//! Micro-benchmarks of the storage and indexing substrates: the predicated
+//! scan, cracking kernels, bucket appends, binary search and B+-tree
+//! lookups. These are the building blocks whose costs the paper's
 //! cost models (Table 1) parameterise.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use pi_bench::BENCH_SCALE;
 use pi_core::buckets::{BucketSet, DEFAULT_BLOCK_CAPACITY, DEFAULT_BUCKET_COUNT};
+use pi_core::kernels::ScatterScratch;
 use pi_cracking::crack::crack_in_two;
 use pi_storage::{scan, sorted, StaticBTree};
 use pi_workloads::data;
@@ -17,9 +18,6 @@ fn bench_scans(c: &mut Criterion) {
     let mut group = c.benchmark_group("scan");
     group.bench_function(BenchmarkId::new("predicated", n), |b| {
         b.iter(|| scan::scan_range_sum(black_box(&values), n as u64 / 4, n as u64 / 2))
-    });
-    group.bench_function(BenchmarkId::new("branching", n), |b| {
-        b.iter(|| scan::scan_range_sum_branching(black_box(&values), n as u64 / 4, n as u64 / 2))
     });
     group.finish();
 }
@@ -46,16 +44,15 @@ fn bench_bucket_append(c: &mut Criterion) {
     let values = data::uniform_random(n, 3);
     let shift = 64 - (DEFAULT_BUCKET_COUNT as u64).trailing_zeros();
     let mut group = c.benchmark_group("bucket_append");
+    let mut scratch = ScatterScratch::new();
+    // Bucket by the most significant bits of the value within the 0..n
+    // domain (values fit in the low bits, so scale them up first to
+    // exercise the real code path).
+    let digit = |v: u64| (((v << (64 - 17 - 1)) >> shift) as usize % DEFAULT_BUCKET_COUNT) as u8;
     group.bench_function(BenchmarkId::new("radix_msd", n), |b| {
         b.iter(|| {
             let mut buckets = BucketSet::new(DEFAULT_BUCKET_COUNT, DEFAULT_BLOCK_CAPACITY);
-            for &v in &values {
-                // Bucket by the most significant bits of the value within
-                // the 0..n domain (values fit in the low bits, so scale
-                // them up first to exercise the real code path).
-                let scaled = v << (64 - 17 - 1);
-                buckets.push((scaled >> shift) as usize % DEFAULT_BUCKET_COUNT, v);
-            }
+            scratch.scatter_into(&values, &mut buckets, &digit);
             black_box(buckets.len())
         })
     });

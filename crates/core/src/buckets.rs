@@ -111,27 +111,6 @@ impl BlockBucket {
         Self::new(DEFAULT_BLOCK_CAPACITY)
     }
 
-    /// Appends a value, allocating a new block when the current one is
-    /// full. Returns `true` when the push triggered a block allocation
-    /// (the `τ` event of the cost model).
-    #[inline]
-    pub fn push(&mut self, value: Value) -> bool {
-        let allocated = match self.blocks.last() {
-            Some(last) if last.len() < self.block_capacity => false,
-            _ => {
-                self.blocks.push(Vec::with_capacity(self.block_capacity));
-                true
-            }
-        };
-        // The block pushed or found above always has spare capacity.
-        self.blocks
-            .last_mut()
-            .expect("bucket always has a current block after the allocation check")
-            .push(value);
-        self.len += 1;
-        allocated
-    }
-
     /// Number of elements stored in the bucket.
     #[inline]
     pub fn len(&self) -> usize {
@@ -206,16 +185,26 @@ impl BlockBucket {
 
     /// Appends a whole run of values block-wise (memcpy-class, no
     /// per-element capacity branch). Returns the number of block
-    /// allocations performed — the `τ` events of the cost model, so the
-    /// caller's accounting matches an equivalent sequence of
-    /// [`BlockBucket::push`] calls exactly.
+    /// allocations performed — the `τ` events of the cost model.
+    ///
+    /// A bucket's *first* block starts at the size of the run that opens
+    /// it and grows geometrically to `s_b` as later runs fill it: the
+    /// first δ·N slice of a creation step brings a few hundred elements
+    /// per bucket, and reserving `b × s_b` for them would charge the first
+    /// query for memory the later ones fill (and a refinement child that
+    /// stays small would hold a whole block). Growing a block is not a
+    /// `τ` event; blocks after the first are allocated whole.
     pub fn extend_from_slice(&mut self, mut values: &[Value]) -> u64 {
         let mut allocations = 0u64;
         while !values.is_empty() {
             let spare = match self.blocks.last() {
                 Some(last) if last.len() < self.block_capacity => self.block_capacity - last.len(),
                 _ => {
-                    self.blocks.push(Vec::with_capacity(self.block_capacity));
+                    self.blocks.push(if self.blocks.is_empty() {
+                        Vec::new()
+                    } else {
+                        Vec::with_capacity(self.block_capacity)
+                    });
                     allocations += 1;
                     self.block_capacity
                 }
@@ -225,6 +214,10 @@ impl BlockBucket {
                 .blocks
                 .last_mut()
                 .expect("bucket always has a current block after the allocation check");
+            if block.capacity() < block.len() + take {
+                let grown = (2 * block.capacity()).max(block.len() + take);
+                block.reserve_exact(grown.min(self.block_capacity) - block.len());
+            }
             block.extend_from_slice(&values[..take]);
             self.len += take;
             values = &values[take..];
@@ -352,21 +345,9 @@ impl BucketSet {
         self.allocations
     }
 
-    /// Appends `value` to bucket `bucket`.
-    ///
-    /// # Panics
-    /// Panics when `bucket` is out of range.
-    #[inline]
-    pub fn push(&mut self, bucket: usize, value: Value) {
-        if self.buckets[bucket].push(value) {
-            self.allocations += 1;
-        }
-        self.len += 1;
-    }
-
-    /// Appends a whole run of values to bucket `bucket` block-wise,
-    /// keeping the allocation count identical to pushing them one by
-    /// one. The refinement steps land each scatter group with one call.
+    /// Appends a whole run of values to bucket `bucket` block-wise. The
+    /// creation and refinement steps land each scatter group with one
+    /// call.
     ///
     /// # Panics
     /// Panics when `bucket` is out of range.
@@ -424,6 +405,51 @@ impl BucketSet {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// One-element appends: the tests build their buckets value by value.
+    impl BlockBucket {
+        fn push(&mut self, value: Value) -> bool {
+            self.extend_from_slice(&[value]) == 1
+        }
+    }
+
+    impl BucketSet {
+        fn push(&mut self, bucket: usize, value: Value) {
+            self.extend_from_slice(bucket, &[value]);
+        }
+    }
+
+    #[test]
+    fn first_block_grows_to_capacity_without_extra_allocation_events() {
+        let cap = 64;
+        let mut set = BucketSet::new(1, cap);
+        let mut alone = BlockBucket::new(cap);
+        let mut reported = 0u64;
+        let mut want = Vec::new();
+        // Runs that open the first block small, grow it, straddle its end
+        // and then fill whole later blocks.
+        for (i, run) in [3usize, 1, 9, 40, 30, 64, 200, 1].into_iter().enumerate() {
+            let values: Vec<Value> = (0..run as u64).map(|v| v + 1000 * i as u64).collect();
+            reported += alone.extend_from_slice(&values);
+            set.extend_from_slice(0, &values);
+            want.extend_from_slice(&values);
+            let bucket = set.bucket(0);
+            assert_eq!(bucket.iter().collect::<Vec<_>>(), want);
+            // τ stays one event per block, however the first one grew.
+            assert_eq!(bucket.block_count(), want.len().div_ceil(cap));
+            assert_eq!(set.allocations(), bucket.block_count() as u64);
+            assert_eq!(set.allocations(), reported);
+            assert!(bucket.blocks.iter().all(|b| b.capacity() <= cap));
+        }
+        let mut small = BlockBucket::new(cap);
+        assert_eq!(small.extend_from_slice(&[1, 2, 3]), 1);
+        assert_eq!(small.blocks[0].capacity(), 3);
+        assert_eq!(small.extend_from_slice(&[4]), 0);
+        assert_eq!(small.blocks[0].capacity(), 6);
+        assert_eq!(small.extend_from_slice(&[0; 80]), 1);
+        assert_eq!(small.blocks[0].capacity(), cap);
+        assert_eq!(small.blocks[1].capacity(), cap);
+    }
 
     #[test]
     fn push_allocates_blocks_lazily() {

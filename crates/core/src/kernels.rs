@@ -1,4 +1,5 @@
-//! The radix scatter every bucket-to-bucket refinement step runs.
+//! The radix scatter every creation step and every bucket-to-bucket
+//! refinement step runs.
 //!
 //! The paper's refinement loops move one element per iteration through a
 //! block lookup (`i / cap`, `i % cap` — an integer division per element)
@@ -21,6 +22,8 @@
 //! writes exactly `counts[d]` elements into its reserved range.
 
 use pi_storage::Value;
+
+use crate::buckets::BucketSet;
 
 /// Maximum digit fan-out the scatter supports (one byte).
 pub const MAX_SCATTER_BUCKETS: usize = 256;
@@ -144,6 +147,26 @@ impl ScatterScratch {
         }
         (&self.out, &self.cursors)
     }
+
+    /// Moves `values` into `set`, each to the bucket `digit_of` names: the
+    /// one move path of the creation steps (base column → buckets) and of
+    /// the bucket-to-bucket refinement steps. Every bucket receives its
+    /// share of `values` as one bulk append.
+    pub fn scatter_into<F: Fn(Value) -> u8>(
+        &mut self,
+        values: &[Value],
+        set: &mut BucketSet,
+        digit_of: &F,
+    ) {
+        let buckets = set.bucket_count();
+        let (grouped, offsets) = self.scatter(values, buckets, digit_of);
+        for b in 0..buckets {
+            let group = &grouped[offsets[b]..offsets[b + 1]];
+            if !group.is_empty() {
+                set.extend_from_slice(b, group);
+            }
+        }
+    }
 }
 
 /// Scalar reference for [`ScatterScratch::scatter`]: stable counting
@@ -220,6 +243,24 @@ mod tests {
         let (grouped, _) = scratch.scatter(&b, 256, &digit);
         let (want, _) = scatter_scalar(&b, 256, &digit);
         assert_eq!(grouped, &want[..]);
+    }
+
+    #[test]
+    fn scatter_into_routes_every_run_in_input_order() {
+        let data = probe(40_077, 9);
+        let digit = |v: Value| (v >> 59) as u8;
+        let mut set = BucketSet::new(32, 1000);
+        let mut scratch = ScatterScratch::new();
+        scratch.scatter_into(&data[..5], &mut set, &digit);
+        scratch.scatter_into(&data[5..], &mut set, &digit);
+        assert_eq!(set.len(), data.len());
+        let mut blocks = 0;
+        for b in 0..32 {
+            let want: Vec<Value> = data.iter().copied().filter(|&v| digit(v) == b).collect();
+            assert_eq!(set.bucket(b as usize).iter().collect::<Vec<_>>(), want);
+            blocks += want.len().div_ceil(1000) as u64;
+        }
+        assert_eq!(set.allocations(), blocks);
     }
 
     #[test]

@@ -190,29 +190,23 @@ impl ProgressiveQuicksort {
         let alpha = scanned as f64 / n.max(1) as f64;
         let rho = *consumed as f64 / n.max(1) as f64;
 
-        // 2. Expand the index by δ·N elements taken from the base column,
-        //    answering the predicate for them on the fly.
-        let todo = ((delta * n as f64).ceil() as usize).min(n - *consumed);
-        let data = self.column.data();
-        for &value in &data[*consumed..*consumed + todo] {
-            let qualifies = (value >= low) as u64 & (value <= high) as u64;
-            result.sum += (value as u128) * (qualifies as u128);
-            result.count += qualifies;
-            if value <= pivot {
-                self.index[*write_lo] = value;
-                *write_lo += 1;
-            } else {
-                *high_start -= 1;
-                self.index[*high_start] = value;
-            }
+        // 2. Scan the part of the base column no earlier query has moved.
+        let rest = &self.column.data()[*consumed..];
+        result = result.merge(scan_range_sum(rest, low, high));
+        scanned += rest.len() as u64;
+
+        // 3. Expand the index by its first δ·N elements with the paper's
+        //    predicated write: store at both heads, advance the one the
+        //    pivot picks. The heads never cross while an element is left.
+        let todo = ((delta * n as f64).ceil() as usize).min(rest.len());
+        for &value in &rest[..todo] {
+            let below = (value <= pivot) as usize;
+            self.index[*write_lo] = value;
+            self.index[*high_start - 1] = value;
+            *write_lo += below;
+            *high_start -= 1 - below;
         }
         *consumed += todo;
-        scanned += todo as u64;
-
-        // 3. Scan the rest of the base column.
-        let tail = &data[*consumed..];
-        result = result.merge(scan_range_sum(tail, low, high));
-        scanned += tail.len() as u64;
 
         let predicted = self.model.quicksort_creation(rho, alpha, delta);
 

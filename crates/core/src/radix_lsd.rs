@@ -232,27 +232,19 @@ impl ProgressiveRadixsortLsd {
             scanned += index_scanned;
         }
 
-        // Route δ·N elements into their buckets. When the fallback scan was
-        // used the qualifying values were already counted.
-        let todo = ((delta * n as f64).ceil() as usize).min(n - *consumed);
-        for &value in &data[*consumed..*consumed + todo] {
-            if !use_fallback {
-                let qualifies = (value >= low) as u64 & (value <= high) as u64;
-                result.sum += (value as u128) * (qualifies as u128);
-                result.count += qualifies;
-            }
-            let b = ((value - min) & mask) as usize;
-            buckets.push(b, value);
-        }
-        *consumed += todo;
-
-        // Scan the not-yet-indexed tail of the column (only needed when the
-        // fallback full scan was not already performed).
+        // Scan the not-yet-indexed rest of the column (the fallback scan
+        // has already covered it).
+        let rest = &data[*consumed..];
         if !use_fallback {
-            let tail = &data[*consumed..];
-            result = result.merge(scan_range_sum(tail, low, high));
-            scanned += (todo + tail.len()) as u64;
+            result = result.merge(scan_range_sum(rest, low, high));
+            scanned += rest.len() as u64;
         }
+
+        // Route its first δ·N elements into their buckets.
+        let todo = ((delta * n as f64).ceil() as usize).min(rest.len());
+        let digit = |v: Value| ((v - min) & mask) as u8;
+        self.scratch.scatter_into(&rest[..todo], buckets, &digit);
+        *consumed += todo;
 
         let alpha = if use_fallback {
             rho
@@ -286,6 +278,8 @@ impl ProgressiveRadixsortLsd {
         let State::Creation { buckets, .. } = &mut self.state else {
             return;
         };
+        // Refinement scatters shorter runs; let the scratch regrow to those.
+        self.scratch = ScatterScratch::new();
         let buckets = std::mem::replace(buckets, BucketSet::new(1, 1));
         if rounds_total <= 1 {
             self.state = State::Merging {
@@ -385,13 +379,7 @@ impl ProgressiveRadixsortLsd {
                 // every group with one bulk append. The scatter is stable,
                 // which the LSD passes rely on.
                 for slice in source.bucket(*src_bucket).block_slices(*src_pos, take) {
-                    let (grouped, offsets) = self.scratch.scatter(slice, bucket_count, &digit);
-                    for b in 0..bucket_count {
-                        let group = &grouped[offsets[b]..offsets[b + 1]];
-                        if !group.is_empty() {
-                            target.extend_from_slice(b, group);
-                        }
-                    }
+                    self.scratch.scatter_into(slice, target, &digit);
                 }
                 *src_pos += take;
                 ops += take;

@@ -244,23 +244,16 @@ impl ProgressiveRadixsortMsd {
         let alpha = scanned as f64 / n.max(1) as f64;
         let rho = *consumed as f64 / n.max(1) as f64;
 
-        // 2. Move δ·N elements from the base column into the buckets,
-        //    answering the predicate for them on the fly.
-        let todo = ((delta * n as f64).ceil() as usize).min(n - *consumed);
-        let data = self.column.data();
-        for &value in &data[*consumed..*consumed + todo] {
-            let qualifies = (value >= low) as u64 & (value <= high) as u64;
-            result.sum += (value as u128) * (qualifies as u128);
-            result.count += qualifies;
-            let b = (((value - min) >> shift) as usize).min(bucket_count - 1);
-            buckets.push(b, value);
-        }
-        *consumed += todo;
+        // 2. Scan the part of the base column no earlier query has moved.
+        let rest = &self.column.data()[*consumed..];
+        result = result.merge(scan_range_sum(rest, low, high));
+        scanned += rest.len() as u64;
 
-        // 3. Scan the rest of the base column.
-        let tail = &data[*consumed..];
-        result = result.merge(scan_range_sum(tail, low, high));
-        scanned += (todo + tail.len()) as u64;
+        // 3. Move its first δ·N elements into the buckets.
+        let todo = ((delta * n as f64).ceil() as usize).min(rest.len());
+        let digit = |v: Value| (((v - min) >> shift) as usize).min(bucket_count - 1) as u8;
+        self.scratch.scatter_into(&rest[..todo], buckets, &digit);
+        *consumed += todo;
 
         let predicted = self
             .model
@@ -287,6 +280,8 @@ impl ProgressiveRadixsortMsd {
         let State::Creation { buckets, .. } = &mut self.state else {
             return;
         };
+        // Refinement scatters shorter runs; let the scratch regrow to those.
+        self.scratch = ScatterScratch::new();
         let shift = self.domain_bits.saturating_sub(self.radix_bits);
         let child_width = shift;
         let mut nodes = Vec::new();

@@ -67,6 +67,9 @@ pub struct QueryResult {
     pub indexing_ops: u64,
     /// Number of elements read to answer the query (index lookups plus
     /// base-column scanning). Used to derive α in cost-model validation.
+    /// For an empty predicate (`low > high`, the maintenance step) this is
+    /// the logical count — what a non-empty predicate would have covered in
+    /// the unindexed part — although the scan kernel reads none of it.
     pub elements_scanned: u64,
 }
 

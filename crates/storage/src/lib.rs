@@ -7,8 +7,9 @@
 //! * [`Column`] — an immutable, in-memory column of fixed-width unsigned
 //!   integers (the paper evaluates on 8-byte integer columns such as the
 //!   SkyServer `Right Ascension` attribute scaled to integers).
-//! * [`scan`] — predicated (branch-free) and branching full-column scans,
-//!   the building block of the *Full Scan* baseline and of the partial
+//! * [`scan`] — the predicated (branch-free) range-sum kernel, compiled
+//!   for the baseline target and for AVX2 and picked per call; the
+//!   building block of the *Full Scan* baseline and of the partial
 //!   scans every progressive index performs during its creation phase.
 //! * [`sorted`] — branchless binary-search primitives over sorted runs.
 //! * [`btree`] — a bulk-loaded, cache-friendly static B+-tree over a sorted

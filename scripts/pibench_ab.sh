@@ -15,6 +15,10 @@
 # gain (>= 9/10 of the pairs won, medians apart by more than the parent's
 # interquartile distance), worse by the same rule but within the metric's
 # bound, a regression (median worse by more than the bound), or neither.
+# Under each table, one `--trace 1` run per side prints the layer numbers a
+# cold-path claim rests on (`storage.scan_gb_s`, `core.*.first_query_ms`)
+# and the two counts that must not move (`core.refine_steps`,
+# `core.bytes_moved`), so the layer that moved is on the same page.
 #
 # The run length and the command come from the working tree's
 # BENCHMARK.json and are the same on both sides.
@@ -111,4 +115,13 @@ for metric in bench["end_to_end"]:
     print(f"{name:<16}{metric['unit']:<5}{fmt(pm, pq1, pq3):<38}{fmt(cm, cq1, cq3):<38}"
           f"{ratio:>7.3f}  {won:>2}/{pairs}  {verdict}")
 EOF
+
+    echo "per layer (one --trace 1 run per side):"
+    for side in parent change; do
+        (cd "$work/$side" && "${command[@]}" --workload "$workload" --seed "$seed" \
+            --seconds "$seconds" --trace 1) |
+            awk -v side="$side" '$1 == "storage.scan_gb_s" || $1 ~ /^core\..*\.first_query_ms$/ ||
+                $1 == "core.refine_steps" || $1 == "core.bytes_moved" {
+                    printf "  %-7s %-32s %.6g %s\n", side, $1, $2, $3 }'
+    done
 done
