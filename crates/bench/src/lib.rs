@@ -17,7 +17,10 @@
 //! | Figures 8 & 9 (budget modes) | `fig8_fig9_budgets` |
 //! | Table 2 / Figure 10 (SkyServer comparison) | `table2_fig10_skyserver` |
 //! | Tables 3–5 (synthetic grid) | `tables3_4_5_synthetic` |
-//! | serving-engine scaling (not in the paper) | `engine_throughput` — writes `BENCH_engine.json`; `PI_BENCH_SMOKE=1` for the CI smoke iteration |
+//!
+//! The serving engine is not benchmarked here: `pibench/` measures it end
+//! to end with every answer oracle-checked (`scripts/pibench_ab.sh` for a
+//! before/after; `tests/pibench_smoke.rs` runs it in tier-1).
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

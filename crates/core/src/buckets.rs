@@ -20,6 +20,9 @@ use pi_storage::Value;
 /// Default number of buckets `b` (one radix digit of `log2 64 = 6` bits).
 pub const DEFAULT_BUCKET_COUNT: usize = 64;
 
+/// Bits of a value one radix level or pass consumes: `log2 b`.
+pub(crate) const RADIX_BITS: u32 = DEFAULT_BUCKET_COUNT.trailing_zeros();
+
 /// Default block capacity `s_b` in elements (128 KiB of 8-byte values per
 /// block).
 pub const DEFAULT_BLOCK_CAPACITY: usize = 16 * 1024;
@@ -104,11 +107,6 @@ impl BlockBucket {
             block_capacity,
             len: 0,
         }
-    }
-
-    /// Creates an empty bucket with [`DEFAULT_BLOCK_CAPACITY`].
-    pub fn with_default_blocks() -> Self {
-        Self::new(DEFAULT_BLOCK_CAPACITY)
     }
 
     /// Number of elements stored in the bucket.
@@ -223,13 +221,6 @@ impl BlockBucket {
             values = &values[take..];
         }
         allocations
-    }
-
-    /// Copies all elements into `out` in insertion order.
-    pub fn append_to(&self, out: &mut Vec<Value>) {
-        for block in &self.blocks {
-            out.extend_from_slice(block);
-        }
     }
 
     /// Copies the elements at insertion positions `[from, from + out.len())`
@@ -509,14 +500,12 @@ mod tests {
     }
 
     #[test]
-    fn append_to_preserves_order_and_clear_releases() {
+    fn clear_releases_every_block() {
         let mut b = BlockBucket::new(2);
         for v in [3, 1, 2] {
             b.push(v);
         }
-        let mut out = Vec::new();
-        b.append_to(&mut out);
-        assert_eq!(out, vec![3, 1, 2]);
+        assert_eq!(b.block_count(), 2);
         b.clear();
         assert!(b.is_empty());
         assert_eq!(b.block_count(), 0);

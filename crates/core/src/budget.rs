@@ -14,9 +14,9 @@
 //!   stays at that level until the index has converged (Figure 9,
 //!   Tables 2–5 use `t_budget = 0.2 · t_scan`).
 //!
-//! [`BudgetController`] encapsulates the translation; the individual
-//! algorithms ask it for the δ of the current query, passing the cost
-//! of one unit of the phase-specific indexing work.
+//! [`BudgetController`] encapsulates the translation; the lifecycle
+//! driver ([`crate::Progressive`]) asks it for the δ of the current query,
+//! passing the cost of one unit of the phase-specific indexing work.
 
 use crate::cost_model::{clamp_delta, CostModel};
 
@@ -112,14 +112,6 @@ impl BudgetController {
             }
         }
     }
-
-    /// The time budget in seconds, when the policy carries one.
-    pub fn time_budget(&self) -> Option<f64> {
-        match self.policy {
-            BudgetPolicy::FixedDelta(_) => None,
-            BudgetPolicy::FixedBudget(b) | BudgetPolicy::Adaptive(b) => Some(b),
-        }
-    }
 }
 
 /// A fixed pool of budgeted indexing steps shared by concurrent workers.
@@ -180,7 +172,6 @@ mod tests {
         let mut c = BudgetController::new(BudgetPolicy::FixedDelta(0.25));
         assert_eq!(c.delta_for_query(123.0), 0.25);
         assert_eq!(c.delta_for_query(0.001), 0.25);
-        assert_eq!(c.time_budget(), None);
     }
 
     #[test]

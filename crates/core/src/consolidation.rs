@@ -43,11 +43,6 @@ impl Consolidation {
         tail
     }
 
-    /// The sorted array.
-    pub(crate) fn sorted(&self) -> &[Value] {
-        &self.sorted
-    }
-
     /// This query's δ: the budget's share of the whole tree build while it
     /// is unfinished, nothing once converged.
     pub(crate) fn delta(&self, model: &CostModel, budget: &mut BudgetController) -> f64 {

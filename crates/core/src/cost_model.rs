@@ -272,38 +272,6 @@ impl CostModel {
             + alpha * self.t_bucket_scan(block_capacity)
             + delta * self.t_bucketize_equiheight(block_capacity, bucket_count)
     }
-
-    // ----- budget → δ translation -----------------------------------------
-
-    /// δ for the Progressive Quicksort creation phase: `t_budget / t_pivot`.
-    pub fn delta_quicksort_creation(&self, budget: f64) -> f64 {
-        clamp_delta(budget / self.t_pivot())
-    }
-
-    /// δ for the Progressive Quicksort refinement phase:
-    /// `t_budget / t_swap`.
-    pub fn delta_quicksort_refinement(&self, budget: f64) -> f64 {
-        clamp_delta(budget / self.t_swap())
-    }
-
-    /// δ for radix-style creation/refinement: `t_budget / t_bucket`.
-    pub fn delta_radix(&self, budget: f64, block_capacity: usize) -> f64 {
-        clamp_delta(budget / self.t_bucketize(block_capacity))
-    }
-
-    /// δ for equi-height bucketing: `t_budget / (log2(b) · t_bucket)`.
-    pub fn delta_bucketsort(&self, budget: f64, block_capacity: usize, bucket_count: usize) -> f64 {
-        clamp_delta(budget / self.t_bucketize_equiheight(block_capacity, bucket_count))
-    }
-
-    /// δ for the consolidation phase: `t_budget / t_copy`.
-    pub fn delta_consolidation(&self, budget: f64, n_copy: usize) -> f64 {
-        if n_copy == 0 {
-            1.0
-        } else {
-            clamp_delta(budget / self.t_consolidate(n_copy))
-        }
-    }
 }
 
 /// Clamps a computed δ into `(0, 1]`, guarding against degenerate budgets
@@ -362,29 +330,12 @@ mod tests {
     }
 
     #[test]
-    fn budget_to_delta_round_trips() {
-        let m = model(10_000_000);
-        let budget = 0.2 * m.t_scan();
-        let delta = m.delta_quicksort_creation(budget);
-        assert!(delta > 0.0 && delta <= 1.0);
-        // Spending that delta on pivoting should cost (approximately) the
-        // budget again.
-        assert!((delta * m.t_pivot() - budget).abs() / budget < 1e-9);
-    }
-
-    #[test]
     fn delta_is_clamped_to_unit_interval() {
-        let m = model(1_000);
-        assert_eq!(m.delta_quicksort_creation(1e9), 1.0);
-        assert!(m.delta_quicksort_creation(0.0) >= 1e-6);
+        assert_eq!(clamp_delta(1e9), 1.0);
+        assert_eq!(clamp_delta(0.0), 1e-6);
+        assert_eq!(clamp_delta(0.25), 0.25);
         assert_eq!(clamp_delta(f64::NAN), 1.0);
         assert_eq!(clamp_delta(f64::INFINITY), 1.0);
-    }
-
-    #[test]
-    fn consolidation_delta_handles_zero_copies() {
-        let m = model(10);
-        assert_eq!(m.delta_consolidation(0.001, 0), 1.0);
     }
 
     #[test]

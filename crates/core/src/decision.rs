@@ -76,8 +76,8 @@ impl Algorithm {
     /// behind the uniform [`RangeIndex`] interface.
     ///
     /// This is the single construction point shared by the experiment
-    /// harness, the examples and the sharded engine; it uses each
-    /// algorithm's default cost constants (see
+    /// harness, the examples and the sharded engine; it uses the
+    /// host-independent [`CostConstants::synthetic`] (see
     /// [`Algorithm::build_with_constants`] for explicit ones).
     ///
     /// ```
@@ -91,12 +91,7 @@ impl Algorithm {
     /// assert!(result.count > 0);
     /// ```
     pub fn build(self, column: Arc<Column>, policy: BudgetPolicy) -> Box<dyn RangeIndex + Send> {
-        match self {
-            Algorithm::Quicksort => Box::new(ProgressiveQuicksort::new(column, policy)),
-            Algorithm::RadixsortMsd => Box::new(ProgressiveRadixsortMsd::new(column, policy)),
-            Algorithm::RadixsortLsd => Box::new(ProgressiveRadixsortLsd::new(column, policy)),
-            Algorithm::Bucketsort => Box::new(ProgressiveBucketsort::new(column, policy)),
-        }
+        self.build_with_constants(column, policy, CostConstants::synthetic())
     }
 
     /// [`Algorithm::build`] with explicit cost-model constants, as used by

@@ -26,6 +26,19 @@
 //! array) and **consolidation** (build a B+-tree on top) — before reaching
 //! the **converged** state. See [`result::Phase`].
 //!
+//! That life is written once. [`Progressive`] owns the column, the budget
+//! and the cost model; gives every query its δ; hands the array over to
+//! the shared consolidation tail the moment it is sorted; and answers
+//! [`RangeIndex::status`]. Each algorithm module supplies a *strategy* —
+//! its creation and refinement steps and the cost-model line that prices
+//! them — and the public index types are aliases:
+//! [`ProgressiveQuicksort`]` = Progressive<QuicksortStrategy>`, and so on.
+//! Bucket count, block capacity, small-node cutoff and tree fan-out are
+//! the constants the paper fixes ([`buckets::DEFAULT_BUCKET_COUNT`],
+//! [`buckets::DEFAULT_BLOCK_CAPACITY`],
+//! [`sorter::DEFAULT_SMALL_NODE_ELEMENTS`],
+//! [`pi_storage::btree::DEFAULT_FANOUT`]), not options.
+//!
 //! ## Budgets
 //!
 //! How much indexing work a query performs is governed by a
@@ -79,6 +92,7 @@ pub mod cost_model;
 pub mod decision;
 pub mod index;
 pub mod kernels;
+mod lifecycle;
 pub mod metrics;
 pub mod mutation;
 pub mod quicksort;
@@ -94,6 +108,7 @@ pub use budget::{BudgetController, BudgetPolicy};
 pub use cost_model::{CostConstants, CostModel};
 pub use decision::{recommend, Algorithm, DataDistribution, QueryShape, Scenario};
 pub use index::RangeIndex;
+pub use lifecycle::Progressive;
 pub use metrics::IndexMetrics;
 pub use mutation::{MergeHook, MutableConfig, MutableIndex, Mutation};
 pub use quicksort::ProgressiveQuicksort;

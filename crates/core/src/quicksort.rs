@@ -1,6 +1,8 @@
 //! Progressive Quicksort (§3.1 of the paper).
 //!
-//! The algorithm progresses through the three canonical phases:
+//! [`ProgressiveQuicksort`] is the shared lifecycle
+//! ([`Progressive`]: budget, cost model, hand-over to consolidation,
+//! status) driving [`QuicksortStrategy`], which is only what §3.1 says:
 //!
 //! * **Creation** — an uninitialised array of the same size as the base
 //!   column is allocated and a pivot is chosen as the average of the
@@ -12,48 +14,25 @@
 //! * **Refinement** — the base column is no longer needed; the two halves
 //!   are recursively partitioned in place with a budget of `δ · N` swap
 //!   operations per query, maintained in a binary tree of pivots
-//!   ([`IncrementalSorter`]). Pieces that fit in the L1 cache are sorted
-//!   outright. Lookups use the pivot tree to touch only candidate
-//!   sections.
-//! * **Consolidation** — the now fully sorted array is topped with a
-//!   B+-tree by copying every `β`-th element one level up, `δ · N_copy`
-//!   copies per query. Until the tree is finished, queries binary-search
-//!   the sorted array; afterwards they use the tree and the index is
-//!   *converged*.
+//!   ([`IncrementalSorter`]). Pieces that fit in the L1 cache
+//!   ([`DEFAULT_SMALL_NODE_ELEMENTS`]) are sorted outright. Lookups use
+//!   the pivot tree to touch only candidate sections.
+//!
+//! Once the working array is sorted the lifecycle takes it: a B+-tree is
+//! built over it, `δ · N_copy` copies per query, and the index converges.
 
-use std::sync::Arc;
-
-use pi_storage::btree::DEFAULT_FANOUT;
 use pi_storage::scan::{scan_range_sum, ScanResult};
 use pi_storage::{Column, Value};
 
-use crate::budget::{BudgetController, BudgetPolicy};
-use crate::consolidation::Consolidation;
-use crate::cost_model::{CostConstants, CostModel};
-use crate::index::RangeIndex;
-use crate::result::{IndexStatus, Phase, QueryResult};
+use crate::cost_model::CostModel;
+use crate::lifecycle::{Progressive, Step, Strategy};
+use crate::result::Phase;
 use crate::sorter::{IncrementalSorter, DEFAULT_SMALL_NODE_ELEMENTS};
 
-/// Tuning parameters for [`ProgressiveQuicksort`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct QuicksortConfig {
-    /// Node size (in elements) below which refinement sorts a piece
-    /// outright instead of partitioning it further.
-    pub small_node_elements: usize,
-    /// Fan-out β of the consolidation-phase B+-tree.
-    pub btree_fanout: usize,
-}
+/// Progressive Quicksort index over a single integer column.
+pub type ProgressiveQuicksort = Progressive<QuicksortStrategy>;
 
-impl Default for QuicksortConfig {
-    fn default() -> Self {
-        QuicksortConfig {
-            small_node_elements: DEFAULT_SMALL_NODE_ELEMENTS,
-            btree_fanout: DEFAULT_FANOUT,
-        }
-    }
-}
-
-/// Phase-specific state of the index.
+/// Phase-specific state of the strategy.
 #[derive(Debug)]
 enum State {
     Creation {
@@ -68,102 +47,28 @@ enum State {
     Refinement {
         sorter: IncrementalSorter,
     },
-    /// Consolidation and converged phases; owns the working array.
-    Sorted(Consolidation),
 }
 
-/// Progressive Quicksort index over a single integer column.
-pub struct ProgressiveQuicksort {
-    column: Arc<Column>,
+/// The creation and refinement steps of Progressive Quicksort.
+#[derive(Debug)]
+pub struct QuicksortStrategy {
     /// The working array ("the index"): during creation it is filled from
-    /// both ends; during refinement it holds all N elements; once sorted
-    /// it moves into [`State::Sorted`].
+    /// both ends; during refinement it holds all N elements.
     index: Vec<Value>,
     state: State,
-    budget: BudgetController,
-    model: CostModel,
-    config: QuicksortConfig,
-    queries_executed: u64,
 }
 
-impl ProgressiveQuicksort {
-    /// Creates a Progressive Quicksort index with default configuration
-    /// and host-independent synthetic cost constants.
-    ///
-    /// Use [`ProgressiveQuicksort::with_constants`] with
-    /// [`CostConstants::calibrate`] for time-budgeted production use.
-    pub fn new(column: Arc<Column>, policy: BudgetPolicy) -> Self {
-        Self::with_constants(column, policy, CostConstants::synthetic())
-    }
-
-    /// Creates the index with explicit cost constants.
-    pub fn with_constants(
-        column: Arc<Column>,
-        policy: BudgetPolicy,
-        constants: CostConstants,
-    ) -> Self {
-        Self::with_config(column, policy, constants, QuicksortConfig::default())
-    }
-
-    /// Creates the index with explicit cost constants and tuning knobs.
-    pub fn with_config(
-        column: Arc<Column>,
-        policy: BudgetPolicy,
-        constants: CostConstants,
-        config: QuicksortConfig,
-    ) -> Self {
-        let n = column.len();
-        let model = CostModel::new(constants, n);
-        let pivot = midpoint(column.min(), column.max());
-        // An empty column has nothing to index: start converged.
-        let state = if n == 0 {
-            State::Sorted(Consolidation::new(Vec::new(), config.btree_fanout))
-        } else {
-            State::Creation {
-                pivot,
-                write_lo: 0,
-                high_start: n,
-                consumed: 0,
-            }
-        };
-        ProgressiveQuicksort {
-            index: vec![0; n],
-            state,
-            column,
-            budget: BudgetController::new(policy),
-            model,
-            config,
-            queries_executed: 0,
-        }
-    }
-
-    /// The cost model used by this index (for experiment instrumentation).
-    pub fn cost_model(&self) -> &CostModel {
-        &self.model
-    }
-
-    /// Number of queries executed so far.
-    pub fn queries_executed(&self) -> u64 {
-        self.queries_executed
-    }
-
-    /// Current δ that would be used for a query in the current phase.
-    fn current_delta(&mut self) -> f64 {
-        let unit_cost = match &self.state {
-            State::Creation { .. } => self.model.t_pivot(),
-            State::Refinement { .. } => self.model.t_swap(),
-            State::Sorted(tail) => return tail.delta(&self.model, &mut self.budget),
-        };
-        self.budget.delta_for_query(unit_cost)
-    }
-
-    fn n(&self) -> usize {
-        self.column.len()
-    }
-
+impl QuicksortStrategy {
     /// Executes one creation-phase query.
-    fn query_creation(&mut self, low: Value, high: Value, delta: f64) -> QueryResult {
-        let n = self.n();
+    fn creation_step(
+        &mut self,
+        column: &Column,
+        model: &CostModel,
+        low: Value,
+        high: Value,
+        delta: f64,
+    ) -> Step {
+        let n = column.len();
         let State::Creation {
             pivot,
             write_lo,
@@ -171,7 +76,7 @@ impl ProgressiveQuicksort {
             consumed,
         } = &mut self.state
         else {
-            unreachable!("query_creation called outside the creation phase");
+            unreachable!("creation_step called outside the creation phase");
         };
         let pivot = *pivot;
 
@@ -187,11 +92,11 @@ impl ProgressiveQuicksort {
             result = result.merge(scan_range_sum(&self.index[*high_start..], low, high));
             scanned += (n - *high_start) as u64;
         }
-        let alpha = scanned as f64 / n.max(1) as f64;
-        let rho = *consumed as f64 / n.max(1) as f64;
+        let alpha = scanned as f64 / n as f64;
+        let rho = *consumed as f64 / n as f64;
 
         // 2. Scan the part of the base column no earlier query has moved.
-        let rest = &self.column.data()[*consumed..];
+        let rest = &column.data()[*consumed..];
         result = result.merge(scan_range_sum(rest, low, high));
         scanned += rest.len() as u64;
 
@@ -208,46 +113,47 @@ impl ProgressiveQuicksort {
         }
         *consumed += todo;
 
-        let predicted = self.model.quicksort_creation(rho, alpha, delta);
-
         // Phase transition: all data has been absorbed into the index.
         if *consumed == n {
             let boundary = *write_lo;
             debug_assert_eq!(boundary, *high_start);
-            let sorter = IncrementalSorter::with_initial_split(
-                0,
-                n,
-                self.column.min(),
-                self.column.max(),
-                pivot,
-                boundary,
-                self.config.small_node_elements,
-            );
-            self.state = State::Refinement { sorter };
-            self.maybe_finish_refinement();
+            self.state = State::Refinement {
+                sorter: IncrementalSorter::with_initial_split(
+                    0,
+                    n,
+                    column.min(),
+                    column.max(),
+                    pivot,
+                    boundary,
+                    DEFAULT_SMALL_NODE_ELEMENTS,
+                ),
+            };
         }
 
-        QueryResult {
-            sum: result.sum,
-            count: result.count,
-            phase: Phase::Creation,
-            delta,
-            predicted_cost: Some(predicted),
-            indexing_ops: todo as u64,
-            elements_scanned: scanned,
+        Step {
+            answer: result,
+            scanned,
+            ops: todo as u64,
+            predicted: model.quicksort_creation(rho, alpha, delta),
         }
     }
 
     /// Executes one refinement-phase query.
-    fn query_refinement(&mut self, low: Value, high: Value, delta: f64) -> QueryResult {
-        let n = self.n();
+    fn refinement_step(
+        &mut self,
+        n: usize,
+        model: &CostModel,
+        low: Value,
+        high: Value,
+        delta: f64,
+    ) -> Step {
         let State::Refinement { sorter } = &mut self.state else {
-            unreachable!("query_refinement called outside the refinement phase");
+            unreachable!("refinement_step called outside the refinement phase");
         };
 
         // Index lookup over the partially refined array.
-        let (result, scanned) = sorter.query(&self.index, low, high);
-        let alpha = scanned as f64 / n.max(1) as f64;
+        let (answer, scanned) = sorter.query(&self.index, low, high);
+        let alpha = scanned as f64 / n as f64;
         let height = sorter.height();
 
         // Budgeted refinement work, focused on the queried value range.
@@ -255,74 +161,71 @@ impl ProgressiveQuicksort {
         let focus = if low <= high { Some((low, high)) } else { None };
         let performed = sorter.refine(&mut self.index, ops, focus);
 
-        let predicted = self.model.quicksort_refinement(height, alpha, delta);
-        self.maybe_finish_refinement();
-
-        QueryResult {
-            sum: result.sum,
-            count: result.count,
-            phase: Phase::Refinement,
-            delta,
-            predicted_cost: Some(predicted),
-            indexing_ops: performed as u64,
-            elements_scanned: scanned,
-        }
-    }
-
-    /// Moves from refinement to consolidation once the array is sorted.
-    fn maybe_finish_refinement(&mut self) {
-        let State::Refinement { sorter } = &self.state else {
-            return;
-        };
-        if !sorter.is_sorted() {
-            return;
-        }
-        debug_assert!(sorter.verify_sorted(&self.index));
-        let sorted = std::mem::take(&mut self.index);
-        self.state = State::Sorted(Consolidation::new(sorted, self.config.btree_fanout));
-    }
-
-    /// Read access to the working array (exposed for tests and examples).
-    pub fn working_array(&self) -> &[Value] {
-        match &self.state {
-            State::Sorted(tail) => tail.sorted(),
-            _ => &self.index,
+        Step {
+            answer,
+            scanned,
+            ops: performed as u64,
+            predicted: model.quicksort_refinement(height, alpha, delta),
         }
     }
 }
 
-impl RangeIndex for ProgressiveQuicksort {
-    fn query(&mut self, low: Value, high: Value) -> QueryResult {
-        self.queries_executed += 1;
-        let delta = self.current_delta();
-        match &mut self.state {
-            State::Creation { .. } => self.query_creation(low, high, delta),
-            State::Refinement { .. } => self.query_refinement(low, high, delta),
-            State::Sorted(tail) => tail.query(&self.model, low, high, delta),
+impl Strategy for QuicksortStrategy {
+    const NAME: &'static str = "progressive-quicksort";
+
+    fn start(column: &Column) -> Self {
+        let n = column.len();
+        QuicksortStrategy {
+            index: vec![0; n],
+            state: State::Creation {
+                pivot: midpoint(column.min(), column.max()),
+                write_lo: 0,
+                high_start: n,
+                consumed: 0,
+            },
         }
     }
 
-    fn status(&self) -> IndexStatus {
-        let n = self.n().max(1) as f64;
+    fn unit_cost(&self, model: &CostModel) -> f64 {
+        match self.state {
+            State::Creation { .. } => model.t_pivot(),
+            State::Refinement { .. } => model.t_swap(),
+        }
+    }
+
+    fn progress(&self, n: usize) -> (Phase, f64) {
         match &self.state {
-            State::Creation { consumed, .. } => IndexStatus {
-                phase: Phase::Creation,
-                fraction_indexed: *consumed as f64 / n,
-                phase_progress: *consumed as f64 / n,
-                converged: false,
-            },
-            State::Refinement { sorter } => IndexStatus {
-                phase: Phase::Refinement,
-                fraction_indexed: 1.0,
-                phase_progress: if sorter.is_sorted() { 1.0 } else { 0.0 },
-                converged: false,
-            },
-            State::Sorted(tail) => tail.status(),
+            State::Creation { consumed, .. } => (Phase::Creation, *consumed as f64 / n as f64),
+            State::Refinement { sorter } => (
+                Phase::Refinement,
+                if sorter.is_sorted() { 1.0 } else { 0.0 },
+            ),
         }
     }
 
-    fn name(&self) -> &'static str {
-        "progressive-quicksort"
+    fn step(
+        &mut self,
+        column: &Column,
+        model: &CostModel,
+        low: Value,
+        high: Value,
+        delta: f64,
+    ) -> Step {
+        match self.state {
+            State::Creation { .. } => self.creation_step(column, model, low, high, delta),
+            State::Refinement { .. } => self.refinement_step(column.len(), model, low, high, delta),
+        }
+    }
+
+    fn take_sorted(&mut self) -> Option<Vec<Value>> {
+        let State::Refinement { sorter } = &self.state else {
+            return None;
+        };
+        if !sorter.is_sorted() {
+            return None;
+        }
+        debug_assert!(sorter.verify_sorted(&self.index));
+        Some(std::mem::take(&mut self.index))
     }
 }
 
@@ -334,7 +237,12 @@ fn midpoint(min: Value, max: Value) -> Value {
 
 #[cfg(test)]
 mod tests {
+    use std::sync::Arc;
+
     use super::*;
+    use crate::budget::BudgetPolicy;
+    use crate::cost_model::CostConstants;
+    use crate::index::RangeIndex;
     use crate::testing;
 
     #[test]

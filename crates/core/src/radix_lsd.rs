@@ -1,5 +1,9 @@
 //! Progressive Radixsort, Least Significant Digits first (§3.4).
 //!
+//! [`ProgressiveRadixsortLsd`] is the shared lifecycle
+//! ([`Progressive`]: budget, cost model, hand-over to consolidation,
+//! status) driving [`RadixLsdStrategy`], which is only what §3.4 says:
+//!
 //! * **Creation** — elements are clustered into `b = 64` buckets on their
 //!   *least* significant `log2 b` bits. The resulting buckets are not a
 //!   range partitioning, so they cannot prune wide range queries; the
@@ -7,582 +11,373 @@
 //!   ("when α == ρ we scan the original column instead of using the
 //!   buckets"). Point queries, however, can be answered from a single
 //!   bucket per generation, which is why LSD wins point-query workloads.
+//!   The step itself is the one all bucket-based algorithms share
+//!   (`BucketCreation`); this file supplies the digit and the one bucket
+//!   a point predicate may touch.
 //! * **Refinement** — elements are repeatedly moved from the current
 //!   bucket generation to a new one keyed by the next `log2 b` bits, for
 //!   `⌈domain_bits / log2 b⌉` rounds in total. Because every pass is
 //!   stable, concatenating the final generation's buckets in order yields
 //!   the fully sorted array, which is then written out (budgeted) into the
 //!   final sorted array.
-//! * **Consolidation** — identical to the other algorithms: a B+-tree is
-//!   built over the sorted array.
+//!
+//! Once the last bucket is written out the lifecycle takes the array.
 
-use std::sync::Arc;
+use std::cmp::Ordering;
 
-use pi_storage::btree::DEFAULT_FANOUT;
 use pi_storage::scan::{scan_range_sum, ScanResult};
 use pi_storage::{sorted, Column, Value};
 
-use crate::buckets::{BucketSet, DEFAULT_BLOCK_CAPACITY, DEFAULT_BUCKET_COUNT};
-use crate::budget::{BudgetController, BudgetPolicy};
-use crate::consolidation::Consolidation;
-use crate::cost_model::{CostConstants, CostModel};
-use crate::index::RangeIndex;
-use crate::kernels::{ScatterScratch, MAX_SCATTER_BUCKETS};
-use crate::result::{IndexStatus, Phase, QueryResult};
-
-/// Tuning parameters for [`ProgressiveRadixsortLsd`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RadixLsdConfig {
-    /// Number of buckets `b` per round (a power of two in `2..=256`,
-    /// defaults to 64).
-    pub bucket_count: usize,
-    /// Elements per bucket block (`s_b`).
-    pub block_capacity: usize,
-    /// Fan-out β of the consolidation-phase B+-tree.
-    pub btree_fanout: usize,
-}
-
-impl Default for RadixLsdConfig {
-    fn default() -> Self {
-        RadixLsdConfig {
-            bucket_count: DEFAULT_BUCKET_COUNT,
-            block_capacity: DEFAULT_BLOCK_CAPACITY,
-            btree_fanout: DEFAULT_FANOUT,
-        }
-    }
-}
-
-/// Phase-specific state.
-#[derive(Debug)]
-enum State {
-    Creation {
-        buckets: BucketSet,
-        consumed: usize,
-    },
-    Refinement {
-        /// Round being executed, in `2..=rounds_total` (round 1 is the
-        /// creation phase).
-        round: u32,
-        source: BucketSet,
-        target: BucketSet,
-        /// Source bucket currently being drained, and how many of its
-        /// elements have been moved.
-        src_bucket: usize,
-        src_pos: usize,
-    },
-    Merging {
-        buckets: BucketSet,
-        cur_bucket: usize,
-        cur_pos: usize,
-        merged: Vec<Value>,
-        written: usize,
-    },
-    /// Consolidation and converged phases.
-    Sorted(Consolidation),
-}
+use crate::buckets::{
+    domain_bits, radix_rounds, BucketSet, DEFAULT_BLOCK_CAPACITY, DEFAULT_BUCKET_COUNT, RADIX_BITS,
+};
+use crate::cost_model::CostModel;
+use crate::kernels::ScatterScratch;
+use crate::lifecycle::{BucketCreation, Progressive, Step, Strategy};
+use crate::result::Phase;
 
 /// Progressive Radixsort (LSD) index over a single integer column.
-pub struct ProgressiveRadixsortLsd {
-    column: Arc<Column>,
-    state: State,
-    budget: BudgetController,
-    model: CostModel,
-    config: RadixLsdConfig,
-    min: Value,
-    domain_bits: u32,
-    radix_bits: u32,
-    rounds_total: u32,
-    queries_executed: u64,
-    /// Reused scratch for the refinement scatter; grows to the largest
-    /// refinement step and is never reallocated afterwards.
-    scratch: ScatterScratch,
-}
+pub type ProgressiveRadixsortLsd = Progressive<RadixLsdStrategy>;
 
 impl ProgressiveRadixsortLsd {
-    /// Creates a Progressive Radixsort (LSD) index with default
-    /// configuration and synthetic cost constants.
-    pub fn new(column: Arc<Column>, policy: BudgetPolicy) -> Self {
-        Self::with_constants(column, policy, CostConstants::synthetic())
-    }
-
-    /// Creates the index with explicit cost constants.
-    pub fn with_constants(
-        column: Arc<Column>,
-        policy: BudgetPolicy,
-        constants: CostConstants,
-    ) -> Self {
-        Self::with_config(column, policy, constants, RadixLsdConfig::default())
-    }
-
-    /// Creates the index with explicit cost constants and tuning knobs.
-    pub fn with_config(
-        column: Arc<Column>,
-        policy: BudgetPolicy,
-        constants: CostConstants,
-        config: RadixLsdConfig,
-    ) -> Self {
-        assert!(
-            config.bucket_count.is_power_of_two()
-                && (2..=MAX_SCATTER_BUCKETS).contains(&config.bucket_count),
-            "bucket count must be a power of two in 2..=256"
-        );
-        let n = column.len();
-        let model = CostModel::new(constants, n);
-        let min = column.min();
-        let domain_bits = crate::buckets::domain_bits(min, column.max());
-        let radix_bits = config.bucket_count.trailing_zeros();
-        let rounds_total = crate::buckets::radix_rounds(domain_bits, radix_bits);
-        let state = if n == 0 {
-            State::Sorted(Consolidation::new(Vec::new(), config.btree_fanout))
-        } else {
-            State::Creation {
-                buckets: BucketSet::new(config.bucket_count, config.block_capacity),
-                consumed: 0,
-            }
-        };
-        ProgressiveRadixsortLsd {
-            column,
-            state,
-            budget: BudgetController::new(policy),
-            model,
-            config,
-            min,
-            domain_bits,
-            radix_bits,
-            rounds_total,
-            queries_executed: 0,
-            scratch: ScatterScratch::new(),
-        }
-    }
-
-    /// The cost model used by this index.
-    pub fn cost_model(&self) -> &CostModel {
-        &self.model
-    }
-
     /// Number of radix passes this column needs before it is sorted
     /// (`⌈log2(max−min) / log2(b)⌉`, at least 1).
     pub fn rounds_total(&self) -> u32 {
-        self.rounds_total
+        radix_rounds(self.domain_bits(), RADIX_BITS)
     }
 
     /// Number of significant bits in the value domain `[min, max]`; the
     /// LSD passes consume `log2(b)` of these bits per round.
     pub fn domain_bits(&self) -> u32 {
-        self.domain_bits
+        domain_bits(self.column().min(), self.column().max())
+    }
+}
+
+/// Digit of the normalised value `v` (column minimum subtracted) that
+/// radix round `round` (1-based) clusters on.
+fn digit_at_round(v: u64, round: u32) -> usize {
+    ((v >> (RADIX_BITS * (round - 1))) & (DEFAULT_BUCKET_COUNT as u64 - 1)) as usize
+}
+
+/// Phase-specific state of the strategy.
+#[derive(Debug)]
+enum State {
+    Creation(BucketCreation),
+    Refinement(LsdPass),
+    Merging(LsdMerge),
+}
+
+/// Radix passes `2..=rounds_total`: the generation being drained and the
+/// one being filled.
+#[derive(Debug)]
+struct LsdPass {
+    /// Column minimum (normalisation offset).
+    min: Value,
+    /// Round being executed (round 1 is the creation phase), and the last.
+    round: u32,
+    rounds_total: u32,
+    source: BucketSet,
+    target: BucketSet,
+    /// Source bucket currently being drained, and how many of its
+    /// elements have been moved.
+    src_bucket: usize,
+    src_pos: usize,
+    /// Reused scratch of the passes' scatter.
+    scratch: Box<ScatterScratch>,
+}
+
+/// The last generation being written out, in bucket order, into the final
+/// sorted array.
+#[derive(Debug)]
+struct LsdMerge {
+    buckets: BucketSet,
+    cur_bucket: usize,
+    cur_pos: usize,
+    merged: Vec<Value>,
+    written: usize,
+}
+
+/// The creation and refinement steps of Progressive Radixsort (LSD).
+#[derive(Debug)]
+pub struct RadixLsdStrategy {
+    /// Column minimum (normalisation offset).
+    min: Value,
+    rounds_total: u32,
+    state: State,
+}
+
+impl Strategy for RadixLsdStrategy {
+    const NAME: &'static str = "progressive-radixsort-lsd";
+
+    fn start(column: &Column) -> Self {
+        let min = column.min();
+        RadixLsdStrategy {
+            min,
+            rounds_total: radix_rounds(domain_bits(min, column.max()), RADIX_BITS),
+            state: State::Creation(BucketCreation::new()),
+        }
     }
 
-    fn n(&self) -> usize {
-        self.column.len()
+    fn unit_cost(&self, model: &CostModel) -> f64 {
+        model.t_bucketize(DEFAULT_BLOCK_CAPACITY)
     }
 
-    fn mask(&self) -> u64 {
-        (self.config.bucket_count - 1) as u64
+    fn progress(&self, n: usize) -> (Phase, f64) {
+        match &self.state {
+            State::Creation(creation) => creation.progress(n),
+            State::Refinement(pass) => (
+                Phase::Refinement,
+                (pass.round - 1) as f64 / pass.rounds_total as f64,
+            ),
+            State::Merging(merge) => (Phase::Refinement, merge.written as f64 / n as f64),
+        }
     }
 
-    /// Bucket of `value` at radix round `round` (1-based).
-    fn bucket_at_round(&self, value: Value, round: u32) -> usize {
-        (((value - self.min) >> (self.radix_bits * (round - 1))) & self.mask()) as usize
-    }
-
-    fn current_delta(&mut self) -> f64 {
-        let unit_cost = match &self.state {
-            State::Creation { .. } | State::Refinement { .. } | State::Merging { .. } => {
-                self.model.t_bucketize(self.config.block_capacity)
+    fn step(
+        &mut self,
+        column: &Column,
+        model: &CostModel,
+        low: Value,
+        high: Value,
+        delta: f64,
+    ) -> Step {
+        let (min, rounds_total) = (self.min, self.rounds_total);
+        // The one bucket of round `round`'s generation a point predicate
+        // can be in; a range predicate cannot be pruned by LSD buckets.
+        let point_bucket =
+            |round: u32| (low == high && low >= min).then(|| digit_at_round(low - min, round));
+        let (step, last_generation) = match &mut self.state {
+            State::Creation(creation) => {
+                // Ranges scan the whole column instead of the buckets.
+                let lookup = (low == high).then(|| match point_bucket(1) {
+                    Some(b) => creation.scan_buckets(b, b, low, high),
+                    None => (ScanResult::EMPTY, 0),
+                });
+                let digit = |v: Value| digit_at_round(v - min, 1) as u8;
+                let price =
+                    |rho, alpha| model.radix_creation(rho, alpha, delta, DEFAULT_BLOCK_CAPACITY);
+                let (step, filled) = creation.step(column, low, high, delta, lookup, &digit, price);
+                match filled {
+                    Some(buckets) if rounds_total > 1 => {
+                        self.state = State::Refinement(LsdPass {
+                            min,
+                            round: 2,
+                            rounds_total,
+                            source: buckets,
+                            target: BucketSet::new(DEFAULT_BUCKET_COUNT, DEFAULT_BLOCK_CAPACITY),
+                            src_bucket: 0,
+                            src_pos: 0,
+                            scratch: Box::default(),
+                        });
+                        (step, None)
+                    }
+                    last_generation => (step, last_generation),
+                }
             }
-            State::Sorted(tail) => return tail.delta(&self.model, &mut self.budget),
+            State::Refinement(pass) => pass.step(column, model, low, high, delta),
+            State::Merging(merge) => {
+                return merge.step(point_bucket(rounds_total), model, low, high, delta)
+            }
         };
-        self.budget.delta_for_query(unit_cost)
-    }
-
-    // ------------------------------------------------------------------
-    // Creation phase
-    // ------------------------------------------------------------------
-
-    fn query_creation(&mut self, low: Value, high: Value, delta: f64) -> QueryResult {
-        let n = self.n();
-        let min = self.min;
-        let mask = self.mask();
-        let is_point = low == high;
-        let point_bucket = if is_point && low >= min {
-            Some(((low - min) & mask) as usize)
-        } else {
-            None
-        };
-        let State::Creation { buckets, consumed } = &mut self.state else {
-            unreachable!("query_creation called outside the creation phase");
-        };
-
-        let mut result = ScanResult::EMPTY;
-        let mut scanned: u64 = 0;
-        let mut index_scanned: u64 = 0;
-        let data = self.column.data();
-        let rho = *consumed as f64 / n.max(1) as f64;
-
-        let use_fallback = !is_point;
-        if use_fallback {
-            // Wide range predicates cannot be pruned by LSD buckets: scan
-            // the whole original column instead.
-            result = scan_range_sum(data, low, high);
-            scanned += n as u64;
-        } else if let Some(b) = point_bucket {
-            // Point query: only one bucket can contain the value.
-            result = result.merge(buckets.bucket(b).range_sum(low, high));
-            index_scanned += buckets.bucket(b).len() as u64;
-            scanned += index_scanned;
-        }
-
-        // Scan the not-yet-indexed rest of the column (the fallback scan
-        // has already covered it).
-        let rest = &data[*consumed..];
-        if !use_fallback {
-            result = result.merge(scan_range_sum(rest, low, high));
-            scanned += rest.len() as u64;
-        }
-
-        // Route its first δ·N elements into their buckets.
-        let todo = ((delta * n as f64).ceil() as usize).min(rest.len());
-        let digit = |v: Value| ((v - min) & mask) as u8;
-        self.scratch.scatter_into(&rest[..todo], buckets, &digit);
-        *consumed += todo;
-
-        let alpha = if use_fallback {
-            rho
-        } else {
-            index_scanned as f64 / n.max(1) as f64
-        };
-        let predicted = self
-            .model
-            .radix_creation(rho, alpha, delta, self.config.block_capacity);
-
-        if *consumed == n {
-            self.advance_after_creation();
-        }
-
-        QueryResult {
-            sum: result.sum,
-            count: result.count,
-            phase: Phase::Creation,
-            delta,
-            predicted_cost: Some(predicted),
-            indexing_ops: todo as u64,
-            elements_scanned: scanned,
-        }
-    }
-
-    fn advance_after_creation(&mut self) {
-        let bucket_count = self.config.bucket_count;
-        let block_capacity = self.config.block_capacity;
-        let rounds_total = self.rounds_total;
-        let n = self.n();
-        let State::Creation { buckets, .. } = &mut self.state else {
-            return;
-        };
-        // Refinement scatters shorter runs; let the scratch regrow to those.
-        self.scratch = ScatterScratch::new();
-        let buckets = std::mem::replace(buckets, BucketSet::new(1, 1));
-        if rounds_total <= 1 {
-            self.state = State::Merging {
+        if let Some(buckets) = last_generation {
+            self.state = State::Merging(LsdMerge {
                 buckets,
                 cur_bucket: 0,
                 cur_pos: 0,
-                merged: vec![0; n],
+                merged: vec![0; column.len()],
                 written: 0,
-            };
-        } else {
-            self.state = State::Refinement {
-                round: 2,
-                source: buckets,
-                target: BucketSet::new(bucket_count, block_capacity),
-                src_bucket: 0,
-                src_pos: 0,
-            };
+            });
         }
+        step
     }
 
-    // ------------------------------------------------------------------
-    // Refinement phase (radix passes 2..=rounds_total)
-    // ------------------------------------------------------------------
-
-    fn query_refinement(&mut self, low: Value, high: Value, delta: f64) -> QueryResult {
-        let n = self.n();
-        let min = self.min;
-        let is_point = low == high;
-        let bucket_count = self.config.bucket_count;
-        let block_capacity = self.config.block_capacity;
-        let rounds_total = self.rounds_total;
-
-        // Answer the query first (field borrows are kept local).
-        let (result, scanned, alpha) = {
-            let State::Refinement {
-                round,
-                source,
-                target,
-                src_bucket,
-                src_pos,
-            } = &self.state
-            else {
-                unreachable!("query_refinement called outside the refinement phase");
-            };
-            if !is_point || low < min {
-                // Fallback: wide range predicates scan the original column.
-                let r = scan_range_sum(self.column.data(), low, high);
-                (r, n as u64, 1.0)
-            } else {
-                let src_b = self.bucket_at_round(low, *round - 1);
-                let tgt_b = self.bucket_at_round(low, *round);
-                let consumed_in_src = if src_b < *src_bucket {
-                    usize::MAX
-                } else if src_b == *src_bucket {
-                    *src_pos
-                } else {
-                    0
-                };
-                let mut r = source
-                    .bucket(src_b)
-                    .range_sum_from(consumed_in_src, low, high);
-                r = r.merge(target.bucket(tgt_b).range_sum(low, high));
-                let scanned = (source.bucket(src_b).len().saturating_sub(consumed_in_src)
-                    + target.bucket(tgt_b).len()) as u64;
-                (r, scanned, scanned as f64 / n.max(1) as f64)
+    fn take_sorted(&mut self) -> Option<Vec<Value>> {
+        match &mut self.state {
+            State::Merging(merge) if merge.cur_bucket >= DEFAULT_BUCKET_COUNT => {
+                Some(std::mem::take(&mut merge.merged))
             }
+            _ => None,
+        }
+    }
+}
+
+impl LsdPass {
+    /// Executes one query of a radix pass. Returns the filled generation
+    /// with the step that completes round `rounds_total`.
+    fn step(
+        &mut self,
+        column: &Column,
+        model: &CostModel,
+        low: Value,
+        high: Value,
+        delta: f64,
+    ) -> (Step, Option<BucketSet>) {
+        let n = column.len();
+        let (min, round) = (self.min, self.round);
+        // A point can only be in the bucket of its digit, in either
+        // generation; wide range predicates scan the original column.
+        let (answer, scanned, alpha) = if low != high || low < min {
+            (scan_range_sum(column.data(), low, high), n as u64, 1.0)
+        } else {
+            let src_b = digit_at_round(low - min, round - 1);
+            let tgt_b = digit_at_round(low - min, round);
+            let consumed_in_src = match src_b.cmp(&self.src_bucket) {
+                Ordering::Less => usize::MAX,
+                Ordering::Equal => self.src_pos,
+                Ordering::Greater => 0,
+            };
+            let (source, target) = (self.source.bucket(src_b), self.target.bucket(tgt_b));
+            let answer = source
+                .range_sum_from(consumed_in_src, low, high)
+                .merge(target.range_sum(low, high));
+            let scanned = (source.len().saturating_sub(consumed_in_src) + target.len()) as u64;
+            (answer, scanned, scanned as f64 / n as f64)
         };
 
         // Budgeted radix re-partitioning work.
         let budget = ((delta * n as f64).ceil() as usize).max(1);
         let mut ops = 0usize;
-        {
-            let State::Refinement {
-                round,
-                source,
-                target,
-                src_bucket,
-                src_pos,
-            } = &mut self.state
-            else {
-                unreachable!();
-            };
-            let shift = self.radix_bits * (*round - 1);
-            let mask = (bucket_count - 1) as u64;
-            let digit = |v: Value| (((v - min) >> shift) & mask) as u8;
-            while ops < budget && *src_bucket < bucket_count {
-                let bucket_len = source.bucket(*src_bucket).len();
-                if *src_pos >= bucket_len {
-                    source.clear_bucket(*src_bucket);
-                    *src_bucket += 1;
-                    *src_pos = 0;
-                    continue;
-                }
-                let take = (budget - ops).min(bucket_len - *src_pos);
-                // Drain the source bucket block-wise (no per-element
-                // division), group each slice by target digit, then land
-                // every group with one bulk append. The scatter is stable,
-                // which the LSD passes rely on.
-                for slice in source.bucket(*src_bucket).block_slices(*src_pos, take) {
-                    self.scratch.scatter_into(slice, target, &digit);
-                }
-                *src_pos += take;
-                ops += take;
+        let digit = |v: Value| digit_at_round(v - min, round) as u8;
+        while ops < budget && self.src_bucket < DEFAULT_BUCKET_COUNT {
+            let bucket_len = self.source.bucket(self.src_bucket).len();
+            if self.src_pos >= bucket_len {
+                self.source.clear_bucket(self.src_bucket);
+                self.src_bucket += 1;
+                self.src_pos = 0;
+                continue;
             }
+            let take = (budget - ops).min(bucket_len - self.src_pos);
+            // Drain the source bucket block-wise (no per-element
+            // division), group each slice by target digit, then land
+            // every group with one bulk append. The scatter is stable,
+            // which the LSD passes rely on.
+            let source = self.source.bucket(self.src_bucket);
+            for slice in source.block_slices(self.src_pos, take) {
+                self.scratch.scatter_into(slice, &mut self.target, &digit);
+            }
+            self.src_pos += take;
+            ops += take;
         }
 
-        // Phase/round transition when the pass is complete.
-        let pass_complete = {
-            let State::Refinement { src_bucket, .. } = &self.state else {
-                unreachable!();
-            };
-            *src_bucket >= bucket_count
+        let step = Step {
+            answer,
+            scanned,
+            ops: ops as u64,
+            predicted: model.radix_refinement(alpha, delta, DEFAULT_BLOCK_CAPACITY),
         };
-        if pass_complete {
-            let State::Refinement { round, target, .. } = &mut self.state else {
-                unreachable!();
-            };
-            let finished_round = *round;
-            let new_buckets = std::mem::replace(target, BucketSet::new(1, 1));
-            if finished_round >= rounds_total {
-                self.state = State::Merging {
-                    buckets: new_buckets,
-                    cur_bucket: 0,
-                    cur_pos: 0,
-                    merged: vec![0; n],
-                    written: 0,
-                };
-            } else {
-                self.state = State::Refinement {
-                    round: finished_round + 1,
-                    source: new_buckets,
-                    target: BucketSet::new(bucket_count, block_capacity),
-                    src_bucket: 0,
-                    src_pos: 0,
-                };
-            }
+        // The pass is complete: hand out the last generation, or start
+        // the next round on this one.
+        if self.src_bucket < DEFAULT_BUCKET_COUNT {
+            return (step, None);
         }
-
-        let predicted = self.model.radix_refinement(alpha, delta, block_capacity);
-        QueryResult {
-            sum: result.sum,
-            count: result.count,
-            phase: Phase::Refinement,
-            delta,
-            predicted_cost: Some(predicted),
-            indexing_ops: ops as u64,
-            elements_scanned: scanned,
+        if self.round >= self.rounds_total {
+            return (
+                step,
+                Some(std::mem::replace(&mut self.target, BucketSet::new(1, 1))),
+            );
         }
+        let fresh = BucketSet::new(DEFAULT_BUCKET_COUNT, DEFAULT_BLOCK_CAPACITY);
+        self.source = std::mem::replace(&mut self.target, fresh);
+        self.round += 1;
+        self.src_bucket = 0;
+        self.src_pos = 0;
+        (step, None)
     }
+}
 
-    // ------------------------------------------------------------------
-    // Merging phase (write the final radix generation into a sorted array)
-    // ------------------------------------------------------------------
-
-    fn query_merging(&mut self, low: Value, high: Value, delta: f64) -> QueryResult {
-        let n = self.n();
-        let is_point = low == high;
-        let bucket_count = self.config.bucket_count;
-        let top_round = self.rounds_total;
-        let point_top_bucket = if is_point && low >= self.min {
-            Some(self.bucket_at_round(low, top_round))
-        } else {
-            None
-        };
-
-        let State::Merging {
-            buckets,
-            cur_bucket,
-            cur_pos,
-            merged,
-            written,
-        } = &mut self.state
-        else {
-            unreachable!("query_merging called outside the merging phase");
-        };
+impl LsdMerge {
+    /// Executes one query while the last generation is written out.
+    /// `point_bucket` is the one bucket a point predicate can be in.
+    fn step(
+        &mut self,
+        point_bucket: Option<usize>,
+        model: &CostModel,
+        low: Value,
+        high: Value,
+        delta: f64,
+    ) -> Step {
+        let n = self.merged.len();
+        let (buckets, cur_bucket, cur_pos) = (&self.buckets, self.cur_bucket, self.cur_pos);
 
         // 1. Answer: the written prefix of `merged` is sorted; the rest of
         //    the data still lives in the remaining buckets.
         let mut result = ScanResult::EMPTY;
         let mut scanned: u64 = 0;
         if low <= high {
-            let prefix = &merged[..*written];
+            let prefix = &self.merged[..self.written];
             let r = sorted::sorted_range_sum(prefix, low, high);
             scanned += r.count;
             result = result.merge(r);
-            match point_top_bucket {
+            match point_bucket {
                 Some(tb) => {
                     // Only one remaining bucket can contain the point value.
-                    if tb > *cur_bucket {
+                    if tb > cur_bucket {
                         result = result.merge(buckets.bucket(tb).range_sum(low, high));
                         scanned += buckets.bucket(tb).len() as u64;
-                    } else if tb == *cur_bucket {
+                    } else if tb == cur_bucket {
                         result =
-                            result.merge(buckets.bucket(tb).range_sum_from(*cur_pos, low, high));
-                        scanned += (buckets.bucket(tb).len() - *cur_pos) as u64;
+                            result.merge(buckets.bucket(tb).range_sum_from(cur_pos, low, high));
+                        scanned += (buckets.bucket(tb).len() - cur_pos) as u64;
                     }
                 }
                 None => {
                     // Range query: scan the unmerged remainder.
                     result = result.merge(
                         buckets
-                            .bucket(*cur_bucket)
-                            .range_sum_from(*cur_pos, low, high),
+                            .bucket(cur_bucket)
+                            .range_sum_from(cur_pos, low, high),
                     );
-                    scanned += (buckets.bucket(*cur_bucket).len().saturating_sub(*cur_pos)) as u64;
-                    for b in (*cur_bucket + 1)..bucket_count {
+                    scanned += (buckets.bucket(cur_bucket).len().saturating_sub(cur_pos)) as u64;
+                    for b in (cur_bucket + 1)..DEFAULT_BUCKET_COUNT {
                         result = result.merge(buckets.bucket(b).range_sum(low, high));
                         scanned += buckets.bucket(b).len() as u64;
                     }
                 }
             }
         }
-        let alpha = scanned as f64 / n.max(1) as f64;
+        let alpha = scanned as f64 / n as f64;
 
         // 2. Budgeted merge work: copy elements from the buckets, in
         //    order, into the final array.
         let budget = ((delta * n as f64).ceil() as usize).max(1);
         let mut ops = 0usize;
-        while ops < budget && *cur_bucket < bucket_count {
-            let bucket_len = buckets.bucket(*cur_bucket).len();
-            if *cur_pos >= bucket_len {
-                buckets.clear_bucket(*cur_bucket);
-                *cur_bucket += 1;
-                *cur_pos = 0;
+        while ops < budget && self.cur_bucket < DEFAULT_BUCKET_COUNT {
+            let bucket_len = self.buckets.bucket(self.cur_bucket).len();
+            if self.cur_pos >= bucket_len {
+                self.buckets.clear_bucket(self.cur_bucket);
+                self.cur_bucket += 1;
+                self.cur_pos = 0;
                 continue;
             }
-            let take = (budget - ops).min(bucket_len - *cur_pos);
+            let take = (budget - ops).min(bucket_len - self.cur_pos);
             // Block-wise copy instead of a per-element `get` (which costs
             // an integer division per element).
-            buckets
-                .bucket(*cur_bucket)
-                .copy_range_to(*cur_pos, &mut merged[*written..*written + take]);
-            *written += take;
-            *cur_pos += take;
+            let out = &mut self.merged[self.written..self.written + take];
+            self.buckets
+                .bucket(self.cur_bucket)
+                .copy_range_to(self.cur_pos, out);
+            self.written += take;
+            self.cur_pos += take;
             ops += take;
         }
 
-        let predicted = self
-            .model
-            .radix_refinement(alpha, delta, self.config.block_capacity);
-
-        if *cur_bucket >= bucket_count {
-            let sorted_data = std::mem::take(merged);
-            self.state = State::Sorted(Consolidation::new(sorted_data, self.config.btree_fanout));
+        Step {
+            answer: result,
+            scanned,
+            ops: ops as u64,
+            predicted: model.radix_refinement(alpha, delta, DEFAULT_BLOCK_CAPACITY),
         }
-
-        QueryResult {
-            sum: result.sum,
-            count: result.count,
-            phase: Phase::Refinement,
-            delta,
-            predicted_cost: Some(predicted),
-            indexing_ops: ops as u64,
-            elements_scanned: scanned,
-        }
-    }
-}
-
-impl RangeIndex for ProgressiveRadixsortLsd {
-    fn query(&mut self, low: Value, high: Value) -> QueryResult {
-        self.queries_executed += 1;
-        let delta = self.current_delta();
-        match &mut self.state {
-            State::Creation { .. } => self.query_creation(low, high, delta),
-            State::Refinement { .. } => self.query_refinement(low, high, delta),
-            State::Merging { .. } => self.query_merging(low, high, delta),
-            State::Sorted(tail) => tail.query(&self.model, low, high, delta),
-        }
-    }
-
-    fn status(&self) -> IndexStatus {
-        let n = self.n().max(1) as f64;
-        match &self.state {
-            State::Creation { consumed, .. } => IndexStatus {
-                phase: Phase::Creation,
-                fraction_indexed: *consumed as f64 / n,
-                phase_progress: *consumed as f64 / n,
-                converged: false,
-            },
-            State::Refinement { round, .. } => IndexStatus {
-                phase: Phase::Refinement,
-                fraction_indexed: 1.0,
-                phase_progress: (*round - 1) as f64 / self.rounds_total.max(1) as f64,
-                converged: false,
-            },
-            State::Merging { written, .. } => IndexStatus {
-                phase: Phase::Refinement,
-                fraction_indexed: 1.0,
-                phase_progress: *written as f64 / n,
-                converged: false,
-            },
-            State::Sorted(tail) => tail.status(),
-        }
-    }
-
-    fn name(&self) -> &'static str {
-        "progressive-radixsort-lsd"
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use std::sync::Arc;
+
     use super::*;
+    use crate::budget::BudgetPolicy;
+    use crate::cost_model::CostConstants;
+    use crate::index::RangeIndex;
     use crate::testing;
 
     #[test]
