@@ -7,8 +7,10 @@
 //! afterwards use the tree — the index is *converged* and a range sum costs
 //! two descents and at most two partial blocks of leaves.
 
+use std::sync::Arc;
+
 use pi_storage::btree::{BTreeBuilder, StaticBTree};
-use pi_storage::{sorted, Value};
+use pi_storage::{sorted, Column, Value};
 
 use crate::budget::BudgetController;
 use crate::cost_model::CostModel;
@@ -20,10 +22,11 @@ enum Stage {
     Built(StaticBTree),
 }
 
-/// A sorted array and the B+-tree being built, or already built, over it.
+/// A sorted column and the B+-tree being built, or already built, over it.
+/// The column is shared, not copied: it is the index's base from here on.
 #[derive(Debug)]
 pub(crate) struct Consolidation {
-    sorted: Vec<Value>,
+    sorted: Arc<Column>,
     total_copies: usize,
     stage: Stage,
 }
@@ -32,8 +35,8 @@ impl Consolidation {
     /// Starts consolidating `sorted`. An array that fits one tree node
     /// (the empty column included) has nothing to build and starts
     /// converged.
-    pub(crate) fn new(sorted: Vec<Value>, fanout: usize) -> Self {
-        debug_assert!(sorted::is_sorted(&sorted));
+    pub(crate) fn new(sorted: Arc<Column>, fanout: usize) -> Self {
+        debug_assert!(sorted.is_sorted());
         let mut tail = Consolidation {
             total_copies: BTreeBuilder::total_copies(sorted.len(), fanout),
             stage: Stage::Building(BTreeBuilder::new(sorted.len(), fanout)),
@@ -73,12 +76,13 @@ impl Consolidation {
         high: Value,
         delta: f64,
     ) -> QueryResult {
-        let n = self.sorted.len().max(1) as f64;
+        let data = self.sorted.data();
+        let n = data.len().max(1) as f64;
         match &mut self.stage {
             Stage::Building(builder) => {
-                let result = sorted::sorted_range_sum(&self.sorted, low, high);
+                let result = sorted::sorted_range_sum(data, low, high);
                 let copies = ((delta * self.total_copies as f64).ceil() as usize).max(1);
-                let performed = builder.step(&self.sorted, copies);
+                let performed = builder.step(data, copies);
                 let predicted =
                     model.consolidation(result.count as f64 / n, delta, self.total_copies);
                 self.finish_if_complete();
@@ -95,7 +99,7 @@ impl Consolidation {
             Stage::Built(tree) => {
                 // The leaves read, not the rows matched: the block sums
                 // answer for everything between the run's two end blocks.
-                let (result, touched) = tree.range_sum_touched(&self.sorted, low, high);
+                let (result, touched) = tree.range_sum_touched(data, low, high);
                 QueryResult {
                     sum: result.sum,
                     count: result.count,
@@ -127,11 +131,15 @@ mod tests {
     use super::*;
     use crate::cost_model::CostConstants;
 
+    fn consolidate(sorted: Vec<Value>) -> Consolidation {
+        Consolidation::new(Arc::new(Column::from_sorted_vec(sorted)), 64)
+    }
+
     #[test]
     fn converged_queries_report_the_leaves_read_not_the_rows_matched() {
         let sorted: Vec<Value> = (0..100_000).collect();
         let model = CostModel::new(CostConstants::synthetic(), sorted.len());
-        let mut tail = Consolidation::new(sorted, 64);
+        let mut tail = consolidate(sorted);
         while !tail.status().converged {
             let step = tail.query(&model, 10, 89_999, 0.25);
             assert_eq!(step.phase, Phase::Consolidation);
@@ -154,9 +162,9 @@ mod tests {
     #[test]
     fn an_array_that_fits_one_node_starts_converged() {
         for len in [0, 1, 64] {
-            let tail = Consolidation::new((0..len).collect(), 64);
+            let tail = consolidate((0..len).collect());
             assert!(tail.status().converged, "{len} leaves");
         }
-        assert!(!Consolidation::new((0..65).collect(), 64).status().converged);
+        assert!(!consolidate((0..65).collect()).status().converged);
     }
 }

@@ -7,8 +7,10 @@
 //! performs a bounded amount of indexing work — that combination is the
 //! defining property of incremental indexing.
 
+use std::sync::Arc;
+
 use crate::result::{IndexStatus, QueryResult};
-use pi_storage::Value;
+use pi_storage::{Column, Value};
 
 /// An index over a single integer column that answers inclusive range-sum
 /// queries and refines itself as a side effect of query processing.
@@ -34,6 +36,15 @@ pub trait RangeIndex {
     fn point_query(&mut self, value: Value) -> QueryResult {
         self.query(value, value)
     }
+
+    /// The column's values as one sorted column, once the index keeps them
+    /// that way (the progressive indexes from consolidation on). It holds
+    /// exactly the values the index was built over, so its owner can drop
+    /// every other copy of them. `None` for an index that never holds one
+    /// sorted copy, which the cracking baselines do not.
+    fn sorted_base(&self) -> Option<&Arc<Column>> {
+        None
+    }
 }
 
 /// Blanket implementation so `Box<dyn RangeIndex>` (used by the experiment
@@ -50,6 +61,10 @@ impl<T: RangeIndex + ?Sized> RangeIndex for Box<T> {
 
     fn name(&self) -> &'static str {
         (**self).name()
+    }
+
+    fn sorted_base(&self) -> Option<&Arc<Column>> {
+        (**self).sorted_base()
     }
 }
 

@@ -54,8 +54,9 @@
 //! ([`pi_storage::delta::DeltaSidecar`]) while the inner index keeps
 //! refining its immutable snapshot; queries compose the two and stay exact
 //! at every refinement stage, and the sidecar is folded back in by an
-//! incremental, budget-driven merge that restarts the lifecycle on a fresh
-//! snapshot. See the [`mutation`] module docs.
+//! incremental, budget-driven merge into a fresh snapshot — a sorted one,
+//! whose index has only its tree to build, once the base is sorted. See the
+//! [`mutation`] module docs.
 //!
 //! ## Example
 //!

@@ -5,14 +5,17 @@
 //! only say how each algorithm *partitions* inside the first two phases.
 //! [`Progressive`] is that life, written once:
 //!
-//! * it owns the base column, the [`BudgetController`] and the
+//! * it holds the base column, the [`BudgetController`] and the
 //!   [`CostModel`];
 //! * every query it asks the budget for one δ, priced by the cost of the
 //!   current phase's unit of work, and spends it on one step;
-//! * an empty column has nothing to index and starts converged;
-//! * the moment a strategy's array is sorted it is handed to the shared
-//!   consolidation tail and the strategy — buckets, pivot trees, scratch,
-//!   routing metadata — is dropped whole;
+//! * a sorted column (the empty one included) has nothing to sort and
+//!   starts at the consolidation tail;
+//! * the moment a strategy's array is sorted it *becomes* the base column:
+//!   it is handed to the shared consolidation tail, the handle on the
+//!   unsorted column is released, and the strategy — buckets, pivot trees,
+//!   scratch, routing metadata — is dropped whole. One copy of the values
+//!   is resident from then on ([`RangeIndex::sorted_base`]);
 //! * [`RangeIndex::status`] comes from the strategy before the hand-over
 //!   and from the tail after it.
 //!
@@ -92,8 +95,8 @@ enum Stage<S> {
 }
 
 impl<S> Stage<S> {
-    fn sorted(data: Vec<Value>) -> Self {
-        Stage::Sorted(Consolidation::new(data, DEFAULT_FANOUT))
+    fn sorted(column: Arc<Column>) -> Self {
+        Stage::Sorted(Consolidation::new(column, DEFAULT_FANOUT))
     }
 }
 
@@ -129,9 +132,9 @@ impl<S: Strategy> Progressive<S> {
         Progressive {
             budget: BudgetController::new(policy),
             model: CostModel::new(constants, column.len()),
-            // An empty column has nothing to index: start converged.
-            stage: if column.is_empty() {
-                Stage::sorted(Vec::new())
+            // A sorted column has nothing to sort: born at consolidation.
+            stage: if column.is_sorted() {
+                Stage::sorted(Arc::clone(&column))
             } else {
                 Stage::Sorting(S::start(&column))
             },
@@ -144,7 +147,8 @@ impl<S: Strategy> Progressive<S> {
         &self.model
     }
 
-    /// The base column.
+    /// The base column: the one the index was built over until its values
+    /// are sorted, the sorted one afterwards (same values, same min/max).
     pub(crate) fn column(&self) -> &Column {
         &self.column
     }
@@ -163,7 +167,10 @@ impl<S: Strategy> RangeIndex for Progressive<S> {
         let delta = self.budget.delta_for_query(strategy.unit_cost(&self.model));
         let step = strategy.step(&self.column, &self.model, low, high, delta);
         if let Some(sorted) = strategy.take_sorted() {
-            self.stage = Stage::sorted(sorted);
+            // The hand-over: the sorted array is the base from here on, and
+            // this index's handle on the unsorted column drops.
+            self.column = Arc::new(Column::from_sorted_vec(sorted));
+            self.stage = Stage::sorted(Arc::clone(&self.column));
         }
         QueryResult {
             sum: step.answer.sum,
@@ -197,6 +204,10 @@ impl<S: Strategy> RangeIndex for Progressive<S> {
 
     fn name(&self) -> &'static str {
         S::NAME
+    }
+
+    fn sorted_base(&self) -> Option<&Arc<Column>> {
+        matches!(self.stage, Stage::Sorted(_)).then_some(&self.column)
     }
 }
 
@@ -426,9 +437,12 @@ mod tests {
         for (shape, values) in &shapes {
             for algorithm in Algorithm::ALL {
                 let column = Arc::new(Column::from_vec(values.clone()));
+                // Converged at the start iff there is nothing to sort and
+                // no tree to build: sorted, and fits one node.
+                let nothing_to_do = column.is_sorted() && column.len() <= DEFAULT_FANOUT;
                 let mut index = algorithm.build(column, BudgetPolicy::FixedDelta(0.15));
                 let mut last = index.status();
-                assert_eq!(last.converged, values.is_empty(), "{algorithm} on {shape}");
+                assert_eq!(last.converged, nothing_to_do, "{algorithm} on {shape}");
                 for query in 0..2_000u64 {
                     if last.converged {
                         break;
@@ -445,6 +459,9 @@ mod tests {
                     assert!(now.phase >= last.phase, "{context}");
                     assert!(now.fraction_indexed >= last.fraction_indexed, "{context}");
                     assert!((0.0..=1.0).contains(&now.phase_progress), "{context}");
+                    if now.phase == last.phase {
+                        assert!(now.phase_progress >= last.phase_progress, "{context}");
+                    }
                     assert_eq!(now.converged, now.phase == Phase::Converged, "{context}");
                     last = now;
                 }

@@ -25,11 +25,21 @@
 //! tombstones, then the pending inserts) into a fresh snapshot; queries keep
 //! being answered from the old snapshot plus the frozen deltas throughout.
 //! When the copy completes, a new inner index is built over the merged
-//! snapshot and the lifecycle starts over at the creation phase — which is
-//! exactly the "mutated converged shard re-enters maintenance" behaviour
-//! the serving engine relies on: deterministic convergence is preserved,
-//! it just restarts whenever mutations have invalidated the converged
-//! state.
+//! snapshot — the "mutated converged shard re-enters maintenance"
+//! behaviour the serving engine relies on.
+//!
+//! ## One copy, and convergence kept
+//!
+//! The rows of a base snapshot have no order anyone reads, so once the
+//! inner index has sorted them its sorted column
+//! ([`RangeIndex::sorted_base`]) is adopted as the base and the unsorted
+//! snapshot is dropped: one copy of the values is resident. A merge over a
+//! sorted base is a merge of three sorted runs (base, frozen inserts,
+//! frozen tombstones), so its output is sorted and the next inner index
+//! has nothing to sort: it starts at consolidation, and a converged index
+//! that absorbs writes only rebuilds the tree over its array. Only a merge
+//! that starts before the base is sorted restarts the lifecycle at the
+//! creation phase.
 //!
 //! ## Semantics
 //!
@@ -74,8 +84,8 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use pi_storage::delta::DeltaSidecar;
-use pi_storage::scan::ScanResult;
-use pi_storage::{Column, Value};
+use pi_storage::scan::{scan_range_sum, ScanResult};
+use pi_storage::{sorted, Column, Value};
 
 use crate::budget::BudgetPolicy;
 use crate::cost_model::CostConstants;
@@ -140,6 +150,15 @@ impl Default for MutableConfig {
     }
 }
 
+/// How a merge finds the base rows its frozen tombstones delete.
+enum Tombstones {
+    /// Unsorted base: occurrences not yet consumed, probed once per row.
+    Probe(HashMap<Value, u64>),
+    /// Sorted base: the tombstones are a sorted run too, and every one has
+    /// its victim in the base, so a cursor into them suffices.
+    Cursor(usize),
+}
+
 /// State of an in-flight incremental merge: the frozen deltas being folded
 /// in, the new snapshot under construction, and the copy cursors.
 struct MergeState {
@@ -147,52 +166,87 @@ struct MergeState {
     /// queries (the old snapshot remains the answering structure until the
     /// swap).
     frozen: DeltaSidecar,
-    /// Tombstone occurrences not yet consumed by the copy loop.
-    tomb_remaining: HashMap<Value, u64>,
+    tombstones: Tombstones,
     /// The merged live values accumulated so far.
     out: Vec<Value>,
-    /// Base-snapshot rows consumed.
+    /// Base-snapshot rows consumed. An index into the base's row order:
+    /// the base must not change while the merge is in flight.
     consumed: usize,
-    /// Frozen inserts appended.
+    /// Frozen inserts copied.
     inserted: usize,
 }
 
 impl MergeState {
-    fn start(frozen: DeltaSidecar, base_len: usize) -> Self {
-        let mut tomb_remaining: HashMap<Value, u64> = HashMap::new();
-        for &t in frozen.tombstones() {
-            *tomb_remaining.entry(t).or_insert(0) += 1;
-        }
+    fn start(frozen: DeltaSidecar, base: &Column) -> Self {
+        let tombstones = if base.is_sorted() {
+            Tombstones::Cursor(0)
+        } else {
+            let mut remaining: HashMap<Value, u64> = HashMap::new();
+            for &t in frozen.tombstones() {
+                *remaining.entry(t).or_insert(0) += 1;
+            }
+            Tombstones::Probe(remaining)
+        };
         let capacity =
-            (base_len + frozen.inserts().len()).saturating_sub(frozen.tombstones().len());
+            (base.len() + frozen.inserts().len()).saturating_sub(frozen.tombstones().len());
         MergeState {
             frozen,
-            tomb_remaining,
+            tombstones,
             out: Vec::with_capacity(capacity),
             consumed: 0,
             inserted: 0,
         }
     }
 
-    /// Copies up to `ops` live values into the new snapshot. Returns
-    /// `true` when the merge copy is complete.
+    /// Copies live values into the new snapshot, consuming up to `ops`
+    /// base rows and frozen inserts. Returns `true` when the merge copy is
+    /// complete.
+    ///
+    /// A sorted base is merged with the inserts in value order, so the new
+    /// snapshot is sorted; an unsorted base is copied in row order and the
+    /// inserts are appended.
     fn step(&mut self, base: &Column, ops: usize) -> bool {
         let mut budget = ops.max(1);
         let data = base.data();
-        while budget > 0 && self.consumed < data.len() {
-            let v = data[self.consumed];
-            self.consumed += 1;
-            budget -= 1;
-            match self.tomb_remaining.get_mut(&v) {
-                Some(n) if *n > 0 => *n -= 1,
-                _ => self.out.push(v),
+        let (inserts, tombstones) = (self.frozen.inserts(), self.frozen.tombstones());
+        match &mut self.tombstones {
+            Tombstones::Probe(remaining) => {
+                while budget > 0 && self.consumed < data.len() {
+                    let v = data[self.consumed];
+                    self.consumed += 1;
+                    budget -= 1;
+                    match remaining.get_mut(&v) {
+                        Some(n) if *n > 0 => *n -= 1,
+                        _ => self.out.push(v),
+                    }
+                }
+                while budget > 0 && self.inserted < inserts.len() {
+                    self.out.push(inserts[self.inserted]);
+                    self.inserted += 1;
+                    budget -= 1;
+                }
             }
-        }
-        let inserts = self.frozen.inserts();
-        while budget > 0 && self.inserted < inserts.len() {
-            self.out.push(inserts[self.inserted]);
-            self.inserted += 1;
-            budget -= 1;
+            Tombstones::Cursor(next) => {
+                while budget > 0 {
+                    let from_base = match (data.get(self.consumed), inserts.get(self.inserted)) {
+                        (Some(v), Some(i)) => v <= i,
+                        (Some(_), None) => true,
+                        (None, Some(_)) => false,
+                        (None, None) => break,
+                    };
+                    if !from_base {
+                        self.out.push(inserts[self.inserted]);
+                        self.inserted += 1;
+                    } else if tombstones.get(*next) == Some(&data[self.consumed]) {
+                        self.consumed += 1;
+                        *next += 1;
+                    } else {
+                        self.out.push(data[self.consumed]);
+                        self.consumed += 1;
+                    }
+                    budget -= 1;
+                }
+            }
         }
         self.consumed == data.len() && self.inserted == inserts.len()
     }
@@ -203,7 +257,8 @@ impl MergeState {
 /// query/advance interface the immutable indexes expose. See the
 /// [module docs](self) for the design.
 pub struct MutableIndex {
-    /// The immutable base snapshot the inner index refines.
+    /// The immutable base snapshot the inner index refines — the inner
+    /// index's own sorted column once it has one (see the module docs).
     base: Arc<Column>,
     /// The inner progressive index; `None` while the base snapshot is
     /// empty (an empty column has nothing to index — inserts live in the
@@ -216,8 +271,8 @@ pub struct MutableIndex {
     algorithm: Algorithm,
     policy: BudgetPolicy,
     config: MutableConfig,
-    /// Total merges completed (instrumentation: each one restarted the
-    /// progressive lifecycle on a fresh snapshot).
+    /// Total merges completed (instrumentation: each one built a fresh
+    /// snapshot and a new inner index over it).
     merges_completed: u64,
     /// Optional observability sink: refinement steps, δ·N bytes moved,
     /// merge steps and cost-model error. `None` records (and costs)
@@ -246,11 +301,12 @@ impl MutableIndex {
 
     /// Reassembles a mutable index from persisted parts: the immutable
     /// base snapshot plus a pending-delta sidecar (the pair
-    /// [`MutableIndex::snapshot_parts`] captures). The inner index
-    /// restarts at the creation phase over the base snapshot — indexing
-    /// progress is deliberately not persisted, only logical state — and
-    /// the sidecar's mutations are pending again, exactly as after the
-    /// equivalent live `apply` calls.
+    /// [`MutableIndex::snapshot_parts`] captures). Indexing progress is
+    /// deliberately not persisted, only logical state: the inner index
+    /// restarts at the creation phase over a base snapshot that is not
+    /// sorted, and at consolidation (a tree build) over one that is — the
+    /// base a converged index captured. The sidecar's mutations are
+    /// pending again, exactly as after the equivalent live `apply` calls.
     pub fn from_parts(
         column: Arc<Column>,
         sidecar: DeltaSidecar,
@@ -331,8 +387,9 @@ impl MutableIndex {
         self.pending.len()
     }
 
-    /// Number of completed merges (each rebuilt the snapshot and restarted
-    /// the progressive lifecycle).
+    /// Number of completed merges. Each rebuilt the snapshot and the inner
+    /// index over it, which restarts at creation only if the merged base
+    /// was not yet sorted.
     pub fn merges_completed(&self) -> u64 {
         self.merges_completed
     }
@@ -347,6 +404,20 @@ impl MutableIndex {
         self.inner.as_ref().is_none_or(|i| i.is_converged())
     }
 
+    /// Called after every step of the inner index: once that index holds
+    /// its values sorted, its sorted column becomes the base and the
+    /// unsorted snapshot is dropped. Not while a merge is in flight — its
+    /// `consumed` cursor counts rows of the base it started on, and the
+    /// merged snapshot replaces the base when it completes anyway.
+    fn adopt_sorted_base(&mut self) {
+        if self.base.is_sorted() || self.merge.is_some() {
+            return;
+        }
+        if let Some(sorted) = self.inner.as_ref().and_then(|i| i.sorted_base()) {
+            self.base = Arc::clone(sorted);
+        }
+    }
+
     /// Live occurrences of exactly `v`, across snapshot and deltas. The
     /// point lookup doubles as a budgeted slice of indexing work on the
     /// inner index.
@@ -355,6 +426,7 @@ impl MutableIndex {
             Some(inner) => inner.query(v, v).count as i64,
             None => 0,
         };
+        self.adopt_sorted_base();
         let frozen = self.merge.as_ref().map_or(0, |m| m.frozen.net_count_of(v));
         in_base + frozen + self.pending.net_count_of(v)
     }
@@ -412,7 +484,7 @@ impl MutableIndex {
     fn start_merge(&mut self) {
         debug_assert!(self.merge.is_none());
         let frozen = std::mem::take(&mut self.pending);
-        self.merge = Some(MergeState::start(frozen, self.base.len()));
+        self.merge = Some(MergeState::start(frozen, &self.base));
     }
 
     /// Ops per budgeted merge step: `merge_delta` of the merged snapshot.
@@ -470,6 +542,7 @@ impl MutableIndex {
                 if let Some(metrics) = &self.metrics {
                     metrics.observe_query(&result);
                 }
+                self.adopt_sorted_base();
                 return true;
             }
         }
@@ -502,6 +575,7 @@ impl MutableIndex {
             },
             None => QueryResult::answer_only(ScanResult::EMPTY, Phase::Converged),
         };
+        self.adopt_sorted_base();
         let mut composed = base.scan_result();
         if let Some(merge) = &self.merge {
             composed = merge.frozen.scan(low, high).apply_to(composed);
@@ -524,15 +598,20 @@ impl MutableIndex {
     /// any state: no inner refinement, no merge advancement, no metrics.
     ///
     /// Where [`MutableIndex::query`] probes the inner index (paying the
-    /// budgeted δ-slice of indexing work), `peek` scans the immutable base
-    /// snapshot directly and composes the frozen-merge and pending sidecars
-    /// on top — the same three-layer composition, so the answer is exactly
-    /// the live multiset at every refinement stage. This is the validation
+    /// budgeted δ-slice of indexing work), `peek` reads the immutable base
+    /// snapshot directly (a scan, or two binary searches once the base is
+    /// sorted) and composes the frozen-merge and pending sidecars on top —
+    /// the same three-layer composition, so the answer is exactly the
+    /// live multiset at every refinement stage. This is the validation
     /// probe the engine's conjunction planner uses against non-driving
     /// columns: exact, shared-access (`&self`), and never perturbing the
     /// refinement or merge schedule.
     pub fn peek(&self, low: Value, high: Value) -> ScanResult {
-        let mut composed = pi_storage::scan::scan_range_sum(self.base.data(), low, high);
+        let mut composed = if self.base.is_sorted() {
+            sorted::sorted_range_sum(self.base.data(), low, high)
+        } else {
+            scan_range_sum(self.base.data(), low, high)
+        };
         if let Some(merge) = &self.merge {
             composed = merge.frozen.scan(low, high).apply_to(composed);
         }
@@ -554,40 +633,16 @@ impl MutableIndex {
         }
     }
 
-    /// Materialises the live multiset: base snapshot minus tombstones plus
-    /// pending inserts, in snapshot order followed by insert order. Used
-    /// for re-sharding (boundary re-balancing) at the engine layer.
+    /// Materialises the live multiset — [`MutableIndex::snapshot_parts`]
+    /// run through one whole merge: sorted when the base is, otherwise in
+    /// snapshot order followed by the pending inserts. Used for re-sharding
+    /// (boundary re-balancing) at the engine layer.
     pub fn live_values(&self) -> Vec<Value> {
-        // Tombstones are subtracted from the union of base values and
-        // pending inserts: a pending tombstone's victim can live in the
-        // in-flight merge's frozen inserts (deleted after the merge froze
-        // it), not only in the base snapshot.
-        let mut tombs: HashMap<Value, u64> = HashMap::new();
-        let mut sources: Vec<&[Value]> = vec![self.base.data()];
-        if let Some(merge) = &self.merge {
-            for &t in merge.frozen.tombstones() {
-                *tombs.entry(t).or_insert(0) += 1;
-            }
-            sources.push(merge.frozen.inserts());
-        }
-        for &t in self.pending.tombstones() {
-            *tombs.entry(t).or_insert(0) += 1;
-        }
-        sources.push(self.pending.inserts());
-        let mut out = Vec::with_capacity(self.live_rows());
-        for source in sources {
-            for &v in source {
-                match tombs.get_mut(&v) {
-                    Some(n) if *n > 0 => *n -= 1,
-                    _ => out.push(v),
-                }
-            }
-        }
-        debug_assert!(
-            tombs.values().all(|&n| n == 0),
-            "a tombstone found no live victim"
-        );
-        out
+        let (base, sidecar) = self.snapshot_parts();
+        let mut merge = MergeState::start(sidecar, &base);
+        let finished = merge.step(&base, usize::MAX);
+        debug_assert!(finished && merge.out.len() == self.live_rows());
+        merge.out
     }
 
     /// Exact sum and count over all live rows, without touching the inner
@@ -620,6 +675,12 @@ impl RangeIndex for MutableIndex {
 
     fn name(&self) -> &'static str {
         "mutable-progressive"
+    }
+
+    /// The inner index's sorted column: the base snapshot once adopted,
+    /// which pending deltas are not part of.
+    fn sorted_base(&self) -> Option<&Arc<Column>> {
+        self.inner.as_ref()?.sorted_base()
     }
 }
 

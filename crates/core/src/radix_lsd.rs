@@ -123,14 +123,15 @@ impl Strategy for RadixLsdStrategy {
     }
 
     fn progress(&self, n: usize) -> (Phase, f64) {
-        match &self.state {
-            State::Creation(creation) => creation.progress(n),
-            State::Refinement(pass) => (
-                Phase::Refinement,
-                (pass.round - 1) as f64 / pass.rounds_total as f64,
-            ),
-            State::Merging(merge) => (Phase::Refinement, merge.written as f64 / n as f64),
-        }
+        // Refinement is `rounds_total + 1` passes over the data: round 1
+        // (done by creation), rounds `2..=rounds_total`, and the write-out.
+        let (passes_done, moved) = match &self.state {
+            State::Creation(creation) => return creation.progress(n),
+            State::Refinement(pass) => (pass.round - 1, pass.target.len()),
+            State::Merging(merge) => (self.rounds_total, merge.written),
+        };
+        let passes = passes_done as f64 + moved as f64 / n as f64;
+        (Phase::Refinement, passes / (self.rounds_total + 1) as f64)
     }
 
     fn step(

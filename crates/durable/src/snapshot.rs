@@ -9,7 +9,8 @@
 //! column. Refinement state (pivot trees, radix buckets, merge progress)
 //! is deliberately *not* captured: it is a cache rebuilt from the base
 //! by querying, and recovery restarting the refinement lifecycle loses
-//! no data and changes no answer.
+//! no data and changes no answer. (A base that was sorted when captured
+//! decodes sorted, so its index has no refinement to restart.)
 //!
 //! The byte format wraps the [`pi_storage::snapshot`] primitives in a
 //! self-validating envelope: magic, version, a CRC over the body, and

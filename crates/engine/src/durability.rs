@@ -24,7 +24,12 @@
 //!
 //! Indexing progress (refinement state, merge progress) is deliberately
 //! not persisted: it is a cache the progressive model rebuilds as a side
-//! effect of querying, and restarting it changes no answer.
+//! effect of querying, and restarting it changes no answer. What a
+//! snapshot does carry, without a format field for it, is the order of
+//! each base: a converged shard's base is its sorted array, so it decodes
+//! sorted and the recovered shard starts at consolidation (a tree build)
+//! instead of sorting again. Shards captured before they were sorted
+//! restart at the creation phase.
 //!
 //! ## Checkpoint triggers
 //!

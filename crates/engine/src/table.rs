@@ -397,9 +397,11 @@ impl ShardedColumn {
 
     /// Reassembles a column from persisted parts: the shard boundaries
     /// plus each shard's base snapshot and pending sidecar (the state
-    /// [`ShardedColumn::snapshot_state`] captures). Indexing progress
-    /// restarts at the creation phase; the live multiset — and therefore
-    /// every query answer — is exactly what was captured.
+    /// [`ShardedColumn::snapshot_state`] captures). A shard whose base was
+    /// sorted when captured — a converged shard's is — has nothing left to
+    /// sort and restarts at consolidation, a tree build over its array;
+    /// any other restarts at the creation phase. The live multiset — and
+    /// therefore every query answer — is exactly what was captured.
     ///
     /// `boundaries` must be strictly ascending and `shards` must hold
     /// exactly `boundaries.len() + 1` entries (the snapshot codec
@@ -945,14 +947,19 @@ impl ShardedColumn {
     }
 
     /// Re-draws equi-depth shard boundaries from the current live values
-    /// and re-splits the column into the same number of shards, resetting
-    /// every shard's index to the creation phase over its new slice.
+    /// and re-splits the column into the same number of shards, each with
+    /// a new index over its new slice. The live values of shards whose
+    /// bases are sorted come out sorted, shard after shard in range order,
+    /// and the split is stable: a column of converged shards re-splits
+    /// into sorted slices whose indexes start at consolidation. A slice
+    /// that takes rows from a shard not yet sorted starts at creation.
     ///
     /// This is a stop-the-world operation (`&mut self`): it is meant for
     /// maintenance windows, before an executor is attached — the
     /// executor's shard addressing is computed at construction. The
     /// queries it serves stay exact throughout (answers never depend on
-    /// indexing progress); only indexing progress is sacrificed.
+    /// indexing progress); the progress sacrificed is the sorting of shards
+    /// that were still unsorted, and every shard's tree.
     pub fn rebalance(&mut self) {
         let mut live: Vec<Value> = Vec::new();
         for shard in &self.shards {

