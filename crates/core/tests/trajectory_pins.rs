@@ -8,6 +8,12 @@
 //! equivalence proptest when the twins were deleted. A change that moves
 //! one of them has changed how much indexing a query does — the paper's
 //! per-query δ·N promise — and must say so.
+//!
+//! A second table pins the `(phase, indexing ops)` sequence alone: the
+//! indexing schedule, which depends only on the column's values. A kernel
+//! that visits a node's values in another order may move `elements
+//! scanned` (where a half-finished node's known regions lie) and so the
+//! first table, but must leave the second one alone.
 
 use std::sync::Arc;
 
@@ -83,10 +89,17 @@ fn script_query(rng: &mut TestRng, case: &Case, step: u64) -> (Value, Value) {
     }
 }
 
-/// Runs `algorithm` over `case` to convergence; returns the FNV-1a hash
-/// of the per-query `(phase, indexing_ops, elements_scanned)` sequence
-/// and the number of queries it took.
-fn trajectory(algorithm: Algorithm, case: &Case) -> (u64, u64) {
+/// FNV-1a over `bytes`, continuing from `hash`.
+fn fnv(hash: &mut u64, bytes: &[u8]) {
+    for &b in bytes {
+        *hash = (*hash ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
+    }
+}
+
+/// Runs `algorithm` over `case` to convergence; returns the FNV-1a hashes
+/// of the per-query `(phase, indexing_ops, elements_scanned)` and
+/// `(phase, indexing_ops)` sequences and the number of queries it took.
+fn trajectory(algorithm: Algorithm, case: &Case) -> (u64, u64, u64) {
     let column = Arc::new(Column::from_vec(case.values.clone()));
     let reference = ReferenceIndex::new(&column);
     let mut index = algorithm.build_with_constants(
@@ -96,11 +109,7 @@ fn trajectory(algorithm: Algorithm, case: &Case) -> (u64, u64) {
     );
     let mut rng = TestRng::new(case.script_seed);
     let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    let mut fold = |bytes: &[u8]| {
-        for &b in bytes {
-            hash = (hash ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    };
+    let mut schedule = hash;
     let mut queries = 0u64;
     while !index.is_converged() {
         let (low, high) = script_query(&mut rng, case, queries);
@@ -111,9 +120,11 @@ fn trajectory(algorithm: Algorithm, case: &Case) -> (u64, u64) {
             "{algorithm} on {}: query #{queries} [{low}, {high}]",
             case.name
         );
-        fold(&[result.phase as u8]);
-        fold(&result.indexing_ops.to_le_bytes());
-        fold(&result.elements_scanned.to_le_bytes());
+        for h in [&mut hash, &mut schedule] {
+            fnv(h, &[result.phase as u8]);
+            fnv(h, &result.indexing_ops.to_le_bytes());
+        }
+        fnv(&mut hash, &result.elements_scanned.to_le_bytes());
         queries += 1;
         assert!(queries < 100_000, "{algorithm} on {}: stalled", case.name);
     }
@@ -125,7 +136,7 @@ fn trajectory(algorithm: Algorithm, case: &Case) -> (u64, u64) {
             case.name
         );
     }
-    (hash, queries)
+    (hash, schedule, queries)
 }
 
 /// `(case, algorithm, trajectory hash, queries to converge)`.
@@ -184,16 +195,58 @@ const PINS: [(&str, Algorithm, u64, u64); 12] = [
     ),
 ];
 
-#[test]
-fn refinement_trajectories_match_the_recorded_pins() {
-    let cases = cases();
+/// `(case, algorithm, schedule hash)`: the `(phase, indexing_ops)`
+/// sequence of the same runs.
+const SCHEDULE_PINS: [(&str, Algorithm, u64); 12] = [
+    ("uniform", Algorithm::Quicksort, 0x1238860c27ebcfda),
+    ("uniform", Algorithm::RadixsortMsd, 0xca46170f82137bf8),
+    ("uniform", Algorithm::Bucketsort, 0x90ceb1bf7fb140ba),
+    ("uniform", Algorithm::RadixsortLsd, 0xb3591ed16553e8d9),
+    (
+        "skewed_duplicates",
+        Algorithm::Quicksort,
+        0x8ef3c2d36669c69a,
+    ),
+    (
+        "skewed_duplicates",
+        Algorithm::RadixsortMsd,
+        0xb8229cbcc35332a0,
+    ),
+    (
+        "skewed_duplicates",
+        Algorithm::Bucketsort,
+        0xf56e8d76f9571bd7,
+    ),
+    (
+        "skewed_duplicates",
+        Algorithm::RadixsortLsd,
+        0xa25094928ed2e00c,
+    ),
+    ("wide_adaptive", Algorithm::Quicksort, 0xd17df5ced8466c25),
+    ("wide_adaptive", Algorithm::RadixsortMsd, 0x0167dca819aaa7d9),
+    ("wide_adaptive", Algorithm::Bucketsort, 0xb30a9942c381b1e2),
+    ("wide_adaptive", Algorithm::RadixsortLsd, 0xf742fb31063fbe37),
+];
+
+/// Every case × algorithm: `(case, algorithm, trajectory hash, schedule
+/// hash, queries to converge)`.
+fn observed() -> Vec<(&'static str, Algorithm, u64, u64, u64)> {
     let mut observed = Vec::new();
-    for case in &cases {
+    for case in &cases() {
         for algorithm in Algorithm::ALL {
-            let (hash, queries) = trajectory(algorithm, case);
-            observed.push((case.name, algorithm, hash, queries));
+            let (hash, schedule, queries) = trajectory(algorithm, case);
+            observed.push((case.name, algorithm, hash, schedule, queries));
         }
     }
+    observed
+}
+
+#[test]
+fn refinement_trajectories_match_the_recorded_pins() {
+    let observed: Vec<_> = observed()
+        .into_iter()
+        .map(|(c, a, h, _, q)| (c, a, h, q))
+        .collect();
     // On a mismatch the whole observed table is printed, in `PINS` syntax.
     assert_eq!(
         observed,
@@ -202,6 +255,23 @@ fn refinement_trajectories_match_the_recorded_pins() {
         observed
             .iter()
             .map(|(c, a, h, q)| format!("    (\"{c}\", Algorithm::{a:?}, {h:#018x}, {q}),\n"))
+            .collect::<String>()
+    );
+}
+
+#[test]
+fn indexing_schedules_match_the_recorded_pins() {
+    let observed: Vec<_> = observed()
+        .into_iter()
+        .map(|(c, a, _, s, _)| (c, a, s))
+        .collect();
+    assert_eq!(
+        observed,
+        SCHEDULE_PINS,
+        "observed:\n{}",
+        observed
+            .iter()
+            .map(|(c, a, s)| format!("    (\"{c}\", Algorithm::{a:?}, {s:#018x}),\n"))
             .collect::<String>()
     );
 }
