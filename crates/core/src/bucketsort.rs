@@ -103,7 +103,7 @@ impl Strategy for BucketsortStrategy {
                 model.t_bucketize_equiheight(DEFAULT_BLOCK_CAPACITY, DEFAULT_BUCKET_COUNT)
             }
             // The refinement phase runs Progressive Quicksort inside each
-            // bucket region, so the quicksort swap cost applies.
+            // bucket region, so its per-element refinement cost applies.
             State::Refinement(_) => model.t_swap(),
         }
     }

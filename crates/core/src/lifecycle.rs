@@ -442,6 +442,9 @@ mod tests {
                 let nothing_to_do = column.is_sorted() && column.len() <= DEFAULT_FANOUT;
                 let mut index = algorithm.build(column, BudgetPolicy::FixedDelta(0.15));
                 let mut last = index.status();
+                // Readings taken in the refinement phase, and how many lay
+                // strictly inside (0, 1).
+                let (mut refining, mut partial) = (0, 0);
                 assert_eq!(last.converged, nothing_to_do, "{algorithm} on {shape}");
                 for query in 0..2_000u64 {
                     if last.converged {
@@ -462,10 +465,19 @@ mod tests {
                     if now.phase == last.phase {
                         assert!(now.phase_progress >= last.phase_progress, "{context}");
                     }
+                    if now.phase == Phase::Refinement {
+                        refining += 1;
+                        partial += (0.0 < now.phase_progress && now.phase_progress < 1.0) as u32;
+                    }
                     assert_eq!(now.converged, now.phase == Phase::Converged, "{context}");
                     last = now;
                 }
                 assert!(last.converged, "{algorithm} on {shape} did not converge");
+                // Quicksort's refinement reports how far it has got, not a
+                // step from 0 to 1 at the hand-over.
+                if algorithm == Algorithm::Quicksort && refining > 0 {
+                    assert!(partial > 0, "{algorithm} on {shape}: {refining} readings");
+                }
                 // Converged is sticky.
                 index.query(0, u64::MAX);
                 assert_eq!(index.status(), IndexStatus::converged());

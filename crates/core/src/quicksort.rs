@@ -12,11 +12,12 @@
 //!   are answered by scanning the relevant halves of the working array
 //!   plus the not-yet-consumed tail of the base column.
 //! * **Refinement** — the base column is no longer needed; the two halves
-//!   are recursively partitioned in place with a budget of `δ · N` swap
-//!   operations per query, maintained in a binary tree of pivots
-//!   ([`IncrementalSorter`]). Pieces that fit in the L1 cache
-//!   ([`DEFAULT_SMALL_NODE_ELEMENTS`]) are sorted outright. Lookups use
-//!   the pivot tree to touch only candidate sections.
+//!   are recursively partitioned in place, `δ · N` elements examined per
+//!   query, maintained in a binary tree of pivots ([`IncrementalSorter`]).
+//!   Pieces that fit in the L1 cache ([`DEFAULT_SMALL_NODE_ELEMENTS`]) are
+//!   sorted outright. Lookups use the pivot tree to touch only candidate
+//!   sections; the phase's progress is the share of elements in sorted
+//!   pieces.
 //!
 //! Once the working array is sorted the lifecycle takes it: a B+-tree is
 //! built over it, `δ · N_copy` copies per query, and the index converges.
@@ -198,7 +199,7 @@ impl Strategy for QuicksortStrategy {
             State::Creation { consumed, .. } => (Phase::Creation, *consumed as f64 / n as f64),
             State::Refinement { sorter } => (
                 Phase::Refinement,
-                if sorter.is_sorted() { 1.0 } else { 0.0 },
+                sorter.sorted_elements() as f64 / n as f64,
             ),
         }
     }

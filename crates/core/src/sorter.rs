@@ -13,8 +13,8 @@
 //! region `[start, end)` of an external array and exposes:
 //!
 //! * [`IncrementalSorter::refine`] — perform up to a budgeted number of
-//!   element operations (comparison/swap steps of the interruptible
-//!   partition, or whole-node sorts for nodes that fit in the L1 cache),
+//!   element operations (one per element the interruptible partition
+//!   examines, or whole-node sorts for nodes that fit in the L1 cache),
 //!   preferring the parts of the tree a focus predicate needs, exactly as
 //!   the paper prescribes ("we focus on refining parts of the index that
 //!   are required for query processing. After these parts have been
@@ -23,6 +23,13 @@
 //! * [`IncrementalSorter::query`] — answer a range-sum over the current
 //!   partially sorted state, using the pivot tree to skip sections that
 //!   cannot contain qualifying values.
+//!
+//! The partition is one predicated pass (Lomuto's scheme): every examined
+//! element is swapped with the first value known to exceed the pivot and
+//! the boundary advances by the comparison's outcome, so the loop has no
+//! data-dependent branch for a pivot to mispredict. A finished node splits
+//! at the count of its values ≤ pivot whatever order they were visited in,
+//! so the indexing schedule depends on the values alone.
 
 use pi_storage::scan::{scan_range_sum, ScanResult};
 use pi_storage::{sorted, Value};
@@ -35,15 +42,16 @@ pub const DEFAULT_SMALL_NODE_ELEMENTS: usize = 4096;
 /// Progress state of one node of the pivot tree.
 #[derive(Debug, Clone, PartialEq, Eq)]
 enum NodeState {
-    /// Interruptible in-place partition around `pivot`.
+    /// Interruptible in-place partition around `pivot`, one element
+    /// examined per operation.
     ///
     /// Invariant over the node's range `[start, end)` of the external
-    /// array: `data[start..lo]` ≤ pivot, `data[unknown_end..end)` > pivot,
-    /// `data[lo..unknown_end)` not yet examined.
+    /// array: `data[start..lo]` ≤ pivot, `data[lo..next]` > pivot,
+    /// `data[next..end]` not yet examined.
     Partitioning {
         pivot: Value,
         lo: usize,
-        unknown_end: usize,
+        next: usize,
     },
     /// Partition finished; the node has two children.
     Split {
@@ -77,6 +85,8 @@ pub struct IncrementalSorter {
     small_node: usize,
     /// Number of nodes whose subtree is not yet fully sorted.
     unsorted_leaves: usize,
+    /// Elements in leaves that are sorted (pruned parents not counted).
+    sorted_elements: usize,
     /// Maximum node depth ever created (h of the cost model).
     max_depth: usize,
 }
@@ -104,6 +114,7 @@ impl IncrementalSorter {
             root: 0,
             small_node,
             unsorted_leaves: 0,
+            sorted_elements: 0,
             max_depth: 0,
         };
         sorter.root = sorter.alloc_node(start, end, min, max, None, 0);
@@ -141,6 +152,7 @@ impl IncrementalSorter {
             root: 0,
             small_node,
             unsorted_leaves: 0,
+            sorted_elements: 0,
             max_depth: 0,
         };
         // Allocate the root first so child parent pointers are valid.
@@ -180,7 +192,7 @@ impl IncrementalSorter {
             NodeState::Partitioning {
                 pivot: midpoint(min, max),
                 lo: start,
-                unknown_end: end,
+                next: start,
             }
         };
         let sorted_already = state == NodeState::Sorted;
@@ -195,7 +207,9 @@ impl IncrementalSorter {
             state,
         });
         self.max_depth = self.max_depth.max(depth);
-        if !sorted_already {
+        if sorted_already {
+            self.sorted_elements += len;
+        } else {
             self.unsorted_leaves += 1;
         }
         id
@@ -204,6 +218,12 @@ impl IncrementalSorter {
     /// `true` once the whole region is fully sorted.
     pub fn is_sorted(&self) -> bool {
         self.unsorted_leaves == 0
+    }
+
+    /// Number of elements in leaves that are sorted: `end - start` once
+    /// [`IncrementalSorter::is_sorted`], and never decreasing.
+    pub(crate) fn sorted_elements(&self) -> usize {
+        self.sorted_elements
     }
 
     /// Height of the pivot tree (maximum node depth created so far).
@@ -280,24 +300,20 @@ impl IncrementalSorter {
         let NodeState::Partitioning {
             pivot,
             mut lo,
-            mut unknown_end,
+            next,
         } = self.nodes[node_id].state
         else {
             return 0;
         };
 
-        let mut ops = 0usize;
-        while lo < unknown_end && ops < budget {
-            if data[lo] <= pivot {
-                lo += 1;
-            } else {
-                unknown_end -= 1;
-                data.swap(lo, unknown_end);
-            }
-            ops += 1;
+        let stop = next + budget.min(end - next);
+        for i in next..stop {
+            let below = data[i] <= pivot;
+            data.swap(lo, i);
+            lo += below as usize;
         }
 
-        if lo == unknown_end {
+        if stop == end {
             // Partition complete: split into children.
             let boundary = lo;
             let left = self.alloc_node(start, boundary, min, pivot, Some(node_id), depth + 1);
@@ -320,10 +336,10 @@ impl IncrementalSorter {
             self.nodes[node_id].state = NodeState::Partitioning {
                 pivot,
                 lo,
-                unknown_end,
+                next: stop,
             };
         }
-        ops
+        stop - next
     }
 
     /// Marks a node as sorted and prunes upwards: when both children of a
@@ -332,6 +348,7 @@ impl IncrementalSorter {
         if self.nodes[node_id].state != NodeState::Sorted {
             self.nodes[node_id].state = NodeState::Sorted;
             self.unsorted_leaves -= 1;
+            self.sorted_elements += self.nodes[node_id].end - self.nodes[node_id].start;
         }
         if let Some(parent) = self.nodes[node_id].parent {
             self.try_prune(parent);
@@ -394,11 +411,7 @@ impl IncrementalSorter {
                 }
                 (result, scanned)
             }
-            NodeState::Partitioning {
-                pivot,
-                lo,
-                unknown_end,
-            } => {
+            NodeState::Partitioning { pivot, lo, next } => {
                 let mut result = ScanResult::EMPTY;
                 let mut scanned = 0u64;
                 // Elements known to be ≤ pivot.
@@ -408,12 +421,12 @@ impl IncrementalSorter {
                 }
                 // Elements known to be > pivot.
                 if high > pivot {
-                    result = result.merge(scan_range_sum(&data[unknown_end..node.end], low, high));
-                    scanned += (node.end - unknown_end) as u64;
+                    result = result.merge(scan_range_sum(&data[lo..next], low, high));
+                    scanned += (next - lo) as u64;
                 }
-                // The unexamined middle may contain anything.
-                result = result.merge(scan_range_sum(&data[lo..unknown_end], low, high));
-                scanned += (unknown_end - lo) as u64;
+                // The unexamined tail may contain anything.
+                result = result.merge(scan_range_sum(&data[next..node.end], low, high));
+                scanned += (node.end - next) as u64;
                 (result, scanned)
             }
         }
@@ -604,5 +617,166 @@ mod tests {
         let mut middle = data[3..7].to_vec();
         middle.sort_unstable();
         assert_eq!(&data[3..7], middle.as_slice());
+    }
+
+    /// Asserts `[start, lo) ≤ pivot < [lo, next)` for every node that is
+    /// partitioning.
+    fn assert_partitions_hold(sorter: &IncrementalSorter, data: &[Value], context: &str) {
+        for node in &sorter.nodes {
+            if let NodeState::Partitioning { pivot, lo, next } = node.state {
+                assert!(node.start <= lo && lo <= next && next <= node.end);
+                assert!(
+                    data[node.start..lo].iter().all(|&v| v <= pivot),
+                    "{context}: {node:?}"
+                );
+                assert!(
+                    data[lo..next].iter().all(|&v| v > pivot),
+                    "{context}: {node:?}"
+                );
+            }
+        }
+    }
+
+    /// `n` values of each shape the kernel's contract is checked on, with
+    /// the domain a sorter over them declares: the values' range widened
+    /// by 1000 on each side (as a bucket's bounds are), so even the
+    /// all-equal shape is partitioned.
+    fn contract_shapes(n: usize) -> Vec<(&'static str, Vec<Value>, (Value, Value))> {
+        let uniform = pseudo_random(n, 1 << 40, 5);
+        let duplicates = uniform
+            .iter()
+            .enumerate()
+            .map(|(i, &v)| if i % 10 == 0 { v } else { 1 << 20 })
+            .collect();
+        let at_max = uniform
+            .iter()
+            .enumerate()
+            .map(|(i, &v)| u64::MAX - if i % 7 == 0 { 0 } else { v % (1 << 20) })
+            .collect();
+        let sorted: Vec<Value> = (0..n as u64).map(|i| 3 * i).collect();
+        let reversed = sorted.iter().rev().copied().collect();
+        [
+            ("uniform", uniform),
+            ("90% duplicates", duplicates),
+            ("all equal", vec![1 << 20; n]),
+            ("at u64::MAX", at_max),
+            ("sorted", sorted),
+            ("reversed", reversed),
+        ]
+        .into_iter()
+        .map(|(shape, values): (_, Vec<Value>)| {
+            let min = values.iter().min().unwrap().saturating_sub(1_000);
+            let max = values.iter().max().unwrap().saturating_add(1_000);
+            (shape, values, (min, max))
+        })
+        .collect()
+    }
+
+    #[test]
+    fn refinement_is_independent_of_the_order_values_arrive_in() {
+        let n = 10_000;
+        for (shape, values, (min, max)) in contract_shapes(n) {
+            let mut shuffled = values.clone();
+            let mut rng = crate::testing::TestRng::new(9);
+            for i in (1..n).rev() {
+                shuffled.swap(i, rng.below(i as u64 + 1) as usize);
+            }
+            let mut reference = values.clone();
+            reference.sort_unstable();
+            let focus = (reference[n / 4], reference[n / 2]);
+            let predicates = [
+                (0, reference[n / 2]),
+                (reference[n / 2], u64::MAX),
+                focus,
+                (reference[0], reference[0]),
+                (max, u64::MAX),
+            ];
+            let expected: Vec<ScanResult> = predicates
+                .iter()
+                .map(|&(low, high)| scan_range_sum(&reference, low, high))
+                .collect();
+            for budget in [1, 63, 4095, 4096, 4097, n] {
+                let mut sides = [values.clone(), shuffled.clone()]
+                    .map(|data| (IncrementalSorter::new(0, n, min, max), data));
+                // Answers are read about once per 4096 ops: at tiny budgets
+                // reading them on every call would scan n per element.
+                let stride = (4096 / budget).max(1);
+                let mut call = 0;
+                while !sides[0].0.is_sorted() {
+                    let focus = (call % 2 == 1).then_some(focus);
+                    let [a, b] = sides
+                        .each_mut()
+                        .map(|(s, data)| (s.refine(data, budget, focus), s.sorted_elements()));
+                    assert_eq!(a, b, "{shape}, budget {budget}, call {call}: (ops, sorted)");
+                    if call % stride == 0 || sides[0].0.is_sorted() {
+                        let context = format!("{shape}, budget {budget}, call {call}");
+                        for (sorter, data) in &sides {
+                            assert_partitions_hold(sorter, data, &context);
+                            for (&(low, high), want) in predicates.iter().zip(&expected) {
+                                let (got, _) = sorter.query(data, low, high);
+                                assert_eq!(got, *want, "{context}: [{low}, {high}]");
+                            }
+                        }
+                    }
+                    call += 1;
+                    assert!(call < 1_000_000, "{shape}, budget {budget}: stalled");
+                }
+                // `sorted_elements` agreed on every call, so both became
+                // sorted on the same one.
+                for (sorter, data) in &sides {
+                    assert!(sorter.is_sorted(), "{shape}, budget {budget}");
+                    assert_eq!(sorter.sorted_elements(), n, "{shape}, budget {budget}");
+                    assert_eq!(data, &reference, "{shape}, budget {budget}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn every_partitioning_node_keeps_its_regions_after_every_call() {
+        for (shape, values, (min, max)) in contract_shapes(1_000) {
+            for budget in [1, 7, 100] {
+                let mut data = values.clone();
+                let mut sorter = IncrementalSorter::with_small_node(0, data.len(), min, max, 16);
+                let mut call = 0;
+                while !sorter.is_sorted() {
+                    sorter.refine(&mut data, budget, None);
+                    assert_partitions_hold(&sorter, &data, &format!("{shape}, call {call}"));
+                    call += 1;
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn one_sided_predicates_over_a_half_partitioned_node_are_exact() {
+        let n = 10_000;
+        let domain = 1 << 20;
+        let mut data = pseudo_random(n, domain, 21);
+        let reference = data.clone();
+        let mut sorter = IncrementalSorter::new(0, n, 0, domain);
+        assert_eq!(sorter.refine(&mut data, n / 2, None), n / 2);
+        let NodeState::Partitioning { pivot, lo, next } = sorter.nodes[sorter.root].state else {
+            panic!("the root must still be partitioning");
+        };
+        assert_eq!(next, n / 2);
+        for v in [0, 1, pivot - 1, pivot, pivot + 1, domain - 1, domain] {
+            for (low, high) in [(0, v), (v, u64::MAX)] {
+                let (got, scanned) = sorter.query(&data, low, high);
+                assert_eq!(
+                    got,
+                    scan_range_sum(&reference, low, high),
+                    "[{low}, {high}]"
+                );
+                // The known region(s) the predicate reaches, plus the
+                // unexamined tail.
+                let known = match (high <= pivot, low > pivot) {
+                    (true, _) => lo,
+                    (_, true) => next - lo,
+                    _ => next,
+                };
+                assert_eq!(scanned, (known + n - next) as u64, "[{low}, {high}]");
+            }
+        }
     }
 }
