@@ -13,7 +13,9 @@
 //! indexing schedule, which depends only on the column's values. A kernel
 //! that visits a node's values in another order may move `elements
 //! scanned` (where a half-finished node's known regions lie) and so the
-//! first table, but must leave the second one alone.
+//! first table, but must leave the second one alone. The three Quicksort
+//! rows of the first table were re-recorded when the pivot-tree partition
+//! became one predicated pass; the second table did not move.
 
 use std::sync::Arc;
 
@@ -141,14 +143,14 @@ fn trajectory(algorithm: Algorithm, case: &Case) -> (u64, u64, u64) {
 
 /// `(case, algorithm, trajectory hash, queries to converge)`.
 const PINS: [(&str, Algorithm, u64, u64); 12] = [
-    ("uniform", Algorithm::Quicksort, 0x0a250563b55be382, 46),
+    ("uniform", Algorithm::Quicksort, 0x9056b66a127a8023, 46),
     ("uniform", Algorithm::RadixsortMsd, 0xe4204b2ed48b6f8f, 30),
     ("uniform", Algorithm::Bucketsort, 0x16bf00367aa9a502, 40),
     ("uniform", Algorithm::RadixsortLsd, 0xe48e1b9b3afd2e39, 64),
     (
         "skewed_duplicates",
         Algorithm::Quicksort,
-        0xea683015002c3a06,
+        0x33c8e70d345d4755,
         450,
     ),
     (
@@ -172,7 +174,7 @@ const PINS: [(&str, Algorithm, u64, u64); 12] = [
     (
         "wide_adaptive",
         Algorithm::Quicksort,
-        0x946c7267735e42a4,
+        0xea4750f8ea44f7d9,
         31,
     ),
     (
