@@ -83,9 +83,8 @@ pub struct IncrementalSorter {
     nodes: Vec<SortNode>,
     root: usize,
     small_node: usize,
-    /// Number of nodes whose subtree is not yet fully sorted.
-    unsorted_leaves: usize,
-    /// Elements in leaves that are sorted (pruned parents not counted).
+    /// Elements in leaves that are sorted (pruned parents not counted):
+    /// the region is sorted once this covers it.
     sorted_elements: usize,
     /// Maximum node depth ever created (h of the cost model).
     max_depth: usize,
@@ -113,7 +112,6 @@ impl IncrementalSorter {
             nodes: Vec::new(),
             root: 0,
             small_node,
-            unsorted_leaves: 0,
             sorted_elements: 0,
             max_depth: 0,
         };
@@ -137,40 +135,20 @@ impl IncrementalSorter {
         boundary: usize,
         small_node: usize,
     ) -> Self {
-        assert!(end >= start, "invalid sort range [{start}, {end})");
         assert!(
             boundary >= start && boundary <= end,
             "split boundary {boundary} outside [{start}, {end})"
         );
-        assert!(small_node >= 1, "small-node cutoff must be at least 1");
+        let mut sorter = Self::with_small_node(start, end, min, max, small_node);
         // Degenerate regions need no split at all.
-        if end - start <= 1 || min >= max {
-            return Self::with_small_node(start, end, min, max, small_node);
+        if sorter.is_sorted() {
+            return sorter;
         }
-        let mut sorter = IncrementalSorter {
-            nodes: Vec::new(),
-            root: 0,
-            small_node,
-            unsorted_leaves: 0,
-            sorted_elements: 0,
-            max_depth: 0,
-        };
-        // Allocate the root first so child parent pointers are valid.
-        sorter.root = sorter.alloc_node(start, end, min, max, None, 0);
-        let left = sorter.alloc_node(start, boundary, min, pivot, Some(sorter.root), 1);
-        let right = sorter.alloc_node(
-            boundary,
-            end,
-            pivot.saturating_add(1),
-            max,
-            Some(sorter.root),
-            1,
-        );
-        // The root was allocated as an unsorted (Partitioning) leaf;
-        // converting it to Split removes it from the leaf count.
-        sorter.unsorted_leaves -= 1;
-        sorter.nodes[sorter.root].state = NodeState::Split { pivot, left, right };
-        sorter.try_prune(sorter.root);
+        let root = sorter.root;
+        let left = sorter.alloc_node(start, boundary, min, pivot, Some(root), 1);
+        let right = sorter.alloc_node(boundary, end, pivot.saturating_add(1), max, Some(root), 1);
+        sorter.nodes[root].state = NodeState::Split { pivot, left, right };
+        sorter.try_prune(root);
         sorter
     }
 
@@ -195,7 +173,9 @@ impl IncrementalSorter {
                 next: start,
             }
         };
-        let sorted_already = state == NodeState::Sorted;
+        if state == NodeState::Sorted {
+            self.sorted_elements += len;
+        }
         let id = self.nodes.len();
         self.nodes.push(SortNode {
             start,
@@ -207,21 +187,16 @@ impl IncrementalSorter {
             state,
         });
         self.max_depth = self.max_depth.max(depth);
-        if sorted_already {
-            self.sorted_elements += len;
-        } else {
-            self.unsorted_leaves += 1;
-        }
         id
     }
 
     /// `true` once the whole region is fully sorted.
     pub fn is_sorted(&self) -> bool {
-        self.unsorted_leaves == 0
+        let (start, end) = self.range();
+        self.sorted_elements == end - start
     }
 
-    /// Number of elements in leaves that are sorted: `end - start` once
-    /// [`IncrementalSorter::is_sorted`], and never decreasing.
+    /// Number of elements in leaves that are sorted; never decreases.
     pub(crate) fn sorted_elements(&self) -> usize {
         self.sorted_elements
     }
@@ -277,12 +252,9 @@ impl IncrementalSorter {
         }
     }
 
-    /// Performs up to `budget` operations on one node. Returns the number
-    /// of operations used.
+    /// Performs up to `budget` (≥ 1) operations on one node. Returns the
+    /// number of operations used.
     fn work_on(&mut self, node_id: usize, data: &mut [Value], budget: usize) -> usize {
-        if budget == 0 {
-            return 0;
-        }
         let (start, end, min, max, depth) = {
             let n = &self.nodes[node_id];
             (n.start, n.end, n.min, n.max, n.depth)
@@ -293,8 +265,12 @@ impl IncrementalSorter {
         // for pieces that fit in the L1 cache.
         if len <= self.small_node {
             data[start..end].sort_unstable();
-            self.mark_sorted(node_id);
-            return len.max(1);
+            self.nodes[node_id].state = NodeState::Sorted;
+            self.sorted_elements += len;
+            if let Some(parent) = self.nodes[node_id].parent {
+                self.try_prune(parent);
+            }
+            return len;
         }
 
         let NodeState::Partitioning {
@@ -326,9 +302,6 @@ impl IncrementalSorter {
                 depth + 1,
             );
             self.nodes[node_id].state = NodeState::Split { pivot, left, right };
-            // The node itself no longer counts as an unsorted leaf; its
-            // children were accounted for in `alloc_node`.
-            self.unsorted_leaves -= 1;
             // Children that were born sorted may immediately complete the
             // parent (e.g. an empty child plus a single-element child).
             self.try_prune(node_id);
@@ -342,19 +315,8 @@ impl IncrementalSorter {
         stop - next
     }
 
-    /// Marks a node as sorted and prunes upwards: when both children of a
-    /// split node are sorted, the split node itself becomes sorted.
-    fn mark_sorted(&mut self, node_id: usize) {
-        if self.nodes[node_id].state != NodeState::Sorted {
-            self.nodes[node_id].state = NodeState::Sorted;
-            self.unsorted_leaves -= 1;
-            self.sorted_elements += self.nodes[node_id].end - self.nodes[node_id].start;
-        }
-        if let Some(parent) = self.nodes[node_id].parent {
-            self.try_prune(parent);
-        }
-    }
-
+    /// Prunes upwards: when both children of a split node are sorted, the
+    /// split node itself becomes sorted.
     fn try_prune(&mut self, node_id: usize) {
         if let NodeState::Split { left, right, .. } = self.nodes[node_id].state {
             let both_sorted = self.nodes[left].state == NodeState::Sorted
