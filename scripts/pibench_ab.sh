@@ -16,9 +16,11 @@
 # interquartile distance), worse by the same rule but within the metric's
 # bound, a regression (median worse by more than the bound), or neither.
 # Under each table, one `--trace 1` run per side prints the layer numbers a
-# cold-path claim rests on (`storage.scan_gb_s`, `core.*.first_query_ms`)
-# and the two counts that must not move (`core.refine_steps`,
-# `core.bytes_moved`), so the layer that moved is on the same page.
+# cold-path claim rests on (`storage.scan_gb_s`, and per algorithm the bare
+# index's `core.*.first_query_ms`, `core.*.cold_total_s` and
+# `core.*.op_max_ms`) and the two counts that must not move
+# (`core.refine_steps`, `core.bytes_moved`), so the layer that moved is on
+# the same page.
 #
 # The run length and the command come from the working tree's
 # BENCHMARK.json and are the same on both sides.
@@ -120,7 +122,8 @@ EOF
     for side in parent change; do
         (cd "$work/$side" && "${command[@]}" --workload "$workload" --seed "$seed" \
             --seconds "$seconds" --trace 1) |
-            awk -v side="$side" '$1 == "storage.scan_gb_s" || $1 ~ /^core\..*\.first_query_ms$/ ||
+            awk -v side="$side" '$1 == "storage.scan_gb_s" ||
+                $1 ~ /^core\..*\.(first_query_ms|cold_total_s|op_max_ms)$/ ||
                 $1 == "core.refine_steps" || $1 == "core.bytes_moved" {
                     printf "  %-7s %-32s %.6g %s\n", side, $1, $2, $3 }'
     done
