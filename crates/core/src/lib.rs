@@ -53,9 +53,10 @@
 //! deletes and updates accumulate in a pending-delta sidecar
 //! ([`pi_storage::delta::DeltaSidecar`]) while the inner index keeps
 //! refining its immutable snapshot; queries compose the two and stay exact
-//! at every refinement stage, and the sidecar is folded back in by an
-//! incremental, budget-driven merge into a fresh snapshot — a sorted one,
-//! whose index has only its tree to build, once the base is sorted. See the
+//! at every refinement stage. Once the inner index has sorted its snapshot,
+//! the sidecar is folded back in by an incremental, budget-driven merge of
+//! three sorted runs into a fresh, sorted snapshot whose index has only its
+//! tree to build; writes that arrive earlier wait in the sidecar. See the
 //! [`mutation`] module docs.
 //!
 //! ## Example
@@ -111,7 +112,7 @@ pub use decision::{recommend, Algorithm, DataDistribution, QueryShape, Scenario}
 pub use index::RangeIndex;
 pub use lifecycle::Progressive;
 pub use metrics::IndexMetrics;
-pub use mutation::{MergeHook, MutableConfig, MutableIndex, Mutation};
+pub use mutation::{MergeHook, MutableIndex, Mutation};
 pub use quicksort::ProgressiveQuicksort;
 pub use radix_lsd::ProgressiveRadixsortLsd;
 pub use radix_msd::ProgressiveRadixsortMsd;
@@ -126,7 +127,7 @@ pub mod prelude {
     pub use crate::cost_model::{CostConstants, CostModel};
     pub use crate::decision::{recommend, Algorithm, DataDistribution, QueryShape, Scenario};
     pub use crate::index::RangeIndex;
-    pub use crate::mutation::{MutableConfig, MutableIndex, Mutation};
+    pub use crate::mutation::{MutableIndex, Mutation};
     pub use crate::quicksort::ProgressiveQuicksort;
     pub use crate::radix_lsd::ProgressiveRadixsortLsd;
     pub use crate::radix_msd::ProgressiveRadixsortMsd;

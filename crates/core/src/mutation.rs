@@ -16,30 +16,29 @@
 //! so answers are exact at every refinement stage, from the first creation
 //! query to long after convergence.
 //!
-//! The sidecar is then folded back into the index **incrementally**, by the
-//! same budgeted-step machinery that drives refinement (see
-//! [`crate::budget::StepBudget`] at the engine layer): once the sidecar
-//! outgrows [`MutableConfig::merge_fraction`] of the live rows — or the
-//! inner index has converged with deltas still pending — a *merge* starts.
-//! Each budgeted step copies `δ · N` live values (base values minus their
-//! tombstones, then the pending inserts) into a fresh snapshot; queries keep
-//! being answered from the old snapshot plus the frozen deltas throughout.
-//! When the copy completes, a new inner index is built over the merged
-//! snapshot — the "mutated converged shard re-enters maintenance"
-//! behaviour the serving engine relies on.
-//!
 //! ## One copy, and convergence kept
 //!
 //! The rows of a base snapshot have no order anyone reads, so once the
 //! inner index has sorted them its sorted column
 //! ([`RangeIndex::sorted_base`]) is adopted as the base and the unsorted
-//! snapshot is dropped: one copy of the values is resident. A merge over a
-//! sorted base is a merge of three sorted runs (base, frozen inserts,
-//! frozen tombstones), so its output is sorted and the next inner index
-//! has nothing to sort: it starts at consolidation, and a converged index
-//! that absorbs writes only rebuilds the tree over its array. Only a merge
-//! that starts before the base is sorted restarts the lifecycle at the
-//! creation phase.
+//! snapshot is dropped: one copy of the values is resident.
+//!
+//! The sidecar is folded back into the index **incrementally**, by the
+//! same budgeted-step machinery that drives refinement (see
+//! [`crate::budget::StepBudget`] at the engine layer), and only ever over
+//! a sorted base: once the base is sorted and the sidecar outgrows a tenth
+//! of the live rows (at least 256 entries) — or the inner index has
+//! converged with deltas still pending — a *merge* starts. Writes that
+//! arrive before the base is sorted wait in the sidecar, which queries
+//! compose in O(log n + run). A merge is a merge of three sorted runs
+//! (base, frozen inserts, frozen tombstones); each budgeted step emits a
+//! quarter of the merged snapshot in value order while queries keep being
+//! answered from the old snapshot plus the frozen deltas. When the merge
+//! completes, a new inner index is built over the merged snapshot — the
+//! "mutated converged shard re-enters maintenance" behaviour the serving
+//! engine relies on. That snapshot is sorted, so the new index starts at
+//! consolidation: a converged index that absorbs writes only rebuilds the
+//! tree over its array.
 //!
 //! ## Semantics
 //!
@@ -88,11 +87,19 @@ use pi_storage::scan::{scan_range_sum, ScanResult};
 use pi_storage::{sorted, Column, Value};
 
 use crate::budget::BudgetPolicy;
-use crate::cost_model::CostConstants;
 use crate::decision::Algorithm;
 use crate::index::RangeIndex;
 use crate::metrics::IndexMetrics;
-use crate::result::{IndexStatus, Phase, QueryResult};
+use crate::result::{IndexStatus, QueryResult};
+
+/// Fraction of the live row count the pending sidecar may reach before a
+/// merge is started over a sorted base.
+const MERGE_FRACTION: f64 = 0.1;
+/// Minimum pending entries before the fraction trigger fires, so small
+/// columns don't merge on every few mutations.
+const MERGE_MIN_PENDING: usize = 256;
+/// Fraction of the merged snapshot's rows emitted per budgeted merge step.
+const MERGE_DELTA: f64 = 0.25;
 
 /// Callback invoked every time a [`MutableIndex`] completes an
 /// incremental sidecar merge (the argument is the index's total completed
@@ -124,129 +131,63 @@ pub enum Mutation {
     },
 }
 
-/// Tuning knobs for [`MutableIndex`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct MutableConfig {
-    /// Fraction of the live row count the pending sidecar may reach before
-    /// an incremental merge is started (the merge also starts, regardless
-    /// of this knob, once the inner index has converged with deltas
-    /// pending — maintenance always drives towards a delta-free state).
-    pub merge_fraction: f64,
-    /// Minimum pending entries before the fraction trigger fires, so tiny
-    /// columns don't merge on every single mutation.
-    pub merge_min_pending: usize,
-    /// Fraction of the merged snapshot's rows copied per budgeted merge
-    /// step — the merge-phase analogue of the per-query δ.
-    pub merge_delta: f64,
-}
-
-impl Default for MutableConfig {
-    fn default() -> Self {
-        MutableConfig {
-            merge_fraction: 0.1,
-            merge_min_pending: 256,
-            merge_delta: 0.25,
-        }
-    }
-}
-
-/// How a merge finds the base rows its frozen tombstones delete.
-enum Tombstones {
-    /// Unsorted base: occurrences not yet consumed, probed once per row.
-    Probe(HashMap<Value, u64>),
-    /// Sorted base: the tombstones are a sorted run too, and every one has
-    /// its victim in the base, so a cursor into them suffices.
-    Cursor(usize),
-}
-
 /// State of an in-flight incremental merge: the frozen deltas being folded
-/// in, the new snapshot under construction, and the copy cursors.
+/// in, the new snapshot under construction, and the cursors into the three
+/// sorted runs.
 struct MergeState {
     /// The sidecar captured when the merge started; still consulted by
     /// queries (the old snapshot remains the answering structure until the
     /// swap).
     frozen: DeltaSidecar,
-    tombstones: Tombstones,
-    /// The merged live values accumulated so far.
+    /// The merged live values accumulated so far, in value order.
     out: Vec<Value>,
-    /// Base-snapshot rows consumed. An index into the base's row order:
-    /// the base must not change while the merge is in flight.
+    /// Base rows consumed.
     consumed: usize,
     /// Frozen inserts copied.
     inserted: usize,
+    /// Frozen tombstones matched. Every one has its victim in the base.
+    deleted: usize,
 }
 
 impl MergeState {
     fn start(frozen: DeltaSidecar, base: &Column) -> Self {
-        let tombstones = if base.is_sorted() {
-            Tombstones::Cursor(0)
-        } else {
-            let mut remaining: HashMap<Value, u64> = HashMap::new();
-            for &t in frozen.tombstones() {
-                *remaining.entry(t).or_insert(0) += 1;
-            }
-            Tombstones::Probe(remaining)
-        };
+        debug_assert!(base.is_sorted(), "a merge runs over a sorted base");
         let capacity =
             (base.len() + frozen.inserts().len()).saturating_sub(frozen.tombstones().len());
         MergeState {
             frozen,
-            tombstones,
             out: Vec::with_capacity(capacity),
             consumed: 0,
             inserted: 0,
+            deleted: 0,
         }
     }
 
-    /// Copies live values into the new snapshot, consuming up to `ops`
-    /// base rows and frozen inserts. Returns `true` when the merge copy is
-    /// complete.
-    ///
-    /// A sorted base is merged with the inserts in value order, so the new
-    /// snapshot is sorted; an unsorted base is copied in row order and the
-    /// inserts are appended.
+    /// Merges the base with the frozen inserts in value order, dropping
+    /// one base row per frozen tombstone, consuming up to `ops` base rows
+    /// and frozen inserts. Returns `true` when the merge is complete.
     fn step(&mut self, base: &Column, ops: usize) -> bool {
         let mut budget = ops.max(1);
         let data = base.data();
         let (inserts, tombstones) = (self.frozen.inserts(), self.frozen.tombstones());
-        match &mut self.tombstones {
-            Tombstones::Probe(remaining) => {
-                while budget > 0 && self.consumed < data.len() {
-                    let v = data[self.consumed];
-                    self.consumed += 1;
-                    budget -= 1;
-                    match remaining.get_mut(&v) {
-                        Some(n) if *n > 0 => *n -= 1,
-                        _ => self.out.push(v),
-                    }
-                }
-                while budget > 0 && self.inserted < inserts.len() {
-                    self.out.push(inserts[self.inserted]);
-                    self.inserted += 1;
-                    budget -= 1;
-                }
+        while budget > 0 {
+            let from_base = match (data.get(self.consumed), inserts.get(self.inserted)) {
+                (Some(v), Some(i)) => v <= i,
+                (Some(_), None) => true,
+                (None, Some(_)) => false,
+                (None, None) => break,
+            };
+            if !from_base {
+                self.out.push(inserts[self.inserted]);
+                self.inserted += 1;
+            } else if tombstones.get(self.deleted) == Some(&data[self.consumed]) {
+                self.consumed += 1;
+                self.deleted += 1;
+            } else {
+                self.out.push(data[self.consumed]);
+                self.consumed += 1;
             }
-            Tombstones::Cursor(next) => {
-                while budget > 0 {
-                    let from_base = match (data.get(self.consumed), inserts.get(self.inserted)) {
-                        (Some(v), Some(i)) => v <= i,
-                        (Some(_), None) => true,
-                        (None, Some(_)) => false,
-                        (None, None) => break,
-                    };
-                    if !from_base {
-                        self.out.push(inserts[self.inserted]);
-                        self.inserted += 1;
-                    } else if tombstones.get(*next) == Some(&data[self.consumed]) {
-                        self.consumed += 1;
-                        *next += 1;
-                    } else {
-                        self.out.push(data[self.consumed]);
-                        self.consumed += 1;
-                    }
-                    budget -= 1;
-                }
-            }
+            budget -= 1;
         }
         self.consumed == data.len() && self.inserted == inserts.len()
     }
@@ -260,17 +201,16 @@ pub struct MutableIndex {
     /// The immutable base snapshot the inner index refines — the inner
     /// index's own sorted column once it has one (see the module docs).
     base: Arc<Column>,
-    /// The inner progressive index; `None` while the base snapshot is
-    /// empty (an empty column has nothing to index — inserts live in the
-    /// sidecar until a merge builds the first real snapshot).
-    inner: Option<Box<dyn RangeIndex + Send>>,
+    /// The inner progressive index over the base (an empty base starts it
+    /// converged; inserts live in the sidecar until a merge builds the
+    /// first real snapshot).
+    inner: Box<dyn RangeIndex + Send>,
     /// Mutations not yet part of any merge.
     pending: DeltaSidecar,
     /// In-flight incremental merge, if any.
     merge: Option<MergeState>,
     algorithm: Algorithm,
     policy: BudgetPolicy,
-    config: MutableConfig,
     /// Total merges completed (instrumentation: each one built a fresh
     /// snapshot and a new inner index over it).
     merges_completed: u64,
@@ -284,19 +224,9 @@ pub struct MutableIndex {
 
 impl MutableIndex {
     /// Creates a mutable index over `column`, running `algorithm` with the
-    /// given per-query budget `policy` and default [`MutableConfig`].
+    /// given per-query budget `policy`.
     pub fn new(column: Arc<Column>, algorithm: Algorithm, policy: BudgetPolicy) -> Self {
-        Self::with_config(column, algorithm, policy, MutableConfig::default())
-    }
-
-    /// [`MutableIndex::new`] with explicit merge tuning.
-    pub fn with_config(
-        column: Arc<Column>,
-        algorithm: Algorithm,
-        policy: BudgetPolicy,
-        config: MutableConfig,
-    ) -> Self {
-        Self::from_parts(column, DeltaSidecar::new(), algorithm, policy, config)
+        Self::from_parts(column, DeltaSidecar::new(), algorithm, policy)
     }
 
     /// Reassembles a mutable index from persisted parts: the immutable
@@ -312,19 +242,14 @@ impl MutableIndex {
         sidecar: DeltaSidecar,
         algorithm: Algorithm,
         policy: BudgetPolicy,
-        config: MutableConfig,
     ) -> Self {
-        let inner = (!column.is_empty()).then(|| {
-            algorithm.build_with_constants(Arc::clone(&column), policy, CostConstants::synthetic())
-        });
         MutableIndex {
+            inner: algorithm.build(Arc::clone(&column), policy),
             base: column,
-            inner,
             pending: sidecar,
             merge: None,
             algorithm,
             policy,
-            config,
             merges_completed: 0,
             metrics: None,
             merge_hook: None,
@@ -359,11 +284,6 @@ impl MutableIndex {
         self.metrics = metrics;
     }
 
-    /// The algorithm running inside this index.
-    pub fn algorithm(&self) -> Algorithm {
-        self.algorithm
-    }
-
     /// Number of live rows: base snapshot minus tombstones plus pending
     /// inserts (frozen and fresh).
     pub fn live_rows(&self) -> usize {
@@ -380,16 +300,8 @@ impl MutableIndex {
         !self.pending.is_empty() || self.merge.is_some()
     }
 
-    /// Pending entries not yet folded into the base snapshot (fresh
-    /// sidecar only; an in-flight merge's frozen deltas are already being
-    /// consumed).
-    pub fn pending_len(&self) -> usize {
-        self.pending.len()
-    }
-
-    /// Number of completed merges. Each rebuilt the snapshot and the inner
-    /// index over it, which restarts at creation only if the merged base
-    /// was not yet sorted.
+    /// Number of completed merges. Each rebuilt the snapshot, sorted, and
+    /// an inner index over it that starts at consolidation.
     pub fn merges_completed(&self) -> u64 {
         self.merges_completed
     }
@@ -397,36 +309,42 @@ impl MutableIndex {
     /// `true` once the inner index has converged **and** no deltas are
     /// pending: the terminal, maintenance-free state.
     pub fn is_converged(&self) -> bool {
-        self.inner_converged() && !self.has_pending()
+        self.inner.is_converged() && !self.has_pending()
     }
 
-    fn inner_converged(&self) -> bool {
-        self.inner.as_ref().is_none_or(|i| i.is_converged())
-    }
-
-    /// Called after every step of the inner index: once that index holds
-    /// its values sorted, its sorted column becomes the base and the
-    /// unsorted snapshot is dropped. Not while a merge is in flight — its
-    /// `consumed` cursor counts rows of the base it started on, and the
-    /// merged snapshot replaces the base when it completes anyway.
-    fn adopt_sorted_base(&mut self) {
-        if self.base.is_sorted() || self.merge.is_some() {
-            return;
+    /// One step of the inner index — a query's, a delete's validating
+    /// lookup or maintenance's empty query — observed like any other
+    /// refinement step. Once the inner index holds its values sorted, its
+    /// sorted column becomes the base and the unsorted snapshot is dropped.
+    fn step_inner(&mut self, low: Value, high: Value) -> QueryResult {
+        let result = match &self.metrics {
+            Some(metrics) => {
+                // The cost-model error clock is feature-gated (the branch
+                // const-folds away with `obs` off); the step / bytes
+                // counters derive from the result and are not.
+                let start = pi_obs::ENABLED.then(std::time::Instant::now);
+                let result = self.inner.query(low, high);
+                metrics.observe_query(&result);
+                if let Some(start) = start {
+                    metrics.observe_cost_error(result.predicted_cost, start.elapsed());
+                }
+                result
+            }
+            None => self.inner.query(low, high),
+        };
+        if !self.base.is_sorted() {
+            if let Some(sorted) = self.inner.sorted_base() {
+                self.base = Arc::clone(sorted);
+            }
         }
-        if let Some(sorted) = self.inner.as_ref().and_then(|i| i.sorted_base()) {
-            self.base = Arc::clone(sorted);
-        }
+        result
     }
 
     /// Live occurrences of exactly `v`, across snapshot and deltas. The
     /// point lookup doubles as a budgeted slice of indexing work on the
     /// inner index.
     fn live_count_of(&mut self, v: Value) -> i64 {
-        let in_base = match &mut self.inner {
-            Some(inner) => inner.query(v, v).count as i64,
-            None => 0,
-        };
-        self.adopt_sorted_base();
+        let in_base = self.step_inner(v, v).count as i64;
         let frozen = self.merge.as_ref().map_or(0, |m| m.frozen.net_count_of(v));
         in_base + frozen + self.pending.net_count_of(v)
     }
@@ -468,15 +386,16 @@ impl MutableIndex {
         }
     }
 
-    /// Starts an incremental merge when the sidecar has outgrown the
-    /// configured fraction of the live rows.
+    /// Starts an incremental merge when the base is sorted and the sidecar
+    /// has outgrown [`MERGE_FRACTION`] of the live rows. Over an unsorted
+    /// base the writes wait in the sidecar.
     fn maybe_start_merge(&mut self) {
-        if self.merge.is_some() || self.pending.is_empty() {
+        if self.merge.is_some() || self.pending.is_empty() || !self.base.is_sorted() {
             return;
         }
         let pending = self.pending.len();
-        let threshold = (self.live_rows() as f64 * self.config.merge_fraction).ceil() as usize;
-        if pending >= self.config.merge_min_pending.max(threshold.max(1)) {
+        let threshold = (self.live_rows() as f64 * MERGE_FRACTION).ceil() as usize;
+        if pending >= MERGE_MIN_PENDING.max(threshold) {
             self.start_merge();
         }
     }
@@ -487,10 +406,10 @@ impl MutableIndex {
         self.merge = Some(MergeState::start(frozen, &self.base));
     }
 
-    /// Ops per budgeted merge step: `merge_delta` of the merged snapshot.
+    /// Ops per budgeted merge step: [`MERGE_DELTA`] of the merged snapshot.
     fn merge_step_ops(&self) -> usize {
         let total = self.base.len() + self.merge.as_ref().map_or(0, |m| m.frozen.inserts().len());
-        ((self.config.merge_delta * total as f64).ceil() as usize).max(1)
+        ((MERGE_DELTA * total as f64).ceil() as usize).max(1)
     }
 
     /// Advances an in-flight merge by one budgeted step, swapping in the
@@ -508,14 +427,8 @@ impl MutableIndex {
         }
         if finished {
             let merge = self.merge.take().expect("merge in flight");
-            let column = Arc::new(Column::from_vec(merge.out));
-            self.inner = (!column.is_empty()).then(|| {
-                self.algorithm.build_with_constants(
-                    Arc::clone(&column),
-                    self.policy,
-                    CostConstants::synthetic(),
-                )
-            });
+            let column = Arc::new(Column::from_sorted_vec(merge.out));
+            self.inner = self.algorithm.build(Arc::clone(&column), self.policy);
             self.base = column;
             self.merges_completed += 1;
             if let Some(hook) = &self.merge_hook {
@@ -534,17 +447,11 @@ impl MutableIndex {
         if self.merge.is_some() {
             return self.advance_merge();
         }
-        if let Some(inner) = &mut self.inner {
-            if !inner.is_converged() {
-                // The paper's empty-query maintenance: a pure δ-slice of
-                // indexing work, observed like any other refinement step.
-                let result = inner.query(1, 0);
-                if let Some(metrics) = &self.metrics {
-                    metrics.observe_query(&result);
-                }
-                self.adopt_sorted_base();
-                return true;
-            }
+        if !self.inner.is_converged() {
+            // The paper's empty-query maintenance: a pure δ-slice of
+            // indexing work.
+            self.step_inner(1, 0);
+            return true;
         }
         if !self.pending.is_empty() {
             self.start_merge();
@@ -557,25 +464,7 @@ impl MutableIndex {
     /// query's budgeted share of indexing work (inner refinement, plus one
     /// merge step when a merge is in flight).
     pub fn query(&mut self, low: Value, high: Value) -> QueryResult {
-        let base = match &mut self.inner {
-            Some(inner) => match &self.metrics {
-                Some(metrics) => {
-                    // The cost-model error clock is feature-gated (the
-                    // branch const-folds away with `obs` off); the step /
-                    // bytes counters derive from the result and are not.
-                    let start = pi_obs::ENABLED.then(std::time::Instant::now);
-                    let result = inner.query(low, high);
-                    metrics.observe_query(&result);
-                    if let Some(start) = start {
-                        metrics.observe_cost_error(result.predicted_cost, start.elapsed());
-                    }
-                    result
-                }
-                None => inner.query(low, high),
-            },
-            None => QueryResult::answer_only(ScanResult::EMPTY, Phase::Converged),
-        };
-        self.adopt_sorted_base();
+        let base = self.step_inner(low, high);
         let mut composed = base.scan_result();
         if let Some(merge) = &self.merge {
             composed = merge.frozen.scan(low, high).apply_to(composed);
@@ -623,10 +512,7 @@ impl MutableIndex {
     /// *and* no pending deltas), so a mutated converged index correctly
     /// re-enters maintenance.
     pub fn status(&self) -> IndexStatus {
-        let inner = match &self.inner {
-            Some(inner) => inner.status(),
-            None => IndexStatus::converged(),
-        };
+        let inner = self.inner.status();
         IndexStatus {
             converged: inner.converged && !self.has_pending(),
             ..inner
@@ -634,15 +520,31 @@ impl MutableIndex {
     }
 
     /// Materialises the live multiset — [`MutableIndex::snapshot_parts`]
-    /// run through one whole merge: sorted when the base is, otherwise in
-    /// snapshot order followed by the pending inserts. Used for re-sharding
-    /// (boundary re-balancing) at the engine layer.
+    /// folded together. Sorted when the base is (one whole merge);
+    /// otherwise the base rows in snapshot order, one occurrence dropped
+    /// per tombstone, followed by the pending inserts. Used for digest
+    /// trees and re-sharding (boundary re-balancing) at the engine layer.
     pub fn live_values(&self) -> Vec<Value> {
         let (base, sidecar) = self.snapshot_parts();
-        let mut merge = MergeState::start(sidecar, &base);
-        let finished = merge.step(&base, usize::MAX);
-        debug_assert!(finished && merge.out.len() == self.live_rows());
-        merge.out
+        if base.is_sorted() {
+            let mut merge = MergeState::start(sidecar, &base);
+            let finished = merge.step(&base, usize::MAX);
+            debug_assert!(finished && merge.out.len() == self.live_rows());
+            return merge.out;
+        }
+        let mut tombstones: HashMap<Value, u64> = HashMap::new();
+        for &t in sidecar.tombstones() {
+            *tombstones.entry(t).or_insert(0) += 1;
+        }
+        let mut live: Vec<Value> = Vec::with_capacity(self.live_rows());
+        for &v in base.data() {
+            match tombstones.get_mut(&v) {
+                Some(n) if *n > 0 => *n -= 1,
+                _ => live.push(v),
+            }
+        }
+        live.extend_from_slice(sidecar.inserts());
+        live
     }
 
     /// Exact sum and count over all live rows, without touching the inner
@@ -680,7 +582,7 @@ impl RangeIndex for MutableIndex {
     /// The inner index's sorted column: the base snapshot once adopted,
     /// which pending deltas are not part of.
     fn sorted_base(&self) -> Option<&Arc<Column>> {
-        self.inner.as_ref()?.sorted_base()
+        self.inner.sorted_base()
     }
 }
 
@@ -735,15 +637,7 @@ mod tests {
     fn fresh(n: usize, domain: u64, algorithm: Algorithm) -> (MutableIndex, Oracle) {
         let column = Arc::new(testing::random_column(n, domain, 21));
         let oracle = Oracle::new(column.data());
-        let index = MutableIndex::with_config(
-            column,
-            algorithm,
-            BudgetPolicy::FixedDelta(0.25),
-            MutableConfig {
-                merge_min_pending: 8,
-                ..MutableConfig::default()
-            },
-        );
+        let index = MutableIndex::new(column, algorithm, BudgetPolicy::FixedDelta(0.25));
         (index, oracle)
     }
 
@@ -755,7 +649,7 @@ mod tests {
             let mut step = 0u32;
             loop {
                 // Mutations flow for the first 60 rounds — enough to hit
-                // every phase (each merge restarts the lifecycle, so an
+                // every phase (each merge rebuilds the tree, so an
                 // unbounded write stream would defer convergence forever).
                 if step < 60 {
                     for _ in 0..3 {
@@ -856,7 +750,7 @@ mod tests {
             index.apply(&m);
             oracle.apply(&m);
         }
-        // A merge has started (600 > max(8, 0.1 * live)); answers stay
+        // A merge has started (600 > max(256, 0.1 * live)); answers stay
         // exact across every incremental merge step until terminal.
         let mut steps = 0;
         while !index.is_converged() {
@@ -898,7 +792,6 @@ mod tests {
                         sidecar,
                         algorithm,
                         BudgetPolicy::FixedDelta(0.25),
-                        MutableConfig::default(),
                     );
                     let low = rng.below(4_000);
                     let high = low + rng.below(1_000);
@@ -955,5 +848,16 @@ mod tests {
         assert_eq!(live, expected);
         assert_eq!(index.live_total(), oracle.query(0, Value::MAX));
         assert_eq!(index.live_rows(), oracle.live.len());
+    }
+
+    #[test]
+    fn a_delete_lookup_is_counted_as_refinement_work() {
+        let registry = pi_obs::MetricsRegistry::new();
+        let (mut index, oracle) = fresh(2_000, 4_000, Algorithm::Quicksort);
+        index.set_metrics(Some(IndexMetrics::register(&registry, "m")));
+        assert!(index.apply(&Mutation::Delete(oracle.live[0])));
+        let snapshot = registry.snapshot();
+        assert_eq!(snapshot.counter("core.m.refine_steps"), Some(1));
+        assert!(snapshot.counter("core.m.bytes_moved").unwrap() > 0);
     }
 }

@@ -13,7 +13,7 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 
-use pi_core::mutation::{MutableConfig, MutableIndex, Mutation};
+use pi_core::mutation::{MutableIndex, Mutation};
 use pi_core::{Algorithm, BudgetPolicy};
 use pi_storage::scan::ScanResult;
 use pi_storage::{Column, Value};
@@ -93,18 +93,10 @@ enum Op {
     Query(Value, Value),
 }
 
-fn run_script(algorithm: Algorithm, base: &[u64], script: &[(u64, u64, u64)], merge_min: usize) {
+fn run_script(algorithm: Algorithm, base: &[u64], script: &[(u64, u64, u64)]) {
     let column = Arc::new(Column::from_vec(base.to_vec()));
     let mut oracle = SortedOracle::new(base.to_vec());
-    let mut index = MutableIndex::with_config(
-        column,
-        algorithm,
-        BudgetPolicy::FixedDelta(0.3),
-        MutableConfig {
-            merge_min_pending: merge_min,
-            ..MutableConfig::default()
-        },
-    );
+    let mut index = MutableIndex::new(column, algorithm, BudgetPolicy::FixedDelta(0.3));
     for (step, &(tag, a, b)) in script.iter().enumerate() {
         match decode(tag, a, b) {
             Op::Apply(m) => {
@@ -157,10 +149,9 @@ proptest! {
     fn mutation_interleavings_match_sorted_vec_oracle(
         base in prop::collection::vec(0..DOMAIN, 0..600),
         script in prop::collection::vec((0..6u64, 0..DOMAIN, 0..DOMAIN), 1..120),
-        merge_min in 1..64usize,
     ) {
         for algorithm in Algorithm::ALL {
-            run_script(algorithm, &base, &script, merge_min);
+            run_script(algorithm, &base, &script);
         }
     }
 

@@ -4,14 +4,14 @@
 //! every handle on the unsorted one is released, and whatever is later
 //! built over sorted values — a column loaded in order, the output of a
 //! delta merge over a sorted base — has nothing to sort and starts at
-//! consolidation. The one place that must *not* adopt the sorted array is
-//! a merge that is already walking the unsorted base.
+//! consolidation. A merge only ever starts over a sorted base, so once an
+//! index has merged, its base stays sorted.
 
 use std::sync::Arc;
 
 use proptest::prelude::*;
 
-use pi_core::mutation::{MutableConfig, MutableIndex, Mutation};
+use pi_core::mutation::{MutableIndex, Mutation};
 use pi_core::testing::{random_column, TestRng};
 use pi_core::{Algorithm, BudgetPolicy, Phase, RangeIndex};
 use pi_storage::btree::{BTreeBuilder, DEFAULT_FANOUT};
@@ -165,16 +165,14 @@ proptest! {
     fn merges_after_convergence_keep_the_base_sorted(
         base in prop::collection::vec(0..DOMAIN, 1..500),
         script in prop::collection::vec((0..4u64, 0..DOMAIN, 0..DOMAIN), 1..150),
-        merge_min in 1..24usize,
     ) {
         for algorithm in Algorithm::ALL {
             let mut live = base.clone();
             live.sort_unstable();
-            let mut index = MutableIndex::with_config(
+            let mut index = MutableIndex::new(
                 Arc::new(Column::from_vec(base.clone())),
                 algorithm,
                 BudgetPolicy::FixedDelta(0.4),
-                MutableConfig { merge_min_pending: merge_min, merge_delta: 0.3, ..MutableConfig::default() },
             );
             while index.advance() {}
             for (step, &(tag, a, b)) in script.iter().enumerate() {
@@ -193,70 +191,61 @@ proptest! {
             assert_eq!(index.snapshot_parts().0.data(), live, "{}", algorithm);
         }
     }
-
-    /// A merge that starts over an unsorted base walks it in row order; if
-    /// the inner index finishes sorting while that merge is in flight, the
-    /// sorted array must not replace the base under the merge's cursor.
-    #[test]
-    fn a_merge_in_flight_defers_the_hand_over(
-        base in prop::collection::vec(0..DOMAIN, 200..500),
-        writes in prop::collection::vec((0..3u64, 0..DOMAIN, 0..DOMAIN), 8..40),
-    ) {
-        for algorithm in Algorithm::ALL {
-            let mut live = base.clone();
-            live.sort_unstable();
-            let mut index = MutableIndex::with_config(
-                Arc::new(Column::from_vec(base.clone())),
-                algorithm,
-                BudgetPolicy::FixedDelta(0.5),
-                // Starts a merge at the eighth pending entry and takes some
-                // two hundred steps over it; the inner index is sorted
-                // within thirty.
-                MutableConfig { merge_fraction: 0.0, merge_min_pending: 8, merge_delta: 0.005 },
-            );
-            // Inserts only until the merge starts: a delete would step the
-            // inner index towards sorted before the merge is in flight.
-            for &(_, a, _) in &writes[..8] {
-                let m = Mutation::Insert(a);
-                assert!(index.apply(&m) && oracle_apply(&mut live, &m));
-            }
-            let in_flight = |index: &MutableIndex| index.merges_completed() == 0;
-            assert!(in_flight(&index) && index.pending_len() == 0, "{}: no merge", algorithm);
-            let mut deferred = false;
-            let mut writes = writes[8..].iter();
-            for step in 0..10_000 {
-                let context = format!("{algorithm}, step {step}");
-                if !in_flight(&index) {
-                    break;
-                }
-                if let Some(sorted) = index.sorted_base() {
-                    let (base, _) = index.snapshot_parts();
-                    assert!(!Arc::ptr_eq(&base, sorted) && !base.is_sorted(), "{context}");
-                    deferred = true;
-                }
-                if let Some(&(tag, a, b)) = writes.next() {
-                    let m = decode(tag, a, b);
-                    assert_eq!(index.apply(&m), oracle_apply(&mut live, &m), "{context}: {m:?}");
-                }
-                assert_exact(&mut index, &live, a_quarter(step), DOMAIN, &context);
-            }
-            assert!(!in_flight(&index) && deferred, "{}: deferred {}", algorithm, deferred);
-            // The swapped-in snapshot is exact, and so is everything after.
-            for step in 0..2_000 {
-                assert_exact(&mut index, &live, a_quarter(step), DOMAIN, &format!("{algorithm}, after"));
-                if !index.advance() {
-                    break;
-                }
-            }
-            assert!(index.is_converged(), "{}", algorithm);
-            assert_eq!(index.snapshot_parts().0.data(), live, "{}", algorithm);
-        }
-    }
 }
 
 /// Lower bounds cycling through the quarters of the domain.
 fn a_quarter(step: usize) -> Value {
     (step as u64 % 4) * (DOMAIN / 4)
+}
+
+/// Writes that arrive before the base is sorted wait in the sidecar, past
+/// the merge threshold or not: the merge they get is a merge of sorted runs,
+/// it leaves a sorted base, and the lifecycle never goes back further than
+/// consolidation.
+#[test]
+fn a_merge_never_starts_over_an_unsorted_base() {
+    for algorithm in Algorithm::ALL {
+        let column = random_column(2_000, DOMAIN, 29);
+        assert!(!column.is_sorted());
+        let mut live = column.data().to_vec();
+        live.sort_unstable();
+        let mut index =
+            MutableIndex::new(Arc::new(column), algorithm, BudgetPolicy::FixedDelta(0.05));
+        let mut rng = TestRng::new(31);
+        for _ in 0..600 {
+            let m = Mutation::Insert(rng.below(DOMAIN));
+            assert!(
+                index.apply(&m) && oracle_apply(&mut live, &m),
+                "{algorithm}"
+            );
+        }
+        let mut previous = index.status().phase;
+        for step in 0..10_000 {
+            let context = format!("{algorithm}, step {step}");
+            let phase = index.status().phase;
+            assert!(
+                phase >= previous.min(Phase::Consolidation),
+                "{context}: {previous:?} -> {phase:?}"
+            );
+            if index.merges_completed() == 0 && phase < Phase::Consolidation {
+                assert!(index.has_pending(), "{context}: the writes must wait");
+            }
+            if index.merges_completed() > 0 {
+                assert!(index.snapshot_parts().0.is_sorted(), "{context}");
+            }
+            previous = phase;
+            assert_exact(&mut index, &live, a_quarter(step), DOMAIN, &context);
+            if !index.advance() {
+                break;
+            }
+        }
+        assert!(
+            index.is_converged() && index.merges_completed() > 0,
+            "{}",
+            algorithm
+        );
+        assert_eq!(index.snapshot_parts().0.data(), live, "{}", algorithm);
+    }
 }
 
 #[test]

@@ -1,9 +1,9 @@
 //! # pi-durable — write-ahead logging, snapshots and crash recovery
 //!
 //! Durability for progressive indexes, built around the observation that
-//! the mutable-index model (`pi_core::mutation::MutableIndex`) already
-//! splits every column into exactly the two halves a recovery log wants:
-//! an **immutable base** that only changes at merge boundaries, and a
+//! pi-core's mutable-index model already splits every shard into the two
+//! halves a recovery log wants: an **immutable base** whose values change
+//! only at merge boundaries (merges start once it is sorted), and a
 //! **pending delta sidecar** that absorbs every mutation in between. So:
 //! *log the delta, snapshot the merged base.*
 //!

@@ -126,7 +126,7 @@ pub use multicol::{
 pub use pi_core::tuning::TuningParameters;
 pub use planner::{choose_driving, Plan, PredicateStats, RHO_WEIGHT};
 pub use stats::{estimate_distribution, WorkloadStats};
-pub use table::{AlgorithmChoice, ColumnSpec, Shard, ShardedColumn, Table, TableBuilder};
+pub use table::{AlgorithmChoice, ColumnSpec, ShardedColumn, Table, TableBuilder};
 pub use typed::{
     TableKey, TypedColumnSpec, TypedExecutor, TypedMutation, TypedQuery, TypedResult, TypedTable,
 };

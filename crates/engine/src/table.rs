@@ -23,7 +23,7 @@ use std::sync::{Arc, Mutex, RwLock};
 use pi_core::budget::BudgetPolicy;
 use pi_core::decision::{recommend, Algorithm, DataDistribution, QueryShape, Scenario};
 use pi_core::metrics::IndexMetrics;
-use pi_core::mutation::{MergeHook, MutableConfig, MutableIndex, Mutation};
+use pi_core::mutation::{MergeHook, MutableIndex, Mutation};
 use pi_core::result::{IndexStatus, Phase};
 use pi_obs::{Gauge, MetricsRegistry};
 use pi_storage::delta::DeltaSidecar;
@@ -98,107 +98,6 @@ impl ColumnSpec {
     }
 }
 
-/// One shard: a mutable progressive index ([`MutableIndex`]) over the rows
-/// whose values fall into the shard's value range. Shards born empty start
-/// converged; inserts can revive them (the mutable index grows a snapshot
-/// from its pending-delta sidecar on the first merge).
-pub struct Shard {
-    index: MutableIndex,
-}
-
-impl Shard {
-    fn new(column: Column, algorithm: Algorithm, policy: BudgetPolicy) -> Self {
-        Shard {
-            index: MutableIndex::new(Arc::new(column), algorithm, policy),
-        }
-    }
-
-    /// Reassembles a shard from persisted parts (base snapshot + pending
-    /// sidecar); see [`MutableIndex::from_parts`].
-    fn from_parts(
-        base: Arc<Column>,
-        sidecar: DeltaSidecar,
-        algorithm: Algorithm,
-        policy: BudgetPolicy,
-    ) -> Self {
-        Shard {
-            index: MutableIndex::from_parts(
-                base,
-                sidecar,
-                algorithm,
-                policy,
-                MutableConfig::default(),
-            ),
-        }
-    }
-
-    /// Captures the shard's logical state as persistable parts; see
-    /// [`MutableIndex::snapshot_parts`].
-    pub fn snapshot_parts(&self) -> (Arc<Column>, DeltaSidecar) {
-        self.index.snapshot_parts()
-    }
-
-    /// Number of live rows this shard owns (base snapshot net of pending
-    /// mutations).
-    pub fn rows(&self) -> usize {
-        self.index.live_rows()
-    }
-
-    /// Answers `[low, high]` against this shard's live rows, performing
-    /// the shard's per-query indexing work as a side effect.
-    pub fn query(&mut self, low: Value, high: Value) -> ScanResult {
-        self.index.query(low, high).scan_result()
-    }
-
-    /// Answers `[low, high]` against this shard's live rows **without**
-    /// performing any indexing work (base snapshot + delta sidecars; see
-    /// [`MutableIndex::peek`]). This is the conjunction planner's
-    /// validation probe: exact at every refinement stage, and it never
-    /// perturbs the refinement or merge schedule.
-    pub fn peek(&self, low: Value, high: Value) -> ScanResult {
-        self.index.peek(low, high)
-    }
-
-    /// Applies one mutation to this shard. Returns whether it took effect
-    /// (deletes and updates are rejected when no live victim exists).
-    pub fn apply(&mut self, mutation: &Mutation) -> bool {
-        self.index.apply(mutation)
-    }
-
-    /// Performs one budgeted slice of indexing work without answering a
-    /// query: inner refinement, or a step of the pending-delta merge (the
-    /// paper's model performs indexing only as a query side effect, so
-    /// maintenance is an empty query). Returns `true` when work was
-    /// performed, `false` when the shard is converged **and** delta-free.
-    pub fn advance(&mut self) -> bool {
-        self.index.advance()
-    }
-
-    /// The shard's index status. A converged shard that was mutated
-    /// afterwards reports `converged: false` until its deltas are merged —
-    /// this is what makes a mutated converged shard re-enter maintenance.
-    pub fn status(&self) -> IndexStatus {
-        self.index.status()
-    }
-
-    /// The live values of this shard (used for boundary re-balancing).
-    pub fn live_values(&self) -> Vec<Value> {
-        self.index.live_values()
-    }
-
-    /// Attaches (or detaches) the shared per-column metric handles; see
-    /// [`MutableIndex::set_metrics`].
-    fn set_metrics(&mut self, metrics: Option<Arc<IndexMetrics>>) {
-        self.index.set_metrics(metrics);
-    }
-
-    /// Attaches (or detaches) the merge-boundary callback; see
-    /// [`MutableIndex::set_merge_hook`].
-    fn set_merge_hook(&mut self, hook: Option<MergeHook>) {
-        self.index.set_merge_hook(hook);
-    }
-}
-
 /// Per-shard summary maintained under mutations: the shard's value bounds
 /// and its full-shard live aggregate. Query answers are always exact over
 /// the live rows regardless of indexing progress, so a predicate that
@@ -253,6 +152,11 @@ impl ShardDigest {
 
 /// A named, range-sharded, progressively indexed, **mutable** column.
 ///
+/// Each shard is a [`MutableIndex`] over the rows whose values fall into
+/// the shard's value range. Shards born empty start converged; inserts can
+/// revive them (the index grows a snapshot from its pending-delta sidecar
+/// on the first merge).
+///
 /// Reads and writes are isolated per shard: every shard sits behind its
 /// own mutex, so a writer only ever blocks the readers (and writers) of
 /// the one shard it touches. The shard digests powering the O(1)
@@ -272,7 +176,7 @@ pub struct ShardedColumn {
     /// mutations; see [`ShardedColumn::shard_live_rows`].
     shard_rows: Vec<usize>,
     digests: Vec<RwLock<ShardDigest>>,
-    shards: Vec<Mutex<Shard>>,
+    shards: Vec<Mutex<MutableIndex>>,
     /// Per-shard "mutated since last converged-cache check" flags; lets a
     /// maintenance layer with a monotone converged cache (the executor)
     /// notice that a converged shard re-entered maintenance.
@@ -358,9 +262,9 @@ impl ShardedColumn {
             sub_columns.iter().map(|_| AtomicBool::new(false)).collect();
         let shard_mutations = sub_columns.iter().map(|_| AtomicU64::new(0)).collect();
         let rho_cache = sub_columns.iter().map(|_| AtomicU64::new(0)).collect();
-        let shards: Vec<Mutex<Shard>> = sub_columns
+        let shards: Vec<Mutex<MutableIndex>> = sub_columns
             .into_iter()
-            .map(|sub| Mutex::new(Shard::new(sub, algorithm, policy)))
+            .map(|sub| Mutex::new(MutableIndex::new(Arc::new(sub), algorithm, policy)))
             .collect();
         let column = ShardedColumn {
             name,
@@ -428,9 +332,11 @@ impl ShardedColumn {
             sampled.extend(sample_values(sidecar.inserts(), 256));
         }
         let distribution = estimate_distribution(&sampled);
-        let shards: Vec<Mutex<Shard>> = shard_states
+        let shards: Vec<Mutex<MutableIndex>> = shard_states
             .into_iter()
-            .map(|(base, sidecar)| Mutex::new(Shard::from_parts(base, sidecar, algorithm, policy)))
+            .map(|(base, sidecar)| {
+                Mutex::new(MutableIndex::from_parts(base, sidecar, algorithm, policy))
+            })
             .collect();
         let digests: Vec<RwLock<ShardDigest>> = shards
             .iter()
@@ -440,7 +346,7 @@ impl ShardedColumn {
                 let mut digest = ShardDigest {
                     min: base.min(),
                     max: base.max(),
-                    total: guard.index.live_total(),
+                    total: guard.live_total(),
                 };
                 // Pending inserts may lie outside the base bounds; widen
                 // like the live path would have (sorted run: first/last).
@@ -560,7 +466,7 @@ impl ShardedColumn {
     /// Refreshes shard `shard`'s lock-free ρ cache — and its gauge, when
     /// metrics are attached — from a held shard guard.
     #[inline]
-    fn note_rho(&self, shard: usize, guard: &Shard) {
+    fn note_rho(&self, shard: usize, guard: &MutableIndex) {
         let fraction = guard.status().fraction_indexed;
         self.rho_cache[shard].store(fraction.to_bits(), Ordering::Relaxed);
         if let Some(rho) = &self.rho {
@@ -665,7 +571,7 @@ impl ShardedColumn {
     /// [`ShardedColumn::query`] for the serial path.
     pub fn query_shard(&self, shard: usize, low: Value, high: Value) -> ScanResult {
         let mut guard = self.shards[shard].lock().expect("shard lock poisoned");
-        let result = guard.query(low, high);
+        let result = guard.query(low, high).scan_result();
         self.note_rho(shard, &guard);
         result
     }
@@ -910,7 +816,7 @@ impl ShardedColumn {
 
     /// Locks shard `shard` and answers `[low, high]` **without** indexing
     /// work: the base-snapshot scan composed with the delta sidecars (see
-    /// [`Shard::peek`]). The conjunction planner's validation probe for
+    /// [`MutableIndex::peek`]). The conjunction planner's validation probe for
     /// non-driving columns.
     pub fn peek_shard(&self, shard: usize, low: Value, high: Value) -> ScanResult {
         let guard = self.shards[shard].lock().expect("shard lock poisoned");
@@ -1018,7 +924,7 @@ impl ShardedColumn {
         for shard in &self.shards {
             let shard = shard.lock().expect("shard lock poisoned");
             let status = shard.status();
-            let rows = shard.rows() as f64;
+            let rows = shard.live_rows() as f64;
             phase = phase.min(status.phase);
             converged &= status.converged;
             fraction_indexed += status.fraction_indexed * rows;
@@ -1332,7 +1238,7 @@ mod tests {
         assert_eq!(rows.len(), 5);
         assert_eq!(rows.iter().sum::<usize>(), 12_000);
         let locked: Vec<usize> = (0..5)
-            .map(|s| column.shards[s].lock().unwrap().rows())
+            .map(|s| column.shards[s].lock().unwrap().live_rows())
             .collect();
         assert_eq!(rows, locked);
     }

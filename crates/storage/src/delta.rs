@@ -22,9 +22,9 @@
 //! plus a walk over the qualifying run, and cancellation (an insert
 //! nullifying a tombstone of the same value, or a delete consuming a
 //! pending insert) is `O(log n + n)` worst case on the `Vec` shift. The
-//! sidecar is bounded in practice: the index layer merges it back into a
-//! fresh base snapshot once it grows past a configured fraction of the
-//! live rows.
+//! sidecar is bounded in practice: once the base snapshot is sorted, the
+//! index layer merges the sidecar back into a fresh one whenever it grows
+//! past a tenth of the live rows.
 
 use crate::column::Value;
 use crate::scan::ScanResult;

@@ -18,9 +18,11 @@
 # Under each table, one `--trace 1` run per side prints the layer numbers a
 # cold-path claim rests on (`storage.scan_gb_s`, and per algorithm the bare
 # index's `core.*.first_query_ms`, `core.*.cold_total_s` and
-# `core.*.op_max_ms`) and the two counts that must not move
-# (`core.refine_steps`, `core.bytes_moved`), so the layer that moved is on
-# the same page.
+# `core.*.op_max_ms`), the two counts that must not move
+# (`core.refine_steps`, `core.bytes_moved`) and the mutation path's layers
+# (`core.merge_steps`, `core.mutation.apply_us`, `core.mutation.merge_s`,
+# `core.mutation.sidecar_query_us`), so the layer that moved is on the
+# same page.
 #
 # The run length and the command come from the working tree's
 # BENCHMARK.json and are the same on both sides.
@@ -124,7 +126,8 @@ EOF
             --seconds "$seconds" --trace 1) |
             awk -v side="$side" '$1 == "storage.scan_gb_s" ||
                 $1 ~ /^core\..*\.(first_query_ms|cold_total_s|op_max_ms)$/ ||
-                $1 == "core.refine_steps" || $1 == "core.bytes_moved" {
+                $1 == "core.refine_steps" || $1 == "core.bytes_moved" ||
+                $1 == "core.merge_steps" || $1 ~ /^core\.mutation\.(apply_us|merge_s|sidecar_query_us)$/ {
                     printf "  %-7s %-32s %.6g %s\n", side, $1, $2, $3 }'
     done
 done
