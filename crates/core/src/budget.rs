@@ -35,9 +35,9 @@ pub enum BudgetPolicy {
 }
 
 impl BudgetPolicy {
-    /// Convenience constructor for the paper's default experiment setting:
-    /// an adaptive budget of `fraction · t_scan` (the evaluation uses
-    /// `fraction = 0.2`).
+    /// Convenience constructor for the paper's default evaluation setting:
+    /// an adaptive budget of `fraction · t_scan` (the evaluation, and
+    /// pibench's `explore_cold` adaptive columns, use `fraction = 0.2`).
     pub fn adaptive_scan_fraction(model: &CostModel, fraction: f64) -> Self {
         BudgetPolicy::Adaptive(fraction * model.t_scan())
     }

@@ -75,8 +75,8 @@ impl Algorithm {
     /// Builds the progressive index this variant names over `column`,
     /// behind the uniform [`RangeIndex`] interface.
     ///
-    /// This is the single construction point shared by the experiment
-    /// harness, the examples and the sharded engine; it uses the
+    /// This is the single construction point shared by the examples and
+    /// the sharded engine; it uses the
     /// host-independent [`CostConstants::synthetic`] (see
     /// [`Algorithm::build_with_constants`] for explicit ones).
     ///
@@ -95,7 +95,7 @@ impl Algorithm {
     }
 
     /// [`Algorithm::build`] with explicit cost-model constants, as used by
-    /// the experiment harness (synthetic constants) and calibrated runs.
+    /// pi-cracking's registry and calibrated runs.
     pub fn build_with_constants(
         self,
         column: Arc<Column>,
@@ -260,35 +260,34 @@ pub fn recommend(scenario: Scenario) -> Algorithm {
     }
 }
 
-/// Enumerates the recommendation for every combination of the scenario
-/// dimensions — handy for printing the full decision tree (the
-/// `fig11_decision_tree` experiment binary uses this).
-pub fn full_decision_table() -> Vec<(Scenario, Algorithm)> {
-    let shapes = [QueryShape::Point, QueryShape::Range, QueryShape::Unknown];
-    let distributions = [
-        DataDistribution::Uniform,
-        DataDistribution::Skewed,
-        DataDistribution::Unknown,
-    ];
-    let mut table = Vec::new();
-    for &query_shape in &shapes {
-        for &distribution in &distributions {
-            for &extra_memory_allowed in &[true, false] {
-                let scenario = Scenario {
-                    query_shape,
-                    distribution,
-                    extra_memory_allowed,
-                };
-                table.push((scenario, recommend(scenario)));
-            }
-        }
-    }
-    table
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The recommendation for every combination of the scenario
+    /// dimensions.
+    fn full_decision_table() -> Vec<(Scenario, Algorithm)> {
+        let shapes = [QueryShape::Point, QueryShape::Range, QueryShape::Unknown];
+        let distributions = [
+            DataDistribution::Uniform,
+            DataDistribution::Skewed,
+            DataDistribution::Unknown,
+        ];
+        let mut table = Vec::new();
+        for &query_shape in &shapes {
+            for &distribution in &distributions {
+                for &extra_memory_allowed in &[true, false] {
+                    let scenario = Scenario {
+                        query_shape,
+                        distribution,
+                        extra_memory_allowed,
+                    };
+                    table.push((scenario, recommend(scenario)));
+                }
+            }
+        }
+        table
+    }
 
     #[test]
     fn memory_constraint_always_yields_quicksort() {

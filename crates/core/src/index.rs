@@ -28,7 +28,7 @@ pub trait RangeIndex {
         self.status().converged
     }
 
-    /// Stable, short identifier used in experiment output
+    /// Stable, short identifier used in assertion messages
     /// (e.g. `"progressive-quicksort"`, `"standard-cracking"`).
     fn name(&self) -> &'static str;
 
@@ -47,9 +47,9 @@ pub trait RangeIndex {
     }
 }
 
-/// Blanket implementation so `Box<dyn RangeIndex>` (used by the experiment
-/// harness to iterate over heterogeneous algorithm sets) is itself usable
-/// as a `RangeIndex`.
+/// Blanket implementation so `Box<dyn RangeIndex>` (what
+/// [`Algorithm::build`](crate::Algorithm::build) and pi-cracking's
+/// `AlgorithmId::build` return) is itself usable as a `RangeIndex`.
 impl<T: RangeIndex + ?Sized> RangeIndex for Box<T> {
     fn query(&mut self, low: Value, high: Value) -> QueryResult {
         (**self).query(low, high)

@@ -142,11 +142,6 @@ impl<S: Strategy> Progressive<S> {
         }
     }
 
-    /// The cost model used by this index (for experiment instrumentation).
-    pub fn cost_model(&self) -> &CostModel {
-        &self.model
-    }
-
     /// The base column: the one the index was built over until its values
     /// are sorted, the sorted one afterwards (same values, same min/max).
     pub(crate) fn column(&self) -> &Column {

@@ -4,9 +4,9 @@
 //! paper — **creation**, **refinement**, **consolidation** — and finally
 //! reaches the **converged** state in which a finished B+-tree answers all
 //! queries. [`Phase`] makes that lifecycle explicit, and [`QueryResult`]
-//! reports, for every query, both the answer and the bookkeeping the
-//! experiment harness needs (the δ that was used, the cost-model
-//! prediction, the amount of indexing work performed).
+//! reports, for every query, both the answer and the bookkeeping
+//! [`IndexMetrics`](crate::metrics::IndexMetrics) records (the δ that was
+//! used, the cost-model prediction, the amount of indexing work performed).
 
 use pi_storage::scan::ScanResult;
 
@@ -29,7 +29,8 @@ pub enum Phase {
 }
 
 impl Phase {
-    /// Short human-readable label used by the experiment harness output.
+    /// Short human-readable label, also the `Display` form (the examples
+    /// print it).
     pub fn label(self) -> &'static str {
         match self {
             Phase::Creation => "creation",

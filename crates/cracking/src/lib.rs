@@ -15,12 +15,11 @@
 //! | `AA`   | [`AdaptiveAdaptiveIndexing`] — partition first query, adaptively refine | adaptive |
 //!
 //! Every baseline implements the same [`pi_core::RangeIndex`] trait as the
-//! progressive indexes, so the experiment harness (`pi-experiments`) can
-//! run identical workloads over the whole algorithm zoo.
+//! progressive indexes, so [`AlgorithmId`], the registry of all eleven
+//! techniques, builds any of them behind one factory.
 //!
 //! The implementations follow the algorithm descriptions in the cited
-//! papers rather than the original C++ sources; `DESIGN.md` documents the
-//! places where a simplified but behaviour-preserving variant was chosen.
+//! papers rather than the original C++ sources.
 //!
 //! ## Example
 //!
@@ -49,6 +48,7 @@ pub mod cracked_column;
 pub mod cracker_index;
 pub mod full;
 pub mod progressive_stochastic;
+pub mod registry;
 pub mod standard;
 pub mod stochastic;
 
@@ -58,5 +58,6 @@ pub use cracked_column::CrackedColumn;
 pub use cracker_index::CrackerIndex;
 pub use full::{FullIndex, FullScan};
 pub use progressive_stochastic::ProgressiveStochasticCracking;
+pub use registry::AlgorithmId;
 pub use standard::StandardCracking;
 pub use stochastic::StochasticCracking;

@@ -8,6 +8,8 @@
 # * `pub` items: `pub fn|struct|enum|trait|const|type` declarations among
 #   those lines (fields, re-exports and `pub(crate)` items do not count).
 #
+# A final `total` row sums both columns over the crates.
+#
 # <root> defaults to the repository this script lives in; pass an exported
 # parent tree to read the before side of a PR.
 set -euo pipefail
@@ -25,4 +27,5 @@ for manifest in Cargo.toml crates/*/Cargo.toml; do
         awk -v name="$name" '
             /^[[:space:]]*pub (fn|struct|enum|trait|const|type) / { items++ }
             END { printf "%-18s %10d %10d\n", name, NR, items }'
-done
+done | awk '{ print; lines += $2; items += $3 }
+            END { printf "%-18s %10d %10d\n", "total", lines, items }'

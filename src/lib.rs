@@ -18,16 +18,14 @@
 //! * [`sched`] — the persistent runtime underneath: shard-affine
 //!   work-stealing worker pool and the async-style serving front-end with
 //!   bounded queue, coalescing and backpressure ([`pi_sched`]).
-//! * [`experiments`] — the harness reproducing the paper's figures and
-//!   tables ([`pi_experiments`]).
 //! * [`obs`] — in-tree observability: sharded counters, log-bucketed
 //!   latency histograms, the metrics registry and its JSON / Prometheus
 //!   exports ([`pi_obs`]).
 //! * [`durable`] — write-ahead logging, column snapshots and crash
 //!   recovery for the engine's tables ([`pi_durable`]).
 //!
-//! See the repository README for a quickstart and `DESIGN.md` /
-//! `EXPERIMENTS.md` for the paper-reproduction map.
+//! See the repository README for a quickstart and `docs/ARCHITECTURE.md`
+//! for how the crates fit together.
 
 #![warn(missing_docs)]
 
@@ -35,7 +33,6 @@ pub use pi_core as index;
 pub use pi_cracking as cracking;
 pub use pi_durable as durable;
 pub use pi_engine as engine;
-pub use pi_experiments as experiments;
 pub use pi_obs as obs;
 pub use pi_sched as sched;
 pub use pi_storage as storage;

@@ -10,7 +10,7 @@ use pi_core::cost_model::{CostConstants, CostModel};
 use pi_core::result::Phase;
 use pi_core::testing::{random_column, ReferenceIndex, TestRng};
 use pi_core::RangeIndex;
-use pi_experiments::registry::AlgorithmId;
+use pi_cracking::AlgorithmId;
 use pi_storage::Column;
 
 const N: usize = 25_000;

@@ -8,7 +8,7 @@ use std::sync::Arc;
 use pi_core::budget::BudgetPolicy;
 use pi_core::cost_model::CostConstants;
 use pi_core::testing::ReferenceIndex;
-use pi_experiments::registry::AlgorithmId;
+use pi_cracking::AlgorithmId;
 use pi_storage::Column;
 use pi_workloads::skyserver::{self, SkyServerConfig};
 use pi_workloads::{data, patterns, Pattern, RangeQuery, WorkloadSpec};

@@ -11,8 +11,8 @@ use pi_core::budget::BudgetPolicy;
 use pi_core::cost_model::CostConstants;
 use pi_core::testing::ReferenceIndex;
 use pi_cracking::crack::crack_in_two;
+use pi_cracking::AlgorithmId;
 use pi_cracking::CrackedColumn;
-use pi_experiments::registry::AlgorithmId;
 use pi_storage::{sorted, Column};
 use pi_workloads::{patterns, Pattern, WorkloadSpec};
 
