@@ -41,7 +41,7 @@
 //! state is guarded by per-shard mutexes, so two clients only contend when
 //! their queries genuinely touch the same shard.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 use pi_core::budget::StepBudget;
@@ -182,9 +182,6 @@ struct ExecutorObs {
     /// Shard visits answered from the digest in O(1) (the covered-shard
     /// shortcut) instead of a locked index probe.
     digest_hits: Arc<Counter>,
-    /// Converged-cache invalidations: shards reopened for maintenance
-    /// because a mutation landed after they were observed converged.
-    shards_reopened: Arc<Counter>,
     /// Batches whose shard tasks all ran on the calling thread.
     batches_inline: Arc<Counter>,
     /// Batches whose shard tasks were dispatched onto the pool.
@@ -201,11 +198,13 @@ struct ExecutorObs {
 
 impl ExecutorObs {
     fn register(registry: &MetricsRegistry) -> Arc<ExecutorObs> {
+        // Counted by the table's columns (converged shards a write
+        // reopened), registered here so every metered executor reports it.
+        registry.counter("executor.shards_reopened");
         Arc::new(ExecutorObs {
             batches: registry.counter("executor.batches"),
             queries: registry.counter("executor.queries"),
             digest_hits: registry.counter("executor.digest_hits"),
-            shards_reopened: registry.counter("executor.shards_reopened"),
             batches_inline: registry.counter("executor.batches_inline"),
             batches_fanned: registry.counter("executor.batches_fanned"),
             decompose_ns: registry.histogram("executor.phase.decompose_ns"),
@@ -236,98 +235,23 @@ struct MaintenanceState {
     addresses: Vec<(usize, usize)>,
     /// Round-robin cursor over `addresses`.
     cursor: AtomicUsize,
-    /// Per-address converged cache. Convergence is monotone *between
-    /// mutations* (a converged index only regresses when written), so once
-    /// set a sweep skips the shard without touching its mutex — in the
-    /// steady state maintenance stops contending with serving threads
-    /// entirely. A mutation marks its shard dirty at the table layer
-    /// ([`crate::table::ShardedColumn::take_shard_dirty`]); the cache
-    /// consumes that flag and re-examines the shard, so a mutated
-    /// converged shard re-enters maintenance no matter which path the
-    /// write took.
-    converged: Vec<AtomicBool>,
-    /// Terminal-state latch, stamped with `table epoch + 1` when a full
-    /// sweep found every shard converged; lets the executor stop spawning
-    /// per-batch maintenance jobs (and waking pool workers) altogether.
-    /// Any later mutation — or dirty-shard reopening in
-    /// [`MaintenanceState::advance_at`] — bumps the epoch and thereby
-    /// invalidates the stamp race-free (`0` = never latched).
-    all_converged_at: AtomicU64,
-    /// Shards reopened after a mutation (cache cleared because the dirty
-    /// flag was set). Part of the table epoch: consuming a dirty flag
-    /// must invalidate any latch stamped concurrently, otherwise a sweep
-    /// that read the flag *between* the consume and the shard's actual
-    /// re-examination could latch the terminal state over an unfinished
-    /// delta merge.
-    reopened: AtomicU64,
     /// Shared with the owning [`Executor`]; maintenance jobs time their
-    /// rounds and count cache invalidations through it.
+    /// rounds through it.
     obs: Option<Arc<ExecutorObs>>,
 }
 
 impl MaintenanceState {
-    /// Sum of the per-column mutation epochs plus the reopen counter: a
-    /// table-wide monotone invalidation-event counter.
-    fn table_epoch(&self) -> u64 {
-        self.table
-            .columns()
-            .iter()
-            .map(|c| c.mutation_epoch())
-            .sum::<u64>()
-            + self.reopened.load(Ordering::SeqCst)
-    }
-
     /// Tries up to `steps` budgeted steps on the shard at flat address
-    /// `at` (one lock acquisition), going through the converged cache.
-    /// Returns the steps performed; records newly observed convergence.
+    /// `at` (one lock acquisition) unless the shard's published
+    /// convergence flag says there is nothing to do. Returns the steps
+    /// performed.
     fn advance_at(&self, at: usize, steps: usize) -> usize {
         let (c, s) = self.addresses[at];
         let column = &self.table.columns()[c];
-        if self.converged[at].load(Ordering::SeqCst) {
-            // Trust the cache only while the shard is clean; a mutation
-            // since the last check means the shard may have pending deltas
-            // to merge, so it re-enters maintenance. Ordering matters:
-            // clear the cache, bump the epoch, *then* consume the dirty
-            // flag — a concurrent `note_exhausted_sweep` either still sees
-            // the dirty flag (no latch), or read its epoch before our bump
-            // (stamp invalid), or reads our cleared cache entry (no
-            // latch). No interleaving can latch over the reopening.
-            if !column.shard_is_dirty(s) {
-                return 0;
-            }
-            self.converged[at].store(false, Ordering::SeqCst);
-            self.reopened.fetch_add(1, Ordering::SeqCst);
-            if let Some(obs) = &self.obs {
-                obs.shards_reopened.inc();
-            }
-            column.take_shard_dirty(s);
-        }
-        let performed = column.advance_shard_by(s, steps);
-        if performed < steps {
-            self.converged[at].store(true, Ordering::SeqCst);
-        }
-        performed
-    }
-
-    /// `true` while the terminal latch is valid: every shard was observed
-    /// converged and no mutation has been applied since.
-    fn is_all_converged(&self) -> bool {
-        let latched = self.all_converged_at.load(Ordering::SeqCst);
-        latched != 0 && latched == self.table_epoch() + 1
-    }
-
-    /// Called when a full sweep performed no work: if the converged cache
-    /// now covers every shard — and no shard carries an unexamined
-    /// mutation — latch the terminal state, stamped with the epoch
-    /// observed *before* the checks (so a concurrent mutation invalidates
-    /// the stamp rather than racing it).
-    fn note_exhausted_sweep(&self) {
-        let epoch = self.table_epoch();
-        let all_clean = self.addresses.iter().enumerate().all(|(at, &(c, s))| {
-            self.converged[at].load(Ordering::SeqCst) && !self.table.columns()[c].shard_is_dirty(s)
-        });
-        if all_clean {
-            self.all_converged_at.store(epoch + 1, Ordering::SeqCst);
+        if column.shard_is_converged(s) {
+            0
+        } else {
+            column.advance_shard_by(s, steps)
         }
     }
 
@@ -336,7 +260,7 @@ impl MaintenanceState {
     /// Returns the steps actually performed.
     fn run_round(&self, steps: usize, touched: &[bool]) -> usize {
         let total = self.addresses.len();
-        if total == 0 || steps == 0 || self.is_all_converged() {
+        if steps == 0 || self.table.is_converged() {
             return 0;
         }
         let mut performed = 0;
@@ -349,9 +273,6 @@ impl MaintenanceState {
             }
             performed += self.advance_at(at, 1);
         }
-        if performed == 0 && visited >= total {
-            self.note_exhausted_sweep();
-        }
         performed
     }
 
@@ -360,10 +281,12 @@ impl MaintenanceState {
     /// sweep (one shard-lock acquisition) performs roughly a whole
     /// column-δ of work no matter how finely the column is sharded —
     /// per-step locking would multiply contention with serving threads
-    /// by the shard count. Returns whether indexing work was performed.
+    /// by the shard count. Without, exactly one budgeted step, for callers
+    /// that account work step by step ([`Executor::drive_to_convergence`]'s
+    /// shared [`StepBudget`]). Returns whether indexing work was performed.
     fn sweep(&self, batched: bool) -> bool {
         let total = self.addresses.len();
-        if total == 0 || self.is_all_converged() {
+        if self.table.is_converged() {
             return false;
         }
         for _ in 0..total {
@@ -377,20 +300,24 @@ impl MaintenanceState {
                 return true;
             }
         }
-        self.note_exhausted_sweep();
         false
     }
+}
 
-    /// One idle cycle: a batched [`MaintenanceState::sweep`].
-    fn idle_step(&self) -> bool {
-        self.sweep(true)
+/// One idle cycle: a batched maintenance sweep, then the durability
+/// layer's checkpoint pulse — merges completed by the sweep may have
+/// crossed the checkpoint-after-merges threshold. A failed opportunistic
+/// checkpoint is not a serving error; the next durable write surfaces it.
+/// Returns whether indexing work was performed.
+fn idle_cycle(
+    maintenance: &MaintenanceState,
+    durable: Option<&crate::durability::DurableTable>,
+) -> bool {
+    let worked = maintenance.sweep(true);
+    if let Some(durable) = durable {
+        let _ = durable.maybe_checkpoint();
     }
-
-    /// Exactly one budgeted step, for callers that account work step by
-    /// step ([`Executor::drive_to_convergence`]'s shared [`StepBudget`]).
-    fn single_step(&self) -> bool {
-        self.sweep(false)
-    }
+    worked
 }
 
 /// Shard-parallel batch executor over a shared [`Table`], running on a
@@ -426,12 +353,12 @@ impl Executor {
     /// persistent worker pool. Records no metrics; see
     /// [`Executor::with_metrics`].
     pub fn with_config(table: Arc<Table>, config: ExecutorConfig) -> Self {
-        Self::build(table, config, None)
+        Self::build_with(table, config, None, None)
     }
 
     /// Creates an executor whose `executor.*` metrics — batch/query
-    /// counters, digest-shortcut hits, converged-cache invalidations and
-    /// the per-phase `executor.phase.*_ns` timing decomposition — land in
+    /// counters, digest-shortcut hits, converged shards reopened by writes
+    /// and the per-phase `executor.phase.*_ns` timing decomposition — land in
     /// `registry`, together with the worker pool's `sched.pool.*`
     /// metrics. Pair with [`crate::table::TableBuilder::metrics`] (index
     /// layer) and `pi_sched::Server::with_metrics` (serving layer) on the
@@ -441,7 +368,7 @@ impl Executor {
         config: ExecutorConfig,
         registry: Arc<MetricsRegistry>,
     ) -> Self {
-        Self::build(table, config, Some(registry))
+        Self::build_with(table, config, Some(registry), None)
     }
 
     /// Creates an executor over a durable table
@@ -459,14 +386,6 @@ impl Executor {
         registry: Option<Arc<MetricsRegistry>>,
     ) -> Self {
         Self::build_with(Arc::clone(durable.table()), config, registry, Some(durable))
-    }
-
-    fn build(
-        table: Arc<Table>,
-        config: ExecutorConfig,
-        registry: Option<Arc<MetricsRegistry>>,
-    ) -> Self {
-        Self::build_with(table, config, registry, None)
     }
 
     fn build_with(
@@ -487,32 +406,17 @@ impl Executor {
         }
         let workers = config.worker_threads.max(1);
         let affinity = plan_affinity(&weights, workers);
-        let converged = (0..addresses.len())
-            .map(|_| AtomicBool::new(false))
-            .collect();
-        let obs = registry.as_deref().map(ExecutorObs::register);
         let maintenance = Arc::new(MaintenanceState {
             table: Arc::clone(&table),
             addresses,
             cursor: AtomicUsize::new(0),
-            converged,
-            all_converged_at: AtomicU64::new(0),
-            reopened: AtomicU64::new(0),
-            obs,
+            obs: registry.as_deref().map(ExecutorObs::register),
         });
         let idle_task = config.background_maintenance.then(|| {
             let maintenance = Arc::clone(&maintenance);
             let durable = durability.clone();
-            Arc::new(move |_worker: usize| {
-                let worked = maintenance.idle_step();
-                // Idle cycles double as the durability layer's checkpoint
-                // pulse (a failed opportunistic checkpoint is surfaced by
-                // the next durable write, not here).
-                if let Some(durable) = &durable {
-                    let _ = durable.maybe_checkpoint();
-                }
-                worked
-            }) as pi_sched::IdleTask
+            Arc::new(move |_worker: usize| idle_cycle(&maintenance, durable.as_deref()))
+                as pi_sched::IdleTask
         });
         let pool = Pool::with_config(PoolConfig {
             workers,
@@ -752,10 +656,10 @@ impl Executor {
     /// only fires when a worker finds every queue empty, so under a
     /// saturating workload it alone would starve cold shards. The
     /// per-batch budget is the load-independent floor that keeps the
-    /// convergence guarantee; once every shard has converged the
-    /// `is_all_converged` latch stops the traffic entirely.
+    /// convergence guarantee; while every shard's convergence flag is set
+    /// no job is enqueued at all.
     fn spawn_maintenance(&self, steps: usize, touched: Vec<bool>) {
-        if steps == 0 || self.maintenance.is_all_converged() {
+        if steps == 0 || self.table.is_converged() {
             return;
         }
         if self.pending_maintenance.fetch_add(1, Ordering::Relaxed) >= 4 {
@@ -815,11 +719,11 @@ impl Executor {
     /// decomposed into a delete and a dependent insert; the insert is
     /// sequenced after every same-batch single-shard mutation (it runs in
     /// a second wave), and is only attempted when the delete applied.
-    /// **Convergence.** Every mutated shard re-enters maintenance — the
-    /// executor's converged-shard cache and terminal latch are invalidated
-    /// through the table's dirty flags and mutation epoch — so
-    /// [`Executor::drive_to_convergence`], the per-batch maintenance floor
-    /// and idle cycles fold the new deltas in and re-converge the table.
+    /// **Convergence.** A write that leaves a shard with pending deltas
+    /// clears the shard's convergence flag before it releases the shard's
+    /// lock, so [`Executor::drive_to_convergence`], the per-batch
+    /// maintenance floor and idle cycles fold the new deltas in and
+    /// re-converge the table.
     ///
     /// ```
     /// use std::sync::Arc;
@@ -1025,7 +929,7 @@ impl Executor {
                     let performed = Arc::clone(&performed);
                     let job: Job = Box::new(move || {
                         while budget.try_take() {
-                            if maintenance.single_step() {
+                            if maintenance.sweep(false) {
                                 performed.fetch_add(1, Ordering::Relaxed);
                             } else {
                                 // Nothing left to advance; return the
@@ -1068,16 +972,7 @@ impl BatchExecutor for Executor {
     }
 
     fn idle_maintain(&self) -> bool {
-        let worked = self.maintenance.idle_step();
-        // Idle cycles double as the durability layer's checkpoint pulse:
-        // merges completed by the step above may have crossed the
-        // checkpoint-after-merges threshold. A failed opportunistic
-        // checkpoint is not a serving error; the next durable write
-        // surfaces it.
-        if let Some(durable) = &self.durability {
-            let _ = durable.maybe_checkpoint();
-        }
-        worked
+        idle_cycle(&self.maintenance, self.durability.as_deref())
     }
 }
 

@@ -25,7 +25,7 @@ use pi_core::decision::{recommend, Algorithm, DataDistribution, QueryShape, Scen
 use pi_core::metrics::IndexMetrics;
 use pi_core::mutation::{MergeHook, MutableIndex, Mutation};
 use pi_core::result::{IndexStatus, Phase};
-use pi_obs::{Gauge, MetricsRegistry};
+use pi_obs::{Counter, Gauge, MetricsRegistry};
 use pi_storage::delta::DeltaSidecar;
 use pi_storage::digest::DigestTree;
 use pi_storage::scan::ScanResult;
@@ -150,6 +150,16 @@ impl ShardDigest {
     }
 }
 
+/// A column's metric handles (see [`ShardedColumn::attach_metrics`]).
+struct ColumnObs {
+    /// Shared `core.<column>.*` counters, attached to every shard's index.
+    index: Arc<IndexMetrics>,
+    /// Per-shard convergence gauges `engine.rho.<column>.<shard>`.
+    rho: Vec<Arc<Gauge>>,
+    /// `executor.shards_reopened`: converged shards a write reopened.
+    reopened: Arc<Counter>,
+}
+
 /// A named, range-sharded, progressively indexed, **mutable** column.
 ///
 /// Each shard is a [`MutableIndex`] over the rows whose values fall into
@@ -177,13 +187,10 @@ pub struct ShardedColumn {
     shard_rows: Vec<usize>,
     digests: Vec<RwLock<ShardDigest>>,
     shards: Vec<Mutex<MutableIndex>>,
-    /// Per-shard "mutated since last converged-cache check" flags; lets a
-    /// maintenance layer with a monotone converged cache (the executor)
-    /// notice that a converged shard re-entered maintenance.
-    shard_dirty: Vec<AtomicBool>,
-    /// Bumped once per applied mutation batch; convergence latches compare
-    /// against it so a mutation invalidates them race-free.
-    mutation_epoch: AtomicU64,
+    /// Per-shard convergence flags, written only by
+    /// [`ShardedColumn::with_shard`] while it holds the shard's lock
+    /// (`Release`), read lock-free (`Acquire`).
+    converged: Vec<AtomicBool>,
     /// Per-shard applied-mutation counters, bumped **under the shard
     /// lock** (before it is released) whenever a mutation run touches the
     /// shard. They stamp derived per-shard artifacts — the aggregate
@@ -191,18 +198,15 @@ pub struct ShardedColumn {
     /// shard's live values (also under the lock) stays valid exactly
     /// until the next write to that shard completes.
     shard_mutations: Vec<AtomicU64>,
-    /// Lock-free per-shard ρ cache (f64 bits): refreshed from every
-    /// `note_rho` site (query, maintenance, mutation), read by the
-    /// conjunction planner without touching shard or digest locks.
+    /// Lock-free per-shard ρ cache (f64 bits), published by
+    /// [`ShardedColumn::with_shard`] and read by the conjunction planner
+    /// and the executor's fan-out price without touching shard or digest
+    /// locks.
     rho_cache: Vec<AtomicU64>,
     stats: WorkloadStats,
-    /// Shared `core.<column>.*` counters, attached to every shard's index
-    /// (see [`TableBuilder::metrics`]); `None` costs nothing.
-    index_metrics: Option<Arc<IndexMetrics>>,
-    /// Per-shard convergence gauges `engine.rho.<column>.<shard>` — the
-    /// paper's ρ (fraction of the data fully indexed), refreshed whenever
-    /// a shard performs indexing work or absorbs a mutation.
-    rho: Option<Vec<Arc<Gauge>>>,
+    /// Metric handles (see [`TableBuilder::metrics`]); `None` costs
+    /// nothing.
+    obs: Option<ColumnObs>,
     /// Merge-boundary callback shared by every shard's index (the
     /// durability layer's checkpoint trigger); `None` costs nothing.
     merge_hook: Option<MergeHook>,
@@ -241,62 +245,74 @@ impl ShardedColumn {
         policy: BudgetPolicy,
         distribution: DataDistribution,
     ) -> Self {
-        let rows = column.len();
-        let domain = column.domain().unwrap_or((0, 0));
         let sub_columns = partition.split_column(&column);
-        let shard_rows: Vec<usize> = sub_columns.iter().map(Column::len).collect();
         let digests = sub_columns
             .iter()
-            .map(|sub| {
-                RwLock::new(ShardDigest {
-                    min: sub.min(),
-                    max: sub.max(),
-                    total: ScanResult {
-                        sum: sub.data().iter().map(|&v| v as u128).sum(),
-                        count: sub.len() as u64,
-                    },
-                })
+            .map(|sub| ShardDigest {
+                min: sub.min(),
+                max: sub.max(),
+                total: ScanResult {
+                    sum: sub.data().iter().map(|&v| v as u128).sum(),
+                    count: sub.len() as u64,
+                },
             })
             .collect();
-        let shard_dirty: Vec<AtomicBool> =
-            sub_columns.iter().map(|_| AtomicBool::new(false)).collect();
-        let shard_mutations = sub_columns.iter().map(|_| AtomicU64::new(0)).collect();
-        let rho_cache = sub_columns.iter().map(|_| AtomicU64::new(0)).collect();
-        let shards: Vec<Mutex<MutableIndex>> = sub_columns
+        let shards = sub_columns
             .into_iter()
-            .map(|sub| Mutex::new(MutableIndex::new(Arc::new(sub), algorithm, policy)))
+            .map(|sub| MutableIndex::new(Arc::new(sub), algorithm, policy))
             .collect();
+        Self::assemble(
+            name,
+            algorithm,
+            policy,
+            distribution,
+            partition,
+            digests,
+            shards,
+        )
+    }
+
+    /// The tail every constructor shares: derives the row counts and the
+    /// domain from the shard digests, puts each shard behind its lock and
+    /// publishes every shard's status.
+    fn assemble(
+        name: String,
+        algorithm: Algorithm,
+        policy: BudgetPolicy,
+        distribution: DataDistribution,
+        partition: RangePartition,
+        digests: Vec<ShardDigest>,
+        shards: Vec<MutableIndex>,
+    ) -> Self {
+        let shard_rows: Vec<usize> = digests.iter().map(|d| d.total.count as usize).collect();
+        let domain = digests
+            .iter()
+            .filter(|d| d.total.count > 0)
+            .fold(None, |acc: Option<(Value, Value)>, d| match acc {
+                None => Some((d.min, d.max)),
+                Some((lo, hi)) => Some((lo.min(d.min), hi.max(d.max))),
+            })
+            .unwrap_or((0, 0));
         let column = ShardedColumn {
             name,
-            rows,
+            rows: shard_rows.iter().sum(),
             domain,
             algorithm,
             policy,
             distribution,
             partition,
             shard_rows,
-            digests,
-            shards,
-            shard_dirty,
-            mutation_epoch: AtomicU64::new(0),
-            shard_mutations,
-            rho_cache,
+            digests: digests.into_iter().map(RwLock::new).collect(),
+            converged: shards.iter().map(|_| AtomicBool::new(false)).collect(),
+            shard_mutations: shards.iter().map(|_| AtomicU64::new(0)).collect(),
+            rho_cache: shards.iter().map(|_| AtomicU64::new(0)).collect(),
+            shards: shards.into_iter().map(Mutex::new).collect(),
             stats: WorkloadStats::new(),
-            index_metrics: None,
-            rho: None,
+            obs: None,
             merge_hook: None,
         };
-        column.seed_rho_cache();
+        column.reattach();
         column
-    }
-
-    /// Seeds the lock-free ρ cache from the current shard statuses (locks
-    /// are uncontended at construction time).
-    fn seed_rho_cache(&self) {
-        for (s, shard) in self.shards.iter().enumerate() {
-            let guard = shard.lock().expect("shard lock poisoned");
-            self.note_rho(s, &guard);
-        }
     }
 
     /// Reassembles a column from persisted parts: the shard boundaries
@@ -332,21 +348,18 @@ impl ShardedColumn {
             sampled.extend(sample_values(sidecar.inserts(), 256));
         }
         let distribution = estimate_distribution(&sampled);
-        let shards: Vec<Mutex<MutableIndex>> = shard_states
+        let shards: Vec<MutableIndex> = shard_states
             .into_iter()
-            .map(|(base, sidecar)| {
-                Mutex::new(MutableIndex::from_parts(base, sidecar, algorithm, policy))
-            })
+            .map(|(base, sidecar)| MutableIndex::from_parts(base, sidecar, algorithm, policy))
             .collect();
-        let digests: Vec<RwLock<ShardDigest>> = shards
+        let digests = shards
             .iter()
             .map(|shard| {
-                let guard = shard.lock().expect("shard lock poisoned");
-                let (base, sidecar) = guard.snapshot_parts();
+                let (base, sidecar) = shard.snapshot_parts();
                 let mut digest = ShardDigest {
                     min: base.min(),
                     max: base.max(),
-                    total: guard.live_total(),
+                    total: shard.live_total(),
                 };
                 // Pending inserts may lie outside the base bounds; widen
                 // like the live path would have (sorted run: first/last).
@@ -356,48 +369,18 @@ impl ShardedColumn {
                     digest.widen(lo);
                     digest.widen(hi);
                 }
-                RwLock::new(digest)
+                digest
             })
             .collect();
-        let shard_rows: Vec<usize> = digests
-            .iter()
-            .map(|d| d.read().expect("digest lock poisoned").total.count as usize)
-            .collect();
-        let rows = shard_rows.iter().sum();
-        let domain = digests
-            .iter()
-            .map(|d| d.read().expect("digest lock poisoned"))
-            .filter(|d| d.total.count > 0)
-            .fold(None, |acc: Option<(Value, Value)>, d| match acc {
-                None => Some((d.min, d.max)),
-                Some((lo, hi)) => Some((lo.min(d.min), hi.max(d.max))),
-            })
-            .unwrap_or((0, 0));
-        let shard_dirty: Vec<AtomicBool> = shards.iter().map(|_| AtomicBool::new(false)).collect();
-        let shard_mutations = shards.iter().map(|_| AtomicU64::new(0)).collect();
-        let rho_cache = shards.iter().map(|_| AtomicU64::new(0)).collect();
-        let column = ShardedColumn {
+        Self::assemble(
             name,
-            rows,
-            domain,
             algorithm,
             policy,
             distribution,
             partition,
-            shard_rows,
             digests,
             shards,
-            shard_dirty,
-            mutation_epoch: AtomicU64::new(0),
-            shard_mutations,
-            rho_cache,
-            stats: WorkloadStats::new(),
-            index_metrics: None,
-            rho: None,
-            merge_hook: None,
-        };
-        column.seed_rho_cache();
-        column
+        )
     }
 
     /// Captures the column's persistable state: the partition boundaries
@@ -419,12 +402,7 @@ impl ShardedColumn {
     /// completed-merge count whenever a pending-delta merge completes).
     pub(crate) fn attach_merge_hook(&mut self, hook: MergeHook) {
         self.merge_hook = Some(hook);
-        for shard in &self.shards {
-            shard
-                .lock()
-                .expect("shard lock poisoned")
-                .set_merge_hook(self.merge_hook.clone());
-        }
+        self.reattach();
     }
 
     /// Registers this column's convergence and indexing-work metrics in
@@ -435,43 +413,60 @@ impl ShardedColumn {
     ///   [`IndexMetrics::register`]).
     /// * `engine.rho.<column>.<shard>` — each shard's ρ, the paper's
     ///   convergence measure ([`IndexStatus::fraction_indexed`]).
+    /// * `executor.shards_reopened` — converged shards a write reopened,
+    ///   whichever path the write took.
     ///
     /// Called by [`TableBuilder::build`] before the table is shared (and
     /// by recovery, which rebuilds columns outside the builder).
     pub(crate) fn attach_metrics(&mut self, registry: &MetricsRegistry) {
         let scope = pi_obs::sanitize_component(&self.name);
-        self.index_metrics = Some(IndexMetrics::register(registry, &self.name));
-        self.rho = Some(
-            (0..self.shards.len())
+        self.obs = Some(ColumnObs {
+            index: IndexMetrics::register(registry, &self.name),
+            rho: (0..self.shards.len())
                 .map(|s| registry.gauge(&format!("engine.rho.{scope}.{s}")))
                 .collect(),
-        );
-        self.reattach_metrics();
+            reopened: registry.counter("executor.shards_reopened"),
+        });
+        self.reattach();
     }
 
     /// Pushes the column's metric handles and merge hook into every shard
-    /// and seeds the ρ gauges from the current statuses (also used after
-    /// a re-balance, which rebuilds the shards from scratch).
-    fn reattach_metrics(&mut self) {
-        for (s, shard) in self.shards.iter().enumerate() {
-            let mut guard = shard.lock().expect("shard lock poisoned");
-            guard.set_metrics(self.index_metrics.clone());
-            guard.set_merge_hook(self.merge_hook.clone());
-            if let Some(rho) = &self.rho {
-                rho[s].set(guard.status().fraction_indexed);
-            }
+    /// and publishes every shard's status (construction, metric and hook
+    /// attachment, re-balance).
+    fn reattach(&self) {
+        for s in 0..self.shards.len() {
+            self.with_shard(s, |index| {
+                index.set_metrics(self.obs.as_ref().map(|obs| Arc::clone(&obs.index)));
+                index.set_merge_hook(self.merge_hook.clone());
+            });
         }
     }
 
-    /// Refreshes shard `shard`'s lock-free ρ cache — and its gauge, when
-    /// metrics are attached — from a held shard guard.
-    #[inline]
-    fn note_rho(&self, shard: usize, guard: &MutableIndex) {
-        let fraction = guard.status().fraction_indexed;
-        self.rho_cache[shard].store(fraction.to_bits(), Ordering::Relaxed);
-        if let Some(rho) = &self.rho {
-            rho[shard].set(fraction);
+    /// Runs `f` on shard `shard` under its lock and, before releasing it,
+    /// publishes what the shard now reports: its ρ to the lock-free cache
+    /// and the `engine.rho.*` gauge, and its convergence flag. Every
+    /// locked change to a shard goes through here, so nothing published
+    /// is older than the last call that changed the shard. Only the lock
+    /// holder writes the flag, so a plain load and store suffice: the
+    /// mutex orders the previous holder's store before this load.
+    fn with_shard<R>(&self, shard: usize, f: impl FnOnce(&mut MutableIndex) -> R) -> R {
+        let mut index = self.shards[shard].lock().expect("shard lock poisoned");
+        let result = f(&mut index);
+        let status = index.status();
+        self.rho_cache[shard].store(status.fraction_indexed.to_bits(), Ordering::Relaxed);
+        let was_converged = self.converged[shard].load(Ordering::Relaxed);
+        if was_converged != status.converged {
+            self.converged[shard].store(status.converged, Ordering::Release);
         }
+        if let Some(obs) = &self.obs {
+            obs.rho[shard].set(status.fraction_indexed);
+            // Queries and maintenance only ever converge a shard; a write
+            // is the one call that can reopen it.
+            if was_converged && !status.converged {
+                obs.reopened.inc();
+            }
+        }
+        result
     }
 
     /// Column name.
@@ -570,10 +565,7 @@ impl ShardedColumn {
     /// Used by the executor's parallel fan-out; prefer
     /// [`ShardedColumn::query`] for the serial path.
     pub fn query_shard(&self, shard: usize, low: Value, high: Value) -> ScanResult {
-        let mut guard = self.shards[shard].lock().expect("shard lock poisoned");
-        let result = guard.query(low, high).scan_result();
-        self.note_rho(shard, &guard);
-        result
+        self.with_shard(shard, |index| index.query(low, high).scan_result())
     }
 
     /// O(1) answer for shard `shard` when the predicate covers every value
@@ -630,15 +622,9 @@ impl ShardedColumn {
     /// taking the shard lock per step would multiply the lock round-trips
     /// — and the contention with serving threads — by N.
     pub fn advance_shard_by(&self, shard: usize, steps: usize) -> usize {
-        let mut guard = self.shards[shard].lock().expect("shard lock poisoned");
-        let mut performed = 0;
-        while performed < steps && guard.advance() {
-            performed += 1;
-        }
-        if performed > 0 {
-            self.note_rho(shard, &guard);
-        }
-        performed
+        self.with_shard(shard, |index| {
+            (0..steps).take_while(|_| index.advance()).count()
+        })
     }
 
     /// The shard a single-value mutation (insert, delete) routes to.
@@ -649,45 +635,30 @@ impl ShardedColumn {
     /// Applies a run of mutations to one shard, in order, under a single
     /// shard-lock acquisition. Returns the per-mutation applied flags (in
     /// the run's order). The shard's digest is updated exactly for every
-    /// applied mutation before the shard lock is released, and the shard
-    /// is marked dirty so converged-shard caches re-examine it.
+    /// applied mutation, and the shard's status published, before the
+    /// shard lock is released — a rejected delete's validating lookup
+    /// refines the index too.
     ///
     /// Callers are responsible for routing: every mutation in `ops` must
     /// belong to `shard` under the column's partition (for an update, both
     /// `old` and `new`; cross-shard updates must be decomposed into a
     /// delete and a dependent insert by the caller — the executor does).
     pub fn apply_shard_ops(&self, shard: usize, ops: &[Mutation]) -> Vec<bool> {
-        if ops.is_empty() {
-            return Vec::new();
-        }
-        let mut guard = self.shards[shard].lock().expect("shard lock poisoned");
-        let mut applied = Vec::with_capacity(ops.len());
-        let mut digest_delta: Vec<&Mutation> = Vec::new();
-        for op in ops {
-            let ok = guard.apply(op);
-            if ok {
-                digest_delta.push(op);
-            }
-            applied.push(ok);
-        }
-        if !digest_delta.is_empty() {
-            {
+        self.with_shard(shard, |index| {
+            let applied: Vec<bool> = ops.iter().map(|op| index.apply(op)).collect();
+            if applied.contains(&true) {
                 let mut digest = self.digests[shard].write().expect("digest lock poisoned");
-                for op in digest_delta {
+                for (op, _) in ops.iter().zip(&applied).filter(|(_, &ok)| ok) {
                     digest.apply(op);
                 }
+                // The per-shard counter is bumped while the shard lock is
+                // still held: any digest tree stamped before this write
+                // completes is invalidated before a reader can observe the
+                // new values.
+                self.shard_mutations[shard].fetch_add(1, Ordering::SeqCst);
             }
-            self.shard_dirty[shard].store(true, Ordering::SeqCst);
-            self.mutation_epoch.fetch_add(1, Ordering::SeqCst);
-            // The per-shard counter is bumped while the shard lock is still
-            // held: any digest tree stamped before this write completes is
-            // invalidated before a reader can observe the new values.
-            self.shard_mutations[shard].fetch_add(1, Ordering::SeqCst);
-            // Pending deltas lower the shard's effective ρ until merged.
-            self.note_rho(shard, &guard);
-        }
-        drop(guard);
-        applied
+            applied
+        })
     }
 
     /// Applies a batch of mutations in request order, serially. Returns
@@ -718,24 +689,11 @@ impl ShardedColumn {
             .collect()
     }
 
-    /// Consumes shard `shard`'s dirty flag: `true` when a mutation was
-    /// applied since the last call. Converged-shard caches call this
-    /// before trusting a cached "converged" verdict.
-    pub fn take_shard_dirty(&self, shard: usize) -> bool {
-        self.shard_dirty[shard].swap(false, Ordering::SeqCst)
-    }
-
-    /// Reads shard `shard`'s dirty flag without consuming it (used by
-    /// terminal-state latches to refuse latching over an unexamined
-    /// mutation).
-    pub fn shard_is_dirty(&self, shard: usize) -> bool {
-        self.shard_dirty[shard].load(Ordering::SeqCst)
-    }
-
-    /// Monotone counter bumped on every applied mutation run. Convergence
-    /// latches snapshot it so any later mutation invalidates them.
-    pub fn mutation_epoch(&self) -> u64 {
-        self.mutation_epoch.load(Ordering::SeqCst)
+    /// Whether shard `shard` has converged, as published by the last call
+    /// that held its lock (no lock taken). A write that reopens the shard
+    /// clears the flag before it releases the lock.
+    pub fn shard_is_converged(&self, shard: usize) -> bool {
+        self.converged[shard].load(Ordering::Acquire)
     }
 
     /// Monotone per-shard applied-mutation counter. Bumped under the shard
@@ -748,8 +706,8 @@ impl ShardedColumn {
     }
 
     /// Shard `shard`'s cached ρ (the paper's fraction-indexed convergence
-    /// measure), read lock-free from the value recorded the last time the
-    /// shard performed indexing work or absorbed a mutation.
+    /// measure), read lock-free from the value published by the last call
+    /// that held the shard's lock.
     pub fn shard_rho_estimate(&self, shard: usize) -> f64 {
         f64::from_bits(self.rho_cache[shard].load(Ordering::Relaxed))
     }
@@ -873,8 +831,7 @@ impl ShardedColumn {
         }
         let shards = self.partition.shard_count();
         let partition = RangePartition::equi_depth(&live, shards);
-        let index_metrics = self.index_metrics.take();
-        let rho = self.rho.take();
+        let obs = self.obs.take();
         let merge_hook = self.merge_hook.take();
         // A rebalance re-slices every shard: per-shard mutation counters
         // must keep climbing past their old values so digest trees stamped
@@ -895,13 +852,12 @@ impl ShardedColumn {
         // The rebuilt shards keep reporting into the same metric family
         // (same shard count, so the gauge handles stay valid) and keep
         // firing the same merge hook.
-        self.index_metrics = index_metrics;
-        self.rho = rho;
+        self.obs = obs;
         self.merge_hook = merge_hook;
         for (counter, old) in self.shard_mutations.iter().zip(old_mutation_counts) {
             counter.store(old + 1, Ordering::SeqCst);
         }
-        self.reattach_metrics();
+        self.reattach();
     }
 
     /// Per-shard status snapshots.
@@ -955,11 +911,10 @@ impl ShardedColumn {
         }
     }
 
-    /// `true` once every shard of the column has converged.
+    /// `true` once every shard of the column has converged: every
+    /// published convergence flag is set (no shard lock taken).
     pub fn is_converged(&self) -> bool {
-        self.shards
-            .iter()
-            .all(|s| s.lock().expect("shard lock poisoned").status().converged)
+        self.converged.iter().all(|c| c.load(Ordering::Acquire))
     }
 }
 
@@ -1468,14 +1423,14 @@ mod tests {
             }
         };
         converge(&column);
-        assert!(!column.take_shard_dirty(0));
+        assert!((0..column.shard_count()).all(|s| column.shard_is_converged(s)));
         let applied = column.apply_mutations(&[Mutation::Insert(42), Mutation::Insert(4_500)]);
         assert_eq!(applied, vec![true, true]);
         assert!(
             !column.is_converged(),
             "pending deltas must un-converge the column"
         );
-        assert!(column.mutation_epoch() > 0);
+        assert!(!column.shard_is_converged(column.shard_of(42)));
         converge(&column);
         assert_eq!(
             column.query(0, u64::MAX).count as usize,
@@ -1542,5 +1497,107 @@ mod tests {
         // Same live multiset, served exactly, and re-convergeable.
         assert_eq!(column.query(0, u64::MAX), expected);
         assert_eq!(table.rebalance_if_drifted(1.5), 0, "second pass is a no-op");
+    }
+
+    /// What a column publishes for lock-free readers — each shard's
+    /// convergence flag and cached ρ — is what the shard reports, after
+    /// every call. The first case is a run of rejected deletes: their
+    /// validating lookups refine the index although nothing applies. The
+    /// script is seeded and a failure names algorithm, seed and step.
+    #[test]
+    fn publication_matches_the_shard_after_every_call() {
+        fn assert_published(column: &ShardedColumn, context: &str) {
+            for (s, status) in column.shard_statuses().iter().enumerate() {
+                assert_eq!(
+                    (column.shard_is_converged(s), column.shard_rho_estimate(s)),
+                    (status.converged, status.fraction_indexed),
+                    "{context}: shard {s}"
+                );
+            }
+        }
+        // Even values only, so every odd value is absent.
+        let evens = |n: usize, seed: u64| -> Vec<Value> {
+            uniform_values(n, seed).into_iter().map(|v| 2 * v).collect()
+        };
+        for algorithm in Algorithm::ALL {
+            let spec = |values: Vec<Value>, shards: usize| {
+                ColumnSpec::new("a", values)
+                    .with_shards(shards)
+                    .with_policy(BudgetPolicy::FixedDelta(0.5))
+                    .with_choice(AlgorithmChoice::Fixed(algorithm))
+            };
+            let column = ShardedColumn::from_spec(spec(evens(1_000, 43), 1));
+            assert_eq!(
+                column.apply_mutations(&[Mutation::Delete(1); 6]),
+                [false; 6]
+            );
+            assert!(column.shard_statuses()[0].fraction_indexed > 0.0);
+            assert_published(&column, &format!("{algorithm}: rejected deletes"));
+
+            for seed in 1..=4u64 {
+                let mut live = evens(400, seed);
+                let mut column = ShardedColumn::from_spec(spec(live.clone(), 4));
+                let mut state = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+                let mut next = move |bound: u64| {
+                    state ^= state << 13;
+                    state ^= state >> 7;
+                    state ^= state << 17;
+                    state % bound
+                };
+                for step in 0..300 {
+                    let shard = next(4) as usize;
+                    let low = next(800);
+                    let high = low + next(200);
+                    let victim = next(live.len().max(1) as u64) as usize;
+                    let op = match next(9) {
+                        0 | 1 => {
+                            column.query_shard(shard, low, high);
+                            "query_shard"
+                        }
+                        2 => {
+                            column.advance_shard_by(shard, 1 + next(3) as usize);
+                            "advance_shard_by"
+                        }
+                        3 => {
+                            let v = 2 * next(400);
+                            assert_eq!(column.apply_mutations(&[Mutation::Insert(v)]), [true]);
+                            live.push(v);
+                            "insert"
+                        }
+                        4 if !live.is_empty() => {
+                            let v = live.swap_remove(victim);
+                            assert_eq!(column.apply_mutations(&[Mutation::Delete(v)]), [true]);
+                            "present delete"
+                        }
+                        5 => {
+                            let v = 2 * next(400) + 1;
+                            assert_eq!(column.apply_mutations(&[Mutation::Delete(v)]), [false]);
+                            "absent delete"
+                        }
+                        6 if !live.is_empty() => {
+                            let (old, new) = (live[victim], (live[victim] + 400) % 800);
+                            let update = Mutation::Update { old, new };
+                            assert_eq!(column.apply_mutations(&[update]), [true]);
+                            live[victim] = new;
+                            "update"
+                        }
+                        7 => {
+                            assert_eq!(column.peek(low, high), scan_range_sum(&live, low, high));
+                            column.digest_tree(shard, 64);
+                            "peek and digest_tree"
+                        }
+                        8 if next(4) == 0 => {
+                            column.rebalance();
+                            "rebalance"
+                        }
+                        _ => continue,
+                    };
+                    assert_published(
+                        &column,
+                        &format!("{algorithm} seed {seed} step {step} {op}"),
+                    );
+                }
+            }
+        }
     }
 }

@@ -120,7 +120,7 @@ fn mutated_converged_shard_re_enters_maintenance_via_executor() {
     );
     executor.drive_to_convergence(usize::MAX);
     assert!(table.is_converged());
-    // The terminal latch is set: maintenance performs no work.
+    // Every shard's convergence flag is set: maintenance performs no work.
     assert_eq!(executor.maintain(16), 0);
 
     // A write to the converged table must reopen maintenance.

@@ -142,7 +142,7 @@ fn main() {
     }
     println!();
     println!(
-        "  executor: {} batches / {} queries, {} digest-cache hits, {} shards reopened",
+        "  executor: {} batches / {} queries, {} digest-cache hits, {} converged shards reopened by writes",
         snap.counter("executor.batches").unwrap_or(0),
         snap.counter("executor.queries").unwrap_or(0),
         snap.counter("executor.digest_hits").unwrap_or(0),

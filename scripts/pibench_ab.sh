@@ -21,7 +21,8 @@
 # `core.*.op_max_ms`), the two counts that must not move
 # (`core.refine_steps`, `core.bytes_moved`) and the mutation path's layers
 # (`core.merge_steps`, `core.mutation.apply_us`, `core.mutation.merge_s`,
-# `core.mutation.sidecar_query_us`), so the layer that moved is on the
+# `core.mutation.sidecar_query_us`, and `engine.executor.shards_reopened`,
+# the converged shards writes reopened), so the layer that moved is on the
 # same page.
 #
 # The run length and the command come from the working tree's
@@ -127,7 +128,8 @@ EOF
             awk -v side="$side" '$1 == "storage.scan_gb_s" ||
                 $1 ~ /^core\..*\.(first_query_ms|cold_total_s|op_max_ms)$/ ||
                 $1 == "core.refine_steps" || $1 == "core.bytes_moved" ||
-                $1 == "core.merge_steps" || $1 ~ /^core\.mutation\.(apply_us|merge_s|sidecar_query_us)$/ {
+                $1 == "core.merge_steps" || $1 ~ /^core\.mutation\.(apply_us|merge_s|sidecar_query_us)$/ ||
+                $1 == "engine.executor.shards_reopened" {
                     printf "  %-7s %-32s %.6g %s\n", side, $1, $2, $3 }'
     done
 done
