@@ -12,11 +12,11 @@
 //!   ([`ErasedKey::cmp_same`]).
 //! * [`ErasedColumn`] — a row-aligned vector of keys of one domain,
 //!   storing the *full* typed keys. Conjunctions evaluate a predicate
-//!   over a whole column per call — [`select`](ErasedColumn::select),
-//!   [`refine`](ErasedColumn::refine),
-//!   [`sum_selected`](ErasedColumn::sum_selected) — unwrapping domain
-//!   and bounds once, never per row, and comparing full keys, so prefix
-//!   ties never need a side table here.
+//!   over a whole column per call (`select`, `refine`, `sum_selected`),
+//!   unwrapping domain and bounds once, never per row. A string is
+//!   tested on its 16-byte order key, read in place from its `String`,
+//!   and only a tie on all 16 bytes with a longer string compares the
+//!   full bytes — exact, so prefix ties never need a side table here.
 //!
 //! Sums stay capability-gated exactly like the typed facade's digest
 //! matrix: `u64`/`i64` sums are exact ([`ErasedSum`]), `f64` and
@@ -124,7 +124,7 @@ pub enum ErasedColumn {
 
 impl ErasedColumn {
     /// The column's domain.
-    pub fn domain(&self) -> KeyDomain {
+    pub(crate) fn domain(&self) -> KeyDomain {
         match self {
             ErasedColumn::U64(_) => KeyDomain::U64,
             ErasedColumn::I64(_) => KeyDomain::I64,
@@ -135,17 +135,12 @@ impl ErasedColumn {
 
     /// Whether the domain's code ranges can over-select (distinct keys
     /// tying on a code): `true` only for `Str`.
-    pub fn prefix_encoded(&self) -> bool {
+    pub(crate) fn prefix_encoded(&self) -> bool {
         matches!(self, ErasedColumn::Str(_))
     }
 
-    /// Whether erased sums are exact in this domain.
-    pub fn sum_supported(&self) -> bool {
-        matches!(self, ErasedColumn::U64(_) | ErasedColumn::I64(_))
-    }
-
     /// Number of rows (live and dead — row stores keep rows in place).
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         match self {
             ErasedColumn::U64(v) => v.len(),
             ErasedColumn::I64(v) => v.len(),
@@ -154,23 +149,8 @@ impl ErasedColumn {
         }
     }
 
-    /// `true` when the column holds no rows.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// The key at `row`.
-    pub fn key_at(&self, row: usize) -> ErasedKey {
-        match self {
-            ErasedColumn::U64(v) => ErasedKey::U64(v[row]),
-            ErasedColumn::I64(v) => ErasedKey::I64(v[row]),
-            ErasedColumn::F64(v) => ErasedKey::F64(v[row]),
-            ErasedColumn::Str(v) => ErasedKey::Str(v[row].clone()),
-        }
-    }
-
     /// The key's code at `row` (no clone; the delete path's index lookup).
-    pub fn code_at(&self, row: usize) -> Value {
+    pub(crate) fn code_at(&self, row: usize) -> Value {
         match self {
             ErasedColumn::U64(v) => TableKey::to_code(&v[row]),
             ErasedColumn::I64(v) => TableKey::to_code(&v[row]),
@@ -183,7 +163,7 @@ impl ErasedColumn {
     ///
     /// # Panics
     /// Panics when the key's domain differs from the column's.
-    pub fn push(&mut self, key: ErasedKey) {
+    pub(crate) fn push(&mut self, key: ErasedKey) {
         match (self, key) {
             (ErasedColumn::U64(v), ErasedKey::U64(k)) => v.push(k),
             (ErasedColumn::I64(v), ErasedKey::I64(k)) => v.push(k),
@@ -201,7 +181,7 @@ impl ErasedColumn {
     ///
     /// # Panics
     /// Panics when the key's domain differs from the column's.
-    pub fn replace(&mut self, row: usize, key: ErasedKey) -> ErasedKey {
+    pub(crate) fn replace(&mut self, row: usize, key: ErasedKey) -> ErasedKey {
         match (self, key) {
             (ErasedColumn::U64(v), ErasedKey::U64(k)) => {
                 ErasedKey::U64(std::mem::replace(&mut v[row], k))
@@ -229,7 +209,13 @@ impl ErasedColumn {
     /// # Panics
     /// Panics when the bounds' domain differs from the column's, or when
     /// `live` is not row-aligned with the column.
-    pub fn select(&self, live: &[bool], low: &ErasedKey, high: &ErasedKey, sel: &mut Vec<u32>) {
+    pub(crate) fn select(
+        &self,
+        live: &[bool],
+        low: &ErasedKey,
+        high: &ErasedKey,
+        sel: &mut Vec<u32>,
+    ) {
         assert_eq!(live.len(), self.len(), "the live bitmap is row-aligned");
         self.filter(low, high, Rows::Live(live, sel));
     }
@@ -239,14 +225,14 @@ impl ErasedColumn {
     ///
     /// # Panics
     /// Panics when the bounds' domain differs from the column's.
-    pub fn refine(&self, sel: &mut Vec<u32>, low: &ErasedKey, high: &ErasedKey) {
+    pub(crate) fn refine(&self, sel: &mut Vec<u32>, low: &ErasedKey, high: &ErasedKey) {
         self.filter(low, high, Rows::Selected(sel));
     }
 
     /// One domain dispatch and bounds unwrap per predicate. Fixed-width
     /// domains test in their key order (for `f64` code space, the total
     /// order [`TableKey::key_cmp`] realises: `-0.0 < +0.0`, `±inf`
-    /// ordinary keys); strings compare full keys.
+    /// ordinary keys); strings compare [`OrderKey`]s.
     fn filter(&self, low: &ErasedKey, high: &ErasedKey, rows: Rows<'_>) {
         match (self, low, high) {
             (ErasedColumn::U64(v), ErasedKey::U64(lo), ErasedKey::U64(hi)) => {
@@ -260,8 +246,11 @@ impl ErasedColumn {
                 filter_rows(v, rows, |k| (lo..=hi).contains(&TableKey::to_code(k)))
             }
             (ErasedColumn::Str(v), ErasedKey::Str(lo), ErasedKey::Str(hi)) => {
-                let (lo, hi) = (lo.as_bytes(), hi.as_bytes());
-                filter_rows(v, rows, |k| (lo..=hi).contains(&k.as_bytes()))
+                let (lo, hi) = (OrderKey::new(lo), OrderKey::new(hi));
+                filter_rows(v, rows, |k| {
+                    let k = OrderKey::new(k);
+                    k.cmp(lo).is_ge() & k.cmp(hi).is_le()
+                })
             }
             _ => panic!(
                 "predicate domain {:?}/{:?} does not match column domain {:?}",
@@ -275,7 +264,7 @@ impl ErasedColumn {
     /// The exact sum of the keys at the rows of `sel`; `None` where the
     /// domain has no exact sum (so the empty selection gives the
     /// domain's zero sum).
-    pub fn sum_selected(&self, sel: &[u32]) -> Option<ErasedSum> {
+    pub(crate) fn sum_selected(&self, sel: &[u32]) -> Option<ErasedSum> {
         match self {
             ErasedColumn::U64(v) => Some(ErasedSum::U64(
                 sel.iter().map(|&row| v[row as usize] as u128).sum(),
@@ -289,7 +278,7 @@ impl ErasedColumn {
 
     /// The row-order codes of every key (the encoded column the inner
     /// `u64` engine indexes).
-    pub fn codes(&self) -> Vec<Value> {
+    pub(crate) fn codes(&self) -> Vec<Value> {
         match self {
             ErasedColumn::U64(v) => v.iter().map(TableKey::to_code).collect(),
             ErasedColumn::I64(v) => v.iter().map(TableKey::to_code).collect(),
@@ -302,12 +291,58 @@ impl ErasedColumn {
     /// `u64`/`i64`/`f64` (injective encodings), `None` for `Str` (an
     /// 8-byte prefix does not determine the full key). Grouped-aggregate
     /// `MIN`/`MAX` cells use this, so string groups serve `COUNT` only.
-    pub fn decode_code(&self, code: Value) -> Option<ErasedKey> {
+    pub(crate) fn decode_code(&self, code: Value) -> Option<ErasedKey> {
         match self {
             ErasedColumn::U64(_) => Some(ErasedKey::U64(code)),
             ErasedColumn::I64(_) => Some(ErasedKey::I64(<i64 as OrderedKey>::decode(code))),
             ErasedColumn::F64(_) => Some(ErasedKey::F64(<f64 as OrderedKey>::decode(code))),
             ErasedColumn::Str(_) => None,
+        }
+    }
+}
+
+/// A string and its 16-byte order key: the first 16 bytes, big-endian,
+/// zero-padded. Keys that differ order as their strings do.
+#[derive(Clone, Copy)]
+struct OrderKey<'a> {
+    key: u128,
+    bytes: &'a [u8],
+}
+
+impl<'a> OrderKey<'a> {
+    /// Reads the key with in-bounds loads only: below 16 bytes, a head
+    /// word and a tail word that overlaps it where they agree.
+    fn new(s: &'a str) -> Self {
+        let bytes = s.as_bytes();
+        let n = bytes.len();
+        let be32 = |at: usize| u32::from_be_bytes(bytes[at..at + 4].try_into().expect("4 bytes"));
+        let be64 = |at: usize| u64::from_be_bytes(bytes[at..at + 8].try_into().expect("8 bytes"));
+        let key = if n >= 16 {
+            u128::from_be_bytes(bytes[..16].try_into().expect("16 bytes"))
+        } else if n > 8 {
+            // `n > 8` keeps the shift below 64: at 64 a release build
+            // would wrap it to 0 and keep the head's bytes twice.
+            u128::from(be64(0)) << 64 | u128::from(be64(n - 8) << (8 * (16 - n)))
+        } else if n >= 4 {
+            let word = u64::from(be32(0)) << 32 | u64::from(be32(n - 4)) << (8 * (8 - n));
+            u128::from(word) << 64
+        } else {
+            let at = |i: usize| u128::from(bytes[i]) << (8 * (15 - i));
+            (0..n).fold(0, |key, i| key | at(i))
+        };
+        OrderKey { key, bytes }
+    }
+
+    /// Exactly `self.bytes.cmp(other.bytes)`. Equal keys of strings of at
+    /// most 16 bytes make the shorter a prefix of the longer; only a tie
+    /// with a longer string reads past the key.
+    fn cmp(self, other: Self) -> Ordering {
+        match self.key.cmp(&other.key) {
+            Ordering::Equal if self.bytes.len().max(other.bytes.len()) > 16 => {
+                self.bytes.cmp(other.bytes)
+            }
+            Ordering::Equal => self.bytes.len().cmp(&other.bytes.len()),
+            order => order,
         }
     }
 }
@@ -357,7 +392,18 @@ fn filter_rows<T>(keys: &[T], rows: Rows<'_>, test: impl Fn(&T) -> bool) {
 
 #[cfg(test)]
 mod tests {
+    use pi_core::testing::TestRng;
+
     use super::*;
+
+    fn key_at(col: &ErasedColumn, row: usize) -> ErasedKey {
+        match col {
+            ErasedColumn::U64(v) => ErasedKey::U64(v[row]),
+            ErasedColumn::I64(v) => ErasedKey::I64(v[row]),
+            ErasedColumn::F64(v) => ErasedKey::F64(v[row]),
+            ErasedColumn::Str(v) => ErasedKey::Str(v[row].clone()),
+        }
+    }
 
     /// The per-row reference the kernels are held to: one `key_at` and
     /// two `cmp_same` per row.
@@ -368,7 +414,7 @@ mod tests {
         high: &ErasedKey,
     ) -> Vec<u32> {
         rows.filter(|&row| {
-            let key = col.key_at(row as usize);
+            let key = key_at(col, row as usize);
             key.cmp_same(low) != Ordering::Less && key.cmp_same(high) != Ordering::Greater
         })
         .collect()
@@ -381,7 +427,7 @@ mod tests {
             KeyDomain::F64 | KeyDomain::Str => None,
         };
         for &row in sel {
-            match (col.key_at(row as usize), &mut sum) {
+            match (key_at(col, row as usize), &mut sum) {
                 (ErasedKey::U64(k), Some(ErasedSum::U64(acc))) => *acc += k as u128,
                 (ErasedKey::I64(k), Some(ErasedSum::I64(acc))) => *acc += k as i128,
                 _ => {}
@@ -559,6 +605,79 @@ mod tests {
                     &ErasedKey::Str(low.into()),
                     &ErasedKey::Str(high.into()),
                 );
+            }
+        }
+    }
+
+    /// Strings of every length the order-key load branches on, each next
+    /// to its neighbours with the last byte one up (`c`), down to `\0`,
+    /// and replaced by a two-byte `é` (≥ 0x80, which a signed compare
+    /// misorders); the 16-, 17- and 24-byte ones agree on 16 bytes. Every
+    /// pair of them bounds a range over all of them.
+    #[test]
+    fn string_kernels_are_exact_at_every_key_length_boundary() {
+        let mut keys = vec!["ab".to_string(), "ab\0".to_string()];
+        for n in [0, 1, 3, 4, 7, 8, 9, 15, 16, 17, 24] {
+            let base: String = "ab".chars().cycle().take(n).collect();
+            if n > 0 {
+                keys.push(format!("{}c", &base[..n - 1]));
+                keys.push(format!("{}\0", &base[..n - 1]));
+            }
+            if n > 1 {
+                keys.push(format!("{}é", &base[..n - 2]));
+            }
+            keys.push(base);
+        }
+        let col = ErasedColumn::Str(keys.clone());
+        for low in &keys {
+            for high in &keys {
+                check(
+                    &col,
+                    &ErasedKey::Str(low.clone()),
+                    &ErasedKey::Str(high.clone()),
+                );
+            }
+        }
+    }
+
+    fn random_key(rng: &mut TestRng) -> String {
+        const ALPHABET: [char; 5] = ['\0', '\u{1}', 'a', 'b', 'é'];
+        let n = rng.below(21);
+        (0..n).map(|_| ALPHABET[rng.below(5) as usize]).collect()
+    }
+
+    /// Random strings of 0–20 characters over {0x00, 0x01, `a`, `b`,
+    /// `é`} as rows, and as bounds a random string or a row as it is,
+    /// extended or cut short, so bounds tie with rows and prefix them; a
+    /// failure names its seed.
+    #[test]
+    fn string_kernels_match_the_reference_on_random_strings() {
+        const ROWS: u32 = 300;
+        for seed in 1..=32 {
+            let mut rng = TestRng::new(seed);
+            let keys: Vec<String> = (0..ROWS).map(|_| random_key(&mut rng)).collect();
+            let col = ErasedColumn::Str(keys.clone());
+            for _ in 0..40 {
+                let mut bound = || {
+                    let row = &keys[rng.below(ROWS.into()) as usize];
+                    ErasedKey::Str(match rng.below(4) {
+                        0 => random_key(&mut rng),
+                        1 => row.clone(),
+                        2 => row.clone() + &random_key(&mut rng),
+                        _ => {
+                            let cut = rng.below(row.chars().count() as u64 + 1);
+                            row.chars().take(cut as usize).collect()
+                        }
+                    })
+                };
+                let (low, high) = (bound(), bound());
+                let want = reference(&col, 0..ROWS, &low, &high);
+                let mut sel = Vec::new();
+                col.select(&[true; ROWS as usize], &low, &high, &mut sel);
+                assert_eq!(sel, want, "seed {seed}: select {low:?}..={high:?}");
+                let mut sel: Vec<u32> = (0..ROWS).collect();
+                col.refine(&mut sel, &low, &high);
+                assert_eq!(sel, want, "seed {seed}: refine {low:?}..={high:?}");
             }
         }
     }

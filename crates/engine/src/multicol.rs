@@ -18,8 +18,8 @@
 //!   the paper's per-query δ of refinement work on that column. The
 //!   answer is computed **predicate-at-a-time over a selection vector**
 //!   in the planner's cost order: the first predicate selects row ids
-//!   ([`ErasedColumn::select`]), every later one compacts the selection
-//!   ([`ErasedColumn::refine`]) — each predicate evaluated once, over
+//!   (`ErasedColumn::select`), every later one compacts the selection
+//!   (`ErasedColumn::refine`) — each predicate evaluated once, over
 //!   full typed keys, exact at every refinement stage.
 //! * Grouped aggregates ([`MultiExecutor::grouped`]) —
 //!   `SUM/COUNT/MIN/MAX GROUP BY bucket` answered from per-shard

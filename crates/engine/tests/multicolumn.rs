@@ -587,6 +587,98 @@ fn heterogeneous_mutations_keep_conjunctions_exact() {
 }
 
 #[test]
+fn string_keys_past_sixteen_bytes_are_exact_at_every_stage_and_across_mutations() {
+    // Names that agree on their first 16 bytes and differ after them (17
+    // and 22 bytes), the bare 16-byte prefix, and short names: a string
+    // kernel that decided on 16 bytes alone would confuse the long ones.
+    const SHARED: &str = "progressive-inde";
+    let ids: Vec<u64> = (0..3_000).collect();
+    let names: Vec<String> = ids
+        .iter()
+        .map(|&i| match i % 4 {
+            0 => format!("{SHARED}x-{:04}", i * 7 % 1_000),
+            1 => SHARED.to_string(),
+            2 => format!("{SHARED}{}", (b'a' + (i % 26) as u8) as char),
+            _ => format!("p{}", i % 100),
+        })
+        .collect();
+    let table = Arc::new(
+        MultiTable::builder()
+            .column(MultiColumnSpec::new("id", ErasedColumn::U64(ids.clone())))
+            .column(MultiColumnSpec::new(
+                "name",
+                ErasedColumn::Str(names.clone()),
+            ))
+            .build(),
+    );
+    let exec = MultiExecutor::with_config(Arc::clone(&table), foreground());
+    let mut rows: Vec<(u64, String, bool)> = ids
+        .into_iter()
+        .zip(names)
+        .map(|(i, s)| (i, s, true))
+        .collect();
+    // Bounds of 16 and 17 bytes, and 22-byte ones inside the long keys.
+    let cases = [
+        ((0, u64::MAX), (SHARED, SHARED)),
+        ((0, u64::MAX), (SHARED, "progressive-indem")),
+        ((500, 2_500), ("progressive-indeb", "progressive-index")),
+        ((0, 2_000), ("progressive-index", "progressive-indez")),
+        (
+            (0, u64::MAX),
+            ("progressive-index-0100", "progressive-index-0500"),
+        ),
+        ((1_000, 3_000), ("p1", "progressive-index-0000")),
+    ];
+    let check = |rows: &[(u64, String, bool)], stage: &str| {
+        for &(ir, (low, high)) in &cases {
+            let answer = exec
+                .execute(&[
+                    Predicate::between_u64("id", ir.0, ir.1),
+                    Predicate::new(
+                        "name",
+                        ErasedKey::Str(low.into()),
+                        ErasedKey::Str(high.into()),
+                    ),
+                ])
+                .unwrap();
+            let (count, id_sum) = rows
+                .iter()
+                .filter(|(i, s, live)| {
+                    *live && (ir.0..=ir.1).contains(i) && (low..=high).contains(&s.as_str())
+                })
+                .fold((0, 0u128), |(count, sum), row| {
+                    (count + 1, sum + row.0 as u128)
+                });
+            assert!(count > 0, "a vacuous case checks nothing");
+            assert_eq!(answer.count, count, "{stage}: {ir:?} {low:?}..={high:?}");
+            assert_eq!(
+                answer.sums,
+                vec![Some(ErasedSum::U64(id_sum)), None],
+                "{stage}"
+            );
+        }
+    };
+    check(&rows, "cold");
+    exec.drive_to_convergence(usize::MAX);
+    assert!(table.inner().is_converged());
+    check(&rows, "converged");
+    let long = |tail: &str| ErasedKey::Str(format!("{SHARED}{tail}"));
+    let mutations = [
+        RowMutation::Insert(vec![ErasedKey::U64(1_200), long("x-0300")]),
+        RowMutation::Delete(4),
+        RowMutation::Update {
+            row: 8,
+            keys: vec![ErasedKey::U64(1_500), long("x-0499")],
+        },
+    ];
+    assert_eq!(exec.apply_rows(&mutations), vec![true; 3]);
+    rows.push((1_200, format!("{SHARED}x-0300"), true));
+    rows[4].2 = false;
+    rows[8] = (1_500, format!("{SHARED}x-0499"), true);
+    check(&rows, "mutated");
+}
+
+#[test]
 fn emptied_columns_serve_structurally_empty_digests_per_domain() {
     // Empty-column digests are a *count guard*: a column with no live
     // rows materialises no cells at all — never min/max sentinels. Cover
@@ -619,12 +711,12 @@ fn emptied_columns_serve_structurally_empty_digests_per_domain() {
         ),
     ];
     for (name, keys, low, high) in columns {
-        let rows = keys.len();
         let table = Arc::new(
             MultiTable::builder()
                 .column(MultiColumnSpec::new(name, keys))
                 .build(),
         );
+        let rows = table.live_rows();
         let exec = MultiExecutor::with_config(Arc::clone(&table), foreground());
         let query = GroupedQuery::new(name, low.clone(), high.clone(), 1u64 << 32);
         assert!(!exec.grouped(&query).unwrap().is_empty());

@@ -39,7 +39,7 @@ fn main() {
     // matches ~90% of the rows, the temp predicate ~1%. The planner
     // drives the selective column (its index pays the refinement) and
     // evaluates the predicates that discard most rows per nanosecond
-    // first (a string compare costs ten fixed-width ones).
+    // first (a string compare costs five fixed-width ones).
     let registry = Arc::new(MetricsRegistry::new());
     let executor = MultiExecutor::with_metrics(
         Arc::clone(&table),
