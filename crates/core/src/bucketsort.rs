@@ -1,8 +1,9 @@
 //! Progressive Bucketsort, Equi-Height (§3.3).
 //!
-//! [`ProgressiveBucketsort`] is the shared lifecycle
-//! ([`Progressive`]: budget, cost model, hand-over to consolidation,
-//! status) driving [`BucketsortStrategy`], which is only what §3.3 says.
+//! [`Algorithm::Bucketsort`](crate::Algorithm::Bucketsort) runs the
+//! shared lifecycle (budget, cost model, hand-over to consolidation,
+//! status) over this module's creation and refinement state, which is
+//! only what §3.3 says.
 //!
 //! Progressive Bucketsort is structurally identical to Progressive
 //! Radixsort (MSD) during the creation phase, but the partitioning bounds
@@ -31,12 +32,9 @@ use pi_storage::{sorted, Column, Value};
 
 use crate::buckets::{BucketSet, DEFAULT_BLOCK_CAPACITY, DEFAULT_BUCKET_COUNT};
 use crate::cost_model::CostModel;
-use crate::lifecycle::{BucketCreation, Progressive, Step, Strategy};
+use crate::lifecycle::{BucketCreation, Step};
 use crate::result::Phase;
 use crate::sorter::{IncrementalSorter, DEFAULT_SMALL_NODE_ELEMENTS};
-
-/// Progressive Bucketsort (Equi-Height) index over a single integer column.
-pub type ProgressiveBucketsort = Progressive<BucketsortStrategy>;
 
 /// Number of evenly spaced elements sampled to estimate the equi-height
 /// bounds.
@@ -82,22 +80,20 @@ struct BucketMerge {
 
 /// The creation and refinement steps of Progressive Bucketsort.
 #[derive(Debug)]
-pub struct BucketsortStrategy {
+pub(crate) struct BucketsortStrategy {
     bounds: Box<Bounds>,
     state: State,
 }
 
-impl Strategy for BucketsortStrategy {
-    const NAME: &'static str = "progressive-bucketsort";
-
-    fn start(column: &Column) -> Self {
+impl BucketsortStrategy {
+    pub(crate) fn start(column: &Column) -> Self {
         BucketsortStrategy {
             bounds: equi_height_bounds(column),
             state: State::Creation(BucketCreation::new()),
         }
     }
 
-    fn unit_cost(&self, model: &CostModel) -> f64 {
+    pub(crate) fn unit_cost(&self, model: &CostModel) -> f64 {
         match self.state {
             State::Creation(_) => {
                 model.t_bucketize_equiheight(DEFAULT_BLOCK_CAPACITY, DEFAULT_BUCKET_COUNT)
@@ -108,7 +104,7 @@ impl Strategy for BucketsortStrategy {
         }
     }
 
-    fn progress(&self, n: usize) -> (Phase, f64) {
+    pub(crate) fn progress(&self, n: usize) -> (Phase, f64) {
         match &self.state {
             State::Creation(creation) => creation.progress(n),
             State::Refinement(merge) => (
@@ -118,7 +114,7 @@ impl Strategy for BucketsortStrategy {
         }
     }
 
-    fn step(
+    pub(crate) fn step(
         &mut self,
         column: &Column,
         model: &CostModel,
@@ -155,7 +151,7 @@ impl Strategy for BucketsortStrategy {
         step
     }
 
-    fn take_sorted(&mut self) -> Option<Vec<Value>> {
+    pub(crate) fn take_sorted(&mut self) -> Option<Vec<Value>> {
         match &mut self.state {
             State::Refinement(merge) if merge.current >= DEFAULT_BUCKET_COUNT => {
                 Some(std::mem::take(&mut merge.merged))
@@ -340,6 +336,7 @@ mod tests {
     use super::*;
     use crate::budget::BudgetPolicy;
     use crate::cost_model::CostConstants;
+    use crate::decision::Algorithm;
     use crate::index::RangeIndex;
     use crate::testing;
 
@@ -403,7 +400,7 @@ mod tests {
     fn first_query_correct_and_bounded_work() {
         let column = testing::random_column(60_000, 600_000, 31);
         let reference = testing::ReferenceIndex::new(&column);
-        let mut idx = ProgressiveBucketsort::new(Arc::new(column), BudgetPolicy::FixedDelta(0.1));
+        let mut idx = Algorithm::Bucketsort.build(Arc::new(column), BudgetPolicy::FixedDelta(0.1));
         let r = idx.query(1_000, 300_000);
         assert_eq!(r.scan_result(), reference.query(1_000, 300_000));
         assert!(r.indexing_ops <= (0.1f64 * 60_000.0).ceil() as u64);
@@ -412,12 +409,7 @@ mod tests {
     #[test]
     fn converges_and_stays_correct() {
         testing::assert_index_converges(
-            |column| {
-                Box::new(ProgressiveBucketsort::new(
-                    column,
-                    BudgetPolicy::FixedDelta(0.25),
-                ))
-            },
+            |column| Algorithm::Bucketsort.build(column, BudgetPolicy::FixedDelta(0.25)),
             50_000,
             500_000,
         );
@@ -426,12 +418,7 @@ mod tests {
     #[test]
     fn converges_on_skewed_duplicated_data() {
         testing::assert_index_converges(
-            |column| {
-                Box::new(ProgressiveBucketsort::new(
-                    column,
-                    BudgetPolicy::FixedDelta(0.2),
-                ))
-            },
+            |column| Algorithm::Bucketsort.build(column, BudgetPolicy::FixedDelta(0.2)),
             40_000,
             500,
         );
@@ -443,7 +430,7 @@ mod tests {
             |column| {
                 let model = CostModel::new(CostConstants::synthetic(), column.len());
                 let policy = BudgetPolicy::adaptive_scan_fraction(&model, 0.2);
-                Box::new(ProgressiveBucketsort::new(column, policy))
+                Algorithm::Bucketsort.build(column, policy)
             },
             30_000,
             3_000_000,
@@ -453,7 +440,7 @@ mod tests {
     #[test]
     fn single_value_column_converges() {
         let column = Arc::new(Column::from_vec(vec![5; 8_000]));
-        let mut idx = ProgressiveBucketsort::new(column, BudgetPolicy::FixedDelta(0.5));
+        let mut idx = Algorithm::Bucketsort.build(column, BudgetPolicy::FixedDelta(0.5));
         for _ in 0..60 {
             let r = idx.query(5, 5);
             assert_eq!(r.count, 8_000);
@@ -467,7 +454,7 @@ mod tests {
     #[test]
     fn empty_column_starts_converged() {
         let column = Arc::new(Column::from_vec(vec![]));
-        let idx = ProgressiveBucketsort::new(column, BudgetPolicy::FixedDelta(0.5));
+        let idx = Algorithm::Bucketsort.build(column, BudgetPolicy::FixedDelta(0.5));
         assert!(idx.is_converged());
     }
 
@@ -476,7 +463,7 @@ mod tests {
         let column = Arc::new(testing::random_column(25_000, 250_000, 17));
         let reference = testing::ReferenceIndex::new(&column);
         let mut idx =
-            ProgressiveBucketsort::new(Arc::clone(&column), BudgetPolicy::FixedDelta(0.3));
+            Algorithm::Bucketsort.build(Arc::clone(&column), BudgetPolicy::FixedDelta(0.3));
         let mut last = Phase::Creation;
         for i in 0..400u64 {
             let low = (i * 613) % 250_000;

@@ -14,8 +14,8 @@
 //!   stays at that level until the index has converged (Figure 9,
 //!   Tables 2–5 use `t_budget = 0.2 · t_scan`).
 //!
-//! [`BudgetController`] encapsulates the translation; the lifecycle
-//! driver ([`crate::Progressive`]) asks it for the δ of the current query,
+//! [`BudgetController`] encapsulates the translation; the lifecycle every
+//! progressive index shares asks it for the δ of the current query,
 //! passing the cost of one unit of the phase-specific indexing work.
 
 use crate::cost_model::{clamp_delta, CostModel};

@@ -33,22 +33,20 @@ use std::sync::Arc;
 use crate::budget::BudgetPolicy;
 use crate::cost_model::CostConstants;
 use crate::index::RangeIndex;
+use crate::lifecycle::ProgressiveIndex;
 use crate::tuning::TuningParameters;
-use crate::{
-    ProgressiveBucketsort, ProgressiveQuicksort, ProgressiveRadixsortLsd, ProgressiveRadixsortMsd,
-};
 use pi_storage::Column;
 
 /// The progressive indexing technique recommended by the decision tree.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Algorithm {
-    /// Progressive Quicksort ([`crate::ProgressiveQuicksort`]).
+    /// Progressive Quicksort ([`crate::quicksort`]).
     Quicksort,
-    /// Progressive Radixsort MSD ([`crate::ProgressiveRadixsortMsd`]).
+    /// Progressive Radixsort MSD ([`crate::radix_msd`]).
     RadixsortMsd,
-    /// Progressive Radixsort LSD ([`crate::ProgressiveRadixsortLsd`]).
+    /// Progressive Radixsort LSD ([`crate::radix_lsd`]).
     RadixsortLsd,
-    /// Progressive Bucketsort, equi-height ([`crate::ProgressiveBucketsort`]).
+    /// Progressive Bucketsort, equi-height ([`crate::bucketsort`]).
     Bucketsort,
 }
 
@@ -73,12 +71,9 @@ impl Algorithm {
     ];
 
     /// Builds the progressive index this variant names over `column`,
-    /// behind the uniform [`RangeIndex`] interface.
-    ///
-    /// This is the single construction point shared by the examples and
-    /// the sharded engine; it uses the
-    /// host-independent [`CostConstants::synthetic`] (see
-    /// [`Algorithm::build_with_constants`] for explicit ones).
+    /// behind the [`RangeIndex`] interface it shares with pi-cracking's
+    /// baselines, with the host-independent [`CostConstants::synthetic`]
+    /// (see [`Algorithm::build_with_constants`] for explicit ones).
     ///
     /// ```
     /// use std::sync::Arc;
@@ -102,20 +97,7 @@ impl Algorithm {
         policy: BudgetPolicy,
         constants: CostConstants,
     ) -> Box<dyn RangeIndex + Send> {
-        match self {
-            Algorithm::Quicksort => Box::new(ProgressiveQuicksort::with_constants(
-                column, policy, constants,
-            )),
-            Algorithm::RadixsortMsd => Box::new(ProgressiveRadixsortMsd::with_constants(
-                column, policy, constants,
-            )),
-            Algorithm::RadixsortLsd => Box::new(ProgressiveRadixsortLsd::with_constants(
-                column, policy, constants,
-            )),
-            Algorithm::Bucketsort => Box::new(ProgressiveBucketsort::with_constants(
-                column, policy, constants,
-            )),
-        }
+        Box::new(ProgressiveIndex::new(self, column, policy, constants))
     }
 
     /// Forwards to [`Algorithm::build_with_constants`]; the last argument

@@ -7,10 +7,8 @@
 //! performs a bounded amount of indexing work — that combination is the
 //! defining property of incremental indexing.
 
-use std::sync::Arc;
-
 use crate::result::{IndexStatus, QueryResult};
-use pi_storage::{Column, Value};
+use pi_storage::Value;
 
 /// An index over a single integer column that answers inclusive range-sum
 /// queries and refines itself as a side effect of query processing.
@@ -36,20 +34,12 @@ pub trait RangeIndex {
     fn point_query(&mut self, value: Value) -> QueryResult {
         self.query(value, value)
     }
-
-    /// The column's values as one sorted column, once the index keeps them
-    /// that way (the progressive indexes from consolidation on). It holds
-    /// exactly the values the index was built over, so its owner can drop
-    /// every other copy of them. `None` for an index that never holds one
-    /// sorted copy, which the cracking baselines do not.
-    fn sorted_base(&self) -> Option<&Arc<Column>> {
-        None
-    }
 }
 
-/// Blanket implementation so `Box<dyn RangeIndex>` (what
+/// Blanket implementation so `Box<dyn RangeIndex>` — what
 /// [`Algorithm::build`](crate::Algorithm::build) and pi-cracking's
-/// `AlgorithmId::build` return) is itself usable as a `RangeIndex`.
+/// `AlgorithmId::build` return, to put the progressive indexes beside the
+/// cracking baselines — is itself usable as a `RangeIndex`.
 impl<T: RangeIndex + ?Sized> RangeIndex for Box<T> {
     fn query(&mut self, low: Value, high: Value) -> QueryResult {
         (**self).query(low, high)
@@ -61,10 +51,6 @@ impl<T: RangeIndex + ?Sized> RangeIndex for Box<T> {
 
     fn name(&self) -> &'static str {
         (**self).name()
-    }
-
-    fn sorted_base(&self) -> Option<&Arc<Column>> {
-        (**self).sorted_base()
     }
 }
 

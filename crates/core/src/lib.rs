@@ -26,13 +26,15 @@
 //! array) and **consolidation** (build a B+-tree on top) — before reaching
 //! the **converged** state. See [`result::Phase`].
 //!
-//! That life is written once. [`Progressive`] owns the column, the budget
-//! and the cost model; gives every query its δ; hands the array over to
-//! the shared consolidation tail the moment it is sorted; and answers
-//! [`RangeIndex::status`]. Each algorithm module supplies a *strategy* —
-//! its creation and refinement steps and the cost-model line that prices
-//! them — and the public index types are aliases:
-//! [`ProgressiveQuicksort`]` = Progressive<QuicksortStrategy>`, and so on.
+//! That life is written once, in one index type, and the algorithm is a
+//! value it holds ([`Algorithm`]), not a type parameter. The index owns
+//! the column, the budget and the cost model; gives every query its δ;
+//! hands the array over to the shared consolidation tail the moment it is
+//! sorted; and answers [`RangeIndex::status`]. Each algorithm module
+//! supplies only its creation and refinement steps and the cost-model line
+//! that prices them. [`Algorithm::build`] returns the index behind
+//! [`RangeIndex`], the interface it shares with pi-cracking's baselines;
+//! [`mutation::MutableIndex`] holds it directly.
 //! Bucket count, block capacity, small-node cutoff and tree fan-out are
 //! the constants the paper fixes ([`buckets::DEFAULT_BUCKET_COUNT`],
 //! [`buckets::DEFAULT_BLOCK_CAPACITY`],
@@ -70,7 +72,7 @@
 //! let column = Arc::new(pi_core::testing::random_column(100_000, 1_000_000, 42));
 //!
 //! // Spend 25% of the total indexing work per query.
-//! let mut index = ProgressiveQuicksort::new(Arc::clone(&column), BudgetPolicy::FixedDelta(0.25));
+//! let mut index = Algorithm::Quicksort.build(Arc::clone(&column), BudgetPolicy::FixedDelta(0.25));
 //!
 //! let first = index.query(10_000, 20_000);
 //! assert!(!index.is_converged());
@@ -105,31 +107,22 @@ pub mod sorter;
 pub mod testing;
 pub mod tuning;
 
-pub use bucketsort::ProgressiveBucketsort;
 pub use budget::{BudgetController, BudgetPolicy};
 pub use cost_model::{CostConstants, CostModel};
 pub use decision::{recommend, Algorithm, DataDistribution, QueryShape, Scenario};
 pub use index::RangeIndex;
-pub use lifecycle::Progressive;
 pub use metrics::IndexMetrics;
 pub use mutation::{MergeHook, MutableIndex, Mutation};
-pub use quicksort::ProgressiveQuicksort;
-pub use radix_lsd::ProgressiveRadixsortLsd;
-pub use radix_msd::ProgressiveRadixsortMsd;
 pub use result::{IndexStatus, Phase, QueryResult};
 pub use tuning::TuningParameters;
 
 /// Convenient glob-import of the types needed to use the library:
 /// `use pi_core::prelude::*;`.
 pub mod prelude {
-    pub use crate::bucketsort::ProgressiveBucketsort;
     pub use crate::budget::BudgetPolicy;
     pub use crate::cost_model::{CostConstants, CostModel};
     pub use crate::decision::{recommend, Algorithm, DataDistribution, QueryShape, Scenario};
     pub use crate::index::RangeIndex;
     pub use crate::mutation::{MutableIndex, Mutation};
-    pub use crate::quicksort::ProgressiveQuicksort;
-    pub use crate::radix_lsd::ProgressiveRadixsortLsd;
-    pub use crate::radix_msd::ProgressiveRadixsortMsd;
     pub use crate::result::{IndexStatus, Phase, QueryResult};
 }

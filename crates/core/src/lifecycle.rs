@@ -3,7 +3,8 @@
 //! A per-query δ from the budget, then **creation → refinement →
 //! consolidation → converged**: the paper defines this once, and §3.1–3.4
 //! only say how each algorithm *partitions* inside the first two phases.
-//! [`Progressive`] is that life, written once:
+//! [`ProgressiveIndex`] is that life, written once, and the [`Algorithm`]
+//! it runs is a value it holds:
 //!
 //! * it holds the base column, the [`BudgetController`] and the
 //!   [`CostModel`];
@@ -11,20 +12,20 @@
 //!   current phase's unit of work, and spends it on one step;
 //! * a sorted column (the empty one included) has nothing to sort and
 //!   starts at the consolidation tail;
-//! * the moment a strategy's array is sorted it *becomes* the base column:
-//!   it is handed to the shared consolidation tail, the handle on the
-//!   unsorted column is released, and the strategy — buckets, pivot trees,
-//!   scratch, routing metadata — is dropped whole. One copy of the values
-//!   is resident from then on ([`RangeIndex::sorted_base`]);
-//! * [`RangeIndex::status`] comes from the strategy before the hand-over
-//!   and from the tail after it.
+//! * the moment the algorithm's array is sorted it *becomes* the base
+//!   column: it is handed to the shared consolidation tail, the handle on
+//!   the unsorted column is released, and the sorting state — buckets,
+//!   pivot trees, scratch, routing metadata — is dropped whole. One copy of
+//!   the values is resident from then on ([`ProgressiveIndex::column`]);
+//! * [`RangeIndex::status`] comes from the sorting state before the
+//!   hand-over and from the tail after it.
 //!
-//! A [`Strategy`] is what is left: how to start on a column, what a unit
-//! of its current phase costs, how far along it is, one budgeted step, and
-//! the sorted array once there is one. The four of them live in
-//! [`crate::quicksort`], [`crate::radix_msd`], [`crate::radix_lsd`] and
-//! [`crate::bucketsort`]; the three bucket-based ones share their creation
-//! step through [`BucketCreation`].
+//! [`Sorting`] is what is left: one variant per algorithm, each answering
+//! what a unit of its current phase costs, how far along it is, one
+//! budgeted step, and the sorted array once there is one. The four states
+//! live in [`crate::quicksort`], [`crate::radix_msd`], [`crate::radix_lsd`]
+//! and [`crate::bucketsort`]; the three bucket-based ones share their
+//! creation step through [`BucketCreation`].
 
 use std::sync::Arc;
 
@@ -33,17 +34,22 @@ use pi_storage::scan::{scan_range_sum, ScanResult};
 use pi_storage::{Column, Value};
 
 use crate::buckets::{BucketSet, DEFAULT_BLOCK_CAPACITY, DEFAULT_BUCKET_COUNT};
+use crate::bucketsort::BucketsortStrategy;
 use crate::budget::{BudgetController, BudgetPolicy};
 use crate::consolidation::Consolidation;
 use crate::cost_model::{CostConstants, CostModel};
+use crate::decision::Algorithm;
 use crate::index::RangeIndex;
 use crate::kernels::ScatterScratch;
+use crate::quicksort::QuicksortStrategy;
+use crate::radix_lsd::RadixLsdStrategy;
+use crate::radix_msd::RadixMsdStrategy;
 use crate::result::{IndexStatus, Phase, QueryResult};
 
-/// What one budgeted step of a [`Strategy`] did; the driver turns it into
+/// What one budgeted step of an algorithm did; the lifecycle turns it into
 /// the query's [`QueryResult`].
 #[derive(Debug)]
-pub struct Step {
+pub(crate) struct Step {
     /// The query's answer.
     pub answer: ScanResult,
     /// Elements read to produce it.
@@ -56,20 +62,46 @@ pub struct Step {
 
 /// The creation and refinement phases of one algorithm: everything that
 /// differs between the four progressive indexes.
-pub trait Strategy {
-    /// [`RangeIndex::name`] of the index this strategy drives.
-    const NAME: &'static str;
+enum Sorting {
+    Quicksort(QuicksortStrategy),
+    RadixsortMsd(RadixMsdStrategy),
+    RadixsortLsd(RadixLsdStrategy),
+    Bucketsort(BucketsortStrategy),
+}
 
-    /// The creation-phase state for `column`, which is never empty.
-    fn start(column: &Column) -> Self;
+impl Sorting {
+    /// The creation-phase state of `algorithm` for `column`, which is never
+    /// empty.
+    fn start(algorithm: Algorithm, column: &Column) -> Self {
+        match algorithm {
+            Algorithm::Quicksort => Sorting::Quicksort(QuicksortStrategy::start(column)),
+            Algorithm::RadixsortMsd => Sorting::RadixsortMsd(RadixMsdStrategy::start(column)),
+            Algorithm::RadixsortLsd => Sorting::RadixsortLsd(RadixLsdStrategy::start(column)),
+            Algorithm::Bucketsort => Sorting::Bucketsort(BucketsortStrategy::start(column)),
+        }
+    }
 
     /// Cost of performing *all* of the current phase's work — what the
     /// budget divides by to get this query's δ.
-    fn unit_cost(&self, model: &CostModel) -> f64;
+    fn unit_cost(&self, model: &CostModel) -> f64 {
+        match self {
+            Sorting::Quicksort(s) => s.unit_cost(model),
+            Sorting::RadixsortMsd(s) => s.unit_cost(model),
+            Sorting::RadixsortLsd(s) => s.unit_cost(model),
+            Sorting::Bucketsort(s) => s.unit_cost(model),
+        }
+    }
 
     /// The current phase ([`Phase::Creation`] or [`Phase::Refinement`])
     /// and the fraction of its work already done.
-    fn progress(&self, n: usize) -> (Phase, f64);
+    fn progress(&self, n: usize) -> (Phase, f64) {
+        match self {
+            Sorting::Quicksort(s) => s.progress(n),
+            Sorting::RadixsortMsd(s) => s.progress(n),
+            Sorting::RadixsortLsd(s) => s.progress(n),
+            Sorting::Bucketsort(s) => s.progress(n),
+        }
+    }
 
     /// Answers `[low, high]` and performs `delta` of the current phase's
     /// work.
@@ -80,88 +112,104 @@ pub trait Strategy {
         low: Value,
         high: Value,
         delta: f64,
-    ) -> Step;
+    ) -> Step {
+        match self {
+            Sorting::Quicksort(s) => s.step(column, model, low, high, delta),
+            Sorting::RadixsortMsd(s) => s.step(column, model, low, high, delta),
+            Sorting::RadixsortLsd(s) => s.step(column, model, low, high, delta),
+            Sorting::Bucketsort(s) => s.step(column, model, low, high, delta),
+        }
+    }
 
-    /// The fully sorted array, once refinement has produced it. The driver
-    /// asks after every step and drops the strategy on `Some`.
-    fn take_sorted(&mut self) -> Option<Vec<Value>>;
+    /// The fully sorted array, once refinement has produced it. The
+    /// lifecycle asks after every step and drops the sorting state on
+    /// `Some`.
+    fn take_sorted(&mut self) -> Option<Vec<Value>> {
+        match self {
+            Sorting::Quicksort(s) => s.take_sorted(),
+            Sorting::RadixsortMsd(s) => s.take_sorted(),
+            Sorting::RadixsortLsd(s) => s.take_sorted(),
+            Sorting::Bucketsort(s) => s.take_sorted(),
+        }
+    }
 }
 
-enum Stage<S> {
-    /// Creation and refinement: the strategy's.
-    Sorting(S),
+enum Stage {
+    /// Creation and refinement: the algorithm's.
+    Sorting(Sorting),
     /// Consolidation and converged: the same for every algorithm.
     Sorted(Consolidation),
 }
 
-impl<S> Stage<S> {
+impl Stage {
     fn sorted(column: Arc<Column>) -> Self {
         Stage::Sorted(Consolidation::new(column, DEFAULT_FANOUT))
     }
 }
 
 /// A progressive index over a single integer column: the lifecycle shared
-/// by all four algorithms, driving the creation and refinement steps of
-/// the algorithm `S`. Use it through
-/// [`ProgressiveQuicksort`](crate::ProgressiveQuicksort),
-/// [`ProgressiveRadixsortMsd`](crate::ProgressiveRadixsortMsd),
-/// [`ProgressiveRadixsortLsd`](crate::ProgressiveRadixsortLsd) and
-/// [`ProgressiveBucketsort`](crate::ProgressiveBucketsort).
-pub struct Progressive<S> {
+/// by all four algorithms, running the creation and refinement steps of
+/// the [`Algorithm`] it holds. [`Algorithm::build_with_constants`] boxes
+/// one behind [`RangeIndex`]; [`crate::mutation::MutableIndex`] holds one
+/// by value.
+pub(crate) struct ProgressiveIndex {
+    algorithm: Algorithm,
     column: Arc<Column>,
     budget: BudgetController,
     model: CostModel,
-    stage: Stage<S>,
+    stage: Stage,
 }
 
-impl<S: Strategy> Progressive<S> {
-    /// Creates the index with host-independent synthetic cost constants.
-    ///
-    /// Use [`Progressive::with_constants`] with
-    /// [`CostConstants::calibrate`] for time-budgeted production use.
-    pub fn new(column: Arc<Column>, policy: BudgetPolicy) -> Self {
-        Self::with_constants(column, policy, CostConstants::synthetic())
-    }
-
-    /// Creates the index with explicit cost constants.
-    pub fn with_constants(
+impl ProgressiveIndex {
+    /// Starts `algorithm` over `column`.
+    pub(crate) fn new(
+        algorithm: Algorithm,
         column: Arc<Column>,
         policy: BudgetPolicy,
         constants: CostConstants,
     ) -> Self {
-        Progressive {
+        ProgressiveIndex {
+            algorithm,
             budget: BudgetController::new(policy),
             model: CostModel::new(constants, column.len()),
             // A sorted column has nothing to sort: born at consolidation.
             stage: if column.is_sorted() {
                 Stage::sorted(Arc::clone(&column))
             } else {
-                Stage::Sorting(S::start(&column))
+                Stage::Sorting(Sorting::start(algorithm, &column))
             },
             column,
         }
     }
 
+    /// Starts the same algorithm over `column` with the same policy and
+    /// cost constants, on a fresh budget and cost model.
+    pub(crate) fn restart(&mut self, column: Arc<Column>) {
+        let (policy, constants) = (self.budget.policy(), *self.model.constants());
+        *self = ProgressiveIndex::new(self.algorithm, column, policy, constants);
+    }
+
     /// The base column: the one the index was built over until its values
-    /// are sorted, the sorted one afterwards (same values, same min/max).
-    pub(crate) fn column(&self) -> &Column {
+    /// are sorted; the sorted one, and the only copy of the values,
+    /// afterwards (same values, same min/max).
+    pub(crate) fn column(&self) -> &Arc<Column> {
         &self.column
     }
 }
 
-impl<S: Strategy> RangeIndex for Progressive<S> {
+impl RangeIndex for ProgressiveIndex {
     fn query(&mut self, low: Value, high: Value) -> QueryResult {
-        let strategy = match &mut self.stage {
-            Stage::Sorting(strategy) => strategy,
+        let sorting = match &mut self.stage {
+            Stage::Sorting(sorting) => sorting,
             Stage::Sorted(tail) => {
                 let delta = tail.delta(&self.model, &mut self.budget);
                 return tail.query(&self.model, low, high, delta);
             }
         };
-        let (phase, _) = strategy.progress(self.column.len());
-        let delta = self.budget.delta_for_query(strategy.unit_cost(&self.model));
-        let step = strategy.step(&self.column, &self.model, low, high, delta);
-        if let Some(sorted) = strategy.take_sorted() {
+        let (phase, _) = sorting.progress(self.column.len());
+        let delta = self.budget.delta_for_query(sorting.unit_cost(&self.model));
+        let step = sorting.step(&self.column, &self.model, low, high, delta);
+        if let Some(sorted) = sorting.take_sorted() {
             // The hand-over: the sorted array is the base from here on, and
             // this index's handle on the unsorted column drops.
             self.column = Arc::new(Column::from_sorted_vec(sorted));
@@ -180,8 +228,8 @@ impl<S: Strategy> RangeIndex for Progressive<S> {
 
     fn status(&self) -> IndexStatus {
         match &self.stage {
-            Stage::Sorting(strategy) => {
-                let (phase, progress) = strategy.progress(self.column.len());
+            Stage::Sorting(sorting) => {
+                let (phase, progress) = sorting.progress(self.column.len());
                 IndexStatus {
                     phase,
                     fraction_indexed: if phase == Phase::Creation {
@@ -198,11 +246,7 @@ impl<S: Strategy> RangeIndex for Progressive<S> {
     }
 
     fn name(&self) -> &'static str {
-        S::NAME
-    }
-
-    fn sorted_base(&self) -> Option<&Arc<Column>> {
-        matches!(self.stage, Stage::Sorted(_)).then_some(&self.column)
+        self.algorithm.name()
     }
 }
 
@@ -214,12 +258,12 @@ impl<S: Strategy> RangeIndex for Progressive<S> {
 /// predicate may touch, and in the cost-model line that prices the step.
 ///
 /// The scatter scratch grows to `δ · N` elements; it lives here, so it is
-/// released with the phase when the strategy replaces its creation state.
+/// released with the phase when the algorithm replaces its creation state.
 #[derive(Debug)]
 pub(crate) struct BucketCreation {
     buckets: BucketSet,
     consumed: usize,
-    /// Boxed: the cursor table alone is 2 KiB, and a strategy's state is
+    /// Boxed: the cursor table alone is 2 KiB, and an algorithm's state is
     /// an enum with this as one variant.
     scratch: Box<ScatterScratch>,
 }
@@ -306,114 +350,117 @@ impl BucketCreation {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::decision::Algorithm;
-    use crate::testing::{random_column, TestRng};
-    use std::cell::Cell;
+    use crate::cost_model::clamp_delta;
+    use crate::testing::{random_column, ReferenceIndex, TestRng};
+    use pi_storage::btree::BTreeBuilder;
 
-    thread_local! {
-        static UNIT_COST_CALLS: Cell<u32> = const { Cell::new(0) };
-    }
-
-    /// Moves nothing: "sorts" a copy of the column after `STEPS` steps.
-    struct Toy {
-        steps_left: u32,
-        sorted: Vec<Value>,
-    }
-
-    const STEPS: u32 = 3;
-
-    impl Strategy for Toy {
-        const NAME: &'static str = "toy";
-
-        fn start(column: &Column) -> Self {
-            let mut sorted = column.data().to_vec();
-            sorted.sort_unstable();
-            Toy {
-                steps_left: STEPS,
-                sorted,
+    /// What all of `phase`'s work costs under `algorithm` over the model's
+    /// `n` rows: the price an adaptive budget divides by.
+    fn unit_cost(algorithm: Algorithm, phase: Phase, model: &CostModel) -> f64 {
+        match (algorithm, phase) {
+            (_, Phase::Consolidation) => {
+                let n = model.n() as usize;
+                model.t_consolidate(BTreeBuilder::total_copies(n, DEFAULT_FANOUT))
+            }
+            (_, Phase::Converged) => unreachable!("a converged index is not priced"),
+            (Algorithm::Quicksort, Phase::Creation) => model.t_pivot(),
+            (Algorithm::Quicksort | Algorithm::Bucketsort, Phase::Refinement) => model.t_swap(),
+            (Algorithm::Bucketsort, Phase::Creation) => {
+                model.t_bucketize_equiheight(DEFAULT_BLOCK_CAPACITY, DEFAULT_BUCKET_COUNT)
+            }
+            (Algorithm::RadixsortMsd | Algorithm::RadixsortLsd, _) => {
+                model.t_bucketize(DEFAULT_BLOCK_CAPACITY)
             }
         }
-
-        fn unit_cost(&self, model: &CostModel) -> f64 {
-            UNIT_COST_CALLS.with(|c| c.set(c.get() + 1));
-            model.t_swap()
-        }
-
-        fn progress(&self, _n: usize) -> (Phase, f64) {
-            (
-                Phase::Refinement,
-                1.0 - self.steps_left as f64 / STEPS as f64,
-            )
-        }
-
-        fn step(
-            &mut self,
-            column: &Column,
-            _model: &CostModel,
-            low: Value,
-            high: Value,
-            _delta: f64,
-        ) -> Step {
-            self.steps_left -= 1;
-            Step {
-                answer: scan_range_sum(column.data(), low, high),
-                scanned: column.len() as u64,
-                ops: 7,
-                predicted: 0.0,
-            }
-        }
-
-        fn take_sorted(&mut self) -> Option<Vec<Value>> {
-            (self.steps_left == 0).then(|| std::mem::take(&mut self.sorted))
-        }
     }
 
+    /// Under an adaptive budget every query's δ is the budget over the
+    /// unit cost of the phase the query reports; the step that sorts is
+    /// reported with the algorithm's phase and leaves the index at
+    /// consolidation.
     #[test]
     fn driver_prices_once_per_query_and_hands_over_on_the_step_that_sorts() {
-        let values: Vec<Value> = (0..1_000).rev().collect();
-        let model = CostModel::new(CostConstants::synthetic(), values.len());
-        let policy = BudgetPolicy::adaptive_scan_fraction(&model, 0.2);
-        let mut index = Progressive::<Toy>::new(Arc::new(Column::from_vec(values)), policy);
-        assert_eq!(index.name(), "toy");
-
-        for query in 1..=STEPS {
-            let before = UNIT_COST_CALLS.with(Cell::get);
-            let result = index.query(10, 19);
-            assert_eq!(UNIT_COST_CALLS.with(Cell::get), before + 1, "query {query}");
-            // Reported with the strategy's phase, the sorting step included.
-            assert_eq!(result.phase, Phase::Refinement, "query {query}");
-            assert_eq!((result.count, result.indexing_ops), (10, 7));
-            assert_eq!(result.delta, 0.2 * model.t_scan() / model.t_swap());
-            let status = index.status();
-            if query < STEPS {
-                assert_eq!(status.phase, Phase::Refinement);
-                assert_eq!(status.fraction_indexed, 1.0);
-            } else {
-                assert_eq!(status.phase, Phase::Consolidation);
+        let column = Arc::new(random_column(20_000, 1 << 30, 3));
+        let reference = ReferenceIndex::new(&column);
+        let model = CostModel::new(CostConstants::synthetic(), column.len());
+        let budget = 0.2 * model.t_scan();
+        for algorithm in Algorithm::ALL {
+            let mut index = algorithm.build(Arc::clone(&column), BudgetPolicy::Adaptive(budget));
+            let mut rng = TestRng::new(5);
+            let mut hand_overs = 0;
+            for query in 0..100_000 {
+                let context = format!("{algorithm}, query {query}");
+                let before = index.status();
+                if before.converged {
+                    break;
+                }
+                let low = rng.below(1 << 30);
+                let high = low + (1 << 26);
+                let result = index.query(low, high);
+                assert_eq!(result.phase, before.phase, "{context}");
+                assert_eq!(
+                    result.scan_result(),
+                    reference.query(low, high),
+                    "{context}"
+                );
+                let unit = unit_cost(algorithm, result.phase, &model);
+                assert_eq!(result.delta, clamp_delta(budget / unit), "{context}");
+                let after = index.status();
+                if after.phase == Phase::Refinement {
+                    assert_eq!(after.fraction_indexed, 1.0, "{context}");
+                }
+                if before.phase < Phase::Consolidation && after.phase >= Phase::Consolidation {
+                    assert_eq!(after.phase, Phase::Consolidation, "{context}");
+                    hand_overs += 1;
+                }
             }
+            assert_eq!(hand_overs, 1, "{algorithm}");
+            assert!(index.is_converged(), "{algorithm} did not converge");
+            let converged = index.query(10, 19);
+            assert_eq!((converged.phase, converged.delta), (Phase::Converged, 0.0));
         }
+    }
 
-        // The query after the hand-over belongs to the tail: the strategy
-        // is gone and is no longer asked for a price.
-        let before = UNIT_COST_CALLS.with(Cell::get);
-        let next = index.query(10, 19);
-        assert_eq!(next.phase, Phase::Consolidation);
-        assert_eq!((next.count, next.sum), (10, (10..20).sum::<u128>()));
-        assert_eq!(UNIT_COST_CALLS.with(Cell::get), before);
+    /// The name comes from the algorithm the index holds, before the
+    /// hand-over and after it.
+    #[test]
+    fn the_name_is_the_algorithm_s_in_every_phase() {
+        let column = Arc::new(random_column(20_000, 1 << 30, 9));
+        let every_phase = [
+            Phase::Creation,
+            Phase::Refinement,
+            Phase::Consolidation,
+            Phase::Converged,
+        ];
+        for algorithm in Algorithm::ALL {
+            let mut index = algorithm.build(Arc::clone(&column), BudgetPolicy::FixedDelta(0.25));
+            let mut phases = vec![];
+            loop {
+                assert_eq!(index.name(), algorithm.name(), "{phases:?}");
+                let phase = index.status().phase;
+                if phases.last() != Some(&phase) {
+                    phases.push(phase);
+                }
+                if phase == Phase::Converged {
+                    break;
+                }
+                index.query(0, 1 << 29);
+            }
+            assert_eq!(phases, every_phase, "{algorithm}");
+        }
     }
 
     #[test]
     fn empty_column_is_converged_on_query_one() {
-        let before = UNIT_COST_CALLS.with(Cell::get);
-        let mut index = Progressive::<Toy>::new(
-            Arc::new(Column::from_vec(vec![])),
-            BudgetPolicy::FixedDelta(0.5),
-        );
-        assert!(index.is_converged());
-        let result = index.query(0, 10);
-        assert_eq!(result.phase, Phase::Converged);
-        assert_eq!((result.count, result.sum, result.indexing_ops), (0, 0, 0));
-        assert_eq!(UNIT_COST_CALLS.with(Cell::get), before);
+        for algorithm in Algorithm::ALL {
+            let column = Arc::new(Column::from_vec(vec![]));
+            let mut index = algorithm.build(column, BudgetPolicy::FixedDelta(0.5));
+            assert!(index.is_converged(), "{algorithm}");
+            let result = index.query(0, 10);
+            assert_eq!(result.phase, Phase::Converged, "{algorithm}");
+            assert_eq!((result.count, result.sum, result.indexing_ops), (0, 0, 0));
+            assert_eq!(result.delta, 0.0, "{algorithm}");
+        }
     }
 
     #[test]

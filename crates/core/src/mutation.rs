@@ -19,9 +19,10 @@
 //! ## One copy, and convergence kept
 //!
 //! The rows of a base snapshot have no order anyone reads, so once the
-//! inner index has sorted them its sorted column
-//! ([`RangeIndex::sorted_base`]) is adopted as the base and the unsorted
-//! snapshot is dropped: one copy of the values is resident.
+//! inner index has sorted them its sorted column is the base and the
+//! unsorted snapshot is dropped: one copy of the values is resident. The
+//! inner index holds the base; this wrapper reads it there and keeps no
+//! handle of its own.
 //!
 //! The sidecar is folded back into the index **incrementally**, by the
 //! same budgeted-step machinery that drives refinement (see
@@ -34,11 +35,11 @@
 //! (base, frozen inserts, frozen tombstones); each budgeted step emits a
 //! quarter of the merged snapshot in value order while queries keep being
 //! answered from the old snapshot plus the frozen deltas. When the merge
-//! completes, a new inner index is built over the merged snapshot — the
-//! "mutated converged shard re-enters maintenance" behaviour the serving
-//! engine relies on. That snapshot is sorted, so the new index starts at
-//! consolidation: a converged index that absorbs writes only rebuilds the
-//! tree over its array.
+//! completes, the inner index restarts over the merged snapshot with its
+//! algorithm and budget policy — the "mutated converged shard re-enters
+//! maintenance" behaviour the serving engine relies on. That snapshot is
+//! sorted, so the restarted index starts at consolidation: a converged
+//! index that absorbs writes only rebuilds the tree over its array.
 //!
 //! ## Semantics
 //!
@@ -83,12 +84,14 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use pi_storage::delta::DeltaSidecar;
-use pi_storage::scan::{scan_range_sum, ScanResult};
-use pi_storage::{sorted, Column, Value};
+use pi_storage::scan::ScanResult;
+use pi_storage::{Column, Value};
 
 use crate::budget::BudgetPolicy;
+use crate::cost_model::CostConstants;
 use crate::decision::Algorithm;
 use crate::index::RangeIndex;
+use crate::lifecycle::ProgressiveIndex;
 use crate::metrics::IndexMetrics;
 use crate::result::{IndexStatus, QueryResult};
 
@@ -198,21 +201,18 @@ impl MergeState {
 /// query/advance interface the immutable indexes expose. See the
 /// [module docs](self) for the design.
 pub struct MutableIndex {
-    /// The immutable base snapshot the inner index refines — the inner
-    /// index's own sorted column once it has one (see the module docs).
-    base: Arc<Column>,
-    /// The inner progressive index over the base (an empty base starts it
+    /// The progressive index over the immutable base snapshot, which it
+    /// holds: the column it was built over until its values are sorted,
+    /// its own sorted column afterwards. An empty base starts it
     /// converged; inserts live in the sidecar until a merge builds the
-    /// first real snapshot).
-    inner: Box<dyn RangeIndex + Send>,
+    /// first real snapshot.
+    inner: ProgressiveIndex,
     /// Mutations not yet part of any merge.
     pending: DeltaSidecar,
     /// In-flight incremental merge, if any.
     merge: Option<MergeState>,
-    algorithm: Algorithm,
-    policy: BudgetPolicy,
     /// Total merges completed (instrumentation: each one built a fresh
-    /// snapshot and a new inner index over it).
+    /// snapshot and restarted the inner index over it).
     merges_completed: u64,
     /// Optional observability sink: refinement steps, δ·N bytes moved,
     /// merge steps and cost-model error. `None` records (and costs)
@@ -244,12 +244,9 @@ impl MutableIndex {
         policy: BudgetPolicy,
     ) -> Self {
         MutableIndex {
-            inner: algorithm.build(Arc::clone(&column), policy),
-            base: column,
+            inner: ProgressiveIndex::new(algorithm, column, policy, CostConstants::synthetic()),
             pending: sidecar,
             merge: None,
-            algorithm,
-            policy,
             merges_completed: 0,
             metrics: None,
             merge_hook: None,
@@ -268,7 +265,7 @@ impl MutableIndex {
             .as_ref()
             .map_or_else(DeltaSidecar::new, |m| m.frozen.clone());
         sidecar.compose(&self.pending);
-        (Arc::clone(&self.base), sidecar)
+        (Arc::clone(self.inner.column()), sidecar)
     }
 
     /// Attaches (or detaches) the merge-boundary callback; see
@@ -288,7 +285,7 @@ impl MutableIndex {
     /// inserts (frozen and fresh).
     pub fn live_rows(&self) -> usize {
         let frozen_net = self.merge.as_ref().map_or(0, |m| m.frozen.net_rows());
-        let net = self.base.len() as i64 + frozen_net + self.pending.net_rows();
+        let net = self.inner.column().len() as i64 + frozen_net + self.pending.net_rows();
         debug_assert!(net >= 0, "live row count went negative");
         net.max(0) as usize
     }
@@ -301,7 +298,7 @@ impl MutableIndex {
     }
 
     /// Number of completed merges. Each rebuilt the snapshot, sorted, and
-    /// an inner index over it that starts at consolidation.
+    /// restarted the inner index over it at consolidation.
     pub fn merges_completed(&self) -> u64 {
         self.merges_completed
     }
@@ -314,10 +311,9 @@ impl MutableIndex {
 
     /// One step of the inner index — a query's, a delete's validating
     /// lookup or maintenance's empty query — observed like any other
-    /// refinement step. Once the inner index holds its values sorted, its
-    /// sorted column becomes the base and the unsorted snapshot is dropped.
+    /// refinement step.
     fn step_inner(&mut self, low: Value, high: Value) -> QueryResult {
-        let result = match &self.metrics {
+        match &self.metrics {
             Some(metrics) => {
                 // The cost-model error clock is feature-gated (the branch
                 // const-folds away with `obs` off); the step / bytes
@@ -331,13 +327,7 @@ impl MutableIndex {
                 result
             }
             None => self.inner.query(low, high),
-        };
-        if !self.base.is_sorted() {
-            if let Some(sorted) = self.inner.sorted_base() {
-                self.base = Arc::clone(sorted);
-            }
         }
-        result
     }
 
     /// Live occurrences of exactly `v`, across snapshot and deltas. The
@@ -390,7 +380,7 @@ impl MutableIndex {
     /// has outgrown [`MERGE_FRACTION`] of the live rows. Over an unsorted
     /// base the writes wait in the sidecar.
     fn maybe_start_merge(&mut self) {
-        if self.merge.is_some() || self.pending.is_empty() || !self.base.is_sorted() {
+        if self.merge.is_some() || self.pending.is_empty() || !self.inner.column().is_sorted() {
             return;
         }
         let pending = self.pending.len();
@@ -403,33 +393,33 @@ impl MutableIndex {
     fn start_merge(&mut self) {
         debug_assert!(self.merge.is_none());
         let frozen = std::mem::take(&mut self.pending);
-        self.merge = Some(MergeState::start(frozen, &self.base));
+        self.merge = Some(MergeState::start(frozen, self.inner.column()));
     }
 
     /// Ops per budgeted merge step: [`MERGE_DELTA`] of the merged snapshot.
     fn merge_step_ops(&self) -> usize {
-        let total = self.base.len() + self.merge.as_ref().map_or(0, |m| m.frozen.inserts().len());
+        let inserts = self.merge.as_ref().map_or(0, |m| m.frozen.inserts().len());
+        let total = self.inner.column().len() + inserts;
         ((MERGE_DELTA * total as f64).ceil() as usize).max(1)
     }
 
-    /// Advances an in-flight merge by one budgeted step, swapping in the
-    /// merged snapshot on completion. Returns whether a merge was
-    /// advanced.
+    /// Advances an in-flight merge by one budgeted step, restarting the
+    /// inner index over the merged snapshot on completion. Returns whether
+    /// a merge was advanced.
     fn advance_merge(&mut self) -> bool {
         let ops = self.merge_step_ops();
         let Some(merge) = &mut self.merge else {
             return false;
         };
         let out_before = merge.out.len();
-        let finished = merge.step(&self.base, ops);
+        let finished = merge.step(self.inner.column(), ops);
         if let Some(metrics) = &self.metrics {
             metrics.observe_merge_step(merge.out.len() - out_before);
         }
         if finished {
             let merge = self.merge.take().expect("merge in flight");
-            let column = Arc::new(Column::from_sorted_vec(merge.out));
-            self.inner = self.algorithm.build(Arc::clone(&column), self.policy);
-            self.base = column;
+            self.inner
+                .restart(Arc::new(Column::from_sorted_vec(merge.out)));
             self.merges_completed += 1;
             if let Some(hook) = &self.merge_hook {
                 hook(self.merges_completed);
@@ -483,30 +473,6 @@ impl MutableIndex {
         }
     }
 
-    /// Answers `[low, high]` over the **live** multiset *without* mutating
-    /// any state: no inner refinement, no merge advancement, no metrics.
-    ///
-    /// Where [`MutableIndex::query`] probes the inner index (paying the
-    /// budgeted δ-slice of indexing work), `peek` reads the immutable base
-    /// snapshot directly (a scan, or two binary searches once the base is
-    /// sorted) and composes the frozen-merge and pending sidecars on top —
-    /// the same three-layer composition, so the answer is exactly the
-    /// live multiset at every refinement stage. This is the validation
-    /// probe the engine's conjunction planner uses against non-driving
-    /// columns: exact, shared-access (`&self`), and never perturbing the
-    /// refinement or merge schedule.
-    pub fn peek(&self, low: Value, high: Value) -> ScanResult {
-        let mut composed = if self.base.is_sorted() {
-            sorted::sorted_range_sum(self.base.data(), low, high)
-        } else {
-            scan_range_sum(self.base.data(), low, high)
-        };
-        if let Some(merge) = &self.merge {
-            composed = merge.frozen.scan(low, high).apply_to(composed);
-        }
-        self.pending.scan(low, high).apply_to(composed)
-    }
-
     /// Progress snapshot. The phase and progress come from the inner
     /// index; `converged` reports the composite state (inner converged
     /// *and* no pending deltas), so a mutated converged index correctly
@@ -550,8 +516,9 @@ impl MutableIndex {
     /// Exact sum and count over all live rows, without touching the inner
     /// index (used by the engine to maintain per-shard digests).
     pub fn live_total(&self) -> ScanResult {
-        let mut sum = self.base.total_sum() as i128;
-        let mut count = self.base.len() as i64;
+        let base = self.inner.column();
+        let mut sum = base.total_sum() as i128;
+        let mut count = base.len() as i64;
         if let Some(merge) = &self.merge {
             sum += merge.frozen.net_sum();
             count += merge.frozen.net_rows();
@@ -566,29 +533,11 @@ impl MutableIndex {
     }
 }
 
-impl RangeIndex for MutableIndex {
-    fn query(&mut self, low: Value, high: Value) -> QueryResult {
-        MutableIndex::query(self, low, high)
-    }
-
-    fn status(&self) -> IndexStatus {
-        MutableIndex::status(self)
-    }
-
-    fn name(&self) -> &'static str {
-        "mutable-progressive"
-    }
-
-    /// The inner index's sorted column: the base snapshot once adopted,
-    /// which pending deltas are not part of.
-    fn sorted_base(&self) -> Option<&Arc<Column>> {
-        self.inner.sorted_base()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cost_model::CostModel;
+    use crate::result::Phase;
     use crate::testing;
     use pi_storage::scan::scan_range_sum;
 
@@ -707,6 +656,42 @@ mod tests {
                 "{algorithm}: merge must have run"
             );
             assert_eq!(index.query(0, 5_000).scan_result(), oracle.query(0, 5_000));
+        }
+    }
+
+    /// A completed merge restarts the inner index with the policy it had:
+    /// over a merged column of the same length, the first query prices
+    /// its δ exactly as the first consolidation query before the merge.
+    #[test]
+    fn a_merge_restarts_the_index_with_its_budget_policy() {
+        let model = CostModel::new(CostConstants::synthetic(), 2_000);
+        let policies = [
+            BudgetPolicy::FixedDelta(0.25),
+            BudgetPolicy::adaptive_scan_fraction(&model, 0.01),
+        ];
+        for algorithm in Algorithm::ALL {
+            for policy in policies {
+                let context = format!("{algorithm}, {policy:?}");
+                let column = Arc::new(testing::random_column(2_000, 4_000, 21));
+                let mut index = MutableIndex::new(Arc::clone(&column), algorithm, policy);
+                let before = loop {
+                    let result = index.query(0, 4_000);
+                    if result.phase == Phase::Consolidation {
+                        break result.delta;
+                    }
+                };
+                while index.advance() {}
+                // Updates keep the row count, and with it the price.
+                for &v in &column.data()[..10] {
+                    assert!(index.apply(&Mutation::Update { old: v, new: v + 1 }));
+                }
+                while index.merges_completed() == 0 {
+                    index.advance();
+                }
+                let after = index.query(0, 4_000);
+                assert_eq!(after.phase, Phase::Consolidation, "{context}");
+                assert_eq!(after.delta, before, "{context}");
+            }
         }
     }
 

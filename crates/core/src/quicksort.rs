@@ -1,8 +1,9 @@
 //! Progressive Quicksort (§3.1 of the paper).
 //!
-//! [`ProgressiveQuicksort`] is the shared lifecycle
-//! ([`Progressive`]: budget, cost model, hand-over to consolidation,
-//! status) driving [`QuicksortStrategy`], which is only what §3.1 says:
+//! [`Algorithm::Quicksort`](crate::Algorithm::Quicksort) runs the
+//! shared lifecycle (budget, cost model, hand-over to consolidation,
+//! status) over this module's creation and refinement state, which is
+//! only what §3.1 says:
 //!
 //! * **Creation** — an uninitialised array of the same size as the base
 //!   column is allocated and a pivot is chosen as the average of the
@@ -26,12 +27,9 @@ use pi_storage::scan::{scan_range_sum, ScanResult};
 use pi_storage::{Column, Value};
 
 use crate::cost_model::CostModel;
-use crate::lifecycle::{Progressive, Step, Strategy};
+use crate::lifecycle::Step;
 use crate::result::Phase;
 use crate::sorter::{IncrementalSorter, DEFAULT_SMALL_NODE_ELEMENTS};
-
-/// Progressive Quicksort index over a single integer column.
-pub type ProgressiveQuicksort = Progressive<QuicksortStrategy>;
 
 /// Phase-specific state of the strategy.
 #[derive(Debug)]
@@ -52,7 +50,7 @@ enum State {
 
 /// The creation and refinement steps of Progressive Quicksort.
 #[derive(Debug)]
-pub struct QuicksortStrategy {
+pub(crate) struct QuicksortStrategy {
     /// The working array ("the index"): during creation it is filled from
     /// both ends; during refinement it holds all N elements.
     index: Vec<Value>,
@@ -171,10 +169,8 @@ impl QuicksortStrategy {
     }
 }
 
-impl Strategy for QuicksortStrategy {
-    const NAME: &'static str = "progressive-quicksort";
-
-    fn start(column: &Column) -> Self {
+impl QuicksortStrategy {
+    pub(crate) fn start(column: &Column) -> Self {
         let n = column.len();
         QuicksortStrategy {
             index: vec![0; n],
@@ -187,14 +183,14 @@ impl Strategy for QuicksortStrategy {
         }
     }
 
-    fn unit_cost(&self, model: &CostModel) -> f64 {
+    pub(crate) fn unit_cost(&self, model: &CostModel) -> f64 {
         match self.state {
             State::Creation { .. } => model.t_pivot(),
             State::Refinement { .. } => model.t_swap(),
         }
     }
 
-    fn progress(&self, n: usize) -> (Phase, f64) {
+    pub(crate) fn progress(&self, n: usize) -> (Phase, f64) {
         match &self.state {
             State::Creation { consumed, .. } => (Phase::Creation, *consumed as f64 / n as f64),
             State::Refinement { sorter } => (
@@ -204,7 +200,7 @@ impl Strategy for QuicksortStrategy {
         }
     }
 
-    fn step(
+    pub(crate) fn step(
         &mut self,
         column: &Column,
         model: &CostModel,
@@ -218,7 +214,7 @@ impl Strategy for QuicksortStrategy {
         }
     }
 
-    fn take_sorted(&mut self) -> Option<Vec<Value>> {
+    pub(crate) fn take_sorted(&mut self) -> Option<Vec<Value>> {
         let State::Refinement { sorter } = &self.state else {
             return None;
         };
@@ -243,6 +239,7 @@ mod tests {
     use super::*;
     use crate::budget::BudgetPolicy;
     use crate::cost_model::CostConstants;
+    use crate::decision::Algorithm;
     use crate::index::RangeIndex;
     use crate::testing;
 
@@ -250,7 +247,7 @@ mod tests {
     fn first_query_is_correct_and_cheap_in_work() {
         let column = testing::random_column(100_000, 1_000_000, 1);
         let reference = testing::ReferenceIndex::new(&column);
-        let mut idx = ProgressiveQuicksort::new(Arc::new(column), BudgetPolicy::FixedDelta(0.1));
+        let mut idx = Algorithm::Quicksort.build(Arc::new(column), BudgetPolicy::FixedDelta(0.1));
         let r = idx.query(100, 5_000);
         assert_eq!(r.scan_result(), reference.query(100, 5_000));
         assert_eq!(r.phase, Phase::Creation);
@@ -261,12 +258,7 @@ mod tests {
     #[test]
     fn converges_and_stays_correct_throughout() {
         testing::assert_index_converges(
-            |column| {
-                Box::new(ProgressiveQuicksort::new(
-                    column,
-                    BudgetPolicy::FixedDelta(0.25),
-                ))
-            },
+            |column| Algorithm::Quicksort.build(column, BudgetPolicy::FixedDelta(0.25)),
             50_000,
             500_000,
         );
@@ -275,12 +267,7 @@ mod tests {
     #[test]
     fn converges_with_tiny_delta() {
         testing::assert_index_converges(
-            |column| {
-                Box::new(ProgressiveQuicksort::new(
-                    column,
-                    BudgetPolicy::FixedDelta(0.05),
-                ))
-            },
+            |column| Algorithm::Quicksort.build(column, BudgetPolicy::FixedDelta(0.05)),
             20_000,
             100_000,
         );
@@ -293,11 +280,11 @@ mod tests {
         let policy = BudgetPolicy::adaptive_scan_fraction(&model, 0.2);
         testing::assert_index_converges(
             move |column| {
-                Box::new(ProgressiveQuicksort::with_constants(
+                Algorithm::Quicksort.build_with_constants(
                     column,
                     policy,
                     CostConstants::synthetic(),
-                ))
+                )
             },
             30_000,
             300_000,
@@ -308,7 +295,7 @@ mod tests {
     #[test]
     fn delta_one_finishes_creation_in_one_query() {
         let column = Arc::new(testing::random_column(10_000, 100_000, 3));
-        let mut idx = ProgressiveQuicksort::new(column, BudgetPolicy::FixedDelta(1.0));
+        let mut idx = Algorithm::Quicksort.build(column, BudgetPolicy::FixedDelta(1.0));
         let r = idx.query(0, 50_000);
         assert_eq!(r.phase, Phase::Creation);
         assert_eq!(r.indexing_ops, 10_000);
@@ -318,12 +305,7 @@ mod tests {
     #[test]
     fn skewed_data_converges() {
         testing::assert_index_converges(
-            |column| {
-                Box::new(ProgressiveQuicksort::new(
-                    column,
-                    BudgetPolicy::FixedDelta(0.25),
-                ))
-            },
+            |column| Algorithm::Quicksort.build(column, BudgetPolicy::FixedDelta(0.25)),
             40_000,
             1_000, // heavy duplication: only 1000 distinct values
         );
@@ -332,7 +314,7 @@ mod tests {
     #[test]
     fn empty_column_is_immediately_converged_per_query() {
         let column = Arc::new(Column::from_vec(vec![]));
-        let mut idx = ProgressiveQuicksort::new(column, BudgetPolicy::FixedDelta(0.5));
+        let mut idx = Algorithm::Quicksort.build(column, BudgetPolicy::FixedDelta(0.5));
         let r = idx.query(0, 10);
         assert_eq!(r.count, 0);
         assert_eq!(r.sum, 0);
@@ -341,7 +323,7 @@ mod tests {
     #[test]
     fn single_value_column_converges() {
         let column = Arc::new(Column::from_vec(vec![7; 5_000]));
-        let mut idx = ProgressiveQuicksort::new(column, BudgetPolicy::FixedDelta(0.5));
+        let mut idx = Algorithm::Quicksort.build(column, BudgetPolicy::FixedDelta(0.5));
         for _ in 0..20 {
             let r = idx.query(7, 7);
             assert_eq!(r.count, 5_000);
@@ -352,7 +334,7 @@ mod tests {
     #[test]
     fn status_progresses_monotonically() {
         let column = Arc::new(testing::random_column(20_000, 200_000, 11));
-        let mut idx = ProgressiveQuicksort::new(column, BudgetPolicy::FixedDelta(0.2));
+        let mut idx = Algorithm::Quicksort.build(column, BudgetPolicy::FixedDelta(0.2));
         let mut last_phase = Phase::Creation;
         for i in 0..200 {
             idx.query((i * 37) % 200_000, (i * 37) % 200_000 + 5_000);
@@ -369,7 +351,7 @@ mod tests {
     #[test]
     fn predicted_cost_is_reported_during_all_phases() {
         let column = Arc::new(testing::random_column(10_000, 100_000, 13));
-        let mut idx = ProgressiveQuicksort::new(column, BudgetPolicy::FixedDelta(0.5));
+        let mut idx = Algorithm::Quicksort.build(column, BudgetPolicy::FixedDelta(0.5));
         for _ in 0..50 {
             let r = idx.query(1_000, 90_000);
             assert!(r.predicted_cost.is_some());

@@ -1,8 +1,9 @@
 //! Progressive Radixsort, Least Significant Digits first (§3.4).
 //!
-//! [`ProgressiveRadixsortLsd`] is the shared lifecycle
-//! ([`Progressive`]: budget, cost model, hand-over to consolidation,
-//! status) driving [`RadixLsdStrategy`], which is only what §3.4 says:
+//! [`Algorithm::RadixsortLsd`](crate::Algorithm::RadixsortLsd) runs the
+//! shared lifecycle (budget, cost model, hand-over to consolidation,
+//! status) over this module's creation and refinement state, which is
+//! only what §3.4 says:
 //!
 //! * **Creation** — elements are clustered into `b = 64` buckets on their
 //!   *least* significant `log2 b` bits. The resulting buckets are not a
@@ -33,25 +34,8 @@ use crate::buckets::{
 };
 use crate::cost_model::CostModel;
 use crate::kernels::ScatterScratch;
-use crate::lifecycle::{BucketCreation, Progressive, Step, Strategy};
+use crate::lifecycle::{BucketCreation, Step};
 use crate::result::Phase;
-
-/// Progressive Radixsort (LSD) index over a single integer column.
-pub type ProgressiveRadixsortLsd = Progressive<RadixLsdStrategy>;
-
-impl ProgressiveRadixsortLsd {
-    /// Number of radix passes this column needs before it is sorted
-    /// (`⌈log2(max−min) / log2(b)⌉`, at least 1).
-    pub fn rounds_total(&self) -> u32 {
-        radix_rounds(self.domain_bits(), RADIX_BITS)
-    }
-
-    /// Number of significant bits in the value domain `[min, max]`; the
-    /// LSD passes consume `log2(b)` of these bits per round.
-    pub fn domain_bits(&self) -> u32 {
-        domain_bits(self.column().min(), self.column().max())
-    }
-}
 
 /// Digit of the normalised value `v` (column minimum subtracted) that
 /// radix round `round` (1-based) clusters on.
@@ -99,17 +83,15 @@ struct LsdMerge {
 
 /// The creation and refinement steps of Progressive Radixsort (LSD).
 #[derive(Debug)]
-pub struct RadixLsdStrategy {
+pub(crate) struct RadixLsdStrategy {
     /// Column minimum (normalisation offset).
     min: Value,
     rounds_total: u32,
     state: State,
 }
 
-impl Strategy for RadixLsdStrategy {
-    const NAME: &'static str = "progressive-radixsort-lsd";
-
-    fn start(column: &Column) -> Self {
+impl RadixLsdStrategy {
+    pub(crate) fn start(column: &Column) -> Self {
         let min = column.min();
         RadixLsdStrategy {
             min,
@@ -118,11 +100,11 @@ impl Strategy for RadixLsdStrategy {
         }
     }
 
-    fn unit_cost(&self, model: &CostModel) -> f64 {
+    pub(crate) fn unit_cost(&self, model: &CostModel) -> f64 {
         model.t_bucketize(DEFAULT_BLOCK_CAPACITY)
     }
 
-    fn progress(&self, n: usize) -> (Phase, f64) {
+    pub(crate) fn progress(&self, n: usize) -> (Phase, f64) {
         // Refinement is `rounds_total + 1` passes over the data: round 1
         // (done by creation), rounds `2..=rounds_total`, and the write-out.
         let (passes_done, moved) = match &self.state {
@@ -134,7 +116,7 @@ impl Strategy for RadixLsdStrategy {
         (Phase::Refinement, passes / (self.rounds_total + 1) as f64)
     }
 
-    fn step(
+    pub(crate) fn step(
         &mut self,
         column: &Column,
         model: &CostModel,
@@ -192,7 +174,7 @@ impl Strategy for RadixLsdStrategy {
         step
     }
 
-    fn take_sorted(&mut self) -> Option<Vec<Value>> {
+    pub(crate) fn take_sorted(&mut self) -> Option<Vec<Value>> {
         match &mut self.state {
             State::Merging(merge) if merge.cur_bucket >= DEFAULT_BUCKET_COUNT => {
                 Some(std::mem::take(&mut merge.merged))
@@ -378,28 +360,25 @@ mod tests {
     use super::*;
     use crate::budget::BudgetPolicy;
     use crate::cost_model::CostConstants;
+    use crate::decision::Algorithm;
     use crate::index::RangeIndex;
     use crate::testing;
 
     #[test]
     fn rounds_total_matches_formula() {
-        let mk = |max: u64| {
-            ProgressiveRadixsortLsd::new(
-                Arc::new(Column::from_vec(vec![0, max])),
-                BudgetPolicy::FixedDelta(0.5),
-            )
-        };
-        assert_eq!(mk(63).rounds_total(), 1);
-        assert_eq!(mk(64).rounds_total(), 2);
-        assert_eq!(mk((1 << 16) - 1).rounds_total(), 3);
-        assert_eq!(mk(u64::MAX).rounds_total(), 11);
+        let rounds = |max: u64| radix_rounds(domain_bits(0, max), RADIX_BITS);
+        assert_eq!(rounds(63), 1);
+        assert_eq!(rounds(64), 2);
+        assert_eq!(rounds((1 << 16) - 1), 3);
+        assert_eq!(rounds(u64::MAX), 11);
     }
 
     #[test]
     fn first_query_range_uses_fallback_and_is_correct() {
         let column = testing::random_column(50_000, 500_000, 77);
         let reference = testing::ReferenceIndex::new(&column);
-        let mut idx = ProgressiveRadixsortLsd::new(Arc::new(column), BudgetPolicy::FixedDelta(0.1));
+        let mut idx =
+            Algorithm::RadixsortLsd.build(Arc::new(column), BudgetPolicy::FixedDelta(0.1));
         let r = idx.query(10_000, 100_000);
         assert_eq!(r.scan_result(), reference.query(10_000, 100_000));
         // Fallback scans the full column.
@@ -411,7 +390,7 @@ mod tests {
         let column = testing::random_column(50_000, 5_000, 13);
         let reference = testing::ReferenceIndex::new(&column);
         let mut idx =
-            ProgressiveRadixsortLsd::new(Arc::new(column), BudgetPolicy::FixedDelta(0.25));
+            Algorithm::RadixsortLsd.build(Arc::new(column), BudgetPolicy::FixedDelta(0.25));
         for v in [0u64, 17, 4_999, 2_500] {
             let r = idx.point_query(v);
             assert_eq!(r.scan_result(), reference.query(v, v), "point query {v}");
@@ -421,12 +400,7 @@ mod tests {
     #[test]
     fn converges_and_stays_correct_on_ranges() {
         testing::assert_index_converges(
-            |column| {
-                Box::new(ProgressiveRadixsortLsd::new(
-                    column,
-                    BudgetPolicy::FixedDelta(0.25),
-                ))
-            },
+            |column| Algorithm::RadixsortLsd.build(column, BudgetPolicy::FixedDelta(0.25)),
             50_000,
             500_000,
         );
@@ -437,7 +411,7 @@ mod tests {
         let column = Arc::new(testing::random_column(30_000, 10_000, 3));
         let reference = testing::ReferenceIndex::new(&column);
         let mut idx =
-            ProgressiveRadixsortLsd::new(Arc::clone(&column), BudgetPolicy::FixedDelta(0.2));
+            Algorithm::RadixsortLsd.build(Arc::clone(&column), BudgetPolicy::FixedDelta(0.2));
         let mut rng = testing::TestRng::new(8);
         for i in 0..2_000 {
             let v = rng.below(10_000);
@@ -453,12 +427,7 @@ mod tests {
     #[test]
     fn converges_on_skewed_duplicated_data() {
         testing::assert_index_converges(
-            |column| {
-                Box::new(ProgressiveRadixsortLsd::new(
-                    column,
-                    BudgetPolicy::FixedDelta(0.2),
-                ))
-            },
+            |column| Algorithm::RadixsortLsd.build(column, BudgetPolicy::FixedDelta(0.2)),
             40_000,
             700,
         );
@@ -470,7 +439,7 @@ mod tests {
             |column| {
                 let model = CostModel::new(CostConstants::synthetic(), column.len());
                 let policy = BudgetPolicy::adaptive_scan_fraction(&model, 0.2);
-                Box::new(ProgressiveRadixsortLsd::new(column, policy))
+                Algorithm::RadixsortLsd.build(column, policy)
             },
             30_000,
             3_000_000,
@@ -480,7 +449,7 @@ mod tests {
     #[test]
     fn single_value_column_converges() {
         let column = Arc::new(Column::from_vec(vec![11; 6_000]));
-        let mut idx = ProgressiveRadixsortLsd::new(column, BudgetPolicy::FixedDelta(0.5));
+        let mut idx = Algorithm::RadixsortLsd.build(column, BudgetPolicy::FixedDelta(0.5));
         for _ in 0..50 {
             let r = idx.query(11, 11);
             assert_eq!(r.count, 6_000);
@@ -494,7 +463,7 @@ mod tests {
     #[test]
     fn empty_column_starts_converged() {
         let column = Arc::new(Column::from_vec(vec![]));
-        let idx = ProgressiveRadixsortLsd::new(column, BudgetPolicy::FixedDelta(0.5));
+        let idx = Algorithm::RadixsortLsd.build(column, BudgetPolicy::FixedDelta(0.5));
         assert!(idx.is_converged());
     }
 }

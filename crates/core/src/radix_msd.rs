@@ -1,8 +1,9 @@
 //! Progressive Radixsort, Most Significant Digits first (§3.2).
 //!
-//! [`ProgressiveRadixsortMsd`] is the shared lifecycle
-//! ([`Progressive`]: budget, cost model, hand-over to consolidation,
-//! status) driving [`RadixMsdStrategy`], which is only what §3.2 says:
+//! [`Algorithm::RadixsortMsd`](crate::Algorithm::RadixsortMsd) runs the
+//! shared lifecycle (budget, cost model, hand-over to consolidation,
+//! status) over this module's creation and refinement state, which is
+//! only what §3.2 says:
 //!
 //! * **Creation** — `b = 64` buckets are allocated in separate memory
 //!   regions (linked blocks of `s_b` elements). Every query moves another
@@ -28,29 +29,13 @@ use pi_storage::scan::ScanResult;
 use pi_storage::{sorted, Column, Value};
 
 use crate::buckets::{
-    domain_bits, radix_rounds, BlockBucket, BucketSet, DEFAULT_BLOCK_CAPACITY,
-    DEFAULT_BUCKET_COUNT, RADIX_BITS,
+    domain_bits, BlockBucket, BucketSet, DEFAULT_BLOCK_CAPACITY, DEFAULT_BUCKET_COUNT, RADIX_BITS,
 };
 use crate::cost_model::CostModel;
 use crate::kernels::ScatterScratch;
-use crate::lifecycle::{BucketCreation, Progressive, Step, Strategy};
+use crate::lifecycle::{BucketCreation, Step};
 use crate::result::Phase;
 use crate::sorter::DEFAULT_SMALL_NODE_ELEMENTS;
-
-/// Progressive Radixsort (MSD) index over a single integer column.
-pub type ProgressiveRadixsortMsd = Progressive<RadixMsdStrategy>;
-
-impl ProgressiveRadixsortMsd {
-    /// Upper bound on the refinement tree's partitioning depth for this
-    /// column: `⌈domain_bits / log2 b⌉`, capped by
-    /// [`crate::buckets::max_radix_levels`]. Shares its sizing helper
-    /// ([`crate::buckets::radix_rounds`]) with the LSD variant's
-    /// [`crate::radix_lsd::ProgressiveRadixsortLsd::rounds_total`].
-    pub fn levels_total(&self) -> u32 {
-        let column = self.column();
-        radix_rounds(domain_bits(column.min(), column.max()), RADIX_BITS)
-    }
-}
 
 /// One node of the refinement tree. Values are *normalised* (the column
 /// minimum is subtracted) so nodes cover the normalised range
@@ -109,7 +94,7 @@ struct MsdTree {
 
 /// The creation and refinement steps of Progressive Radixsort (MSD).
 #[derive(Debug)]
-pub struct RadixMsdStrategy {
+pub(crate) struct RadixMsdStrategy {
     /// Column minimum (normalisation offset).
     min: Value,
     /// Shift that selects the most significant `log2 b` bits of the
@@ -119,10 +104,8 @@ pub struct RadixMsdStrategy {
     state: State,
 }
 
-impl Strategy for RadixMsdStrategy {
-    const NAME: &'static str = "progressive-radixsort-msd";
-
-    fn start(column: &Column) -> Self {
+impl RadixMsdStrategy {
+    pub(crate) fn start(column: &Column) -> Self {
         RadixMsdStrategy {
             min: column.min(),
             shift: domain_bits(column.min(), column.max()).saturating_sub(RADIX_BITS),
@@ -130,18 +113,18 @@ impl Strategy for RadixMsdStrategy {
         }
     }
 
-    fn unit_cost(&self, model: &CostModel) -> f64 {
+    pub(crate) fn unit_cost(&self, model: &CostModel) -> f64 {
         model.t_bucketize(DEFAULT_BLOCK_CAPACITY)
     }
 
-    fn progress(&self, n: usize) -> (Phase, f64) {
+    pub(crate) fn progress(&self, n: usize) -> (Phase, f64) {
         match &self.state {
             State::Creation(creation) => creation.progress(n),
             State::Refinement(tree) => (Phase::Refinement, tree.merged_len as f64 / n as f64),
         }
     }
 
-    fn step(
+    pub(crate) fn step(
         &mut self,
         column: &Column,
         model: &CostModel,
@@ -173,7 +156,7 @@ impl Strategy for RadixMsdStrategy {
         step
     }
 
-    fn take_sorted(&mut self) -> Option<Vec<Value>> {
+    pub(crate) fn take_sorted(&mut self) -> Option<Vec<Value>> {
         match &mut self.state {
             State::Refinement(tree)
                 if tree.pending.is_empty() && tree.merged_len == tree.merged.len() =>
@@ -452,6 +435,7 @@ mod tests {
     use super::*;
     use crate::budget::BudgetPolicy;
     use crate::cost_model::CostConstants;
+    use crate::decision::Algorithm;
     use crate::index::RangeIndex;
     use crate::testing;
 
@@ -468,25 +452,18 @@ mod tests {
 
     #[test]
     fn levels_total_uses_shared_radix_sizing() {
-        let mk = |max: u64| {
-            ProgressiveRadixsortMsd::new(
-                Arc::new(Column::from_vec(vec![0, max])),
-                BudgetPolicy::FixedDelta(0.5),
-            )
-        };
-        assert_eq!(mk(63).levels_total(), 1);
-        assert_eq!(mk(64).levels_total(), 2);
-        assert_eq!(
-            mk(u64::MAX).levels_total(),
-            crate::buckets::max_radix_levels(6)
-        );
+        let levels = |max: u64| crate::buckets::radix_rounds(domain_bits(0, max), RADIX_BITS);
+        assert_eq!(levels(63), 1);
+        assert_eq!(levels(64), 2);
+        assert_eq!(levels(u64::MAX), crate::buckets::max_radix_levels(6));
     }
 
     #[test]
     fn first_query_correct_and_bounded_work() {
         let column = testing::random_column(80_000, 1_000_000, 21);
         let reference = testing::ReferenceIndex::new(&column);
-        let mut idx = ProgressiveRadixsortMsd::new(Arc::new(column), BudgetPolicy::FixedDelta(0.1));
+        let mut idx =
+            Algorithm::RadixsortMsd.build(Arc::new(column), BudgetPolicy::FixedDelta(0.1));
         let r = idx.query(5_000, 60_000);
         assert_eq!(r.scan_result(), reference.query(5_000, 60_000));
         assert!(r.indexing_ops <= (0.1f64 * 80_000.0).ceil() as u64);
@@ -496,12 +473,7 @@ mod tests {
     #[test]
     fn converges_and_stays_correct() {
         testing::assert_index_converges(
-            |column| {
-                Box::new(ProgressiveRadixsortMsd::new(
-                    column,
-                    BudgetPolicy::FixedDelta(0.25),
-                ))
-            },
+            |column| Algorithm::RadixsortMsd.build(column, BudgetPolicy::FixedDelta(0.25)),
             50_000,
             500_000,
         );
@@ -510,12 +482,7 @@ mod tests {
     #[test]
     fn converges_with_small_delta_and_narrow_domain() {
         testing::assert_index_converges(
-            |column| {
-                Box::new(ProgressiveRadixsortMsd::new(
-                    column,
-                    BudgetPolicy::FixedDelta(0.05),
-                ))
-            },
+            |column| Algorithm::RadixsortMsd.build(column, BudgetPolicy::FixedDelta(0.05)),
             20_000,
             300,
         );
@@ -524,12 +491,7 @@ mod tests {
     #[test]
     fn converges_on_skewed_duplicated_data() {
         testing::assert_index_converges(
-            |column| {
-                Box::new(ProgressiveRadixsortMsd::new(
-                    column,
-                    BudgetPolicy::FixedDelta(0.2),
-                ))
-            },
+            |column| Algorithm::RadixsortMsd.build(column, BudgetPolicy::FixedDelta(0.2)),
             40_000,
             1_000,
         );
@@ -541,7 +503,7 @@ mod tests {
             |column| {
                 let model = CostModel::new(CostConstants::synthetic(), column.len());
                 let policy = BudgetPolicy::adaptive_scan_fraction(&model, 0.2);
-                Box::new(ProgressiveRadixsortMsd::new(column, policy))
+                Algorithm::RadixsortMsd.build(column, policy)
             },
             30_000,
             3_000_000,
@@ -551,7 +513,7 @@ mod tests {
     #[test]
     fn single_value_column_converges() {
         let column = Arc::new(Column::from_vec(vec![9; 10_000]));
-        let mut idx = ProgressiveRadixsortMsd::new(column, BudgetPolicy::FixedDelta(0.5));
+        let mut idx = Algorithm::RadixsortMsd.build(column, BudgetPolicy::FixedDelta(0.5));
         for _ in 0..50 {
             let r = idx.query(9, 9);
             assert_eq!(r.count, 10_000);
@@ -565,7 +527,7 @@ mod tests {
     #[test]
     fn empty_column_starts_converged() {
         let column = Arc::new(Column::from_vec(vec![]));
-        let mut idx = ProgressiveRadixsortMsd::new(column, BudgetPolicy::FixedDelta(0.5));
+        let mut idx = Algorithm::RadixsortMsd.build(column, BudgetPolicy::FixedDelta(0.5));
         assert!(idx.is_converged());
         let r = idx.query(0, 100);
         assert_eq!(r.count, 0);
@@ -576,7 +538,7 @@ mod tests {
         let column = Arc::new(testing::random_column(30_000, 1_000_000, 5));
         let reference = testing::ReferenceIndex::new(&Column::from_vec(column.data().to_vec()));
         let mut idx =
-            ProgressiveRadixsortMsd::new(Arc::clone(&column), BudgetPolicy::FixedDelta(0.3));
+            Algorithm::RadixsortMsd.build(Arc::clone(&column), BudgetPolicy::FixedDelta(0.3));
         let mut last_phase = Phase::Creation;
         for i in 0..300u64 {
             let low = (i * 991) % 1_000_000;

@@ -13,7 +13,7 @@ use proptest::prelude::*;
 
 use pi_core::mutation::{MutableIndex, Mutation};
 use pi_core::testing::{random_column, TestRng};
-use pi_core::{Algorithm, BudgetPolicy, Phase, RangeIndex};
+use pi_core::{Algorithm, BudgetPolicy, Phase};
 use pi_storage::btree::{BTreeBuilder, DEFAULT_FANOUT};
 use pi_storage::scan::scan_range_sum;
 use pi_storage::sorted::is_sorted;
@@ -54,7 +54,6 @@ fn decode(tag: u64, a: u64, b: u64) -> Mutation {
 /// The index answers, peeks and materialises exactly `live`.
 fn assert_exact(index: &mut MutableIndex, live: &[Value], low: Value, high: Value, context: &str) {
     let want = scan_range_sum(live, low, high);
-    assert_eq!(index.peek(low, high), want, "{context}: peek");
     assert_eq!(index.query(low, high).scan_result(), want, "{context}");
     let mut values = index.live_values();
     if index.snapshot_parts().0.is_sorted() {
@@ -94,8 +93,6 @@ fn from_consolidation_on_the_sorted_array_is_the_only_copy() {
             for query in 0..2_000 {
                 let base = index.snapshot_parts().0;
                 if index.status().phase >= Phase::Consolidation {
-                    let inner = index.sorted_base().expect(&context);
-                    assert!(Arc::ptr_eq(&base, inner), "{context}, query {query}");
                     assert!(base.is_sorted() && base.data() == sorted, "{context}");
                     if original.is_sorted() {
                         // Nothing was ever copied: the column is its own
@@ -105,7 +102,6 @@ fn from_consolidation_on_the_sorted_array_is_the_only_copy() {
                         assert_eq!(Arc::strong_count(&original), 1, "{context}, query {query}");
                     }
                 } else {
-                    assert!(index.sorted_base().is_none(), "{context}, query {query}");
                     assert!(Arc::ptr_eq(&base, &original), "{context}, query {query}");
                 }
                 if index.is_converged() {
@@ -245,32 +241,5 @@ fn a_merge_never_starts_over_an_unsorted_base() {
             algorithm
         );
         assert_eq!(index.snapshot_parts().0.data(), live, "{}", algorithm);
-    }
-}
-
-#[test]
-fn peek_is_exact_over_an_unsorted_and_over_a_sorted_base() {
-    // A scan over the first, two binary searches over the second: same
-    // answers, inverted and empty ranges included.
-    let column = Arc::new(random_column(5_000, DOMAIN, 3));
-    let reference = column.data().to_vec();
-    let mut index = MutableIndex::new(column, Algorithm::Quicksort, BudgetPolicy::FixedDelta(0.5));
-    for sorted in [false, true] {
-        assert_eq!(index.snapshot_parts().0.is_sorted(), sorted);
-        for (low, high) in [
-            (0, DOMAIN),
-            (100, 99),
-            (7, 7),
-            (DOMAIN, Value::MAX),
-            (500, 900),
-        ] {
-            let want = scan_range_sum(&reference, low, high);
-            assert_eq!(
-                index.peek(low, high),
-                want,
-                "[{low}, {high}], sorted: {sorted}"
-            );
-        }
-        while index.advance() {}
     }
 }

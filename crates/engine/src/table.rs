@@ -772,31 +772,6 @@ impl ShardedColumn {
         }
     }
 
-    /// Locks shard `shard` and answers `[low, high]` **without** indexing
-    /// work: the base-snapshot scan composed with the delta sidecars (see
-    /// [`MutableIndex::peek`]). The conjunction planner's validation probe for
-    /// non-driving columns.
-    pub fn peek_shard(&self, shard: usize, low: Value, high: Value) -> ScanResult {
-        let guard = self.shards[shard].lock().expect("shard lock poisoned");
-        guard.peek(low, high)
-    }
-
-    /// Answers `[low, high]` exactly without performing any indexing work,
-    /// taking the O(1) covered-shard shortcut where the digests allow and
-    /// peeking the boundary shards otherwise. Unlike
-    /// [`ShardedColumn::query`], skipping the indexing side effect is safe
-    /// here by definition — `peek` never does indexing work.
-    pub fn peek(&self, low: Value, high: Value) -> ScanResult {
-        let mut merged = ScanResult::EMPTY;
-        for shard in self.overlapping(low, high) {
-            merged = merged.merge(match self.covered_total(shard, low, high) {
-                Some(total) => total,
-                None => self.peek_shard(shard, low, high),
-            });
-        }
-        merged
-    }
-
     /// Builds shard `shard`'s sub-shard digest tree over the global grid
     /// of bucket width `width`, returning it with the shard-mutation stamp
     /// it is valid for. Stamp and live values are captured under one shard
@@ -1582,9 +1557,8 @@ mod tests {
                             "update"
                         }
                         7 => {
-                            assert_eq!(column.peek(low, high), scan_range_sum(&live, low, high));
                             column.digest_tree(shard, 64);
-                            "peek and digest_tree"
+                            "digest_tree"
                         }
                         8 if next(4) == 0 => {
                             column.rebalance();

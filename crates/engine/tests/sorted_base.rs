@@ -53,11 +53,6 @@ fn assert_sorted_and_exact(column: &ShardedColumn, oracle: &[Value], context: &s
     for low in (0..DOMAIN).step_by(1_000) {
         for (low, high) in [(low, low + 2_500), (low, low)] {
             let want = scan_range_sum(oracle, low, high);
-            assert_eq!(
-                column.peek(low, high),
-                want,
-                "{context}: peek [{low}, {high}]"
-            );
             assert_eq!(column.query(low, high), want, "{context}: [{low}, {high}]");
         }
     }

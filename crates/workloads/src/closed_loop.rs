@@ -119,8 +119,8 @@ where
 /// The item-generic closed loop behind [`drive`]: each `(client, stream)`
 /// pair runs on its own OS thread, submitting `batch_size`-item chunks
 /// back to back. Typed key-domain workloads (float or string ranges from
-/// [`crate::domains`]) and mixed read/write streams drive the same loop
-/// as plain integer range queries.
+/// [`crate::domains`]) drive the same loop as plain integer range
+/// queries.
 ///
 /// # Panics
 /// Panics when `batch_size == 0`.

@@ -18,9 +18,6 @@
 //!   concurrent clients against any submit function (raw executor or
 //!   `pi-sched` server), reporting served/rejected counts, throughput and
 //!   per-batch latency percentiles (p50/p95/p99).
-//! * [`mixed`] — mixed read/write streams: range queries interleaved with
-//!   inserts, deletes and updates at a configurable write fraction, for
-//!   exercising mutation support on the serving stack.
 //! * [`domains`] — float and string key-domain generators (uniform and
 //!   skewed data, range-query streams) for the typed serving layer built
 //!   on order-preserving encodings.
@@ -50,7 +47,6 @@
 pub mod closed_loop;
 pub mod data;
 pub mod domains;
-pub mod mixed;
 pub mod multi_client;
 pub mod multicol;
 pub mod patterns;
@@ -58,7 +54,6 @@ pub mod skyserver;
 
 pub use closed_loop::{BatchOutcome, ClosedLoopReport, LatencyPercentiles};
 pub use data::Distribution;
-pub use mixed::{MixedOp, MixedSpec, WriteOp};
 pub use multi_client::{ClientStream, MultiClientSpec, PatternAssignment};
 pub use patterns::{Pattern, RangeQuery, WorkloadSpec};
 pub use skyserver::{SkyServerConfig, SkyServerWorkload};

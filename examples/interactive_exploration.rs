@@ -19,7 +19,7 @@ use std::time::Instant;
 
 use progressive_indexes::index::budget::BudgetPolicy;
 use progressive_indexes::index::cost_model::{CostConstants, CostModel};
-use progressive_indexes::index::{ProgressiveRadixsortMsd, RangeIndex};
+use progressive_indexes::index::{Algorithm, RangeIndex};
 use progressive_indexes::storage::{scan, Column};
 use progressive_indexes::workloads::skyserver::{self, SkyServerConfig};
 
@@ -34,7 +34,8 @@ fn main() {
     let constants = CostConstants::calibrate();
     let model = CostModel::new(constants, column.len());
     let policy = BudgetPolicy::Adaptive(0.2 * model.t_scan());
-    let mut index = ProgressiveRadixsortMsd::with_constants(Arc::clone(&column), policy, constants);
+    let mut index =
+        Algorithm::RadixsortMsd.build_with_constants(Arc::clone(&column), policy, constants);
 
     let mut scan_total = 0.0f64;
     let mut progressive_total = 0.0f64;

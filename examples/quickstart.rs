@@ -10,7 +10,7 @@ use std::time::Instant;
 
 use progressive_indexes::index::budget::BudgetPolicy;
 use progressive_indexes::index::cost_model::CostConstants;
-use progressive_indexes::index::{ProgressiveQuicksort, RangeIndex};
+use progressive_indexes::index::{Algorithm, RangeIndex};
 use progressive_indexes::storage::Column;
 use progressive_indexes::workloads::data;
 
@@ -25,7 +25,8 @@ fn main() {
     let constants = CostConstants::calibrate();
     let model = progressive_indexes::index::cost_model::CostModel::new(constants, n);
     let policy = BudgetPolicy::Adaptive(0.2 * model.t_scan());
-    let mut index = ProgressiveQuicksort::with_constants(Arc::clone(&column), policy, constants);
+    let mut index =
+        Algorithm::Quicksort.build_with_constants(Arc::clone(&column), policy, constants);
 
     println!("progressive quicksort over {n} rows, budget = 0.2 x scan cost");
     println!(
