@@ -33,7 +33,7 @@ use std::sync::Arc;
 use crate::budget::BudgetPolicy;
 use crate::cost_model::CostConstants;
 use crate::index::RangeIndex;
-use crate::lifecycle::ProgressiveIndex;
+use crate::mutation::MutableIndex;
 use crate::tuning::TuningParameters;
 use pi_storage::Column;
 
@@ -97,7 +97,9 @@ impl Algorithm {
         policy: BudgetPolicy,
         constants: CostConstants,
     ) -> Box<dyn RangeIndex + Send> {
-        Box::new(ProgressiveIndex::new(self, column, policy, constants))
+        Box::new(MutableIndex::with_constants(
+            column, self, policy, constants,
+        ))
     }
 
     /// Forwards to [`Algorithm::build_with_constants`]; the last argument

@@ -26,15 +26,12 @@
 //! array) and **consolidation** (build a B+-tree on top) — before reaching
 //! the **converged** state. See [`result::Phase`].
 //!
-//! That life is written once, in one index type, and the algorithm is a
-//! value it holds ([`Algorithm`]), not a type parameter. The index owns
-//! the column, the budget and the cost model; gives every query its δ;
-//! hands the array over to the shared consolidation tail the moment it is
-//! sorted; and answers [`RangeIndex::status`]. Each algorithm module
-//! supplies only its creation and refinement steps and the cost-model line
-//! that prices them. [`Algorithm::build`] returns the index behind
-//! [`RangeIndex`], the interface it shares with pi-cracking's baselines;
-//! [`mutation::MutableIndex`] holds it directly.
+//! That life is written once, in one index type,
+//! [`mutation::MutableIndex`], which holds the algorithm as a value
+//! ([`Algorithm`]) and takes writes too; each algorithm module supplies
+//! only its creation and refinement steps and the cost-model line that
+//! prices them. [`Algorithm::build`] boxes that index behind
+//! [`RangeIndex`], the interface it shares with pi-cracking's baselines.
 //! Bucket count, block capacity, small-node cutoff and tree fan-out are
 //! the constants the paper fixes ([`buckets::DEFAULT_BUCKET_COUNT`],
 //! [`buckets::DEFAULT_BLOCK_CAPACITY`],
@@ -50,16 +47,11 @@
 //!
 //! ## Mutations
 //!
-//! The paper assumes an append-only column; [`mutation::MutableIndex`]
-//! removes that limitation for all four algorithms at once. Inserts,
-//! deletes and updates accumulate in a pending-delta sidecar
-//! ([`pi_storage::delta::DeltaSidecar`]) while the inner index keeps
-//! refining its immutable snapshot; queries compose the two and stay exact
-//! at every refinement stage. Once the inner index has sorted its snapshot,
-//! the sidecar is folded back in by an incremental, budget-driven merge of
-//! three sorted runs into a fresh, sorted snapshot whose index has only its
-//! tree to build; writes that arrive earlier wait in the sidecar. See the
-//! [`mutation`] module docs.
+//! The paper assumes an append-only column; the same index takes inserts,
+//! deletes and updates for all four algorithms at once, in a pending-delta
+//! sidecar ([`pi_storage::delta::DeltaSidecar`]) that queries compose and
+//! an incremental merge folds into the sorted base. See the [`mutation`]
+//! module docs.
 //!
 //! ## Example
 //!

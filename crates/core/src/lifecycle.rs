@@ -1,53 +1,31 @@
-//! The one life every progressive index lives (§3 of the paper).
+//! The sorting stage of the one lifecycle [`MutableIndex`] runs: creation
+//! and refinement, the two phases in which the four algorithms differ
+//! (§3.1–3.4 of the paper only say how each one *partitions* there).
 //!
-//! A per-query δ from the budget, then **creation → refinement →
-//! consolidation → converged**: the paper defines this once, and §3.1–3.4
-//! only say how each algorithm *partitions* inside the first two phases.
-//! [`ProgressiveIndex`] is that life, written once, and the [`Algorithm`]
-//! it runs is a value it holds:
+//! [`Sorting`] has one variant per algorithm, each answering what a unit
+//! of its current phase costs, how far along it is, one budgeted step,
+//! and the sorted array once there is one. The four states live in
+//! [`crate::quicksort`], [`crate::radix_msd`], [`crate::radix_lsd`] and
+//! [`crate::bucketsort`]; the three bucket-based ones share their creation
+//! step through [`BucketCreation`].
 //!
-//! * it holds the base column, the [`BudgetController`] and the
-//!   [`CostModel`];
-//! * every query it asks the budget for one δ, priced by the cost of the
-//!   current phase's unit of work, and spends it on one step;
-//! * a sorted column (the empty one included) has nothing to sort and
-//!   starts at the consolidation tail;
-//! * the moment the algorithm's array is sorted it *becomes* the base
-//!   column: it is handed to the shared consolidation tail, the handle on
-//!   the unsorted column is released, and the sorting state — buckets,
-//!   pivot trees, scratch, routing metadata — is dropped whole. One copy of
-//!   the values is resident from then on ([`ProgressiveIndex::column`]);
-//! * [`RangeIndex::status`] comes from the sorting state before the
-//!   hand-over and from the tail after it.
-//!
-//! [`Sorting`] is what is left: one variant per algorithm, each answering
-//! what a unit of its current phase costs, how far along it is, one
-//! budgeted step, and the sorted array once there is one. The four states
-//! live in [`crate::quicksort`], [`crate::radix_msd`], [`crate::radix_lsd`]
-//! and [`crate::bucketsort`]; the three bucket-based ones share their
-//! creation step through [`BucketCreation`].
+//! [`MutableIndex`]: crate::MutableIndex
 
-use std::sync::Arc;
-
-use pi_storage::btree::DEFAULT_FANOUT;
 use pi_storage::scan::{scan_range_sum, ScanResult};
 use pi_storage::{Column, Value};
 
 use crate::buckets::{BucketSet, DEFAULT_BLOCK_CAPACITY, DEFAULT_BUCKET_COUNT};
 use crate::bucketsort::BucketsortStrategy;
-use crate::budget::{BudgetController, BudgetPolicy};
-use crate::consolidation::Consolidation;
-use crate::cost_model::{CostConstants, CostModel};
+use crate::cost_model::CostModel;
 use crate::decision::Algorithm;
-use crate::index::RangeIndex;
 use crate::kernels::ScatterScratch;
 use crate::quicksort::QuicksortStrategy;
 use crate::radix_lsd::RadixLsdStrategy;
 use crate::radix_msd::RadixMsdStrategy;
-use crate::result::{IndexStatus, Phase, QueryResult};
+use crate::result::Phase;
 
-/// What one budgeted step of an algorithm did; the lifecycle turns it into
-/// the query's [`QueryResult`].
+/// What one budgeted step of an algorithm did; the index turns it into
+/// the query's [`QueryResult`](crate::QueryResult).
 #[derive(Debug)]
 pub(crate) struct Step {
     /// The query's answer.
@@ -62,7 +40,7 @@ pub(crate) struct Step {
 
 /// The creation and refinement phases of one algorithm: everything that
 /// differs between the four progressive indexes.
-enum Sorting {
+pub(crate) enum Sorting {
     Quicksort(QuicksortStrategy),
     RadixsortMsd(RadixMsdStrategy),
     RadixsortLsd(RadixLsdStrategy),
@@ -72,7 +50,7 @@ enum Sorting {
 impl Sorting {
     /// The creation-phase state of `algorithm` for `column`, which is never
     /// empty.
-    fn start(algorithm: Algorithm, column: &Column) -> Self {
+    pub(crate) fn start(algorithm: Algorithm, column: &Column) -> Self {
         match algorithm {
             Algorithm::Quicksort => Sorting::Quicksort(QuicksortStrategy::start(column)),
             Algorithm::RadixsortMsd => Sorting::RadixsortMsd(RadixMsdStrategy::start(column)),
@@ -83,7 +61,7 @@ impl Sorting {
 
     /// Cost of performing *all* of the current phase's work — what the
     /// budget divides by to get this query's δ.
-    fn unit_cost(&self, model: &CostModel) -> f64 {
+    pub(crate) fn unit_cost(&self, model: &CostModel) -> f64 {
         match self {
             Sorting::Quicksort(s) => s.unit_cost(model),
             Sorting::RadixsortMsd(s) => s.unit_cost(model),
@@ -94,7 +72,7 @@ impl Sorting {
 
     /// The current phase ([`Phase::Creation`] or [`Phase::Refinement`])
     /// and the fraction of its work already done.
-    fn progress(&self, n: usize) -> (Phase, f64) {
+    pub(crate) fn progress(&self, n: usize) -> (Phase, f64) {
         match self {
             Sorting::Quicksort(s) => s.progress(n),
             Sorting::RadixsortMsd(s) => s.progress(n),
@@ -105,7 +83,7 @@ impl Sorting {
 
     /// Answers `[low, high]` and performs `delta` of the current phase's
     /// work.
-    fn step(
+    pub(crate) fn step(
         &mut self,
         column: &Column,
         model: &CostModel,
@@ -121,132 +99,16 @@ impl Sorting {
         }
     }
 
-    /// The fully sorted array, once refinement has produced it. The
-    /// lifecycle asks after every step and drops the sorting state on
+    /// The fully sorted array, once refinement has produced it. The index
+    /// asks after every step and drops the sorting state on
     /// `Some`.
-    fn take_sorted(&mut self) -> Option<Vec<Value>> {
+    pub(crate) fn take_sorted(&mut self) -> Option<Vec<Value>> {
         match self {
             Sorting::Quicksort(s) => s.take_sorted(),
             Sorting::RadixsortMsd(s) => s.take_sorted(),
             Sorting::RadixsortLsd(s) => s.take_sorted(),
             Sorting::Bucketsort(s) => s.take_sorted(),
         }
-    }
-}
-
-enum Stage {
-    /// Creation and refinement: the algorithm's.
-    Sorting(Sorting),
-    /// Consolidation and converged: the same for every algorithm.
-    Sorted(Consolidation),
-}
-
-impl Stage {
-    fn sorted(column: Arc<Column>) -> Self {
-        Stage::Sorted(Consolidation::new(column, DEFAULT_FANOUT))
-    }
-}
-
-/// A progressive index over a single integer column: the lifecycle shared
-/// by all four algorithms, running the creation and refinement steps of
-/// the [`Algorithm`] it holds. [`Algorithm::build_with_constants`] boxes
-/// one behind [`RangeIndex`]; [`crate::mutation::MutableIndex`] holds one
-/// by value.
-pub(crate) struct ProgressiveIndex {
-    algorithm: Algorithm,
-    column: Arc<Column>,
-    budget: BudgetController,
-    model: CostModel,
-    stage: Stage,
-}
-
-impl ProgressiveIndex {
-    /// Starts `algorithm` over `column`.
-    pub(crate) fn new(
-        algorithm: Algorithm,
-        column: Arc<Column>,
-        policy: BudgetPolicy,
-        constants: CostConstants,
-    ) -> Self {
-        ProgressiveIndex {
-            algorithm,
-            budget: BudgetController::new(policy),
-            model: CostModel::new(constants, column.len()),
-            // A sorted column has nothing to sort: born at consolidation.
-            stage: if column.is_sorted() {
-                Stage::sorted(Arc::clone(&column))
-            } else {
-                Stage::Sorting(Sorting::start(algorithm, &column))
-            },
-            column,
-        }
-    }
-
-    /// Starts the same algorithm over `column` with the same policy and
-    /// cost constants, on a fresh budget and cost model.
-    pub(crate) fn restart(&mut self, column: Arc<Column>) {
-        let (policy, constants) = (self.budget.policy(), *self.model.constants());
-        *self = ProgressiveIndex::new(self.algorithm, column, policy, constants);
-    }
-
-    /// The base column: the one the index was built over until its values
-    /// are sorted; the sorted one, and the only copy of the values,
-    /// afterwards (same values, same min/max).
-    pub(crate) fn column(&self) -> &Arc<Column> {
-        &self.column
-    }
-}
-
-impl RangeIndex for ProgressiveIndex {
-    fn query(&mut self, low: Value, high: Value) -> QueryResult {
-        let sorting = match &mut self.stage {
-            Stage::Sorting(sorting) => sorting,
-            Stage::Sorted(tail) => {
-                let delta = tail.delta(&self.model, &mut self.budget);
-                return tail.query(&self.model, low, high, delta);
-            }
-        };
-        let (phase, _) = sorting.progress(self.column.len());
-        let delta = self.budget.delta_for_query(sorting.unit_cost(&self.model));
-        let step = sorting.step(&self.column, &self.model, low, high, delta);
-        if let Some(sorted) = sorting.take_sorted() {
-            // The hand-over: the sorted array is the base from here on, and
-            // this index's handle on the unsorted column drops.
-            self.column = Arc::new(Column::from_sorted_vec(sorted));
-            self.stage = Stage::sorted(Arc::clone(&self.column));
-        }
-        QueryResult {
-            sum: step.answer.sum,
-            count: step.answer.count,
-            phase,
-            delta,
-            predicted_cost: Some(step.predicted),
-            indexing_ops: step.ops,
-            elements_scanned: step.scanned,
-        }
-    }
-
-    fn status(&self) -> IndexStatus {
-        match &self.stage {
-            Stage::Sorting(sorting) => {
-                let (phase, progress) = sorting.progress(self.column.len());
-                IndexStatus {
-                    phase,
-                    fraction_indexed: if phase == Phase::Creation {
-                        progress
-                    } else {
-                        1.0
-                    },
-                    phase_progress: progress,
-                    converged: false,
-                }
-            }
-            Stage::Sorted(tail) => tail.status(),
-        }
-    }
-
-    fn name(&self) -> &'static str {
-        self.algorithm.name()
     }
 }
 
@@ -350,9 +212,13 @@ impl BucketCreation {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cost_model::clamp_delta;
+    use std::sync::Arc;
+
+    use crate::budget::BudgetPolicy;
+    use crate::cost_model::{clamp_delta, CostConstants};
+    use crate::result::IndexStatus;
     use crate::testing::{random_column, ReferenceIndex, TestRng};
-    use pi_storage::btree::BTreeBuilder;
+    use pi_storage::btree::{BTreeBuilder, DEFAULT_FANOUT};
 
     /// What all of `phase`'s work costs under `algorithm` over the model's
     /// `n` rows: the price an adaptive budget divides by.

@@ -1,45 +1,63 @@
-//! Update/delete support on progressive indexes: the [`MutableIndex`]
-//! wrapper and its incremental, budget-driven delta merge.
+//! The progressive index: the one life all four algorithms live (§3 of
+//! the paper), and the writes it absorbs while living it.
 //!
-//! The paper's algorithms assume an append-only column. [`MutableIndex`]
-//! removes that limitation for **all four** progressive algorithms at once
-//! without touching their internals, by keeping the refinement state
-//! (quicksort pivot trees, bucketsort/radixsort buckets, per-piece
-//! boundaries) consistent the only way that is safe while it is mid-flight:
-//! the base snapshot the inner index refines is **never mutated**.
+//! ## One lifecycle
+//!
+//! A per-query δ from the budget, then **creation → refinement →
+//! consolidation → converged**: the paper defines this once, and §3.1–3.4
+//! only say how each algorithm *partitions* inside the first two phases.
+//! [`MutableIndex`] is that life, written once, and the [`Algorithm`] it
+//! runs is a value it holds:
+//!
+//! * it holds the base column, the [`BudgetController`] and the
+//!   [`CostModel`];
+//! * every query it asks the budget for one δ, priced by the cost of the
+//!   current phase's unit of work, and spends it on one step;
+//! * while sorting, the step is the algorithm's: its creation and
+//!   refinement states live in [`crate::quicksort`], [`crate::radix_msd`],
+//!   [`crate::radix_lsd`] and [`crate::bucketsort`];
+//! * a sorted column (the empty one included) has nothing to sort and
+//!   starts at the consolidation tail;
+//! * the moment the algorithm's array is sorted it *becomes* the base
+//!   column: it is handed to the shared consolidation tail, the handle on
+//!   the unsorted column is released, and the sorting state — buckets,
+//!   pivot trees, scratch, routing metadata — is dropped whole. One copy of
+//!   the values is resident from then on.
+//!
+//! [`Algorithm::build`] boxes one behind [`RangeIndex`], the interface it
+//! shares with pi-cracking's baselines; the engine holds one per shard.
+//!
+//! ## Writes
+//!
+//! The paper's algorithms assume an append-only column. The index lifts
+//! that limitation for **all four** algorithms at once without touching
+//! their sorting states, by never mutating the base column they sort.
 //! Mutations accumulate in a [`DeltaSidecar`]; every query composes
 //!
 //! ```text
-//! answer = inner-index(base snapshot) + pending inserts − pending tombstones
+//! answer = index(base column) + pending inserts − pending tombstones
 //! ```
 //!
-//! so answers are exact at every refinement stage, from the first creation
-//! query to long after convergence.
+//! so answers are exact at every stage, from the first creation query to
+//! long after convergence.
 //!
-//! ## One copy, and convergence kept
-//!
-//! The rows of a base snapshot have no order anyone reads, so once the
-//! inner index has sorted them its sorted column is the base and the
-//! unsorted snapshot is dropped: one copy of the values is resident. The
-//! inner index holds the base; this wrapper reads it there and keeps no
-//! handle of its own.
-//!
-//! The sidecar is folded back into the index **incrementally**, by the
-//! same budgeted-step machinery that drives refinement (see
-//! [`crate::budget::StepBudget`] at the engine layer), and only ever over
-//! a sorted base: once the base is sorted and the sidecar outgrows a tenth
-//! of the live rows (at least 256 entries) — or the inner index has
-//! converged with deltas still pending — a *merge* starts. Writes that
-//! arrive before the base is sorted wait in the sidecar, which queries
-//! compose in O(log n + run). A merge is a merge of three sorted runs
-//! (base, frozen inserts, frozen tombstones); each budgeted step emits a
-//! quarter of the merged snapshot in value order while queries keep being
-//! answered from the old snapshot plus the frozen deltas. When the merge
-//! completes, the inner index restarts over the merged snapshot with its
-//! algorithm and budget policy — the "mutated converged shard re-enters
-//! maintenance" behaviour the serving engine relies on. That snapshot is
-//! sorted, so the restarted index starts at consolidation: a converged
-//! index that absorbs writes only rebuilds the tree over its array.
+//! The sidecar is folded back in **incrementally**, by the same
+//! budgeted-step machinery that drives refinement (see
+//! [`crate::budget::StepBudget`] at the engine layer). The fold is a
+//! *merge*, and a merge is part of the sorted stage: only a sorted base has
+//! one. Once the base is sorted and the sidecar outgrows a tenth of the
+//! live rows (at least 256 entries) — or the index has converged with
+//! deltas still pending — a merge starts. Writes that arrive before the
+//! base is sorted wait in the sidecar, which queries compose in
+//! O(log n + run). A merge is a merge of three sorted runs (base, frozen
+//! inserts, frozen tombstones); each budgeted step emits a quarter of the
+//! merged column in value order while queries keep being answered from the
+//! old base plus the frozen deltas. When the merge completes, the merged
+//! column is the base, on a fresh budget and cost model with the same
+//! policy and constants — the "mutated converged shard re-enters
+//! maintenance" behaviour the serving engine relies on. That column is
+//! sorted, so the index starts over at consolidation: a converged index
+//! that absorbs writes only rebuilds the tree over its array.
 //!
 //! ## Semantics
 //!
@@ -83,17 +101,19 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
+use pi_storage::btree::DEFAULT_FANOUT;
 use pi_storage::delta::DeltaSidecar;
 use pi_storage::scan::ScanResult;
 use pi_storage::{Column, Value};
 
-use crate::budget::BudgetPolicy;
-use crate::cost_model::CostConstants;
+use crate::budget::{BudgetController, BudgetPolicy};
+use crate::consolidation::Consolidation;
+use crate::cost_model::{CostConstants, CostModel};
 use crate::decision::Algorithm;
 use crate::index::RangeIndex;
-use crate::lifecycle::ProgressiveIndex;
+use crate::lifecycle::Sorting;
 use crate::metrics::IndexMetrics;
-use crate::result::{IndexStatus, QueryResult};
+use crate::result::{IndexStatus, Phase, QueryResult};
 
 /// Fraction of the live row count the pending sidecar may reach before a
 /// merge is started over a sorted base.
@@ -101,18 +121,18 @@ const MERGE_FRACTION: f64 = 0.1;
 /// Minimum pending entries before the fraction trigger fires, so small
 /// columns don't merge on every few mutations.
 const MERGE_MIN_PENDING: usize = 256;
-/// Fraction of the merged snapshot's rows emitted per budgeted merge step.
+/// Fraction of the merged column's rows emitted per budgeted merge step.
 const MERGE_DELTA: f64 = 0.25;
 
 /// Callback invoked every time a [`MutableIndex`] completes an
 /// incremental sidecar merge (the argument is the index's total completed
 /// merge count). The merge boundary is the natural checkpoint site for a
-/// durability layer — the freshly swapped-in snapshot already contains
-/// every previously pending delta ("log the delta, snapshot the merged
-/// base") — so the hook lets that layer observe the boundary without
-/// polling. Invoked while the index (and, at the engine layer, its shard
-/// lock) is held: implementations must be cheap and must not call back
-/// into the index.
+/// durability layer — the freshly swapped-in base already contains every
+/// previously pending delta ("log the delta, snapshot the merged base") —
+/// so the hook lets that layer observe the boundary without polling.
+/// Invoked while the index (and, at the engine layer, its shard lock) is
+/// held: implementations must be cheap and must not call back into the
+/// index.
 pub type MergeHook = Arc<dyn Fn(u64) + Send + Sync>;
 
 /// A single write against a mutable progressive index. The column is a
@@ -135,11 +155,11 @@ pub enum Mutation {
 }
 
 /// State of an in-flight incremental merge: the frozen deltas being folded
-/// in, the new snapshot under construction, and the cursors into the three
+/// in, the new column under construction, and the cursors into the three
 /// sorted runs.
 struct MergeState {
     /// The sidecar captured when the merge started; still consulted by
-    /// queries (the old snapshot remains the answering structure until the
+    /// queries (the old base remains the answering structure until the
     /// swap).
     frozen: DeltaSidecar,
     /// The merged live values accumulated so far, in value order.
@@ -154,7 +174,6 @@ struct MergeState {
 
 impl MergeState {
     fn start(frozen: DeltaSidecar, base: &Column) -> Self {
-        debug_assert!(base.is_sorted(), "a merge runs over a sorted base");
         let capacity =
             (base.len() + frozen.inserts().len()).saturating_sub(frozen.tombstones().len());
         MergeState {
@@ -196,23 +215,49 @@ impl MergeState {
     }
 }
 
-/// A mutable progressive index: any of the paper's four algorithms plus a
-/// pending-delta sidecar and an incremental merge, behind the same
-/// query/advance interface the immutable indexes expose. See the
-/// [module docs](self) for the design.
+/// Where the index is in its life.
+enum Stage {
+    /// Creation and refinement: the algorithm's. The base column is the
+    /// unsorted one the index was built over, and writes wait in the
+    /// sidecar.
+    Sorting(Sorting),
+    /// Consolidation and converged, the same for every algorithm, over a
+    /// sorted base column — and, while one runs, the merge folding the
+    /// sidecar into that column.
+    Sorted {
+        tail: Consolidation,
+        merge: Option<MergeState>,
+    },
+}
+
+impl Stage {
+    fn sorted(column: Arc<Column>) -> Self {
+        Stage::Sorted {
+            tail: Consolidation::new(column, DEFAULT_FANOUT),
+            merge: None,
+        }
+    }
+}
+
+/// A progressive index over a single integer column: the lifecycle shared
+/// by all four algorithms, running the creation and refinement steps of
+/// the [`Algorithm`] it holds, plus a pending-delta sidecar and the
+/// incremental merge that folds it in. See the [module docs](self) for the
+/// design.
 pub struct MutableIndex {
-    /// The progressive index over the immutable base snapshot, which it
-    /// holds: the column it was built over until its values are sorted,
-    /// its own sorted column afterwards. An empty base starts it
-    /// converged; inserts live in the sidecar until a merge builds the
-    /// first real snapshot.
-    inner: ProgressiveIndex,
+    algorithm: Algorithm,
+    /// The base column: the one the index was built over until its values
+    /// are sorted; the sorted one, and the only copy of the values,
+    /// afterwards (same values, same min/max). Never mutated; a completed
+    /// merge replaces it.
+    column: Arc<Column>,
+    budget: BudgetController,
+    model: CostModel,
+    stage: Stage,
     /// Mutations not yet part of any merge.
     pending: DeltaSidecar,
-    /// In-flight incremental merge, if any.
-    merge: Option<MergeState>,
     /// Total merges completed (instrumentation: each one built a fresh
-    /// snapshot and restarted the inner index over it).
+    /// base column and started the index over at consolidation).
     merges_completed: u64,
     /// Optional observability sink: refinement steps, δ·N bytes moved,
     /// merge steps and cost-model error. `None` records (and costs)
@@ -226,17 +271,43 @@ impl MutableIndex {
     /// Creates a mutable index over `column`, running `algorithm` with the
     /// given per-query budget `policy`.
     pub fn new(column: Arc<Column>, algorithm: Algorithm, policy: BudgetPolicy) -> Self {
-        Self::from_parts(column, DeltaSidecar::new(), algorithm, policy)
+        Self::with_constants(column, algorithm, policy, CostConstants::synthetic())
+    }
+
+    /// [`MutableIndex::new`] with explicit cost-model constants; what
+    /// [`Algorithm::build_with_constants`] boxes.
+    pub(crate) fn with_constants(
+        column: Arc<Column>,
+        algorithm: Algorithm,
+        policy: BudgetPolicy,
+        constants: CostConstants,
+    ) -> Self {
+        MutableIndex {
+            algorithm,
+            budget: BudgetController::new(policy),
+            model: CostModel::new(constants, column.len()),
+            // A sorted column has nothing to sort: born at consolidation.
+            stage: if column.is_sorted() {
+                Stage::sorted(Arc::clone(&column))
+            } else {
+                Stage::Sorting(Sorting::start(algorithm, &column))
+            },
+            column,
+            pending: DeltaSidecar::new(),
+            merges_completed: 0,
+            metrics: None,
+            merge_hook: None,
+        }
     }
 
     /// Reassembles a mutable index from persisted parts: the immutable
-    /// base snapshot plus a pending-delta sidecar (the pair
+    /// base column plus a pending-delta sidecar (the pair
     /// [`MutableIndex::snapshot_parts`] captures). Indexing progress is
-    /// deliberately not persisted, only logical state: the inner index
-    /// restarts at the creation phase over a base snapshot that is not
-    /// sorted, and at consolidation (a tree build) over one that is — the
-    /// base a converged index captured. The sidecar's mutations are
-    /// pending again, exactly as after the equivalent live `apply` calls.
+    /// deliberately not persisted, only logical state: the index restarts
+    /// at the creation phase over a base column that is not sorted, and at
+    /// consolidation (a tree build) over one that is — the base a
+    /// converged index captured. The sidecar's mutations are pending
+    /// again, exactly as after the equivalent live `apply` calls.
     pub fn from_parts(
         column: Arc<Column>,
         sidecar: DeltaSidecar,
@@ -244,28 +315,23 @@ impl MutableIndex {
         policy: BudgetPolicy,
     ) -> Self {
         MutableIndex {
-            inner: ProgressiveIndex::new(algorithm, column, policy, CostConstants::synthetic()),
             pending: sidecar,
-            merge: None,
-            merges_completed: 0,
-            metrics: None,
-            merge_hook: None,
+            ..Self::new(column, algorithm, policy)
         }
     }
 
     /// Captures the index's logical state as persistable parts: the base
-    /// snapshot (shared, never mutated) and one flattened sidecar holding
+    /// column (shared, never mutated) and one flattened sidecar holding
     /// every not-yet-merged mutation — an in-flight merge's frozen deltas
     /// composed with the fresh pending sidecar. Feeding the pair back
     /// through [`MutableIndex::from_parts`] yields an index answering
     /// every query identically.
     pub fn snapshot_parts(&self) -> (Arc<Column>, DeltaSidecar) {
         let mut sidecar = self
-            .merge
-            .as_ref()
+            .merge()
             .map_or_else(DeltaSidecar::new, |m| m.frozen.clone());
         sidecar.compose(&self.pending);
-        (Arc::clone(self.inner.column()), sidecar)
+        (Arc::clone(&self.column), sidecar)
     }
 
     /// Attaches (or detaches) the merge-boundary callback; see
@@ -281,61 +347,97 @@ impl MutableIndex {
         self.metrics = metrics;
     }
 
-    /// Number of live rows: base snapshot minus tombstones plus pending
+    /// The in-flight merge: one exists only in the sorted stage.
+    fn merge(&self) -> Option<&MergeState> {
+        match &self.stage {
+            Stage::Sorted { merge, .. } => merge.as_ref(),
+            Stage::Sorting(_) => None,
+        }
+    }
+
+    /// Number of live rows: base column minus tombstones plus pending
     /// inserts (frozen and fresh).
     pub fn live_rows(&self) -> usize {
-        let frozen_net = self.merge.as_ref().map_or(0, |m| m.frozen.net_rows());
-        let net = self.inner.column().len() as i64 + frozen_net + self.pending.net_rows();
+        let frozen_net = self.merge().map_or(0, |m| m.frozen.net_rows());
+        let net = self.column.len() as i64 + frozen_net + self.pending.net_rows();
         debug_assert!(net >= 0, "live row count went negative");
         net.max(0) as usize
     }
 
     /// `true` while mutations are pending (in the fresh sidecar or an
-    /// in-flight merge) — i.e. the base snapshot does not yet reflect
-    /// every applied mutation.
+    /// in-flight merge) — i.e. the base column does not yet reflect every
+    /// applied mutation.
     pub fn has_pending(&self) -> bool {
-        !self.pending.is_empty() || self.merge.is_some()
+        !self.pending.is_empty() || self.merge().is_some()
     }
 
-    /// Number of completed merges. Each rebuilt the snapshot, sorted, and
-    /// restarted the inner index over it at consolidation.
+    /// Number of completed merges. Each rebuilt the base column, sorted,
+    /// and started the index over it at consolidation.
     pub fn merges_completed(&self) -> u64 {
         self.merges_completed
     }
 
-    /// `true` once the inner index has converged **and** no deltas are
-    /// pending: the terminal, maintenance-free state.
+    /// `true` once the index has converged **and** no deltas are pending:
+    /// the terminal, maintenance-free state.
     pub fn is_converged(&self) -> bool {
-        self.inner.is_converged() && !self.has_pending()
+        self.status().converged
     }
 
-    /// One step of the inner index — a query's, a delete's validating
-    /// lookup or maintenance's empty query — observed like any other
-    /// refinement step.
-    fn step_inner(&mut self, low: Value, high: Value) -> QueryResult {
-        match &self.metrics {
-            Some(metrics) => {
-                // The cost-model error clock is feature-gated (the branch
-                // const-folds away with `obs` off); the step / bytes
-                // counters derive from the result and are not.
-                let start = pi_obs::ENABLED.then(std::time::Instant::now);
-                let result = self.inner.query(low, high);
-                metrics.observe_query(&result);
-                if let Some(start) = start {
-                    metrics.observe_cost_error(result.predicted_cost, start.elapsed());
-                }
-                result
+    /// One step of the lifecycle over the base column alone: asks the
+    /// budget for this query's δ, spends it on the current stage, and
+    /// hands the array over to the consolidation tail on the step that
+    /// sorts it.
+    fn step_base(&mut self, low: Value, high: Value) -> QueryResult {
+        let sorting = match &mut self.stage {
+            Stage::Sorting(sorting) => sorting,
+            Stage::Sorted { tail, .. } => {
+                let delta = tail.delta(&self.model, &mut self.budget);
+                return tail.query(&self.model, low, high, delta);
             }
-            None => self.inner.query(low, high),
+        };
+        let (phase, _) = sorting.progress(self.column.len());
+        let delta = self.budget.delta_for_query(sorting.unit_cost(&self.model));
+        let step = sorting.step(&self.column, &self.model, low, high, delta);
+        if let Some(sorted) = sorting.take_sorted() {
+            // The hand-over: the sorted array is the base from here on, and
+            // this index's handle on the unsorted column drops.
+            self.column = Arc::new(Column::from_sorted_vec(sorted));
+            self.stage = Stage::sorted(Arc::clone(&self.column));
+        }
+        QueryResult {
+            sum: step.answer.sum,
+            count: step.answer.count,
+            phase,
+            delta,
+            predicted_cost: Some(step.predicted),
+            indexing_ops: step.ops,
+            elements_scanned: step.scanned,
         }
     }
 
-    /// Live occurrences of exactly `v`, across snapshot and deltas. The
-    /// point lookup doubles as a budgeted slice of indexing work on the
-    /// inner index.
+    /// [`MutableIndex::step_base`] — a query's, a delete's validating
+    /// lookup or maintenance's empty query — observed like any other
+    /// refinement step.
+    fn step(&mut self, low: Value, high: Value) -> QueryResult {
+        // The cost-model error clock is feature-gated (the condition
+        // const-folds away with `obs` off); the step / bytes counters
+        // derive from the result and are not.
+        let start = (pi_obs::ENABLED && self.metrics.is_some()).then(std::time::Instant::now);
+        let result = self.step_base(low, high);
+        if let Some(metrics) = &self.metrics {
+            metrics.observe_query(&result);
+            if let Some(start) = start {
+                metrics.observe_cost_error(result.predicted_cost, start.elapsed());
+            }
+        }
+        result
+    }
+
+    /// Live occurrences of exactly `v`, across base and deltas. The point
+    /// lookup doubles as a budgeted slice of indexing work.
     fn live_count_of(&mut self, v: Value) -> i64 {
-        let in_base = self.step_inner(v, v).count as i64;
-        let frozen = self.merge.as_ref().map_or(0, |m| m.frozen.net_count_of(v));
+        let in_base = self.step(v, v).count as i64;
+        let frozen = self.merge().map_or(0, |m| m.frozen.net_count_of(v));
         in_base + frozen + self.pending.net_count_of(v)
     }
 
@@ -376,50 +478,54 @@ impl MutableIndex {
         }
     }
 
-    /// Starts an incremental merge when the base is sorted and the sidecar
-    /// has outgrown [`MERGE_FRACTION`] of the live rows. Over an unsorted
-    /// base the writes wait in the sidecar.
+    /// Starts an incremental merge once the sidecar has outgrown
+    /// [`MERGE_FRACTION`] of the live rows.
     fn maybe_start_merge(&mut self) {
-        if self.merge.is_some() || self.pending.is_empty() || !self.inner.column().is_sorted() {
-            return;
-        }
-        let pending = self.pending.len();
         let threshold = (self.live_rows() as f64 * MERGE_FRACTION).ceil() as usize;
-        if pending >= MERGE_MIN_PENDING.max(threshold) {
+        if self.pending.len() >= MERGE_MIN_PENDING.max(threshold) {
             self.start_merge();
         }
     }
 
+    /// Freezes the pending sidecar into a merge, when the stage has room
+    /// for one: the base is sorted and no merge is in flight. Otherwise the
+    /// writes wait in the sidecar.
     fn start_merge(&mut self) {
-        debug_assert!(self.merge.is_none());
-        let frozen = std::mem::take(&mut self.pending);
-        self.merge = Some(MergeState::start(frozen, self.inner.column()));
+        if let Stage::Sorted {
+            merge: merge @ None,
+            ..
+        } = &mut self.stage
+        {
+            let frozen = std::mem::take(&mut self.pending);
+            *merge = Some(MergeState::start(frozen, &self.column));
+        }
     }
 
-    /// Ops per budgeted merge step: [`MERGE_DELTA`] of the merged snapshot.
-    fn merge_step_ops(&self) -> usize {
-        let inserts = self.merge.as_ref().map_or(0, |m| m.frozen.inserts().len());
-        let total = self.inner.column().len() + inserts;
-        ((MERGE_DELTA * total as f64).ceil() as usize).max(1)
-    }
-
-    /// Advances an in-flight merge by one budgeted step, restarting the
-    /// inner index over the merged snapshot on completion. Returns whether
-    /// a merge was advanced.
+    /// Advances an in-flight merge by one budgeted step of [`MERGE_DELTA`]
+    /// of the merged column. On completion the merged column is the base,
+    /// on a fresh budget and cost model with the same policy and constants.
+    /// Returns whether a merge was advanced.
     fn advance_merge(&mut self) -> bool {
-        let ops = self.merge_step_ops();
-        let Some(merge) = &mut self.merge else {
+        let Stage::Sorted {
+            merge: Some(merge), ..
+        } = &mut self.stage
+        else {
             return false;
         };
+        let total = self.column.len() + merge.frozen.inserts().len();
+        let ops = ((MERGE_DELTA * total as f64).ceil() as usize).max(1);
         let out_before = merge.out.len();
-        let finished = merge.step(self.inner.column(), ops);
+        let finished = merge.step(&self.column, ops);
         if let Some(metrics) = &self.metrics {
             metrics.observe_merge_step(merge.out.len() - out_before);
         }
         if finished {
-            let merge = self.merge.take().expect("merge in flight");
-            self.inner
-                .restart(Arc::new(Column::from_sorted_vec(merge.out)));
+            // The merged column is sorted: the index starts over at
+            // consolidation, and the old base and frozen deltas drop.
+            self.column = Arc::new(Column::from_sorted_vec(std::mem::take(&mut merge.out)));
+            self.budget = BudgetController::new(self.budget.policy());
+            self.model = CostModel::new(*self.model.constants(), self.column.len());
+            self.stage = Stage::sorted(Arc::clone(&self.column));
             self.merges_completed += 1;
             if let Some(hook) = &self.merge_hook {
                 hook(self.merges_completed);
@@ -429,43 +535,43 @@ impl MutableIndex {
     }
 
     /// Performs one budgeted slice of work towards the terminal state:
-    /// an in-flight merge step, else an inner refinement step (the paper's
-    /// empty-query maintenance), else — when the inner index has converged
-    /// with deltas pending — starting and stepping a merge. Returns
-    /// `false` only from the terminal state ([`MutableIndex::is_converged`]).
+    /// an in-flight merge step, else a lifecycle step (the paper's
+    /// empty-query maintenance), else — when the index has converged with
+    /// deltas pending — starting and stepping a merge. Returns `false`
+    /// only from the terminal state ([`MutableIndex::is_converged`]).
     pub fn advance(&mut self) -> bool {
-        if self.merge.is_some() {
-            return self.advance_merge();
+        match &self.stage {
+            Stage::Sorted { merge: Some(_), .. } => self.advance_merge(),
+            Stage::Sorted { tail, .. } if tail.status().converged => {
+                if self.pending.is_empty() {
+                    return false;
+                }
+                self.start_merge();
+                self.advance_merge()
+            }
+            _ => {
+                // The paper's empty-query maintenance: a pure δ-slice of
+                // indexing work.
+                self.step(1, 0);
+                true
+            }
         }
-        if !self.inner.is_converged() {
-            // The paper's empty-query maintenance: a pure δ-slice of
-            // indexing work.
-            self.step_inner(1, 0);
-            return true;
-        }
-        if !self.pending.is_empty() {
-            self.start_merge();
-            return self.advance_merge();
-        }
-        false
     }
 
     /// Answers `[low, high]` over the **live** multiset, performing the
-    /// query's budgeted share of indexing work (inner refinement, plus one
+    /// query's budgeted share of indexing work (a lifecycle step, plus one
     /// merge step when a merge is in flight).
     pub fn query(&mut self, low: Value, high: Value) -> QueryResult {
-        let base = self.step_inner(low, high);
+        let base = self.step(low, high);
         let mut composed = base.scan_result();
-        if let Some(merge) = &self.merge {
+        if let Some(merge) = self.merge() {
             composed = merge.frozen.scan(low, high).apply_to(composed);
         }
         composed = self.pending.scan(low, high).apply_to(composed);
         // Queries drive the merge forward too: indexing work — including
         // delta folding — happens as a query side effect, per the paper's
         // model.
-        if self.merge.is_some() {
-            self.advance_merge();
-        }
+        self.advance_merge();
         QueryResult {
             sum: composed.sum,
             count: composed.count,
@@ -473,26 +579,44 @@ impl MutableIndex {
         }
     }
 
-    /// Progress snapshot. The phase and progress come from the inner
-    /// index; `converged` reports the composite state (inner converged
-    /// *and* no pending deltas), so a mutated converged index correctly
-    /// re-enters maintenance.
+    /// Progress snapshot. The phase and progress come from the sorting
+    /// state before the hand-over and from the consolidation tail after
+    /// it; `converged` reports the composite state (tree built *and* no
+    /// pending deltas), so a mutated converged index correctly re-enters
+    /// maintenance.
     pub fn status(&self) -> IndexStatus {
-        let inner = self.inner.status();
-        IndexStatus {
-            converged: inner.converged && !self.has_pending(),
-            ..inner
+        match &self.stage {
+            Stage::Sorting(sorting) => {
+                let (phase, progress) = sorting.progress(self.column.len());
+                IndexStatus {
+                    phase,
+                    fraction_indexed: if phase == Phase::Creation {
+                        progress
+                    } else {
+                        1.0
+                    },
+                    phase_progress: progress,
+                    converged: false,
+                }
+            }
+            Stage::Sorted { tail, merge } => {
+                let tail = tail.status();
+                IndexStatus {
+                    converged: tail.converged && merge.is_none() && self.pending.is_empty(),
+                    ..tail
+                }
+            }
         }
     }
 
     /// Materialises the live multiset — [`MutableIndex::snapshot_parts`]
     /// folded together. Sorted when the base is (one whole merge);
-    /// otherwise the base rows in snapshot order, one occurrence dropped
+    /// otherwise the base rows in column order, one occurrence dropped
     /// per tombstone, followed by the pending inserts. Used for digest
     /// trees and re-sharding (boundary re-balancing) at the engine layer.
     pub fn live_values(&self) -> Vec<Value> {
         let (base, sidecar) = self.snapshot_parts();
-        if base.is_sorted() {
+        if let Stage::Sorted { .. } = self.stage {
             let mut merge = MergeState::start(sidecar, &base);
             let finished = merge.step(&base, usize::MAX);
             debug_assert!(finished && merge.out.len() == self.live_rows());
@@ -513,13 +637,12 @@ impl MutableIndex {
         live
     }
 
-    /// Exact sum and count over all live rows, without touching the inner
-    /// index (used by the engine to maintain per-shard digests).
+    /// Exact sum and count over all live rows, without a lifecycle step
+    /// (used by the engine to maintain per-shard digests).
     pub fn live_total(&self) -> ScanResult {
-        let base = self.inner.column();
-        let mut sum = base.total_sum() as i128;
-        let mut count = base.len() as i64;
-        if let Some(merge) = &self.merge {
+        let mut sum = self.column.total_sum() as i128;
+        let mut count = self.column.len() as i64;
+        if let Some(merge) = self.merge() {
             sum += merge.frozen.net_sum();
             count += merge.frozen.net_rows();
         }
@@ -533,12 +656,26 @@ impl MutableIndex {
     }
 }
 
+/// The one progressive index behind the interface it shares with
+/// pi-cracking's baselines; every method is the inherent one.
+impl RangeIndex for MutableIndex {
+    fn query(&mut self, low: Value, high: Value) -> QueryResult {
+        MutableIndex::query(self, low, high)
+    }
+
+    fn status(&self) -> IndexStatus {
+        MutableIndex::status(self)
+    }
+
+    fn name(&self) -> &'static str {
+        self.algorithm.name()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cost_model::CostModel;
-    use crate::result::Phase;
-    use crate::testing;
+    use crate::testing::{self, random_column, TestRng};
     use pi_storage::scan::scan_range_sum;
 
     /// Oracle: the live multiset as a plain vector.
@@ -659,7 +796,7 @@ mod tests {
         }
     }
 
-    /// A completed merge restarts the inner index with the policy it had:
+    /// A completed merge starts the index over with the policy it had:
     /// over a merged column of the same length, the first query prices
     /// its δ exactly as the first consolidation query before the merge.
     #[test]
@@ -844,5 +981,71 @@ mod tests {
         let snapshot = registry.snapshot();
         assert_eq!(snapshot.counter("core.m.refine_steps"), Some(1));
         assert!(snapshot.counter("core.m.bytes_moved").unwrap() > 0);
+    }
+
+    /// The comparison path and the engine run one index: boxed by
+    /// [`Algorithm::build`] or built directly, it answers and reports
+    /// identically on the same query stream until it converges.
+    #[test]
+    fn build_and_new_run_one_index() {
+        let column = Arc::new(random_column(20_000, 1 << 30, 13));
+        let model = CostModel::new(CostConstants::synthetic(), column.len());
+        let policies = [
+            BudgetPolicy::FixedDelta(0.25),
+            BudgetPolicy::Adaptive(0.2 * model.t_scan()),
+        ];
+        for algorithm in Algorithm::ALL {
+            for policy in policies {
+                let mut boxed = algorithm.build(Arc::clone(&column), policy);
+                let mut direct = MutableIndex::new(Arc::clone(&column), algorithm, policy);
+                let mut rng = TestRng::new(17);
+                let mut queries = 0;
+                while !direct.is_converged() {
+                    let context = format!("{algorithm}, {policy:?}, query {queries}");
+                    let low = rng.below(1 << 30);
+                    let high = low + (1 << 26);
+                    assert_eq!(boxed.query(low, high), direct.query(low, high), "{context}");
+                    assert_eq!(boxed.status(), direct.status(), "{context}");
+                    queries += 1;
+                    assert!(queries < 100_000, "{context}: no convergence");
+                }
+                assert!(boxed.is_converged(), "{algorithm}, {policy:?}");
+            }
+        }
+    }
+
+    /// The three readings of convergence — the inherent method, the
+    /// [`RangeIndex`] one through a trait object, and the status — agree
+    /// on a converged index that takes writes, before, during and after
+    /// the merge that folds them in.
+    #[test]
+    fn every_reading_of_convergence_agrees_across_a_merge() {
+        fn converged(index: &mut MutableIndex) -> bool {
+            let inherent = index.is_converged();
+            let status = index.status().converged;
+            let index: &mut dyn RangeIndex = index;
+            assert_eq!(index.is_converged(), inherent, "{}", index.name());
+            assert_eq!(status, inherent, "{}", index.name());
+            inherent
+        }
+        for algorithm in Algorithm::ALL {
+            let (mut index, _) = fresh(2_000, 4_000, algorithm);
+            while index.advance() {}
+            assert!(converged(&mut index), "{algorithm}");
+            for v in 0..10 {
+                assert!(index.apply(&Mutation::Insert(v * 7)));
+            }
+            assert!(!converged(&mut index), "{algorithm}: writes pending");
+            index.advance();
+            assert!(index.has_pending() && index.merges_completed() == 0);
+            assert!(!converged(&mut index), "{algorithm}: merge in flight");
+            while index.merges_completed() == 0 {
+                assert!(!converged(&mut index), "{algorithm}: merge in flight");
+                index.advance();
+            }
+            assert!(!converged(&mut index), "{algorithm}: tree to rebuild");
+            while index.advance() {}
+            assert!(converged(&mut index), "{algorithm}: after the merge");
+        }
     }
 }

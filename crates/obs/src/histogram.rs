@@ -117,8 +117,8 @@ impl Histogram {
     }
 }
 
-/// An owned, mergeable copy of a [`Histogram`]'s state; the quantile /
-/// export surface.
+/// An owned, mergeable copy of a [`Histogram`]'s state; the quantile
+/// surface.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HistogramSnapshot {
     /// Total number of recorded values.
@@ -195,11 +195,6 @@ impl HistogramSnapshot {
         self.quantile(0.99)
     }
 
-    /// 99.9th percentile.
-    pub fn p999(&self) -> u64 {
-        self.quantile(0.999)
-    }
-
     /// Mean of the recorded values (0 for an empty histogram).
     pub fn mean(&self) -> f64 {
         if self.count == 0 {
@@ -210,7 +205,7 @@ impl HistogramSnapshot {
     }
 
     /// The non-empty buckets as `(upper_bound, count)` pairs, in
-    /// increasing bound order — the export format.
+    /// increasing bound order.
     pub fn buckets(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
         let bounds = bucket_bounds();
         self.counts

@@ -22,9 +22,8 @@
 //!   sample.
 //! * [`MetricsRegistry`] — name → handle map with get-or-register typed
 //!   accessors, a process-wide [`MetricsRegistry::global`] default, and
-//!   [`MetricsRegistry::snapshot`] producing a [`MetricsSnapshot`] that
-//!   exports as JSON ([`MetricsSnapshot::to_json`]) or Prometheus-style
-//!   text ([`MetricsSnapshot::to_prometheus`]).
+//!   [`MetricsRegistry::snapshot`] producing a [`MetricsSnapshot`], an
+//!   owned copy that tests, examples and dashboards read by name.
 //! * [`timed!`] / [`ScopeTimer`] — timed scopes that are **feature
 //!   gated**: with the `obs` cargo feature off, [`ENABLED`] is a `false`
 //!   constant, the macro expands to the bare body and the branch folds
@@ -56,19 +55,16 @@
 //!
 //! let snap = registry.snapshot();
 //! assert_eq!(snap.counter("executor.batches"), Some(1));
-//! assert!(snap.to_json().contains("\"executor.batches\""));
 //! ```
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
 pub mod counter;
-pub mod export;
 pub mod histogram;
 pub mod registry;
 
 pub use counter::{CachePadded, Counter, Gauge};
-pub use export::validate_snapshot_json;
 pub use histogram::{Histogram, HistogramSnapshot};
 pub use registry::{sanitize_component, MetricsRegistry, MetricsSnapshot};
 

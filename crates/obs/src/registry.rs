@@ -5,9 +5,8 @@
 //! `"server.accepted"` share one counter) and happens once per handle at
 //! component construction time; the hot path only touches the returned
 //! `Arc`s. [`MetricsRegistry::snapshot`] walks all three maps under read
-//! locks and produces an owned [`MetricsSnapshot`] — the unit of export
-//! (JSON, Prometheus text) and of programmatic inspection in tests,
-//! benches and dashboards.
+//! locks and produces an owned [`MetricsSnapshot`] — the unit of
+//! programmatic inspection in tests, benches and dashboards.
 //!
 //! ## Naming scheme
 //!
@@ -134,7 +133,7 @@ impl MetricsRegistry {
 }
 
 /// An owned, structured copy of a registry's state at one point in time.
-/// Maps are sorted by metric name (BTree order), so exports are
+/// Maps are sorted by metric name (BTree order), so walks over them are
 /// deterministic given the same values.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct MetricsSnapshot {
@@ -172,15 +171,6 @@ impl MetricsSnapshot {
             .range(prefix.to_string()..)
             .take_while(move |(name, _)| name.starts_with(prefix))
             .map(|(name, &v)| (name.as_str(), v))
-    }
-
-    /// Sum of all counters whose name starts with `prefix`.
-    pub fn counter_sum(&self, prefix: &str) -> u64 {
-        self.counters
-            .range(prefix.to_string()..)
-            .take_while(|(name, _)| name.starts_with(prefix))
-            .map(|(_, &v)| v)
-            .sum()
     }
 }
 
@@ -226,10 +216,6 @@ mod tests {
             vec![("engine.rho.ra.0", 0.25), ("engine.rho.ra.1", 0.75)]
         );
         assert_eq!(snap.gauges_with_prefix("engine.rho.").count(), 3);
-
-        registry.counter("core.a.steps").add(4);
-        registry.counter("core.b.steps").add(6);
-        assert_eq!(registry.snapshot().counter_sum("core."), 10);
     }
 
     #[test]

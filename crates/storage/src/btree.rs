@@ -115,12 +115,6 @@ impl StaticBTree {
         self.levels.len()
     }
 
-    /// Length of the leaf array this tree indexes.
-    #[inline]
-    pub fn leaf_len(&self) -> usize {
-        self.leaf_len
-    }
-
     /// Total number of keys stored in internal levels
     /// (`N_copy` from the consolidation cost model).
     pub fn internal_key_count(&self) -> usize {
@@ -180,16 +174,6 @@ impl StaticBTree {
     #[inline]
     fn prefix_sum(&self, blocks: usize) -> u128 {
         blocks.checked_sub(1).map_or(0, |k| self.block_sums[k])
-    }
-
-    /// Half-open `[start, end)` leaf range of values within `[low, high]`.
-    pub fn equal_range(&self, leaves: &[Value], low: Value, high: Value) -> (usize, usize) {
-        if low > high {
-            return (0, 0);
-        }
-        let start = self.lower_bound(leaves, low);
-        let end = self.upper_bound(leaves, high).max(start);
-        (start, end)
     }
 
     fn descend(&self, leaves: &[Value], key: Value, bound: Bound) -> usize {
@@ -303,7 +287,7 @@ impl BTreeBuilder {
     }
 
     /// Number of element copies performed so far.
-    pub fn copies_done(&self) -> usize {
+    pub(crate) fn copies_done(&self) -> usize {
         self.levels.iter().map(Vec::len).sum()
     }
 

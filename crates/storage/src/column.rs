@@ -78,24 +78,6 @@ impl Column {
         }
     }
 
-    /// Creates a column from typed keys via their order-preserving
-    /// encoding ([`crate::encoding::OrderedKey`]): the construction path
-    /// of float / signed-integer / string-prefix columns. The stored
-    /// values — and therefore `min`/`max`, shard boundaries and digests —
-    /// live in the encoded domain.
-    ///
-    /// ```
-    /// use pi_storage::encoding::OrderedKey;
-    /// use pi_storage::Column;
-    ///
-    /// let col = Column::from_keys(&[-1.5f64, 2.0, -0.25]);
-    /// assert_eq!(col.min(), (-1.5f64).encode());
-    /// assert_eq!(col.max(), 2.0f64.encode());
-    /// ```
-    pub fn from_keys<K: crate::encoding::OrderedKey>(keys: &[K]) -> Self {
-        Self::from_vec(crate::encoding::encode_keys(keys))
-    }
-
     /// Number of rows in the column.
     #[inline]
     pub fn len(&self) -> usize {

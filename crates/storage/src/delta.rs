@@ -182,17 +182,11 @@ impl DeltaSidecar {
             - self.tombstones.iter().map(|&v| v as i128).sum::<i128>()
     }
 
-    /// Consumes the sidecar, returning `(inserts, tombstones)` — the
-    /// hand-off into an incremental merge.
-    pub fn into_parts(self) -> (Vec<Value>, Vec<Value>) {
-        (self.inserts, self.tombstones)
-    }
-
     /// Rebuilds a sidecar from sorted multisets (the decode half of the
     /// snapshot codec, [`crate::snapshot::read_sidecar`]). Returns `None`
     /// when either run is out of order — a corrupted encoding must be
     /// rejected, not trusted into the binary-search invariants.
-    pub fn from_sorted_parts(inserts: Vec<Value>, tombstones: Vec<Value>) -> Option<Self> {
+    pub(crate) fn from_sorted_parts(inserts: Vec<Value>, tombstones: Vec<Value>) -> Option<Self> {
         let sorted = |run: &[Value]| run.windows(2).all(|w| w[0] <= w[1]);
         if sorted(&inserts) && sorted(&tombstones) {
             Some(DeltaSidecar {
@@ -221,22 +215,6 @@ impl DeltaSidecar {
             }
         }
     }
-}
-
-/// Tombstone-aware scan of an (unsorted) base slice: the predicated
-/// range-sum over `data` minus the qualifying tombstones, plus the
-/// qualifying inserts. The free-function form of the composition a
-/// mutable index performs; useful when no index exists yet (empty shards,
-/// reference oracles).
-pub fn scan_range_sum_with_deltas(
-    data: &[Value],
-    sidecar: &DeltaSidecar,
-    low: Value,
-    high: Value,
-) -> ScanResult {
-    sidecar
-        .scan(low, high)
-        .apply_to(crate::scan::scan_range_sum(data, low, high))
 }
 
 #[cfg(test)]
@@ -316,17 +294,6 @@ mod tests {
     }
 
     #[test]
-    fn free_function_composes_base_and_deltas() {
-        let data = vec![1, 5, 9, 5];
-        let mut s = DeltaSidecar::new();
-        s.add_tombstone(5);
-        s.insert(6);
-        let r = scan_range_sum_with_deltas(&data, &s, 4, 9);
-        // live multiset in [4, 9]: {5, 9, 6}
-        assert_eq!(r, ScanResult { sum: 20, count: 3 });
-    }
-
-    #[test]
     fn from_sorted_parts_validates_order() {
         let s = DeltaSidecar::from_sorted_parts(vec![1, 2, 2], vec![5]).unwrap();
         assert_eq!(s.inserts(), &[1, 2, 2]);
@@ -358,15 +325,5 @@ mod tests {
         del.add_tombstone(3);
         base.compose(&del);
         assert_eq!(base.tombstones(), &[3]);
-    }
-
-    #[test]
-    fn into_parts_round_trips() {
-        let mut s = DeltaSidecar::new();
-        s.insert(2);
-        s.add_tombstone(7);
-        let (ins, tomb) = s.into_parts();
-        assert_eq!(ins, vec![2]);
-        assert_eq!(tomb, vec![7]);
     }
 }

@@ -157,11 +157,6 @@ impl DigestTree {
         self.cells.is_empty()
     }
 
-    /// Total live values across every bucket.
-    pub fn total_count(&self) -> u64 {
-        self.cells.values().map(|c| c.count).sum()
-    }
-
     /// The cell of bucket `bucket`, when materialised.
     pub fn cell(&self, bucket: u64) -> Option<&GroupCell> {
         self.cells.get(&bucket)
@@ -238,7 +233,11 @@ mod tests {
         assert_eq!(tree.cell(9), Some(&GroupCell::of(99)));
         assert_eq!(tree.cell(10), Some(&GroupCell::of(100)));
         assert_eq!(tree.cell(3), None, "empty buckets are not materialised");
-        assert_eq!(tree.total_count(), values.len() as u64);
+        let total: u64 = tree
+            .cells_overlapping(0, Value::MAX)
+            .map(|(_, c)| c.count)
+            .sum();
+        assert_eq!(total, values.len() as u64);
     }
 
     /// The reference `build` is held to: one map lookup per value.
@@ -319,7 +318,6 @@ mod tests {
     fn empty_tree_has_no_cells_not_sentinels() {
         let tree = DigestTree::build(&[], 64);
         assert!(tree.is_empty());
-        assert_eq!(tree.total_count(), 0);
         assert_eq!(tree.cells_overlapping(0, u64::MAX).count(), 0);
     }
 

@@ -260,18 +260,6 @@ impl OrderedKey for StrPrefix {
     }
 }
 
-/// Encodes a slice of keys into the `u64` core, in order — the typed
-/// column construction path.
-pub fn encode_keys<K: OrderedKey>(keys: &[K]) -> Vec<u64> {
-    keys.iter().map(OrderedKey::encode).collect()
-}
-
-/// Decodes a slice of codes back into the key domain (boundary
-/// observability: shard split keys, digest bounds).
-pub fn decode_codes<K: OrderedKey>(codes: &[u64]) -> Vec<K> {
-    codes.iter().map(|&c| K::decode(c)).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -399,12 +387,5 @@ mod tests {
             assert!(a < b, "{:?} < {:?}", w[0], w[1]);
             assert!(a.encode() < b.encode(), "{:?} < {:?} encoded", w[0], w[1]);
         }
-    }
-
-    #[test]
-    fn slice_helpers_round_trip() {
-        let keys = [-2i64, 5, -9];
-        let codes = encode_keys(&keys);
-        assert_eq!(decode_codes::<i64>(&codes), keys);
     }
 }

@@ -118,7 +118,7 @@ impl RangePartition {
     /// Routes every value to its shard, preserving relative order within
     /// each shard. Always returns exactly [`RangePartition::shard_count`]
     /// buckets; shards whose value range is empty come back empty.
-    pub fn split_values(&self, values: &[Value]) -> Vec<Vec<Value>> {
+    pub(crate) fn split_values(&self, values: &[Value]) -> Vec<Vec<Value>> {
         // Counting pass first: exact pre-sizing beats the reallocation
         // churn a per-bucket growth strategy pays under skew.
         let mut out: Vec<Vec<Value>> = self
@@ -133,12 +133,9 @@ impl RangePartition {
     }
 
     /// Per-shard row counts for `values`, without materialising the
-    /// buckets. This is the *task granularity* signal of the scheduler
-    /// layer: the serving engine weights each shard task by its row count
-    /// and pins shards to pool workers so every worker owns roughly the
-    /// same number of rows, even when duplicate-heavy data skews the
-    /// equi-depth split.
-    pub fn bucket_sizes(&self, values: &[Value]) -> Vec<usize> {
+    /// buckets: the counting pass that pre-sizes
+    /// [`RangePartition::split_values`].
+    pub(crate) fn bucket_sizes(&self, values: &[Value]) -> Vec<usize> {
         let mut sizes = vec![0usize; self.shard_count()];
         for &v in values {
             sizes[self.shard_of(v)] += 1;
@@ -146,8 +143,11 @@ impl RangePartition {
         sizes
     }
 
-    /// [`RangePartition::split_values`] yielding ready-made [`Column`]s
-    /// with their min/max statistics computed.
+    /// Routes every row of `column` to its shard, preserving relative
+    /// order within each shard, and returns the shards as ready-made
+    /// [`Column`]s with their min/max statistics computed. Always returns
+    /// exactly [`RangePartition::shard_count`] columns; shards whose value
+    /// range is empty come back empty.
     pub fn split_column(&self, column: &Column) -> Vec<Column> {
         self.split_values(column.data())
             .into_iter()
@@ -158,15 +158,6 @@ impl RangePartition {
     /// The split keys (ascending, N−1 entries for N shards).
     pub fn boundaries(&self) -> &[Value] {
         &self.boundaries
-    }
-
-    /// The split keys decoded into a typed key domain
-    /// ([`crate::encoding::OrderedKey`]). For a partition drawn over an
-    /// encoded column the boundaries live in code space; this is the
-    /// observability path back to the key domain (e.g. the float values
-    /// an equi-depth partition of an `f64` column actually split at).
-    pub fn boundaries_in<K: crate::encoding::OrderedKey>(&self) -> Vec<K> {
-        crate::encoding::decode_codes(&self.boundaries)
     }
 
     /// Live-row weight drift of a sharded column: the heaviest shard's row

@@ -33,7 +33,7 @@ pub fn upper_bound(data: &[Value], key: Value) -> usize {
 /// Half-open position range `[start, end)` of values in `[low, high]`
 /// within the sorted slice `data`.
 #[inline]
-pub fn equal_range(data: &[Value], low: Value, high: Value) -> (usize, usize) {
+pub(crate) fn equal_range(data: &[Value], low: Value, high: Value) -> (usize, usize) {
     if low > high {
         return (0, 0);
     }

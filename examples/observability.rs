@@ -6,8 +6,7 @@
 //! closed-loop clients against it in rounds, printing a dashboard line
 //! per round straight from `MetricsSnapshot`: per-shard ρ (fraction
 //! indexed), per-phase latencies, tie-break pressure, and the cost
-//! model's prediction error. Ends by exporting the snapshot as JSON
-//! (checked against the schema validator) and Prometheus text.
+//! model's prediction error.
 //!
 //! ```bash
 //! cargo run --release --example observability
@@ -23,7 +22,7 @@ use std::time::Instant;
 use progressive_indexes::engine::typed::{TypedColumnSpec, TypedExecutor, TypedQuery, TypedTable};
 use progressive_indexes::engine::ExecutorConfig;
 use progressive_indexes::index::budget::BudgetPolicy;
-use progressive_indexes::obs::{validate_snapshot_json, MetricsRegistry, MetricsSnapshot};
+use progressive_indexes::obs::{MetricsRegistry, MetricsSnapshot};
 use progressive_indexes::workloads::closed_loop::{self, BatchOutcome};
 use progressive_indexes::workloads::{domains, Distribution};
 
@@ -185,22 +184,5 @@ fn main() {
             err.p95(),
             err.count,
         );
-    }
-
-    // Exports: the JSON document must satisfy the CI schema validator,
-    // and the same snapshot renders as Prometheus exposition text.
-    let json = snap.to_json();
-    validate_snapshot_json(&json).expect("snapshot JSON matches the schema");
-    println!(
-        "\nsnapshot exports: {} bytes of schema-valid JSON, {} lines of Prometheus text",
-        json.len(),
-        snap.to_prometheus().lines().count()
-    );
-    for line in snap
-        .to_prometheus()
-        .lines()
-        .filter(|l| l.starts_with("engine_rho_s_"))
-    {
-        println!("  {line}");
     }
 }

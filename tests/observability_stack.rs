@@ -2,11 +2,10 @@
 //! through table shards, executor, worker pool and server front-end, a
 //! skewed-string serving run on top, and assertions that the snapshot
 //! carries the convergence story — non-zero ρ per shard, tie-break hits,
-//! per-phase timings and cost-model error — and exports as schema-valid
-//! JSON and Prometheus text. Clock-dependent assertions are gated on
-//! `pi_obs::ENABLED`, so the suite passes on both feature legs (`obs`
-//! on: histograms populated; off: histograms empty, structural counters
-//! still live).
+//! per-phase timings and cost-model error. Clock-dependent assertions
+//! are gated on `pi_obs::ENABLED`, so the suite passes on both feature
+//! legs (`obs` on: histograms populated; off: histograms empty,
+//! structural counters still live).
 
 use std::sync::Arc;
 
@@ -15,7 +14,7 @@ use progressive_indexes::engine::{
     ColumnSpec, Executor, ExecutorConfig, Table, TableQuery, TableServer,
 };
 use progressive_indexes::index::budget::BudgetPolicy;
-use progressive_indexes::obs::{validate_snapshot_json, MetricsRegistry};
+use progressive_indexes::obs::MetricsRegistry;
 use progressive_indexes::sched::ServerConfig;
 use progressive_indexes::workloads::{domains, Distribution};
 
@@ -113,14 +112,6 @@ fn skewed_string_run_populates_the_metric_namespace() {
         assert_eq!(scan.count, 0, "obs off: no clocks, no timings");
         assert_eq!(cost.count, 0, "obs off: cost error needs a clock");
     }
-
-    // Exports: schema-valid JSON and Prometheus text from the same
-    // snapshot.
-    let json = snap.to_json();
-    validate_snapshot_json(&json).unwrap_or_else(|e| panic!("{e}\n{json}"));
-    let prom = snap.to_prometheus();
-    assert!(prom.contains("# TYPE engine_rho_s_0 gauge"));
-    assert!(prom.contains("# TYPE executor_phase_scan_ns histogram"));
 }
 
 #[test]
@@ -187,5 +178,4 @@ fn server_front_end_shares_the_stack_registry() {
         let waits = snap.histogram("server.queue_wait_ns").expect("registered");
         assert_eq!(waits.count, stats.accepted);
     }
-    validate_snapshot_json(&snap.to_json()).expect("schema holds");
 }
