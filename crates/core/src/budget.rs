@@ -114,54 +114,6 @@ impl BudgetController {
     }
 }
 
-/// A fixed pool of budgeted indexing steps shared by concurrent workers.
-///
-/// The serving engine hands maintenance rounds to a worker pool: several
-/// workers advance cold shards in parallel, but the *total* number of
-/// budgeted steps spent per round must stay bounded — the engine-level
-/// analogue of the paper's per-query budget δ. Each worker calls
-/// [`StepBudget::try_take`] before performing a step; once the pool is
-/// exhausted every caller backs off, no matter how the steps were
-/// interleaved across threads.
-#[derive(Debug)]
-pub struct StepBudget {
-    remaining: std::sync::atomic::AtomicUsize,
-}
-
-impl StepBudget {
-    /// A budget of `steps` indexing steps.
-    pub fn new(steps: usize) -> Self {
-        StepBudget {
-            remaining: std::sync::atomic::AtomicUsize::new(steps),
-        }
-    }
-
-    /// Claims one step. Returns `false` once the budget is exhausted (the
-    /// claim is atomic: `steps` successful claims can happen in total,
-    /// regardless of thread interleaving).
-    pub fn try_take(&self) -> bool {
-        self.remaining
-            .fetch_update(
-                std::sync::atomic::Ordering::Relaxed,
-                std::sync::atomic::Ordering::Relaxed,
-                |r| r.checked_sub(1),
-            )
-            .is_ok()
-    }
-
-    /// Steps not yet claimed.
-    pub fn remaining(&self) -> usize {
-        self.remaining.load(std::sync::atomic::Ordering::Relaxed)
-    }
-
-    /// Returns unclaimed steps to the budget (a worker claimed a step but
-    /// found its shard already converged).
-    pub fn give_back(&self) {
-        self.remaining
-            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -214,36 +166,5 @@ mod tests {
     #[should_panic(expected = "indexing budget")]
     fn negative_budget_rejected() {
         let _ = BudgetController::new(BudgetPolicy::Adaptive(-1.0));
-    }
-
-    #[test]
-    fn step_budget_grants_exactly_its_steps() {
-        let budget = StepBudget::new(3);
-        assert_eq!(budget.remaining(), 3);
-        assert!(budget.try_take());
-        assert!(budget.try_take());
-        assert!(budget.try_take());
-        assert!(!budget.try_take());
-        assert!(!budget.try_take(), "exhausted budget must stay exhausted");
-        budget.give_back();
-        assert!(budget.try_take());
-        assert_eq!(budget.remaining(), 0);
-    }
-
-    #[test]
-    fn step_budget_is_exact_under_contention() {
-        let budget = StepBudget::new(1_000);
-        let taken = std::sync::atomic::AtomicUsize::new(0);
-        std::thread::scope(|scope| {
-            for _ in 0..4 {
-                scope.spawn(|| {
-                    while budget.try_take() {
-                        taken.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    }
-                });
-            }
-        });
-        assert_eq!(taken.load(std::sync::atomic::Ordering::Relaxed), 1_000);
-        assert_eq!(budget.remaining(), 0);
     }
 }

@@ -42,8 +42,8 @@
 //! long after convergence.
 //!
 //! The sidecar is folded back in **incrementally**, by the same
-//! budgeted-step machinery that drives refinement (see
-//! [`crate::budget::StepBudget`] at the engine layer). The fold is a
+//! budgeted-step machinery that drives refinement
+//! ([`MutableIndex::advance`]). The fold is a
 //! *merge*, and a merge is part of the sorted stage: only a sorted base has
 //! one. Once the base is sorted and the sidecar outgrows a tenth of the
 //! live rows (at least 256 entries) — or the index has converged with

@@ -171,8 +171,7 @@ struct WalState {
 /// Reads go straight to [`DurableTable::table`] — queries never touch
 /// the log. Writes go through [`DurableTable::apply_mutations`], which
 /// serializes them (one writer mutex) to keep log order equal to apply
-/// order; shard-parallel write dispatch is incompatible with a
-/// sequential log.
+/// order.
 pub struct DurableTable {
     table: Arc<Table>,
     wal: Mutex<WalState>,
@@ -405,14 +404,14 @@ impl DurableTable {
 
     /// Log bytes appended since the last checkpoint (the state the
     /// bytes-based trigger watches).
-    pub fn wal_bytes_since_checkpoint(&self) -> u64 {
+    fn wal_bytes_since_checkpoint(&self) -> u64 {
         let wal = self.wal.lock().expect("wal lock poisoned");
         wal.writer.bytes_appended() - wal.bytes_at_checkpoint
     }
 
     /// Pending-delta merges completed since the last checkpoint (the
     /// state the merge-based trigger watches).
-    pub fn merges_since_checkpoint(&self) -> u64 {
+    fn merges_since_checkpoint(&self) -> u64 {
         self.merge_events.load(Ordering::Relaxed)
             - self.merges_at_checkpoint.load(Ordering::Relaxed)
     }
@@ -461,7 +460,7 @@ impl DurableTable {
     /// whether a checkpoint ran. The executor calls this from its
     /// idle-maintenance path; durable writes call it after releasing the
     /// writer mutex.
-    pub fn maybe_checkpoint(&self) -> Result<bool, DurabilityError> {
+    pub(crate) fn maybe_checkpoint(&self) -> Result<bool, DurabilityError> {
         let due = self.wal_bytes_since_checkpoint() >= self.config.checkpoint_wal_bytes
             || self.merges_since_checkpoint() >= self.config.checkpoint_after_merges;
         if !due {

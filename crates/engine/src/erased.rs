@@ -7,9 +7,8 @@
 //! BETWEEN ..`), so this module erases `K` behind two small enums:
 //!
 //! * [`ErasedKey`] — one key of any supported domain (`u64`, `i64`,
-//!   `f64`, `String`), with its order-preserving code
-//!   ([`ErasedKey::to_code`]) and the **exact** same-domain comparison
-//!   ([`ErasedKey::cmp_same`]).
+//!   `f64`, `String`), with its order-preserving code and the **exact**
+//!   same-domain comparison.
 //! * [`ErasedColumn`] — a row-aligned vector of keys of one domain,
 //!   storing the *full* typed keys. Conjunctions evaluate a predicate
 //!   over a whole column per call (`select`, `refine`, `sum_selected`),
@@ -71,7 +70,7 @@ impl ErasedKey {
     /// is the 8-byte prefix code: distinct strings can tie, so a code
     /// range is a *superset* of the typed range — membership is decided
     /// over full keys ([`ErasedKey::cmp_same`], the column kernels).
-    pub fn to_code(&self) -> u64 {
+    pub(crate) fn to_code(&self) -> u64 {
         match self {
             ErasedKey::U64(v) => TableKey::to_code(v),
             ErasedKey::I64(v) => TableKey::to_code(v),
@@ -85,7 +84,7 @@ impl ErasedKey {
     /// # Panics
     /// Panics on mixed domains — the table layer rejects cross-domain
     /// predicates before comparisons can happen.
-    pub fn cmp_same(&self, other: &ErasedKey) -> Ordering {
+    pub(crate) fn cmp_same(&self, other: &ErasedKey) -> Ordering {
         match (self, other) {
             (ErasedKey::U64(a), ErasedKey::U64(b)) => a.cmp(b),
             (ErasedKey::I64(a), ErasedKey::I64(b)) => a.cmp(b),

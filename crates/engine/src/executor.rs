@@ -44,7 +44,6 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
-use pi_core::budget::StepBudget;
 use pi_core::mutation::Mutation;
 use pi_obs::{Counter, Histogram, MetricsRegistry, ScopeTimer};
 use pi_sched::{plan_affinity, BatchExecutor, Job, Pool, PoolConfig, PoolStats};
@@ -277,25 +276,19 @@ impl MaintenanceState {
     }
 
     /// One sweep of the cursor: advance the first unconverged shard
-    /// found. With `batched`, the steps on that shard are batched so one
-    /// sweep (one shard-lock acquisition) performs roughly a whole
+    /// found, by its column's shard count of budgeted steps under one
+    /// shard-lock acquisition, so one sweep performs roughly a whole
     /// column-δ of work no matter how finely the column is sharded —
-    /// per-step locking would multiply contention with serving threads
-    /// by the shard count. Without, exactly one budgeted step, for callers
-    /// that account work step by step ([`Executor::drive_to_convergence`]'s
-    /// shared [`StepBudget`]). Returns whether indexing work was performed.
-    fn sweep(&self, batched: bool) -> bool {
+    /// per-step locking would multiply contention with serving threads by
+    /// the shard count. Returns whether indexing work was performed.
+    fn sweep(&self) -> bool {
         let total = self.addresses.len();
         if self.table.is_converged() {
             return false;
         }
         for _ in 0..total {
             let at = self.cursor.fetch_add(1, Ordering::Relaxed) % total;
-            let steps = if batched {
-                self.table.columns()[self.addresses[at].0].shard_count()
-            } else {
-                1
-            };
+            let steps = self.table.columns()[self.addresses[at].0].shard_count();
             if self.advance_at(at, steps) > 0 {
                 return true;
             }
@@ -313,7 +306,7 @@ fn idle_cycle(
     maintenance: &MaintenanceState,
     durable: Option<&crate::durability::DurableTable>,
 ) -> bool {
-    let worked = maintenance.sweep(true);
+    let worked = maintenance.sweep();
     if let Some(durable) = durable {
         let _ = durable.maybe_checkpoint();
     }
@@ -374,12 +367,11 @@ impl Executor {
     /// Creates an executor over a durable table
     /// ([`crate::durability::DurableTable`]): queries and maintenance
     /// serve the wrapped table as usual, while
-    /// [`Executor::apply_mutations`] routes every batch through the
-    /// write-ahead log (serialized — log order must equal apply order —
-    /// instead of the shard-parallel wave dispatch) and the pool's idle
-    /// cycles additionally trigger the durability layer's opportunistic
-    /// checkpoints. Pass the registry the durable table was created
-    /// with, if any, to also get the `executor.*` metrics.
+    /// [`Executor::apply_mutations`] logs every batch to the write-ahead
+    /// log before applying it in the same request order, and the pool's
+    /// idle cycles additionally trigger the durability layer's
+    /// opportunistic checkpoints. Pass the registry the durable table was
+    /// created with, if any, to also get the `executor.*` metrics.
     pub fn with_durability(
         durable: Arc<crate::durability::DurableTable>,
         config: ExecutorConfig,
@@ -706,19 +698,17 @@ impl Executor {
             .remove(0))
     }
 
-    /// Applies a batch of mutations to `column`, shard-parallel on the
-    /// same persistent pool that serves query batches. Returns the
-    /// per-mutation applied flags in request order (inserts always apply;
-    /// deletes and updates only when a live victim exists).
+    /// Applies a batch of mutations to `column` in request order through
+    /// the table's serial write path ([`Table::apply_mutations`]), the
+    /// one order the write-ahead log replays. Returns the per-mutation
+    /// applied flags in request order (inserts always apply; deletes and
+    /// updates only when a live victim exists).
     ///
     /// **Isolation.** Writers take the same per-shard mutexes as readers,
     /// so a writer only ever blocks traffic on the one shard it touches,
     /// and the shard's digest is updated atomically with the shard state.
-    /// **Ordering.** Mutations are applied in request order *per shard*.
-    /// An update whose `old` and `new` values route to different shards is
-    /// decomposed into a delete and a dependent insert; the insert is
-    /// sequenced after every same-batch single-shard mutation (it runs in
-    /// a second wave), and is only attempted when the delete applied.
+    /// An update whose `old` and `new` values route to different shards
+    /// deletes first and inserts only when the delete applied.
     /// **Convergence.** A write that leaves a shard with pending deltas
     /// clears the shard's convergence flag before it releases the shard's
     /// lock, so [`Executor::drive_to_convergence`], the per-batch
@@ -756,145 +746,15 @@ impl Executor {
         column: &str,
         mutations: &[Mutation],
     ) -> Result<Vec<bool>, EngineError> {
-        // With durability attached, writes must go through the
-        // write-ahead log, serialized: the log's replay path is the
-        // table's serial order, so the shard-parallel wave dispatch
-        // below (whose cross-shard interleaving can differ from serial
-        // order) is not used.
+        // With durability attached, the batch is logged before it applies.
         if let Some(durable) = &self.durability {
             return durable
                 .apply_mutations(column, mutations)
                 .map_err(EngineError::from);
         }
-        let column_idx = self
-            .table
-            .column_index(column)
-            .ok_or_else(|| EngineError::UnknownColumn(column.to_string()))?;
-        let sharded = &self.table.columns()[column_idx];
-
-        // Wave 1: everything that is local to a single shard, in request
-        // order per shard. A cross-shard update contributes its delete
-        // here and parks its insert for wave 2.
-        let shard_count = sharded.shard_count();
-        let mut wave1: Vec<Vec<(usize, Mutation)>> = vec![Vec::new(); shard_count];
-        /// Where a batch entry's applied flag comes from.
-        enum Origin {
-            /// Wave-1 op at this position of its shard's run.
-            Direct,
-            /// Cross-shard update: flag of the wave-1 delete gates a
-            /// wave-2 insert of this value.
-            SplitUpdate(Value),
-        }
-        let mut origins = Vec::with_capacity(mutations.len());
-        for (i, m) in mutations.iter().enumerate() {
-            match *m {
-                Mutation::Insert(v) | Mutation::Delete(v) => {
-                    wave1[sharded.shard_of(v)].push((i, *m));
-                    origins.push(Origin::Direct);
-                }
-                Mutation::Update { old, new } => {
-                    let (from, to) = (sharded.shard_of(old), sharded.shard_of(new));
-                    if from == to {
-                        wave1[from].push((i, *m));
-                        origins.push(Origin::Direct);
-                    } else {
-                        wave1[from].push((i, Mutation::Delete(old)));
-                        origins.push(Origin::SplitUpdate(new));
-                    }
-                }
-            }
-        }
-
-        let mut applied = vec![false; mutations.len()];
-        for (batch_idx, ok) in self.run_mutation_waves(column_idx, wave1) {
-            applied[batch_idx] = ok;
-        }
-
-        // Wave 2: the inserts of cross-shard updates whose delete landed.
-        let mut wave2: Vec<Vec<(usize, Mutation)>> = vec![Vec::new(); shard_count];
-        let mut any = false;
-        for (i, origin) in origins.iter().enumerate() {
-            if let Origin::SplitUpdate(new) = *origin {
-                if applied[i] {
-                    wave2[sharded.shard_of(new)].push((i, Mutation::Insert(new)));
-                    any = true;
-                }
-            }
-        }
-        if any {
-            for (batch_idx, ok) in self.run_mutation_waves(column_idx, wave2) {
-                applied[batch_idx] = ok;
-            }
-        }
-        Ok(applied)
-    }
-
-    /// Dispatches one wave of per-shard mutation runs onto the pool
-    /// (inline for trivial waves, like the query path) and returns the
-    /// `(batch index, applied)` pairs.
-    fn run_mutation_waves(
-        &self,
-        column_idx: usize,
-        per_shard: Vec<Vec<(usize, Mutation)>>,
-    ) -> Vec<(usize, bool)> {
-        let tasks: Vec<(usize, Vec<(usize, Mutation)>)> = per_shard
-            .into_iter()
-            .enumerate()
-            .filter(|(_, ops)| !ops.is_empty())
-            .collect();
-        let expected: usize = tasks.iter().map(|(_, ops)| ops.len()).sum();
-        let apply_one = |shard: usize, ops: &[(usize, Mutation)]| -> Vec<(usize, bool)> {
-            let muts: Vec<Mutation> = ops.iter().map(|&(_, m)| m).collect();
-            let flags = self.table.columns()[column_idx].apply_shard_ops(shard, &muts);
-            ops.iter().map(|&(i, _)| i).zip(flags).collect()
-        };
-        if tasks.len() <= 1 || self.pool.workers() == 1 {
-            let mut out = Vec::with_capacity(expected);
-            for (shard, ops) in &tasks {
-                out.extend(apply_one(*shard, ops));
-            }
-            return out;
-        }
-        struct WaveState {
-            table: Arc<Table>,
-            column: usize,
-            tasks: Vec<(usize, Vec<(usize, Mutation)>)>,
-            flags: Mutex<Vec<(usize, bool)>>,
-        }
-        let affinities: Vec<usize> = tasks
-            .iter()
-            .map(|&(shard, _)| self.affinity[self.flat_id(column_idx, shard)])
-            .collect();
-        let state = Arc::new(WaveState {
-            table: Arc::clone(&self.table),
-            column: column_idx,
-            tasks,
-            flags: Mutex::new(Vec::with_capacity(expected)),
-        });
-        let jobs: Vec<(usize, Job)> = affinities
-            .into_iter()
-            .enumerate()
-            .map(|(t, affinity)| {
-                let state = Arc::clone(&state);
-                let job: Job = Box::new(move || {
-                    let (shard, ops) = &state.tasks[t];
-                    let muts: Vec<Mutation> = ops.iter().map(|&(_, m)| m).collect();
-                    let applied =
-                        state.table.columns()[state.column].apply_shard_ops(*shard, &muts);
-                    let mut local: Vec<(usize, bool)> =
-                        ops.iter().map(|&(i, _)| i).zip(applied).collect();
-                    state
-                        .flags
-                        .lock()
-                        .expect("wave flags poisoned")
-                        .append(&mut local);
-                });
-                (affinity, job)
-            })
-            .collect();
-        self.pool.run(jobs);
-        let flags = std::mem::take(&mut *state.flags.lock().expect("wave flags poisoned"));
-        flags
+        self.table
+            .apply_mutations(column, mutations)
+            .ok_or_else(|| EngineError::UnknownColumn(column.to_string()))
     }
 
     /// Spends up to `steps` budgeted indexing steps, round-robin over all
@@ -905,55 +765,26 @@ impl Executor {
         self.maintenance.run_round(steps, &[])
     }
 
-    /// Drives every shard of every column to convergence by repeated
-    /// maintenance rounds, fanned out over the pool workers: each round
-    /// hands the workers a shared [`StepBudget`] of one step per shard, so
-    /// the round's total work stays bounded no matter how the steps
-    /// interleave across threads. Returns the number of budgeted steps
-    /// spent by these rounds (idle-cycle maintenance may converge shards
-    /// in parallel for free).
+    /// Drives every shard of every column to convergence on the calling
+    /// thread: round-robin passes over the shards, one budgeted step (one
+    /// lock acquisition) per unconverged shard per pass, until the table
+    /// has converged or `max_steps` steps are spent. Returns the steps
+    /// spent (idle-cycle maintenance may converge shards in parallel for
+    /// free).
     ///
     /// Convergence is deterministic (the paper's guarantee, per shard), so
-    /// this always terminates; `max_steps` is a safety valve for tests.
+    /// this always terminates; `max_steps` is a safety valve for tests. A
+    /// pass that finds nothing to do while the table is unconverged (a
+    /// concurrent write reopened a shard behind it) simply passes again.
     pub fn drive_to_convergence(&self, max_steps: usize) -> usize {
         let mut spent = 0;
-        while !self.table.is_converged() && spent < max_steps {
-            let round_cap = self.maintenance.addresses.len().min(max_steps - spent);
-            let budget = Arc::new(StepBudget::new(round_cap));
-            let performed = Arc::new(AtomicUsize::new(0));
-            let workers = self.pool.workers().min(round_cap.max(1));
-            let jobs: Vec<(usize, Job)> = (0..workers)
-                .map(|w| {
-                    let maintenance = Arc::clone(&self.maintenance);
-                    let budget = Arc::clone(&budget);
-                    let performed = Arc::clone(&performed);
-                    let job: Job = Box::new(move || {
-                        while budget.try_take() {
-                            if maintenance.sweep(false) {
-                                performed.fetch_add(1, Ordering::Relaxed);
-                            } else {
-                                // Nothing left to advance; return the
-                                // unspent step and stop.
-                                budget.give_back();
-                                break;
-                            }
-                        }
-                    });
-                    (w, job)
-                })
-                .collect();
-            self.pool.run(jobs);
-            let performed = performed.load(Ordering::Relaxed);
-            if performed == 0 && self.table.is_converged() {
-                break;
+        while spent < max_steps && !self.table.is_converged() {
+            for at in 0..self.maintenance.addresses.len() {
+                if spent == max_steps {
+                    break;
+                }
+                spent += self.maintenance.advance_at(at, 1);
             }
-            // A zero-progress round with the table still unconverged is a
-            // transient race, not exhaustion: concurrent cursor ticks
-            // (sibling jobs, the idle hook) can make one sweep land only
-            // on converged slots while another thread holds the work.
-            // Loop again — every unconverged shard is always advanceable,
-            // so someone is making progress.
-            spent += performed;
         }
         spent
     }
@@ -1137,6 +968,8 @@ mod tests {
             "table not converged after {spent} steps"
         );
         assert!(spent > 0);
+        // The loop runs on the calling thread: no pool job was spent.
+        assert_eq!(executor.pool_stats().total_executed(), 0);
         // Converged answers still exact.
         let r = executor.execute_one("a", 100, 3_000).unwrap();
         assert_eq!(r, scan_range_sum(&a, 100, 3_000));

@@ -10,7 +10,7 @@
 //!   independent shards ([`pi_storage::shard::RangePartition`], equi-depth
 //!   boundaries). Every shard owns its own progressive index; the
 //!   algorithm is chosen per column **at build time** via the paper's
-//!   Figure-11 decision tree fed by [`stats::estimate_distribution`] (or
+//!   Figure-11 decision tree fed by the column's estimated distribution (or
 //!   pinned with [`AlgorithmChoice::Fixed`]). The observed
 //!   [`stats::WorkloadStats`] re-walk the same tree on demand through
 //!   [`table::ShardedColumn::recommended_algorithm`], surfacing drift
@@ -26,9 +26,9 @@
 //!   that never queries a cold shard's range — the engine-level analogue
 //!   of the paper's per-query robustness guarantee.
 //! * **Mutations** — tables are not append-only: [`Table::apply_mutations`]
-//!   (serial) and [`Executor::apply_mutations`] (shard-parallel, on the
-//!   same pool) take batches of [`pi_core::mutation::Mutation`] inserts,
-//!   deletes and updates. Every shard is a
+//!   and [`Executor::apply_mutations`] take batches of
+//!   [`pi_core::mutation::Mutation`] inserts, deletes and updates and
+//!   apply them in request order, on the calling thread. Every shard is a
 //!   [`pi_core::mutation::MutableIndex`]: answers stay exact at any
 //!   refinement stage via a pending-delta sidecar, per-shard digests are
 //!   updated atomically with the shard (the O(1) covered-shard shortcut
@@ -124,8 +124,8 @@ pub use multicol::{
     Predicate, RowMutation,
 };
 pub use pi_core::tuning::TuningParameters;
-pub use planner::{choose_driving, Plan, PredicateStats, RHO_WEIGHT};
-pub use stats::{estimate_distribution, WorkloadStats};
+pub use planner::{Plan, PredicateStats};
+pub use stats::WorkloadStats;
 pub use table::{AlgorithmChoice, ColumnSpec, ShardedColumn, Table, TableBuilder};
 pub use typed::{
     TableKey, TypedColumnSpec, TypedExecutor, TypedMutation, TypedQuery, TypedResult, TypedTable,

@@ -24,8 +24,7 @@
 //! * Grouped aggregates ([`MultiExecutor::grouped`]) —
 //!   `SUM/COUNT/MIN/MAX GROUP BY bucket` answered from per-shard
 //!   [`DigestTree`]s behind a hot-range [`AggregateCache`], invalidated
-//!   through the per-shard mutation counters
-//!   ([`ShardedColumn::shard_mutation_count`]): a completed write bumps
+//!   through the per-shard mutation counters: a completed write bumps
 //!   the counter before releasing its shard lock, so a later read can
 //!   never serve the pre-mutation digest.
 //!
@@ -449,12 +448,10 @@ struct CacheSlot {
 /// trees, each stamped with the shard's mutation counter at build time.
 ///
 /// **Invariant:** a slot is served only while its stamp equals the
-/// shard's current [`ShardedColumn::shard_mutation_count`]. Writers bump
-/// that counter *before* releasing the shard lock
-/// ([`ShardedColumn::apply_shard_ops`]), and builds capture stamp and
-/// live values under one lock acquisition
-/// ([`ShardedColumn::digest_tree`]) — so once a write completes, no
-/// later read can serve the pre-mutation digest.
+/// shard's current mutation count. Writers bump that counter *before*
+/// releasing the shard lock, and builds capture stamp and live values
+/// under one lock acquisition — so once a write completes, no later read
+/// can serve the pre-mutation digest.
 pub struct AggregateCache {
     slots: Mutex<HashMap<(usize, usize, Value), CacheSlot>>,
 }

@@ -10,13 +10,11 @@
 //! inputs are readable without shard locks:
 //!
 //! * **Estimated selectivity** — the fraction of rows the predicate
-//!   matches, interpolated from the per-shard digests
-//!   ([`crate::ShardedColumn::estimate_selectivity`]); the dominant term.
+//!   matches, interpolated from the per-shard digests; the dominant term.
 //! * **Refinement state ρ** — the paper's convergence measure, from the
-//!   lock-free per-shard cache
-//!   ([`crate::ShardedColumn::rho_estimate`]). Scanning a converged
-//!   column costs a B+-tree probe; scanning a cold one costs a partial
-//!   scan plus its budgeted indexing slice. A cold column still
+//!   lock-free per-shard cache. Scanning a converged column costs a
+//!   B+-tree probe; scanning a cold one costs a partial scan plus its
+//!   budgeted indexing slice. A cold column still
 //!   *benefits* from being driven (the δ work is how it converges), so ρ
 //!   is a tiebreaker, not a veto — hence the small weight.
 //!
@@ -36,7 +34,7 @@
 /// Weight of the refinement-state term in the planner score. Small by
 /// design: a 25-point selectivity gap always beats any convergence gap,
 /// while equal selectivities break towards the more-converged column.
-pub const RHO_WEIGHT: f64 = 0.25;
+const RHO_WEIGHT: f64 = 0.25;
 
 /// Per-row cost, in ns, of a fixed-width (`u64`/`i64`/`f64`) range test
 /// in the selection kernels: a dense pass over 100k `u64` rows measured
@@ -103,7 +101,7 @@ pub struct Plan<'a> {
 ///
 /// # Panics
 /// Panics on an empty conjunction — callers reject those first.
-pub fn choose_driving(stats: Vec<PredicateStats<'_>>) -> Plan<'_> {
+pub(crate) fn choose_driving(stats: Vec<PredicateStats<'_>>) -> Plan<'_> {
     assert!(
         !stats.is_empty(),
         "a conjunction needs at least one predicate"

@@ -6,13 +6,13 @@
 //! acceptable. In a serving engine none of those are configuration inputs —
 //! they are *observable*. This module observes them:
 //!
-//! * [`WorkloadStats`] tracks per-column query shape and selectivity as
-//!   queries arrive (lock-free, so the hot path stays cheap). The engine
-//!   consults them through
+//! * [`WorkloadStats`] tracks per-column query shape as queries arrive
+//!   (lock-free, so the hot path stays cheap). The engine consults them
+//!   through
 //!   [`crate::table::ShardedColumn::recommended_algorithm`], which re-walks
 //!   the decision tree against the observed workload; switching a running
 //!   column to the new recommendation is a future re-indexing PR.
-//! * [`estimate_distribution`] classifies a column's value distribution
+//! * `estimate_distribution` classifies a column's value distribution
 //!   from a sample, mirroring the paper's uniform-vs-skewed dichotomy; it
 //!   feeds the build-time algorithm choice.
 
@@ -30,8 +30,6 @@ use pi_storage::Value;
 pub struct WorkloadStats {
     point_queries: AtomicU64,
     range_queries: AtomicU64,
-    /// Total selected width (∑ `high - low + 1`), for mean selectivity.
-    width_sum: AtomicU64,
 }
 
 impl WorkloadStats {
@@ -43,9 +41,8 @@ impl WorkloadStats {
     /// Records one range predicate `[low, high]`.
     ///
     /// Empty predicates (`low > high`) are ignored: they select nothing,
-    /// so counting them (as width-1 "range" queries) would drag the
-    /// observed shape and selectivity toward a phantom ultra-selective
-    /// range workload.
+    /// so counting them as "range" queries would drag the observed shape
+    /// toward a phantom range workload.
     pub fn record(&self, low: Value, high: Value) {
         if low > high {
             return;
@@ -55,15 +52,6 @@ impl WorkloadStats {
         } else {
             self.range_queries.fetch_add(1, Ordering::Relaxed);
         }
-        let width = high.saturating_sub(low).saturating_add(1);
-        // Saturating accumulation: full-domain widths are ~2^64, so a
-        // wrapping fetch_add would overflow after a handful of queries and
-        // silently corrupt the mean.
-        let _ = self
-            .width_sum
-            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |sum| {
-                Some(sum.saturating_add(width))
-            });
     }
 
     /// Number of queries recorded so far.
@@ -73,23 +61,12 @@ impl WorkloadStats {
 
     /// Fraction of recorded queries that were point queries (0 when no
     /// queries have been recorded).
-    pub fn point_fraction(&self) -> f64 {
+    fn point_fraction(&self) -> f64 {
         let total = self.query_count();
         if total == 0 {
             return 0.0;
         }
         self.point_queries.load(Ordering::Relaxed) as f64 / total as f64
-    }
-
-    /// Mean selected width relative to `domain` (mean selectivity), or
-    /// `None` before any query was recorded.
-    pub fn mean_selectivity(&self, domain: u64) -> Option<f64> {
-        let total = self.query_count();
-        if total == 0 || domain == 0 {
-            return None;
-        }
-        let mean_width = self.width_sum.load(Ordering::Relaxed) as f64 / total as f64;
-        Some(mean_width / domain as f64)
     }
 
     /// The dominant [`QueryShape`] of the recorded workload.
@@ -137,7 +114,7 @@ const DISTRIBUTION_SAMPLE: usize = 4096;
 ///
 /// Returns [`DataDistribution::Unknown`] for columns too small to judge
 /// (fewer than 32 rows) or with a degenerate (single-value) domain.
-pub fn estimate_distribution(values: &[Value]) -> DataDistribution {
+pub(crate) fn estimate_distribution(values: &[Value]) -> DataDistribution {
     if values.len() < 32 {
         return DataDistribution::Unknown;
     }
@@ -169,7 +146,6 @@ mod tests {
         stats.record(10, 5);
         assert_eq!(stats.query_count(), 0);
         assert_eq!(stats.query_shape(), QueryShape::Unknown);
-        assert_eq!(stats.mean_selectivity(100), None);
     }
 
     #[test]
@@ -184,29 +160,6 @@ mod tests {
         stats.record(10, 90);
         assert_eq!(stats.query_shape(), QueryShape::Range);
         assert_eq!(stats.query_count(), 5);
-    }
-
-    #[test]
-    fn selectivity_averages_recorded_widths() {
-        let stats = WorkloadStats::new();
-        assert_eq!(stats.mean_selectivity(1_000), None);
-        stats.record(0, 99); // width 100
-        stats.record(0, 299); // width 300
-        let s = stats.mean_selectivity(1_000).unwrap();
-        assert!((s - 0.2).abs() < 1e-9, "selectivity {s}");
-    }
-
-    #[test]
-    fn huge_widths_saturate_instead_of_wrapping() {
-        let stats = WorkloadStats::new();
-        // Two half-domain-plus widths sum past 2^64: a wrapping add would
-        // collapse the accumulator to ~2 (selectivity ~0), saturation pins
-        // it at "very wide".
-        for _ in 0..2 {
-            stats.record(0, 1 << 63);
-        }
-        let s = stats.mean_selectivity(u64::MAX).unwrap();
-        assert!(s > 0.4, "selectivity collapsed to {s}");
     }
 
     #[test]

@@ -38,8 +38,7 @@ use crate::stats::{estimate_distribution, WorkloadStats};
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AlgorithmChoice {
     /// Walk the Figure-11 decision tree with the given query-shape hint
-    /// and the distribution estimated from the data
-    /// ([`estimate_distribution`]).
+    /// and the distribution estimated from a sample of the data.
     Auto(QueryShape),
     /// Use this algorithm on every shard of the column.
     Fixed(Algorithm),
@@ -387,7 +386,7 @@ impl ShardedColumn {
     /// and each shard's base snapshot plus pending sidecar. Callers
     /// wanting a consistent whole-column snapshot must exclude writers
     /// while capturing (the durability layer quiesces them).
-    pub fn snapshot_state(&self) -> (Vec<Value>, Vec<(Arc<Column>, DeltaSidecar)>) {
+    pub(crate) fn snapshot_state(&self) -> (Vec<Value>, Vec<(Arc<Column>, DeltaSidecar)>) {
         let boundaries = self.partition.boundaries().to_vec();
         let shards = self
             .shards
@@ -516,14 +515,13 @@ impl ShardedColumn {
 
     /// Rows owned by each shard at construction (or the last re-balance).
     /// The scheduler weights shard tasks by these counts when pinning
-    /// shards to pool workers; live counts drift under mutations
-    /// ([`ShardedColumn::shard_live_rows`]).
+    /// shards to pool workers; live counts drift under mutations.
     pub fn shard_rows(&self) -> &[usize] {
         &self.shard_rows
     }
 
     /// Current live rows per shard, from the digests (no shard locks).
-    pub fn shard_live_rows(&self) -> Vec<usize> {
+    fn shard_live_rows(&self) -> Vec<usize> {
         self.digests
             .iter()
             .map(|d| d.read().expect("digest lock poisoned").total.count as usize)
@@ -564,7 +562,7 @@ impl ShardedColumn {
     ///
     /// Used by the executor's parallel fan-out; prefer
     /// [`ShardedColumn::query`] for the serial path.
-    pub fn query_shard(&self, shard: usize, low: Value, high: Value) -> ScanResult {
+    pub(crate) fn query_shard(&self, shard: usize, low: Value, high: Value) -> ScanResult {
         self.with_shard(shard, |index| index.query(low, high).scan_result())
     }
 
@@ -578,7 +576,12 @@ impl ShardedColumn {
     /// per-query indexing work, so callers must converge it some other way
     /// (the executor's maintenance floor and idle cycles do; the serial
     /// [`ShardedColumn::query`] therefore does not use this shortcut).
-    pub fn covered_total(&self, shard: usize, low: Value, high: Value) -> Option<ScanResult> {
+    pub(crate) fn covered_total(
+        &self,
+        shard: usize,
+        low: Value,
+        high: Value,
+    ) -> Option<ScanResult> {
         let digest = self.digests[shard].read().expect("digest lock poisoned");
         if digest.total.count == 0 {
             Some(ScanResult::EMPTY)
@@ -593,11 +596,10 @@ impl ShardedColumn {
     /// and merging the partial results. Records the query in the column's
     /// workload statistics.
     ///
-    /// This serial path deliberately does *not* take the
-    /// [`ShardedColumn::covered_total`] shortcut: with no maintenance
-    /// machinery at this layer, skipping the per-query indexing side
-    /// effect would leave fully covered shards unconverged forever under
-    /// query-only traffic. The executor, whose maintenance floor
+    /// This serial path deliberately does *not* take the executor's
+    /// covered-shard shortcut: with no maintenance machinery at this
+    /// layer, skipping the per-query indexing side effect would leave
+    /// fully covered shards unconverged forever under query-only traffic. The executor, whose maintenance floor
     /// guarantees convergence independently of queries, is the shortcut's
     /// intended user.
     pub fn query(&self, low: Value, high: Value) -> ScanResult {
@@ -632,25 +634,23 @@ impl ShardedColumn {
         self.partition.shard_of(v)
     }
 
-    /// Applies a run of mutations to one shard, in order, under a single
-    /// shard-lock acquisition. Returns the per-mutation applied flags (in
-    /// the run's order). The shard's digest is updated exactly for every
-    /// applied mutation, and the shard's status published, before the
-    /// shard lock is released — a rejected delete's validating lookup
-    /// refines the index too.
+    /// Applies one mutation to one shard under its lock. Returns whether
+    /// it applied. The shard's digest is updated when it did, and the
+    /// shard's status published, before the shard lock is released — a
+    /// rejected delete's validating lookup refines the index too.
     ///
-    /// Callers are responsible for routing: every mutation in `ops` must
-    /// belong to `shard` under the column's partition (for an update, both
-    /// `old` and `new`; cross-shard updates must be decomposed into a
-    /// delete and a dependent insert by the caller — the executor does).
-    pub fn apply_shard_ops(&self, shard: usize, ops: &[Mutation]) -> Vec<bool> {
+    /// The caller routes: `op` must belong to `shard` under the column's
+    /// partition (for an update, both `old` and `new`;
+    /// [`ShardedColumn::apply_mutations`] decomposes a cross-shard update
+    /// into a delete and a dependent insert).
+    fn apply_shard_op(&self, shard: usize, op: &Mutation) -> bool {
         self.with_shard(shard, |index| {
-            let applied: Vec<bool> = ops.iter().map(|op| index.apply(op)).collect();
-            if applied.contains(&true) {
-                let mut digest = self.digests[shard].write().expect("digest lock poisoned");
-                for (op, _) in ops.iter().zip(&applied).filter(|(_, &ok)| ok) {
-                    digest.apply(op);
-                }
+            let applied = index.apply(op);
+            if applied {
+                self.digests[shard]
+                    .write()
+                    .expect("digest lock poisoned")
+                    .apply(op);
                 // The per-shard counter is bumped while the shard lock is
                 // still held: any digest tree stamped before this write
                 // completes is invalidated before a reader can observe the
@@ -666,23 +666,24 @@ impl ShardedColumn {
     /// the delete is attempted first and the insert of the new value only
     /// happens when it succeeded.
     ///
-    /// This is the serial writer path, mirroring [`ShardedColumn::query`];
-    /// the executor offers the shard-parallel, pool-dispatched analogue.
+    /// This is the one writer path, mirroring [`ShardedColumn::query`]:
+    /// the executor, the typed and multi-column facades and the durable
+    /// table all apply their batches through it, so every write lands in
+    /// request order — the order the write-ahead log replays.
     pub fn apply_mutations(&self, mutations: &[Mutation]) -> Vec<bool> {
         mutations
             .iter()
             .map(|m| match *m {
                 Mutation::Insert(v) | Mutation::Delete(v) => {
-                    self.apply_shard_ops(self.shard_of(v), std::slice::from_ref(m))[0]
+                    self.apply_shard_op(self.shard_of(v), m)
                 }
                 Mutation::Update { old, new } => {
                     let (from, to) = (self.shard_of(old), self.shard_of(new));
                     if from == to {
-                        self.apply_shard_ops(from, std::slice::from_ref(m))[0]
-                    } else if self.apply_shard_ops(from, &[Mutation::Delete(old)])[0] {
-                        self.apply_shard_ops(to, &[Mutation::Insert(new)])[0]
+                        self.apply_shard_op(from, m)
                     } else {
-                        false
+                        self.apply_shard_op(from, &Mutation::Delete(old))
+                            && self.apply_shard_op(to, &Mutation::Insert(new))
                     }
                 }
             })
@@ -692,7 +693,7 @@ impl ShardedColumn {
     /// Whether shard `shard` has converged, as published by the last call
     /// that held its lock (no lock taken). A write that reopens the shard
     /// clears the flag before it releases the lock.
-    pub fn shard_is_converged(&self, shard: usize) -> bool {
+    pub(crate) fn shard_is_converged(&self, shard: usize) -> bool {
         self.converged[shard].load(Ordering::Acquire)
     }
 
@@ -701,14 +702,14 @@ impl ShardedColumn {
     /// lock (see [`ShardedColumn::digest_tree`]) is valid exactly until
     /// the next write to the shard completes. The engine's aggregate cache
     /// compares against this before serving a cached digest tree.
-    pub fn shard_mutation_count(&self, shard: usize) -> u64 {
+    pub(crate) fn shard_mutation_count(&self, shard: usize) -> u64 {
         self.shard_mutations[shard].load(Ordering::SeqCst)
     }
 
     /// Shard `shard`'s cached ρ (the paper's fraction-indexed convergence
     /// measure), read lock-free from the value published by the last call
     /// that held the shard's lock.
-    pub fn shard_rho_estimate(&self, shard: usize) -> f64 {
+    pub(crate) fn shard_rho_estimate(&self, shard: usize) -> f64 {
         f64::from_bits(self.rho_cache[shard].load(Ordering::Relaxed))
     }
 
@@ -717,7 +718,7 @@ impl ShardedColumn {
     /// refinement-state input to the conjunction planner: approximate by
     /// design — it trades freshness for a zero-cost read on the planning
     /// path — and exactness never depends on it.
-    pub fn rho_estimate(&self) -> f64 {
+    pub(crate) fn rho_estimate(&self) -> f64 {
         let mut weighted = 0.0;
         let mut weight = 0.0;
         for (s, &rows) in self.shard_rows.iter().enumerate() {
@@ -739,7 +740,7 @@ impl ShardedColumn {
     /// overlapped shard contributes a linear interpolation of its count
     /// over `[min, max]`. This is the selectivity input to the conjunction
     /// planner — approximate by design; exactness never depends on it.
-    pub fn estimate_selectivity(&self, low: Value, high: Value) -> f64 {
+    pub(crate) fn estimate_selectivity(&self, low: Value, high: Value) -> f64 {
         if low > high {
             return 0.0;
         }
@@ -778,7 +779,7 @@ impl ShardedColumn {
     /// lock acquisition, and writers bump the counter *before* releasing
     /// the lock, so: cached stamp == [`ShardedColumn::shard_mutation_count`]
     /// ⇒ the tree still describes the shard's live multiset exactly.
-    pub fn digest_tree(&self, shard: usize, width: Value) -> (u64, DigestTree) {
+    pub(crate) fn digest_tree(&self, shard: usize, width: Value) -> (u64, DigestTree) {
         let guard = self.shards[shard].lock().expect("shard lock poisoned");
         let stamp = self.shard_mutations[shard].load(Ordering::SeqCst);
         let tree = DigestTree::build(&guard.live_values(), width);
@@ -1043,7 +1044,7 @@ impl Table {
     }
 
     /// Index of a column by name (used by the executor's task lists).
-    pub fn column_index(&self, name: &str) -> Option<usize> {
+    pub(crate) fn column_index(&self, name: &str) -> Option<usize> {
         self.by_name.get(name).copied()
     }
 
@@ -1054,9 +1055,9 @@ impl Table {
     }
 
     /// Applies a batch of mutations to `column` in request order, serially
-    /// (the writer analogue of [`Table::query`]; the executor offers the
-    /// shard-parallel path). Returns the per-mutation applied flags, or
-    /// `None` for an unknown column.
+    /// (the writer analogue of [`Table::query`], and the path
+    /// [`crate::executor::Executor::apply_mutations`] takes). Returns the
+    /// per-mutation applied flags, or `None` for an unknown column.
     ///
     /// ```
     /// use pi_core::mutation::Mutation;
@@ -1105,7 +1106,7 @@ impl Table {
     }
 
     /// Total number of shards across all columns.
-    pub fn total_shards(&self) -> usize {
+    pub(crate) fn total_shards(&self) -> usize {
         self.columns.iter().map(ShardedColumn::shard_count).sum()
     }
 }

@@ -18,9 +18,10 @@
 //!   by equi-depth partitioning *in encoded space*), queries take typed
 //!   bounds, and answers come back as [`TypedResult`]s with SUM gated by
 //!   the domain's capability.
-//! * [`TypedExecutor`] — the same facade over [`Executor`]: typed batches
-//!   fan out shard-parallel on the persistent pool, typed mutation
-//!   batches ride the executor's mutation waves.
+//! * [`TypedExecutor`] — the same facade over [`Executor`]: typed query
+//!   batches fan out shard-parallel on the persistent pool, typed
+//!   mutation batches apply in request order through
+//!   [`TypedTable::apply_mutations`], the table's one write path.
 //!
 //! ## Exact domains vs prefix domains
 //!
@@ -458,12 +459,6 @@ impl<K: TableKey> TypedTable<K> {
         &self.inner
     }
 
-    /// Whether this table's key domain supports SUM digests
-    /// ([`TableKey::SUM_SUPPORTED`] — the capability gate).
-    pub fn sum_supported(&self) -> bool {
-        K::SUM_SUPPORTED
-    }
-
     /// `SELECT COUNT(col)[, SUM(col)] WHERE col BETWEEN low AND high`
     /// under the key domain's total order, served serially. Returns
     /// `None` for an unknown column.
@@ -484,32 +479,23 @@ impl<K: TableKey> TypedTable<K> {
     }
 
     /// Applies a batch of typed mutations to `column` in request order,
-    /// serially (the writer analogue of [`TypedTable::query`]; the
-    /// [`TypedExecutor`] offers the shard-parallel path). Returns the
+    /// serially (the writer analogue of [`TypedTable::query`], and the
+    /// path [`TypedExecutor::apply_mutations`] takes). Returns the
     /// per-mutation applied flags, or `None` for an unknown column.
+    ///
+    /// For prefix domains the batch is validated against the tie-break
+    /// table, which is updated under its exclusive lock, and the accepted
+    /// inner mutations apply in the same order under that lock — so the
+    /// tie table and the index see one order.
     pub fn apply_mutations(
         &self,
         column: &str,
         mutations: &[TypedMutation<K>],
     ) -> Option<Vec<bool>> {
         let sharded = self.inner.column(column)?;
-        Some(self.run_mutations(column, mutations, |ops| sharded.apply_mutations(ops)))
-    }
-
-    /// Shared typed-mutation path: validates and translates the batch —
-    /// updating the tie-break table for prefix domains under its
-    /// exclusive lock — and hands the accepted inner mutations to
-    /// `apply` (serial column writes here, executor waves in
-    /// [`TypedExecutor::apply_mutations`]).
-    fn run_mutations(
-        &self,
-        column: &str,
-        mutations: &[TypedMutation<K>],
-        apply: impl FnOnce(&[Mutation]) -> Vec<bool>,
-    ) -> Vec<bool> {
         if !K::PREFIX_ENCODED {
             let inner: Vec<Mutation> = mutations.iter().map(translate_exact).collect();
-            return apply(&inner);
+            return Some(sharded.apply_mutations(&inner));
         }
         let mut ties = self
             .ties
@@ -542,14 +528,14 @@ impl<K: TableKey> TypedTable<K> {
             }
         }
         let inner_ops: Vec<Mutation> = accepted.iter().map(|&(_, m)| m).collect();
-        let inner_applied = apply(&inner_ops);
+        let inner_applied = sharded.apply_mutations(&inner_ops);
         // The tie table mirrors the inner live multiset of codes, so a
         // mutation it validated must also apply inside.
         for (&(i, _), ok) in accepted.iter().zip(&inner_applied) {
             debug_assert!(ok, "tie table and inner column diverged");
             applied[i] = *ok;
         }
-        applied
+        Some(applied)
     }
 
     /// The shared read guard over a column's tie table (`None` for exact
@@ -593,8 +579,9 @@ fn remove_exact<K: TableKey>(table: &mut TieTable<K>, key: &K) -> bool {
 }
 
 /// A typed facade over the shard-parallel [`Executor`]: typed query
-/// batches and typed mutation batches, served on the executor's
-/// persistent pool with answers corrected back into the key domain.
+/// batches served on the executor's persistent pool with answers
+/// corrected back into the key domain, and typed mutation batches
+/// applied in request order.
 pub struct TypedExecutor<K: TableKey> {
     table: Arc<TypedTable<K>>,
     executor: Executor,
@@ -721,25 +708,17 @@ impl<K: TableKey> TypedExecutor<K> {
             .remove(0))
     }
 
-    /// Applies a batch of typed mutations through the executor's
-    /// shard-parallel mutation waves. Returns per-mutation applied flags
-    /// in request order; for prefix domains the exclusive tie-table lock
-    /// is held across validation and the inner waves.
+    /// Applies a batch of typed mutations in request order through
+    /// [`TypedTable::apply_mutations`]. Returns per-mutation applied
+    /// flags in request order, or [`EngineError::UnknownColumn`].
     pub fn apply_mutations(
         &self,
         column: &str,
         mutations: &[TypedMutation<K>],
     ) -> Result<Vec<bool>, EngineError> {
-        // Surface unknown columns as the executor error, before touching
-        // any typed state.
-        if self.table.inner().column_index(column).is_none() {
-            return Err(EngineError::UnknownColumn(column.to_string()));
-        }
-        Ok(self.table.run_mutations(column, mutations, |ops| {
-            self.executor
-                .apply_mutations(column, ops)
-                .expect("column resolved above")
-        }))
+        self.table
+            .apply_mutations(column, mutations)
+            .ok_or_else(|| EngineError::UnknownColumn(column.to_string()))
     }
 
     /// Drives every shard to convergence (see
@@ -768,7 +747,7 @@ mod tests {
         let table = TypedTable::builder()
             .column(TypedColumnSpec::new("x", keys.clone()).with_shards(4))
             .build();
-        assert!(!table.sum_supported());
+        const { assert!(!<f64 as TableKey>::SUM_SUPPORTED) };
         for (low, high) in [
             (-100.0, 100.0),
             (-1_250.0, -1_000.25),
@@ -806,7 +785,7 @@ mod tests {
         let table = TypedTable::builder()
             .column(TypedColumnSpec::new("x", keys.clone()).with_shards(4))
             .build();
-        assert!(table.sum_supported());
+        const { assert!(<i64 as TableKey>::SUM_SUPPORTED) };
         for (low, high) in [(-1_500i64, -3), (-10, 10), (i64::MIN, i64::MAX)] {
             let r = table.query("x", &low, &high).unwrap();
             let expected: i128 = keys
@@ -841,7 +820,7 @@ mod tests {
         let table = TypedTable::builder()
             .column(TypedColumnSpec::new("s", keys.clone()).with_shards(2))
             .build();
-        assert!(!table.sum_supported());
+        const { assert!(!<String as TableKey>::SUM_SUPPORTED) };
         let cases = [
             ("", "zzzz"),
             ("applesauce", "applesauce"), // exact hit beyond the prefix

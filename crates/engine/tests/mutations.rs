@@ -1,13 +1,15 @@
-//! Mutation batches through the executor: shard-parallel writes on the
-//! pi-sched dispatch path, interleaved with concurrent reads and
-//! maintenance, checked against a scan oracle.
+//! Mutation batches through the executor: writes applied in request
+//! order, interleaved with concurrent reads and maintenance, checked
+//! against a scan oracle.
 
 use std::sync::{Arc, Mutex};
 
 use pi_core::budget::BudgetPolicy;
 use pi_core::mutation::Mutation;
 use pi_core::testing::TestRng;
-use pi_engine::{ColumnSpec, Executor, ExecutorConfig, Table, TableQuery};
+use pi_durable::snapshot::MemStore;
+use pi_durable::wal::MemWalHandle;
+use pi_engine::{ColumnSpec, Executor, ExecutorConfig, Table, TableBuilder, TableQuery};
 use pi_storage::scan::scan_range_sum;
 use pi_storage::Value;
 
@@ -49,22 +51,16 @@ fn executor_mutation_batches_match_oracle() {
             .column(ColumnSpec::new("a", base).with_shards(8))
             .build(),
     );
-    // Multi-worker pool: mutation waves go through the real pool path.
     let executor = Executor::with_config(Arc::clone(&table), ExecutorConfig::with_workers(4));
     let mut rng = TestRng::new(17);
     for round in 0..20 {
-        // Update targets draw from a value band deletes never touch:
-        // within a batch the executor sequences a cross-shard update's
-        // insert *after* the single-shard mutations (wave 2), so a replay
-        // oracle is only exact in request order when no same-batch delete
-        // races such an insert for its last live copy.
         let batch: Vec<Mutation> = (0..50)
             .map(|_| match rng.below(3) {
                 0 => Mutation::Insert(rng.below(25_000)),
                 1 => Mutation::Delete(rng.below(25_000)),
                 _ => Mutation::Update {
                     old: rng.below(25_000),
-                    new: 40_000 + rng.below(5_000),
+                    new: rng.below(25_000),
                 },
             })
             .collect();
@@ -182,6 +178,54 @@ fn cross_shard_updates_are_atomic() {
         executor.execute_one("a", 0, u64::MAX).unwrap().count as usize,
         base.len()
     );
+}
+
+/// A cross-shard update followed by a delete of its new value, in one
+/// batch: applied in request order, the delete finds the row the update
+/// inserted.
+const UPDATE_THEN_DELETE: [Mutation; 2] = [
+    Mutation::Update { old: 1, new: 5_000 },
+    Mutation::Delete(5_000),
+];
+
+/// One column `a` holding `0..1000`, in four shards.
+fn thousand_rows() -> TableBuilder {
+    Table::builder().column(ColumnSpec::new("a", (0..1_000).collect()).with_shards(4))
+}
+
+#[test]
+fn table_executor_and_durable_table_apply_a_batch_in_one_order() {
+    let table = thousand_rows().build();
+    assert_eq!(
+        table.apply_mutations("a", &UPDATE_THEN_DELETE).unwrap(),
+        vec![true, true]
+    );
+    assert_eq!(table.query("a", 5_000, 5_000).unwrap().count, 0);
+    for workers in [1, 4] {
+        let table = Arc::new(thousand_rows().build());
+        let executor =
+            Executor::with_config(Arc::clone(&table), ExecutorConfig::with_workers(workers));
+        assert_eq!(
+            executor.apply_mutations("a", &UPDATE_THEN_DELETE).unwrap(),
+            vec![true, true],
+            "{workers} workers"
+        );
+        assert_eq!(
+            executor.execute_one("a", 5_000, 5_000).unwrap().count,
+            0,
+            "{workers} workers"
+        );
+        assert_eq!(executor.execute_one("a", 0, u64::MAX).unwrap().count, 999);
+    }
+    let wal = MemWalHandle::new();
+    let durable = thousand_rows()
+        .build_durable(Box::new(wal.storage()), Box::new(MemStore::new()))
+        .unwrap();
+    assert_eq!(
+        durable.apply_mutations("a", &UPDATE_THEN_DELETE).unwrap(),
+        vec![true, true]
+    );
+    assert_eq!(durable.table().query("a", 5_000, 5_000).unwrap().count, 0);
 }
 
 #[test]

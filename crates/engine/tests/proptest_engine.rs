@@ -111,9 +111,9 @@ proptest! {
             prop_assert!(table.is_converged(), "{algorithm}");
         }
         let mut oracle = values;
-        // Same-value interactions replay exactly in request order when
-        // updates insert into a band deletes never target (cross-shard
-        // update inserts run in a second wave); see `tests/mutations.rs`.
+        // Updates insert into a band deletes never target, so this
+        // property never has a delete meet an update's new value in one
+        // batch; `tests/mutations.rs` covers that request-order case.
         let batch: Vec<Mutation> = muts.iter().map(|&(tag, a, b)| match tag {
             0 => Mutation::Insert(a),
             1 => Mutation::Delete(a),

@@ -150,6 +150,53 @@ fn typed_unknown_column_fails_the_batch() {
     assert_eq!(err, EngineError::UnknownColumn("nope".into()));
 }
 
+#[test]
+fn typed_string_batch_applies_in_request_order() {
+    let keys: Vec<String> = (0..1_000).map(|i| format!("k{i:04}")).collect();
+    let table = Arc::new(
+        TypedTable::builder()
+            .column(TypedColumnSpec::new("s", keys).with_shards(4))
+            .build(),
+    );
+    let executor = TypedExecutor::with_config(Arc::clone(&table), foreground());
+    let moved = "k0999x".to_string();
+    // A cross-shard update, then a delete of the row it just wrote.
+    let applied = executor
+        .apply_mutations(
+            "s",
+            &[
+                TypedMutation::Update {
+                    old: "k0001".to_string(),
+                    new: moved.clone(),
+                },
+                TypedMutation::Delete(moved.clone()),
+            ],
+        )
+        .unwrap();
+    assert_eq!(applied, vec![true, true]);
+    let count = |low: &str, high: &str| {
+        executor
+            .execute_one("s", low.to_string(), high.to_string())
+            .unwrap()
+            .count
+    };
+    assert_eq!(count(&moved, &moved), 0);
+    assert_eq!(count("", "zzzz"), 999);
+    // The tie table and the index agree, so the key stays writable.
+    let applied = executor
+        .apply_mutations(
+            "s",
+            &[
+                TypedMutation::Insert(moved.clone()),
+                TypedMutation::Delete(moved.clone()),
+            ],
+        )
+        .unwrap();
+    assert_eq!(applied, vec![true, true]);
+    assert_eq!(count(&moved, &moved), 0);
+    assert_eq!(count("", "zzzz"), 999);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
