@@ -26,11 +26,11 @@ use crate::cracked_column::CrackedColumn;
 use crate::cracker_index::Piece;
 
 /// Fan-out of the first partitioning pass and of every refinement split.
-pub const DEFAULT_FANOUT: usize = 64;
+pub(crate) const DEFAULT_FANOUT: usize = 64;
 
 /// Pieces at or below this many elements are cracked exactly at the query
 /// bounds instead of being split again (≈ 256 KiB of 8-byte values).
-pub const DEFAULT_EXACT_THRESHOLD: usize = (256 * 1024) / 8;
+pub(crate) const DEFAULT_EXACT_THRESHOLD: usize = (256 * 1024) / 8;
 
 /// Adaptive adaptive indexing baseline (`AA` in the paper's tables).
 pub struct AdaptiveAdaptiveIndexing {
@@ -43,7 +43,7 @@ pub struct AdaptiveAdaptiveIndexing {
 
 impl AdaptiveAdaptiveIndexing {
     /// Creates the baseline with the default (paper) configuration.
-    pub fn new(column: Arc<Column>) -> Self {
+    pub(crate) fn new(column: Arc<Column>) -> Self {
         Self::with_config(column, DEFAULT_FANOUT, DEFAULT_EXACT_THRESHOLD)
     }
 
@@ -52,7 +52,7 @@ impl AdaptiveAdaptiveIndexing {
     ///
     /// # Panics
     /// Panics when `fanout < 2`.
-    pub fn with_config(column: Arc<Column>, fanout: usize, exact_threshold: usize) -> Self {
+    pub(crate) fn with_config(column: Arc<Column>, fanout: usize, exact_threshold: usize) -> Self {
         assert!(fanout >= 2, "fan-out must be at least 2, got {fanout}");
         AdaptiveAdaptiveIndexing {
             column,
@@ -61,14 +61,6 @@ impl AdaptiveAdaptiveIndexing {
             exact_threshold: exact_threshold.max(1),
             queries_executed: 0,
         }
-    }
-
-    /// Number of crack boundaries installed so far.
-    pub fn boundary_count(&self) -> usize {
-        self.cracked
-            .as_ref()
-            .map(|c| c.index().boundary_count())
-            .unwrap_or(0)
     }
 
     /// Equal-width range partitioning of `piece` (whose values all lie in
@@ -229,6 +221,13 @@ mod tests {
     use super::*;
     use pi_core::testing::{check_correctness_under_workload, random_column, ReferenceIndex};
 
+    /// Crack boundaries installed so far: one fewer than the pieces.
+    fn boundary_count(idx: &AdaptiveAdaptiveIndexing) -> usize {
+        idx.cracked
+            .as_ref()
+            .map_or(0, |c| c.index().pieces(c.data().len()).len() - 1)
+    }
+
     #[test]
     fn answers_match_reference_under_random_workload() {
         check_correctness_under_workload(
@@ -287,14 +286,14 @@ mod tests {
         let mut idx = AdaptiveAdaptiveIndexing::with_config(Arc::clone(&col), 8, 1_024);
         let after_first = {
             idx.query(400_000, 600_000);
-            idx.boundary_count()
+            boundary_count(&idx)
         };
         // Repeatedly querying the same hot region keeps adding boundaries
         // until the touched pieces are small enough to crack exactly.
         for _ in 0..20 {
             idx.query(400_000, 600_000);
         }
-        assert!(idx.boundary_count() > after_first);
+        assert!(boundary_count(&idx) > after_first);
         let reference = ReferenceIndex::new(&col);
         assert_eq!(
             idx.query(400_000, 600_000).scan_result(),

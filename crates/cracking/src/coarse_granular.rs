@@ -18,7 +18,7 @@ use pi_storage::{Column, Value};
 use crate::cracked_column::CrackedColumn;
 
 /// Default number of equal-width partitions created by the first query.
-pub const DEFAULT_PARTITIONS: usize = 64;
+pub(crate) const DEFAULT_PARTITIONS: usize = 64;
 
 /// Coarse granular index baseline (`CGI` in the paper's tables).
 pub struct CoarseGranularIndex {
@@ -30,7 +30,7 @@ pub struct CoarseGranularIndex {
 
 impl CoarseGranularIndex {
     /// Creates the baseline with [`DEFAULT_PARTITIONS`] initial partitions.
-    pub fn new(column: Arc<Column>) -> Self {
+    pub(crate) fn new(column: Arc<Column>) -> Self {
         Self::with_partitions(column, DEFAULT_PARTITIONS)
     }
 
@@ -38,7 +38,7 @@ impl CoarseGranularIndex {
     ///
     /// # Panics
     /// Panics when `partitions < 2`.
-    pub fn with_partitions(column: Arc<Column>, partitions: usize) -> Self {
+    pub(crate) fn with_partitions(column: Arc<Column>, partitions: usize) -> Self {
         assert!(
             partitions >= 2,
             "need at least 2 partitions, got {partitions}"
@@ -49,14 +49,6 @@ impl CoarseGranularIndex {
             partitions,
             queries_executed: 0,
         }
-    }
-
-    /// Number of crack boundaries installed so far.
-    pub fn boundary_count(&self) -> usize {
-        self.cracked
-            .as_ref()
-            .map(|c| c.index().boundary_count())
-            .unwrap_or(0)
     }
 
     /// First-query work: out-of-place range partition of the whole column
@@ -176,6 +168,13 @@ mod tests {
     use super::*;
     use pi_core::testing::{check_correctness_under_workload, random_column, ReferenceIndex};
 
+    /// Crack boundaries installed so far: one fewer than the pieces.
+    fn boundary_count(idx: &CoarseGranularIndex) -> usize {
+        idx.cracked
+            .as_ref()
+            .map_or(0, |c| c.index().pieces(c.data().len()).len() - 1)
+    }
+
     #[test]
     fn answers_match_reference_under_random_workload() {
         check_correctness_under_workload(
@@ -190,12 +189,12 @@ mod tests {
     fn first_query_installs_partition_boundaries() {
         let col = Arc::new(random_column(50_000, 1_000_000, 41));
         let mut idx = CoarseGranularIndex::with_partitions(Arc::clone(&col), 16);
-        assert_eq!(idx.boundary_count(), 0);
+        assert_eq!(boundary_count(&idx), 0);
         let reference = ReferenceIndex::new(&col);
         let r = idx.query(100_000, 200_000);
         assert_eq!(r.scan_result(), reference.query(100_000, 200_000));
         // 15 partition boundaries plus (up to) 2 query-bound boundaries.
-        assert!(idx.boundary_count() >= 15);
+        assert!(boundary_count(&idx) >= 15);
         // The first query pays for the full partition pass.
         assert!(r.indexing_ops >= 50_000);
     }

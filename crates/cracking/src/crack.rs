@@ -12,10 +12,11 @@
 //!   by standard cracking. It runs to completion and reports the number of
 //!   element swaps performed (the unit the *progressive stochastic
 //!   cracking* baseline budgets).
-//! * [`PartialCrack`] — the same partition as a resumable state machine.
-//!   A crack can be advanced by at most `max_swaps` swaps per call, which
-//!   is exactly how progressive stochastic cracking (Halim et al.) limits
-//!   the per-query reorganisation cost on pieces larger than the L2 cache.
+//! * `PartialCrack` (crate-private) — the same partition as a resumable
+//!   state machine. A crack can be advanced by at most `max_swaps` swaps
+//!   per call, which is exactly how progressive stochastic cracking
+//!   (Halim et al.) limits the per-query reorganisation cost on pieces
+//!   larger than the L2 cache.
 
 use pi_storage::Value;
 
@@ -58,32 +59,6 @@ pub fn crack_in_two(data: &mut [Value], begin: usize, end: usize, pivot: Value) 
     CrackResult { split: lo, swaps }
 }
 
-/// Partitions `data[begin..end)` in place so that elements land in three
-/// regions: `< low`, `in [low, high]`, and `> high`. Returns the two split
-/// positions `(first_in_range, first_above_range)` and the number of swaps.
-///
-/// Standard cracking uses this for a fresh piece hit by both bounds of a
-/// range query, saving one pass compared to two successive
-/// [`crack_in_two`] calls.
-pub fn crack_in_three(
-    data: &mut [Value],
-    begin: usize,
-    end: usize,
-    low: Value,
-    high: Value,
-) -> (usize, usize, u64) {
-    debug_assert!(low <= high);
-    // First pass: partition around `low` (predicate `< low`).
-    let first = crack_in_two(data, begin, end, low);
-    // Second pass: partition the upper part around `high + 1`
-    // (predicate `<= high`). `high == Value::MAX` means nothing is above.
-    if high == Value::MAX {
-        return (first.split, end, first.swaps);
-    }
-    let second = crack_in_two(data, first.split, end, high + 1);
-    (first.split, second.split, first.swaps + second.swaps)
-}
-
 /// A [`crack_in_two`] partition that can be advanced a bounded number of
 /// swaps at a time and resumed on a later query.
 ///
@@ -93,7 +68,7 @@ pub fn crack_in_three(
 /// unpartitioned. Queries that touch the region must therefore scan all of
 /// `[begin, end)` until [`PartialCrack::step`] reports completion.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PartialCrack {
+pub(crate) struct PartialCrack {
     pivot: Value,
     begin: usize,
     end: usize,
@@ -103,7 +78,7 @@ pub struct PartialCrack {
 
 impl PartialCrack {
     /// Starts a resumable crack of `data[begin..end)` around `pivot`.
-    pub fn new(begin: usize, end: usize, pivot: Value) -> Self {
+    pub(crate) fn new(begin: usize, end: usize, pivot: Value) -> Self {
         assert!(begin <= end, "invalid crack range");
         PartialCrack {
             pivot,
@@ -115,24 +90,19 @@ impl PartialCrack {
     }
 
     /// The pivot this crack partitions around.
-    pub fn pivot(&self) -> Value {
+    pub(crate) fn pivot(&self) -> Value {
         self.pivot
-    }
-
-    /// The region `[begin, end)` being cracked.
-    pub fn range(&self) -> (usize, usize) {
-        (self.begin, self.end)
     }
 
     /// `true` once the partition is complete and
     /// [`PartialCrack::split`] is valid.
-    pub fn is_complete(&self) -> bool {
+    pub(crate) fn is_complete(&self) -> bool {
         self.lo >= self.hi
     }
 
     /// The final split position. Only meaningful once
     /// [`PartialCrack::is_complete`] returns `true`.
-    pub fn split(&self) -> usize {
+    pub(crate) fn split(&self) -> usize {
         debug_assert!(self.is_complete());
         self.lo
     }
@@ -142,7 +112,7 @@ impl PartialCrack {
     /// elements that are already on the correct side is not counted as a
     /// swap, mirroring the "allowed swaps" budget of progressive
     /// stochastic cracking.
-    pub fn step(&mut self, data: &mut [Value], max_swaps: u64) -> u64 {
+    pub(crate) fn step(&mut self, data: &mut [Value], max_swaps: u64) -> u64 {
         let mut swaps = 0u64;
         while self.lo < self.hi {
             if data[self.lo] < self.pivot {
@@ -210,25 +180,6 @@ mod tests {
         assert_eq!(crack_in_two(&mut data, 0, 1, 6).split, 1);
         assert_eq!(crack_in_two(&mut data, 0, 1, 5).split, 0);
         assert_eq!(crack_in_two(&mut data, 0, 1, 4).split, 0);
-    }
-
-    #[test]
-    fn crack_in_three_produces_three_regions() {
-        let mut data = vec![6, 3, 14, 13, 2, 1, 8, 19, 7, 12, 11, 4, 16, 9];
-        let n = data.len();
-        let (a, b, _) = crack_in_three(&mut data, 0, n, 5, 11);
-        assert!(data[..a].iter().all(|&v| v < 5));
-        assert!(data[a..b].iter().all(|&v| (5..=11).contains(&v)));
-        assert!(data[b..].iter().all(|&v| v > 11));
-    }
-
-    #[test]
-    fn crack_in_three_with_max_high_bound() {
-        let mut data = vec![9, 1, 5, 7];
-        let (a, b, _) = crack_in_three(&mut data, 0, 4, 5, Value::MAX);
-        assert_eq!(b, 4);
-        assert!(data[..a].iter().all(|&v| v < 5));
-        assert!(data[a..b].iter().all(|&v| v >= 5));
     }
 
     #[test]

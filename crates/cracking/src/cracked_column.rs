@@ -1,6 +1,6 @@
 //! The cracker column: a mutable copy of the base column plus its
-//! [`CrackerIndex`], with a query-answering routine that works for *any*
-//! intermediate cracking state.
+//! cracker index of crack boundaries, with a query-answering routine that
+//! works for *any* intermediate cracking state.
 //!
 //! All adaptive indexing baselines share this structure; they differ only
 //! in *which* cracks they perform per query (exact query bounds, random
@@ -38,16 +38,6 @@ impl CrackedColumn {
         }
     }
 
-    /// Number of elements.
-    pub fn len(&self) -> usize {
-        self.data.len()
-    }
-
-    /// `true` when the column holds no elements.
-    pub fn is_empty(&self) -> bool {
-        self.data.is_empty()
-    }
-
     /// The cracker column contents (reordered by cracks, never mutated in
     /// value).
     pub fn data(&self) -> &[Value] {
@@ -56,17 +46,17 @@ impl CrackedColumn {
 
     /// Mutable access for algorithms that run their own partitioning
     /// kernels (partial cracks, radix partitioning).
-    pub fn data_mut(&mut self) -> &mut Vec<Value> {
+    pub(crate) fn data_mut(&mut self) -> &mut Vec<Value> {
         &mut self.data
     }
 
     /// The crack boundaries discovered so far.
-    pub fn index(&self) -> &CrackerIndex {
+    pub(crate) fn index(&self) -> &CrackerIndex {
         &self.index
     }
 
     /// Mutable access to the crack boundaries.
-    pub fn index_mut(&mut self) -> &mut CrackerIndex {
+    pub(crate) fn index_mut(&mut self) -> &mut CrackerIndex {
         &mut self.index
     }
 
@@ -86,7 +76,7 @@ impl CrackedColumn {
     }
 
     /// The piece that currently contains the boundary position for `key`.
-    pub fn piece_for(&self, key: Value) -> Piece {
+    pub(crate) fn piece_for(&self, key: Value) -> Piece {
         self.index.piece_for(key, self.data.len())
     }
 
@@ -170,7 +160,7 @@ impl CrackedColumn {
 
     /// Fraction of refinement progress, measured as `1 - largest_piece/n`.
     /// Purely informational (used by `IndexStatus::phase_progress`).
-    pub fn refinement_progress(&self) -> f64 {
+    pub(crate) fn refinement_progress(&self) -> f64 {
         let n = self.data.len();
         if n == 0 {
             return 1.0;

@@ -16,14 +16,14 @@ use pi_storage::Value;
 
 /// Ordered map of crack boundaries over a cracker column of `n` elements.
 #[derive(Debug, Clone, Default)]
-pub struct CrackerIndex {
+pub(crate) struct CrackerIndex {
     /// pivot value → first position of the `>= pivot` region.
     map: BTreeMap<Value, usize>,
 }
 
 /// A contiguous, not-yet-cracked region of the cracker column.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Piece {
+pub(crate) struct Piece {
     /// First position of the piece.
     pub begin: usize,
     /// One past the last position of the piece.
@@ -32,12 +32,12 @@ pub struct Piece {
 
 impl Piece {
     /// Number of elements in the piece.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.end - self.begin
     }
 
     /// `true` when the piece contains no elements.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.begin == self.end
     }
 }
@@ -45,30 +45,20 @@ impl Piece {
 impl CrackerIndex {
     /// Creates an empty cracker index (a single piece spanning the whole
     /// column).
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         CrackerIndex {
             map: BTreeMap::new(),
         }
     }
 
-    /// Number of crack boundaries recorded so far.
-    pub fn boundary_count(&self) -> usize {
-        self.map.len()
-    }
-
-    /// Number of pieces the column is currently divided into.
-    pub fn piece_count(&self) -> usize {
-        self.map.len() + 1
-    }
-
     /// Records that position `pos` is the first element `>= pivot`.
-    pub fn insert(&mut self, pivot: Value, pos: usize) {
+    pub(crate) fn insert(&mut self, pivot: Value, pos: usize) {
         self.map.insert(pivot, pos);
     }
 
     /// The exact position for `pivot` when that boundary has already been
     /// cracked.
-    pub fn position_of(&self, pivot: Value) -> Option<usize> {
+    pub(crate) fn position_of(&self, pivot: Value) -> Option<usize> {
         self.map.get(&pivot).copied()
     }
 
@@ -76,7 +66,7 @@ impl CrackerIndex {
     /// at `pivot`: it starts at the position of the greatest existing
     /// boundary `<= pivot` (or 0) and ends at the position of the smallest
     /// existing boundary `> pivot` (or `n`).
-    pub fn piece_for(&self, pivot: Value, n: usize) -> Piece {
+    pub(crate) fn piece_for(&self, pivot: Value, n: usize) -> Piece {
         let begin = self
             .map
             .range(..=pivot)
@@ -98,7 +88,7 @@ impl CrackerIndex {
     ///
     /// Returns `(piece, exact)` where `exact` is `true` when a boundary for
     /// `key` itself exists (in which case `piece.begin` is that position).
-    pub fn lookup(&self, key: Value, n: usize) -> (Piece, bool) {
+    pub(crate) fn lookup(&self, key: Value, n: usize) -> (Piece, bool) {
         if let Some(pos) = self.position_of(key) {
             (
                 Piece {
@@ -112,14 +102,9 @@ impl CrackerIndex {
         }
     }
 
-    /// Iterates over `(pivot, position)` boundaries in value order.
-    pub fn boundaries(&self) -> impl Iterator<Item = (Value, usize)> + '_ {
-        self.map.iter().map(|(&v, &p)| (v, p))
-    }
-
     /// Iterates over all pieces in position order, including the implicit
     /// first and last pieces.
-    pub fn pieces(&self, n: usize) -> Vec<Piece> {
+    pub(crate) fn pieces(&self, n: usize) -> Vec<Piece> {
         let mut pieces = Vec::with_capacity(self.map.len() + 1);
         let mut begin = 0usize;
         for (_, &pos) in self.map.iter() {
@@ -133,7 +118,7 @@ impl CrackerIndex {
     /// Size of the largest remaining piece — a convergence proxy: once all
     /// pieces are below a sorting threshold the cracked column behaves like
     /// a (coarsely) sorted array.
-    pub fn largest_piece(&self, n: usize) -> usize {
+    pub(crate) fn largest_piece(&self, n: usize) -> usize {
         self.pieces(n).iter().map(Piece::len).max().unwrap_or(n)
     }
 }
@@ -145,7 +130,7 @@ mod tests {
     #[test]
     fn empty_index_has_one_piece() {
         let idx = CrackerIndex::new();
-        assert_eq!(idx.piece_count(), 1);
+        assert_eq!(idx.pieces(100).len(), 1);
         assert_eq!(idx.piece_for(42, 100), Piece { begin: 0, end: 100 });
         assert_eq!(idx.largest_piece(100), 100);
     }

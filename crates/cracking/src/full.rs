@@ -21,16 +21,11 @@ pub struct FullScan {
 
 impl FullScan {
     /// Creates the baseline over `column`.
-    pub fn new(column: Arc<Column>) -> Self {
+    pub(crate) fn new(column: Arc<Column>) -> Self {
         FullScan {
             column,
             queries_executed: 0,
         }
-    }
-
-    /// Number of queries executed so far.
-    pub fn queries_executed(&self) -> u64 {
-        self.queries_executed
     }
 }
 
@@ -78,12 +73,12 @@ pub struct FullIndex {
 
 impl FullIndex {
     /// Creates the baseline with the default B+-tree fan-out.
-    pub fn new(column: Arc<Column>) -> Self {
+    pub(crate) fn new(column: Arc<Column>) -> Self {
         Self::with_fanout(column, DEFAULT_FANOUT)
     }
 
     /// Creates the baseline with an explicit B+-tree fan-out.
-    pub fn with_fanout(column: Arc<Column>, fanout: usize) -> Self {
+    pub(crate) fn with_fanout(column: Arc<Column>, fanout: usize) -> Self {
         FullIndex {
             column,
             index: None,
@@ -191,6 +186,6 @@ mod tests {
         let a = idx.query(0, 10).elements_scanned;
         let b = idx.query(2_000, 4_999).elements_scanned;
         assert_eq!(a, b);
-        assert_eq!(idx.queries_executed(), 2);
+        assert_eq!(idx.queries_executed, 2);
     }
 }

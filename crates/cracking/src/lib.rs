@@ -41,21 +41,20 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod adaptive_adaptive;
-pub mod coarse_granular;
+mod adaptive_adaptive;
+mod coarse_granular;
 pub mod crack;
 pub mod cracked_column;
-pub mod cracker_index;
-pub mod full;
-pub mod progressive_stochastic;
-pub mod registry;
-pub mod standard;
-pub mod stochastic;
+mod cracker_index;
+mod full;
+mod progressive_stochastic;
+mod registry;
+mod standard;
+mod stochastic;
 
 pub use adaptive_adaptive::AdaptiveAdaptiveIndexing;
 pub use coarse_granular::CoarseGranularIndex;
 pub use cracked_column::CrackedColumn;
-pub use cracker_index::CrackerIndex;
 pub use full::{FullIndex, FullScan};
 pub use progressive_stochastic::ProgressiveStochasticCracking;
 pub use registry::AlgorithmId;

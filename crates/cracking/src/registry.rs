@@ -62,7 +62,7 @@ impl AlgorithmId {
     ];
 
     /// The short label used in the paper's tables (`FS`, `FI`, `STD`, …).
-    pub fn label(self) -> &'static str {
+    pub(crate) fn label(self) -> &'static str {
         match self {
             AlgorithmId::Progressive(Algorithm::Quicksort) => "PQ",
             AlgorithmId::Progressive(Algorithm::RadixsortMsd) => "PMSD",

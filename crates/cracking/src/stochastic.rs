@@ -23,7 +23,7 @@ use crate::cracked_column::CrackedColumn;
 /// bound instead of around another random pivot. Mirrors the "crack small
 /// pieces precisely" switch of the original implementation (pieces that
 /// fit comfortably in cache are cheap to crack exactly).
-pub const DEFAULT_EXACT_CRACK_THRESHOLD: usize = 1 << 14;
+pub(crate) const DEFAULT_EXACT_CRACK_THRESHOLD: usize = 1 << 14;
 
 /// Stochastic cracking baseline (`STC` in the paper's tables).
 pub struct StochasticCracking {
@@ -38,18 +38,18 @@ impl StochasticCracking {
     /// Creates the baseline with the default small-piece threshold and a
     /// fixed RNG seed (runs are reproducible; vary the seed with
     /// [`StochasticCracking::with_seed`] to study variance).
-    pub fn new(column: Arc<Column>) -> Self {
+    pub(crate) fn new(column: Arc<Column>) -> Self {
         Self::with_seed(column, 0x5EED)
     }
 
     /// Creates the baseline with an explicit RNG seed.
-    pub fn with_seed(column: Arc<Column>, seed: u64) -> Self {
+    pub(crate) fn with_seed(column: Arc<Column>, seed: u64) -> Self {
         Self::with_config(column, seed, DEFAULT_EXACT_CRACK_THRESHOLD)
     }
 
     /// Creates the baseline with an explicit seed and small-piece
     /// threshold.
-    pub fn with_config(column: Arc<Column>, seed: u64, exact_threshold: usize) -> Self {
+    pub(crate) fn with_config(column: Arc<Column>, seed: u64, exact_threshold: usize) -> Self {
         StochasticCracking {
             column,
             cracked: None,

@@ -216,6 +216,12 @@ impl ErasedColumn {
         sel: &mut Vec<u32>,
     ) {
         assert_eq!(live.len(), self.len(), "the live bitmap is row-aligned");
+        #[cfg(target_arch = "x86_64")]
+        if std::is_x86_feature_detected!("avx2") {
+            // SAFETY: `filter_avx2` is `filter`, safe code, compiled for AVX2;
+            // its one requirement, a CPU with AVX2, is checked just above.
+            return unsafe { self.filter_avx2(low, high, Rows::Live(live, sel)) };
+        }
         self.filter(low, high, Rows::Live(live, sel));
     }
 
@@ -228,10 +234,11 @@ impl ErasedColumn {
         self.filter(low, high, Rows::Selected(sel));
     }
 
-    /// One domain dispatch and bounds unwrap per predicate. Fixed-width
-    /// domains test in their key order (for `f64` code space, the total
-    /// order [`TableKey::key_cmp`] realises: `-0.0 < +0.0`, `±inf`
-    /// ordinary keys); strings compare [`OrderKey`]s.
+    /// One domain dispatch and bounds unwrap per predicate, always inlined
+    /// (`select` compiles it twice). Fixed-width domains test in key order
+    /// (for `f64` code space, the total order [`TableKey::key_cmp`]
+    /// realises: `-0.0 < +0.0`, `±inf` ordinary); strings compare [`OrderKey`]s.
+    #[inline(always)]
     fn filter(&self, low: &ErasedKey, high: &ErasedKey, rows: Rows<'_>) {
         match (self, low, high) {
             (ErasedColumn::U64(v), ErasedKey::U64(lo), ErasedKey::U64(hi)) => {
@@ -258,6 +265,14 @@ impl ErasedColumn {
                 self.domain()
             ),
         }
+    }
+
+    /// `filter` under AVX2: same source, 256-bit lanes for the dense pass
+    /// (`refine` keeps the baseline copy: its gather is slower under AVX2).
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    fn filter_avx2(&self, low: &ErasedKey, high: &ErasedKey, rows: Rows<'_>) {
+        self.filter(low, high, rows)
     }
 
     /// The exact sum of the keys at the rows of `sel`; `None` where the
@@ -346,9 +361,34 @@ impl<'a> OrderKey<'a> {
     }
 }
 
-/// Rows per block of the dense pass: matches are compacted branch-free
-/// into a block-sized stack buffer, then appended to the selection.
+/// Rows per block of the dense pass: a block's matches are expanded into
+/// a stack buffer of row numbers, then appended to the selection.
 const BLOCK: usize = 1024;
+/// Rows per word of the dense pass: tested together into one bitmask.
+const WORD: usize = 64;
+
+/// Eight 0/1 bytes as a little-endian `u64`, times `PACK`, carry byte `i`
+/// to bit `56 + i` (the top byte is their mask); times `BYTE_SUM`, they
+/// add up there (its popcount, where `popcnt` may be missing).
+const PACK: u64 = 0x0102_0408_1020_4080;
+const BYTE_SUM: u64 = 0x0101_0101_0101_0101;
+/// Each byte mask's set-bit positions, ascending, in its first slots (2 KiB).
+const SET_BITS: [[u8; 8]; 256] = set_bits();
+
+const fn set_bits() -> [[u8; 8]; 256] {
+    let mut table = [[0; 8]; 256];
+    let mut mask = 0;
+    while mask < 256 {
+        let (mut bit, mut kept) = (0, 0);
+        while bit < 8 {
+            table[mask][kept] = bit as u8;
+            kept += mask >> bit & 1;
+            bit += 1;
+        }
+        mask += 1;
+    }
+    table
+}
 
 /// The rows a filter kernel runs over.
 enum Rows<'a> {
@@ -358,24 +398,44 @@ enum Rows<'a> {
     Selected(&'a mut Vec<u32>),
 }
 
-/// The two filter kernels over one typed slice. Both advance the write
-/// cursor by the test's result instead of branching on it: a predicate
-/// that half the rows pass costs the same as one all of them pass.
+/// The two filter kernels over one typed slice (inlined like `filter`);
+/// neither branches on a test. The dense pass tests each 64-row word into
+/// 64 bytes (a loop that vectorises), ANDs each 8 with their live flags
+/// and packs them into a mask byte, whose [`SET_BITS`] it writes to the
+/// block as 8 row numbers, advancing by the popcount. The rows past the
+/// last full word, and the refine's, are tested one by one.
+#[inline(always)]
 fn filter_rows<T>(keys: &[T], rows: Rows<'_>, test: impl Fn(&T) -> bool) {
     match rows {
         Rows::Live(live, sel) => {
+            let words = keys.len() / WORD * WORD;
             let mut block = [0u32; BLOCK];
-            let blocks = keys.chunks(BLOCK).zip(live.chunks(BLOCK));
+            let blocks = keys[..words].chunks(BLOCK).zip(live[..words].chunks(BLOCK));
             for (b, (keys, live)) in blocks.enumerate() {
-                let base = (b * BLOCK) as u32;
                 let mut kept = 0;
-                for (i, (key, &live)) in keys.iter().zip(live).enumerate() {
-                    // `kept ≤ i < BLOCK`; the mask only tells the compiler.
-                    block[kept % BLOCK] = base + i as u32;
-                    kept += usize::from(live & test(key));
+                let words = keys.chunks_exact(WORD).zip(live.chunks_exact(WORD));
+                for (w, (keys, live)) in words.enumerate() {
+                    let mut hits = [0u8; WORD];
+                    for (hit, key) in hits.iter_mut().zip(keys) {
+                        *hit = u8::from(test(key)).wrapping_neg();
+                    }
+                    let eights = hits.chunks_exact(8).zip(live.chunks_exact(8));
+                    for (byte, (hits, live)) in eights.enumerate() {
+                        let live = u64::from_le_bytes(std::array::from_fn(|i| u8::from(live[i])));
+                        let hits = u64::from_le_bytes(hits.try_into().expect("8 bytes")) & live;
+                        let base = (b * BLOCK + w * WORD + 8 * byte) as u32;
+                        let set = &SET_BITS[(hits.wrapping_mul(PACK) >> 56) as usize];
+                        // `kept` ≤ the rows before this byte ≤ BLOCK − 8.
+                        for (slot, &bit) in block[kept..kept + 8].iter_mut().zip(set) {
+                            *slot = base + u32::from(bit);
+                        }
+                        kept += (hits.wrapping_mul(BYTE_SUM) >> 56) as usize;
+                    }
                 }
                 sel.extend_from_slice(&block[..kept]);
             }
+            let tail = (words..keys.len()).filter(|&row| live[row] & test(&keys[row]));
+            sel.extend(tail.map(|row| row as u32));
         }
         Rows::Selected(sel) => {
             let mut kept = 0;
@@ -677,6 +737,186 @@ mod tests {
                 let mut sel: Vec<u32> = (0..ROWS).collect();
                 col.refine(&mut sel, &low, &high);
                 assert_eq!(sel, want, "seed {seed}: refine {low:?}..={high:?}");
+            }
+        }
+    }
+
+    type Leg = fn(&ErasedColumn, &[bool], &ErasedKey, &ErasedKey) -> Vec<u32>;
+
+    /// Both compiled copies of the dense pass, called directly: the
+    /// baseline one always, the AVX2 one when this CPU has it.
+    fn legs() -> Vec<(&'static str, Leg)> {
+        let mut legs: Vec<(&'static str, Leg)> = vec![("baseline", |col, live, low, high| {
+            let mut sel = Vec::new();
+            col.filter(low, high, Rows::Live(live, &mut sel));
+            sel
+        })];
+        #[cfg(target_arch = "x86_64")]
+        if std::is_x86_feature_detected!("avx2") {
+            legs.push(("avx2", |col, live, low, high| {
+                let mut sel = Vec::new();
+                // SAFETY: AVX2 was detected on the line above.
+                unsafe { col.filter_avx2(low, high, Rows::Live(live, &mut sel)) };
+                sel
+            }));
+        }
+        legs
+    }
+
+    /// Lengths around the dense pass's byte, word and block edges.
+    const DENSE_LENGTHS: [usize; 12] = [0, 1, 7, 8, 9, 63, 64, 65, 1023, 1024, 1025, 2 * 1024 + 1];
+
+    /// Live bitmaps over `n` rows: all live; dead rows at word and block
+    /// edges and at the last row; the second word all dead.
+    fn live_maps(n: usize) -> Vec<Vec<bool>> {
+        let mut edges = vec![true; n];
+        for edge in [0, 7, 8, 63, 64, 1023, 1024, 2047, 2048, n.wrapping_sub(1)] {
+            if let Some(live) = edges.get_mut(edge) {
+                *live = false;
+            }
+        }
+        let mut dead_word = vec![true; n];
+        for live in dead_word.iter_mut().skip(WORD).take(WORD) {
+            *live = false;
+        }
+        vec![vec![true; n], edges, dead_word]
+    }
+
+    /// Every leg against the per-row reference, under every live map.
+    fn check_legs(col: &ErasedColumn, low: &ErasedKey, high: &ErasedKey, case: &str) {
+        let n = col.len();
+        for (map, live) in live_maps(n).iter().enumerate() {
+            let live_rows = (0..n as u32).filter(|&row| live[row as usize]);
+            let want = reference(col, live_rows, low, high);
+            for (leg, run) in legs() {
+                let got = run(col, live, low, high);
+                assert_eq!(
+                    got, want,
+                    "{case}: {leg} over {n} rows, live map {map}, {low:?}..={high:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn both_legs_match_the_reference_at_every_edge() {
+        for n in DENSE_LENGTHS {
+            // Keys cycle over 0..10 with the domain's extremes mixed in;
+            // the bounds pass none, all, one key, a middle and nothing
+            // (inverted).
+            let u = ErasedColumn::U64(
+                (0..n as u64)
+                    .map(|i| match i % 13 {
+                        3 => u64::MAX,
+                        _ => i % 10,
+                    })
+                    .collect(),
+            );
+            let bounds = [
+                (11, 20),
+                (0, u64::MAX),
+                (u64::MAX, u64::MAX),
+                (3, 3),
+                (2, 6),
+                (6, 2),
+            ];
+            for (low, high) in bounds {
+                check_legs(&u, &ErasedKey::U64(low), &ErasedKey::U64(high), "u64");
+            }
+            let i = ErasedColumn::I64(
+                (0..n as i64)
+                    .map(|i| match i % 13 {
+                        3 => i64::MIN,
+                        4 => i64::MAX,
+                        _ => i % 10 - 5,
+                    })
+                    .collect(),
+            );
+            let bounds = [
+                (6, 9),
+                (i64::MIN, i64::MAX),
+                (i64::MIN, i64::MIN),
+                (-1, -1),
+                (-3, 3),
+                (3, -3),
+            ];
+            for (low, high) in bounds {
+                check_legs(&i, &ErasedKey::I64(low), &ErasedKey::I64(high), "i64");
+            }
+            let special = [-0.0, 0.0, f64::NEG_INFINITY, f64::INFINITY];
+            let f = ErasedColumn::F64(
+                (0..n)
+                    .map(|i| match i % 13 {
+                        s @ 0..=3 => special[s],
+                        _ => (i % 10) as f64 - 4.5,
+                    })
+                    .collect(),
+            );
+            let bounds = [
+                (100.0, 200.0),
+                (f64::NEG_INFINITY, f64::INFINITY),
+                (-0.0, -0.0),
+                (0.0, 0.0),
+                (f64::INFINITY, f64::INFINITY),
+                (-0.0, 0.0),
+                (-2.5, 2.5),
+                (0.0, -0.0),
+            ];
+            for (low, high) in bounds {
+                check_legs(&f, &ErasedKey::F64(low), &ErasedKey::F64(high), "f64");
+            }
+        }
+    }
+
+    /// Random keys, liveness and bounds at random lengths up to three
+    /// blocks; a failure names its seed. The keys take 256 values, so
+    /// rows tie with each other and with the bounds; read as `i64` half
+    /// are negative, and read as `f64` bits (the exponent's low bits are
+    /// clear, so none is NaN) they include both zeros.
+    #[test]
+    fn both_legs_match_the_reference_on_random_columns() {
+        for seed in 1..=24 {
+            let mut rng = TestRng::new(seed);
+            let n = rng.below(3 * 1024) as usize;
+            let live: Vec<bool> = (0..n).map(|_| rng.below(8) != 0).collect();
+            let keys: Vec<u64> = (0..n).map(|_| rng.below(64) << 58 | rng.below(4)).collect();
+            let mut bound = || {
+                keys.get(rng.below(n as u64 + 1) as usize)
+                    .copied()
+                    .unwrap_or(0)
+            };
+            let (low, high) = (bound(), bound());
+            let cols = [
+                (
+                    ErasedColumn::U64(keys.clone()),
+                    ErasedKey::U64(low),
+                    ErasedKey::U64(high),
+                ),
+                (
+                    ErasedColumn::I64(keys.iter().map(|&k| k as i64).collect()),
+                    ErasedKey::I64(low as i64),
+                    ErasedKey::I64(high as i64),
+                ),
+                (
+                    ErasedColumn::F64(keys.iter().map(|&k| f64::from_bits(k)).collect()),
+                    ErasedKey::F64(f64::from_bits(low)),
+                    ErasedKey::F64(f64::from_bits(high)),
+                ),
+            ];
+            for (col, low, high) in &cols {
+                let want = reference(
+                    col,
+                    (0..n as u32).filter(|&row| live[row as usize]),
+                    low,
+                    high,
+                );
+                for (leg, run) in legs() {
+                    assert_eq!(
+                        run(col, &live, low, high),
+                        want,
+                        "seed {seed}: {leg} over {n} rows"
+                    );
+                }
             }
         }
     }

@@ -36,9 +36,9 @@
 /// while equal selectivities break towards the more-converged column.
 const RHO_WEIGHT: f64 = 0.25;
 
-/// Per-row cost, in ns, of a fixed-width (`u64`/`i64`/`f64`) range test
-/// in the selection kernels: a dense pass over 100k `u64` rows measured
-/// 135–146 µs on the 2-vCPU box the benchmark runs on.
+/// Per-row cost, in ns, of a fixed-width range test in `refine`, which every predicate
+/// after the first pays: 50k of 100k `u64` rows refined in 59–73 µs (1.2–1.45 ns a row;
+/// the one dense `select` of all 100k, 47–59 µs under AVX2) on the 2-vCPU benchmark box.
 const FIXED_WIDTH_ROW_NS: f64 = 1.4;
 /// Per-row cost, in ns, of a string range test (a heap dereference and
 /// two 16-byte order-key compares each): a 50k-row refine of

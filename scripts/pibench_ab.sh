@@ -22,8 +22,10 @@
 # (`core.refine_steps`, `core.bytes_moved`) and the mutation path's layers
 # (`core.merge_steps`, `core.mutation.apply_us`, `core.mutation.merge_s`,
 # `core.mutation.sidecar_query_us`, and `engine.executor.shards_reopened`,
-# the converged shards writes reopened), so the layer that moved is on the
-# same page.
+# the converged shards writes reopened) and the conjunction's layer
+# (`engine.multicol.execute_us`, `engine.kind_share.conjunction` and
+# `engine.planner.survivors_per_result`, which moves only if a plan did),
+# so the layer that moved is on the same page.
 #
 # The run length and the command come from the working tree's
 # BENCHMARK.json and are the same on both sides.
@@ -129,7 +131,9 @@ EOF
                 $1 ~ /^core\..*\.(first_query_ms|cold_total_s|op_max_ms)$/ ||
                 $1 == "core.refine_steps" || $1 == "core.bytes_moved" ||
                 $1 == "core.merge_steps" || $1 ~ /^core\.mutation\.(apply_us|merge_s|sidecar_query_us)$/ ||
-                $1 == "engine.executor.shards_reopened" {
+                $1 == "engine.executor.shards_reopened" ||
+                $1 == "engine.multicol.execute_us" || $1 == "engine.kind_share.conjunction" ||
+                $1 == "engine.planner.survivors_per_result" {
                     printf "  %-7s %-32s %.6g %s\n", side, $1, $2, $3 }'
     done
 done
