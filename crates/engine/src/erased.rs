@@ -9,13 +9,19 @@
 //! * [`ErasedKey`] — one key of any supported domain (`u64`, `i64`,
 //!   `f64`, `String`), with its order-preserving code and the **exact**
 //!   same-domain comparison.
-//! * [`ErasedColumn`] — a row-aligned vector of keys of one domain,
-//!   storing the *full* typed keys. Conjunctions evaluate a predicate
-//!   over a whole column per call (`select`, `refine`, `sum_selected`),
-//!   unwrapping domain and bounds once, never per row. A string is
-//!   tested on its 16-byte order key, read in place from its `String`,
-//!   and only a tie on all 16 bytes with a longer string compares the
-//!   full bytes — exact, so prefix ties never need a side table here.
+//! * [`ErasedColumn`] — a row-aligned vector of full typed keys of one
+//!   domain, the input a multi-column table is built from.
+//!
+//! The row store keeps each column as a crate-private `RowColumn`:
+//! fixed-width keys as they are, and a string as one 16-byte row key,
+//! computed once when the row is built or written — its first 15 bytes,
+//! big-endian and zero-padded, over a length byte `min(len, 16)` — with
+//! the full string kept beside the keys only for the rows longer than 15
+//! bytes. Conjunctions evaluate a predicate over a whole column per call
+//! (`select`, `refine`, `sum_selected`), unwrapping domain and bounds
+//! once, never per row. A string predicate compares row keys; only a row
+//! whose key equals a bound's with both longer than 15 bytes compares
+//! full strings — exact, so prefix ties never need a side table here.
 //!
 //! Sums stay capability-gated exactly like the typed facade's digest
 //! matrix: `u64`/`i64` sums are exact ([`ErasedSum`]), `f64` and
@@ -23,6 +29,7 @@
 //! code decodes exactly) with `sum: None`.
 
 use std::cmp::Ordering;
+use std::collections::HashMap;
 
 use pi_storage::encoding::OrderedKey;
 use pi_storage::Value;
@@ -108,7 +115,8 @@ pub enum ErasedSum {
     I64(i128),
 }
 
-/// A row-aligned column of full typed keys, one domain per column.
+/// A row-aligned column of full typed keys, one domain per column: the
+/// input a [`MultiTable`](crate::multicol::MultiTable) column is built from.
 #[derive(Debug, Clone)]
 pub enum ErasedColumn {
     /// `u64` keys.
@@ -121,40 +129,107 @@ pub enum ErasedColumn {
     Str(Vec<String>),
 }
 
-impl ErasedColumn {
+/// The length byte of a string longer than the 15 bytes its key holds.
+const LONG: u8 = 16;
+
+/// A string's row key: its first 15 bytes, big-endian and zero-padded,
+/// over a length byte `min(len, 16)`. Keys that differ order as their
+/// strings do, and equal keys below [`LONG`] are equal strings, so only
+/// two strings longer than 15 bytes can tie. `key >> 64` is the 8-byte
+/// prefix code.
+fn str_key(s: &str) -> u128 {
+    let bytes = s.as_bytes();
+    let mut key = [0; 16];
+    let n = bytes.len().min(15);
+    key[..n].copy_from_slice(&bytes[..n]);
+    key[15] = bytes.len().min(LONG.into()) as u8;
+    u128::from_be_bytes(key)
+}
+
+/// A row store's column: fixed-width keys as they are, strings as their
+/// row keys plus the full string of every row whose key is [`LONG`].
+#[derive(Debug)]
+pub(crate) enum RowColumn {
+    U64(Vec<u64>),
+    I64(Vec<i64>),
+    F64(Vec<f64>),
+    Str {
+        keys: Vec<u128>,
+        long: HashMap<usize, String>,
+    },
+}
+
+impl From<ErasedColumn> for RowColumn {
+    /// Keys each string once, dropping it unless it is long (in one pass,
+    /// not row by row through `push`: a new column has no stale long row).
+    fn from(column: ErasedColumn) -> Self {
+        match column {
+            ErasedColumn::U64(v) => RowColumn::U64(v),
+            ErasedColumn::I64(v) => RowColumn::I64(v),
+            ErasedColumn::F64(v) => RowColumn::F64(v),
+            ErasedColumn::Str(v) => {
+                let mut long = HashMap::new();
+                let keys = v.into_iter().enumerate().map(|(row, s)| {
+                    let key = str_key(&s);
+                    if key as u8 == LONG {
+                        long.insert(row, s);
+                    }
+                    key
+                });
+                RowColumn::Str {
+                    keys: keys.collect(),
+                    long,
+                }
+            }
+        }
+    }
+}
+
+impl RowColumn {
     /// The column's domain.
     pub(crate) fn domain(&self) -> KeyDomain {
         match self {
-            ErasedColumn::U64(_) => KeyDomain::U64,
-            ErasedColumn::I64(_) => KeyDomain::I64,
-            ErasedColumn::F64(_) => KeyDomain::F64,
-            ErasedColumn::Str(_) => KeyDomain::Str,
+            RowColumn::U64(_) => KeyDomain::U64,
+            RowColumn::I64(_) => KeyDomain::I64,
+            RowColumn::F64(_) => KeyDomain::F64,
+            RowColumn::Str { .. } => KeyDomain::Str,
         }
     }
 
     /// Whether the domain's code ranges can over-select (distinct keys
     /// tying on a code): `true` only for `Str`.
     pub(crate) fn prefix_encoded(&self) -> bool {
-        matches!(self, ErasedColumn::Str(_))
+        matches!(self, RowColumn::Str { .. })
     }
 
     /// Number of rows (live and dead — row stores keep rows in place).
     pub(crate) fn len(&self) -> usize {
         match self {
-            ErasedColumn::U64(v) => v.len(),
-            ErasedColumn::I64(v) => v.len(),
-            ErasedColumn::F64(v) => v.len(),
-            ErasedColumn::Str(v) => v.len(),
+            RowColumn::U64(v) => v.len(),
+            RowColumn::I64(v) => v.len(),
+            RowColumn::F64(v) => v.len(),
+            RowColumn::Str { keys, .. } => keys.len(),
         }
     }
 
-    /// The key's code at `row` (no clone; the delete path's index lookup).
+    /// The key's code at `row` (the delete path's index lookup).
     pub(crate) fn code_at(&self, row: usize) -> Value {
         match self {
-            ErasedColumn::U64(v) => TableKey::to_code(&v[row]),
-            ErasedColumn::I64(v) => TableKey::to_code(&v[row]),
-            ErasedColumn::F64(v) => TableKey::to_code(&v[row]),
-            ErasedColumn::Str(v) => TableKey::to_code(&v[row]),
+            RowColumn::U64(v) => TableKey::to_code(&v[row]),
+            RowColumn::I64(v) => TableKey::to_code(&v[row]),
+            RowColumn::F64(v) => TableKey::to_code(&v[row]),
+            RowColumn::Str { keys, .. } => (keys[row] >> 64) as Value,
+        }
+    }
+
+    /// The row-order codes of every key (the encoded column the inner
+    /// `u64` engine indexes).
+    pub(crate) fn codes(&self) -> Vec<Value> {
+        match self {
+            RowColumn::U64(v) => v.iter().map(TableKey::to_code).collect(),
+            RowColumn::I64(v) => v.iter().map(TableKey::to_code).collect(),
+            RowColumn::F64(v) => v.iter().map(TableKey::to_code).collect(),
+            RowColumn::Str { keys, .. } => keys.iter().map(|key| (key >> 64) as Value).collect(),
         }
     }
 
@@ -163,36 +238,40 @@ impl ErasedColumn {
     /// # Panics
     /// Panics when the key's domain differs from the column's.
     pub(crate) fn push(&mut self, key: ErasedKey) {
-        match (self, key) {
-            (ErasedColumn::U64(v), ErasedKey::U64(k)) => v.push(k),
-            (ErasedColumn::I64(v), ErasedKey::I64(k)) => v.push(k),
-            (ErasedColumn::F64(v), ErasedKey::F64(k)) => v.push(k),
-            (ErasedColumn::Str(v), ErasedKey::Str(k)) => v.push(k),
-            (col, key) => panic!(
-                "key domain {:?} does not match column domain {:?}",
-                key.domain(),
-                col.domain()
-            ),
-        }
+        let row = self.len();
+        self.put(row, key);
     }
 
-    /// Replaces the key at `row`, returning the previous key.
+    /// Replaces the key at `row`, returning the previous key's code.
     ///
     /// # Panics
     /// Panics when the key's domain differs from the column's.
-    pub(crate) fn replace(&mut self, row: usize, key: ErasedKey) -> ErasedKey {
+    pub(crate) fn replace(&mut self, row: usize, key: ErasedKey) -> Value {
+        let old = self.code_at(row);
+        self.put(row, key);
+        old
+    }
+
+    /// Writes the key of `row`, appending it when `row` is the length.
+    fn put(&mut self, row: usize, key: ErasedKey) {
+        fn put<T>(v: &mut Vec<T>, row: usize, key: T) {
+            match v.get_mut(row) {
+                Some(slot) => *slot = key,
+                None => v.push(key),
+            }
+        }
         match (self, key) {
-            (ErasedColumn::U64(v), ErasedKey::U64(k)) => {
-                ErasedKey::U64(std::mem::replace(&mut v[row], k))
-            }
-            (ErasedColumn::I64(v), ErasedKey::I64(k)) => {
-                ErasedKey::I64(std::mem::replace(&mut v[row], k))
-            }
-            (ErasedColumn::F64(v), ErasedKey::F64(k)) => {
-                ErasedKey::F64(std::mem::replace(&mut v[row], k))
-            }
-            (ErasedColumn::Str(v), ErasedKey::Str(k)) => {
-                ErasedKey::Str(std::mem::replace(&mut v[row], k))
+            (RowColumn::U64(v), ErasedKey::U64(k)) => put(v, row, k),
+            (RowColumn::I64(v), ErasedKey::I64(k)) => put(v, row, k),
+            (RowColumn::F64(v), ErasedKey::F64(k)) => put(v, row, k),
+            (RowColumn::Str { keys, long }, ErasedKey::Str(k)) => {
+                let key = str_key(&k);
+                if key as u8 == LONG {
+                    long.insert(row, k);
+                } else {
+                    long.remove(&row);
+                }
+                put(keys, row, key);
             }
             (col, key) => panic!(
                 "key domain {:?} does not match column domain {:?}",
@@ -237,25 +316,37 @@ impl ErasedColumn {
     /// One domain dispatch and bounds unwrap per predicate, always inlined
     /// (`select` compiles it twice). Fixed-width domains test in key order
     /// (for `f64` code space, the total order [`TableKey::key_cmp`]
-    /// realises: `-0.0 < +0.0`, `±inf` ordinary); strings compare [`OrderKey`]s.
+    /// realises: `-0.0 < +0.0`, `±inf` ordinary); strings compare row
+    /// keys, and only a row whose key ties a bound's at [`LONG`] compares
+    /// its full string.
     #[inline(always)]
     fn filter(&self, low: &ErasedKey, high: &ErasedKey, rows: Rows<'_>) {
         match (self, low, high) {
-            (ErasedColumn::U64(v), ErasedKey::U64(lo), ErasedKey::U64(hi)) => {
-                filter_rows(v, rows, |k| (lo..=hi).contains(&k))
+            (RowColumn::U64(v), ErasedKey::U64(lo), ErasedKey::U64(hi)) => {
+                filter_rows(v, rows, |_, k| (lo..=hi).contains(&k))
             }
-            (ErasedColumn::I64(v), ErasedKey::I64(lo), ErasedKey::I64(hi)) => {
-                filter_rows(v, rows, |k| (lo..=hi).contains(&k))
+            (RowColumn::I64(v), ErasedKey::I64(lo), ErasedKey::I64(hi)) => {
+                filter_rows(v, rows, |_, k| (lo..=hi).contains(&k))
             }
-            (ErasedColumn::F64(v), ErasedKey::F64(lo), ErasedKey::F64(hi)) => {
+            (RowColumn::F64(v), ErasedKey::F64(lo), ErasedKey::F64(hi)) => {
                 let (lo, hi) = (TableKey::to_code(lo), TableKey::to_code(hi));
-                filter_rows(v, rows, |k| (lo..=hi).contains(&TableKey::to_code(k)))
+                filter_rows(v, rows, |_, k| (lo..=hi).contains(&TableKey::to_code(k)))
             }
-            (ErasedColumn::Str(v), ErasedKey::Str(lo), ErasedKey::Str(hi)) => {
-                let (lo, hi) = (OrderKey::new(lo), OrderKey::new(hi));
-                filter_rows(v, rows, |k| {
-                    let k = OrderKey::new(k);
-                    k.cmp(lo).is_ge() & k.cmp(hi).is_le()
+            (RowColumn::Str { keys, long }, ErasedKey::Str(lo), ErasedKey::Str(hi)) => {
+                let (lo_key, hi_key) = (str_key(lo), str_key(hi));
+                // `lo_key ≤ k ≤ hi_key` as one compare, so the test stays
+                // branch-free; an inverted range starts at `u128::MAX`,
+                // which is no key (its length byte is 0xFF).
+                let (start, width) = match hi_key.checked_sub(lo_key) {
+                    Some(width) => (lo_key, width),
+                    None => (u128::MAX, 0),
+                };
+                filter_rows(keys, rows, |row, &k| {
+                    if k as u8 == LONG && (k == lo_key || k == hi_key) {
+                        long_in_range(&long[&row], lo, hi)
+                    } else {
+                        k.wrapping_sub(start) <= width
+                    }
                 })
             }
             _ => panic!(
@@ -280,24 +371,13 @@ impl ErasedColumn {
     /// domain's zero sum).
     pub(crate) fn sum_selected(&self, sel: &[u32]) -> Option<ErasedSum> {
         match self {
-            ErasedColumn::U64(v) => Some(ErasedSum::U64(
+            RowColumn::U64(v) => Some(ErasedSum::U64(
                 sel.iter().map(|&row| v[row as usize] as u128).sum(),
             )),
-            ErasedColumn::I64(v) => Some(ErasedSum::I64(
+            RowColumn::I64(v) => Some(ErasedSum::I64(
                 sel.iter().map(|&row| v[row as usize] as i128).sum(),
             )),
-            ErasedColumn::F64(_) | ErasedColumn::Str(_) => None,
-        }
-    }
-
-    /// The row-order codes of every key (the encoded column the inner
-    /// `u64` engine indexes).
-    pub(crate) fn codes(&self) -> Vec<Value> {
-        match self {
-            ErasedColumn::U64(v) => v.iter().map(TableKey::to_code).collect(),
-            ErasedColumn::I64(v) => v.iter().map(TableKey::to_code).collect(),
-            ErasedColumn::F64(v) => v.iter().map(TableKey::to_code).collect(),
-            ErasedColumn::Str(v) => v.iter().map(TableKey::to_code).collect(),
+            RowColumn::F64(_) | RowColumn::Str { .. } => None,
         }
     }
 
@@ -307,58 +387,19 @@ impl ErasedColumn {
     /// `MIN`/`MAX` cells use this, so string groups serve `COUNT` only.
     pub(crate) fn decode_code(&self, code: Value) -> Option<ErasedKey> {
         match self {
-            ErasedColumn::U64(_) => Some(ErasedKey::U64(code)),
-            ErasedColumn::I64(_) => Some(ErasedKey::I64(<i64 as OrderedKey>::decode(code))),
-            ErasedColumn::F64(_) => Some(ErasedKey::F64(<f64 as OrderedKey>::decode(code))),
-            ErasedColumn::Str(_) => None,
+            RowColumn::U64(_) => Some(ErasedKey::U64(code)),
+            RowColumn::I64(_) => Some(ErasedKey::I64(<i64 as OrderedKey>::decode(code))),
+            RowColumn::F64(_) => Some(ErasedKey::F64(<f64 as OrderedKey>::decode(code))),
+            RowColumn::Str { .. } => None,
         }
     }
 }
 
-/// A string and its 16-byte order key: the first 16 bytes, big-endian,
-/// zero-padded. Keys that differ order as their strings do.
-#[derive(Clone, Copy)]
-struct OrderKey<'a> {
-    key: u128,
-    bytes: &'a [u8],
-}
-
-impl<'a> OrderKey<'a> {
-    /// Reads the key with in-bounds loads only: below 16 bytes, a head
-    /// word and a tail word that overlaps it where they agree.
-    fn new(s: &'a str) -> Self {
-        let bytes = s.as_bytes();
-        let n = bytes.len();
-        let be32 = |at: usize| u32::from_be_bytes(bytes[at..at + 4].try_into().expect("4 bytes"));
-        let be64 = |at: usize| u64::from_be_bytes(bytes[at..at + 8].try_into().expect("8 bytes"));
-        let key = if n >= 16 {
-            u128::from_be_bytes(bytes[..16].try_into().expect("16 bytes"))
-        } else if n > 8 {
-            // `n > 8` keeps the shift below 64: at 64 a release build
-            // would wrap it to 0 and keep the head's bytes twice.
-            u128::from(be64(0)) << 64 | u128::from(be64(n - 8) << (8 * (16 - n)))
-        } else if n >= 4 {
-            let word = u64::from(be32(0)) << 32 | u64::from(be32(n - 4)) << (8 * (8 - n));
-            u128::from(word) << 64
-        } else {
-            let at = |i: usize| u128::from(bytes[i]) << (8 * (15 - i));
-            (0..n).fold(0, |key, i| key | at(i))
-        };
-        OrderKey { key, bytes }
-    }
-
-    /// Exactly `self.bytes.cmp(other.bytes)`. Equal keys of strings of at
-    /// most 16 bytes make the shorter a prefix of the longer; only a tie
-    /// with a longer string reads past the key.
-    fn cmp(self, other: Self) -> Ordering {
-        match self.key.cmp(&other.key) {
-            Ordering::Equal if self.bytes.len().max(other.bytes.len()) > 16 => {
-                self.bytes.cmp(other.bytes)
-            }
-            Ordering::Equal => self.bytes.len().cmp(&other.bytes.len()),
-            order => order,
-        }
-    }
+/// The full-string test of a row whose key ties a bound's past 15 bytes,
+/// kept out of line so that the key test around it inlines.
+#[cold]
+fn long_in_range(row: &str, low: &str, high: &str) -> bool {
+    (low..=high).contains(&row)
 }
 
 /// Rows per block of the dense pass: a block's matches are expanded into
@@ -403,9 +444,10 @@ enum Rows<'a> {
 /// 64 bytes (a loop that vectorises), ANDs each 8 with their live flags
 /// and packs them into a mask byte, whose [`SET_BITS`] it writes to the
 /// block as 8 row numbers, advancing by the popcount. The rows past the
-/// last full word, and the refine's, are tested one by one.
+/// last full word, and the refine's, are tested one by one. The test
+/// gets each key's row number too; the fixed-width arms ignore it.
 #[inline(always)]
-fn filter_rows<T>(keys: &[T], rows: Rows<'_>, test: impl Fn(&T) -> bool) {
+fn filter_rows<T>(keys: &[T], rows: Rows<'_>, test: impl Fn(usize, &T) -> bool) {
     match rows {
         Rows::Live(live, sel) => {
             let words = keys.len() / WORD * WORD;
@@ -415,15 +457,16 @@ fn filter_rows<T>(keys: &[T], rows: Rows<'_>, test: impl Fn(&T) -> bool) {
                 let mut kept = 0;
                 let words = keys.chunks_exact(WORD).zip(live.chunks_exact(WORD));
                 for (w, (keys, live)) in words.enumerate() {
+                    let first = b * BLOCK + w * WORD;
                     let mut hits = [0u8; WORD];
-                    for (hit, key) in hits.iter_mut().zip(keys) {
-                        *hit = u8::from(test(key)).wrapping_neg();
+                    for (i, (hit, key)) in hits.iter_mut().zip(keys).enumerate() {
+                        *hit = u8::from(test(first + i, key)).wrapping_neg();
                     }
                     let eights = hits.chunks_exact(8).zip(live.chunks_exact(8));
                     for (byte, (hits, live)) in eights.enumerate() {
                         let live = u64::from_le_bytes(std::array::from_fn(|i| u8::from(live[i])));
                         let hits = u64::from_le_bytes(hits.try_into().expect("8 bytes")) & live;
-                        let base = (b * BLOCK + w * WORD + 8 * byte) as u32;
+                        let base = (first + 8 * byte) as u32;
                         let set = &SET_BITS[(hits.wrapping_mul(PACK) >> 56) as usize];
                         // `kept` ≤ the rows before this byte ≤ BLOCK − 8.
                         for (slot, &bit) in block[kept..kept + 8].iter_mut().zip(set) {
@@ -434,7 +477,7 @@ fn filter_rows<T>(keys: &[T], rows: Rows<'_>, test: impl Fn(&T) -> bool) {
                 }
                 sel.extend_from_slice(&block[..kept]);
             }
-            let tail = (words..keys.len()).filter(|&row| live[row] & test(&keys[row]));
+            let tail = (words..keys.len()).filter(|&row| live[row] & test(row, &keys[row]));
             sel.extend(tail.map(|row| row as u32));
         }
         Rows::Selected(sel) => {
@@ -442,7 +485,7 @@ fn filter_rows<T>(keys: &[T], rows: Rows<'_>, test: impl Fn(&T) -> bool) {
             for i in 0..sel.len() {
                 let row = sel[i];
                 sel[kept] = row;
-                kept += usize::from(test(&keys[row as usize]));
+                kept += usize::from(test(row as usize, &keys[row as usize]));
             }
             sel.truncate(kept);
         }
@@ -480,10 +523,10 @@ mod tests {
     }
 
     fn reference_sum(col: &ErasedColumn, sel: &[u32]) -> Option<ErasedSum> {
-        let mut sum = match col.domain() {
-            KeyDomain::U64 => Some(ErasedSum::U64(0)),
-            KeyDomain::I64 => Some(ErasedSum::I64(0)),
-            KeyDomain::F64 | KeyDomain::Str => None,
+        let mut sum = match col {
+            ErasedColumn::U64(_) => Some(ErasedSum::U64(0)),
+            ErasedColumn::I64(_) => Some(ErasedSum::I64(0)),
+            ErasedColumn::F64(_) | ErasedColumn::Str(_) => None,
         };
         for &row in sel {
             match (key_at(col, row as usize), &mut sum) {
@@ -499,10 +542,12 @@ mod tests {
     /// multiple of the block.
     const LENGTHS: [usize; 7] = [0, 1, 63, 64, 65, BLOCK, 2 * BLOCK + 37];
 
-    /// `select`, `refine` and `sum_selected` against the reference, with
-    /// every row live and with dead rows at the block edges.
+    /// `select`, `refine` and `sum_selected` of the row column built from
+    /// `col` against the reference over `col`, with every row live and
+    /// with dead rows at the block edges.
     fn check(col: &ErasedColumn, low: &ErasedKey, high: &ErasedKey) {
-        let n = col.len();
+        let rows = RowColumn::from(col.clone());
+        let n = rows.len();
         let mut holed = vec![true; n];
         for edge in [0, 1, 63, 64, BLOCK - 1, BLOCK, 2 * BLOCK - 1, 2 * BLOCK] {
             if edge < n {
@@ -516,14 +561,14 @@ mod tests {
             let live_rows = (0..n as u32).filter(|&row| live[row as usize]);
             let want = reference(col, live_rows, low, high);
             let mut sel = Vec::new();
-            col.select(&live, low, high, &mut sel);
+            rows.select(&live, low, high, &mut sel);
             assert_eq!(sel, want, "select {low:?}..={high:?} over {n} rows");
-            assert_eq!(col.sum_selected(&sel), reference_sum(col, &want));
+            assert_eq!(rows.sum_selected(&sel), reference_sum(col, &want));
         }
         // Any ascending selection refines; this one ignores liveness.
         let mut sel: Vec<u32> = (0..n as u32).filter(|row| row % 3 != 1).collect();
         let want = reference(col, sel.iter().copied(), low, high);
-        col.refine(&mut sel, low, high);
+        rows.refine(&mut sel, low, high);
         assert_eq!(sel, want, "refine {low:?}..={high:?} over {n} rows");
     }
 
@@ -616,7 +661,7 @@ mod tests {
         // The reference shares `key_cmp` with the kernels; pin the order
         // itself against `f64::total_cmp` once.
         let keys = vec![-0.0, 0.0, f64::NEG_INFINITY, f64::INFINITY, -1.0];
-        let col = ErasedColumn::F64(keys.clone());
+        let col = RowColumn::from(ErasedColumn::F64(keys.clone()));
         for (low, high) in [(0.0, 0.0), (-0.0, 0.0), (-1.0, -0.0), (-0.0, f64::INFINITY)] {
             let want: Vec<u32> = (0..keys.len() as u32)
                 .filter(|&row| {
@@ -668,15 +713,15 @@ mod tests {
         }
     }
 
-    /// Strings of every length the order-key load branches on, each next
-    /// to its neighbours with the last byte one up (`c`), down to `\0`,
-    /// and replaced by a two-byte `é` (≥ 0x80, which a signed compare
-    /// misorders); the 16-, 17- and 24-byte ones agree on 16 bytes. Every
-    /// pair of them bounds a range over all of them.
+    /// Strings of lengths around the 8-byte code and the 15-byte key, each
+    /// next to its neighbours with the last byte one up (`c`), down to
+    /// `\0`, and replaced by a two-byte `é` (≥ 0x80, which a signed
+    /// compare misorders); the 15-, 16-, 17- and 24-byte ones agree on 15
+    /// bytes. Every pair of them bounds a range over all of them.
     #[test]
     fn string_kernels_are_exact_at_every_key_length_boundary() {
         let mut keys = vec!["ab".to_string(), "ab\0".to_string()];
-        for n in [0, 1, 3, 4, 7, 8, 9, 15, 16, 17, 24] {
+        for n in [0, 1, 3, 4, 7, 8, 9, 14, 15, 16, 17, 24] {
             let base: String = "ab".chars().cycle().take(n).collect();
             if n > 0 {
                 keys.push(format!("{}c", &base[..n - 1]));
@@ -716,6 +761,7 @@ mod tests {
             let mut rng = TestRng::new(seed);
             let keys: Vec<String> = (0..ROWS).map(|_| random_key(&mut rng)).collect();
             let col = ErasedColumn::Str(keys.clone());
+            let rows = RowColumn::from(col.clone());
             for _ in 0..40 {
                 let mut bound = || {
                     let row = &keys[rng.below(ROWS.into()) as usize];
@@ -732,16 +778,116 @@ mod tests {
                 let (low, high) = (bound(), bound());
                 let want = reference(&col, 0..ROWS, &low, &high);
                 let mut sel = Vec::new();
-                col.select(&[true; ROWS as usize], &low, &high, &mut sel);
+                rows.select(&[true; ROWS as usize], &low, &high, &mut sel);
                 assert_eq!(sel, want, "seed {seed}: select {low:?}..={high:?}");
                 let mut sel: Vec<u32> = (0..ROWS).collect();
-                col.refine(&mut sel, &low, &high);
+                rows.refine(&mut sel, &low, &high);
                 assert_eq!(sel, want, "seed {seed}: refine {low:?}..={high:?}");
             }
         }
     }
 
-    type Leg = fn(&ErasedColumn, &[bool], &ErasedKey, &ErasedKey) -> Vec<u32>;
+    /// Rows and bounds that agree on their first 15 bytes while one is 15
+    /// bytes long and the other 16 or more, or both are longer and only
+    /// their full strings decide; every pair bounds a range over a column
+    /// that cycles through them past two 64-row words.
+    #[test]
+    fn string_kernels_are_exact_where_fifteen_bytes_agree() {
+        let head = "progressive-ind";
+        assert_eq!(head.len(), 15);
+        let mut keys = vec![head[..14].to_string(), head.to_string()];
+        for tail in ["\0", "\0\0", "a", "a\0", "ab", "b", "é", "exes-and-more"] {
+            keys.push(format!("{head}{tail}"));
+        }
+        keys.push("progressive-ine".to_string());
+        let col = ErasedColumn::Str(keys.iter().cycle().take(130).cloned().collect());
+        for low in &keys {
+            for high in &keys {
+                check(
+                    &col,
+                    &ErasedKey::Str(low.clone()),
+                    &ErasedKey::Str(high.clone()),
+                );
+            }
+        }
+    }
+
+    /// `push` and `replace` keep exactly the rows longer than 15 bytes,
+    /// with their current strings, beside the keys: a row that goes long →
+    /// short → long leaves one entry, one that goes short → long → short
+    /// none. `replace` returns the old string's code, and the kernels stay
+    /// exact after every write.
+    #[test]
+    fn push_and_replace_keep_the_long_rows_exact() {
+        let long = |tail: &str| format!("progressive-index-{tail}");
+        let mut strings = vec![long("a"), "short".to_string()];
+        let mut col = RowColumn::from(ErasedColumn::Str(strings.clone()));
+        let writes = [
+            (Some(0), "s0".to_string()),
+            (Some(1), long("b")),
+            (Some(0), long("c")),
+            (Some(1), "s1".to_string()),
+            (None, long("d")),
+            (None, "s2".to_string()),
+            (Some(2), "s3".to_string()),
+            (Some(3), long("e")),
+        ];
+        for (row, key) in writes {
+            match row {
+                Some(row) => {
+                    let old = std::mem::replace(&mut strings[row], key.clone());
+                    let code = col.replace(row, ErasedKey::Str(key));
+                    assert_eq!(code, TableKey::to_code(&old), "replace {row}");
+                }
+                None => {
+                    strings.push(key.clone());
+                    col.push(ErasedKey::Str(key));
+                }
+            }
+            let RowColumn::Str { long, .. } = &col else {
+                panic!("a string column");
+            };
+            let want: HashMap<usize, String> = strings
+                .iter()
+                .enumerate()
+                .filter(|(_, s)| s.len() > 15)
+                .map(|(row, s)| (row, s.clone()))
+                .collect();
+            assert_eq!(*long, want, "after {strings:?}");
+            let input = ErasedColumn::Str(strings.clone());
+            for low in &strings {
+                for high in &strings {
+                    let (low, high) = (ErasedKey::Str(low.clone()), ErasedKey::Str(high.clone()));
+                    let want = reference(&input, 0..strings.len() as u32, &low, &high);
+                    let mut sel: Vec<u32> = (0..strings.len() as u32).collect();
+                    col.refine(&mut sel, &low, &high);
+                    assert_eq!(sel, want, "{low:?}..={high:?} over {strings:?}");
+                }
+            }
+        }
+    }
+
+    /// Every row's code is the 8-byte prefix code of its full string (the
+    /// code the inner index holds), at every length and byte value.
+    #[test]
+    fn string_codes_are_the_prefix_codes_of_the_full_strings() {
+        let mut rng = TestRng::new(7);
+        let mut keys: Vec<String> = (0..300).map(|_| random_key(&mut rng)).collect();
+        for n in 0..=17 {
+            keys.push("ÿ".repeat(n));
+            keys.push("\u{7f}".repeat(n));
+        }
+        let col = RowColumn::from(ErasedColumn::Str(keys.clone()));
+        for (row, key) in keys.iter().enumerate() {
+            assert_eq!(col.code_at(row), TableKey::to_code(key), "{key:?}");
+        }
+        assert_eq!(
+            col.codes(),
+            keys.iter().map(TableKey::to_code).collect::<Vec<_>>()
+        );
+    }
+
+    type Leg = fn(&RowColumn, &[bool], &ErasedKey, &ErasedKey) -> Vec<u32>;
 
     /// Both compiled copies of the dense pass, called directly: the
     /// baseline one always, the AVX2 one when this CPU has it.
@@ -784,12 +930,13 @@ mod tests {
 
     /// Every leg against the per-row reference, under every live map.
     fn check_legs(col: &ErasedColumn, low: &ErasedKey, high: &ErasedKey, case: &str) {
-        let n = col.len();
+        let rows = RowColumn::from(col.clone());
+        let n = rows.len();
         for (map, live) in live_maps(n).iter().enumerate() {
             let live_rows = (0..n as u32).filter(|&row| live[row as usize]);
             let want = reference(col, live_rows, low, high);
             for (leg, run) in legs() {
-                let got = run(col, live, low, high);
+                let got = run(&rows, live, low, high);
                 assert_eq!(
                     got, want,
                     "{case}: {leg} over {n} rows, live map {map}, {low:?}..={high:?}"
@@ -910,9 +1057,10 @@ mod tests {
                     low,
                     high,
                 );
+                let rows = RowColumn::from(col.clone());
                 for (leg, run) in legs() {
                     assert_eq!(
-                        run(col, &live, low, high),
+                        run(&rows, &live, low, high),
                         want,
                         "seed {seed}: {leg} over {n} rows"
                     );
@@ -923,7 +1071,7 @@ mod tests {
 
     #[test]
     fn select_appends_to_the_selection_it_is_given() {
-        let col = ErasedColumn::U64(vec![9, 1, 9]);
+        let col = RowColumn::from(ErasedColumn::U64(vec![9, 1, 9]));
         let mut sel = vec![7];
         col.select(&[true; 3], &ErasedKey::U64(9), &ErasedKey::U64(9), &mut sel);
         assert_eq!(sel, vec![7, 0, 2]);
@@ -931,8 +1079,8 @@ mod tests {
 
     #[test]
     fn codes_preserve_each_domain_order() {
-        let i = ErasedColumn::I64(vec![-5, 0, 7]);
-        let f = ErasedColumn::F64(vec![-1.5, 0.0, 2.25]);
+        let i = RowColumn::from(ErasedColumn::I64(vec![-5, 0, 7]));
+        let f = RowColumn::from(ErasedColumn::F64(vec![-1.5, 0.0, 2.25]));
         for col in [&i, &f] {
             let codes: Vec<u64> = (0..col.len()).map(|r| col.code_at(r)).collect();
             let mut sorted = codes.clone();
@@ -943,11 +1091,11 @@ mod tests {
 
     #[test]
     fn string_prefix_codes_tie_but_full_keys_do_not() {
-        let col = ErasedColumn::Str(vec![
+        let col = RowColumn::from(ErasedColumn::Str(vec![
             "progressive".into(),
             "progressive-index".into(),
             "quicksort".into(),
-        ]);
+        ]));
         assert_eq!(col.code_at(0), col.code_at(1), "8-byte prefix ties");
         // A code range over-selects…
         let low = ErasedKey::Str("progressive-a".into());
@@ -964,7 +1112,7 @@ mod tests {
 
     #[test]
     fn sums_are_capability_gated() {
-        let u = ErasedColumn::U64(vec![3, u64::MAX, 4]);
+        let u = RowColumn::from(ErasedColumn::U64(vec![3, u64::MAX, 4]));
         assert_eq!(u.sum_selected(&[]), Some(ErasedSum::U64(0)));
         assert_eq!(u.sum_selected(&[0, 2]), Some(ErasedSum::U64(7)));
         assert_eq!(
@@ -972,7 +1120,7 @@ mod tests {
             Some(ErasedSum::U64(u64::MAX as u128 + 7))
         );
 
-        let i = ErasedColumn::I64(vec![-10, 4]);
+        let i = RowColumn::from(ErasedColumn::I64(vec![-10, 4]));
         assert_eq!(i.sum_selected(&[]), Some(ErasedSum::I64(0)));
         assert_eq!(i.sum_selected(&[0, 1]), Some(ErasedSum::I64(-6)));
 
@@ -980,6 +1128,7 @@ mod tests {
             ErasedColumn::F64(vec![1.0]),
             ErasedColumn::Str(vec!["a".into()]),
         ] {
+            let col = RowColumn::from(col);
             assert_eq!(col.sum_selected(&[]), None);
             assert_eq!(col.sum_selected(&[0]), None);
         }
@@ -987,18 +1136,18 @@ mod tests {
 
     #[test]
     fn decode_is_exact_for_injective_domains_only() {
-        let f = ErasedColumn::F64(vec![-3.75]);
+        let f = RowColumn::from(ErasedColumn::F64(vec![-3.75]));
         assert_eq!(f.decode_code(f.code_at(0)), Some(ErasedKey::F64(-3.75)));
-        let i = ErasedColumn::I64(vec![-42]);
+        let i = RowColumn::from(ErasedColumn::I64(vec![-42]));
         assert_eq!(i.decode_code(i.code_at(0)), Some(ErasedKey::I64(-42)));
-        let s = ErasedColumn::Str(vec!["hello".into()]);
+        let s = RowColumn::from(ErasedColumn::Str(vec!["hello".into()]));
         assert_eq!(s.decode_code(s.code_at(0)), None);
     }
 
     #[test]
     #[should_panic(expected = "does not match column domain")]
     fn cross_domain_predicates_rejected() {
-        let col = ErasedColumn::U64(vec![1]);
+        let col = RowColumn::from(ErasedColumn::U64(vec![1]));
         col.refine(&mut vec![0], &ErasedKey::F64(0.0), &ErasedKey::F64(1.0));
     }
 }

@@ -5,10 +5,13 @@
 //! scans; this module turns a set of independently-refined columns into
 //! a small progressive *database*:
 //!
-//! * [`MultiTable`] — a row store of heterogeneous columns
-//!   ([`ErasedColumn`]: u64 / i64 / f64 / string) kept row-aligned under
+//! * [`MultiTable`] — a row store of heterogeneous columns (built from
+//!   [`ErasedColumn`]s: u64 / i64 / f64 / string) kept row-aligned under
 //!   one `RwLock`, wrapping an inner `u64` [`Table`] that indexes each
-//!   column's order-preserving codes. Row mutations
+//!   column's order-preserving codes. A string column is stored as one
+//!   16-byte order key per row (its first 15 bytes and its length),
+//!   computed once when the row is built or written; the full string is
+//!   kept only for rows longer than 15 bytes. Row mutations
 //!   ([`RowMutation`]) update both sides under the write lock, so the
 //!   row store and the shard multisets always agree.
 //! * [`MultiExecutor`] — executes conjunctions
@@ -18,9 +21,9 @@
 //!   the paper's per-query δ of refinement work on that column. The
 //!   answer is computed **predicate-at-a-time over a selection vector**
 //!   in the planner's cost order: the first predicate selects row ids
-//!   (`ErasedColumn::select`), every later one compacts the selection
-//!   (`ErasedColumn::refine`) — each predicate evaluated once, over
-//!   full typed keys, exact at every refinement stage.
+//!   (`RowColumn::select`), every later one compacts the selection
+//!   (`RowColumn::refine`) — each predicate evaluated once, exactly in
+//!   the key domain's order, at every refinement stage.
 //! * Grouped aggregates ([`MultiExecutor::grouped`]) —
 //!   `SUM/COUNT/MIN/MAX GROUP BY bucket` answered from per-shard
 //!   [`DigestTree`]s behind a hot-range [`AggregateCache`], invalidated
@@ -35,7 +38,7 @@
 //! both the row store update and the inner shard mutations. Lock order
 //! is always `row store → shard mutex`, on both paths, so there is no
 //! deadlock and every conjunction observes a consistent row-store/shard
-//! state. The answer is an intersection over **full typed keys**, so
+//! state. The answer is an intersection in **exact key order**, so
 //! neither predicate order nor the driving choice can change it. Code
 //! ranges only ever over-select (string prefix ties), which is why a
 //! driving count of 0 proves the conjunction empty.
@@ -61,7 +64,7 @@ use pi_storage::encoding::OrderedKey;
 use pi_storage::scan::ScanResult;
 use pi_storage::Value;
 
-use crate::erased::{ErasedColumn, ErasedKey, ErasedSum};
+use crate::erased::{ErasedColumn, ErasedKey, ErasedSum, RowColumn};
 use crate::executor::{EngineError, Executor, ExecutorConfig};
 use crate::planner::{choose_driving, Plan, PredicateStats};
 use crate::table::{AlgorithmChoice, ColumnSpec, ShardedColumn, Table};
@@ -113,12 +116,12 @@ impl MultiColumnSpec {
     }
 }
 
-/// The row-aligned side of a [`MultiTable`]: full typed keys per column,
-/// plus the live bitmap. Rows are append-only — a delete marks its slot
+/// The row-aligned side of a [`MultiTable`]: each column's keys (strings
+/// as their row keys), plus the live bitmap. Rows are append-only — a delete marks its slot
 /// dead, an update replaces keys in place — so a row id stays stable for
 /// the table's lifetime.
 struct RowStore {
-    columns: Vec<ErasedColumn>,
+    columns: Vec<RowColumn>,
     live: Vec<bool>,
     live_count: usize,
 }
@@ -238,27 +241,29 @@ impl MultiTableBuilder {
     /// (selection vectors hold `u32` row ids).
     pub fn build(self) -> MultiTable {
         assert!(!self.specs.is_empty(), "a table needs at least one column");
-        let rows = self.specs[0].keys.len();
-        assert!(rows <= u32::MAX as usize, "at most u32::MAX rows");
         let mut builder = Table::builder();
         let mut names = Vec::with_capacity(self.specs.len());
-        let mut columns = Vec::with_capacity(self.specs.len());
+        let mut columns: Vec<RowColumn> = Vec::with_capacity(self.specs.len());
         for spec in self.specs {
+            let column = RowColumn::from(spec.keys);
+            let rows = columns.first().map_or(column.len(), RowColumn::len);
+            assert!(rows <= u32::MAX as usize, "at most u32::MAX rows");
             assert_eq!(
-                spec.keys.len(),
+                column.len(),
                 rows,
                 "column {:?} must hold the same row count as its siblings",
                 spec.name
             );
             builder = builder.column(
-                ColumnSpec::new(spec.name.clone(), spec.keys.codes())
+                ColumnSpec::new(spec.name.clone(), column.codes())
                     .with_shards(spec.shards)
                     .with_policy(spec.policy)
                     .with_choice(spec.choice),
             );
             names.push(spec.name);
-            columns.push(spec.keys);
+            columns.push(column);
         }
+        let rows = columns[0].len();
         if let Some(registry) = self.metrics {
             builder = builder.metrics(registry);
         }
@@ -368,8 +373,7 @@ impl MultiTable {
                 );
                 for (c, key) in keys.iter().enumerate() {
                     let new = key.to_code();
-                    let old_key = store.columns[c].replace(row, key.clone());
-                    let old = old_key.to_code();
+                    let old = store.columns[c].replace(row, key.clone());
                     let flags = self.inner.columns()[c]
                         .apply_mutations(std::slice::from_ref(&Mutation::Update { old, new }));
                     debug_assert_eq!(
@@ -801,12 +805,12 @@ impl MultiExecutor {
 /// Decodes a code-space `(sum, count)` cell aggregate into the column's
 /// key domain, honouring the capability gate: exact for `u64` (identity)
 /// and `i64` (affine shift), `None` for `f64`/string.
-fn decode_cell_sum(column: &ErasedColumn, sum: u128, count: u64) -> Option<ErasedSum> {
+fn decode_cell_sum(column: &RowColumn, sum: u128, count: u64) -> Option<ErasedSum> {
     match column {
-        ErasedColumn::U64(_) => Some(ErasedSum::U64(sum)),
-        ErasedColumn::I64(_) => {
+        RowColumn::U64(_) => Some(ErasedSum::U64(sum)),
+        RowColumn::I64(_) => {
             <i64 as OrderedKey>::decode_sum(ScanResult { sum, count }).map(ErasedSum::I64)
         }
-        ErasedColumn::F64(_) | ErasedColumn::Str(_) => None,
+        RowColumn::F64(_) | RowColumn::Str { .. } => None,
     }
 }

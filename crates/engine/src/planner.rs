@@ -24,8 +24,8 @@
 //! per-row cost on the rows still selected. The order is the classic
 //! rank rule — ascending `(selectivity − 1) / cost`, most rows discarded
 //! per nanosecond first — over two cost classes, fixed-width and string
-//! compares. A string predicate thus runs ahead of only the fixed-width
-//! ones passing > 80% of the rows. The simpler "strings always last" is
+//! key compares. A string predicate thus runs ahead of the fixed-width
+//! ones passing > 30% of the rows. The simpler "strings always last" is
 //! kept out on end-to-end evidence alone: ten alternating pairs on
 //! pibench's `typed_multicol` read `hot_ops_s` 26.9k with it and 29.3k
 //! with the rank rule (10/10). The plan only moves *cost*, never
@@ -40,11 +40,12 @@ const RHO_WEIGHT: f64 = 0.25;
 /// after the first pays: 50k of 100k `u64` rows refined in 59–73 µs (1.2–1.45 ns a row;
 /// the one dense `select` of all 100k, 47–59 µs under AVX2) on the 2-vCPU benchmark box.
 const FIXED_WIDTH_ROW_NS: f64 = 1.4;
-/// Per-row cost, in ns, of a string range test (a heap dereference and
-/// two 16-byte order-key compares each): a 50k-row refine of
-/// `typed_multicol`'s names measured 359 µs on the same box, in the same
-/// run. Only the ratio of the two enters a plan.
-const STRING_ROW_NS: f64 = 7.0;
+/// Per-row cost, in ns, of a string range test (one 16-byte row-key
+/// range test each): 50k of 100k `typed_multicol`-like names refined in
+/// 1.8–2.4 ns a row, bounds inside the shared prefix, timed in the same
+/// processes as 1.2–1.9 ns for the `u64` refine above on the same box.
+/// Only the ratio of the two enters a plan.
+const STRING_ROW_NS: f64 = 2.0;
 
 /// The planner's per-predicate decision inputs, as gathered for one
 /// conjunction.
@@ -59,7 +60,7 @@ pub struct PredicateStats<'a> {
     /// the lock-free per-shard cache).
     pub rho: f64,
     /// Whether the column's codes are key prefixes (strings): evaluating
-    /// the predicate dereferences a full key per row.
+    /// the predicate compares a 16-byte row key per row.
     pub prefix_encoded: bool,
 }
 
@@ -166,10 +167,10 @@ mod tests {
     #[test]
     fn predicates_run_by_rank_and_the_driver_need_not_run_first() {
         // A string range inside a shared prefix estimates at ≈ 0 and so
-        // drives, but a string compare is dear: it runs after the
-        // fixed-width predicates that discard rows (ascending
-        // selectivity, predicate order breaking ties) and ahead of only
-        // the one that discards none.
+        // drives, but a string compare is dearer: it runs after the
+        // fixed-width predicates that discard most rows (ascending
+        // selectivity, predicate order breaking ties) and ahead of the
+        // one that discards none.
         let name = PredicateStats {
             prefix_encoded: true,
             ..stats("name", 0.0001, 1.0)
@@ -177,17 +178,17 @@ mod tests {
         let plan = choose_driving(vec![
             name.clone(),
             stats("temp", 1.0, 1.0),
-            stats("id", 0.5, 1.0),
-            stats("id2", 0.5, 0.0),
+            stats("id", 0.2, 1.0),
+            stats("id2", 0.2, 0.0),
         ]);
         assert_eq!(plan.driving, 0);
         assert_eq!(plan.order, vec![2, 3, 0, 1]);
         // The crossover: a string predicate overtakes a fixed-width one
-        // passing more than 1 − FIXED_WIDTH_ROW_NS / STRING_ROW_NS (80%)
+        // passing more than 1 − FIXED_WIDTH_ROW_NS / STRING_ROW_NS (30%)
         // of the rows, and no other.
-        let plan = choose_driving(vec![name.clone(), stats("id", 0.78, 1.0)]);
+        let plan = choose_driving(vec![name.clone(), stats("id", 0.28, 1.0)]);
         assert_eq!(plan.order, vec![1, 0]);
-        let plan = choose_driving(vec![name, stats("id", 0.82, 1.0)]);
+        let plan = choose_driving(vec![name, stats("id", 0.32, 1.0)]);
         assert_eq!(plan.order, vec![0, 1]);
     }
 

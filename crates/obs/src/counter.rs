@@ -15,11 +15,11 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 /// as well as aarch64's 128-byte lines, the same choice crossbeam makes).
 #[derive(Debug, Default)]
 #[repr(align(128))]
-pub struct CachePadded<T>(pub T);
+pub(crate) struct CachePadded<T>(T);
 
 impl<T> CachePadded<T> {
     /// Wraps `value` in a cache-line-aligned cell.
-    pub const fn new(value: T) -> Self {
+    pub(crate) const fn new(value: T) -> Self {
         CachePadded(value)
     }
 }
@@ -55,7 +55,7 @@ fn thread_lane() -> usize {
 /// A monotone, lock-free, write-striped counter.
 ///
 /// ```
-/// let c = pi_obs::Counter::new();
+/// let c = pi_obs::MetricsRegistry::new().counter("c");
 /// c.inc();
 /// c.add(41);
 /// assert_eq!(c.get(), 42);
@@ -73,7 +73,7 @@ impl Default for Counter {
 
 impl Counter {
     /// Creates a zeroed counter.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Counter {
             lanes: Box::new(std::array::from_fn(|_| CachePadded::new(AtomicU64::new(0)))),
         }
@@ -107,7 +107,8 @@ impl Counter {
 /// striping would only slow the read side down.
 ///
 /// ```
-/// let g = pi_obs::Gauge::new();
+/// let g = pi_obs::MetricsRegistry::new().gauge("g");
+/// assert_eq!(g.get(), 0.0);
 /// g.set(0.75);
 /// assert_eq!(g.get(), 0.75);
 /// g.set_u64(9);
@@ -119,13 +120,6 @@ pub struct Gauge {
 }
 
 impl Gauge {
-    /// Creates a gauge reading `0.0`.
-    pub fn new() -> Self {
-        Gauge {
-            bits: AtomicU64::new(0f64.to_bits()),
-        }
-    }
-
     /// Sets the gauge. Non-finite values are recorded as `0.0` so JSON
     /// export never has to emit `NaN`/`inf`.
     #[inline]
@@ -180,7 +174,7 @@ mod tests {
 
     #[test]
     fn gauge_is_last_write_wins_and_sanitizes() {
-        let gauge = Gauge::new();
+        let gauge = Gauge::default();
         assert_eq!(gauge.get(), 0.0);
         gauge.set(0.25);
         gauge.set(0.5);

@@ -1,8 +1,8 @@
-//! Log-bucketed, mergeable latency/size histograms.
+//! Log-bucketed latency/size histograms.
 //!
 //! A [`Histogram`] has [`BUCKETS`] buckets whose upper bounds grow by √2
 //! per step (two buckets per octave): bucket 0 holds exact zeros, the
-//! geometric range covers `1..=`[`MAX_TRACKED`] (about 24 s when values
+//! geometric range covers `1..=2^34` (about 24 s when values
 //! are nanoseconds), and the final bucket absorbs anything larger. The
 //! √2 growth bounds the relative error of every quantile read: the
 //! reported value is the bucket's upper bound, at most one bucket — a
@@ -17,16 +17,12 @@ use std::time::Duration;
 
 /// Number of buckets: one zero bucket, 70 √2-spaced geometric buckets
 /// (two per octave), one overflow bucket.
-pub const BUCKETS: usize = 72;
-
-/// Largest value the geometric buckets track exactly-enough; larger
-/// values clip into the overflow bucket.
-pub const MAX_TRACKED: u64 = 1 << 34; // ≈ 1.7e10; last geometric bound is ≈ 2.4e10
+pub(crate) const BUCKETS: usize = 72;
 
 /// Bucket upper bounds, strictly increasing: `[0, 1, 2, 3, 4, 5, 6, 8,
 /// 11, 16, 23, 32, ...]` — `round(2^(k/2))` with consecutive-integer
 /// fill-in at the small end, `u64::MAX` last.
-pub fn bucket_bounds() -> &'static [u64; BUCKETS] {
+pub(crate) fn bucket_bounds() -> &'static [u64; BUCKETS] {
     static BOUNDS: OnceLock<[u64; BUCKETS]> = OnceLock::new();
     BOUNDS.get_or_init(|| {
         let mut bounds = [0u64; BUCKETS];
@@ -44,7 +40,7 @@ pub fn bucket_bounds() -> &'static [u64; BUCKETS] {
 /// Index of the bucket that holds `value`: the first bucket whose upper
 /// bound is ≥ `value`.
 #[inline]
-pub fn bucket_index(value: u64) -> usize {
+pub(crate) fn bucket_index(value: u64) -> usize {
     // The first few buckets hold consecutive integers; answering them
     // without the binary search keeps the common small-value path short.
     if value <= 6 {
@@ -117,8 +113,7 @@ impl Histogram {
     }
 }
 
-/// An owned, mergeable copy of a [`Histogram`]'s state; the quantile
-/// surface.
+/// An owned copy of a [`Histogram`]'s state; the quantile surface.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HistogramSnapshot {
     /// Total number of recorded values.
@@ -140,16 +135,6 @@ impl Default for HistogramSnapshot {
 }
 
 impl HistogramSnapshot {
-    /// Folds `other` into `self` — the merge that lets per-client or
-    /// per-worker histograms aggregate without locks on the record path.
-    pub fn merge(&mut self, other: &HistogramSnapshot) {
-        self.count += other.count;
-        self.sum = self.sum.saturating_add(other.sum);
-        for (mine, theirs) in self.counts.iter_mut().zip(&other.counts) {
-            *mine += theirs;
-        }
-    }
-
     /// Nearest-rank quantile estimate for `q ∈ [0, 1]`: the upper bound
     /// of the bucket containing the rank-⌈q·n⌉ sample (0 for an empty
     /// histogram). Never below the true sample; at most one √2 bucket
@@ -203,17 +188,6 @@ impl HistogramSnapshot {
             self.sum as f64 / self.count as f64
         }
     }
-
-    /// The non-empty buckets as `(upper_bound, count)` pairs, in
-    /// increasing bound order.
-    pub fn buckets(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
-        let bounds = bucket_bounds();
-        self.counts
-            .iter()
-            .enumerate()
-            .filter(|(_, &n)| n > 0)
-            .map(move |(i, &n)| (bounds[i], n))
-    }
 }
 
 #[cfg(test)]
@@ -221,6 +195,9 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+
+    /// The last geometric bound is ≈ 2.4e10, above this value.
+    const MAX_TRACKED: u64 = 1 << 34;
 
     #[test]
     fn bounds_are_strictly_increasing_and_sqrt2_spaced() {
@@ -288,21 +265,6 @@ mod tests {
         assert_eq!(snap.count, 0);
         assert_eq!(snap.quantile(0.99), 0);
         assert_eq!(snap.mean(), 0.0);
-        assert_eq!(snap.buckets().count(), 0);
-    }
-
-    #[test]
-    fn merge_equals_recording_into_one() {
-        let a = Histogram::new();
-        let b = Histogram::new();
-        let both = Histogram::new();
-        for v in 0..1000u64 {
-            if v % 2 == 0 { &a } else { &b }.record(v * 17 % 4096);
-            both.record(v * 17 % 4096);
-        }
-        let mut merged = a.snapshot();
-        merged.merge(&b.snapshot());
-        assert_eq!(merged, both.snapshot());
     }
 
     #[test]

@@ -11,17 +11,17 @@
 //! shim-style:
 //!
 //! * [`Counter`] / [`Gauge`] — lock-free. Counters stripe their value
-//!   across per-thread [`CachePadded`] atomic lanes so concurrent
+//!   across per-thread cache-line-aligned atomic lanes so concurrent
 //!   writers never share a cache line; reads aggregate the lanes.
 //! * [`Histogram`] — log-bucketed latency/size histogram: ~64 buckets
 //!   whose bounds grow by √2 per step (two buckets per octave), covering
-//!   1 ns … ≈ 24 s plus an overflow bucket. Mergeable; quantile reads
+//!   1 ns … ≈ 24 s plus an overflow bucket. Quantile reads
 //!   ([`HistogramSnapshot::quantile`]) are exact-enough p50/p95/p99/p999:
 //!   the reported value is the bucket upper bound, at most one bucket
 //!   (× √2, × 2 at the small-integer end) above the true nearest-rank
 //!   sample.
 //! * [`MetricsRegistry`] — name → handle map with get-or-register typed
-//!   accessors, a process-wide [`MetricsRegistry::global`] default, and
+//!   accessors, and
 //!   [`MetricsRegistry::snapshot`] producing a [`MetricsSnapshot`], an
 //!   owned copy that tests, examples and dashboards read by name.
 //! * [`timed!`] / [`ScopeTimer`] — timed scopes that are **feature
@@ -60,11 +60,11 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod counter;
-pub mod histogram;
-pub mod registry;
+mod counter;
+mod histogram;
+mod registry;
 
-pub use counter::{CachePadded, Counter, Gauge};
+pub use counter::{Counter, Gauge};
 pub use histogram::{Histogram, HistogramSnapshot};
 pub use registry::{sanitize_component, MetricsRegistry, MetricsSnapshot};
 
@@ -156,13 +156,6 @@ impl<'a> ScopeTimer<'a> {
             },
         }
     }
-
-    /// Abandons the scope without recording (e.g. on an error path that
-    /// should not pollute the latency distribution).
-    #[inline]
-    pub fn cancel(mut self) {
-        self.target = None;
-    }
 }
 
 impl Drop for ScopeTimer<'_> {
@@ -212,18 +205,14 @@ mod tests {
     }
 
     #[test]
-    fn scope_timer_records_on_drop_and_cancel_suppresses() {
+    fn scope_timer_records_on_drop() {
         let registry = MetricsRegistry::new();
         let hist = registry.histogram("scope");
         {
             let _s = ScopeTimer::new(&hist);
         }
-        {
-            let s = ScopeTimer::new(&hist);
-            s.cancel();
-        }
         let count = registry.snapshot().histogram("scope").unwrap().count;
-        assert_eq!(count, u64::from(ENABLED), "drop records once, cancel never");
+        assert_eq!(count, u64::from(ENABLED), "drop records once");
     }
 
     /// The overhead guard for the zero-cost claim: a million timed scopes

@@ -16,7 +16,7 @@
 //! Nanosecond histograms end in `_ns`, per-mille histograms in `_pm`.
 
 use std::collections::BTreeMap;
-use std::sync::{Arc, OnceLock, RwLock};
+use std::sync::{Arc, RwLock};
 
 use crate::counter::{Counter, Gauge};
 use crate::histogram::{Histogram, HistogramSnapshot};
@@ -43,10 +43,10 @@ pub fn sanitize_component(raw: &str) -> String {
 
 /// A process-local registry of named counters, gauges and histograms.
 ///
-/// Components default to the process-wide [`MetricsRegistry::global`]
-/// registry so a whole serving stack lands in one snapshot; tests and
-/// benches that need isolation construct their own with
-/// [`MetricsRegistry::new`] and pass it down.
+/// Components record into the registry they are built with: one
+/// registry passed down a whole serving stack lands in one snapshot, and
+/// tests that need isolation construct their own with
+/// [`MetricsRegistry::new`].
 #[derive(Debug, Default)]
 pub struct MetricsRegistry {
     counters: RwLock<BTreeMap<String, Arc<Counter>>>,
@@ -76,14 +76,6 @@ impl MetricsRegistry {
     /// Creates an empty, isolated registry.
     pub fn new() -> Self {
         MetricsRegistry::default()
-    }
-
-    /// The process-wide default registry. Components that are built
-    /// without an explicit registry record here, so one snapshot covers
-    /// the whole serving stack.
-    pub fn global() -> Arc<MetricsRegistry> {
-        static GLOBAL: OnceLock<Arc<MetricsRegistry>> = OnceLock::new();
-        Arc::clone(GLOBAL.get_or_init(|| Arc::new(MetricsRegistry::new())))
     }
 
     /// Returns the counter `name`, registering it on first use.
@@ -216,13 +208,6 @@ mod tests {
             vec![("engine.rho.ra.0", 0.25), ("engine.rho.ra.1", 0.75)]
         );
         assert_eq!(snap.gauges_with_prefix("engine.rho.").count(), 3);
-    }
-
-    #[test]
-    fn global_registry_is_a_singleton() {
-        let a = MetricsRegistry::global();
-        let b = MetricsRegistry::global();
-        assert!(Arc::ptr_eq(&a, &b));
     }
 
     #[test]
