@@ -5,7 +5,7 @@
 //! the array is topped with a B+-tree, `δ · N_copy` element copies per
 //! query, queries binary-search the array until the tree is complete, and
 //! afterwards use the tree — the index is *converged* and a range sum costs
-//! two descents and at most two partial blocks of leaves.
+//! one descent of both bounds and at most one block of leaves.
 
 use std::sync::Arc;
 

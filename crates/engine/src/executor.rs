@@ -118,8 +118,9 @@ impl From<crate::durability::DurabilityError> for EngineError {
     }
 }
 
-/// Elements a probe of a fully indexed shard is priced at: two B+-tree
-/// descents and at most two partial 256-leaf blocks.
+/// Elements a probe of a fully indexed shard is priced at: two 256-leaf
+/// blocks, one for the leaves it reads and one for its descent's windows
+/// and misses.
 const PROBE_ELEMENTS: usize = 512;
 
 /// Predicted elements read by the shard tasks a batch could hand to other
@@ -189,7 +190,9 @@ struct ExecutorObs {
     decompose_ns: Arc<Histogram>,
     /// Shard fan-out: pool dispatch plus every shard probe.
     scan_ns: Arc<Histogram>,
-    /// Folding the partial results back into per-query answers.
+    /// Folding a fanned batch's partial results back into per-query
+    /// answers (an inline batch folds each one as it is probed, inside
+    /// `scan_ns`, and records an empty fold here).
     merge_ns: Arc<Histogram>,
     /// Background maintenance rounds (off the serving path).
     maintain_ns: Arc<Histogram>,
@@ -474,20 +477,58 @@ impl Executor {
     /// default) the pool's idle cycles add batched maintenance on top
     /// whenever serving leaves them free.
     pub fn execute_batch(&self, queries: &[TableQuery]) -> Result<Vec<ScanResult>, EngineError> {
+        // Resolve names up front, so an unknown column fails the whole
+        // batch before any work happens. (The scope timer records the
+        // failed framing too — an error batch still spent the time.)
+        let decompose_timer = self.decompose_timer();
+        let resolved = queries
+            .iter()
+            .map(|q| match self.table.column_index(&q.column) {
+                Some(column) => Ok((column, q.low, q.high)),
+                None => Err(EngineError::UnknownColumn(q.column.clone())),
+            })
+            .collect::<Result<Vec<_>, _>>()?;
+        let mut results = vec![ScanResult::EMPTY; queries.len()];
+        self.execute_resolved(&resolved, &mut results, decompose_timer);
+        Ok(results)
+    }
+
+    /// Executes a single query: the batch path for one resolved query,
+    /// its answer kept on the stack.
+    pub fn execute_one(
+        &self,
+        column: &str,
+        low: Value,
+        high: Value,
+    ) -> Result<ScanResult, EngineError> {
+        let decompose_timer = self.decompose_timer();
+        let column = self
+            .table
+            .column_index(column)
+            .ok_or_else(|| EngineError::UnknownColumn(column.to_string()))?;
+        let mut result = [ScanResult::EMPTY];
+        self.execute_resolved(&[(column, low, high)], &mut result, decompose_timer);
+        Ok(result[0])
+    }
+
+    /// Starts timing a batch's framing, when the executor is metered.
+    fn decompose_timer(&self) -> Option<ScopeTimer<'_>> {
         let obs = self.maintenance.obs.as_deref();
-        // Resolve names and record workload statistics up front, so an
-        // unknown column fails the whole batch before any work happens.
-        let decompose_timer = obs.map(|o| ScopeTimer::new(&o.decompose_ns));
-        let mut resolved = Vec::with_capacity(queries.len());
-        for q in queries {
-            let column = self.table.column_index(&q.column).ok_or_else(|| {
-                EngineError::UnknownColumn(q.column.clone())
-                // (The scope timer records the failed framing too — an
-                // error batch still spent the time.)
-            })?;
-            resolved.push((column, q.low, q.high));
-        }
-        for &(column, low, high) in &resolved {
+        obs.map(|o| ScopeTimer::new(&o.decompose_ns))
+    }
+
+    /// The batch path past name resolution: answers the `(column, low,
+    /// high)` queries into `results`, one empty slot each.
+    /// `decompose_timer`, started before resolution, stops once the batch
+    /// is routed.
+    fn execute_resolved(
+        &self,
+        queries: &[(usize, Value, Value)],
+        results: &mut [ScanResult],
+        decompose_timer: Option<ScopeTimer<'_>>,
+    ) {
+        let obs = self.maintenance.obs.as_deref();
+        for &(column, low, high) in queries {
             self.table.columns()[column].stats().record(low, high);
         }
         if let Some(obs) = obs {
@@ -499,13 +540,14 @@ impl Executor {
         // Tasks are looked up through a dense flat-shard-id scratch table
         // (the table shape is immutable), not a hash map: batch framing
         // runs once per shard visit, and hashing dominated it at higher
-        // shard counts.
+        // shard counts. The mask of touched shards is only allocated when
+        // the batch may spawn a maintenance job.
         let total_shards = self.maintenance.addresses.len();
-        let mut results = vec![ScanResult::EMPTY; queries.len()];
+        let maintain = self.config.maintenance_steps > 0 && !self.table.is_converged();
         let mut tasks: Vec<ShardTask> = Vec::new();
         let mut task_of: Vec<Option<usize>> = vec![None; total_shards];
-        let mut touched = vec![false; total_shards];
-        for (query_idx, &(column, low, high)) in resolved.iter().enumerate() {
+        let mut touched = vec![false; if maintain { total_shards } else { 0 }];
+        for (query_idx, &(column, low, high)) in queries.iter().enumerate() {
             let sharded = &self.table.columns()[column];
             for shard in sharded.overlapping(low, high) {
                 // Fully covered shards are answered from their precomputed
@@ -521,7 +563,9 @@ impl Executor {
                     continue;
                 }
                 let flat = self.flat_id(column, shard);
-                touched[flat] = true;
+                if let Some(mark) = touched.get_mut(flat) {
+                    *mark = true;
+                }
                 let task = *task_of[flat].get_or_insert_with(|| {
                     tasks.push(ShardTask {
                         column,
@@ -536,7 +580,7 @@ impl Executor {
         drop(decompose_timer);
 
         let scan_timer = obs.map(|o| ScopeTimer::new(&o.scan_ns));
-        let partials = self.run_shard_tasks(tasks);
+        let partials = self.run_shard_tasks(tasks, results);
         drop(scan_timer);
 
         let merge_timer = obs.map(|o| ScopeTimer::new(&o.merge_ns));
@@ -547,9 +591,9 @@ impl Executor {
 
         // Amortize the batch's maintenance budget across shards the batch
         // did not touch, off the serving path.
-        self.spawn_maintenance(self.config.maintenance_steps, touched);
-
-        Ok(results)
+        if maintain {
+            self.spawn_maintenance(self.config.maintenance_steps, touched);
+        }
     }
 
     /// Elements the tasks a caller could hand to other workers are
@@ -567,14 +611,20 @@ impl Executor {
         total - largest
     }
 
-    /// The single dispatch path for shard tasks: runs every task and
-    /// returns the `(query index, partial result)` pairs, in arbitrary
-    /// order (the merge is commutative).
+    /// The single dispatch path for shard tasks: runs every task. An
+    /// inline batch folds each partial result into its query's slot of
+    /// `results` as it is probed; a fanned one returns the `(query index,
+    /// partial result)` pairs its workers collected, in arbitrary order,
+    /// for the caller to fold (the merge is commutative).
     ///
     /// The caller runs at least the largest task itself; the rest goes
     /// through the pool, shard-affine and with the caller helping, only
     /// when it is predicted to exceed `FAN_OUT_BREAK_EVEN_ELEMENTS`.
-    fn run_shard_tasks(&self, tasks: Vec<ShardTask>) -> Vec<(usize, ScanResult)> {
+    fn run_shard_tasks(
+        &self,
+        tasks: Vec<ShardTask>,
+        results: &mut [ScanResult],
+    ) -> Vec<(usize, ScanResult)> {
         let fan_out = self.pool.workers() > 1
             && self.predicted_handover(&tasks) > FAN_OUT_BREAK_EVEN_ELEMENTS;
         if let Some(obs) = self.maintenance.obs.as_deref() {
@@ -585,15 +635,14 @@ impl Executor {
             }
         }
         if !fan_out {
-            let expected: usize = tasks.iter().map(|t| t.sub_queries.len()).sum();
-            let mut partials = Vec::with_capacity(expected);
             for task in &tasks {
                 let column = &self.table.columns()[task.column];
                 for &(query_idx, low, high) in &task.sub_queries {
-                    partials.push((query_idx, column.query_shard(task.shard, low, high)));
+                    let partial = column.query_shard(task.shard, low, high);
+                    results[query_idx] = results[query_idx].merge(partial);
                 }
             }
-            return partials;
+            return Vec::new();
         }
         struct BatchState {
             table: Arc<Table>,
@@ -649,9 +698,10 @@ impl Executor {
     /// saturating workload it alone would starve cold shards. The
     /// per-batch budget is the load-independent floor that keeps the
     /// convergence guarantee; while every shard's convergence flag is set
-    /// no job is enqueued at all.
+    /// no job is enqueued at all (a batch that found the table converged
+    /// does not call this, and one that converged it enqueues nothing).
     fn spawn_maintenance(&self, steps: usize, touched: Vec<bool>) {
-        if steps == 0 || self.table.is_converged() {
+        if self.table.is_converged() {
             return;
         }
         if self.pending_maintenance.fetch_add(1, Ordering::Relaxed) >= 4 {
@@ -684,18 +734,6 @@ impl Executor {
                 drop(timer);
             }),
         );
-    }
-
-    /// Executes a single query (a batch of one).
-    pub fn execute_one(
-        &self,
-        column: &str,
-        low: Value,
-        high: Value,
-    ) -> Result<ScanResult, EngineError> {
-        Ok(self
-            .execute_batch(std::slice::from_ref(&TableQuery::new(column, low, high)))?
-            .remove(0))
     }
 
     /// Applies a batch of mutations to `column` in request order through
@@ -956,6 +994,7 @@ mod tests {
             .unwrap_err();
         assert_eq!(err, EngineError::UnknownColumn("nope".into()));
         assert!(err.to_string().contains("nope"));
+        assert_eq!(executor.execute_one("nope", 0, 10), Err(err));
     }
 
     #[test]

@@ -24,8 +24,11 @@
 # `core.mutation.sidecar_query_us`, and `engine.executor.shards_reopened`,
 # the converged shards writes reopened) and the conjunction's layer
 # (`engine.multicol.execute_us`, `engine.kind_share.conjunction` and
-# `engine.planner.survivors_per_result`, which moves only if a plan did),
-# so the layer that moved is on the same page.
+# `engine.planner.survivors_per_result`, which moves only if a plan did)
+# and the converged read's layers (`storage.btree.range_us`,
+# `storage.btree_lookup_ns`, `core.index.query_us`,
+# `engine.executor.overhead_us`, and `driver.peel_min_self_share`, whose
+# floor the peel checks), so the layer that moved is on the same page.
 #
 # The run length and the command come from the working tree's
 # BENCHMARK.json and are the same on both sides.
@@ -133,7 +136,10 @@ EOF
                 $1 == "core.merge_steps" || $1 ~ /^core\.mutation\.(apply_us|merge_s|sidecar_query_us)$/ ||
                 $1 == "engine.executor.shards_reopened" ||
                 $1 == "engine.multicol.execute_us" || $1 == "engine.kind_share.conjunction" ||
-                $1 == "engine.planner.survivors_per_result" {
+                $1 == "engine.planner.survivors_per_result" ||
+                $1 == "storage.btree.range_us" || $1 == "storage.btree_lookup_ns" ||
+                $1 == "core.index.query_us" || $1 == "engine.executor.overhead_us" ||
+                $1 == "driver.peel_min_self_share" {
                     printf "  %-7s %-32s %.6g %s\n", side, $1, $2, $3 }'
     done
 done
