@@ -37,7 +37,6 @@
 
 use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
 
 use pi_obs::{Counter, Gauge, Histogram, MetricsRegistry};
 
@@ -261,9 +260,6 @@ pub enum FsyncPolicy {
     /// Flush and fsync once `n` records have accumulated (group commit);
     /// a crash loses at most the last `n - 1` records.
     EveryN(usize),
-    /// Flush and fsync when at least this much time has passed since the
-    /// last sync; a crash loses at most one interval of records.
-    Interval(Duration),
 }
 
 /// The `wal.*` metric handles (see [`WalMetrics::register`]). Counters
@@ -314,7 +310,6 @@ pub struct WalWriter {
     /// Encoded frames not yet pushed to storage.
     buffer: Vec<u8>,
     buffered_records: usize,
-    last_sync: Instant,
     /// Monotone count of framed bytes pushed to storage (never reset by
     /// checkpoint truncation — checkpoint policies diff it).
     bytes_appended: u64,
@@ -332,7 +327,6 @@ impl WalWriter {
             next_seq: next_seq.max(1),
             buffer: Vec::new(),
             buffered_records: 0,
-            last_sync: Instant::now(),
             bytes_appended: 0,
             metrics: None,
         }
@@ -369,11 +363,6 @@ impl WalWriter {
                     self.commit()?;
                 }
             }
-            FsyncPolicy::Interval(interval) => {
-                if self.last_sync.elapsed() >= interval {
-                    self.commit()?;
-                }
-            }
         }
         Ok(seq)
     }
@@ -397,7 +386,6 @@ impl WalWriter {
         if let Some(metrics) = &self.metrics {
             metrics.fsyncs.inc();
         }
-        self.last_sync = Instant::now();
         Ok(())
     }
 

@@ -372,14 +372,14 @@ impl DurableTable {
         column: &str,
         mutations: &[Mutation],
     ) -> Result<Vec<bool>, DurabilityError> {
+        if self.table.column_index(column).is_none() {
+            return Err(DurabilityError::UnknownColumn(column.to_string()));
+        }
         if mutations.is_empty() {
             return Ok(Vec::new());
         }
         let flags = {
             let _quiesce = self.quiesce.read().expect("quiesce lock poisoned");
-            if self.table.column_index(column).is_none() {
-                return Err(DurabilityError::UnknownColumn(column.to_string()));
-            }
             let mut wal = self.wal.lock().expect("wal lock poisoned");
             wal.writer.append(&WalRecord::MutationBatch {
                 column: column.to_string(),

@@ -1,5 +1,4 @@
-//! Batched, shard-parallel query execution on a persistent scheduler,
-//! with an amortized per-batch indexing budget.
+//! Batched, shard-parallel query execution on a persistent scheduler.
 //!
 //! The paper bounds the *extra* work any single query performs by the
 //! indexing budget δ. The executor extends that guarantee to concurrent
@@ -11,7 +10,8 @@
 //!   performs its budgeted δ-slice of indexing work for every sub-query it
 //!   answers, on a shard that holds only ~`rows / shard_count` elements —
 //!   so the extra work a query pays stays bounded even when it spans
-//!   several shards. The shard tasks run on the calling thread unless the
+//!   several shards. Those δ-slices are the only indexing a batch pays
+//!   for. The shard tasks run on the calling thread unless the
 //!   work that could be handed to other workers is predicted to exceed the
 //!   cost of waking them (`FAN_OUT_BREAK_EVEN_ELEMENTS`): a persistent
 //!   pool saves the thread spawn, not the park/wake round trip, and that
@@ -21,20 +21,16 @@
 //!   dispatched onto the shard-affine [`pi_sched::Pool`] (shards pinned to
 //!   workers by row weight for cache locality, work-stealing for balance,
 //!   the submitting client helps drain).
-//! * **Maintenance budget** — after answering, a fire-and-forget pool job
-//!   spends at most [`ExecutorConfig::maintenance_steps`] additional
-//!   empty-query steps per batch, round-robin over the not-yet-converged
-//!   shards the batch did *not* touch, off the client's critical path.
 //! * **Idle-cycle maintenance** — when
 //!   [`ExecutorConfig::background_maintenance`] is on (the default), pool
-//!   workers donate their idle cycles to the same round-robin maintenance.
-//!   Each idle cycle advances one shard by up to its column's shard count
-//!   of budgeted steps under a single lock acquisition (roughly a whole
+//!   workers donate their idle cycles to round-robin maintenance. Each
+//!   idle cycle advances one shard by up to its column's shard count of
+//!   budgeted steps under a single lock acquisition (roughly a whole
 //!   column-δ of work), so finer sharding does not multiply the lock
 //!   round-trips contending with serving threads. Cold shards therefore
 //!   converge even under a workload that *never* queries their range,
-//!   without ever exceeding the fixed per-batch budget on the serving
-//!   path — the engine-level analogue of the paper's robustness guarantee.
+//!   and none of that work runs on the serving path — the engine-level
+//!   analogue of the paper's robustness guarantee.
 //!
 //! The executor is `Sync`: any number of client threads may call
 //! [`Executor::execute_batch`] concurrently on one shared instance. Shard
@@ -139,9 +135,8 @@ pub struct ExecutorConfig {
     /// Number of persistent pool workers the executor keeps alive.
     /// Defaults to the machine's available parallelism.
     pub worker_threads: usize,
-    /// Maintenance budget: maximum number of additional budgeted indexing
-    /// steps (empty queries) spent per batch on shards the batch did not
-    /// touch.
+    /// Does nothing: a batch spends no indexing steps beyond its own
+    /// queries' δ. Kept only because `pibench/` names the field.
     pub maintenance_steps: usize,
     /// Donate the pool's idle cycles to cold-shard maintenance, so every
     /// shard converges even when its value range is never queried.
@@ -154,7 +149,7 @@ impl Default for ExecutorConfig {
             worker_threads: std::thread::available_parallelism()
                 .map(|n| n.get())
                 .unwrap_or(4),
-            maintenance_steps: 4,
+            maintenance_steps: 0,
             background_maintenance: true,
         }
     }
@@ -194,16 +189,14 @@ struct ExecutorObs {
     /// answers (an inline batch folds each one as it is probed, inside
     /// `scan_ns`, and records an empty fold here).
     merge_ns: Arc<Histogram>,
-    /// Background maintenance rounds (off the serving path).
-    maintain_ns: Arc<Histogram>,
 }
 
 impl ExecutorObs {
-    fn register(registry: &MetricsRegistry) -> Arc<ExecutorObs> {
+    fn register(registry: &MetricsRegistry) -> ExecutorObs {
         // Counted by the table's columns (converged shards a write
         // reopened), registered here so every metered executor reports it.
         registry.counter("executor.shards_reopened");
-        Arc::new(ExecutorObs {
+        ExecutorObs {
             batches: registry.counter("executor.batches"),
             queries: registry.counter("executor.queries"),
             digest_hits: registry.counter("executor.digest_hits"),
@@ -212,8 +205,7 @@ impl ExecutorObs {
             decompose_ns: registry.histogram("executor.phase.decompose_ns"),
             scan_ns: registry.histogram("executor.phase.scan_ns"),
             merge_ns: registry.histogram("executor.phase.merge_ns"),
-            maintain_ns: registry.histogram("executor.phase.maintain_ns"),
-        })
+        }
     }
 }
 
@@ -227,9 +219,8 @@ struct ShardTask {
 }
 
 /// The shared maintenance state: which shards exist and where the
-/// round-robin cursor stands. Shared between the executor, its per-batch
-/// maintenance jobs and the pool's idle hook, all of which outlive any
-/// single borrow of the executor.
+/// round-robin cursor stands. Shared between the executor and the pool's
+/// idle hook, which outlives any single borrow of the executor.
 struct MaintenanceState {
     table: Arc<Table>,
     /// Flat `(column, shard)` addresses of every shard; the table shape is
@@ -237,9 +228,6 @@ struct MaintenanceState {
     addresses: Vec<(usize, usize)>,
     /// Round-robin cursor over `addresses`.
     cursor: AtomicUsize,
-    /// Shared with the owning [`Executor`]; maintenance jobs time their
-    /// rounds through it.
-    obs: Option<Arc<ExecutorObs>>,
 }
 
 impl MaintenanceState {
@@ -255,27 +243,6 @@ impl MaintenanceState {
         } else {
             column.advance_shard_by(s, steps)
         }
-    }
-
-    /// Spends up to `steps` budgeted steps on unconverged shards outside
-    /// `touched` (a flat-shard-id mask, or empty for "none"), round-robin.
-    /// Returns the steps actually performed.
-    fn run_round(&self, steps: usize, touched: &[bool]) -> usize {
-        let total = self.addresses.len();
-        if steps == 0 || self.table.is_converged() {
-            return 0;
-        }
-        let mut performed = 0;
-        let mut visited = 0;
-        while performed < steps && visited < total {
-            let at = self.cursor.fetch_add(1, Ordering::Relaxed) % total;
-            visited += 1;
-            if touched.get(at).copied().unwrap_or(false) {
-                continue;
-            }
-            performed += self.advance_at(at, 1);
-        }
-        performed
     }
 
     /// One sweep of the cursor: advance the first unconverged shard
@@ -327,12 +294,11 @@ pub struct Executor {
     affinity: Vec<usize>,
     /// `flat_id(c, s) = column_offsets[c] + s`.
     column_offsets: Vec<usize>,
-    /// Fire-and-forget maintenance jobs currently enqueued; bounded so a
-    /// saturated pool never accumulates a maintenance backlog.
-    pending_maintenance: Arc<AtomicUsize>,
     pool: Pool,
     /// The registry passed to [`Executor::with_metrics`], if any.
     registry: Option<Arc<MetricsRegistry>>,
+    /// Metric handles registered in `registry`.
+    obs: Option<ExecutorObs>,
     /// Durability layer, when attached ([`Executor::with_durability`]):
     /// mutations route through its write-ahead log and the idle path
     /// triggers its opportunistic checkpoints.
@@ -405,7 +371,6 @@ impl Executor {
             table: Arc::clone(&table),
             addresses,
             cursor: AtomicUsize::new(0),
-            obs: registry.as_deref().map(ExecutorObs::register),
         });
         let idle_task = config.background_maintenance.then(|| {
             let maintenance = Arc::clone(&maintenance);
@@ -425,8 +390,8 @@ impl Executor {
             maintenance,
             affinity,
             column_offsets,
-            pending_maintenance: Arc::new(AtomicUsize::new(0)),
             pool,
+            obs: registry.as_deref().map(ExecutorObs::register),
             registry,
             durability,
         }
@@ -469,13 +434,10 @@ impl Executor {
     /// scan of the base column (per-query answers never depend on how far
     /// indexing has progressed).
     ///
-    /// Cold-shard maintenance happens off this call's critical path:
-    /// after answering, up to [`ExecutorConfig::maintenance_steps`]
-    /// budgeted indexing steps are spent on untouched, unconverged
-    /// shards as a fire-and-forget pool job — the load-independent floor
-    /// — and with [`ExecutorConfig::background_maintenance`] on (the
-    /// default) the pool's idle cycles add batched maintenance on top
-    /// whenever serving leaves them free.
+    /// The only indexing this call performs is each sub-query's δ-slice
+    /// on the shard it probes. Shards the batch does not probe converge
+    /// through [`ExecutorConfig::background_maintenance`] (the pool's idle
+    /// cycles) or [`Executor::drive_to_convergence`].
     pub fn execute_batch(&self, queries: &[TableQuery]) -> Result<Vec<ScanResult>, EngineError> {
         // Resolve names up front, so an unknown column fails the whole
         // batch before any work happens. (The scope timer records the
@@ -513,8 +475,7 @@ impl Executor {
 
     /// Starts timing a batch's framing, when the executor is metered.
     fn decompose_timer(&self) -> Option<ScopeTimer<'_>> {
-        let obs = self.maintenance.obs.as_deref();
-        obs.map(|o| ScopeTimer::new(&o.decompose_ns))
+        self.obs.as_ref().map(|o| ScopeTimer::new(&o.decompose_ns))
     }
 
     /// The batch path past name resolution: answers the `(column, low,
@@ -527,10 +488,7 @@ impl Executor {
         results: &mut [ScanResult],
         decompose_timer: Option<ScopeTimer<'_>>,
     ) {
-        let obs = self.maintenance.obs.as_deref();
-        for &(column, low, high) in queries {
-            self.table.columns()[column].stats().record(low, high);
-        }
+        let obs = self.obs.as_ref();
         if let Some(obs) = obs {
             obs.batches.inc();
             obs.queries.add(queries.len() as u64);
@@ -540,21 +498,16 @@ impl Executor {
         // Tasks are looked up through a dense flat-shard-id scratch table
         // (the table shape is immutable), not a hash map: batch framing
         // runs once per shard visit, and hashing dominated it at higher
-        // shard counts. The mask of touched shards is only allocated when
-        // the batch may spawn a maintenance job.
-        let total_shards = self.maintenance.addresses.len();
-        let maintain = self.config.maintenance_steps > 0 && !self.table.is_converged();
+        // shard counts.
         let mut tasks: Vec<ShardTask> = Vec::new();
-        let mut task_of: Vec<Option<usize>> = vec![None; total_shards];
-        let mut touched = vec![false; if maintain { total_shards } else { 0 }];
+        let mut task_of: Vec<Option<usize>> = vec![None; self.maintenance.addresses.len()];
         for (query_idx, &(column, low, high)) in queries.iter().enumerate() {
             let sharded = &self.table.columns()[column];
             for shard in sharded.overlapping(low, high) {
                 // Fully covered shards are answered from their precomputed
                 // totals right here — no task, no lock, no index probe; a
                 // wide query only fans real work out to its two boundary
-                // shards. They stay unmarked in `touched`, so maintenance
-                // remains eligible to converge them.
+                // shards.
                 if let Some(total) = sharded.covered_total(shard, low, high) {
                     if let Some(obs) = obs {
                         obs.digest_hits.inc();
@@ -563,9 +516,6 @@ impl Executor {
                     continue;
                 }
                 let flat = self.flat_id(column, shard);
-                if let Some(mark) = touched.get_mut(flat) {
-                    *mark = true;
-                }
                 let task = *task_of[flat].get_or_insert_with(|| {
                     tasks.push(ShardTask {
                         column,
@@ -588,12 +538,6 @@ impl Executor {
             results[query_idx] = results[query_idx].merge(partial);
         }
         drop(merge_timer);
-
-        // Amortize the batch's maintenance budget across shards the batch
-        // did not touch, off the serving path.
-        if maintain {
-            self.spawn_maintenance(self.config.maintenance_steps, touched);
-        }
     }
 
     /// Elements the tasks a caller could hand to other workers are
@@ -627,7 +571,7 @@ impl Executor {
     ) -> Vec<(usize, ScanResult)> {
         let fan_out = self.pool.workers() > 1
             && self.predicted_handover(&tasks) > FAN_OUT_BREAK_EVEN_ELEMENTS;
-        if let Some(obs) = self.maintenance.obs.as_deref() {
+        if let Some(obs) = &self.obs {
             if fan_out {
                 obs.batches_fanned.inc();
             } else {
@@ -686,56 +630,6 @@ impl Executor {
         partials
     }
 
-    /// Enqueues a fire-and-forget maintenance job of `steps` budgeted
-    /// steps. At most a few such jobs are outstanding at a time: under
-    /// saturation further batches skip enqueueing (the idle hook and later
-    /// batches keep convergence going), so the pool never accumulates a
-    /// maintenance backlog.
-    ///
-    /// These per-batch jobs run even when
-    /// [`ExecutorConfig::background_maintenance`] is on: the idle hook
-    /// only fires when a worker finds every queue empty, so under a
-    /// saturating workload it alone would starve cold shards. The
-    /// per-batch budget is the load-independent floor that keeps the
-    /// convergence guarantee; while every shard's convergence flag is set
-    /// no job is enqueued at all (a batch that found the table converged
-    /// does not call this, and one that converged it enqueues nothing).
-    fn spawn_maintenance(&self, steps: usize, touched: Vec<bool>) {
-        if self.table.is_converged() {
-            return;
-        }
-        if self.pending_maintenance.fetch_add(1, Ordering::Relaxed) >= 4 {
-            self.pending_maintenance.fetch_sub(1, Ordering::Relaxed);
-            return;
-        }
-        /// Decrements the pending counter when dropped, so a panicking
-        /// round (whose panic the pool catches to keep the worker alive)
-        /// cannot leak a slot and permanently disable maintenance.
-        struct PendingGuard(Arc<AtomicUsize>);
-        impl Drop for PendingGuard {
-            fn drop(&mut self) {
-                self.0.fetch_sub(1, Ordering::Relaxed);
-            }
-        }
-        let maintenance = Arc::clone(&self.maintenance);
-        let guard = PendingGuard(Arc::clone(&self.pending_maintenance));
-        // Rotate the job's home worker with the cursor so maintenance
-        // pressure spreads over the pool.
-        let affinity = self.maintenance.cursor.load(Ordering::Relaxed);
-        self.pool.spawn(
-            affinity,
-            Box::new(move || {
-                let _guard = guard;
-                let timer = maintenance
-                    .obs
-                    .as_ref()
-                    .map(|o| ScopeTimer::new(&o.maintain_ns));
-                maintenance.run_round(steps, &touched);
-                drop(timer);
-            }),
-        );
-    }
-
     /// Applies a batch of mutations to `column` in request order through
     /// the table's serial write path ([`Table::apply_mutations`]), the
     /// one order the write-ahead log replays. Returns the per-mutation
@@ -749,9 +643,9 @@ impl Executor {
     /// deletes first and inserts only when the delete applied.
     /// **Convergence.** A write that leaves a shard with pending deltas
     /// clears the shard's convergence flag before it releases the shard's
-    /// lock, so [`Executor::drive_to_convergence`], the per-batch
-    /// maintenance floor and idle cycles fold the new deltas in and
-    /// re-converge the table.
+    /// lock, so [`Executor::drive_to_convergence`], idle cycles and later
+    /// queries on the shard fold the new deltas in and re-converge the
+    /// table.
     ///
     /// ```
     /// use std::sync::Arc;
@@ -793,14 +687,6 @@ impl Executor {
         self.table
             .apply_mutations(column, mutations)
             .ok_or_else(|| EngineError::UnknownColumn(column.to_string()))
-    }
-
-    /// Spends up to `steps` budgeted indexing steps, round-robin over all
-    /// not-yet-converged shards, synchronously on the calling thread.
-    /// Returns the number of steps actually performed (less than `steps`
-    /// once the table nears convergence).
-    pub fn maintain(&self, steps: usize) -> usize {
-        self.maintenance.run_round(steps, &[])
     }
 
     /// Drives every shard of every column to convergence on the calling
@@ -854,13 +740,23 @@ mod tests {
     use pi_storage::scan::scan_range_sum;
 
     fn test_table(n: usize, shards: usize) -> (Arc<Table>, Vec<Value>, Vec<Value>) {
+        test_table_with(n, shards, Table::builder())
+    }
+
+    /// Columns `a` (default policy) and `b` (`FixedDelta(0.5)`), both
+    /// fixed-δ so twin tables refine identically, built by `builder`.
+    fn test_table_with(
+        n: usize,
+        shards: usize,
+        builder: crate::table::TableBuilder,
+    ) -> (Arc<Table>, Vec<Value>, Vec<Value>) {
         let a = random_column(n, n as u64, 5).into_vec();
         let b: Vec<Value> = a
             .iter()
             .map(|v| v.wrapping_mul(7) % (2 * n as u64))
             .collect();
         let table = Arc::new(
-            Table::builder()
+            builder
                 .column(ColumnSpec::new("a", a.clone()).with_shards(shards))
                 .column(
                     ColumnSpec::new("b", b.clone())
@@ -872,12 +768,12 @@ mod tests {
         (table, a, b)
     }
 
-    /// A config with synchronous-only maintenance, for tests that assert
-    /// on exact foreground step counts.
-    fn foreground_config(workers: usize, maintenance_steps: usize) -> ExecutorConfig {
+    /// A config without idle-cycle maintenance, for tests that assert on
+    /// exact step counts.
+    fn foreground_config(workers: usize) -> ExecutorConfig {
         ExecutorConfig {
             worker_threads: workers,
-            maintenance_steps,
+            maintenance_steps: 0,
             background_maintenance: false,
         }
     }
@@ -903,7 +799,7 @@ mod tests {
     fn multi_worker_pool_matches_full_scan() {
         // Forces the pooled dispatch path even on a single-core host.
         let (table, a, b) = test_table(20_000, 8);
-        let executor = Executor::with_config(table, foreground_config(4, 2));
+        let executor = Executor::with_config(table, foreground_config(4));
         let batch: Vec<TableQuery> = (0..60)
             .map(|i| {
                 let low = (i * 311) % 18_000;
@@ -942,7 +838,7 @@ mod tests {
         let (table, a, _) = test_table(128_000, 8);
         let executor = Executor::with_metrics(
             Arc::clone(&table),
-            foreground_config(2, 0),
+            foreground_config(2),
             Arc::new(MetricsRegistry::new()),
         );
         assert_eq!(dispatch_counts(&executor), (0, 0));
@@ -968,7 +864,7 @@ mod tests {
         let (table, a, _) = test_table(128_000, 8);
         let executor = Executor::with_metrics(
             table,
-            foreground_config(2, 0),
+            foreground_config(2),
             Arc::new(MetricsRegistry::new()),
         );
         // Nothing is indexed yet: each of the eight sub-queries scans its
@@ -1000,7 +896,7 @@ mod tests {
     #[test]
     fn maintenance_drives_convergence_without_client_queries() {
         let (table, a, _) = test_table(5_000, 4);
-        let executor = Executor::with_config(Arc::clone(&table), foreground_config(2, 4));
+        let executor = Executor::with_config(Arc::clone(&table), foreground_config(2));
         let spent = executor.drive_to_convergence(1_000_000);
         assert!(
             table.is_converged(),
@@ -1015,12 +911,45 @@ mod tests {
     }
 
     #[test]
-    fn maintenance_budget_is_respected() {
-        let (table, _, _) = test_table(50_000, 8);
-        let executor = Executor::with_config(Arc::clone(&table), foreground_config(2, 3));
-        let performed = executor.maintain(3);
-        assert!(performed <= 3);
-        assert!(performed > 0);
+    fn batches_index_only_the_shards_they_probe() {
+        let twin = |maintenance_steps| {
+            let registry = Arc::new(MetricsRegistry::new());
+            let builder = Table::builder().metrics(Arc::clone(&registry));
+            let (table, _, _) = test_table_with(50_000, 8, builder);
+            let executor = Executor::with_config(
+                Arc::clone(&table),
+                ExecutorConfig {
+                    maintenance_steps,
+                    ..foreground_config(2)
+                },
+            );
+            // Narrow ranges inside shard 0 of column `a` only.
+            let end = table.column("a").unwrap().partition().boundaries()[0];
+            for i in 0..20 {
+                let low = i * end / 40;
+                executor
+                    .execute_batch(&[TableQuery::new("a", low, low + end / 4)])
+                    .unwrap();
+            }
+            // Dropping the executor drops its pool, which drains every
+            // job already queued.
+            drop(executor);
+            (table, registry.snapshot())
+        };
+        let (spent, spent_metrics) = twin(4);
+        let (plain, plain_metrics) = twin(0);
+        for name in ["a", "b"] {
+            assert_eq!(
+                spent.column(name).unwrap().shard_statuses(),
+                plain.column(name).unwrap().shard_statuses(),
+                "column {name}"
+            );
+            let steps = format!("core.{name}.refine_steps");
+            assert_eq!(spent_metrics.counter(&steps), plain_metrics.counter(&steps));
+        }
+        // Column `b` was never queried, so no step refined it.
+        assert_eq!(plain_metrics.counter("core.b.refine_steps"), Some(0));
+        assert!(plain_metrics.counter("core.a.refine_steps") > Some(0));
     }
 
     #[test]

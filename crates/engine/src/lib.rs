@@ -11,20 +11,17 @@
 //!   boundaries). Every shard owns its own progressive index; the
 //!   algorithm is chosen per column **at build time** via the paper's
 //!   Figure-11 decision tree fed by the column's estimated distribution (or
-//!   pinned with [`AlgorithmChoice::Fixed`]). The observed
-//!   [`stats::WorkloadStats`] re-walk the same tree on demand through
-//!   [`table::ShardedColumn::recommended_algorithm`], surfacing drift
-//!   between the running algorithm and the served workload.
+//!   pinned with [`AlgorithmChoice::Fixed`]).
 //! * [`Executor`] — accepts query batches from any number of client
 //!   threads, fans each query out across the overlapping shards on a
 //!   persistent, shard-affine [`pi_sched::Pool`] (shards pinned to
 //!   workers by row weight, work-stealing for balance, the caller
-//!   helping), merges the partial [`pi_storage::ScanResult`]s, and
-//!   amortizes a fixed per-batch **maintenance budget** across cold
-//!   shards. The pool's idle cycles are donated to the same maintenance,
-//!   so the whole table converges under any workload pattern — even one
-//!   that never queries a cold shard's range — the engine-level analogue
-//!   of the paper's per-query robustness guarantee.
+//!   helping) and merges the partial [`pi_storage::ScanResult`]s. A
+//!   batch indexes only through its own queries' δ-slices. The pool's
+//!   idle cycles are donated to round-robin shard maintenance, so the
+//!   whole table converges under any workload pattern — even one that
+//!   never queries a cold shard's range — the engine-level analogue of
+//!   the paper's per-query robustness guarantee.
 //! * **Mutations** — tables are not append-only: [`Table::apply_mutations`]
 //!   and [`Executor::apply_mutations`] take batches of
 //!   [`pi_core::mutation::Mutation`] inserts, deletes and updates and
@@ -112,7 +109,7 @@ pub mod erased;
 pub mod executor;
 pub mod multicol;
 pub mod planner;
-pub mod stats;
+mod stats;
 pub mod table;
 pub mod typed;
 
@@ -125,7 +122,6 @@ pub use multicol::{
 };
 pub use pi_core::tuning::TuningParameters;
 pub use planner::{Plan, PredicateStats};
-pub use stats::WorkloadStats;
 pub use table::{AlgorithmChoice, ColumnSpec, ShardedColumn, Table, TableBuilder};
 pub use typed::{
     TableKey, TypedColumnSpec, TypedExecutor, TypedMutation, TypedQuery, TypedResult, TypedTable,

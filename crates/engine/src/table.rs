@@ -21,7 +21,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 
 use pi_core::budget::BudgetPolicy;
-use pi_core::decision::{recommend, Algorithm, DataDistribution, QueryShape, Scenario};
+use pi_core::decision::{recommend, Algorithm, QueryShape, Scenario};
 use pi_core::metrics::IndexMetrics;
 use pi_core::mutation::{MergeHook, MutableIndex, Mutation};
 use pi_core::result::{IndexStatus, Phase};
@@ -29,10 +29,10 @@ use pi_obs::{Counter, Gauge, MetricsRegistry};
 use pi_storage::delta::DeltaSidecar;
 use pi_storage::digest::DigestTree;
 use pi_storage::scan::ScanResult;
-use pi_storage::shard::{sample_values, RangePartition};
+use pi_storage::shard::RangePartition;
 use pi_storage::{Column, Value};
 
-use crate::stats::{estimate_distribution, WorkloadStats};
+use crate::stats::estimate_distribution;
 
 /// How a column's indexing algorithm is selected.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -177,7 +177,6 @@ pub struct ShardedColumn {
     domain: (Value, Value),
     algorithm: Algorithm,
     policy: BudgetPolicy,
-    distribution: DataDistribution,
     partition: RangePartition,
     /// Rows per shard **at construction / last re-balance** — the
     /// task-granularity weights the scheduler pins shards to workers by
@@ -202,7 +201,6 @@ pub struct ShardedColumn {
     /// and the executor's fan-out price without touching shard or digest
     /// locks.
     rho_cache: Vec<AtomicU64>,
-    stats: WorkloadStats,
     /// Metric handles (see [`TableBuilder::metrics`]); `None` costs
     /// nothing.
     obs: Option<ColumnObs>,
@@ -214,25 +212,17 @@ pub struct ShardedColumn {
 impl ShardedColumn {
     fn from_spec(spec: ColumnSpec) -> Self {
         assert!(spec.shards > 0, "a column needs at least one shard");
-        let distribution = estimate_distribution(&spec.values);
         let algorithm = match spec.choice {
             AlgorithmChoice::Fixed(a) => a,
             AlgorithmChoice::Auto(shape) => recommend(Scenario {
                 query_shape: shape,
-                distribution,
+                distribution: estimate_distribution(&spec.values),
                 extra_memory_allowed: true,
             }),
         };
         let column = Column::from_vec(spec.values);
         let partition = RangePartition::equi_depth(column.data(), spec.shards);
-        Self::build(
-            spec.name,
-            column,
-            partition,
-            algorithm,
-            spec.policy,
-            distribution,
-        )
+        Self::build(spec.name, column, partition, algorithm, spec.policy)
     }
 
     /// Shared constructor for the initial build and re-balances.
@@ -242,7 +232,6 @@ impl ShardedColumn {
         partition: RangePartition,
         algorithm: Algorithm,
         policy: BudgetPolicy,
-        distribution: DataDistribution,
     ) -> Self {
         let sub_columns = partition.split_column(&column);
         let digests = sub_columns
@@ -260,15 +249,7 @@ impl ShardedColumn {
             .into_iter()
             .map(|sub| MutableIndex::new(Arc::new(sub), algorithm, policy))
             .collect();
-        Self::assemble(
-            name,
-            algorithm,
-            policy,
-            distribution,
-            partition,
-            digests,
-            shards,
-        )
+        Self::assemble(name, algorithm, policy, partition, digests, shards)
     }
 
     /// The tail every constructor shares: derives the row counts and the
@@ -278,7 +259,6 @@ impl ShardedColumn {
         name: String,
         algorithm: Algorithm,
         policy: BudgetPolicy,
-        distribution: DataDistribution,
         partition: RangePartition,
         digests: Vec<ShardDigest>,
         shards: Vec<MutableIndex>,
@@ -298,7 +278,6 @@ impl ShardedColumn {
             domain,
             algorithm,
             policy,
-            distribution,
             partition,
             shard_rows,
             digests: digests.into_iter().map(RwLock::new).collect(),
@@ -306,7 +285,6 @@ impl ShardedColumn {
             shard_mutations: shards.iter().map(|_| AtomicU64::new(0)).collect(),
             rho_cache: shards.iter().map(|_| AtomicU64::new(0)).collect(),
             shards: shards.into_iter().map(Mutex::new).collect(),
-            stats: WorkloadStats::new(),
             obs: None,
             merge_hook: None,
         };
@@ -338,15 +316,6 @@ impl ShardedColumn {
             "shard count must match the partition"
         );
         let partition = RangePartition::from_boundaries(boundaries);
-        // The estimated distribution only steers algorithm *advice*
-        // (`recommended_algorithm`), never answers, so a bounded sample
-        // of the persisted state is plenty.
-        let mut sampled: Vec<Value> = Vec::new();
-        for (base, sidecar) in &shard_states {
-            sampled.extend(sample_values(base.data(), 1024));
-            sampled.extend(sample_values(sidecar.inserts(), 256));
-        }
-        let distribution = estimate_distribution(&sampled);
         let shards: Vec<MutableIndex> = shard_states
             .into_iter()
             .map(|(base, sidecar)| MutableIndex::from_parts(base, sidecar, algorithm, policy))
@@ -371,15 +340,7 @@ impl ShardedColumn {
                 digest
             })
             .collect();
-        Self::assemble(
-            name,
-            algorithm,
-            policy,
-            distribution,
-            partition,
-            digests,
-            shards,
-        )
+        Self::assemble(name, algorithm, policy, partition, digests, shards)
     }
 
     /// Captures the column's persistable state: the partition boundaries
@@ -535,24 +496,6 @@ impl ShardedColumn {
         RangePartition::weight_drift(&self.shard_live_rows())
     }
 
-    /// The column's observed workload statistics.
-    pub fn stats(&self) -> &WorkloadStats {
-        &self.stats
-    }
-
-    /// Re-walks the Figure-11 decision tree with the *observed* workload
-    /// shape (from [`ShardedColumn::stats`]) and the distribution estimated
-    /// at build time.
-    ///
-    /// Algorithm selection happens once, at construction, when no queries
-    /// have been observed; this reports what the tree would choose now, so
-    /// an operator (or a future re-indexing PR) can detect drift between
-    /// the running algorithm ([`ShardedColumn::algorithm`]) and the
-    /// workload actually being served.
-    pub fn recommended_algorithm(&self) -> Algorithm {
-        recommend(self.stats.scenario(self.distribution, true))
-    }
-
     /// The contiguous shard range a `[low, high]` predicate must visit.
     pub fn overlapping(&self, low: Value, high: Value) -> std::ops::Range<usize> {
         self.partition.overlapping(low, high)
@@ -573,9 +516,9 @@ impl ShardedColumn {
     /// through [`ShardedColumn::query_shard`]. Exactness does not depend
     /// on indexing progress — mutations update the digest atomically with
     /// the shard they apply to — but the skipped shard performs no
-    /// per-query indexing work, so callers must converge it some other way
-    /// (the executor's maintenance floor and idle cycles do; the serial
-    /// [`ShardedColumn::query`] therefore does not use this shortcut).
+    /// per-query indexing work: it converges through the executor's idle
+    /// cycles, its queries that do probe it, or
+    /// [`crate::Executor::drive_to_convergence`].
     pub(crate) fn covered_total(
         &self,
         shard: usize,
@@ -593,17 +536,12 @@ impl ShardedColumn {
     }
 
     /// Answers `[low, high]` by visiting the overlapping shards serially
-    /// and merging the partial results. Records the query in the column's
-    /// workload statistics.
+    /// and merging the partial results.
     ///
     /// This serial path deliberately does *not* take the executor's
-    /// covered-shard shortcut: with no maintenance machinery at this
-    /// layer, skipping the per-query indexing side effect would leave
-    /// fully covered shards unconverged forever under query-only traffic. The executor, whose maintenance floor
-    /// guarantees convergence independently of queries, is the shortcut's
-    /// intended user.
+    /// covered-shard shortcut: every shard it visits pays its δ-slice, as
+    /// every query does in the paper.
     pub fn query(&self, low: Value, high: Value) -> ScanResult {
-        self.stats.record(low, high);
         let mut merged = ScanResult::EMPTY;
         for shard in self.overlapping(low, high) {
             merged = merged.merge(self.query_shard(shard, low, high));
@@ -823,7 +761,6 @@ impl ShardedColumn {
             partition,
             self.algorithm,
             self.policy,
-            self.distribution,
         );
         // The rebuilt shards keep reporting into the same metric family
         // (same shard count, so the gauge handles stay valid) and keep

@@ -9,7 +9,9 @@ use pi_core::mutation::Mutation;
 use pi_core::testing::TestRng;
 use pi_durable::snapshot::MemStore;
 use pi_durable::wal::MemWalHandle;
-use pi_engine::{ColumnSpec, Executor, ExecutorConfig, Table, TableBuilder, TableQuery};
+use pi_engine::{
+    ColumnSpec, EngineError, Executor, ExecutorConfig, Table, TableBuilder, TableQuery,
+};
 use pi_storage::scan::scan_range_sum;
 use pi_storage::Value;
 
@@ -110,14 +112,14 @@ fn mutated_converged_shard_re_enters_maintenance_via_executor() {
         Arc::clone(&table),
         ExecutorConfig {
             worker_threads: 2,
-            maintenance_steps: 4,
+            maintenance_steps: 0,
             background_maintenance: false,
         },
     );
     executor.drive_to_convergence(usize::MAX);
     assert!(table.is_converged());
     // Every shard's convergence flag is set: maintenance performs no work.
-    assert_eq!(executor.maintain(16), 0);
+    assert_eq!(executor.drive_to_convergence(16), 0);
 
     // A write to the converged table must reopen maintenance.
     let applied = executor
@@ -298,17 +300,25 @@ fn concurrent_writers_and_readers_stay_exact() {
 
 #[test]
 fn unknown_column_rejected_and_empty_batch_ok() {
-    let table = Arc::new(
-        Table::builder()
-            .column(ColumnSpec::new("a", vec![1, 2, 3]))
-            .build(),
-    );
-    let executor = Executor::new(table);
-    assert!(executor
-        .apply_mutations("nope", &[Mutation::Insert(1)])
-        .is_err());
-    assert_eq!(
-        executor.apply_mutations("a", &[]).unwrap(),
-        Vec::<bool>::new()
-    );
+    let builder = || Table::builder().column(ColumnSpec::new("a", vec![1, 2, 3]));
+    let plain = Executor::new(Arc::new(builder().build()));
+    let durable = builder()
+        .build_durable(
+            Box::new(MemWalHandle::new().storage()),
+            Box::new(MemStore::new()),
+        )
+        .unwrap();
+    let durable = Executor::with_durability(Arc::new(durable), ExecutorConfig::default(), None);
+    for executor in [plain, durable] {
+        for batch in [&[Mutation::Insert(1)][..], &[]] {
+            assert_eq!(
+                executor.apply_mutations("nope", batch),
+                Err(EngineError::UnknownColumn("nope".into()))
+            );
+        }
+        assert_eq!(
+            executor.apply_mutations("a", &[]).unwrap(),
+            Vec::<bool>::new()
+        );
+    }
 }

@@ -180,13 +180,6 @@ fn background_maintenance_converges_shards_the_workload_never_queries() {
             scan_range_sum(&uniform, low, high.min(first_boundary - 1))
         );
     }
-    let hot_stats = table.column("hot").unwrap().stats();
-    assert!(hot_stats.query_count() >= 50);
-    assert_eq!(
-        table.column("cold").unwrap().stats().query_count(),
-        0,
-        "the cold column must never be queried"
-    );
 
     // Background maintenance (pool idle cycles + server idle cycles) must
     // converge everything, including the never-queried cold column.

@@ -19,7 +19,7 @@ use pi_workloads::Distribution;
 fn foreground() -> ExecutorConfig {
     ExecutorConfig {
         worker_threads: 2,
-        maintenance_steps: 2,
+        maintenance_steps: 0,
         background_maintenance: false,
     }
 }

@@ -1,17 +1,17 @@
 //! Persistent, shard-affine work-stealing worker pool.
 //!
 //! The engine's unit of parallel work is a *shard task* (answer a batch's
-//! sub-queries against one shard, or advance one shard's index by one
-//! budgeted step). Those tasks are short — microseconds to a fraction of a
-//! millisecond — so spawning an OS thread per batch, as
+//! sub-queries against one shard). Those tasks are short — microseconds
+//! to a fraction of a millisecond — so spawning an OS thread per batch, as
 //! `std::thread::scope` does, costs more than the work itself. The
 //! [`Pool`] keeps a fixed set of workers alive for the lifetime of the
 //! engine instead:
 //!
-//! * **One deque per worker.** [`Pool::spawn`] routes a job to the deque
-//!   chosen by its *affinity key* (`key % workers`). The engine keys jobs
-//!   by shard id, so the same shard lands on the same worker run after
-//!   run and its working set stays warm in that worker's cache.
+//! * **One deque per worker.** [`Pool::run`] routes each job of a batch
+//!   to the deque chosen by its *affinity key* (`key % workers`). The
+//!   engine keys jobs by shard id, so the same shard lands on the same
+//!   worker run after run and its working set stays warm in that
+//!   worker's cache.
 //! * **Stealing for balance.** A worker whose own deque is empty steals
 //!   from the *back* of its siblings' deques, so skewed workloads cannot
 //!   idle seven workers while one drowns.
@@ -29,8 +29,9 @@
 //!   how much is the hook's choice; the engine batches several budgeted
 //!   steps per call to amortise locking).
 //!
-//! Shutdown is graceful: [`Pool::shutdown`] (or dropping the pool) lets
-//! the workers drain every job already enqueued before they exit.
+//! Every job belongs to a [`Pool::run`] batch, and `run` returns only once
+//! its batch has finished, so [`Pool::shutdown`] (or dropping the pool)
+//! finds every deque empty and only has to stop the workers.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -57,8 +58,8 @@ pub struct PoolConfig {
     /// [`IdleTask`]).
     pub idle_task: Option<IdleTask>,
     /// How long a worker parks when there are no jobs and the idle task
-    /// reports no work. Parked workers are woken eagerly on every spawn;
-    /// the timeout is only a backstop.
+    /// reports no work. Parked workers are woken eagerly on every enqueued
+    /// job; the timeout is only a backstop.
     pub idle_park: Duration,
     /// Registry receiving the pool's `sched.pool.*` metrics (queue depth,
     /// steals, donated idle cycles, jobs per run). `None` — the default —
@@ -102,9 +103,6 @@ pub struct PoolStats {
     pub helped: u64,
     /// Idle-task invocations that reported useful work.
     pub idle_work: u64,
-    /// Fire-and-forget jobs whose panic was caught to keep the executing
-    /// thread alive (batch jobs re-raise on their `run` caller instead).
-    pub panicked_jobs: u64,
 }
 
 impl PoolStats {
@@ -148,22 +146,18 @@ impl PoolObs {
 }
 
 struct Shared {
-    /// One deque per worker; `spawn` pushes to `key % workers`.
+    /// One deque per worker; `push` appends to `key % workers`.
     queues: Vec<Mutex<VecDeque<Job>>>,
     /// Jobs currently enqueued across all deques (not yet popped).
     queued: AtomicUsize,
     /// Lock + condvar parking idle workers; `queued` is re-checked under
-    /// the lock so a spawn's notification cannot be lost.
+    /// the lock so a push's notification cannot be lost.
     park: Mutex<()>,
     wake: Condvar,
     shutdown: AtomicBool,
     /// Workers currently blocked in the park wait; lets `push` skip the
     /// park lock entirely when nobody is parked (the common busy case).
     parked: AtomicUsize,
-    /// Fire-and-forget jobs whose panic was caught (and swallowed) to
-    /// keep the worker alive; exposed through [`PoolStats`]. Batch jobs
-    /// surface their panics to the [`Pool::run`] caller instead.
-    panicked_jobs: AtomicU64,
     idle_task: Option<IdleTask>,
     idle_park: Duration,
     executed: Vec<AtomicU64>,
@@ -260,32 +254,16 @@ impl Shared {
         }
     }
 
-    /// Runs one fire-and-forget job, catching a panic so the executing
-    /// thread survives: an unwound worker would silently shrink the pool
-    /// (and an unwound helping caller would abort an unrelated
-    /// [`Pool::run`]). The panic is counted in [`PoolStats`]; batch jobs
-    /// wrap their own catch and re-raise on the submitting thread
-    /// instead (the behaviour of the scoped-thread fan-out this pool
-    /// replaced).
-    fn execute(&self, job: Job) {
-        if std::panic::catch_unwind(std::panic::AssertUnwindSafe(job)).is_err() {
-            self.panicked_jobs.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
+    /// Every popped job is a [`Pool::run`] wrapper that catches its own
+    /// panic, so running it never unwinds the worker.
     fn worker_loop(&self, w: usize) {
         loop {
             if let Some(job) = self.pop(w) {
-                self.execute(job);
+                job();
                 continue;
             }
             if self.shutdown.load(Ordering::Acquire) {
-                // Graceful: only exit once every enqueued job has been
-                // drained (by us or a sibling).
-                if self.queued.load(Ordering::Relaxed) == 0 {
-                    return;
-                }
-                continue;
+                return;
             }
             if let Some(idle) = &self.idle_task {
                 if idle(w) {
@@ -382,7 +360,6 @@ impl Pool {
             wake: Condvar::new(),
             shutdown: AtomicBool::new(false),
             parked: AtomicUsize::new(0),
-            panicked_jobs: AtomicU64::new(0),
             idle_task: config.idle_task,
             idle_park: config.idle_park,
             executed: (0..config.workers).map(|_| AtomicU64::new(0)).collect(),
@@ -408,15 +385,6 @@ impl Pool {
         self.shared.queues.len()
     }
 
-    /// Enqueues a fire-and-forget job on the deque selected by
-    /// `affinity % workers`.
-    ///
-    /// Jobs spawned before [`Pool::shutdown`] is *called* are guaranteed
-    /// to run; a spawn racing with shutdown may be dropped.
-    pub fn spawn(&self, affinity: usize, job: Job) {
-        self.shared.push(affinity, job);
-    }
-
     /// Runs a batch of `(affinity, job)` pairs to completion.
     ///
     /// The calling thread does not block idly: after enqueueing it helps
@@ -428,9 +396,8 @@ impl Pool {
         if jobs.is_empty() {
             return;
         }
-        /// Counts the latch down when dropped, so a panicking job (whose
-        /// panic a worker catches, or which unwinds a helping caller)
-        /// still completes the batch instead of hanging it.
+        /// Counts the latch down when dropped, so a job completes the
+        /// batch however its closure ends.
         struct CountDown(Arc<Latch>);
         impl Drop for CountDown {
             fn drop(&mut self) {
@@ -458,10 +425,10 @@ impl Pool {
         }
         while !latch.is_done() {
             match self.shared.pop_any() {
-                // The drained job may belong to any batch or be a raw
-                // fire-and-forget spawn; execute through the catching
-                // path so a foreign panic cannot unwind this caller.
-                Some(job) => self.shared.execute(job),
+                // The drained job may belong to any batch; its wrapper
+                // catches its panic, so a foreign panic cannot unwind
+                // this caller.
+                Some(job) => job(),
                 // Every job of this batch is already claimed by a worker;
                 // wait for the stragglers to finish.
                 None => latch.wait(),
@@ -490,13 +457,12 @@ impl Pool {
                 .collect(),
             helped: self.shared.helped.load(Ordering::Relaxed),
             idle_work: self.shared.idle_work.load(Ordering::Relaxed),
-            panicked_jobs: self.shared.panicked_jobs.load(Ordering::Relaxed),
         }
     }
 
-    /// Graceful shutdown: workers drain every job already enqueued, then
-    /// exit; returns once all workers have been joined. Dropping the pool
-    /// does the same.
+    /// Stops the workers and returns once all of them have been joined.
+    /// No job is queued outside a [`Pool::run`], which borrows the pool,
+    /// so none is left behind. Dropping the pool does the same.
     pub fn shutdown(mut self) {
         self.shutdown_inner();
     }
@@ -570,23 +536,6 @@ mod tests {
             .collect();
         pool.run(jobs);
         assert_eq!(counter.load(Ordering::Relaxed), 100);
-    }
-
-    #[test]
-    fn spawned_jobs_drain_before_shutdown() {
-        let pool = Pool::new(2);
-        let counter = Arc::new(AtomicUsize::new(0));
-        for i in 0..50 {
-            let counter = Arc::clone(&counter);
-            pool.spawn(
-                i,
-                Box::new(move || {
-                    counter.fetch_add(1, Ordering::Relaxed);
-                }),
-            );
-        }
-        pool.shutdown();
-        assert_eq!(counter.load(Ordering::Relaxed), 50);
     }
 
     #[test]

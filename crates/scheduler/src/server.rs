@@ -21,8 +21,8 @@
 //!   `submit` blocks until space frees up.
 //! * **Batch coalescing.** A dispatcher drains up to
 //!   [`ServerConfig::max_coalesced_queries`] queued requests and executes
-//!   them as *one* engine batch, so per-batch costs (shard fan-out,
-//!   maintenance budget) amortize across clients under load — the
+//!   them as *one* engine batch, so per-batch costs (name resolution,
+//!   shard fan-out) amortize across clients under load — the
 //!   server-level analogue of the paper's per-query budget amortization.
 //!   If the coalesced batch fails (e.g. one client addressed an unknown
 //!   column), the dispatcher falls back to executing each submission

@@ -235,19 +235,19 @@ fn workers_steal_from_a_loaded_sibling() {
     let pool = Pool::new(4);
     let done = Arc::new(AtomicUsize::new(0));
     // Pin every job to worker 0. The jobs sleep long enough that worker 0
-    // cannot finish the queue alone before its siblings wake and steal.
-    for _ in 0..32 {
-        let done = Arc::clone(&done);
-        let job: Job = Box::new(move || {
-            std::thread::sleep(Duration::from_millis(2));
-            done.fetch_add(1, Ordering::Relaxed);
-        });
-        pool.spawn(0, job);
-    }
-    let deadline = std::time::Instant::now() + Duration::from_secs(30);
-    while done.load(Ordering::Relaxed) < 32 && std::time::Instant::now() < deadline {
-        std::thread::sleep(Duration::from_millis(1));
-    }
+    // and the helping caller cannot finish the queue alone before the
+    // siblings wake and steal.
+    let jobs: Vec<(usize, Job)> = (0..32)
+        .map(|_| {
+            let done = Arc::clone(&done);
+            let job: Job = Box::new(move || {
+                std::thread::sleep(Duration::from_millis(2));
+                done.fetch_add(1, Ordering::Relaxed);
+            });
+            (0, job)
+        })
+        .collect();
+    pool.run(jobs);
     assert_eq!(done.load(Ordering::Relaxed), 32, "jobs lost");
     let stats = pool.stats();
     assert_eq!(stats.total_executed(), 32);

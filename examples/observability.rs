@@ -63,7 +63,7 @@ fn main() {
             .metrics(Arc::clone(&registry))
             .column(
                 TypedColumnSpec::new("s", keys)
-                    // A small per-query budget and foreground-only
+                    // A small per-query budget and no idle-cycle
                     // maintenance keep refinement query-driven, so the
                     // dashboard shows ρ̄ actually climbing round by round
                     // instead of background idle cycles finishing the
@@ -76,7 +76,6 @@ fn main() {
     let executor = Arc::new(TypedExecutor::with_metrics(
         Arc::clone(&table),
         ExecutorConfig {
-            maintenance_steps: 0,
             background_maintenance: false,
             ..ExecutorConfig::default()
         },
@@ -165,7 +164,7 @@ fn main() {
         snap.counter("sched.pool.idle_cycles").unwrap_or(0),
     );
     println!("  phase timings (count / p50 / p95 / p99):");
-    for phase in ["decompose", "scan", "merge", "maintain"] {
+    for phase in ["decompose", "scan", "merge"] {
         if let Some(h) = snap.histogram(&format!("executor.phase.{phase}_ns")) {
             println!(
                 "    {:>9}: {:>6} / {:>8} / {:>8} / {:>8}",

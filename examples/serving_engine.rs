@@ -60,7 +60,6 @@ fn main() {
     let executor = Arc::new(Executor::with_config(
         Arc::clone(&table),
         ExecutorConfig {
-            maintenance_steps: 16,
             background_maintenance: true,
             ..ExecutorConfig::default()
         },

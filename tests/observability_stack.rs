@@ -40,7 +40,7 @@ fn serve_skewed_strings(registry: &Arc<MetricsRegistry>) {
         table,
         ExecutorConfig {
             worker_threads: 2,
-            maintenance_steps: 2,
+            maintenance_steps: 0,
             background_maintenance: false,
         },
         Arc::clone(registry),
@@ -88,8 +88,14 @@ fn skewed_string_run_populates_the_metric_namespace() {
     assert!(snap.counter("core.s.refine_steps").expect("registered") > 0);
     assert!(snap.counter("core.s.bytes_moved").expect("registered") > 0);
 
-    // Pool traffic landed in the same registry.
-    assert!(snap.counter("sched.pool.jobs").expect("registered") > 0);
+    // Pool traffic landed in the same registry: every batch the executor
+    // fanned out is one pool run, and nothing else reaches the pool.
+    let fanned = snap.counter("executor.batches_fanned").expect("registered");
+    let runs = snap
+        .histogram("sched.pool.jobs_per_run")
+        .expect("registered");
+    assert_eq!(runs.count, fanned);
+    assert_eq!(snap.counter("sched.pool.jobs"), Some(runs.sum));
 
     // Clock-dependent metrics: per-phase timings and cost-model error
     // are populated with `obs` on and compiled out (empty) with it off.
@@ -133,7 +139,7 @@ fn server_front_end_shares_the_stack_registry() {
         Arc::clone(&table),
         ExecutorConfig {
             worker_threads: 2,
-            maintenance_steps: 2,
+            maintenance_steps: 0,
             background_maintenance: false,
         },
         Arc::clone(&registry),
@@ -142,9 +148,7 @@ fn server_front_end_shares_the_stack_registry() {
     // last shard (the two in between are answered from their digests), so
     // on the still-unindexed table the batch hands twelve 10k-row scans to
     // the pool — above the executor's fan-out break-even — and `Pool::run`
-    // returns only after its jobs were counted. The per-batch maintenance
-    // jobs of the submissions below are fire-and-forget and may still be
-    // queued when the snapshot is taken.
+    // returns only after its jobs were counted.
     let wide: Vec<TableQuery> = (0..12)
         .map(|i| TableQuery::new("a", 5_000 + i, 35_000 + i))
         .collect();
