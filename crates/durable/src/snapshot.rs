@@ -39,6 +39,8 @@ use crate::crc::crc32;
 const MAGIC: u32 = u32::from_le_bytes(*b"PSNP");
 /// Current snapshot format version.
 const VERSION: u32 = 1;
+/// Envelope header size: magic (4) + version (4) + body CRC (4).
+const HEADER: usize = 12;
 
 const ALG_QUICKSORT: u8 = 1;
 const ALG_RADIX_MSD: u8 = 2;
@@ -133,29 +135,47 @@ fn read_policy(r: &mut ByteReader<'_>) -> Result<BudgetPolicy, CodecError> {
 
 impl TableSnapshot {
     /// Encodes the snapshot into its self-validating envelope:
-    /// `[magic][version][body_crc][body]`.
+    /// `[magic][version][body_crc][body]`, in one buffer sized up front.
     pub fn encode(&self) -> Vec<u8> {
-        let mut body = Vec::new();
-        put_u64(&mut body, self.snapshot_id);
-        put_u64(&mut body, self.wal_seq);
-        put_u32(&mut body, self.columns.len() as u32);
-        for column in &self.columns {
-            put_str(&mut body, &column.name);
-            put_algorithm(&mut body, column.algorithm);
-            put_policy(&mut body, column.policy);
-            put_values(&mut body, &column.boundaries);
-            put_u32(&mut body, column.shards.len() as u32);
-            for shard in &column.shards {
-                put_column(&mut body, &shard.base);
-                put_sidecar(&mut body, &shard.sidecar);
-            }
-        }
-        let mut out = Vec::with_capacity(12 + body.len());
+        let mut out = Vec::with_capacity(self.encoded_len());
         put_u32(&mut out, MAGIC);
         put_u32(&mut out, VERSION);
-        put_u32(&mut out, crc32(&body));
-        out.extend_from_slice(&body);
+        put_u32(&mut out, 0); // the body CRC, patched in below
+        put_u64(&mut out, self.snapshot_id);
+        put_u64(&mut out, self.wal_seq);
+        put_u32(&mut out, self.columns.len() as u32);
+        for column in &self.columns {
+            put_str(&mut out, &column.name);
+            put_algorithm(&mut out, column.algorithm);
+            put_policy(&mut out, column.policy);
+            put_values(&mut out, &column.boundaries);
+            put_u32(&mut out, column.shards.len() as u32);
+            for shard in &column.shards {
+                put_column(&mut out, &shard.base);
+                put_sidecar(&mut out, &shard.sidecar);
+            }
+        }
+        debug_assert_eq!(out.len(), self.encoded_len());
+        let crc = crc32(&out[HEADER..]);
+        out[HEADER - 4..HEADER].copy_from_slice(&crc.to_le_bytes());
         out
+    }
+
+    /// Byte length of [`TableSnapshot::encode`]'s output.
+    fn encoded_len(&self) -> usize {
+        let run = |n: usize| 8 + 8 * n;
+        let mut len = HEADER + 8 + 8 + 4;
+        for column in &self.columns {
+            // name, algorithm tag, policy tag and value, boundaries,
+            // shard count
+            len += 4 + column.name.len() + 1 + 9 + run(column.boundaries.len()) + 4;
+            for shard in &column.shards {
+                len += run(shard.base.len())
+                    + run(shard.sidecar.inserts().len())
+                    + run(shard.sidecar.tombstones().len());
+            }
+        }
+        len
     }
 
     /// Decodes an envelope written by [`TableSnapshot::encode`],
@@ -170,7 +190,7 @@ impl TableSnapshot {
             return Err(CodecError::Invalid("unknown snapshot version"));
         }
         let crc = r.u32()?;
-        let body = &bytes[12..];
+        let body = &bytes[HEADER..];
         if crc32(body) != crc {
             return Err(CodecError::Invalid("snapshot checksum mismatch"));
         }
@@ -239,10 +259,20 @@ pub struct DirStore {
 }
 
 impl DirStore {
-    /// Opens (creating if missing) the snapshot directory at `dir`.
+    /// Opens (creating if missing) the snapshot directory at `dir`,
+    /// deleting the temporary files of saves a crash cut short.
     pub fn open(dir: impl Into<std::path::PathBuf>) -> io::Result<Self> {
         let dir = dir.into();
         std::fs::create_dir_all(&dir)?;
+        for entry in std::fs::read_dir(&dir)? {
+            let path = entry?.path();
+            let stem = path
+                .file_name()
+                .and_then(|n| n.to_str()?.strip_suffix(".tmp"));
+            if stem.is_some_and(|id| id.parse::<u64>().is_ok()) {
+                std::fs::remove_file(&path)?;
+            }
+        }
         Ok(DirStore { dir })
     }
 
@@ -251,15 +281,23 @@ impl DirStore {
     }
 }
 
+/// Writes `bytes` to a fresh file at `path` and makes them durable.
+fn write_synced(path: &std::path::Path, bytes: &[u8]) -> io::Result<()> {
+    let mut file = std::fs::File::create(path)?;
+    io::Write::write_all(&mut file, bytes)?;
+    file.sync_data()
+}
+
 impl SnapshotStore for DirStore {
     fn save(&mut self, id: u64, bytes: &[u8]) -> io::Result<()> {
         let tmp = self.dir.join(format!("{id:020}.tmp"));
-        {
-            let mut file = std::fs::File::create(&tmp)?;
-            io::Write::write_all(&mut file, bytes)?;
-            file.sync_data()?;
+        let saved = write_synced(&tmp, bytes).and_then(|()| std::fs::rename(&tmp, self.path(id)));
+        if let Err(e) = saved {
+            // Best effort: the save has failed already, and `open`
+            // sweeps whatever this leaves.
+            let _ = std::fs::remove_file(&tmp);
+            return Err(e);
         }
-        std::fs::rename(&tmp, self.path(id))?;
         // Make the rename itself durable.
         std::fs::File::open(&self.dir)?.sync_data()?;
         Ok(())
@@ -433,6 +471,20 @@ mod tests {
     }
 
     #[test]
+    fn encoding_matches_the_version_1_golden() {
+        // Captured from the first byte-at-a-time encoder: the length and
+        // the header (magic, version, body CRC) pin every byte of the
+        // format, so a change to the encoder or the checksum that still
+        // round-trips fails here.
+        let bytes = sample_snapshot().encode();
+        assert_eq!(bytes.len(), 281);
+        assert_eq!(
+            bytes[..12],
+            [0x50, 0x53, 0x4e, 0x50, 0x01, 0x00, 0x00, 0x00, 0xf6, 0x14, 0xa1, 0xc8]
+        );
+    }
+
+    #[test]
     fn every_single_bit_flip_is_rejected() {
         let bytes = sample_snapshot().encode();
         for byte in 0..bytes.len() {
@@ -485,6 +537,43 @@ mod tests {
         store.remove(3).unwrap();
         store.remove(3).unwrap(); // idempotent
         assert_eq!(store.ids().unwrap(), vec![4]);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn dir_store_sweeps_stale_temp_files_on_open() {
+        let dir = std::env::temp_dir().join(format!("pi-snap-sweep-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let snapshot = sample_snapshot();
+        DirStore::open(&dir)
+            .unwrap()
+            .save(3, &snapshot.encode())
+            .unwrap();
+        // A crash mid-save of snapshot 4 left its temp file behind.
+        let stale = dir.join(format!("{:020}.tmp", 4));
+        std::fs::write(&stale, b"half a snapshot").unwrap();
+        // A file the store did not name is not the store's to delete.
+        let foreign = dir.join("notes.tmp");
+        std::fs::write(&foreign, b"someone else's").unwrap();
+        let store = DirStore::open(&dir).unwrap();
+        assert!(!stale.exists(), "stale temp file survived reopening");
+        assert!(foreign.exists());
+        assert_eq!(store.ids().unwrap(), vec![3]);
+        assert_eq!(latest_valid_snapshot(&store).unwrap().unwrap(), snapshot);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn dir_store_removes_the_temp_file_of_a_failed_save() {
+        let dir = std::env::temp_dir().join(format!("pi-snap-fail-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut store = DirStore::open(&dir).unwrap();
+        // A non-empty directory squatting on the live name makes the
+        // rename fail after the temp file was written and synced.
+        let live = dir.join(format!("{:020}.snap", 5));
+        std::fs::create_dir_all(live.join("occupied")).unwrap();
+        assert!(store.save(5, &sample_snapshot().encode()).is_err());
+        assert!(!dir.join(format!("{:020}.tmp", 5)).exists());
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

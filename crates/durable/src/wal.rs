@@ -344,14 +344,16 @@ impl WalWriter {
     pub fn append(&mut self, record: &WalRecord) -> io::Result<u64> {
         let seq = self.next_seq;
         self.next_seq += 1;
-        let mut measured = Vec::with_capacity(SEQ_BYTES + 64);
-        measured.extend_from_slice(&seq.to_le_bytes());
-        record.encode(&mut measured);
-        self.buffer
-            .extend_from_slice(&(measured.len() as u32).to_le_bytes());
-        self.buffer
-            .extend_from_slice(&crc32(&measured).to_le_bytes());
-        self.buffer.extend_from_slice(&measured);
+        // Frame in place: reserve the header, write the measured bytes
+        // behind it, then patch in their length and CRC.
+        let frame = self.buffer.len();
+        self.buffer.extend_from_slice(&[0; FRAME_HEADER]);
+        self.buffer.extend_from_slice(&seq.to_le_bytes());
+        record.encode(&mut self.buffer);
+        let measured = &self.buffer[frame + FRAME_HEADER..];
+        let (len, crc) = (measured.len() as u32, crc32(measured));
+        self.buffer[frame..frame + 4].copy_from_slice(&len.to_le_bytes());
+        self.buffer[frame + 4..frame + FRAME_HEADER].copy_from_slice(&crc.to_le_bytes());
         self.buffered_records += 1;
         if let Some(metrics) = &self.metrics {
             metrics.appends.inc();
@@ -530,6 +532,27 @@ mod tests {
         assert_eq!(decoded, records);
         let seqs: Vec<u64> = scan.records.iter().map(|&(s, _)| s).collect();
         assert_eq!(seqs, vec![1, 2, 3, 4]);
+    }
+
+    #[test]
+    fn framing_matches_the_version_1_golden() {
+        // Captured from the first writer, which framed each record in a
+        // Vec of its own: the frame lengths and CRCs pin every byte.
+        let handle = MemWalHandle::new();
+        let mut writer = WalWriter::new(Box::new(handle.storage()), FsyncPolicy::Always, 1);
+        writer.append(&batch("a", &[1, 2, 3])).unwrap();
+        writer
+            .append(&WalRecord::Checkpoint { snapshot_id: 0 })
+            .unwrap();
+        let bytes = handle.storage().read_all().unwrap();
+        assert_eq!(bytes.len(), 78);
+        let header = |at: usize| {
+            let word = |i: usize| u32::from_le_bytes(bytes[i..i + 4].try_into().unwrap());
+            (word(at), word(at + 4))
+        };
+        assert_eq!(header(0), (0x2d, 0xf6b8_ae9d));
+        assert_eq!(header(FRAME_HEADER + 0x2d), (0x11, 0x3325_49fc));
+        assert_eq!(scan_wal(&bytes).records.len(), 2);
     }
 
     #[test]

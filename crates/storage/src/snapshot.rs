@@ -51,6 +51,7 @@ pub fn put_u64(out: &mut Vec<u8>, v: u64) {
 
 /// Appends a length-prefixed (`u64` count) run of values.
 pub fn put_values(out: &mut Vec<u8>, values: &[Value]) {
+    out.reserve(8 * (values.len() + 1));
     put_u64(out, values.len() as u64);
     for &v in values {
         put_u64(out, v);
@@ -116,11 +117,11 @@ impl<'a> ByteReader<'a> {
         if self.remaining() / 8 < count {
             return Err(CodecError::Truncated);
         }
-        let mut out = Vec::with_capacity(count);
-        for _ in 0..count {
-            out.push(self.u64()?);
-        }
-        Ok(out)
+        Ok(self
+            .take(8 * count)?
+            .chunks_exact(8)
+            .map(|b| u64::from_le_bytes(b.try_into().expect("8 bytes")))
+            .collect())
     }
 
     /// Consumes a length-prefixed UTF-8 string (see [`put_str`]).

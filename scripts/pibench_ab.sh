@@ -28,7 +28,11 @@
 # and the converged read's layers (`storage.btree.range_us`,
 # `storage.btree_lookup_ns`, `core.index.query_us`,
 # `engine.executor.overhead_us`, and `driver.peel_min_self_share`, whose
-# floor the peel checks), so the layer that moved is on the same page.
+# floor the peel checks) and the durable path's layers
+# (`durable.snapshot.encode_ms`, `engine.durability.checkpoint_ms`,
+# `durable.recover_s`, `durable.wal.append_us` and
+# `engine.durability.apply_us`), so the layer that moved is on the same
+# page.
 #
 # The run length and the command come from the working tree's
 # BENCHMARK.json and are the same on both sides.
@@ -139,7 +143,10 @@ EOF
                 $1 == "engine.planner.survivors_per_result" ||
                 $1 == "storage.btree.range_us" || $1 == "storage.btree_lookup_ns" ||
                 $1 == "core.index.query_us" || $1 == "engine.executor.overhead_us" ||
-                $1 == "driver.peel_min_self_share" {
+                $1 == "driver.peel_min_self_share" ||
+                $1 == "durable.snapshot.encode_ms" || $1 == "engine.durability.checkpoint_ms" ||
+                $1 == "durable.recover_s" || $1 == "durable.wal.append_us" ||
+                $1 == "engine.durability.apply_us" {
                     printf "  %-7s %-32s %.6g %s\n", side, $1, $2, $3 }'
     done
 done
