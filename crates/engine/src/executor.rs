@@ -18,9 +18,8 @@
 //!   round trip is worth tens of microseconds of scanning. A probe of a
 //!   fully indexed shard is O(log n), so batches on a converged table
 //!   always run inline; batches that still scan large unindexed shards are
-//!   dispatched onto the shard-affine [`pi_sched::Pool`] (shards pinned to
-//!   workers by row weight for cache locality, work-stealing for balance,
-//!   the submitting client helps drain).
+//!   dispatched onto the [`pi_sched::Pool`]'s shared queue (the
+//!   submitting client helps drain it).
 //! * **Idle-cycle maintenance** — when
 //!   [`ExecutorConfig::background_maintenance`] is on (the default), pool
 //!   workers donate their idle cycles to round-robin maintenance. Each
@@ -42,7 +41,7 @@ use std::sync::{Arc, Mutex};
 
 use pi_core::mutation::Mutation;
 use pi_obs::{Counter, Histogram, MetricsRegistry, ScopeTimer};
-use pi_sched::{plan_affinity, BatchExecutor, Job, Pool, PoolConfig, PoolStats};
+use pi_sched::{BatchExecutor, Job, Pool, PoolConfig, PoolStats};
 use pi_storage::scan::ScanResult;
 use pi_storage::Value;
 
@@ -289,9 +288,6 @@ pub struct Executor {
     table: Arc<Table>,
     config: ExecutorConfig,
     maintenance: Arc<MaintenanceState>,
-    /// Worker pinned to each flat shard id (see [`Executor::flat_id`]),
-    /// balanced by shard row count.
-    affinity: Vec<usize>,
     /// `flat_id(c, s) = column_offsets[c] + s`.
     column_offsets: Vec<usize>,
     pool: Pool,
@@ -357,16 +353,10 @@ impl Executor {
     ) -> Self {
         let mut addresses = Vec::with_capacity(table.total_shards());
         let mut column_offsets = Vec::with_capacity(table.columns().len());
-        let mut weights = Vec::with_capacity(table.total_shards());
         for (c, column) in table.columns().iter().enumerate() {
             column_offsets.push(addresses.len());
-            for s in 0..column.shard_count() {
-                addresses.push((c, s));
-                weights.push(column.shard_rows()[s]);
-            }
+            addresses.extend((0..column.shard_count()).map(|s| (c, s)));
         }
-        let workers = config.worker_threads.max(1);
-        let affinity = plan_affinity(&weights, workers);
         let maintenance = Arc::new(MaintenanceState {
             table: Arc::clone(&table),
             addresses,
@@ -379,16 +369,14 @@ impl Executor {
                 as pi_sched::IdleTask
         });
         let pool = Pool::with_config(PoolConfig {
-            workers,
+            workers: config.worker_threads.max(1),
             idle_task,
             metrics: registry.clone(),
-            ..PoolConfig::default()
         });
         Executor {
             table,
             config,
             maintenance,
-            affinity,
             column_offsets,
             pool,
             obs: registry.as_deref().map(ExecutorObs::register),
@@ -412,8 +400,8 @@ impl Executor {
         self.config
     }
 
-    /// Scheduler counters of the underlying pool (executed / stolen jobs
-    /// per worker, caller-helped jobs, idle maintenance cycles).
+    /// Scheduler counters of the underlying pool (jobs run by workers and
+    /// by helping callers, idle maintenance cycles).
     pub fn pool_stats(&self) -> PoolStats {
         self.pool.stats()
     }
@@ -562,8 +550,8 @@ impl Executor {
     /// for the caller to fold (the merge is commutative).
     ///
     /// The caller runs at least the largest task itself; the rest goes
-    /// through the pool, shard-affine and with the caller helping, only
-    /// when it is predicted to exceed `FAN_OUT_BREAK_EVEN_ELEMENTS`.
+    /// through the pool, with the caller helping, only when it is
+    /// predicted to exceed `FAN_OUT_BREAK_EVEN_ELEMENTS`.
     fn run_shard_tasks(
         &self,
         tasks: Vec<ShardTask>,
@@ -594,19 +582,13 @@ impl Executor {
             partials: Mutex<Vec<(usize, ScanResult)>>,
         }
         let expected: usize = tasks.iter().map(|t| t.sub_queries.len()).sum();
-        let affinities: Vec<usize> = tasks
-            .iter()
-            .map(|t| self.affinity[self.flat_id(t.column, t.shard)])
-            .collect();
         let state = Arc::new(BatchState {
             table: Arc::clone(&self.table),
             tasks,
             partials: Mutex::new(Vec::with_capacity(expected)),
         });
-        let jobs: Vec<(usize, Job)> = affinities
-            .into_iter()
-            .enumerate()
-            .map(|(i, affinity)| {
+        let jobs: Vec<(usize, Job)> = (0..state.tasks.len())
+            .map(|i| {
                 let state = Arc::clone(&state);
                 let job: Job = Box::new(move || {
                     let task = &state.tasks[i];
@@ -621,7 +603,7 @@ impl Executor {
                         .expect("batch partials poisoned")
                         .append(&mut local);
                 });
-                (affinity, job)
+                (0, job)
             })
             .collect();
         self.pool.run(jobs);

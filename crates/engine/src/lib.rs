@@ -14,8 +14,7 @@
 //!   pinned with [`AlgorithmChoice::Fixed`]).
 //! * [`Executor`] — accepts query batches from any number of client
 //!   threads, fans each query out across the overlapping shards on a
-//!   persistent, shard-affine [`pi_sched::Pool`] (shards pinned to
-//!   workers by row weight, work-stealing for balance, the caller
+//!   persistent [`pi_sched::Pool`] (one shared job queue, the caller
 //!   helping) and merges the partial [`pi_storage::ScanResult`]s. A
 //!   batch indexes only through its own queries' δ-slices. The pool's
 //!   idle cycles are donated to round-robin shard maintenance, so the

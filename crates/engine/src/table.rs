@@ -475,8 +475,8 @@ impl ShardedColumn {
     }
 
     /// Rows owned by each shard at construction (or the last re-balance).
-    /// The scheduler weights shard tasks by these counts when pinning
-    /// shards to pool workers; live counts drift under mutations.
+    /// The executor's fan-out gate prices a shard task's scan from these
+    /// counts; live counts drift under mutations.
     pub fn shard_rows(&self) -> &[usize] {
         &self.shard_rows
     }

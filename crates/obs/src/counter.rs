@@ -1,7 +1,7 @@
 //! Lock-free counters and gauges.
 //!
 //! [`Counter`] is write-heavy by design — the executor bumps it on every
-//! batch, every worker on every steal — so its value is striped across
+//! batch, every worker on every pop — so its value is striped across
 //! per-thread [`CachePadded`] atomic lanes: concurrent writers land on
 //! distinct cache lines and never bounce a shared line between cores.
 //! Reads ([`Counter::get`]) sum the lanes; they are monotone but not a

@@ -11,7 +11,7 @@
 //! ## Naming scheme
 //!
 //! `layer.subsystem.metric[.qualifier]`, lowercase, `[a-z0-9_.]`:
-//! `sched.pool.steals`, `server.queue_wait_ns`, `executor.phase.scan_ns`,
+//! `sched.pool.jobs`, `server.queue_wait_ns`, `executor.phase.scan_ns`,
 //! `engine.rho.<column>.<shard>`, `core.<column>.cost_error_pm`.
 //! Nanosecond histograms end in `_ns`, per-mille histograms in `_pm`.
 

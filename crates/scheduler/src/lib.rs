@@ -6,27 +6,21 @@
 //! amortization happens continuously instead of only inside a client's
 //! batch:
 //!
-//! * [`Pool`] — a persistent, shard-affine work-stealing worker pool.
-//!   One deque per worker, jobs routed by affinity key (the engine keys
-//!   by shard, so a shard's working set stays warm on one worker),
-//!   stealing for load balance, caller-helping batch execution
-//!   ([`Pool::run`]) and donated idle cycles ([`PoolConfig::idle_task`])
-//!   for background maintenance. Replaces the per-batch
-//!   `std::thread::scope` fan-out whose spawn cost dwarfed the
-//!   microsecond-scale shard tasks.
+//! * [`Pool`] — a persistent worker pool: one shared job queue,
+//!   caller-helping batch execution ([`Pool::run`]) and donated idle
+//!   cycles ([`PoolConfig::idle_task`]) for background maintenance.
+//!   Replaces the per-batch `std::thread::scope` fan-out whose spawn cost
+//!   dwarfed the microsecond-scale shard tasks.
 //! * [`Server`] — an async-style admission layer over any
 //!   [`BatchExecutor`]: bounded submission queue with backpressure
 //!   ([`Server::try_submit`] returns [`SubmitError::QueueFull`]), batch
-//!   coalescing across clients, [`Ticket`] futures, idle-cycle
-//!   maintenance and graceful shutdown that always resolves accepted
-//!   tickets.
-//! * [`plan_affinity`] — longest-processing-time-first pinning of
-//!   weighted shards onto workers, used by the engine to balance pinned
-//!   row counts.
+//!   coalescing across clients on one dispatcher thread, [`Ticket`]
+//!   futures, idle-cycle maintenance and graceful shutdown that always
+//!   resolves accepted tickets.
 //!
 //! The crate is dependency-free (std only) and knows nothing about
 //! indexes: `pi-engine` implements [`BatchExecutor`] for its `Executor`
-//! and keys pool jobs by global shard id.
+//! and runs a batch's shard tasks as pool jobs.
 //!
 //! ## Example
 //!
@@ -56,8 +50,7 @@
 pub mod pool;
 pub mod server;
 
-pub use pool::{plan_affinity, IdleTask, Job, Pool, PoolConfig, PoolStats};
+pub use pool::{IdleTask, Job, Pool, PoolConfig, PoolStats};
 pub use server::{
-    BatchExecutor, ServeError, Server, ServerConfig, ServerStats, SubmitError, Ticket,
-    TrySubmitError,
+    BatchExecutor, Server, ServerConfig, ServerStats, SubmitError, Ticket, TrySubmitError,
 };

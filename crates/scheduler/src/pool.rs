@@ -1,4 +1,4 @@
-//! Persistent, shard-affine work-stealing worker pool.
+//! Persistent worker pool with one shared queue.
 //!
 //! The engine's unit of parallel work is a *shard task* (answer a batch's
 //! sub-queries against one shard). Those tasks are short — microseconds
@@ -7,14 +7,10 @@
 //! [`Pool`] keeps a fixed set of workers alive for the lifetime of the
 //! engine instead:
 //!
-//! * **One deque per worker.** [`Pool::run`] routes each job of a batch
-//!   to the deque chosen by its *affinity key* (`key % workers`). The
-//!   engine keys jobs by shard id, so the same shard lands on the same
-//!   worker run after run and its working set stays warm in that
-//!   worker's cache.
-//! * **Stealing for balance.** A worker whose own deque is empty steals
-//!   from the *back* of its siblings' deques, so skewed workloads cannot
-//!   idle seven workers while one drowns.
+//! * **One queue.** [`Pool::run`] appends a batch's jobs to a single FIFO
+//!   queue guarded by one mutex; workers pop from its front and wait on
+//!   one condvar tied to that mutex, so a push cannot slip between a
+//!   worker's emptiness check and its wait.
 //! * **Caller helping.** [`Pool::run`] enqueues a batch and then lets the
 //!   submitting thread drain jobs alongside the workers instead of
 //!   blocking. On a single-core host this degrades gracefully to inline
@@ -22,20 +18,21 @@
 //!   its own jobs back — while on a many-core host the workers genuinely
 //!   parallelize the batch.
 //! * **Idle cycles are donated.** An optional [`PoolConfig::idle_task`]
-//!   hook runs whenever a worker finds every deque empty. The engine
-//!   points this at cold-shard maintenance, so background convergence
-//!   consumes exactly the cycles serving leaves free and stops the moment
-//!   a query task arrives (each call performs one bounded slice of work —
-//!   how much is the hook's choice; the engine batches several budgeted
-//!   steps per call to amortise locking).
+//!   hook runs whenever a worker finds the queue empty. The engine points
+//!   this at cold-shard maintenance, so background convergence consumes
+//!   exactly the cycles serving leaves free and stops the moment a query
+//!   task arrives (each call performs one bounded slice of work — how
+//!   much is the hook's choice; the engine batches several budgeted steps
+//!   per call to amortise locking). Once the hook reports nothing to do,
+//!   the worker sleeps until a job arrives or 50 ms pass.
 //!
 //! Every job belongs to a [`Pool::run`] batch, and `run` returns only once
 //! its batch has finished, so [`Pool::shutdown`] (or dropping the pool)
-//! finds every deque empty and only has to stop the workers.
+//! finds the queue empty and only has to stop the workers.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::Duration;
 
 use pi_obs::{Counter, Gauge, Histogram, MetricsRegistry};
@@ -43,11 +40,17 @@ use pi_obs::{Counter, Gauge, Histogram, MetricsRegistry};
 /// A unit of work executed by the pool.
 pub type Job = Box<dyn FnOnce() + Send + 'static>;
 
-/// Hook run by a worker when every deque is empty. Receives the worker's
+/// Hook run by a worker when the queue is empty. Receives the worker's
 /// id; returns `true` when it performed useful work (the worker will call
-/// again after re-checking the deques) and `false` when there is nothing
-/// to do (the worker parks).
+/// again after re-checking the queue) and `false` when there is nothing
+/// to do (the worker sleeps).
 pub type IdleTask = Arc<dyn Fn(usize) -> bool + Send + Sync>;
+
+/// How long a worker whose idle task reported nothing to do sleeps before
+/// asking it again, unless a job wakes it first. New work for the idle
+/// task (a write reopening a shard) announces itself to nobody, so it is
+/// polled for; without an idle task a worker waits for jobs untimed.
+const IDLE_RECHECK: Duration = Duration::from_millis(50);
 
 /// Pool construction parameters.
 #[derive(Clone)]
@@ -57,14 +60,11 @@ pub struct PoolConfig {
     /// Background task donated the workers' idle cycles (see
     /// [`IdleTask`]).
     pub idle_task: Option<IdleTask>,
-    /// How long a worker parks when there are no jobs and the idle task
-    /// reports no work. Parked workers are woken eagerly on every enqueued
-    /// job; the timeout is only a backstop.
-    pub idle_park: Duration,
     /// Registry receiving the pool's `sched.pool.*` metrics (queue depth,
-    /// steals, donated idle cycles, jobs per run). `None` — the default —
-    /// records nothing; the engine passes its registry down so the whole
-    /// serving stack lands in one snapshot.
+    /// jobs, caller-helped jobs, donated idle cycles, jobs per run).
+    /// `None` — the default — keeps them in a private registry that only
+    /// [`Pool::stats`] reads; the engine passes its registry down so the
+    /// whole serving stack lands in one snapshot.
     pub metrics: Option<Arc<MetricsRegistry>>,
 }
 
@@ -75,7 +75,6 @@ impl Default for PoolConfig {
                 .map(|n| n.get())
                 .unwrap_or(4),
             idle_task: None,
-            idle_park: Duration::from_millis(50),
             metrics: None,
         }
     }
@@ -86,19 +85,18 @@ impl std::fmt::Debug for PoolConfig {
         f.debug_struct("PoolConfig")
             .field("workers", &self.workers)
             .field("idle_task", &self.idle_task.as_ref().map(|_| "…"))
-            .field("idle_park", &self.idle_park)
             .field("metrics", &self.metrics.as_ref().map(|_| "…"))
             .finish()
     }
 }
 
-/// Per-worker counters, for observability and the fairness tests.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// The pool's counters, read from its `sched.pool.*` metrics. The
+/// counters are read one after another, not as one atomic snapshot, so a
+/// read racing a pop may see it in one counter and not yet in another.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PoolStats {
-    /// Jobs each worker executed (including stolen ones).
-    pub executed: Vec<u64>,
-    /// Jobs each worker stole from a sibling's deque.
-    pub stolen: Vec<u64>,
+    /// Jobs executed by the worker threads.
+    pub executed: u64,
     /// Jobs executed by helping caller threads inside [`Pool::run`].
     pub helped: u64,
     /// Idle-task invocations that reported useful work.
@@ -108,22 +106,18 @@ pub struct PoolStats {
 impl PoolStats {
     /// Total jobs executed by workers and helpers together.
     pub fn total_executed(&self) -> u64 {
-        self.executed.iter().sum::<u64>() + self.helped
+        self.executed + self.helped
     }
 }
 
-/// Registry handles for the pool's `sched.pool.*` metric family. The
-/// per-worker [`PoolStats`] atomics remain the source of truth for the
-/// fairness tests; these aggregate handles are what dashboards and
-/// snapshots read. All counter traffic — one relaxed add next to the
-/// pre-existing stats add — so they stay live with `obs` off.
+/// Registry handles for the pool's `sched.pool.*` metric family: the
+/// source of [`PoolStats`] as well as of dashboards and snapshots. All
+/// counter traffic, so they stay live with `obs` off.
 struct PoolObs {
     /// `sched.pool.queue_depth` — jobs enqueued and not yet popped.
     queue_depth: Arc<Gauge>,
     /// `sched.pool.jobs` — jobs executed (workers and helpers).
     jobs: Arc<Counter>,
-    /// `sched.pool.steals` — jobs taken from a sibling's deque.
-    steals: Arc<Counter>,
     /// `sched.pool.helped` — jobs drained by helping `run` callers.
     helped: Arc<Counter>,
     /// `sched.pool.idle_cycles` — idle-task invocations that did work.
@@ -134,10 +128,13 @@ struct PoolObs {
 
 impl PoolObs {
     fn register(registry: &MetricsRegistry) -> Self {
+        // One queue has no siblings to steal from, so this stays 0. It is
+        // registered only because pibench's peel reads it and fails on a
+        // missing counter.
+        registry.counter("sched.pool.steals");
         PoolObs {
             queue_depth: registry.gauge("sched.pool.queue_depth"),
             jobs: registry.counter("sched.pool.jobs"),
-            steals: registry.counter("sched.pool.steals"),
             helped: registry.counter("sched.pool.helped"),
             idle_cycles: registry.counter("sched.pool.idle_cycles"),
             jobs_per_run: registry.histogram("sched.pool.jobs_per_run"),
@@ -146,147 +143,62 @@ impl PoolObs {
 }
 
 struct Shared {
-    /// One deque per worker; `push` appends to `key % workers`.
-    queues: Vec<Mutex<VecDeque<Job>>>,
-    /// Jobs currently enqueued across all deques (not yet popped).
-    queued: AtomicUsize,
-    /// Lock + condvar parking idle workers; `queued` is re-checked under
-    /// the lock so a push's notification cannot be lost.
-    park: Mutex<()>,
+    /// Every job not yet popped, oldest first.
+    queue: Mutex<VecDeque<Job>>,
+    /// Waits on `queue`: signalled by a push and by shutdown.
     wake: Condvar,
+    /// Written under the `queue` lock, so a worker that saw it clear
+    /// under that lock is waiting by the time it flips.
     shutdown: AtomicBool,
-    /// Workers currently blocked in the park wait; lets `push` skip the
-    /// park lock entirely when nobody is parked (the common busy case).
-    parked: AtomicUsize,
     idle_task: Option<IdleTask>,
-    idle_park: Duration,
-    executed: Vec<AtomicU64>,
-    stolen: Vec<AtomicU64>,
-    helped: AtomicU64,
-    idle_work: AtomicU64,
-    obs: Option<PoolObs>,
+    obs: PoolObs,
 }
 
 impl Shared {
-    /// Pops a job for worker `w`: its own deque first (front — oldest
-    /// first, preserving rough submission order per shard), then a steal
-    /// sweep over the siblings (back — the job least likely to be warm in
-    /// the victim's cache).
-    /// Mirrors a pop's accounting into the registry, if one is attached.
-    #[inline]
-    fn note_popped(&self, depth_before: usize, stolen: bool, helped: bool) {
-        if let Some(obs) = &self.obs {
-            obs.queue_depth
-                .set_u64(depth_before.saturating_sub(1) as u64);
-            obs.jobs.inc();
-            if stolen {
-                obs.steals.inc();
-            }
-            if helped {
-                obs.helped.inc();
-            }
-        }
+    fn lock(&self) -> MutexGuard<'_, VecDeque<Job>> {
+        self.queue.lock().expect("pool queue poisoned")
     }
 
-    fn pop(&self, w: usize) -> Option<Job> {
-        if let Some(job) = self.queues[w]
-            .lock()
-            .expect("pool queue poisoned")
-            .pop_front()
-        {
-            let before = self.queued.fetch_sub(1, Ordering::Relaxed);
-            self.executed[w].fetch_add(1, Ordering::Relaxed);
-            self.note_popped(before, false, false);
-            return Some(job);
+    /// Pops the oldest job, counted as a worker's or a helping caller's.
+    fn pop(&self, queue: &mut VecDeque<Job>, helped: bool) -> Option<Job> {
+        let job = queue.pop_front()?;
+        self.obs.queue_depth.set_u64(queue.len() as u64);
+        self.obs.jobs.inc();
+        if helped {
+            self.obs.helped.inc();
         }
-        let n = self.queues.len();
-        for step in 1..n {
-            let victim = (w + step) % n;
-            if let Some(job) = self.queues[victim]
-                .lock()
-                .expect("pool queue poisoned")
-                .pop_back()
-            {
-                let before = self.queued.fetch_sub(1, Ordering::Relaxed);
-                self.executed[w].fetch_add(1, Ordering::Relaxed);
-                self.stolen[w].fetch_add(1, Ordering::Relaxed);
-                self.note_popped(before, true, false);
-                return Some(job);
-            }
-        }
-        None
-    }
-
-    /// Steal sweep for a helping caller thread (no home deque).
-    fn pop_any(&self) -> Option<Job> {
-        for queue in &self.queues {
-            if let Some(job) = queue.lock().expect("pool queue poisoned").pop_back() {
-                let before = self.queued.fetch_sub(1, Ordering::Relaxed);
-                self.helped.fetch_add(1, Ordering::Relaxed);
-                self.note_popped(before, false, true);
-                return Some(job);
-            }
-        }
-        None
-    }
-
-    fn push(&self, affinity: usize, job: Job) {
-        let n = self.queues.len();
-        self.queues[affinity % n]
-            .lock()
-            .expect("pool queue poisoned")
-            .push_back(job);
-        let before = self.queued.fetch_add(1, Ordering::SeqCst);
-        if let Some(obs) = &self.obs {
-            obs.queue_depth.set_u64(before as u64 + 1);
-        }
-        // Wake a parked worker — one new job needs at most one. When no
-        // worker is parked (the common busy case) the park lock is
-        // skipped entirely. SeqCst on `queued` above and `parked` here
-        // pairs with the worker's store-parked-then-recheck-queued
-        // sequence under the park lock: either the worker sees the new
-        // job and never waits, or this thread sees `parked > 0` and the
-        // lock-ordered notify reaches it. The park timeout backstops any
-        // interleaving this misses.
-        if self.parked.load(Ordering::SeqCst) > 0 {
-            let _guard = self.park.lock().expect("pool park lock poisoned");
-            self.wake.notify_one();
-        }
+        Some(job)
     }
 
     /// Every popped job is a [`Pool::run`] wrapper that catches its own
     /// panic, so running it never unwinds the worker.
     fn worker_loop(&self, w: usize) {
         loop {
-            if let Some(job) = self.pop(w) {
+            let mut queue = self.lock();
+            if let Some(job) = self.pop(&mut queue, false) {
+                drop(queue);
                 job();
                 continue;
             }
             if self.shutdown.load(Ordering::Acquire) {
                 return;
             }
-            if let Some(idle) = &self.idle_task {
-                if idle(w) {
-                    self.idle_work.fetch_add(1, Ordering::Relaxed);
-                    if let Some(obs) = &self.obs {
-                        obs.idle_cycles.inc();
-                    }
-                    continue;
-                }
+            let Some(idle) = &self.idle_task else {
+                drop(self.wake.wait(queue).expect("pool queue poisoned"));
+                continue;
+            };
+            drop(queue);
+            if idle(w) {
+                self.obs.idle_cycles.inc();
+                continue;
             }
-            let guard = self.park.lock().expect("pool park lock poisoned");
-            // Declare parked *before* the queued re-check: a push that
-            // this check misses is then guaranteed to observe
-            // `parked > 0` (SeqCst pairing in `push`) and notify under
-            // the lock we hold, so the wakeup cannot be lost.
-            self.parked.fetch_add(1, Ordering::SeqCst);
-            if self.queued.load(Ordering::SeqCst) == 0 && !self.shutdown.load(Ordering::Acquire) {
+            let queue = self.lock();
+            if queue.is_empty() && !self.shutdown.load(Ordering::Acquire) {
                 let _ = self
                     .wake
-                    .wait_timeout(guard, self.idle_park)
-                    .expect("pool park lock poisoned");
+                    .wait_timeout(queue, IDLE_RECHECK)
+                    .expect("pool queue poisoned");
             }
-            self.parked.fetch_sub(1, Ordering::SeqCst);
         }
     }
 }
@@ -337,7 +249,7 @@ pub struct Pool {
 }
 
 impl Pool {
-    /// A pool of `workers` threads with default parking and no idle task.
+    /// A pool of `workers` threads, no idle task, private metrics.
     pub fn new(workers: usize) -> Self {
         Self::with_config(PoolConfig {
             workers,
@@ -351,22 +263,15 @@ impl Pool {
     /// Panics when `config.workers == 0`.
     pub fn with_config(config: PoolConfig) -> Self {
         assert!(config.workers > 0, "a pool needs at least one worker");
+        let registry = config
+            .metrics
+            .unwrap_or_else(|| Arc::new(MetricsRegistry::new()));
         let shared = Arc::new(Shared {
-            queues: (0..config.workers)
-                .map(|_| Mutex::new(VecDeque::new()))
-                .collect(),
-            queued: AtomicUsize::new(0),
-            park: Mutex::new(()),
+            queue: Mutex::new(VecDeque::new()),
             wake: Condvar::new(),
             shutdown: AtomicBool::new(false),
-            parked: AtomicUsize::new(0),
             idle_task: config.idle_task,
-            idle_park: config.idle_park,
-            executed: (0..config.workers).map(|_| AtomicU64::new(0)).collect(),
-            stolen: (0..config.workers).map(|_| AtomicU64::new(0)).collect(),
-            helped: AtomicU64::new(0),
-            idle_work: AtomicU64::new(0),
-            obs: config.metrics.as_deref().map(PoolObs::register),
+            obs: PoolObs::register(&registry),
         });
         let handles = (0..config.workers)
             .map(|w| {
@@ -382,13 +287,14 @@ impl Pool {
 
     /// Number of worker threads.
     pub fn workers(&self) -> usize {
-        self.shared.queues.len()
+        self.handles.len()
     }
 
-    /// Runs a batch of `(affinity, job)` pairs to completion.
+    /// Runs a batch of jobs to completion. The `usize` of each pair is
+    /// not read: every job goes to the one shared queue.
     ///
     /// The calling thread does not block idly: after enqueueing it helps
-    /// drain the deques (possibly executing jobs of other concurrent
+    /// drain the queue (possibly executing jobs of other concurrent
     /// batches — all jobs are independent) until every job of *this*
     /// batch has finished. Any number of threads may call `run`
     /// concurrently.
@@ -404,27 +310,34 @@ impl Pool {
                 self.0.count_down();
             }
         }
-        let latch = Arc::new(Latch::new(jobs.len()));
-        if let Some(obs) = &self.shared.obs {
-            obs.jobs_per_run.record(jobs.len() as u64);
-        }
-        for (affinity, job) in jobs {
-            // Declared before the catch so the count-down (its Drop) runs
-            // after the panic flag is stored — the caller's post-batch
-            // check must observe the flag once the latch opens.
-            let guard = CountDown(Arc::clone(&latch));
-            self.shared.push(
-                affinity,
-                Box::new(move || {
+        let count = jobs.len();
+        let latch = Arc::new(Latch::new(count));
+        self.shared.obs.jobs_per_run.record(count as u64);
+        {
+            let mut queue = self.shared.lock();
+            for (_, job) in jobs {
+                // Declared before the catch so the count-down (its Drop)
+                // runs after the panic flag is stored — the caller's
+                // post-batch check must observe the flag once the latch
+                // opens.
+                let guard = CountDown(Arc::clone(&latch));
+                queue.push_back(Box::new(move || {
                     let _guard = guard;
                     if std::panic::catch_unwind(std::panic::AssertUnwindSafe(job)).is_err() {
                         _guard.0.panicked.store(true, Ordering::Release);
                     }
-                }),
-            );
+                }));
+            }
+            self.shared.obs.queue_depth.set_u64(queue.len() as u64);
+        }
+        // One waiting worker per job is enough; the rest stay asleep.
+        for _ in 0..count.min(self.workers()) {
+            self.shared.wake.notify_one();
         }
         while !latch.is_done() {
-            match self.shared.pop_any() {
+            // `let`, not `match`: the queue guard must drop before the job runs.
+            let job = self.shared.pop(&mut self.shared.lock(), true);
+            match job {
                 // The drained job may belong to any batch; its wrapper
                 // catches its panic, so a foreign panic cannot unwind
                 // this caller.
@@ -440,23 +353,14 @@ impl Pool {
         );
     }
 
-    /// Snapshot of the per-worker counters.
+    /// The pool's counters.
     pub fn stats(&self) -> PoolStats {
+        let obs = &self.shared.obs;
+        let helped = obs.helped.get();
         PoolStats {
-            executed: self
-                .shared
-                .executed
-                .iter()
-                .map(|c| c.load(Ordering::Relaxed))
-                .collect(),
-            stolen: self
-                .shared
-                .stolen
-                .iter()
-                .map(|c| c.load(Ordering::Relaxed))
-                .collect(),
-            helped: self.shared.helped.load(Ordering::Relaxed),
-            idle_work: self.shared.idle_work.load(Ordering::Relaxed),
+            executed: obs.jobs.get().saturating_sub(helped),
+            helped,
+            idle_work: obs.idle_cycles.get(),
         }
     }
 
@@ -468,9 +372,9 @@ impl Pool {
     }
 
     fn shutdown_inner(&mut self) {
-        self.shared.shutdown.store(true, Ordering::Release);
         {
-            let _guard = self.shared.park.lock().expect("pool park lock poisoned");
+            let _queue = self.shared.lock();
+            self.shared.shutdown.store(true, Ordering::Release);
             self.shared.wake.notify_all();
         }
         for handle in self.handles.drain(..) {
@@ -483,35 +387,6 @@ impl Drop for Pool {
     fn drop(&mut self) {
         self.shutdown_inner();
     }
-}
-
-/// Pins weighted shards to workers: longest-processing-time-first greedy
-/// assignment, so each worker's pinned shards carry roughly equal total
-/// weight. Returns the worker index for every shard. Shards with equal
-/// weight keep a deterministic assignment (stable order).
-///
-/// The engine weights shards by row count (equi-depth sharding makes the
-/// weights near-uniform, but explicit [`RangePartition`] boundaries and
-/// duplicate-heavy data can skew them arbitrarily).
-///
-/// [`RangePartition`]: https://docs.rs/pi-storage
-///
-/// # Panics
-/// Panics when `workers == 0`.
-pub fn plan_affinity(weights: &[usize], workers: usize) -> Vec<usize> {
-    assert!(workers > 0, "affinity plan needs at least one worker");
-    let mut order: Vec<usize> = (0..weights.len()).collect();
-    order.sort_by_key(|&i| std::cmp::Reverse(weights[i]));
-    let mut load = vec![0usize; workers];
-    let mut assignment = vec![0usize; weights.len()];
-    for shard in order {
-        let worker = (0..workers)
-            .min_by_key(|&w| (load[w], w))
-            .expect("workers > 0");
-        assignment[shard] = worker;
-        load[worker] += weights[shard];
-    }
-    assignment
 }
 
 #[cfg(test)]
@@ -577,7 +452,6 @@ mod tests {
                 // Report work a bounded number of times, then go idle.
                 idle_hits.fetch_add(1, Ordering::Relaxed) < 10
             })),
-            idle_park: Duration::from_millis(1),
             metrics: None,
         });
         let deadline = std::time::Instant::now() + Duration::from_secs(5);
@@ -610,40 +484,19 @@ mod tests {
             })
             .collect();
         pool.run(jobs);
+        let stats = pool.stats();
         pool.shutdown();
         let snap = registry.snapshot();
         assert_eq!(snap.counter("sched.pool.jobs"), Some(30));
+        assert_eq!(stats.total_executed(), 30);
+        assert_eq!(snap.counter("sched.pool.helped"), Some(stats.helped));
         let per_run = snap.histogram("sched.pool.jobs_per_run").unwrap();
         assert_eq!(per_run.count, 1);
         assert_eq!(per_run.sum, 30);
-        // The depth gauge is last-write-wins across racing pops, so only
-        // its presence and plausibility are asserted here.
-        let depth = snap.gauge("sched.pool.queue_depth").expect("depth gauge");
-        assert!((0.0..=30.0).contains(&depth), "implausible depth {depth}");
-        // Steals + helped are workload-dependent; the counters must at
-        // least exist in the snapshot.
-        assert!(snap.counter("sched.pool.steals").is_some());
-        assert!(snap.counter("sched.pool.helped").is_some());
-    }
-
-    #[test]
-    fn affinity_plan_balances_weights() {
-        // Eight equal shards over four workers: two each.
-        let plan = plan_affinity(&[10; 8], 4);
-        for w in 0..4 {
-            assert_eq!(plan.iter().filter(|&&a| a == w).count(), 2);
-        }
-        // A dominant shard gets a worker mostly to itself.
-        let plan = plan_affinity(&[100, 10, 10, 10], 2);
-        let big_worker = plan[0];
-        let coloaded: usize = (1..4).filter(|&i| plan[i] == big_worker).count();
-        assert!(
-            coloaded <= 1,
-            "heavy shard co-located with {coloaded} light shards"
-        );
-        // More workers than shards is fine.
-        assert_eq!(plan_affinity(&[5], 8).len(), 1);
-        assert!(plan_affinity(&[], 3).is_empty());
+        // The depth gauge is set under the queue lock, so the last pop's
+        // write is the one left.
+        assert_eq!(snap.gauge("sched.pool.queue_depth"), Some(0.0));
+        assert_eq!(snap.counter("sched.pool.steals"), Some(0));
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //!   the submitting thread and returns a ticket that is already resolved:
 //!   handing an uncontended batch to a dispatcher and waiting for it costs
 //!   two condvar round trips, more than most batches. Everything else is
-//!   queued for the dispatcher threads, which coalesce it.
+//!   queued for the dispatcher thread, which coalesces it.
 //!   [`Server::try_submit`] always queues. Batches therefore *start* in
 //!   admission order: a submitter runs its own batch only when nothing
 //!   admitted before it is still waiting or running.
@@ -19,7 +19,7 @@
 //!   [`SubmitError::QueueFull`] instead of queueing unboundedly —
 //!   backpressure the client can act on (shed, retry, slow down);
 //!   `submit` blocks until space frees up.
-//! * **Batch coalescing.** A dispatcher drains up to
+//! * **Batch coalescing.** The dispatcher drains up to
 //!   [`ServerConfig::max_coalesced_queries`] queued requests and executes
 //!   them as *one* engine batch, so per-batch costs (name resolution,
 //!   shard fan-out) amortize across clients under load — the
@@ -28,12 +28,13 @@
 //!   column), the dispatcher falls back to executing each submission
 //!   separately so one bad request cannot fail its neighbours.
 //! * **Idle-cycle maintenance.** When the queue is empty the dispatcher
-//!   donates its cycles to [`BatchExecutor::idle_maintain`], one budgeted
-//!   step at a time, so cold shards keep converging even when no client
-//!   ever queries their range.
+//!   donates its cycles to [`BatchExecutor::idle_maintain`], one bounded
+//!   maintenance cycle per call (the engine's runs up to a column's shard
+//!   count of budgeted steps under one shard lock), so cold shards keep
+//!   converging even when no client ever queries their range.
 //! * **Graceful shutdown.** [`Server::shutdown`] stops admissions
 //!   (subsequent submits fail with [`SubmitError::ShutDown`]), lets the
-//!   dispatchers drain every already-accepted submission, joins them and
+//!   dispatcher drain every already-accepted submission, joins it and
 //!   waits for the batches submitters are running themselves. Every
 //!   accepted ticket is resolved when it returns.
 //! * **Observability.** Admission, execution and coalescing land in a
@@ -65,9 +66,11 @@ pub trait BatchExecutor: Send + Sync + 'static {
     /// request, in request order.
     fn execute_batch(&self, batch: &[Self::Request]) -> Result<Vec<Self::Response>, Self::Error>;
 
-    /// Performs one budgeted background-maintenance step. Returns `true`
-    /// when work was performed, `false` when there is none left (the
-    /// dispatcher then parks instead of spinning). Default: no
+    /// Performs one bounded background-maintenance cycle — as many
+    /// budgeted steps as the implementation batches per call (the engine
+    /// runs up to a column's shard count of steps under one shard lock).
+    /// Returns `true` when work was performed, `false` when there is none
+    /// left (the dispatcher then parks instead of spinning). Default: no
     /// maintenance.
     fn idle_maintain(&self) -> bool {
         false
@@ -114,18 +117,18 @@ impl<R> std::fmt::Display for TrySubmitError<R> {
 
 impl<R: std::fmt::Debug> std::error::Error for TrySubmitError<R> {}
 
+/// How long the idle dispatcher parks before asking
+/// [`BatchExecutor::idle_maintain`] again; a submission wakes it sooner.
+const IDLE_PARK: Duration = Duration::from_millis(20);
+
 /// Server tuning knobs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServerConfig {
     /// Maximum number of submissions waiting in the admission queue.
     pub queue_capacity: usize,
-    /// A dispatcher stops coalescing once the combined batch reaches this
-    /// many requests.
+    /// The dispatcher stops coalescing once the combined batch reaches
+    /// this many requests.
     pub max_coalesced_queries: usize,
-    /// Number of dispatcher threads draining the queue.
-    pub dispatchers: usize,
-    /// Dispatcher park timeout when idle (woken eagerly on submission).
-    pub idle_park: Duration,
 }
 
 impl Default for ServerConfig {
@@ -133,8 +136,6 @@ impl Default for ServerConfig {
         ServerConfig {
             queue_capacity: 128,
             max_coalesced_queries: 256,
-            dispatchers: 1,
-            idle_park: Duration::from_millis(20),
         }
     }
 }
@@ -155,7 +156,9 @@ pub struct ServerStats {
     /// Individual requests served successfully (failed batches resolve
     /// their tickets with the error and are not counted here).
     pub served_requests: u64,
-    /// Background-maintenance steps performed from idle cycles.
+    /// Idle cycles in which [`BatchExecutor::idle_maintain`] performed
+    /// background maintenance. Counts cycles, not budgeted steps: one
+    /// engine cycle runs up to a column's shard count of steps.
     pub maintenance_steps: u64,
     /// Dispatcher runs that combined two or more submissions into one
     /// engine batch.
@@ -341,8 +344,8 @@ impl<E: BatchExecutor> Submission<E> {
 /// What the queue lock guards.
 struct Admission<E: BatchExecutor> {
     waiting: VecDeque<Submission<E>>,
-    /// Batches taken for execution and not yet resolved, by dispatchers
-    /// and by submitters running their own.
+    /// Batches taken for execution and not yet resolved, by the
+    /// dispatcher and by submitters running their own.
     in_flight: usize,
 }
 
@@ -350,7 +353,7 @@ struct ServerShared<E: BatchExecutor> {
     executor: Arc<E>,
     config: ServerConfig,
     queue: Mutex<Admission<E>>,
-    /// Wakes dispatchers (new submission / shutdown).
+    /// Wakes the dispatcher (new submission / shutdown).
     dispatch: Condvar,
     /// Wakes blocked `submit` callers (space freed / shutdown).
     space: Condvar,
@@ -512,7 +515,7 @@ impl<E: BatchExecutor> ServerShared<E> {
                 if queue.waiting.is_empty() && !self.shutdown.load(Ordering::Acquire) {
                     let _ = self
                         .dispatch
-                        .wait_timeout(queue, self.config.idle_park)
+                        .wait_timeout(queue, IDLE_PARK)
                         .expect("server queue poisoned");
                 }
                 continue;
@@ -538,19 +541,20 @@ impl<E: BatchExecutor> ServerShared<E> {
 /// The serving front-end. See the module docs.
 pub struct Server<E: BatchExecutor> {
     shared: Arc<ServerShared<E>>,
-    dispatchers: Mutex<Vec<std::thread::JoinHandle<()>>>,
+    /// Taken by the first `shutdown`, which joins it.
+    dispatcher: Mutex<Option<std::thread::JoinHandle<()>>>,
 }
 
 impl<E: BatchExecutor> Server<E> {
-    /// Starts a server (and its dispatcher threads) over `executor`.
+    /// Starts a server (and its dispatcher thread) over `executor`.
     ///
     /// Metrics land in a fresh private registry (see
     /// [`Server::metrics`]); use [`Server::with_metrics`] to aggregate
     /// them into a shared registry instead.
     ///
     /// # Panics
-    /// Panics when `config.queue_capacity`, `config.max_coalesced_queries`
-    /// or `config.dispatchers` is zero.
+    /// Panics when `config.queue_capacity` or
+    /// `config.max_coalesced_queries` is zero.
     pub fn new(executor: Arc<E>, config: ServerConfig) -> Self {
         Self::with_metrics(executor, config, Arc::new(MetricsRegistry::new()))
     }
@@ -565,8 +569,8 @@ impl<E: BatchExecutor> Server<E> {
     /// when per-server numbers matter.
     ///
     /// # Panics
-    /// Panics when `config.queue_capacity`, `config.max_coalesced_queries`
-    /// or `config.dispatchers` is zero.
+    /// Panics when `config.queue_capacity` or
+    /// `config.max_coalesced_queries` is zero.
     pub fn with_metrics(
         executor: Arc<E>,
         config: ServerConfig,
@@ -576,10 +580,6 @@ impl<E: BatchExecutor> Server<E> {
         assert!(
             config.max_coalesced_queries > 0,
             "coalescing limit must be positive"
-        );
-        assert!(
-            config.dispatchers > 0,
-            "a server needs at least one dispatcher"
         );
         let obs = ServerObs::register(&registry);
         let shared = Arc::new(ServerShared {
@@ -596,24 +596,17 @@ impl<E: BatchExecutor> Server<E> {
             registry,
             obs,
         });
-        let dispatchers = (0..config.dispatchers)
-            .map(|d| {
-                let shared = Arc::clone(&shared);
-                std::thread::Builder::new()
-                    .name(format!("pi-serve-{d}"))
-                    .spawn(move || shared.dispatcher_loop())
-                    .expect("failed to spawn dispatcher")
-            })
-            .collect();
+        let dispatcher = {
+            let shared = Arc::clone(&shared);
+            std::thread::Builder::new()
+                .name("pi-serve".into())
+                .spawn(move || shared.dispatcher_loop())
+                .expect("failed to spawn dispatcher")
+        };
         Server {
             shared,
-            dispatchers: Mutex::new(dispatchers),
+            dispatcher: Mutex::new(Some(dispatcher)),
         }
-    }
-
-    /// Starts a server with the default configuration.
-    pub fn with_defaults(executor: Arc<E>) -> Self {
-        Self::new(executor, ServerConfig::default())
     }
 
     /// The executor this server fronts.
@@ -628,7 +621,7 @@ impl<E: BatchExecutor> Server<E> {
         &self.shared.registry
     }
 
-    /// Non-blocking admission: enqueues `requests` for the dispatchers or
+    /// Non-blocking admission: enqueues `requests` for the dispatcher or
     /// hands them back with the backpressure reason. Never runs the batch
     /// itself, so it returns without waiting for any execution.
     pub fn try_submit(
@@ -709,19 +702,6 @@ impl<E: BatchExecutor> Server<E> {
         ticket
     }
 
-    /// Convenience: submit one batch (blocking admission) and wait for its
-    /// results.
-    pub fn execute(&self, requests: Vec<E::Request>) -> Result<Vec<E::Response>, ServeError<E>> {
-        let ticket = self.submit(requests).map_err(ServeError::Rejected)?;
-        ticket.wait().map_err(ServeError::Executor)
-    }
-
-    /// Current queue depth (submissions waiting, excluding in-flight).
-    /// Equivalent to [`ServerStats::queue_depth`] from [`Server::stats`].
-    pub fn queue_depth(&self) -> usize {
-        self.stats().queue_depth as usize
-    }
-
     /// One consistent snapshot of the serving counters and the queue
     /// depth: everything is read while holding the queue lock that also
     /// guards admission, so `accepted`, `rejected` and `queue_depth`
@@ -742,7 +722,7 @@ impl<E: BatchExecutor> Server<E> {
 
     /// Graceful shutdown: stops admissions (subsequent submits fail with
     /// [`SubmitError::ShutDown`]), drains every accepted submission (all
-    /// tickets resolve), joins the dispatchers and waits for batches that
+    /// tickets resolve), joins the dispatcher and waits for batches that
     /// submitters are still running themselves. Idempotent, and callable
     /// through a shared reference — clients typically hold the server in
     /// an `Arc` while an owner shuts it down. Dropping the server does
@@ -751,23 +731,22 @@ impl<E: BatchExecutor> Server<E> {
         {
             // The flag flips under the queue lock: every admission checks
             // it under the same lock, so a submission either lands before
-            // the flip (and the dispatchers' final drain serves it) or
+            // the flip (and the dispatcher's final drain serves it) or
             // observes `ShutDown` — no ticket can be stranded.
             let _queue = self.shared.queue.lock().expect("server queue poisoned");
             self.shared.shutdown.store(true, Ordering::Release);
             self.shared.dispatch.notify_all();
             self.shared.space.notify_all();
         }
-        let handles = std::mem::take(
-            &mut *self
-                .dispatchers
-                .lock()
-                .expect("dispatcher handles poisoned"),
-        );
-        for handle in handles {
+        let handle = self
+            .dispatcher
+            .lock()
+            .expect("dispatcher handle poisoned")
+            .take();
+        if let Some(handle) = handle {
             handle.join().expect("dispatcher panicked");
         }
-        // The dispatchers are gone and admissions are closed: what is
+        // The dispatcher is gone and admissions are closed: what is
         // still in flight is on its submitter's own thread.
         let mut queue = self.shared.queue.lock().expect("server queue poisoned");
         while queue.in_flight > 0 {
@@ -785,31 +764,3 @@ impl<E: BatchExecutor> Drop for Server<E> {
         self.shutdown();
     }
 }
-
-/// Error of the blocking [`Server::execute`] convenience call.
-pub enum ServeError<E: BatchExecutor> {
-    /// The submission was not admitted.
-    Rejected(SubmitError),
-    /// The executor failed the batch.
-    Executor(E::Error),
-}
-
-impl<E: BatchExecutor> std::fmt::Debug for ServeError<E> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ServeError::Rejected(e) => f.debug_tuple("Rejected").field(e).finish(),
-            ServeError::Executor(e) => f.debug_tuple("Executor").field(e).finish(),
-        }
-    }
-}
-
-impl<E: BatchExecutor> std::fmt::Display for ServeError<E> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ServeError::Rejected(e) => write!(f, "submission rejected: {e}"),
-            ServeError::Executor(e) => write!(f, "executor error: {e:?}"),
-        }
-    }
-}
-
-impl<E: BatchExecutor> std::error::Error for ServeError<E> {}

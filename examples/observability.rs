@@ -157,9 +157,8 @@ fn main() {
         snap.counter("core.s.bytes_moved").unwrap_or(0),
     );
     println!(
-        "  pool:     {} jobs, {} steals, {} caller-helped, {} idle maintenance cycles",
+        "  pool:     {} jobs, {} caller-helped, {} idle maintenance cycles",
         snap.counter("sched.pool.jobs").unwrap_or(0),
-        snap.counter("sched.pool.steals").unwrap_or(0),
         snap.counter("sched.pool.helped").unwrap_or(0),
         snap.counter("sched.pool.idle_cycles").unwrap_or(0),
     );

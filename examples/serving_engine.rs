@@ -1,7 +1,7 @@
 //! Serve a multi-column table from concurrent clients through the full
 //! stack: closed-loop clients → `pi-sched` server (bounded queue, batch
-//! coalescing, backpressure) → engine executor → persistent shard-affine
-//! worker pool → range shards.
+//! coalescing, backpressure) → engine executor → persistent worker pool
+//! → range shards.
 //!
 //! Builds a two-column table (uniform and skewed data), lets the Figure-11
 //! decision tree pick each column's algorithm, then drives eight
@@ -69,7 +69,6 @@ fn main() {
         ServerConfig {
             queue_capacity: 64,
             max_coalesced_queries: 128,
-            ..ServerConfig::default()
         },
     ));
 
@@ -136,9 +135,8 @@ fn main() {
     println!(" — done in {:.2?}", wait.elapsed());
     let pool = executor.pool_stats();
     println!(
-        "  pool: {} jobs executed ({} stolen, {} caller-helped), {} idle maintenance steps",
+        "  pool: {} jobs executed ({} caller-helped), {} idle maintenance cycles",
         pool.total_executed(),
-        pool.stolen.iter().sum::<u64>(),
         pool.helped,
         pool.idle_work
     );

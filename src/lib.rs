@@ -15,9 +15,9 @@
 //!   ([`pi_workloads`]).
 //! * [`engine`] — the sharded, concurrent query-serving engine: multi-column
 //!   tables, range shards, batched parallel execution ([`pi_engine`]).
-//! * [`sched`] — the persistent runtime underneath: shard-affine
-//!   work-stealing worker pool and the async-style serving front-end with
-//!   bounded queue, coalescing and backpressure ([`pi_sched`]).
+//! * [`sched`] — the persistent runtime underneath: a worker pool with one
+//!   shared job queue and the async-style serving front-end with bounded
+//!   queue, coalescing and backpressure ([`pi_sched`]).
 //! * [`obs`] — in-tree observability: sharded counters, log-bucketed
 //!   latency histograms, the metrics registry and its JSON / Prometheus
 //!   exports ([`pi_obs`]).
