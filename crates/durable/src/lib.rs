@@ -13,9 +13,9 @@
 //!   commit under an [`wal::FsyncPolicy`], tail validation
 //!   ([`wal::scan_wal`]) and deterministic fault injection
 //!   ([`wal::MemWalHandle`]).
-//! * [`snapshot`] — whole-table checkpoints: per-shard base + sidecar
-//!   under a checksummed, versioned envelope, stored through a
-//!   [`snapshot::SnapshotStore`].
+//! * [`snapshot`] — whole-table checkpoints: a checksummed manifest of
+//!   sidecars and base references, then the bases not already stored,
+//!   stored through a [`snapshot::SnapshotStore`].
 //! * [`crc`] — the CRC-32 shared by frames and snapshots.
 //!
 //! The recovery invariant the engine layer (`pi-engine`) builds on top:
@@ -36,7 +36,7 @@ pub mod wal;
 
 pub use record::WalRecord;
 pub use snapshot::{
-    latest_valid_snapshot, ColumnState, DirStore, MemStore, ShardState, SnapshotStore,
+    latest_valid_snapshot, BaseRef, ColumnState, DirStore, MemStore, ShardState, SnapshotStore,
     TableSnapshot,
 };
 pub use wal::{

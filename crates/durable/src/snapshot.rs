@@ -12,16 +12,20 @@
 //! no data and changes no answer. (A base that was sorted when captured
 //! decodes sorted, so its index has no refinement to restart.)
 //!
-//! The byte format wraps the [`pi_storage::snapshot`] primitives in a
-//! self-validating envelope: magic, version, a CRC over the body, and
-//! the WAL sequence number the snapshot reflects (`wal_seq`) so recovery
-//! knows exactly which WAL suffix still needs replaying. A snapshot that
-//! fails any check decodes to [`CodecError`] — recovery then falls back
-//! to the previous snapshot ([`latest_valid_snapshot`]), which is why
-//! checkpointing always writes the new snapshot before pruning old ones.
+//! One snapshot is one file: a self-validating manifest (magic, version,
+//! a CRC, the WAL sequence number the snapshot reflects — `wal_seq` — and
+//! the columns with their sidecars), then the base runs this snapshot
+//! wrote. The manifest names each base by a [`BaseRef`] into this or an
+//! older file, so a base already written is not written again. A snapshot
+//! whose manifest or one of whose runs fails a check decodes to
+//! [`CodecError`] — recovery then falls back to the previous snapshot
+//! ([`latest_valid_snapshot`]), which is why checkpointing always writes
+//! the new snapshot before pruning old ones.
 
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::io;
+use std::rc::Rc;
 use std::sync::{Arc, Mutex};
 
 use pi_core::budget::BudgetPolicy;
@@ -37,9 +41,10 @@ use crate::crc::crc32;
 
 /// First bytes of every encoded snapshot: `b"PSNP"`.
 const MAGIC: u32 = u32::from_le_bytes(*b"PSNP");
-/// Current snapshot format version.
-const VERSION: u32 = 1;
-/// Envelope header size: magic (4) + version (4) + body CRC (4).
+/// Current snapshot format version: a manifest, then base runs.
+const VERSION: u32 = 2;
+/// Envelope header size: magic (4) + version (4) + CRC (4) over the
+/// manifest that follows, its fields' byte length (8) included.
 const HEADER: usize = 12;
 
 const ALG_QUICKSORT: u8 = 1;
@@ -75,6 +80,20 @@ pub struct ColumnState {
     pub boundaries: Vec<Value>,
     /// Per-shard base + sidecar, in partition order.
     pub shards: Vec<ShardState>,
+}
+
+/// Where a shard's base is stored: a run of bytes in the snapshot file
+/// `file` (a [`put_column`] encoding) and the CRC-32 of that run.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct BaseRef {
+    /// Id of the snapshot file holding the run.
+    pub file: u64,
+    /// Byte offset of the run in that file.
+    pub offset: u64,
+    /// Byte length of the run.
+    pub len: u64,
+    /// CRC-32 of the run.
+    pub crc: u32,
 }
 
 /// A whole-table snapshot: everything recovery needs apart from the WAL
@@ -134,54 +153,117 @@ fn read_policy(r: &mut ByteReader<'_>) -> Result<BudgetPolicy, CodecError> {
 }
 
 impl TableSnapshot {
-    /// Encodes the snapshot into its self-validating envelope:
-    /// `[magic][version][body_crc][body]`, in one buffer sized up front.
+    /// Encodes the snapshot self-contained: every base a run in this file.
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(self.encoded_len());
-        put_u32(&mut out, MAGIC);
-        put_u32(&mut out, VERSION);
-        put_u32(&mut out, 0); // the body CRC, patched in below
-        put_u64(&mut out, self.snapshot_id);
-        put_u64(&mut out, self.wal_seq);
-        put_u32(&mut out, self.columns.len() as u32);
-        for column in &self.columns {
-            put_str(&mut out, &column.name);
-            put_algorithm(&mut out, column.algorithm);
-            put_policy(&mut out, column.policy);
-            put_values(&mut out, &column.boundaries);
-            put_u32(&mut out, column.shards.len() as u32);
-            for shard in &column.shards {
-                put_column(&mut out, &shard.base);
-                put_sidecar(&mut out, &shard.sidecar);
-            }
-        }
-        debug_assert_eq!(out.len(), self.encoded_len());
-        let crc = crc32(&out[HEADER..]);
-        out[HEADER - 4..HEADER].copy_from_slice(&crc.to_le_bytes());
-        out
+        self.encode_reusing(|_, _| None).0
     }
 
-    /// Byte length of [`TableSnapshot::encode`]'s output.
-    fn encoded_len(&self) -> usize {
+    /// Encodes the snapshot as `[magic][version][manifest CRC][manifest]`
+    /// followed by the base runs it writes, in one buffer sized up front:
+    /// the base of shard `s` of column `c` is stored as `reused(c, s)`,
+    /// when that is `Some`, and as a new run otherwise. Returns the bytes
+    /// and every shard's [`BaseRef`], per column in table order.
+    pub fn encode_reusing(
+        &self,
+        reused: impl Fn(usize, usize) -> Option<BaseRef>,
+    ) -> (Vec<u8>, Vec<Vec<BaseRef>>) {
+        // Lay the file out first: the manifest, then one run per base not
+        // reused, in table order. A new run's CRC is known once written.
+        let runs_at = HEADER + self.manifest_len();
+        let mut end = runs_at as u64;
+        let mut refs = Vec::with_capacity(self.columns.len());
+        for (c, column) in self.columns.iter().enumerate() {
+            refs.push(Vec::with_capacity(column.shards.len()));
+            for (s, shard) in column.shards.iter().enumerate() {
+                let (offset, len) = (end, 8 + 8 * shard.base.len() as u64);
+                let (file, crc) = (self.snapshot_id, 0);
+                refs[c].push(reused(c, s).unwrap_or_else(|| {
+                    end += len;
+                    BaseRef {
+                        file,
+                        offset,
+                        len,
+                        crc,
+                    }
+                }));
+            }
+        }
+        let mut out = Vec::with_capacity(end as usize);
+        out.resize(runs_at, 0);
+        for (column, refs) in self.columns.iter().zip(&mut refs) {
+            for (shard, at) in column.shards.iter().zip(refs) {
+                if at.file == self.snapshot_id {
+                    put_column(&mut out, &shard.base);
+                    at.crc = crc32(&out[at.offset as usize..]);
+                }
+            }
+        }
+        debug_assert_eq!(out.len() as u64, end);
+
+        let manifest = &mut Vec::with_capacity(runs_at);
+        put_u32(manifest, MAGIC);
+        put_u32(manifest, VERSION);
+        put_u32(manifest, 0); // the manifest CRC, patched in below
+        put_u64(manifest, (runs_at - HEADER - 8) as u64);
+        put_u64(manifest, self.snapshot_id);
+        put_u64(manifest, self.wal_seq);
+        put_u32(manifest, self.columns.len() as u32);
+        for (column, refs) in self.columns.iter().zip(&refs) {
+            put_str(manifest, &column.name);
+            put_algorithm(manifest, column.algorithm);
+            put_policy(manifest, column.policy);
+            put_values(manifest, &column.boundaries);
+            put_u32(manifest, column.shards.len() as u32);
+            for (shard, at) in column.shards.iter().zip(refs) {
+                for v in [at.file, at.offset, at.len] {
+                    put_u64(manifest, v);
+                }
+                put_u32(manifest, at.crc);
+                put_sidecar(manifest, &shard.sidecar);
+            }
+        }
+        debug_assert_eq!(manifest.len(), runs_at);
+        let crc = crc32(&manifest[HEADER..]);
+        manifest[HEADER - 4..HEADER].copy_from_slice(&crc.to_le_bytes());
+        out[..runs_at].copy_from_slice(manifest);
+        (out, refs)
+    }
+
+    /// Byte length of the manifest after the header, its length field
+    /// included.
+    fn manifest_len(&self) -> usize {
         let run = |n: usize| 8 + 8 * n;
-        let mut len = HEADER + 8 + 8 + 4;
+        let mut len = 8 + 8 + 8 + 4;
         for column in &self.columns {
             // name, algorithm tag, policy tag and value, boundaries,
             // shard count
             len += 4 + column.name.len() + 1 + 9 + run(column.boundaries.len()) + 4;
             for shard in &column.shards {
-                len += run(shard.base.len())
-                    + run(shard.sidecar.inserts().len())
-                    + run(shard.sidecar.tombstones().len());
+                // the base reference (file, offset, length, CRC), sidecar
+                len +=
+                    28 + run(shard.sidecar.inserts().len()) + run(shard.sidecar.tombstones().len());
             }
         }
         len
     }
 
-    /// Decodes an envelope written by [`TableSnapshot::encode`],
-    /// rejecting bad magic, unknown versions, checksum mismatches and
-    /// structural corruption.
+    /// Decodes a self-contained snapshot ([`TableSnapshot::encode`]),
+    /// rejecting bad magic, unknown versions, checksum mismatches,
+    /// structural corruption and bases stored in another file.
     pub fn decode(bytes: &[u8]) -> Result<Self, CodecError> {
+        let elsewhere = |_| Err(CodecError::Invalid("base stored in another snapshot"));
+        Ok(Self::decode_with(bytes, elsewhere)?.0)
+    }
+
+    /// The one decoder: checks the envelope, parses the manifest, then
+    /// reads each base from the run its [`BaseRef`] names — in `bytes`
+    /// when the reference names this snapshot, in `load(id)` otherwise —
+    /// and checks the run against the reference's CRC. Returns the
+    /// snapshot and every shard's reference.
+    fn decode_with(
+        bytes: &[u8],
+        mut load: impl FnMut(u64) -> Result<Rc<Vec<u8>>, CodecError>,
+    ) -> Result<(Self, Vec<Vec<BaseRef>>), CodecError> {
         let mut r = ByteReader::new(bytes);
         if r.u32()? != MAGIC {
             return Err(CodecError::Invalid("bad snapshot magic"));
@@ -190,10 +272,14 @@ impl TableSnapshot {
             return Err(CodecError::Invalid("unknown snapshot version"));
         }
         let crc = r.u32()?;
-        let body = &bytes[HEADER..];
-        if crc32(body) != crc {
+        let fields = r.u64()?;
+        let manifest = (fields.checked_add(HEADER as u64 + 8))
+            .and_then(|end| bytes.get(HEADER..end as usize))
+            .ok_or(CodecError::Truncated)?;
+        if crc32(manifest) != crc {
             return Err(CodecError::Invalid("snapshot checksum mismatch"));
         }
+        let mut r = ByteReader::new(&manifest[8..]);
         let snapshot_id = r.u64()?;
         let wal_seq = r.u64()?;
         let column_count = r.u32()? as usize;
@@ -201,6 +287,7 @@ impl TableSnapshot {
             return Err(CodecError::Truncated);
         }
         let mut columns = Vec::with_capacity(column_count);
+        let mut refs = Vec::with_capacity(column_count);
         for _ in 0..column_count {
             let name = r.str()?;
             let algorithm = read_algorithm(&mut r)?;
@@ -214,10 +301,35 @@ impl TableSnapshot {
                 return Err(CodecError::Invalid("shard count vs boundaries mismatch"));
             }
             let mut shards = Vec::with_capacity(shard_count);
+            let mut column_refs = Vec::with_capacity(shard_count);
             for _ in 0..shard_count {
-                let base = Arc::new(read_column(&mut r)?);
+                let (file, offset, len, crc) = (r.u64()?, r.u64()?, r.u64()?, r.u32()?);
+                let at = BaseRef {
+                    file,
+                    offset,
+                    len,
+                    crc,
+                };
+                let other;
+                let source = if file == snapshot_id {
+                    bytes
+                } else {
+                    other = load(file)?;
+                    &other[..]
+                };
+                let run = (offset.checked_add(len))
+                    .and_then(|end| source.get(offset as usize..end as usize))
+                    .ok_or(CodecError::Truncated)?;
+                if crc32(run) != at.crc {
+                    return Err(CodecError::Invalid("base run checksum mismatch"));
+                }
+                let base = Arc::new(read_column(&mut ByteReader::new(run))?);
+                if 8 + 8 * base.len() as u64 != len {
+                    return Err(CodecError::Invalid("trailing bytes in base run"));
+                }
                 let sidecar = read_sidecar(&mut r)?;
                 shards.push(ShardState { base, sidecar });
+                column_refs.push(at);
             }
             columns.push(ColumnState {
                 name,
@@ -226,15 +338,17 @@ impl TableSnapshot {
                 boundaries,
                 shards,
             });
+            refs.push(column_refs);
         }
         if !r.is_empty() {
-            return Err(CodecError::Invalid("trailing bytes in snapshot"));
+            return Err(CodecError::Invalid("trailing bytes in snapshot manifest"));
         }
-        Ok(TableSnapshot {
+        let snapshot = TableSnapshot {
             snapshot_id,
             wal_seq,
             columns,
-        })
+        };
+        Ok((snapshot, refs))
     }
 }
 
@@ -398,19 +512,44 @@ impl SnapshotStore for MemStore {
     }
 }
 
-/// Loads the newest snapshot that decodes and validates, skipping
-/// corrupt or torn ones (which checkpointing's save-before-prune order
+/// Loads the newest snapshot that decodes and validates — its manifest
+/// and every base run it references — skipping corrupt, torn or
+/// incomplete ones (which checkpointing's save-before-prune order
 /// guarantees leaves an older valid snapshot behind, except on a
-/// brand-new store). Returns `Ok(None)` when no valid snapshot exists.
-pub fn latest_valid_snapshot(store: &dyn SnapshotStore) -> io::Result<Option<TableSnapshot>> {
+/// brand-new store or when a run several snapshots share is corrupt).
+/// Returns the snapshot with every shard's [`BaseRef`], or `Ok(None)`
+/// when no valid snapshot exists.
+pub fn latest_valid_snapshot(
+    store: &dyn SnapshotStore,
+) -> io::Result<Option<(TableSnapshot, Vec<Vec<BaseRef>>)>> {
+    // Each file is read once, however many snapshots reference it.
+    let mut files: BTreeMap<u64, Rc<Vec<u8>>> = BTreeMap::new();
+    let mut load = |id: u64| -> io::Result<Option<Rc<Vec<u8>>>> {
+        if let Entry::Vacant(slot) = files.entry(id) {
+            match store.load(id) {
+                Ok(bytes) => slot.insert(Rc::new(bytes)),
+                Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(None),
+                Err(e) => return Err(e),
+            };
+        }
+        Ok(files.get(&id).cloned())
+    };
     for id in store.ids()?.into_iter().rev() {
-        let bytes = match store.load(id) {
-            Ok(bytes) => bytes,
-            Err(e) if e.kind() == io::ErrorKind::NotFound => continue,
-            Err(e) => return Err(e),
-        };
-        if let Ok(snapshot) = TableSnapshot::decode(&bytes) {
-            return Ok(Some(snapshot));
+        let Some(bytes) = load(id)? else { continue };
+        let mut failed = None;
+        let decoded = TableSnapshot::decode_with(&bytes, |file| match load(file) {
+            Ok(Some(bytes)) => Ok(bytes),
+            Ok(None) => Err(CodecError::Invalid("referenced snapshot missing")),
+            Err(e) => {
+                failed = Some(e);
+                Err(CodecError::Invalid("referenced snapshot unreadable"))
+            }
+        });
+        if let Some(e) = failed {
+            return Err(e);
+        }
+        if let Ok(decoded) = decoded {
+            return Ok(Some(decoded));
         }
     }
     Ok(None)
@@ -471,16 +610,18 @@ mod tests {
     }
 
     #[test]
-    fn encoding_matches_the_version_1_golden() {
-        // Captured from the first byte-at-a-time encoder: the length and
-        // the header (magic, version, body CRC) pin every byte of the
-        // format, so a change to the encoder or the checksum that still
-        // round-trips fails here.
+    fn encoding_matches_the_version_2_golden() {
+        // Captured from the first version-2 encoder and checked field by
+        // field against the layout: the length and the header (magic,
+        // version, manifest CRC) pin every byte of the format — the
+        // manifest through its CRC, each base run through the CRC its
+        // reference carries in the manifest — so a change to the encoder
+        // or the checksum that still round-trips fails here.
         let bytes = sample_snapshot().encode();
-        assert_eq!(bytes.len(), 281);
+        assert_eq!(bytes.len(), 401);
         assert_eq!(
             bytes[..12],
-            [0x50, 0x53, 0x4e, 0x50, 0x01, 0x00, 0x00, 0x00, 0xf6, 0x14, 0xa1, 0xc8]
+            [0x50, 0x53, 0x4e, 0x50, 0x02, 0x00, 0x00, 0x00, 0xf7, 0x4f, 0xc8, 0xda]
         );
     }
 
@@ -503,6 +644,38 @@ mod tests {
     }
 
     #[test]
+    fn reused_bases_are_read_from_the_file_that_holds_them() {
+        let mut store = MemStore::new();
+        let old = sample_snapshot();
+        let (bytes, old_refs) = old.encode_reusing(|_, _| None);
+        assert_eq!(bytes, old.encode());
+        store.save(old.snapshot_id, &bytes).unwrap();
+        let mut new = sample_snapshot();
+        new.snapshot_id = 4;
+        let (bytes, refs) = new.encode_reusing(|c, s| Some(old_refs[c][s]));
+        assert_eq!(refs, old_refs);
+        // Only the manifest, which ends where snapshot 3's first run
+        // starts: every base is a run of snapshot 3.
+        assert_eq!(bytes.len() as u64, old_refs[0][0].offset);
+        assert!(TableSnapshot::decode(&bytes).is_err());
+        store.save(4, &bytes).unwrap();
+        assert_eq!(latest_valid_snapshot(&store).unwrap(), Some((new, refs)));
+        // Without the file holding its bases, snapshot 4 is unusable.
+        store.remove(3).unwrap();
+        assert_eq!(latest_valid_snapshot(&store).unwrap(), None);
+    }
+
+    #[test]
+    fn a_version_1_file_is_rejected() {
+        let mut bytes = sample_snapshot().encode();
+        bytes[4] = 1;
+        assert_eq!(
+            TableSnapshot::decode(&bytes),
+            Err(CodecError::Invalid("unknown snapshot version"))
+        );
+    }
+
+    #[test]
     fn mem_store_returns_newest_valid_snapshot() {
         let mut store = MemStore::new();
         let mut old = sample_snapshot();
@@ -512,13 +685,21 @@ mod tests {
         store.save(1, &old.encode()).unwrap();
         store.save(2, &new.encode()).unwrap();
         assert_eq!(
-            latest_valid_snapshot(&store).unwrap().unwrap().snapshot_id,
+            latest_valid_snapshot(&store)
+                .unwrap()
+                .unwrap()
+                .0
+                .snapshot_id,
             2
         );
         // Corrupting the newest falls back to the older one.
         store.corrupt(2, 40, 3);
         assert_eq!(
-            latest_valid_snapshot(&store).unwrap().unwrap().snapshot_id,
+            latest_valid_snapshot(&store)
+                .unwrap()
+                .unwrap()
+                .0
+                .snapshot_id,
             1
         );
         assert_eq!(store.ids().unwrap(), vec![1, 2]);
@@ -533,7 +714,7 @@ mod tests {
         store.save(3, &snapshot.encode()).unwrap();
         store.save(4, &snapshot.encode()).unwrap();
         assert_eq!(store.ids().unwrap(), vec![3, 4]);
-        assert_eq!(latest_valid_snapshot(&store).unwrap().unwrap(), snapshot);
+        assert_eq!(latest_valid_snapshot(&store).unwrap().unwrap().0, snapshot);
         store.remove(3).unwrap();
         store.remove(3).unwrap(); // idempotent
         assert_eq!(store.ids().unwrap(), vec![4]);
@@ -559,7 +740,7 @@ mod tests {
         assert!(!stale.exists(), "stale temp file survived reopening");
         assert!(foreign.exists());
         assert_eq!(store.ids().unwrap(), vec![3]);
-        assert_eq!(latest_valid_snapshot(&store).unwrap().unwrap(), snapshot);
+        assert_eq!(latest_valid_snapshot(&store).unwrap().unwrap().0, snapshot);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

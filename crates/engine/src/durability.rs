@@ -14,10 +14,13 @@
 //!   identically.
 //! * A checkpoint captures what the delta-sidecar model already
 //!   maintains per shard: the immutable base snapshot plus the pending
-//!   sidecar ("log the delta, snapshot the merged base"). The snapshot
-//!   is saved durably **before** the log is truncated, so a crash at any
-//!   point between the two leaves either the old (snapshot, long log) or
-//!   the new (snapshot, empty log) — both recover to the same state.
+//!   sidecar ("log the delta, snapshot the merged base"); a base the
+//!   newest snapshot holds (the same `Arc`) is referenced, not written
+//!   again. The snapshot is saved durably **before** the log is
+//!   truncated, so a crash at any point between the two leaves either
+//!   the old (snapshot, long log) or the new (snapshot, empty log) — both
+//!   recover to the same state. Prune keeps the newest `snapshots_kept`
+//!   snapshots and the older files they reference.
 //! * Recovery loads the newest valid snapshot, truncates the log's
 //!   torn/corrupt tail to the longest valid prefix, and replays only the
 //!   records logged after the snapshot (`seq > snapshot.wal_seq`).
@@ -43,19 +46,21 @@
 //! tail the most; the trigger listens through the merge hooks the table
 //! fires at every merge boundary).
 
+use std::collections::{BTreeMap, BTreeSet};
 use std::io;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, Mutex, RwLock, Weak};
 use std::time::{Duration, Instant};
 
 use pi_core::mutation::{MergeHook, Mutation};
 use pi_durable::snapshot::{
-    latest_valid_snapshot, ColumnState, ShardState, SnapshotStore, TableSnapshot,
+    latest_valid_snapshot, BaseRef, ColumnState, ShardState, SnapshotStore, TableSnapshot,
 };
 use pi_durable::wal::{scan_wal, FsyncPolicy, TailStatus, WalMetrics, WalStorage, WalWriter};
 use pi_durable::WalRecord;
 use pi_obs::MetricsRegistry;
 use pi_storage::snapshot::CodecError;
+use pi_storage::Column;
 
 use crate::table::{ShardedColumn, Table};
 
@@ -72,8 +77,9 @@ pub struct DurabilityConfig {
     /// boundary: merged deltas no longer need replaying).
     pub checkpoint_after_merges: u64,
     /// How many snapshots to retain; older ones are pruned after each
-    /// checkpoint. At least 2 keeps a fallback should the newest turn
-    /// out corrupt on disk.
+    /// checkpoint unless a retained one references their base runs. At
+    /// least 2 keeps a fallback should the newest manifest turn out
+    /// corrupt; a corrupt base run breaks every snapshot referencing it.
     pub snapshots_kept: usize,
 }
 
@@ -165,6 +171,57 @@ struct WalState {
     bytes_at_checkpoint: u64,
 }
 
+/// The snapshot store plus what reuse and pruning need to know of it.
+struct Snapshots {
+    store: Box<dyn SnapshotStore>,
+    /// Per column, per shard: the base the newest snapshot holds and
+    /// where it is stored (the `Weak` keeps its address from reuse).
+    persisted: Vec<Vec<(Weak<Column>, BaseRef)>>,
+    /// The files each snapshot written or recovered from references.
+    references: BTreeMap<u64, BTreeSet<u64>>,
+}
+
+impl Snapshots {
+    fn new(store: Box<dyn SnapshotStore>) -> Self {
+        Snapshots {
+            store,
+            persisted: Vec::new(),
+            references: BTreeMap::new(),
+        }
+    }
+
+    /// Records that `snapshot`, stored with `refs`, is the newest.
+    fn record_newest(&mut self, snapshot: &TableSnapshot, refs: Vec<Vec<BaseRef>>) {
+        let files = refs.iter().flatten().map(|at| at.file).collect();
+        self.references.insert(snapshot.snapshot_id, files);
+        self.persisted.clear();
+        for (column, refs) in snapshot.columns.iter().zip(refs) {
+            let bases = column.shards.iter().map(|s| Arc::downgrade(&s.base));
+            self.persisted.push(bases.zip(refs).collect());
+        }
+    }
+
+    /// Removes every stored snapshot that is neither among the newest
+    /// `keep` of `ids` (ascending) nor referenced by one of those. While a
+    /// kept snapshot's references are not known (this process neither
+    /// wrote nor recovered from it), nothing is removed.
+    fn prune(&mut self, ids: &[u64], keep: usize) -> io::Result<()> {
+        let (old, kept) = ids.split_at(ids.len().saturating_sub(keep));
+        let mut referenced = BTreeSet::<u64>::new();
+        for id in kept {
+            match self.references.get(id) {
+                Some(files) => referenced.extend(files.iter().copied()),
+                None => return Ok(()),
+            }
+        }
+        for id in old.iter().filter(|id| !referenced.contains(id)) {
+            self.store.remove(*id)?;
+            self.references.remove(id);
+        }
+        Ok(())
+    }
+}
+
 /// A [`Table`] whose mutations are write-ahead logged and whose state is
 /// periodically checkpointed; see the [module docs](self).
 ///
@@ -175,12 +232,11 @@ struct WalState {
 pub struct DurableTable {
     table: Arc<Table>,
     wal: Mutex<WalState>,
-    store: Mutex<Box<dyn SnapshotStore>>,
+    snapshots: Mutex<Snapshots>,
     /// Writers hold `read`, checkpoint holds `write`: a checkpoint sees
     /// no concurrent mutations, while normal writers never block each
     /// other here (the wal mutex serializes them anyway).
     quiesce: RwLock<()>,
-    next_snapshot_id: AtomicU64,
     /// Total pending-delta merges completed across every shard, bumped
     /// by the merge hooks; the merge-based checkpoint trigger diffs it
     /// against `merges_at_checkpoint`.
@@ -193,10 +249,10 @@ pub struct DurableTable {
 }
 
 impl DurableTable {
-    /// Wraps a freshly built table: truncates the log, writes snapshot 0
-    /// as the recovery baseline and starts logging. Existing bytes in
-    /// `wal` are discarded — use [`DurableTable::recover`] to resume
-    /// from persisted state instead.
+    /// Wraps a freshly built table: truncates the log, writes the
+    /// recovery baseline (snapshot 0 in an empty store) and starts
+    /// logging. Existing bytes in `wal` are discarded — use
+    /// [`DurableTable::recover`] to resume from persisted state instead.
     pub fn create(
         mut table: Table,
         wal: Box<dyn WalStorage>,
@@ -221,9 +277,8 @@ impl DurableTable {
                 writer,
                 bytes_at_checkpoint: 0,
             }),
-            store: Mutex::new(store),
+            snapshots: Mutex::new(Snapshots::new(store)),
             quiesce: RwLock::new(()),
-            next_snapshot_id: AtomicU64::new(0),
             merge_events,
             merges_at_checkpoint: AtomicU64::new(0),
             checkpointing: AtomicBool::new(false),
@@ -247,7 +302,10 @@ impl DurableTable {
         registry: Option<&MetricsRegistry>,
     ) -> Result<(DurableTable, RecoveryReport), DurabilityError> {
         let started = Instant::now();
-        let snapshot = latest_valid_snapshot(store.as_ref())?.ok_or(DurabilityError::NoSnapshot)?;
+        let (snapshot, refs) =
+            latest_valid_snapshot(store.as_ref())?.ok_or(DurabilityError::NoSnapshot)?;
+        let mut snapshots = Snapshots::new(store);
+        snapshots.record_newest(&snapshot, refs);
         let TableSnapshot {
             snapshot_id,
             wal_seq,
@@ -328,9 +386,8 @@ impl DurableTable {
                 writer,
                 bytes_at_checkpoint: 0,
             }),
-            store: Mutex::new(store),
+            snapshots: Mutex::new(snapshots),
             quiesce: RwLock::new(()),
-            next_snapshot_id: AtomicU64::new(snapshot_id + 1),
             merge_events,
             merges_at_checkpoint: AtomicU64::new(0),
             checkpointing: AtomicBool::new(false),
@@ -418,26 +475,29 @@ impl DurableTable {
 
     /// Checkpoints now: quiesces writers, commits the log, captures a
     /// whole-table snapshot stamped with the log position, saves it
-    /// durably, prunes old snapshots and only then truncates the log.
-    /// Returns the new snapshot's id.
+    /// durably with only the bases no stored snapshot holds, prunes old
+    /// snapshots and only then truncates the log. Returns the new id, one
+    /// past the newest stored id, so it survives its own prune.
     pub fn checkpoint(&self) -> Result<u64, DurabilityError> {
         let _quiesce = self.quiesce.write().expect("quiesce lock poisoned");
         let mut wal = self.wal.lock().expect("wal lock poisoned");
         wal.writer.commit()?;
-        let id = self.next_snapshot_id.fetch_add(1, Ordering::SeqCst);
-        let snapshot = self.capture(id, wal.writer.last_seq());
-        let encoded = snapshot.encode();
-        {
-            let mut store = self.store.lock().expect("store lock poisoned");
-            store.save(id, &encoded)?;
-            let ids = store.ids()?;
-            let keep = self.config.snapshots_kept.max(1);
-            if ids.len() > keep {
-                for &old in &ids[..ids.len() - keep] {
-                    store.remove(old)?;
-                }
-            }
-        }
+        let id = {
+            let mut snapshots = self.snapshots.lock().expect("store lock poisoned");
+            let mut ids = snapshots.store.ids()?;
+            let id = ids.last().map_or(0, |newest| newest + 1);
+            let snapshot = self.capture(id, wal.writer.last_seq());
+            let (encoded, refs) = snapshot.encode_reusing(|c, s| {
+                let (stored, at) = snapshots.persisted.get(c)?.get(s)?;
+                let base = &snapshot.columns[c].shards[s].base;
+                std::ptr::eq(stored.as_ptr(), Arc::as_ptr(base)).then_some(*at)
+            });
+            snapshots.store.save(id, &encoded)?;
+            snapshots.record_newest(&snapshot, refs);
+            ids.push(id);
+            snapshots.prune(&ids, self.config.snapshots_kept.max(1))?;
+            id
+        };
         // The snapshot is durable: the log's history is now redundant.
         // A crash before (or during) the truncation is safe — replay
         // skips records at or below the snapshot's sequence number.

@@ -8,7 +8,7 @@ use std::sync::Arc;
 use pi_core::budget::BudgetPolicy;
 use pi_core::mutation::Mutation;
 use pi_core::testing::TestRng;
-use pi_durable::snapshot::MemStore;
+use pi_durable::snapshot::{latest_valid_snapshot, MemStore, SnapshotStore};
 use pi_durable::wal::{FsyncPolicy, MemWalHandle};
 use pi_engine::{
     ColumnSpec, DurabilityConfig, DurabilityError, DurableTable, Executor, ExecutorConfig, Table,
@@ -567,4 +567,228 @@ fn snapshot_corruption_falls_back_or_errors() {
         Err(DurabilityError::NoSnapshot) => {}
         other => panic!("expected NoSnapshot, got {:?}", other.map(|_| ())),
     }
+}
+
+/// How many shards' bases the newest valid snapshot wrote itself; it
+/// references the others where an older snapshot file holds them.
+fn runs_written(store: &MemStore) -> usize {
+    let (snapshot, refs) = latest_valid_snapshot(store).unwrap().unwrap();
+    refs.iter()
+        .flatten()
+        .filter(|at| at.file == snapshot.snapshot_id)
+        .count()
+}
+
+/// Recovers copies of the log and the store and checks the answers.
+fn recovers_to(wal: &MemWalHandle, store: &MemStore, oracle: &[Value]) {
+    let (recovered, _) = DurableTable::recover(
+        Box::new(wal.fork().storage()),
+        Box::new(store.fork()),
+        durable_config(),
+        None,
+    )
+    .unwrap();
+    assert_matches_oracle(recovered.table(), "a", oracle, 32);
+}
+
+/// A durable batch of inserts. Inserts only: a delete or an update
+/// looks its value up, which refines the shard and can converge it (a
+/// new base), and these tests choose which bases change.
+fn write_batch(durable: &DurableTable, rng: &mut TestRng, oracle: &mut Vec<Value>, domain: u64) {
+    let inserted: Vec<Value> = (0..12).map(|_| rng.next_u64() % domain).collect();
+    let batch: Vec<Mutation> = inserted.iter().map(|&v| Mutation::Insert(v)).collect();
+    assert!(durable
+        .apply_mutations("a", &batch)
+        .unwrap()
+        .iter()
+        .all(|&a| a));
+    oracle.extend(inserted);
+}
+
+fn converge_shard(durable: &DurableTable, shard: usize) {
+    let column = durable.table().column("a").unwrap();
+    while column.advance_shard(shard) {}
+}
+
+/// A base is written once: checkpoints of an unchanged table write no
+/// run, and one shard driven to convergence (its sorted array is a new
+/// base) costs the next checkpoint exactly one run.
+#[test]
+fn a_checkpoint_writes_only_the_bases_that_changed() {
+    let base = values(2_000, 2_000, 71);
+    let wal = MemWalHandle::new();
+    let store = MemStore::new();
+    let durable = build_durable(base.clone(), 4, &wal, &store, durable_config());
+    assert_eq!(runs_written(&store), 4, "snapshot 0 is self-contained");
+    let mut rng = TestRng::new(73);
+    let mut oracle = base;
+    for _ in 0..2 {
+        write_batch(&durable, &mut rng, &mut oracle, 2_000);
+        durable.checkpoint().unwrap();
+        assert_eq!(runs_written(&store), 0);
+        recovers_to(&wal, &store, &oracle);
+    }
+    converge_shard(&durable, 0);
+    durable.checkpoint().unwrap();
+    assert_eq!(runs_written(&store), 1);
+    recovers_to(&wal, &store, &oracle);
+}
+
+/// Recovery remembers where the bases it decoded are stored, so the
+/// first checkpoint after it writes no run.
+#[test]
+fn a_checkpoint_after_recovery_writes_no_run() {
+    let base = values(2_000, 2_000, 79);
+    let wal = MemWalHandle::new();
+    let store = MemStore::new();
+    let durable = build_durable(base.clone(), 4, &wal, &store, durable_config());
+    let mut rng = TestRng::new(81);
+    let mut oracle = base;
+    converge_shard(&durable, 1);
+    write_batch(&durable, &mut rng, &mut oracle, 2_000);
+    durable.checkpoint().unwrap();
+    assert_eq!(runs_written(&store), 1);
+    drop(durable);
+
+    let (recovered, _) = DurableTable::recover(
+        Box::new(wal.storage()),
+        Box::new(store.clone()),
+        durable_config(),
+        None,
+    )
+    .unwrap();
+    recovered.checkpoint().unwrap();
+    assert_eq!(runs_written(&store), 0);
+    drop(recovered);
+    recovers_to(&wal, &store, &oracle);
+}
+
+/// A corrupt byte in a base run that an older file holds for newer
+/// snapshots makes each snapshot referencing it unusable: recovery falls
+/// back to one that does not reference it, or reports `NoSnapshot` —
+/// never a wrong answer.
+#[test]
+fn a_corrupt_shared_run_falls_back_or_errors() {
+    let base = values(1_600, 1_600, 89);
+    let wal = MemWalHandle::new();
+    let store = MemStore::new();
+    let durable = build_durable(base.clone(), 2, &wal, &store, durable_config());
+    converge_shard(&durable, 0);
+    assert_eq!(durable.checkpoint().unwrap(), 1);
+    let mut rng = TestRng::new(97);
+    let mut oracle = base.clone();
+    write_batch(&durable, &mut rng, &mut oracle, 1_600);
+    assert_eq!(durable.checkpoint().unwrap(), 2);
+    drop(durable);
+    let (_, refs) = latest_valid_snapshot(&store).unwrap().unwrap();
+    let (converged, unsorted) = (refs[0][0], refs[0][1]);
+    assert_eq!((converged.file, unsorted.file), (1, 0));
+    assert_eq!(store.ids().unwrap(), vec![0, 1, 2]);
+
+    // Snapshots 2 and 1 share the converged run in file 1: both are
+    // unusable, and snapshot 0 (the log after it was truncated) is what
+    // is left.
+    let broken = store.fork();
+    broken.corrupt(1, (converged.offset + converged.len / 2) as usize, 3);
+    let (recovered, report) = DurableTable::recover(
+        Box::new(wal.fork().storage()),
+        Box::new(broken),
+        durable_config(),
+        None,
+    )
+    .unwrap();
+    assert_eq!(report.snapshot_id, 0);
+    assert_matches_oracle(recovered.table(), "a", &base, 32);
+
+    // Every snapshot references the unsorted run in file 0.
+    let broken = store.fork();
+    broken.corrupt(0, (unsorted.offset + unsorted.len / 2) as usize, 5);
+    match DurableTable::recover(
+        Box::new(wal.fork().storage()),
+        Box::new(broken),
+        durable_config(),
+        None,
+    ) {
+        Err(DurabilityError::NoSnapshot) => {}
+        other => panic!("expected NoSnapshot, got {:?}", other.map(|_| ())),
+    }
+    recovers_to(&wal, &store, &oracle);
+}
+
+/// Prune keeps the newest `snapshots_kept` snapshots and every older
+/// file one of them references: the file holding the unchanged bases
+/// survives every prune, and goes once no kept snapshot references it.
+#[test]
+fn prune_keeps_the_files_kept_snapshots_reference() {
+    let base = values(1_200, 1_200, 101);
+    let wal = MemWalHandle::new();
+    let store = MemStore::new();
+    let durable = build_durable(base.clone(), 2, &wal, &store, durable_config());
+    let mut rng = TestRng::new(103);
+    let mut oracle = base;
+    for id in 1..=5u64 {
+        write_batch(&durable, &mut rng, &mut oracle, 1_200);
+        assert_eq!(durable.checkpoint().unwrap(), id);
+        let mut expected = vec![0, id - 1, id];
+        expected.dedup();
+        assert_eq!(store.ids().unwrap(), expected, "after checkpoint {id}");
+    }
+    converge_shard(&durable, 0);
+    converge_shard(&durable, 1);
+    assert_eq!(durable.checkpoint().unwrap(), 6);
+    assert_eq!(runs_written(&store), 2);
+    // Snapshot 5 is kept and references file 0.
+    assert_eq!(store.ids().unwrap(), vec![0, 5, 6]);
+    assert_eq!(durable.checkpoint().unwrap(), 7);
+    assert_eq!(store.ids().unwrap(), vec![6, 7]);
+    drop(durable);
+    recovers_to(&wal, &store, &oracle);
+}
+
+/// A checkpoint after a recovery that fell back past a corrupt newer
+/// snapshot must not prune away the only valid one: the new snapshot's
+/// id is past every stored id, so it is the newest and survives its own
+/// prune.
+#[test]
+fn a_checkpoint_after_a_fallback_keeps_a_valid_snapshot() {
+    let base = values(1_000, 1_000, 107);
+    let wal = MemWalHandle::new();
+    let store = MemStore::new();
+    let durable = build_durable(base.clone(), 2, &wal, &store, durable_config());
+    let mut rng = TestRng::new(109);
+    let mut oracle = base;
+    write_batch(&durable, &mut rng, &mut oracle, 1_000);
+    assert_eq!(durable.checkpoint().unwrap(), 1);
+    drop(durable);
+    // A corrupt copy of snapshot 1 planted at id 6.
+    let mut planted = store.load(1).unwrap();
+    planted[40] ^= 4;
+    store.clone().save(6, &planted).unwrap();
+
+    let one_kept = DurabilityConfig {
+        snapshots_kept: 1,
+        ..durable_config()
+    };
+    let (recovered, report) = DurableTable::recover(
+        Box::new(wal.storage()),
+        Box::new(store.clone()),
+        one_kept,
+        None,
+    )
+    .unwrap();
+    assert_eq!(report.snapshot_id, 1);
+    assert_eq!(store.ids().unwrap(), vec![0, 1, 6]);
+    write_batch(&recovered, &mut rng, &mut oracle, 1_000);
+    assert_eq!(recovered.checkpoint().unwrap(), 7);
+    drop(recovered);
+
+    let (again, report) = DurableTable::recover(
+        Box::new(wal.storage()),
+        Box::new(store.clone()),
+        one_kept,
+        None,
+    )
+    .unwrap();
+    assert_eq!(report.snapshot_id, 7);
+    assert_matches_oracle(again.table(), "a", &oracle, 32);
 }

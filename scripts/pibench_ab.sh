@@ -36,6 +36,13 @@
 #
 # The run length and the command come from the working tree's
 # BENCHMARK.json and are the same on both sides.
+#
+# Every full run, paired or traced, is appended as one JSON line to
+# BENCH_history.jsonl at the root of the repo: the commit it measured (the
+# parent's sha; for the change, HEAD's sha and whether the working tree
+# differed from it), the side, seed, workload, pair number (null for the
+# traced run), trace flag, the counts of attempted and failed ops, whether
+# every answer was right, and every metric's value.
 set -euo pipefail
 
 if [ $# -lt 2 ]; then
@@ -49,6 +56,11 @@ pairs=${PAIRS:-10}
 
 root=$(git rev-parse --show-toplevel)
 cd "$root"
+history=$root/BENCH_history.jsonl
+parent_sha=$(git rev-parse "$parent_ref^{commit}")
+head_sha=$(git rev-parse HEAD)
+change_dirty=false
+if [ -n "$(git status --porcelain)" ]; then change_dirty=true; fi
 work=$root/target/pibench_ab
 rm -rf "$work/parent" "$work/change" "$work/runs"
 mkdir -p "$work/parent" "$work/change" "$work/runs"
@@ -73,6 +85,23 @@ run() { # <side> <workload> <pair>
         --seconds "$seconds" --trace 0) | tail -n 1 >"$work/runs/$1.$2.$3.json"
 }
 
+record() { # <side> <workload> <pair|traced> <file whose last line is the run's JSON>
+    local commit=$parent_sha dirty=false
+    if [ "$1" = change ]; then commit=$head_sha dirty=$change_dirty; fi
+    python3 - "$commit" "$dirty" "$1" "$seed" "$2" "$3" "$4" >>"$history" <<'EOF'
+import json, sys
+commit, dirty, side, seed, workload, pair, path = sys.argv[1:]
+run = json.loads(open(path).read().splitlines()[-1])
+print(json.dumps({
+    "commit": commit, "dirty": dirty == "true", "side": side, "seed": int(seed),
+    "workload": workload, "pair": int(pair) if pair.isdigit() else None,
+    "trace": int(pair == "traced"), "attempted": run["attempted"], "failed": run["failed"],
+    "correct": run["correct"],
+    "metrics": {name: metric["value"] for name, metric in run["metrics"].items()},
+}))
+EOF
+}
+
 first=${workloads%%[, ]*}
 echo "building both sides (one untimed run each)" >&2
 run parent "$first" warmup
@@ -82,7 +111,10 @@ rm "$work"/runs/*.warmup.json
 for workload in ${workloads//,/ }; do
     for pair in $(seq 1 "$pairs"); do
         if [ $((pair % 2)) -eq 1 ]; then order="parent change"; else order="change parent"; fi
-        for side in $order; do run "$side" "$workload" "$pair"; done
+        for side in $order; do
+            run "$side" "$workload" "$pair"
+            record "$side" "$workload" "$pair" "$work/runs/$side.$workload.$pair.json"
+        done
         echo "$workload: pair $pair/$pairs done ($order)" >&2
     done
 
@@ -132,9 +164,11 @@ EOF
 
     echo "per layer (one --trace 1 run per side):"
     for side in parent change; do
+        traced=$work/runs/$side.$workload.traced.out
         (cd "$work/$side" && "${command[@]}" --workload "$workload" --seed "$seed" \
-            --seconds "$seconds" --trace 1) |
-            awk -v side="$side" '$1 == "storage.scan_gb_s" ||
+            --seconds "$seconds" --trace 1) >"$traced"
+        record "$side" "$workload" traced "$traced"
+        awk -v side="$side" '$1 == "storage.scan_gb_s" ||
                 $1 ~ /^core\..*\.(first_query_ms|cold_total_s|op_max_ms)$/ ||
                 $1 == "core.refine_steps" || $1 == "core.bytes_moved" ||
                 $1 == "core.merge_steps" || $1 ~ /^core\.mutation\.(apply_us|merge_s|sidecar_query_us)$/ ||
@@ -147,6 +181,6 @@ EOF
                 $1 == "durable.snapshot.encode_ms" || $1 == "engine.durability.checkpoint_ms" ||
                 $1 == "durable.recover_s" || $1 == "durable.wal.append_us" ||
                 $1 == "engine.durability.apply_us" {
-                    printf "  %-7s %-32s %.6g %s\n", side, $1, $2, $3 }'
+                    printf "  %-7s %-32s %.6g %s\n", side, $1, $2, $3 }' "$traced"
     done
 done
