@@ -130,14 +130,14 @@ pub enum ErasedColumn {
 }
 
 /// The length byte of a string longer than the 15 bytes its key holds.
-const LONG: u8 = 16;
+pub(crate) const LONG: u8 = 16;
 
 /// A string's row key: its first 15 bytes, big-endian and zero-padded,
 /// over a length byte `min(len, 16)`. Keys that differ order as their
 /// strings do, and equal keys below [`LONG`] are equal strings, so only
 /// two strings longer than 15 bytes can tie. `key >> 64` is the 8-byte
 /// prefix code.
-fn str_key(s: &str) -> u128 {
+pub(crate) fn str_key(s: &str) -> u128 {
     let bytes = s.as_bytes();
     let mut key = [0; 16];
     let n = bytes.len().min(15);

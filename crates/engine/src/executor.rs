@@ -433,9 +433,9 @@ impl Executor {
         let decompose_timer = self.decompose_timer();
         let resolved = queries
             .iter()
-            .map(|q| match self.table.column_index(&q.column) {
-                Some(column) => Ok((column, q.low, q.high)),
-                None => Err(EngineError::UnknownColumn(q.column.clone())),
+            .map(|q| {
+                self.resolve(&q.column)
+                    .map(|column| (column, q.low, q.high))
             })
             .collect::<Result<Vec<_>, _>>()?;
         let mut results = vec![ScanResult::EMPTY; queries.len()];
@@ -452,17 +452,21 @@ impl Executor {
         high: Value,
     ) -> Result<ScanResult, EngineError> {
         let decompose_timer = self.decompose_timer();
-        let column = self
-            .table
-            .column_index(column)
-            .ok_or_else(|| EngineError::UnknownColumn(column.to_string()))?;
+        let column = self.resolve(column)?;
         let mut result = [ScanResult::EMPTY];
         self.execute_resolved(&[(column, low, high)], &mut result, decompose_timer);
         Ok(result[0])
     }
 
+    /// The index of the column named `column`.
+    pub(crate) fn resolve(&self, column: &str) -> Result<usize, EngineError> {
+        self.table
+            .column_index(column)
+            .ok_or_else(|| EngineError::UnknownColumn(column.to_string()))
+    }
+
     /// Starts timing a batch's framing, when the executor is metered.
-    fn decompose_timer(&self) -> Option<ScopeTimer<'_>> {
+    pub(crate) fn decompose_timer(&self) -> Option<ScopeTimer<'_>> {
         self.obs.as_ref().map(|o| ScopeTimer::new(&o.decompose_ns))
     }
 
@@ -470,7 +474,7 @@ impl Executor {
     /// high)` queries into `results`, one empty slot each.
     /// `decompose_timer`, started before resolution, stops once the batch
     /// is routed.
-    fn execute_resolved(
+    pub(crate) fn execute_resolved(
         &self,
         queries: &[(usize, Value, Value)],
         results: &mut [ScanResult],

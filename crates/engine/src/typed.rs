@@ -31,12 +31,14 @@
 //! decoded from the encoded aggregate (`i64` through its affine shift).
 //!
 //! `String` columns are **prefix-encoded**: rows are indexed by their
-//! fixed 8-byte prefix, and distinct strings can tie on a code. The
-//! typed table therefore keeps an exact-match side path — the full keys
-//! of each prefix-encoded column, grouped by code and sorted — and every
-//! query corrects its boundary codes against it: rows tying
-//! `encode(low)` but ordered below `low`, and rows tying `encode(high)`
-//! but ordered above `high`, are subtracted from the encoded count.
+//! fixed 8-byte prefix, and distinct strings can tie on a code. Every
+//! query therefore subtracts the rows tying `encode(low)` but ordered
+//! below `low`, and those tying `encode(high)` but ordered above `high`,
+//! found in a side path that keys strings as the multi-column row store
+//! does ([`TableKey::row_key`]: the first 15 bytes over a length byte
+//! `min(len, 16)`), grouped by code and sorted — integer searches. Only
+//! strings longer than 15 bytes can share a row key; they alone keep
+//! their full strings, which a bound longer than 15 bytes also searches.
 //! Answers are exact over full-string order at every refinement stage.
 //!
 //! ## Digest capability matrix
@@ -84,7 +86,7 @@
 //! ```
 
 use std::cmp::Ordering;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::sync::{Arc, RwLock, RwLockReadGuard};
 
 use pi_core::budget::BudgetPolicy;
@@ -92,9 +94,10 @@ use pi_core::mutation::Mutation;
 use pi_obs::{Counter, MetricsRegistry};
 use pi_storage::encoding::OrderedKey;
 use pi_storage::scan::ScanResult;
-use pi_storage::StrPrefix;
+use pi_storage::{StrPrefix, Value};
 
-use crate::executor::{EngineError, Executor, ExecutorConfig, TableQuery};
+use crate::erased::{str_key, LONG};
+use crate::executor::{EngineError, Executor, ExecutorConfig};
 use crate::table::{AlgorithmChoice, ColumnSpec, Table};
 
 /// How a key domain plugs into the engine: encoding into the `u64` core,
@@ -120,6 +123,13 @@ pub trait TableKey: Clone + std::fmt::Debug + Send + Sync + 'static {
 
     /// The key's code in the `u64` core.
     fn to_code(&self) -> u64;
+
+    /// The key's 128-bit row key, [`to_code`](Self::to_code) over 64 bits:
+    /// keys whose row keys differ order as those do, and only row keys
+    /// whose low byte is 16 (strings past 15 bytes) hold distinct keys.
+    fn row_key(&self) -> u128 {
+        u128::from(self.to_code()) << 64
+    }
 
     /// Total order of the key domain (for `f64` this is the IEEE-754
     /// total order the encoding realises; for `String`, byte order).
@@ -168,6 +178,11 @@ impl TableKey for String {
     #[inline]
     fn to_code(&self) -> u64 {
         StrPrefix::new(self).encode()
+    }
+
+    #[inline]
+    fn row_key(&self) -> u128 {
+        str_key(self)
     }
 
     #[inline]
@@ -296,21 +311,128 @@ pub enum TypedMutation<K: TableKey> {
     },
 }
 
-/// The exact-match tie-break side path of one prefix-encoded column: the
-/// full keys of every live row, grouped by code, each group sorted by
-/// key order. Invariant: the multiset of codes here equals the inner
-/// column's live multiset — every write goes through the typed layer,
-/// which updates both under the exclusive lock.
-type TieTable<K> = BTreeMap<u64, Vec<K>>;
+/// The mutation on codes the inner column applies for `m`.
+fn encode<K: TableKey>(m: &TypedMutation<K>) -> Mutation {
+    match m {
+        TypedMutation::Insert(k) => Mutation::Insert(k.to_code()),
+        TypedMutation::Delete(k) => Mutation::Delete(k.to_code()),
+        TypedMutation::Update { old, new } => Mutation::Update {
+            old: old.to_code(),
+            new: new.to_code(),
+        },
+    }
+}
+
+/// The exact-match tie-break side path of one prefix-encoded column. Its
+/// codes are the inner column's live multiset: every write goes through
+/// the typed layer, which updates both under the exclusive lock.
+struct TieTable<K> {
+    /// Every live row's [`TableKey::row_key`], grouped by code, sorted.
+    groups: BTreeMap<u64, Vec<u128>>,
+    /// Every live key whose row key is [`LONG`] (the only row keys
+    /// distinct keys share), in key order — so in row key order.
+    long: Vec<K>,
+}
+
+/// The code in a row key's top 64 bits.
+fn code_of(row_key: u128) -> u64 {
+    (row_key >> 64) as u64
+}
+
+impl<K: TableKey> TieTable<K> {
+    /// Sorts once, then cuts the code groups: per-key sorted insertion is
+    /// quadratic in group size, and a hot shared prefix is one group.
+    fn build(keys: &[K]) -> Self {
+        let mut row_keys: Vec<u128> = keys.iter().map(TableKey::row_key).collect();
+        row_keys.sort_unstable();
+        let groups = row_keys
+            .chunk_by(|a, b| code_of(*a) == code_of(*b))
+            .map(|group| (code_of(group[0]), group.to_vec()))
+            .collect();
+        let long_keys = keys.iter().filter(|k| k.row_key() as u8 == LONG);
+        let mut long: Vec<K> = long_keys.cloned().collect();
+        long.sort_by(K::key_cmp);
+        TieTable { groups, long }
+    }
+
+    /// Rows tying a predicate boundary's code but falling outside the
+    /// typed bounds: everything in `low`'s code group ordered below `low`,
+    /// plus everything in `high`'s code group ordered above `high`. Every
+    /// count is a partition point: over the sorted row keys, and where a
+    /// bound's row key is long, over the full keys that share it.
+    fn boundary_overcount(&self, low: &K, high: &K) -> u64 {
+        let (lo, hi) = (low.row_key(), high.row_key());
+        let group = |k| self.groups.get(&code_of(k)).map_or(&[][..], Vec::as_slice);
+        let (below, above) = (group(lo), group(hi));
+        let mut over =
+            below.partition_point(|&k| k < lo) + above.len() - above.partition_point(|&k| k <= hi);
+        let long = &self.long;
+        if lo as u8 == LONG {
+            over += long.partition_point(|k| k.key_cmp(low).is_lt())
+                - long.partition_point(|k| k.row_key() < lo);
+        }
+        if hi as u8 == LONG {
+            over += long.partition_point(|k| k.row_key() <= hi)
+                - long.partition_point(|k| k.key_cmp(high).is_le());
+        }
+        over as u64
+    }
+
+    /// Validates `m` over full keys and applies it: `false`, changing
+    /// nothing, when it deletes or replaces a key no live row has.
+    fn apply(&mut self, m: &TypedMutation<K>) -> bool {
+        let found = match m {
+            TypedMutation::Insert(_) => true,
+            TypedMutation::Delete(k) | TypedMutation::Update { old: k, .. } => self.remove(k),
+        };
+        if let (true, TypedMutation::Insert(k) | TypedMutation::Update { new: k, .. }) = (found, m)
+        {
+            self.insert(k);
+        }
+        found
+    }
+
+    /// Adds a live row with `key`.
+    fn insert(&mut self, key: &K) {
+        let row_key = key.row_key();
+        let group = self.groups.entry(code_of(row_key)).or_default();
+        group.insert(group.partition_point(|&k| k < row_key), row_key);
+        if row_key as u8 == LONG {
+            let long = &mut self.long;
+            long.insert(
+                long.partition_point(|k| k.key_cmp(key).is_lt()),
+                key.clone(),
+            );
+        }
+    }
+
+    /// Removes one live row with exactly `key`; `false` when none has it
+    /// (a long key must match a full key, not only a row key).
+    fn remove(&mut self, key: &K) -> bool {
+        let row_key = key.row_key();
+        if row_key as u8 == LONG {
+            let Ok(at) = self.long.binary_search_by(|k| k.key_cmp(key)) else {
+                return false;
+            };
+            self.long.remove(at);
+        }
+        let group = self.groups.entry(code_of(row_key)).or_default();
+        let found = group.binary_search(&row_key).map(|at| group.remove(at));
+        if group.is_empty() {
+            self.groups.remove(&code_of(row_key));
+        }
+        found.is_ok()
+    }
+}
 
 /// A typed facade over [`Table`]: typed construction, typed serial
 /// queries and mutations, and the tie-break state the
 /// [`TypedExecutor`] shares. See the module docs for the full story.
 pub struct TypedTable<K: TableKey> {
     inner: Arc<Table>,
-    /// Per-column tie-break side tables; populated only for
-    /// prefix-encoded key domains.
-    ties: HashMap<String, RwLock<TieTable<K>>>,
+    /// Per-column tie-break side tables, in the inner table's column
+    /// order; empty for exact key domains.
+    ties: Vec<RwLock<TieTable<K>>>,
     /// Queries whose answer needed a tie-break correction (a predicate
     /// boundary's truncated code tied rows outside the typed bounds) —
     /// `engine.tie_break_hits` when metrics are attached.
@@ -357,29 +479,15 @@ impl<K: TableKey> TypedTableBuilder<K> {
     /// # Panics
     /// Panics on duplicate column names (like [`Table::builder`]).
     pub fn build(self) -> TypedTable<K> {
-        let mut builder = Table::builder();
+        let (mut builder, mut tie_hits) = (Table::builder(), None);
         if let Some(registry) = &self.metrics {
             builder = builder.metrics(Arc::clone(registry));
+            tie_hits = Some(registry.counter("engine.tie_break_hits"));
         }
-        let tie_hits = self
-            .metrics
-            .as_ref()
-            .map(|registry| registry.counter("engine.tie_break_hits"));
-        let mut ties = HashMap::new();
+        let mut ties = Vec::new();
         for spec in self.specs {
             if K::PREFIX_ENCODED {
-                // Bulk build: collect each code group, then sort it once
-                // — per-key sorted insertion would be quadratic in group
-                // size, and skewed domains (a hot shared prefix) put
-                // most rows in one group.
-                let mut table: TieTable<K> = BTreeMap::new();
-                for key in &spec.keys {
-                    table.entry(key.to_code()).or_default().push(key.clone());
-                }
-                for group in table.values_mut() {
-                    group.sort_by(|a, b| a.key_cmp(b));
-                }
-                ties.insert(spec.name.clone(), RwLock::new(table));
+                ties.push(RwLock::new(TieTable::build(&spec.keys)));
             }
             let values: Vec<u64> = spec.keys.iter().map(TableKey::to_code).collect();
             builder = builder.column(
@@ -397,53 +505,14 @@ impl<K: TableKey> TypedTableBuilder<K> {
     }
 }
 
-/// Inserts `key` into a sorted tie group, keeping the group sorted.
-fn insert_sorted<K: TableKey>(group: &mut Vec<K>, key: K) {
-    let at = group.partition_point(|k| k.key_cmp(&key) != Ordering::Greater);
-    group.insert(at, key);
-}
-
-/// Rows tying a predicate boundary's code but falling outside the typed
-/// bounds: everything in `low`'s code group ordered below `low`, plus
-/// everything in `high`'s code group ordered above `high`. The groups
-/// are sorted, so both counts are partition points.
-fn boundary_overcount<K: TableKey>(table: &TieTable<K>, low: &K, high: &K) -> u64 {
-    let mut over = 0u64;
-    if let Some(group) = table.get(&low.to_code()) {
-        over += group.partition_point(|k| k.key_cmp(low) == Ordering::Less) as u64;
-    }
-    if let Some(group) = table.get(&high.to_code()) {
-        let not_above = group.partition_point(|k| k.key_cmp(high) != Ordering::Greater);
-        over += (group.len() - not_above) as u64;
-    }
-    over
-}
-
-/// Builds the typed answer from a raw encoded scan, applying prefix
-/// tie-break corrections when a side table is present. A non-zero
-/// correction bumps `hits` (the `engine.tie_break_hits` counter).
-fn typed_answer<K: TableKey>(
-    raw: ScanResult,
-    ties: Option<&TieTable<K>>,
-    low: &K,
-    high: &K,
-    hits: Option<&Counter>,
-) -> TypedResult<K> {
-    let count = match ties {
-        Some(table) => {
-            let over = boundary_overcount(table, low, high);
-            if over > 0 {
-                if let Some(hits) = hits {
-                    hits.inc();
-                }
-            }
-            raw.count - over
-        }
-        None => raw.count,
-    };
-    TypedResult {
-        count,
-        sum: K::decode_sum(raw),
+/// The code range `[low, high]` reads: its codes, or the empty code
+/// range when `low > high` — the typed empty range must not reach the
+/// encoded layer as its codes, which prefix truncation can make tie.
+fn code_range<K: TableKey>(low: &K, high: &K) -> (Value, Value) {
+    if low.key_cmp(high) == Ordering::Greater {
+        (Value::MAX, 0)
+    } else {
+        (low.to_code(), high.to_code())
     }
 }
 
@@ -463,19 +532,32 @@ impl<K: TableKey> TypedTable<K> {
     /// under the key domain's total order, served serially. Returns
     /// `None` for an unknown column.
     pub fn query(&self, column: &str, low: &K, high: &K) -> Option<TypedResult<K>> {
-        let sharded = self.inner.column(column)?;
-        if low.key_cmp(high) == Ordering::Greater {
-            return Some(TypedResult::empty());
+        let index = self.inner.column_index(column)?;
+        let ties = self.read_ties(index);
+        let (lo, hi) = code_range(low, high);
+        let raw = self.inner.columns()[index].query(lo, hi);
+        Some(self.answer(raw, ties.as_deref(), low, high))
+    }
+
+    /// `raw`, the inner answer to the [`code_range`] of `[low, high]`, less
+    /// the boundary overcount of `ties` unless empty (as an inverted range
+    /// is); a correction bumps `engine.tie_break_hits`.
+    fn answer(
+        &self,
+        raw: ScanResult,
+        ties: Option<&TieTable<K>>,
+        low: &K,
+        high: &K,
+    ) -> TypedResult<K> {
+        let ties = ties.filter(|_| raw.count > 0);
+        let over = ties.map_or(0, |table| table.boundary_overcount(low, high));
+        if let Some(hits) = self.tie_hits.as_ref().filter(|_| over > 0) {
+            hits.inc();
         }
-        let guard = self.read_ties(column);
-        let raw = sharded.query(low.to_code(), high.to_code());
-        Some(typed_answer(
-            raw,
-            guard.as_deref(),
-            low,
-            high,
-            self.tie_hits.as_deref(),
-        ))
+        TypedResult {
+            count: raw.count - over,
+            sum: K::decode_sum(raw),
+        }
     }
 
     /// Applies a batch of typed mutations to `column` in request order,
@@ -483,8 +565,8 @@ impl<K: TableKey> TypedTable<K> {
     /// path [`TypedExecutor::apply_mutations`] takes). Returns the
     /// per-mutation applied flags, or `None` for an unknown column.
     ///
-    /// For prefix domains the batch is validated against the tie-break
-    /// table, which is updated under its exclusive lock, and the accepted
+    /// Prefix domains validate the batch over full keys against the tie
+    /// table, updating it under its exclusive lock, and the accepted
     /// inner mutations apply in the same order under that lock — so the
     /// tie table and the index see one order.
     pub fn apply_mutations(
@@ -492,90 +574,33 @@ impl<K: TableKey> TypedTable<K> {
         column: &str,
         mutations: &[TypedMutation<K>],
     ) -> Option<Vec<bool>> {
-        let sharded = self.inner.column(column)?;
-        if !K::PREFIX_ENCODED {
-            let inner: Vec<Mutation> = mutations.iter().map(translate_exact).collect();
-            return Some(sharded.apply_mutations(&inner));
-        }
+        let index = self.inner.column_index(column)?;
         let mut ties = self
             .ties
-            .get(column)
-            .expect("prefix column has a tie table")
-            .write()
-            .expect("tie table poisoned");
+            .get(index)
+            .map(|lock| lock.write().expect("tie table poisoned"));
+        let accepted: Vec<usize> = (0..mutations.len())
+            .filter(|&i| ties.as_mut().is_none_or(|t| t.apply(&mutations[i])))
+            .collect();
+        let inner_ops: Vec<Mutation> = accepted.iter().map(|&i| encode(&mutations[i])).collect();
         let mut applied = vec![false; mutations.len()];
-        let mut accepted: Vec<(usize, Mutation)> = Vec::with_capacity(mutations.len());
-        for (i, m) in mutations.iter().enumerate() {
-            let translated = match m {
-                TypedMutation::Insert(k) => {
-                    insert_sorted(ties.entry(k.to_code()).or_default(), k.clone());
-                    Some(Mutation::Insert(k.to_code()))
-                }
-                TypedMutation::Delete(k) => {
-                    remove_exact(&mut ties, k).then(|| Mutation::Delete(k.to_code()))
-                }
-                TypedMutation::Update { old, new } => remove_exact(&mut ties, old).then(|| {
-                    insert_sorted(ties.entry(new.to_code()).or_default(), new.clone());
-                    Mutation::Update {
-                        old: old.to_code(),
-                        new: new.to_code(),
-                    }
-                }),
-            };
-            if let Some(op) = translated {
-                applied[i] = true;
-                accepted.push((i, op));
-            }
-        }
-        let inner_ops: Vec<Mutation> = accepted.iter().map(|&(_, m)| m).collect();
-        let inner_applied = sharded.apply_mutations(&inner_ops);
-        // The tie table mirrors the inner live multiset of codes, so a
+        // A tie table mirrors the inner live multiset of codes, so a
         // mutation it validated must also apply inside.
-        for (&(i, _), ok) in accepted.iter().zip(&inner_applied) {
-            debug_assert!(ok, "tie table and inner column diverged");
-            applied[i] = *ok;
+        let inner_applied = self.inner.columns()[index].apply_mutations(&inner_ops);
+        for (i, ok) in accepted.into_iter().zip(inner_applied) {
+            debug_assert!(ok || ties.is_none(), "tie table and inner column diverged");
+            applied[i] = ok;
         }
         Some(applied)
     }
 
-    /// The shared read guard over a column's tie table (`None` for exact
-    /// domains, which keep no side state).
-    fn read_ties(&self, column: &str) -> Option<RwLockReadGuard<'_, TieTable<K>>> {
+    /// The shared read guard over the tie table of the column at `index`
+    /// (`None` for exact domains, which keep no side state).
+    fn read_ties(&self, index: usize) -> Option<RwLockReadGuard<'_, TieTable<K>>> {
         self.ties
-            .get(column)
+            .get(index)
             .map(|lock| lock.read().expect("tie table poisoned"))
     }
-}
-
-/// Translates an exact-domain typed mutation (codes never tie, so the
-/// inner validation is the typed validation).
-fn translate_exact<K: TableKey>(m: &TypedMutation<K>) -> Mutation {
-    match m {
-        TypedMutation::Insert(k) => Mutation::Insert(k.to_code()),
-        TypedMutation::Delete(k) => Mutation::Delete(k.to_code()),
-        TypedMutation::Update { old, new } => Mutation::Update {
-            old: old.to_code(),
-            new: new.to_code(),
-        },
-    }
-}
-
-/// Removes one occurrence of exactly `key` from its tie group; `false`
-/// when no live row has that full key.
-fn remove_exact<K: TableKey>(table: &mut TieTable<K>, key: &K) -> bool {
-    let code = key.to_code();
-    let Some(group) = table.get_mut(&code) else {
-        return false;
-    };
-    let at = group.partition_point(|k| k.key_cmp(key) == Ordering::Less);
-    if at >= group.len() || group[at].key_cmp(key) != Ordering::Equal {
-        return false;
-    }
-    group.remove(at);
-    if group.is_empty() {
-        table.remove(&code);
-    }
-    true
 }
 
 /// A typed facade over the shard-parallel [`Executor`]: typed query
@@ -635,77 +660,46 @@ impl<K: TableKey> TypedExecutor<K> {
         queries: &[TypedQuery<K>],
     ) -> Result<Vec<TypedResult<K>>, EngineError> {
         // Resolve every column name up front, so an unknown column fails
-        // the whole batch no matter how the bounds are ordered (the
-        // inverted-range short-circuit below must not mask a typo).
-        for q in queries {
-            if self.table.inner().column_index(&q.column).is_none() {
-                return Err(EngineError::UnknownColumn(q.column.clone()));
-            }
-        }
-        // Hold the tie tables of all involved prefix columns, in sorted
-        // (deterministic) order, for the whole batch.
-        let mut guards: Vec<(&str, RwLockReadGuard<'_, TieTable<K>>)> = Vec::new();
-        if K::PREFIX_ENCODED {
-            let mut columns: Vec<&str> = queries.iter().map(|q| q.column.as_str()).collect();
-            columns.sort_unstable();
-            columns.dedup();
-            for column in columns {
-                if let Some(guard) = self.table.read_ties(column) {
-                    guards.push((column, guard));
-                }
-            }
-        }
-        // `low > high` is the typed empty range; it must not reach the
-        // encoded layer, where prefix truncation could make the codes
-        // tie and return rows.
-        let mut inner_batch = Vec::with_capacity(queries.len());
-        let mut slot_of = Vec::with_capacity(queries.len());
-        for q in queries {
-            if q.low.key_cmp(&q.high) == Ordering::Greater {
-                slot_of.push(None);
-            } else {
-                slot_of.push(Some(inner_batch.len()));
-                inner_batch.push(TableQuery::new(
-                    q.column.clone(),
-                    q.low.to_code(),
-                    q.high.to_code(),
-                ));
-            }
-        }
-        let raw = self.executor.execute_batch(&inner_batch)?;
-        let results = queries
+        // the whole batch however its bounds are ordered.
+        let decompose_timer = self.executor.decompose_timer();
+        let resolved = queries
             .iter()
-            .zip(&slot_of)
-            .map(|(q, slot)| match slot {
-                None => TypedResult::empty(),
-                Some(at) => {
-                    let ties = guards
-                        .iter()
-                        .find(|(name, _)| *name == q.column)
-                        .map(|(_, guard)| &**guard);
-                    typed_answer(
-                        raw[*at],
-                        ties,
-                        &q.low,
-                        &q.high,
-                        self.table.tie_hits.as_deref(),
-                    )
-                }
+            .map(|q| {
+                let (low, high) = code_range(&q.low, &q.high);
+                Ok((self.executor.resolve(&q.column)?, low, high))
             })
+            .collect::<Result<Vec<_>, EngineError>>()?;
+        // Hold the tie tables of all queried prefix columns, in column
+        // (deterministic) order, for the whole batch.
+        let table = &self.table;
+        let queried = |index| resolved.iter().any(|&(column, ..)| column == index);
+        let guards: Vec<_> = (0..table.ties.len())
+            .map(|index| queried(index).then(|| table.read_ties(index))?)
             .collect();
-        Ok(results)
+        let mut raw = vec![ScanResult::EMPTY; queries.len()];
+        self.executor
+            .execute_resolved(&resolved, &mut raw, decompose_timer);
+        let answers = queries.iter().zip(&resolved).zip(raw);
+        Ok(answers
+            .map(|((q, &(column, ..)), raw)| {
+                let ties = guards.get(column).and_then(Option::as_deref);
+                table.answer(raw, ties, &q.low, &q.high)
+            })
+            .collect())
     }
 
-    /// Executes a single typed query (a batch of one).
+    /// Executes a single typed query: [`Executor::execute_one`] under the
+    /// column's tie read guard, with nothing built around it.
     pub fn execute_one(
         &self,
         column: &str,
         low: K,
         high: K,
     ) -> Result<TypedResult<K>, EngineError> {
-        Ok(self
-            .execute_batch(std::slice::from_ref(&TypedQuery::new(column, low, high)))?
-            .remove(0))
+        let ties = self.table.read_ties(self.executor.resolve(column)?);
+        let (lo, hi) = code_range(&low, &high);
+        let raw = self.executor.execute_one(column, lo, hi)?;
+        Ok(self.table.answer(raw, ties.as_deref(), &low, &high))
     }
 
     /// Applies a batch of typed mutations in request order through

@@ -3,16 +3,21 @@
 //! scratch of one shard task (the task list, the flat-shard lookup table
 //! and the task's sub-query list). No request, no copy of the column name,
 //! no result vector, no partial-result vector and no touched-shard mask
-//! for a maintenance job that is never spawned.
+//! for a maintenance job that is never spawned. A typed string range on a
+//! converged column, `TypedExecutor::execute_one`, allocates no more: its
+//! tie-break correction searches what the tie table holds.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
+use pi_engine::typed::{TypedColumnSpec, TypedExecutor, TypedTable};
 use pi_engine::{ColumnSpec, Executor, ExecutorConfig, Table};
 use pi_obs::MetricsRegistry;
 use pi_storage::scan::scan_range_sum;
+use pi_workloads::domains::{self, HOT_PREFIX};
+use pi_workloads::Distribution;
 
 struct Counting;
 
@@ -74,4 +79,43 @@ fn a_converged_execute_one_allocates_only_its_routing_scratch() {
         assert_eq!(result.unwrap(), scan_range_sum(&values, low, low + 50));
         assert_eq!(allocated, 3, "[{low}, {}]", low + 50);
     }
+
+    // Strings: 90% share a 10-byte prefix, so a range inside it ties the
+    // code of both its bounds and every answer is tie-corrected.
+    let names = domains::string_data(Distribution::Skewed, 20_000, 43);
+    let registry = Arc::new(MetricsRegistry::new());
+    let table = Arc::new(
+        TypedTable::builder()
+            .column(TypedColumnSpec::new("name", names.clone()).with_shards(4))
+            .metrics(Arc::clone(&registry))
+            .build(),
+    );
+    let typed = TypedExecutor::with_metrics(
+        Arc::clone(&table),
+        ExecutorConfig::with_workers(2),
+        Arc::clone(&registry),
+    );
+    typed.drive_to_convergence(usize::MAX);
+    assert!(table.inner().is_converged());
+    let hot: Vec<(String, String)> = domains::string_ranges(Distribution::Skewed, 200, 44)
+        .into_iter()
+        .filter(|(low, high)| low.starts_with(HOT_PREFIX) && high.starts_with(HOT_PREFIX))
+        .collect();
+    assert!(hot.len() > 100, "{} hot-prefix ranges", hot.len());
+    let tie_hits = registry.counter("engine.tie_break_hits");
+    let hits_before = tie_hits.get();
+    for (low, high) in &hot {
+        let want = names.iter().filter(|n| (low..=high).contains(n)).count() as u64;
+        let (low_key, high_key) = (low.clone(), high.clone());
+        let (result, allocated) = allocations(|| typed.execute_one("name", low_key, high_key));
+        assert_eq!(result.unwrap().count, want, "[{low:?}, {high:?}]");
+        assert!(
+            allocated <= 3,
+            "[{low:?}, {high:?}]: {allocated} allocations"
+        );
+    }
+    assert!(
+        tie_hits.get() > hits_before,
+        "the ranges take the tie-break path"
+    );
 }

@@ -10,7 +10,9 @@ use std::sync::Arc;
 use proptest::prelude::*;
 
 use pi_core::budget::BudgetPolicy;
-use pi_engine::typed::{TypedColumnSpec, TypedExecutor, TypedMutation, TypedQuery, TypedTable};
+use pi_engine::typed::{
+    TableKey, TypedColumnSpec, TypedExecutor, TypedMutation, TypedQuery, TypedTable,
+};
 use pi_engine::{EngineError, ExecutorConfig};
 use pi_workloads::domains;
 use pi_workloads::Distribution;
@@ -195,6 +197,129 @@ fn typed_string_batch_applies_in_request_order() {
     assert_eq!(applied, vec![true, true]);
     assert_eq!(count(&moved, &moved), 0);
     assert_eq!(count("", "zzzz"), 999);
+}
+
+/// Every `(low, high)` pair over `bounds` — inverted pairs included —
+/// answered through `TypedTable::query`, `TypedExecutor::execute_one` and
+/// one `execute_batch`, each against `string_oracle`.
+fn check_every_path(
+    executor: &TypedExecutor<String>,
+    keys: &[String],
+    bounds: &[String],
+    stage: &str,
+) {
+    let pairs: Vec<(&String, &String)> = bounds
+        .iter()
+        .flat_map(|low| bounds.iter().map(move |high| (low, high)))
+        .collect();
+    let batch: Vec<TypedQuery<String>> = pairs
+        .iter()
+        .map(|&(low, high)| TypedQuery::new("s", low.clone(), high.clone()))
+        .collect();
+    let batched = executor.execute_batch(&batch).unwrap();
+    for (&(low, high), batched) in pairs.iter().zip(&batched) {
+        let want = string_oracle(keys, low, high);
+        let served = executor.table().query("s", low, high).unwrap();
+        let one = executor
+            .execute_one("s", low.clone(), high.clone())
+            .unwrap();
+        assert_eq!(batched.count, want, "{stage} batch [{low:?}, {high:?}]");
+        assert_eq!(served.count, want, "{stage} query [{low:?}, {high:?}]");
+        assert_eq!(one.count, want, "{stage} execute_one [{low:?}, {high:?}]");
+    }
+}
+
+#[test]
+fn long_string_ties_are_exact_through_every_path() {
+    // 15, 16, 17 and 30 bytes over one 15-byte stem: the last three share
+    // a row key (the length byte is 16 past 15 bytes), so only their full
+    // strings order them.
+    let stem = "progressive-idx";
+    let tied: Vec<String> = [stem, "progressive-idxa", "progressive-idxab"]
+        .iter()
+        .map(|s| s.to_string())
+        .chain([format!("{stem}{}", "z".repeat(15))])
+        .collect();
+    assert_eq!(
+        tied.iter().map(String::len).collect::<Vec<_>>(),
+        [15, 16, 17, 30]
+    );
+    assert_eq!(tied[1].row_key(), tied[3].row_key());
+    assert_eq!(tied[2].row_key() as u8, 16);
+    assert_ne!(tied[0].row_key(), tied[1].row_key());
+
+    // Every tied string several times over, among neighbours that share
+    // the 8-byte code and fillers on other codes.
+    let mut keys: Vec<String> = (0..3_000)
+        .map(|i| match i % 6 {
+            0..=3 => tied[i % 4].clone(),
+            4 => format!("progressive-{i:05}"),
+            _ => format!("k{i:05}"),
+        })
+        .collect();
+    // Each tied string, one just below it and two just above it: a
+    // prefix, the last byte decremented, a NUL appended and the last
+    // byte incremented.
+    let nudge = |s: &str, by: i8| {
+        let mut b = s.as_bytes().to_vec();
+        let last = b.len() - 1;
+        b[last] = b[last].wrapping_add_signed(by);
+        String::from_utf8(b).unwrap()
+    };
+    let bounds: Vec<String> = tied
+        .iter()
+        .flat_map(|s| {
+            [
+                s.clone(),
+                s[..s.len() - 1].to_string(),
+                nudge(s, -1),
+                format!("{s}\u{0}"),
+                nudge(s, 1),
+            ]
+        })
+        .collect();
+
+    let table = Arc::new(
+        TypedTable::builder()
+            .column(TypedColumnSpec::new("s", keys.clone()).with_shards(4))
+            .build(),
+    );
+    let executor = TypedExecutor::with_config(Arc::clone(&table), foreground());
+    check_every_path(&executor, &keys, &bounds, "cold");
+
+    let long = |tail: &str| format!("{stem}{tail}");
+    let writes = [
+        TypedMutation::Insert(long("ab")),
+        TypedMutation::Insert(long("b")),
+        // Ties the row key of every live long string but is no live
+        // string: it must not consume one of their rows.
+        TypedMutation::Delete(long("abc")),
+        TypedMutation::Delete(long("a")),
+        TypedMutation::Update {
+            old: tied[3].clone(),
+            new: long("0"),
+        },
+        TypedMutation::Update {
+            old: long("q"),
+            new: long("r"),
+        },
+        TypedMutation::Delete(long("b")),
+    ];
+    let applied = executor.apply_mutations("s", &writes).unwrap();
+    assert_eq!(applied, [true, true, false, true, true, false, true]);
+    let remove = |keys: &mut Vec<String>, key: &String| {
+        let at = keys.iter().position(|k| k == key).unwrap();
+        keys.remove(at);
+    };
+    keys.push(long("ab"));
+    remove(&mut keys, &tied[1]);
+    remove(&mut keys, &tied[3]);
+    keys.push(long("0"));
+    check_every_path(&executor, &keys, &bounds, "written");
+
+    executor.drive_to_convergence(usize::MAX);
+    assert!(table.inner().is_converged());
+    check_every_path(&executor, &keys, &bounds, "converged");
 }
 
 proptest! {
