@@ -701,8 +701,9 @@ impl Executor {
 }
 
 /// The engine is the canonical [`pi_sched::BatchExecutor`]: a
-/// [`pi_sched::Server`] front-end gives it admission control, batch
-/// coalescing across clients, backpressure and idle-cycle maintenance.
+/// [`pi_sched::Server`] front-end gives it bounded admission,
+/// backpressure and graceful shutdown, and runs each batch on its
+/// submitter's thread.
 impl BatchExecutor for Executor {
     type Request = TableQuery;
     type Response = ScanResult;
@@ -710,10 +711,6 @@ impl BatchExecutor for Executor {
 
     fn execute_batch(&self, batch: &[TableQuery]) -> Result<Vec<ScanResult>, EngineError> {
         Executor::execute_batch(self, batch)
-    }
-
-    fn idle_maintain(&self) -> bool {
-        idle_cycle(&self.maintenance, self.durability.as_deref())
     }
 }
 

@@ -63,9 +63,9 @@
 //!   [`TableBuilder::build_durable`] and [`Executor::with_durability`].
 //!
 //! The executor implements [`pi_sched::BatchExecutor`], so a
-//! [`pi_sched::Server`] can front it with a bounded admission queue,
-//! cross-client batch coalescing, backpressure and graceful shutdown; the
-//! [`TableServer`] alias names that combination.
+//! [`pi_sched::Server`] can front it with bounded admission,
+//! backpressure and graceful shutdown, each batch running on the thread
+//! that submitted it; the [`TableServer`] alias names that combination.
 //!
 //! ## Quickstart
 //!
@@ -127,7 +127,8 @@ pub use typed::{
 };
 
 /// A [`pi_sched::Server`] front-end over the engine's [`Executor`]:
-/// bounded admission queue, batch coalescing across clients, backpressure
-/// and graceful shutdown, with idle dispatcher cycles donated to shard
-/// maintenance.
+/// bounded admission, backpressure and graceful shutdown, each batch run
+/// on its submitter's thread. The server does no indexing of its own;
+/// idle-time maintenance is [`ExecutorConfig::background_maintenance`]'s
+/// alone.
 pub type TableServer = pi_sched::Server<Executor>;

@@ -15,6 +15,7 @@ use std::time::{Duration, Instant};
 
 use pi_core::budget::BudgetPolicy;
 use pi_engine::{ColumnSpec, Executor, ExecutorConfig, Table, TableQuery, TableServer};
+use pi_obs::MetricsRegistry;
 use pi_sched::ServerConfig;
 use pi_storage::scan::scan_range_sum;
 use pi_workloads::closed_loop::{self, BatchOutcome};
@@ -207,6 +208,50 @@ fn background_maintenance_converges_shards_the_workload_never_queries() {
     // Idle cycles did the work: the pool's idle counter moved even though
     // the foreground budget was zero.
     assert!(executor.pool_stats().idle_work > 0);
+    server.shutdown();
+}
+
+/// `background_maintenance: false` is the one switch for idle indexing:
+/// a server in front of the executor adds none of its own, so an idle,
+/// unconverged table stays exactly where its last batch left it.
+#[test]
+fn an_idle_server_leaves_the_table_alone_with_background_maintenance_off() {
+    let registry = Arc::new(MetricsRegistry::new());
+    let table = Arc::new(
+        Table::builder()
+            .metrics(Arc::clone(&registry))
+            .column(
+                ColumnSpec::new(
+                    "a",
+                    data::generate(Distribution::UniformRandom, 200_000, 53),
+                )
+                .with_shards(8)
+                .with_policy(BudgetPolicy::FixedDelta(0.05)),
+            )
+            .build(),
+    );
+    let executor = Arc::new(Executor::with_config(
+        Arc::clone(&table),
+        ExecutorConfig {
+            worker_threads: 2,
+            maintenance_steps: 0,
+            background_maintenance: false,
+        },
+    ));
+    let server = TableServer::new(executor, ServerConfig::default());
+    server
+        .submit(vec![TableQuery::new("a", 0, 100_000)])
+        .unwrap()
+        .wait()
+        .unwrap();
+    let column = table.column("a").unwrap();
+    let steps = || registry.snapshot().counter("core.a.refine_steps");
+    let (statuses, refined) = (column.shard_statuses(), steps());
+    assert!(!table.is_converged());
+    // Time for an idle-time maintainer to act, were there one.
+    std::thread::sleep(Duration::from_millis(200));
+    assert_eq!(column.shard_statuses(), statuses);
+    assert_eq!(steps(), refined);
     server.shutdown();
 }
 

@@ -11,12 +11,11 @@
 //!   cycles ([`PoolConfig::idle_task`]) for background maintenance.
 //!   Replaces the per-batch `std::thread::scope` fan-out whose spawn cost
 //!   dwarfed the microsecond-scale shard tasks.
-//! * [`Server`] — an async-style admission layer over any
-//!   [`BatchExecutor`]: bounded submission queue with backpressure
-//!   ([`Server::try_submit`] returns [`SubmitError::QueueFull`]), batch
-//!   coalescing across clients on one dispatcher thread, [`Ticket`]
-//!   futures, idle-cycle maintenance and graceful shutdown that always
-//!   resolves accepted tickets.
+//! * [`Server`] — bounded admission over any [`BatchExecutor`]: at most
+//!   [`ServerConfig::max_in_flight`] batches run at once, each on the
+//!   thread that submitted it; [`Server::try_submit`] returns
+//!   [`SubmitError::QueueFull`] at the bound, and [`Server::shutdown`]
+//!   refuses new work and waits for the batches that are running.
 //!
 //! The crate is dependency-free (std only) and knows nothing about
 //! indexes: `pi-engine` implements [`BatchExecutor`] for its `Executor`
@@ -41,7 +40,7 @@
 //! let server = Server::new(Arc::new(Doubler), ServerConfig::default());
 //! let ticket = server.try_submit(vec![1, 2, 3]).unwrap();
 //! assert_eq!(ticket.wait(), Ok(vec![2, 4, 6]));
-//! server.shutdown(); // graceful: drains accepted work first
+//! server.shutdown(); // graceful: waits for running batches first
 //! ```
 
 #![warn(missing_docs)]

@@ -1,27 +1,27 @@
-//! Integration tests for the scheduler: backpressure, graceful shutdown
-//! with in-flight batches, batch coalescing with error isolation, and a
-//! pool worker taking queued jobs. Deterministic mock executors stand in
-//! for the engine so every scenario is forced, not raced.
+//! Integration tests for the scheduler: bounded admission with clients
+//! running side by side, backpressure, panic isolation, graceful shutdown
+//! with batches in flight, and a pool worker taking queued jobs.
+//! Deterministic mock executors stand in for the engine so every scenario
+//! is forced, not raced.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use pi_sched::{BatchExecutor, Job, Pool, Server, ServerConfig, SubmitError};
+use pi_sched::{BatchExecutor, Job, Pool, Server, ServerConfig, SubmitError, TrySubmitError};
 
 /// Doubles every request; can be gated so a batch blocks inside the
 /// executor until the test releases it, and fails any batch containing
 /// the poison value 13.
 struct MockExec {
-    /// `Some(state)`: batches block while `state == true`.
+    /// Batches block while this is `true`.
     gate: Mutex<bool>,
     gate_change: Condvar,
-    /// Signals how many batches have *entered* the executor.
-    entered: Mutex<usize>,
-    entered_change: Condvar,
+    /// How many batches are inside the executor right now, and how many
+    /// have entered it in total.
+    inside: Mutex<(usize, usize)>,
+    inside_change: Condvar,
     batches: AtomicUsize,
-    /// Largest single batch this executor was handed (coalescing proof).
-    max_batch: AtomicUsize,
 }
 
 impl MockExec {
@@ -29,10 +29,9 @@ impl MockExec {
         MockExec {
             gate: Mutex::new(gated),
             gate_change: Condvar::new(),
-            entered: Mutex::new(0),
-            entered_change: Condvar::new(),
+            inside: Mutex::new((0, 0)),
+            inside_change: Condvar::new(),
             batches: AtomicUsize::new(0),
-            max_batch: AtomicUsize::new(0),
         }
     }
 
@@ -41,11 +40,16 @@ impl MockExec {
         self.gate_change.notify_all();
     }
 
-    fn wait_entered(&self, count: usize) {
-        let mut entered = self.entered.lock().unwrap();
-        while *entered < count {
-            entered = self.entered_change.wait(entered).unwrap();
+    /// Blocks until `count` batches are inside the executor at once.
+    fn wait_inside(&self, count: usize) {
+        let mut inside = self.inside.lock().unwrap();
+        while inside.0 < count {
+            inside = self.inside_change.wait(inside).unwrap();
         }
+    }
+
+    fn entered(&self) -> usize {
+        self.inside.lock().unwrap().1
     }
 }
 
@@ -56,17 +60,18 @@ impl BatchExecutor for MockExec {
 
     fn execute_batch(&self, batch: &[u64]) -> Result<Vec<u64>, String> {
         {
-            let mut entered = self.entered.lock().unwrap();
-            *entered += 1;
-            self.entered_change.notify_all();
+            let mut inside = self.inside.lock().unwrap();
+            inside.0 += 1;
+            inside.1 += 1;
+            self.inside_change.notify_all();
         }
         let mut gate = self.gate.lock().unwrap();
         while *gate {
             gate = self.gate_change.wait(gate).unwrap();
         }
         drop(gate);
+        self.inside.lock().unwrap().0 -= 1;
         self.batches.fetch_add(1, Ordering::Relaxed);
-        self.max_batch.fetch_max(batch.len(), Ordering::Relaxed);
         if batch.contains(&13) {
             return Err("poison".into());
         }
@@ -74,80 +79,140 @@ impl BatchExecutor for MockExec {
     }
 }
 
+/// A server over a gated [`MockExec`] that admits two batches at once.
+fn gated_pair() -> (Arc<MockExec>, Arc<Server<MockExec>>) {
+    let exec = Arc::new(MockExec::new(true));
+    let server = Server::new(Arc::clone(&exec), ServerConfig { max_in_flight: 2 });
+    (exec, Arc::new(server))
+}
+
+/// Submits `requests` from a new thread; joins to the batch's result.
+fn submit_from_thread(
+    server: &Arc<Server<MockExec>>,
+    requests: Vec<u64>,
+) -> std::thread::JoinHandle<Result<Vec<u64>, String>> {
+    let server = Arc::clone(server);
+    std::thread::spawn(move || server.submit(requests).expect("admitted").wait())
+}
+
 #[test]
 fn try_submit_reports_queue_full_backpressure() {
-    let exec = Arc::new(MockExec::new(true));
-    let server = Server::new(
-        Arc::clone(&exec),
-        ServerConfig {
-            queue_capacity: 2,
-            ..ServerConfig::default()
-        },
-    );
-    // First submission is popped by the dispatcher and blocks inside the
-    // executor, leaving the queue empty again.
-    let inflight = server.try_submit(vec![1]).unwrap();
-    exec.wait_entered(1);
-    // Fill the queue to capacity behind the blocked dispatcher.
-    let queued_a = server.try_submit(vec![2]).unwrap();
-    let queued_b = server.try_submit(vec![3]).unwrap();
-    // Backpressure: the queue is full, and the refused batch comes back
-    // to the caller intact for resubmission.
-    match server.try_submit(vec![4]) {
+    let (exec, server) = gated_pair();
+    // Two clients are inside the executor at the same moment: the server
+    // does not serialise them.
+    let first = submit_from_thread(&server, vec![1]);
+    let second = submit_from_thread(&server, vec![2]);
+    exec.wait_inside(2);
+    // Backpressure: the bound is reached, and the refused batch comes
+    // back to the caller intact for resubmission.
+    match server.try_submit(vec![3, 4]) {
         Err(rejected) => {
             assert_eq!(rejected.error, SubmitError::QueueFull);
-            assert_eq!(rejected.requests, vec![4]);
+            assert_eq!(rejected.requests, vec![3, 4]);
         }
         Ok(_) => panic!("expected QueueFull, got a ticket"),
     }
     assert_eq!(server.stats().rejected, 1);
-    assert_eq!(server.stats().queue_depth, 2);
-    // Releasing the gate drains everything; every accepted ticket
-    // resolves.
     exec.release();
-    assert_eq!(inflight.wait(), Ok(vec![2]));
-    assert_eq!(queued_a.wait(), Ok(vec![4]));
-    assert_eq!(queued_b.wait(), Ok(vec![6]));
-    server.shutdown();
+    assert_eq!(first.join().unwrap(), Ok(vec![2]));
+    assert_eq!(second.join().unwrap(), Ok(vec![4]));
+    assert_eq!(
+        server.try_submit(vec![3, 4]).unwrap().wait(),
+        Ok(vec![6, 8])
+    );
+    let stats = server.stats();
+    assert_eq!((stats.accepted, stats.rejected), (3, 1));
+}
+
+#[test]
+fn busy_server_queues_blocking_submits_behind_the_batch_in_flight() {
+    let (exec, server) = gated_pair();
+    let running = [
+        submit_from_thread(&server, vec![1]),
+        submit_from_thread(&server, vec![2]),
+    ];
+    exec.wait_inside(2);
+    // A third blocking submit finds the bound reached and waits for room
+    // without entering the executor.
+    let third = submit_from_thread(&server, vec![3]);
+    while server.stats().queue_depth == 0 {
+        std::thread::yield_now();
+    }
+    assert_eq!(exec.entered(), 2);
+    // Opening the gate lets the two finish; the waiter is admitted into a
+    // freed slot.
+    exec.release();
+    assert_eq!(third.join().unwrap(), Ok(vec![6]));
+    for (i, handle) in running.into_iter().enumerate() {
+        assert_eq!(handle.join().unwrap(), Ok(vec![(i as u64 + 1) * 2]));
+    }
+    let stats = server.stats();
+    assert_eq!((stats.accepted, stats.queue_depth), (3, 0));
+    assert_eq!(exec.entered(), 3);
+}
+
+/// Spins until admission is closed. `server` must be at its in-flight
+/// bound, so every probe before that is answered `QueueFull`.
+fn wait_for_shutdown_flag(server: &Server<MockExec>) {
+    loop {
+        match server.try_submit(vec![3]) {
+            Err(TrySubmitError {
+                error: SubmitError::ShutDown,
+                requests,
+            }) => {
+                assert_eq!(requests, vec![3]);
+                return;
+            }
+            Err(rejected) => assert_eq!(rejected.error, SubmitError::QueueFull),
+            Ok(_) => panic!("admitted past the in-flight bound"),
+        }
+        std::thread::yield_now();
+    }
+}
+
+/// Shuts `server` down from a new thread; joins to the batches `exec`
+/// had finished when `shutdown` returned.
+fn shut_down_from_thread(
+    server: &Arc<Server<MockExec>>,
+    exec: &Arc<MockExec>,
+) -> std::thread::JoinHandle<usize> {
+    let (server, exec) = (Arc::clone(server), Arc::clone(exec));
+    std::thread::spawn(move || {
+        server.shutdown();
+        exec.batches.load(Ordering::Relaxed)
+    })
 }
 
 #[test]
 fn graceful_shutdown_resolves_every_inflight_ticket() {
-    let exec = Arc::new(MockExec::new(true));
-    let server = Server::new(
-        Arc::clone(&exec),
-        ServerConfig {
-            queue_capacity: 64,
-            // Coalescing off: every submission is its own engine batch,
-            // so the drain visibly executes each one.
-            max_coalesced_queries: 1,
-        },
-    );
-    let tickets: Vec<_> = (0..10)
-        .map(|i| server.try_submit(vec![i, i + 100]).unwrap())
-        .collect();
-    exec.wait_entered(1);
-    // Shut down while one batch is in-flight and nine are queued; the
-    // gate opens from a helper thread so `shutdown` can drain.
-    let release = {
-        let exec = Arc::clone(&exec);
-        std::thread::spawn(move || {
-            std::thread::sleep(Duration::from_millis(20));
-            exec.release();
-        })
+    let (exec, server) = gated_pair();
+    let running = [
+        submit_from_thread(&server, vec![1, 101]),
+        submit_from_thread(&server, vec![2, 102]),
+    ];
+    exec.wait_inside(2);
+    let blocked = {
+        let server = Arc::clone(&server);
+        std::thread::spawn(move || server.submit(vec![3]).map(|_| ()))
     };
-    server.shutdown();
-    release.join().unwrap();
-    // Every accepted submission was served before shutdown returned.
-    assert_eq!(exec.batches.load(Ordering::Relaxed), 10);
-    for (i, ticket) in tickets.into_iter().enumerate() {
-        let i = i as u64;
-        assert_eq!(
-            ticket.try_wait(),
-            Some(Ok(vec![i * 2, (i + 100) * 2])),
-            "ticket {i} unresolved after graceful shutdown"
-        );
+    while server.stats().queue_depth == 0 {
+        std::thread::yield_now();
     }
+    let stopper = shut_down_from_thread(&server, &exec);
+    // The submit blocked for room is refused while both batches are still
+    // gated, and so is any later one.
+    assert_eq!(blocked.join().unwrap(), Err(SubmitError::ShutDown));
+    wait_for_shutdown_flag(&server);
+    assert!(matches!(server.submit(vec![3]), Err(SubmitError::ShutDown)));
+    assert_eq!(exec.batches.load(Ordering::Relaxed), 0);
+    // `shutdown` returns only once both admitted batches have finished.
+    exec.release();
+    assert_eq!(stopper.join().unwrap(), 2, "shutdown returned early");
+    for (i, handle) in running.into_iter().enumerate() {
+        let i = i as u64 + 1;
+        assert_eq!(handle.join().unwrap(), Ok(vec![i * 2, (i + 100) * 2]));
+    }
+    assert_eq!(server.stats().accepted, 2);
 }
 
 #[test]
@@ -162,7 +227,7 @@ fn submits_after_shutdown_are_refused() {
     server.shutdown();
     assert!(matches!(
         client.try_submit(vec![1]),
-        Err(pi_sched::TrySubmitError {
+        Err(TrySubmitError {
             error: SubmitError::ShutDown,
             ..
         })
@@ -170,62 +235,6 @@ fn submits_after_shutdown_are_refused() {
     assert!(matches!(client.submit(vec![1]), Err(SubmitError::ShutDown)));
     // Idempotent.
     client.shutdown();
-}
-
-#[test]
-fn coalescing_merges_queued_submissions_and_isolates_errors() {
-    let exec = Arc::new(MockExec::new(true));
-    let server = Server::new(
-        Arc::clone(&exec),
-        ServerConfig {
-            queue_capacity: 64,
-            max_coalesced_queries: 256,
-        },
-    );
-    // Block the dispatcher, then queue ten submissions — including one
-    // poisoned — so the drain coalesces them.
-    let blocker = server.try_submit(vec![0]).unwrap();
-    exec.wait_entered(1);
-    let good: Vec<_> = (1..=9)
-        .map(|i| server.try_submit(vec![i, i * 10]).unwrap())
-        .collect();
-    let poisoned = server.try_submit(vec![13]).unwrap();
-    exec.release();
-    assert_eq!(blocker.wait(), Ok(vec![0]));
-    for (i, ticket) in good.into_iter().enumerate() {
-        let i = i as u64 + 1;
-        assert_eq!(ticket.wait(), Ok(vec![i * 2, i * 20]), "submission {i}");
-    }
-    // The poisoned submission fails alone; its neighbours above all
-    // succeeded despite sharing a coalesced batch with it.
-    assert_eq!(poisoned.wait(), Err("poison".into()));
-    // Coalescing actually happened: the executor saw one combined batch
-    // holding all ten queued submissions (9 × 2 queries + 1 poison).
-    assert_eq!(exec.max_batch.load(Ordering::Relaxed), 19);
-    assert_eq!(server.stats().accepted, 11);
-
-    // A clean coalesced round (no poison) needs exactly one engine batch
-    // for many submissions.
-    let before = exec.batches.load(Ordering::Relaxed);
-    *exec.gate.lock().unwrap() = true;
-    let blocker = server.try_submit(vec![0]).unwrap();
-    // Phase 1 entered the executor 12 times (1 blocker + 1 combined + 10
-    // isolation retries); wait for this blocker to be the 13th.
-    exec.wait_entered(13);
-    let round: Vec<_> = (1..=5)
-        .map(|i| server.try_submit(vec![i]).unwrap())
-        .collect();
-    exec.release();
-    assert_eq!(blocker.wait(), Ok(vec![0]));
-    for (i, ticket) in round.into_iter().enumerate() {
-        assert_eq!(ticket.wait(), Ok(vec![(i as u64 + 1) * 2]));
-    }
-    assert_eq!(
-        exec.batches.load(Ordering::Relaxed) - before,
-        2,
-        "expected one blocker batch plus one coalesced batch"
-    );
-    server.shutdown();
 }
 
 #[test]
@@ -262,25 +271,26 @@ fn a_worker_takes_queued_jobs_while_the_caller_is_busy() {
 fn server_stats_and_registry_agree() {
     let registry = Arc::new(pi_obs::MetricsRegistry::new());
     let exec = Arc::new(MockExec::new(true));
-    let server = Server::with_metrics(
+    let server = Arc::new(Server::with_metrics(
         Arc::clone(&exec),
-        ServerConfig {
-            queue_capacity: 2,
-            max_coalesced_queries: 256,
-        },
+        ServerConfig { max_in_flight: 2 },
         Arc::clone(&registry),
-    );
-    // One in-flight blocker, two queued behind it (they will coalesce),
-    // one rejection once the queue is full.
-    let blocker = server.try_submit(vec![1]).unwrap();
-    exec.wait_entered(1);
-    let queued_a = server.try_submit(vec![2]).unwrap();
-    let queued_b = server.try_submit(vec![3, 4]).unwrap();
-    assert!(server.try_submit(vec![5]).is_err());
+    ));
+    // Two batches in flight, one rejection at the bound, one failed batch.
+    let running = [
+        submit_from_thread(&server, vec![1]),
+        submit_from_thread(&server, vec![2, 3]),
+    ];
+    exec.wait_inside(2);
+    assert!(server.try_submit(vec![4]).is_err());
     exec.release();
-    assert_eq!(blocker.wait(), Ok(vec![2]));
-    assert_eq!(queued_a.wait(), Ok(vec![4]));
-    assert_eq!(queued_b.wait(), Ok(vec![6, 8]));
+    for handle in running {
+        handle.join().unwrap().unwrap();
+    }
+    assert_eq!(
+        server.submit(vec![13]).unwrap().wait(),
+        Err("poison".into())
+    );
     server.shutdown();
 
     // ServerStats and the registry are two views of the same handles.
@@ -289,36 +299,33 @@ fn server_stats_and_registry_agree() {
     assert!(Arc::ptr_eq(server.metrics(), &registry));
     assert_eq!(snap.counter("server.accepted"), Some(stats.accepted));
     assert_eq!(snap.counter("server.rejected"), Some(stats.rejected));
-    assert_eq!(stats.accepted, 3);
-    assert_eq!(stats.rejected, 1);
-    assert_eq!(stats.served_requests, 4);
+    assert_eq!(
+        snap.counter("server.executed_batches"),
+        Some(stats.executed_batches)
+    );
+    assert_eq!(
+        snap.counter("server.served_requests"),
+        Some(stats.served_requests)
+    );
+    assert_eq!(snap.gauge("server.queue_depth"), Some(0.0));
+    assert_eq!((stats.accepted, stats.rejected), (3, 1));
+    assert_eq!((stats.executed_batches, stats.served_requests), (3, 3));
     assert_eq!(stats.queue_depth, 0);
-    assert_eq!(
-        snap.counter("server.coalesced_batches"),
-        Some(stats.coalesced_batches)
-    );
-    assert_eq!(
-        stats.coalesced_batches, 1,
-        "the two queued submissions must coalesce into one run"
-    );
-    // Every delivered run records its size.
-    let sizes = snap.histogram("server.coalesced_size").unwrap();
-    assert_eq!(sizes.count, stats.executed_batches);
-    assert_eq!(sizes.sum, stats.served_requests);
-    // Clock-based histograms only fill when the obs feature is on.
+    // Nothing coalesces; the counter stays registered for pibench's peel.
+    assert_eq!(snap.counter("server.coalesced_batches"), Some(0));
+    // Clock-based histograms only fill when the obs feature is on, one
+    // sample per admitted batch.
     let waits = snap.histogram("server.queue_wait_ns").unwrap();
     let latencies = snap.histogram("server.ticket_latency_ns").unwrap();
     if pi_obs::ENABLED {
-        assert_eq!(waits.count, 3, "each accepted submission waits once");
-        assert_eq!(latencies.count, 3, "each resolved ticket has a latency");
+        assert_eq!(waits.count, 3, "each admitted batch waits once");
+        assert_eq!(latencies.count, 3, "each admitted batch has a latency");
     } else {
         assert_eq!(waits.count + latencies.count, 0);
     }
 }
 
-/// An executor that panics on request value 99 — the dispatcher must
-/// survive, poison only the affected ticket (whose `wait` re-raises
-/// instead of hanging), and keep serving later submissions.
+/// An executor that panics on request value 99.
 struct PanickyExec;
 
 impl BatchExecutor for PanickyExec {
@@ -335,23 +342,26 @@ impl BatchExecutor for PanickyExec {
 }
 
 #[test]
-fn executor_panic_poisons_the_ticket_but_not_the_server() {
-    let server = Server::new(
-        Arc::new(PanickyExec),
-        ServerConfig {
-            // Coalescing off so the panicking submission is its own batch.
-            max_coalesced_queries: 1,
-            ..ServerConfig::default()
-        },
-    );
-    let poisoned = server.submit(vec![99]).unwrap();
-    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || poisoned.wait()));
-    assert!(result.is_err(), "wait() must re-raise the executor panic");
-    // The dispatcher survived: later submissions are served normally.
-    let ok = server.submit(vec![1, 2]).unwrap();
-    assert_eq!(ok.wait(), Ok(vec![2, 3]));
+fn executor_panic_unwinds_out_of_its_submit_and_frees_the_slot() {
+    // One slot: had a panicking batch kept it, `try_submit` would answer
+    // `QueueFull` from then on.
+    let server = Server::new(Arc::new(PanickyExec), ServerConfig { max_in_flight: 1 });
+    let unwound =
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| server.submit(vec![99])));
+    assert!(unwound.is_err(), "submit must re-raise the executor panic");
+    let served = server
+        .try_submit(vec![1, 2])
+        .expect("the slot was given back");
+    assert_eq!(served.wait(), Ok(vec![2, 3]));
+    let unwound =
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| server.try_submit(vec![99])));
+    assert!(unwound.is_err(), "try_submit must re-raise it too");
+    let served = server.try_submit(vec![3]).expect("the slot was given back");
+    assert_eq!(served.wait(), Ok(vec![4]));
+    assert_eq!(server.submit(vec![5]).unwrap().wait(), Ok(vec![6]));
     let stats = server.stats();
-    assert_eq!(stats.served_requests, 2, "panicked batch must not count");
+    assert_eq!((stats.accepted, stats.executed_batches), (5, 3));
+    assert_eq!(stats.served_requests, 4, "panicked batches must not count");
     server.shutdown();
 }
 
@@ -368,115 +378,49 @@ impl BatchExecutor for RanOn {
     }
 }
 
-fn caller_runs<E: BatchExecutor>(server: &Server<E>) -> u64 {
-    server
-        .metrics()
-        .snapshot()
-        .counter("server.caller_runs")
-        .expect("registered whether or not it fires")
-}
-
 #[test]
 fn uncontended_submit_runs_on_the_submitter_and_returns_a_resolved_ticket() {
-    let server = Server::new(Arc::new(RanOn), ServerConfig::default());
-    assert_eq!(caller_runs(&server), 0);
+    let server = Arc::new(Server::new(Arc::new(RanOn), ServerConfig::default()));
     let me = std::thread::current().id();
-    for round in 1..=3 {
-        let ticket = server.submit(vec![(), ()]).unwrap();
-        assert_eq!(ticket.try_wait(), Some(Ok(vec![me, me])));
-        assert_eq!(caller_runs(&server), round);
-    }
-    // `try_submit` never runs the batch itself, idle server or not.
-    let queued = server.try_submit(vec![()]).unwrap().wait().unwrap();
-    assert_ne!(queued, vec![me]);
-    let stats = server.stats();
-    assert_eq!(caller_runs(&server), 3);
-    assert_eq!((stats.accepted, stats.executed_batches), (4, 4));
-    assert_eq!(stats.served_requests, 7);
-    let snap = server.metrics().snapshot();
-    let waits = snap.histogram("server.queue_wait_ns").unwrap();
-    let latencies = snap.histogram("server.ticket_latency_ns").unwrap();
-    if pi_obs::ENABLED {
-        assert_eq!((waits.count, latencies.count), (4, 4));
-    } else {
-        assert_eq!(waits.count + latencies.count, 0);
-    }
-    server.shutdown();
-}
-
-#[test]
-fn panic_on_the_submitter_poisons_only_its_ticket() {
-    let server = Server::new(Arc::new(PanickyExec), ServerConfig::default());
-    // The panic happens on this thread, inside `submit`, and must not
-    // escape it: it comes out of the ticket, as on the dispatcher path.
-    let poisoned = server.submit(vec![99]).unwrap();
-    assert_eq!(caller_runs(&server), 1);
-    let polled = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| poisoned.try_wait()));
-    assert!(
-        polled.is_err(),
-        "try_wait() must re-raise the executor panic"
-    );
-    let waited = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || poisoned.wait()));
-    assert!(waited.is_err(), "wait() must re-raise the executor panic");
-    // The server is idle again and serves both admission paths.
+    // Both admission paths run the batch on the calling thread, from
+    // every client thread.
     assert_eq!(
-        server.submit(vec![1]).unwrap().try_wait(),
-        Some(Ok(vec![2]))
+        server.submit(vec![(), ()]).unwrap().wait(),
+        Ok(vec![me, me])
     );
-    assert_eq!(server.try_submit(vec![2]).unwrap().wait(), Ok(vec![3]));
-    assert_eq!(caller_runs(&server), 2);
-    assert_eq!(server.stats().served_requests, 2);
-    server.shutdown();
-}
-
-#[test]
-fn busy_server_queues_blocking_submits_behind_the_batch_in_flight() {
-    let exec = Arc::new(MockExec::new(true));
-    let server = Arc::new(Server::new(Arc::clone(&exec), ServerConfig::default()));
-    // A submitter-run batch blocks inside the executor on its own thread.
-    let first = {
+    assert_eq!(server.try_submit(vec![()]).unwrap().wait(), Ok(vec![me]));
+    let other = {
         let server = Arc::clone(&server);
-        std::thread::spawn(move || server.submit(vec![1]).unwrap())
+        std::thread::spawn(move || {
+            let me = std::thread::current().id();
+            assert_eq!(server.submit(vec![()]).unwrap().wait(), Ok(vec![me]));
+            me
+        })
     };
-    exec.wait_entered(1);
-    // The server is no longer idle: a second blocking submit is queued and
-    // returns at once, its batch handed to the dispatcher.
-    let second = server.submit(vec![2]).unwrap();
-    exec.wait_entered(2);
-    assert_eq!(second.try_wait(), None);
-    assert_eq!(caller_runs(&server), 1);
-    exec.release();
-    assert_eq!(first.join().unwrap().try_wait(), Some(Ok(vec![2])));
-    assert_eq!(second.wait(), Ok(vec![4]));
+    assert_ne!(other.join().unwrap(), me);
+    let stats = server.stats();
+    assert_eq!((stats.accepted, stats.executed_batches), (3, 3));
+    assert_eq!(stats.served_requests, 4);
     server.shutdown();
 }
 
 #[test]
 fn shutdown_waits_for_a_batch_its_submitter_is_still_running() {
     let exec = Arc::new(MockExec::new(true));
-    let server = Arc::new(Server::new(Arc::clone(&exec), ServerConfig::default()));
-    let submitter = {
-        let server = Arc::clone(&server);
-        std::thread::spawn(move || server.submit(vec![1]).unwrap())
-    };
-    exec.wait_entered(1);
-    // The only batch is blocked on its submitter's thread and the
-    // dispatcher has nothing to drain: joining it is not enough, `shutdown`
-    // has to wait for the submitter. The gate opens 20 ms after `shutdown`
-    // was called, so one that does not wait returns with no batch done.
-    let (starting, started) = std::sync::mpsc::channel();
-    let stopper = {
-        let (server, exec) = (Arc::clone(&server), Arc::clone(&exec));
-        std::thread::spawn(move || {
-            starting.send(()).unwrap();
-            server.shutdown();
-            exec.batches.load(Ordering::Relaxed)
-        })
-    };
-    started.recv().unwrap();
-    std::thread::sleep(Duration::from_millis(20));
+    // One slot, so probing admission below never runs a batch itself.
+    let server = Arc::new(Server::new(
+        Arc::clone(&exec),
+        ServerConfig { max_in_flight: 1 },
+    ));
+    let submitter = submit_from_thread(&server, vec![1]);
+    exec.wait_inside(1);
+    // The only batch is blocked on its submitter's thread. The gate opens
+    // only once `shutdown` has closed admission, so one that does not
+    // wait for the batch returns with none done.
+    let stopper = shut_down_from_thread(&server, &exec);
+    wait_for_shutdown_flag(&server);
     exec.release();
     assert_eq!(stopper.join().unwrap(), 1, "shutdown returned early");
-    assert_eq!(submitter.join().unwrap().try_wait(), Some(Ok(vec![2])));
+    assert_eq!(submitter.join().unwrap(), Ok(vec![2]));
     assert!(matches!(server.submit(vec![3]), Err(SubmitError::ShutDown)));
 }

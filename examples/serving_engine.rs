@@ -1,7 +1,7 @@
 //! Serve a multi-column table from concurrent clients through the full
-//! stack: closed-loop clients → `pi-sched` server (bounded queue, batch
-//! coalescing, backpressure) → engine executor → persistent worker pool
-//! → range shards.
+//! stack: closed-loop clients → `pi-sched` server (bounded admission,
+//! backpressure; each batch runs on its client's thread) → engine executor
+//! → persistent worker pool → range shards.
 //!
 //! Builds a two-column table (uniform and skewed data), lets the Figure-11
 //! decision tree pick each column's algorithm, then drives eight
@@ -66,9 +66,9 @@ fn main() {
     ));
     let server = Arc::new(TableServer::new(
         Arc::clone(&executor),
+        // Half the clients may run at once, so backpressure shows.
         ServerConfig {
-            queue_capacity: 64,
-            max_coalesced_queries: 128,
+            max_in_flight: CLIENTS / 2,
         },
     ));
 
@@ -79,7 +79,7 @@ fn main() {
     });
 
     // Closed-loop clients: try_submit first (observing backpressure),
-    // fall back to the blocking submit when the queue is full.
+    // fall back to the blocking submit at the in-flight bound.
     let start = Instant::now();
     let report = closed_loop::drive(&streams, 20, |client, batch| {
         let column = if client % 2 == 0 { "uniform" } else { "skewed" };
@@ -112,7 +112,7 @@ fn main() {
     );
     println!(
         "  server: {} submissions accepted, {} rejected by backpressure, \
-         {} engine batches after coalescing",
+         {} engine batches",
         stats.accepted, stats.rejected, stats.executed_batches
     );
 

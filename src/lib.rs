@@ -16,8 +16,8 @@
 //! * [`engine`] — the sharded, concurrent query-serving engine: multi-column
 //!   tables, range shards, batched parallel execution ([`pi_engine`]).
 //! * [`sched`] — the persistent runtime underneath: a worker pool with one
-//!   shared job queue and the async-style serving front-end with bounded
-//!   queue, coalescing and backpressure ([`pi_sched`]).
+//!   shared job queue and the serving front-end with bounded admission
+//!   and backpressure, each batch run on its caller ([`pi_sched`]).
 //! * [`obs`] — in-tree observability: sharded counters, log-bucketed
 //!   latency histograms, the metrics registry and its JSON / Prometheus
 //!   exports ([`pi_obs`]).
