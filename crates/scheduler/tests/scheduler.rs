@@ -11,8 +11,8 @@ use std::time::{Duration, Instant};
 use pi_sched::{BatchExecutor, Job, Pool, Server, ServerConfig, SubmitError, TrySubmitError};
 
 /// Doubles every request; can be gated so a batch blocks inside the
-/// executor until the test releases it, and fails any batch containing
-/// the poison value 13.
+/// executor until the test releases it, fails any batch containing the
+/// poison value 13 and panics on one containing 99.
 struct MockExec {
     /// Batches block while this is `true`.
     gate: Mutex<bool>,
@@ -33,6 +33,10 @@ impl MockExec {
             inside_change: Condvar::new(),
             batches: AtomicUsize::new(0),
         }
+    }
+
+    fn close(&self) {
+        *self.gate.lock().unwrap() = true;
     }
 
     fn release(&self) {
@@ -71,6 +75,9 @@ impl BatchExecutor for MockExec {
         }
         drop(gate);
         self.inside.lock().unwrap().0 -= 1;
+        if batch.contains(&99) {
+            panic!("executor boom");
+        }
         self.batches.fetch_add(1, Ordering::Relaxed);
         if batch.contains(&13) {
             return Err("poison".into());
@@ -341,8 +348,11 @@ impl BatchExecutor for PanickyExec {
     }
 }
 
+/// A ticket is no longer poisoned: the executor panic unwinds out of the
+/// `submit` or `try_submit` that ran the batch, which is how that client
+/// learns its batch failed, and the server keeps serving.
 #[test]
-fn executor_panic_unwinds_out_of_its_submit_and_frees_the_slot() {
+fn executor_panic_poisons_the_ticket_but_not_the_server() {
     // One slot: had a panicking batch kept it, `try_submit` would answer
     // `QueueFull` from then on.
     let server = Server::new(Arc::new(PanickyExec), ServerConfig { max_in_flight: 1 });
@@ -362,6 +372,39 @@ fn executor_panic_unwinds_out_of_its_submit_and_frees_the_slot() {
     let stats = server.stats();
     assert_eq!((stats.accepted, stats.executed_batches), (5, 3));
     assert_eq!(stats.served_requests, 4, "panicked batches must not count");
+    server.shutdown();
+}
+
+/// Two clients inside the executor at once, one of whose batches panics:
+/// the panic reaches only the thread that submitted it, and the other
+/// client gets its result.
+#[test]
+fn panic_on_the_submitter_poisons_only_its_ticket() {
+    let (exec, server) = gated_pair();
+    let healthy = submit_from_thread(&server, vec![1]);
+    let panicking = submit_from_thread(&server, vec![99]);
+    exec.wait_inside(2);
+    exec.release();
+    assert!(
+        panicking.join().is_err(),
+        "the panic must unwind out of its own submit"
+    );
+    assert_eq!(healthy.join().unwrap(), Ok(vec![2]));
+    // Both slots are free again: two more batches are inside at once.
+    exec.close();
+    let again = [
+        submit_from_thread(&server, vec![3]),
+        submit_from_thread(&server, vec![4]),
+    ];
+    exec.wait_inside(2);
+    exec.release();
+    for (handle, want) in again.into_iter().zip([6, 8]) {
+        assert_eq!(handle.join().unwrap(), Ok(vec![want]));
+    }
+    let stats = server.stats();
+    assert_eq!((stats.accepted, stats.executed_batches), (4, 3));
+    assert_eq!((stats.served_requests, stats.queue_depth), (3, 0));
+    assert_eq!(exec.batches.load(Ordering::Relaxed), 3);
     server.shutdown();
 }
 
