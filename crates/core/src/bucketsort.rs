@@ -32,6 +32,7 @@ use pi_storage::{sorted, Column, Value};
 
 use crate::buckets::{BucketSet, DEFAULT_BLOCK_CAPACITY, DEFAULT_BUCKET_COUNT};
 use crate::cost_model::CostModel;
+use crate::kernels::ScatterScratch;
 use crate::lifecycle::{BucketCreation, Step};
 use crate::result::Phase;
 use crate::sorter::{IncrementalSorter, DEFAULT_SMALL_NODE_ELEMENTS};
@@ -76,6 +77,8 @@ struct BucketMerge {
     current: usize,
     stage: MergeStage,
     merged: Vec<Value>,
+    /// Buffers of the sorters' leaf sorts.
+    scratch: Box<ScatterScratch>,
 }
 
 /// The creation and refinement steps of Progressive Bucketsort.
@@ -177,6 +180,7 @@ impl BucketMerge {
             offsets,
             current: 0,
             stage: MergeStage::Copying { copied: 0 },
+            scratch: Box::default(),
         }
     }
 
@@ -277,7 +281,8 @@ impl BucketMerge {
                     }
                 }
                 MergeStage::Sorting { sorter } => {
-                    let used = sorter.refine(&mut self.merged, budget - ops, None);
+                    let used =
+                        sorter.refine(&mut self.merged, &mut self.scratch, budget - ops, None);
                     ops += used.max(1);
                     if sorter.is_sorted() {
                         self.stage = MergeStage::Done;

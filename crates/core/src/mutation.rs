@@ -973,6 +973,54 @@ mod tests {
     }
 
     #[test]
+    fn live_values_is_the_live_multiset_in_every_stage() {
+        for algorithm in Algorithm::ALL {
+            let (mut index, mut oracle) = fresh(2_000, 4_000, algorithm);
+            let mut rng = testing::TestRng::new(5);
+            // Sorting stage, sorted stage, deltas pending, merge in flight.
+            let mut seen = [false; 4];
+            for round in 0..400 {
+                let writes = match round % 4 {
+                    // An insert and its delete: a write that leaves the
+                    // sidecar empty.
+                    0 => {
+                        let v = rng.below(4_000);
+                        vec![Mutation::Insert(v), Mutation::Delete(v)]
+                    }
+                    1 if round < 200 => vec![match rng.below(3) {
+                        0 => Mutation::Insert(rng.below(4_000)),
+                        1 => Mutation::Delete(rng.below(4_000)),
+                        _ => Mutation::Update {
+                            old: rng.below(4_000),
+                            new: rng.below(4_000),
+                        },
+                    }],
+                    _ => Vec::new(),
+                };
+                for m in &writes {
+                    assert_eq!(index.apply(m), oracle.apply(m), "{algorithm}: {m:?}");
+                }
+                let mut live = index.live_values();
+                let sorted_stage = matches!(index.stage, Stage::Sorted { .. });
+                let context = format!("{algorithm}, round {round}");
+                if sorted_stage {
+                    assert!(live.windows(2).all(|w| w[0] <= w[1]), "{context}");
+                }
+                let mut want = oracle.live.clone();
+                live.sort_unstable();
+                want.sort_unstable();
+                assert_eq!(live, want, "{context}");
+                seen[0] |= !sorted_stage;
+                seen[1] |= sorted_stage;
+                seen[2] |= !index.pending.is_empty();
+                seen[3] |= index.merge().is_some();
+                index.advance();
+            }
+            assert_eq!(seen, [true; 4], "{algorithm}");
+        }
+    }
+
+    #[test]
     fn a_delete_lookup_is_counted_as_refinement_work() {
         let registry = pi_obs::MetricsRegistry::new();
         let (mut index, oracle) = fresh(2_000, 4_000, Algorithm::Quicksort);

@@ -16,9 +16,10 @@
 //!   are recursively partitioned in place, `δ · N` elements examined per
 //!   query, maintained in a binary tree of pivots ([`IncrementalSorter`]).
 //!   Pieces that fit in the L1 cache ([`DEFAULT_SMALL_NODE_ELEMENTS`]) are
-//!   sorted outright. Lookups use the pivot tree to touch only candidate
-//!   sections; the phase's progress is the share of elements in sorted
-//!   pieces.
+//!   sorted outright, by radix passes over the piece's value range when
+//!   that range is narrow. Lookups use the pivot tree to touch only
+//!   candidate sections; the phase's progress is the share of elements in
+//!   sorted pieces.
 //!
 //! Once the working array is sorted the lifecycle takes it: a B+-tree is
 //! built over it, `δ · N_copy` copies per query, and the index converges.
@@ -27,6 +28,7 @@ use pi_storage::scan::{scan_range_sum, ScanResult};
 use pi_storage::{Column, Value};
 
 use crate::cost_model::CostModel;
+use crate::kernels::ScatterScratch;
 use crate::lifecycle::Step;
 use crate::result::Phase;
 use crate::sorter::{IncrementalSorter, DEFAULT_SMALL_NODE_ELEMENTS};
@@ -45,6 +47,8 @@ enum State {
     },
     Refinement {
         sorter: IncrementalSorter,
+        /// Buffers of the sorter's leaf sorts.
+        scratch: Box<ScatterScratch>,
     },
 }
 
@@ -126,6 +130,7 @@ impl QuicksortStrategy {
                     boundary,
                     DEFAULT_SMALL_NODE_ELEMENTS,
                 ),
+                scratch: Box::default(),
             };
         }
 
@@ -146,7 +151,7 @@ impl QuicksortStrategy {
         high: Value,
         delta: f64,
     ) -> Step {
-        let State::Refinement { sorter } = &mut self.state else {
+        let State::Refinement { sorter, scratch } = &mut self.state else {
             unreachable!("refinement_step called outside the refinement phase");
         };
 
@@ -158,7 +163,7 @@ impl QuicksortStrategy {
         // Budgeted refinement work, focused on the queried value range.
         let ops = ((delta * n as f64).ceil() as usize).max(1);
         let focus = if low <= high { Some((low, high)) } else { None };
-        let performed = sorter.refine(&mut self.index, ops, focus);
+        let performed = sorter.refine(&mut self.index, scratch, ops, focus);
 
         Step {
             answer,
@@ -193,7 +198,7 @@ impl QuicksortStrategy {
     pub(crate) fn progress(&self, n: usize) -> (Phase, f64) {
         match &self.state {
             State::Creation { consumed, .. } => (Phase::Creation, *consumed as f64 / n as f64),
-            State::Refinement { sorter } => (
+            State::Refinement { sorter, .. } => (
                 Phase::Refinement,
                 sorter.sorted_elements() as f64 / n as f64,
             ),
@@ -215,7 +220,7 @@ impl QuicksortStrategy {
     }
 
     pub(crate) fn take_sorted(&mut self) -> Option<Vec<Value>> {
-        let State::Refinement { sorter } = &self.state else {
+        let State::Refinement { sorter, .. } = &self.state else {
             return None;
         };
         if !sorter.is_sorted() {

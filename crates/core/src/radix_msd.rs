@@ -17,9 +17,10 @@
 //!   predicate may touch.
 //! * **Refinement** — each bucket is recursively re-partitioned by the
 //!   next `log2 b` most significant bits. Buckets that fit in the L1 cache
-//!   are not re-partitioned; they are sorted and written straight into
-//!   their (already known) position in the final sorted array. A tree over
-//!   the buckets answers queries on the intermediate structure.
+//!   are not re-partitioned; they are copied straight into their (already
+//!   known) position in the final sorted array and sorted there, by LSD
+//!   passes over the bucket's value range when that range is narrow. A
+//!   tree over the buckets answers queries on the intermediate structure.
 //!
 //! Once every bucket is merged the lifecycle takes the sorted array.
 
@@ -88,7 +89,7 @@ struct MsdTree {
     merged: Vec<Value>,
     /// Total elements already written into `merged`.
     merged_len: usize,
-    /// Reused scratch of the re-partitioning scatter.
+    /// Reused scratch of the re-partitioning scatter and the leaf sorts.
     scratch: Box<ScatterScratch>,
 }
 
@@ -265,7 +266,7 @@ impl MsdTree {
             if node_len <= DEFAULT_SMALL_NODE_ELEMENTS || node_width == 0 {
                 let out = &mut self.merged[node_offset..node_offset + node_len];
                 bucket.copy_range_to(0, out);
-                out.sort_unstable();
+                self.scratch.sort_leaf(out);
                 self.merged_len += node_len;
                 return (true, node_len.max(1));
             }

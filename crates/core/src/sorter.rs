@@ -14,7 +14,9 @@
 //!
 //! * [`IncrementalSorter::refine`] — perform up to a budgeted number of
 //!   element operations (one per element the interruptible partition
-//!   examines, or whole-node sorts for nodes that fit in the L1 cache),
+//!   examines, or whole-node sorts for nodes that fit in the L1 cache,
+//!   run by [`ScatterScratch`]'s leaf-sort kernel over the node's actual
+//!   value range and counted as the node's length),
 //!   preferring the parts of the tree a focus predicate needs, exactly as
 //!   the paper prescribes ("we focus on refining parts of the index that
 //!   are required for query processing. After these parts have been
@@ -33,6 +35,8 @@
 
 use pi_storage::scan::{scan_range_sum, ScanResult};
 use pi_storage::{sorted, Value};
+
+use crate::kernels::ScatterScratch;
 
 /// Number of elements below which a node is sorted outright instead of
 /// being partitioned further ("When we reach a node that is smaller than
@@ -216,10 +220,12 @@ impl IncrementalSorter {
     /// when one is given. Returns the number of operations performed.
     ///
     /// `data` must be the same array on every call; the sorter only
-    /// touches positions inside its region.
+    /// touches positions inside its region. `scratch` holds the leaf
+    /// sorts' buffers; any scratch will do.
     pub fn refine(
         &mut self,
         data: &mut [Value],
+        scratch: &mut ScatterScratch,
         max_ops: usize,
         focus: Option<(Value, Value)>,
     ) -> usize {
@@ -229,7 +235,7 @@ impl IncrementalSorter {
                 .and_then(|(low, high)| self.find_work_node(self.root, Some((low, high))))
                 .or_else(|| self.find_work_node(self.root, None));
             let Some(node_id) = node_id else { break };
-            ops += self.work_on(node_id, data, max_ops - ops);
+            ops += self.work_on(node_id, data, scratch, max_ops - ops);
         }
         ops
     }
@@ -254,7 +260,13 @@ impl IncrementalSorter {
 
     /// Performs up to `budget` (≥ 1) operations on one node. Returns the
     /// number of operations used.
-    fn work_on(&mut self, node_id: usize, data: &mut [Value], budget: usize) -> usize {
+    fn work_on(
+        &mut self,
+        node_id: usize,
+        data: &mut [Value],
+        scratch: &mut ScatterScratch,
+        budget: usize,
+    ) -> usize {
         let (start, end, min, max, depth) = {
             let n = &self.nodes[node_id];
             (n.start, n.end, n.min, n.max, n.depth)
@@ -264,7 +276,7 @@ impl IncrementalSorter {
         // Small nodes are sorted outright (atomically), as the paper does
         // for pieces that fit in the L1 cache.
         if len <= self.small_node {
-            data[start..end].sort_unstable();
+            scratch.sort_leaf(&mut data[start..end]);
             self.nodes[node_id].state = NodeState::Sorted;
             self.sorted_elements += len;
             if let Some(parent) = self.nodes[node_id].parent {
@@ -424,9 +436,10 @@ mod tests {
     }
 
     fn fully_refine(sorter: &mut IncrementalSorter, data: &mut [Value]) {
+        let mut scratch = ScatterScratch::new();
         let mut guard = 0;
         while !sorter.is_sorted() {
-            let ops = sorter.refine(data, 1000, None);
+            let ops = sorter.refine(data, &mut scratch, 1000, None);
             assert!(ops > 0, "refine must make progress while unsorted");
             guard += 1;
             assert!(guard < 1_000_000, "sorter failed to converge");
@@ -437,7 +450,7 @@ mod tests {
     fn sorts_small_region_in_one_step() {
         let mut data = vec![5, 3, 1, 4, 2];
         let mut sorter = IncrementalSorter::new(0, 5, 1, 5);
-        sorter.refine(&mut data, 100, None);
+        sorter.refine(&mut data, &mut ScatterScratch::new(), 100, None);
         assert!(sorter.is_sorted());
         assert_eq!(data, vec![1, 2, 3, 4, 5]);
     }
@@ -476,7 +489,7 @@ mod tests {
             if sorter.is_sorted() {
                 break;
             }
-            sorter.refine(&mut data, 777, None);
+            sorter.refine(&mut data, &mut ScatterScratch::new(), 777, None);
             guard += 1;
             assert!(guard < 100_000);
         }
@@ -491,7 +504,12 @@ mod tests {
         // Refine with a narrow focus; after enough focused work the scanned
         // element count for the focused predicate should be far below n.
         for _ in 0..40 {
-            sorter.refine(&mut data, n / 10, Some((0, domain / 64)));
+            sorter.refine(
+                &mut data,
+                &mut ScatterScratch::new(),
+                n / 10,
+                Some((0, domain / 64)),
+            );
         }
         let (_, scanned_focus) = sorter.query(&data, 0, domain / 64);
         let (_, scanned_far) = sorter.query(&data, domain / 2, domain / 2 + domain / 64);
@@ -509,7 +527,7 @@ mod tests {
         // A budget much smaller than the small-node cutoff can overshoot by
         // at most one small-node sort; larger budgets should be respected
         // within that tolerance.
-        let ops = sorter.refine(&mut data, 10_000, None);
+        let ops = sorter.refine(&mut data, &mut ScatterScratch::new(), 10_000, None);
         assert!(ops <= 10_000 + DEFAULT_SMALL_NODE_ELEMENTS);
         assert!(ops > 0);
     }
@@ -520,7 +538,10 @@ mod tests {
         let mut sorter = IncrementalSorter::with_small_node(0, data.len(), 7, 7, 64);
         // Domain min == max ⇒ sorted by definition, no work needed.
         assert!(sorter.is_sorted());
-        assert_eq!(sorter.refine(&mut data, 100, None), 0);
+        assert_eq!(
+            sorter.refine(&mut data, &mut ScatterScratch::new(), 100, None),
+            0
+        );
         let (r, _) = sorter.query(&data, 7, 7);
         assert_eq!(r.count, 10_000);
     }
@@ -658,21 +679,26 @@ mod tests {
                 .map(|&(low, high)| scan_range_sum(&reference, low, high))
                 .collect();
             for budget in [1, 63, 4095, 4096, 4097, n] {
-                let mut sides = [values.clone(), shuffled.clone()]
-                    .map(|data| (IncrementalSorter::new(0, n, min, max), data));
+                let mut sides = [values.clone(), shuffled.clone()].map(|data| {
+                    (
+                        IncrementalSorter::new(0, n, min, max),
+                        data,
+                        ScatterScratch::new(),
+                    )
+                });
                 // Answers are read about once per 4096 ops: at tiny budgets
                 // reading them on every call would scan n per element.
                 let stride = (4096 / budget).max(1);
                 let mut call = 0;
                 while !sides[0].0.is_sorted() {
                     let focus = (call % 2 == 1).then_some(focus);
-                    let [a, b] = sides
-                        .each_mut()
-                        .map(|(s, data)| (s.refine(data, budget, focus), s.sorted_elements()));
+                    let [a, b] = sides.each_mut().map(|(s, data, scratch)| {
+                        (s.refine(data, scratch, budget, focus), s.sorted_elements())
+                    });
                     assert_eq!(a, b, "{shape}, budget {budget}, call {call}: (ops, sorted)");
                     if call % stride == 0 || sides[0].0.is_sorted() {
                         let context = format!("{shape}, budget {budget}, call {call}");
-                        for (sorter, data) in &sides {
+                        for (sorter, data, _) in &sides {
                             assert_partitions_hold(sorter, data, &context);
                             for (&(low, high), want) in predicates.iter().zip(&expected) {
                                 let (got, _) = sorter.query(data, low, high);
@@ -685,7 +711,7 @@ mod tests {
                 }
                 // `sorted_elements` agreed on every call, so both became
                 // sorted on the same one.
-                for (sorter, data) in &sides {
+                for (sorter, data, _) in &sides {
                     assert!(sorter.is_sorted(), "{shape}, budget {budget}");
                     assert_eq!(sorter.sorted_elements(), n, "{shape}, budget {budget}");
                     assert_eq!(data, &reference, "{shape}, budget {budget}");
@@ -702,7 +728,7 @@ mod tests {
                 let mut sorter = IncrementalSorter::with_small_node(0, data.len(), min, max, 16);
                 let mut call = 0;
                 while !sorter.is_sorted() {
-                    sorter.refine(&mut data, budget, None);
+                    sorter.refine(&mut data, &mut ScatterScratch::new(), budget, None);
                     assert_partitions_hold(&sorter, &data, &format!("{shape}, call {call}"));
                     call += 1;
                 }
@@ -717,7 +743,10 @@ mod tests {
         let mut data = pseudo_random(n, domain, 21);
         let reference = data.clone();
         let mut sorter = IncrementalSorter::new(0, n, 0, domain);
-        assert_eq!(sorter.refine(&mut data, n / 2, None), n / 2);
+        assert_eq!(
+            sorter.refine(&mut data, &mut ScatterScratch::new(), n / 2, None),
+            n / 2
+        );
         let NodeState::Partitioning { pivot, lo, next } = sorter.nodes[sorter.root].state else {
             panic!("the root must still be partitioning");
         };

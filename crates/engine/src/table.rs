@@ -720,7 +720,17 @@ impl ShardedColumn {
     pub(crate) fn digest_tree(&self, shard: usize, width: Value) -> (u64, DigestTree) {
         let guard = self.shards[shard].lock().expect("shard lock poisoned");
         let stamp = self.shard_mutations[shard].load(Ordering::SeqCst);
-        let tree = DigestTree::build(&guard.live_values(), width);
+        // A digest tree does not care about order and only grows by an
+        // insert: with no tombstone pending, fold the base in place and
+        // absorb the pending inserts. A tombstone takes the merged copy.
+        let (base, sidecar) = guard.snapshot_parts();
+        let tree = if sidecar.tombstones().is_empty() {
+            let mut tree = DigestTree::build(base.data(), width);
+            sidecar.inserts().iter().for_each(|&v| tree.absorb(v));
+            tree
+        } else {
+            DigestTree::build(&guard.live_values(), width)
+        };
         (stamp, tree)
     }
 
@@ -1253,6 +1263,41 @@ mod tests {
                 "[{low}, {high}]"
             );
         }
+    }
+
+    #[test]
+    fn digest_trees_fold_the_live_multiset_whatever_is_pending() {
+        let values = uniform_values(8_000, 37);
+        let column = ShardedColumn::from_spec(
+            ColumnSpec::new("a", values.clone())
+                .with_shards(4)
+                .with_policy(BudgetPolicy::FixedDelta(0.5)),
+        );
+        let check = |context: &str| {
+            for shard in 0..4 {
+                let live = column.shards[shard]
+                    .lock()
+                    .expect("shard lock poisoned")
+                    .live_values();
+                assert_eq!(
+                    column.digest_tree(shard, 64).1,
+                    DigestTree::build(&live, 64),
+                    "{context}, shard {shard}"
+                );
+            }
+        };
+        check("nothing pending");
+        column.apply_mutations(&[Mutation::Insert(123), Mutation::Delete(123)]);
+        check("an insert and its delete");
+        column.apply_mutations(&[Mutation::Insert(77), Mutation::Insert(values[5])]);
+        check("inserts only");
+        column.apply_mutations(&[Mutation::Delete(values[9])]);
+        check("a tombstone");
+        for shard in 0..4 {
+            column.advance_shard_by(shard, 100);
+        }
+        column.apply_mutations(&[Mutation::Insert(values[3])]);
+        check("advanced shards and one more insert");
     }
 
     #[test]

@@ -176,9 +176,8 @@ fn server_front_end_shares_the_stack_registry() {
     assert!(snap.counter("sched.pool.jobs").expect("registered") > 0);
     assert!(snap.gauges_with_prefix("engine.rho.a.").count() == SHARDS);
     if progressive_indexes::obs::ENABLED {
-        // Queue wait is recorded once per accepted submission (they may
-        // coalesce into fewer engine runs, so don't compare with
-        // executed_batches).
+        // Queue wait is recorded once per accepted submission, each of
+        // which runs as one engine batch on its submitter.
         let waits = snap.histogram("server.queue_wait_ns").expect("registered");
         assert_eq!(waits.count, stats.accepted);
     }
