@@ -36,9 +36,8 @@
 //!
 //! ## Checkpoint triggers
 //!
-//! Checkpoints run explicitly ([`DurableTable::checkpoint`]), from the
-//! executor's idle-maintenance path, or opportunistically after a write
-//! — whenever the log has grown past
+//! Checkpoints run explicitly ([`DurableTable::checkpoint`]) or
+//! opportunistically after a durable write — whenever the log has grown past
 //! [`DurabilityConfig::checkpoint_wal_bytes`] or the table's shards have
 //! completed [`DurabilityConfig::checkpoint_after_merges`] delta merges
 //! since the last checkpoint (a merge folds sidecar deltas into a new
@@ -517,9 +516,8 @@ impl DurableTable {
     /// Checkpoints when a growth threshold was crossed (log bytes or
     /// completed merges since the last checkpoint); cheap no-op
     /// otherwise. Concurrent callers collapse to one checkpoint. Returns
-    /// whether a checkpoint ran. The executor calls this from its
-    /// idle-maintenance path; durable writes call it after releasing the
-    /// writer mutex.
+    /// whether a checkpoint ran. Durable writes call it after releasing
+    /// the writer mutex.
     pub(crate) fn maybe_checkpoint(&self) -> Result<bool, DurabilityError> {
         let due = self.wal_bytes_since_checkpoint() >= self.config.checkpoint_wal_bytes
             || self.merges_since_checkpoint() >= self.config.checkpoint_after_merges;

@@ -20,28 +20,24 @@
 //!   always run inline; batches that still scan large unindexed shards are
 //!   dispatched onto the [`pi_sched::Pool`]'s shared queue (the
 //!   submitting client helps drain it).
-//! * **Idle-cycle maintenance** — when
-//!   [`ExecutorConfig::background_maintenance`] is on (the default), pool
-//!   workers donate their idle cycles to round-robin maintenance. Each
-//!   idle cycle advances one shard by up to its column's shard count of
-//!   budgeted steps under a single lock acquisition (roughly a whole
-//!   column-δ of work), so finer sharding does not multiply the lock
-//!   round-trips contending with serving threads. Cold shards therefore
-//!   converge even under a workload that *never* queries their range,
-//!   and none of that work runs on the serving path — the engine-level
-//!   analogue of the paper's robustness guarantee.
+//! * **Indexing only on the caller's thread** — a shard is indexed by a
+//!   query that probes it, by a write that lands on it, or by an explicit
+//!   [`Executor::drive_to_convergence`], each on the thread that made the
+//!   call. The pool runs only a batch's shard tasks and does no work of
+//!   its own, so convergence depends on the calls made, never on timing.
+//!   A shard that no query probes does not converge until such a call
+//!   reaches it.
 //!
 //! The executor is `Sync`: any number of client threads may call
 //! [`Executor::execute_batch`] concurrently on one shared instance. Shard
 //! state is guarded by per-shard mutexes, so two clients only contend when
 //! their queries genuinely touch the same shard.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 use pi_core::mutation::Mutation;
 use pi_obs::{Counter, Histogram, MetricsRegistry, ScopeTimer};
-use pi_sched::{BatchExecutor, Job, Pool, PoolConfig, PoolStats};
+use pi_sched::{BatchExecutor, Job, Pool, PoolStats};
 use pi_storage::scan::ScanResult;
 use pi_storage::Value;
 
@@ -137,8 +133,9 @@ pub struct ExecutorConfig {
     /// Does nothing: a batch spends no indexing steps beyond its own
     /// queries' δ. Kept only because `pibench/` names the field.
     pub maintenance_steps: usize,
-    /// Donate the pool's idle cycles to cold-shard maintenance, so every
-    /// shard converges even when its value range is never queried.
+    /// Does nothing: no pool worker indexes on its own, whatever this
+    /// says (default `false`). Kept only because `pibench/` names the
+    /// field.
     pub background_maintenance: bool,
 }
 
@@ -149,7 +146,7 @@ impl Default for ExecutorConfig {
                 .map(|n| n.get())
                 .unwrap_or(4),
             maintenance_steps: 0,
-            background_maintenance: true,
+            background_maintenance: false,
         }
     }
 }
@@ -217,77 +214,14 @@ struct ShardTask {
     sub_queries: Vec<(usize, Value, Value)>,
 }
 
-/// The shared maintenance state: which shards exist and where the
-/// round-robin cursor stands. Shared between the executor and the pool's
-/// idle hook, which outlives any single borrow of the executor.
-struct MaintenanceState {
-    table: Arc<Table>,
-    /// Flat `(column, shard)` addresses of every shard; the table shape is
-    /// immutable after construction, so this is computed once.
-    addresses: Vec<(usize, usize)>,
-    /// Round-robin cursor over `addresses`.
-    cursor: AtomicUsize,
-}
-
-impl MaintenanceState {
-    /// Tries up to `steps` budgeted steps on the shard at flat address
-    /// `at` (one lock acquisition) unless the shard's published
-    /// convergence flag says there is nothing to do. Returns the steps
-    /// performed.
-    fn advance_at(&self, at: usize, steps: usize) -> usize {
-        let (c, s) = self.addresses[at];
-        let column = &self.table.columns()[c];
-        if column.shard_is_converged(s) {
-            0
-        } else {
-            column.advance_shard_by(s, steps)
-        }
-    }
-
-    /// One sweep of the cursor: advance the first unconverged shard
-    /// found, by its column's shard count of budgeted steps under one
-    /// shard-lock acquisition, so one sweep performs roughly a whole
-    /// column-δ of work no matter how finely the column is sharded —
-    /// per-step locking would multiply contention with serving threads by
-    /// the shard count. Returns whether indexing work was performed.
-    fn sweep(&self) -> bool {
-        let total = self.addresses.len();
-        if self.table.is_converged() {
-            return false;
-        }
-        for _ in 0..total {
-            let at = self.cursor.fetch_add(1, Ordering::Relaxed) % total;
-            let steps = self.table.columns()[self.addresses[at].0].shard_count();
-            if self.advance_at(at, steps) > 0 {
-                return true;
-            }
-        }
-        false
-    }
-}
-
-/// One idle cycle: a batched maintenance sweep, then the durability
-/// layer's checkpoint pulse — merges completed by the sweep may have
-/// crossed the checkpoint-after-merges threshold. A failed opportunistic
-/// checkpoint is not a serving error; the next durable write surfaces it.
-/// Returns whether indexing work was performed.
-fn idle_cycle(
-    maintenance: &MaintenanceState,
-    durable: Option<&crate::durability::DurableTable>,
-) -> bool {
-    let worked = maintenance.sweep();
-    if let Some(durable) = durable {
-        let _ = durable.maybe_checkpoint();
-    }
-    worked
-}
-
 /// Shard-parallel batch executor over a shared [`Table`], running on a
 /// persistent [`Pool`].
 pub struct Executor {
     table: Arc<Table>,
     config: ExecutorConfig,
-    maintenance: Arc<MaintenanceState>,
+    /// Flat `(column, shard)` address of every shard; the table shape is
+    /// immutable after construction, so this is computed once.
+    addresses: Vec<(usize, usize)>,
     /// `flat_id(c, s) = column_offsets[c] + s`.
     column_offsets: Vec<usize>,
     pool: Pool,
@@ -296,8 +230,8 @@ pub struct Executor {
     /// Metric handles registered in `registry`.
     obs: Option<ExecutorObs>,
     /// Durability layer, when attached ([`Executor::with_durability`]):
-    /// mutations route through its write-ahead log and the idle path
-    /// triggers its opportunistic checkpoints.
+    /// mutations route through its write-ahead log, which checkpoints
+    /// opportunistically after a write.
     durability: Option<Arc<crate::durability::DurableTable>>,
 }
 
@@ -330,13 +264,14 @@ impl Executor {
     }
 
     /// Creates an executor over a durable table
-    /// ([`crate::durability::DurableTable`]): queries and maintenance
-    /// serve the wrapped table as usual, while
-    /// [`Executor::apply_mutations`] logs every batch to the write-ahead
-    /// log before applying it in the same request order, and the pool's
-    /// idle cycles additionally trigger the durability layer's
-    /// opportunistic checkpoints. Pass the registry the durable table was
-    /// created with, if any, to also get the `executor.*` metrics.
+    /// ([`crate::durability::DurableTable`]): queries and
+    /// [`Executor::drive_to_convergence`] serve the wrapped table as
+    /// usual, while [`Executor::apply_mutations`] logs every batch to the
+    /// write-ahead log before applying it in the same request order, then
+    /// checkpoints when a growth threshold was crossed
+    /// ([`crate::durability::DurabilityConfig`]). Pass the registry the
+    /// durable table was created with, if any, to also get the
+    /// `executor.*` metrics.
     pub fn with_durability(
         durable: Arc<crate::durability::DurableTable>,
         config: ExecutorConfig,
@@ -357,26 +292,15 @@ impl Executor {
             column_offsets.push(addresses.len());
             addresses.extend((0..column.shard_count()).map(|s| (c, s)));
         }
-        let maintenance = Arc::new(MaintenanceState {
-            table: Arc::clone(&table),
-            addresses,
-            cursor: AtomicUsize::new(0),
-        });
-        let idle_task = config.background_maintenance.then(|| {
-            let maintenance = Arc::clone(&maintenance);
-            let durable = durability.clone();
-            Arc::new(move |_worker: usize| idle_cycle(&maintenance, durable.as_deref()))
-                as pi_sched::IdleTask
-        });
-        let pool = Pool::with_config(PoolConfig {
-            workers: config.worker_threads.max(1),
-            idle_task,
-            metrics: registry.clone(),
-        });
+        let workers = config.worker_threads.max(1);
+        let pool = match &registry {
+            Some(registry) => Pool::with_metrics(workers, Arc::clone(registry)),
+            None => Pool::new(workers),
+        };
         Executor {
             table,
             config,
-            maintenance,
+            addresses,
             column_offsets,
             pool,
             obs: registry.as_deref().map(ExecutorObs::register),
@@ -401,7 +325,7 @@ impl Executor {
     }
 
     /// Scheduler counters of the underlying pool (jobs run by workers and
-    /// by helping callers, idle maintenance cycles).
+    /// by helping callers).
     pub fn pool_stats(&self) -> PoolStats {
         self.pool.stats()
     }
@@ -423,9 +347,10 @@ impl Executor {
     /// indexing has progressed).
     ///
     /// The only indexing this call performs is each sub-query's δ-slice
-    /// on the shard it probes. Shards the batch does not probe converge
-    /// through [`ExecutorConfig::background_maintenance`] (the pool's idle
-    /// cycles) or [`Executor::drive_to_convergence`].
+    /// on the shard it probes. A shard the batch does not probe, or
+    /// answers from its digest because the range covers it, is not
+    /// indexed: it converges through later queries that probe it, writes
+    /// that land on it, or [`Executor::drive_to_convergence`].
     pub fn execute_batch(&self, queries: &[TableQuery]) -> Result<Vec<ScanResult>, EngineError> {
         // Resolve names up front, so an unknown column fails the whole
         // batch before any work happens. (The scope timer records the
@@ -492,7 +417,7 @@ impl Executor {
         // runs once per shard visit, and hashing dominated it at higher
         // shard counts.
         let mut tasks: Vec<ShardTask> = Vec::new();
-        let mut task_of: Vec<Option<usize>> = vec![None; self.maintenance.addresses.len()];
+        let mut task_of: Vec<Option<usize>> = vec![None; self.addresses.len()];
         for (query_idx, &(column, low, high)) in queries.iter().enumerate() {
             let sharded = &self.table.columns()[column];
             for shard in sharded.overlapping(low, high) {
@@ -629,9 +554,8 @@ impl Executor {
     /// deletes first and inserts only when the delete applied.
     /// **Convergence.** A write that leaves a shard with pending deltas
     /// clears the shard's convergence flag before it releases the shard's
-    /// lock, so [`Executor::drive_to_convergence`], idle cycles and later
-    /// queries on the shard fold the new deltas in and re-converge the
-    /// table.
+    /// lock, so [`Executor::drive_to_convergence`] and later queries on
+    /// the shard fold the new deltas in and re-converge the table.
     ///
     /// ```
     /// use std::sync::Arc;
@@ -654,7 +578,7 @@ impl Executor {
     /// assert_eq!(applied, vec![true, true]);
     /// assert!(!table.is_converged());
     ///
-    /// // ...answers stay exact immediately, and maintenance re-converges.
+    /// // ...answers stay exact immediately; driving re-converges them.
     /// assert_eq!(executor.execute_one("a", 5, 5).unwrap().count, 2);
     /// executor.drive_to_convergence(usize::MAX);
     /// assert!(table.is_converged());
@@ -679,8 +603,8 @@ impl Executor {
     /// thread: round-robin passes over the shards, one budgeted step (one
     /// lock acquisition) per unconverged shard per pass, until the table
     /// has converged or `max_steps` steps are spent. Returns the steps
-    /// spent (idle-cycle maintenance may converge shards in parallel for
-    /// free).
+    /// spent. This is the one way to converge shards that no query
+    /// probes: no pool worker indexes on its own.
     ///
     /// Convergence is deterministic (the paper's guarantee, per shard), so
     /// this always terminates; `max_steps` is a safety valve for tests. A
@@ -689,14 +613,27 @@ impl Executor {
     pub fn drive_to_convergence(&self, max_steps: usize) -> usize {
         let mut spent = 0;
         while spent < max_steps && !self.table.is_converged() {
-            for at in 0..self.maintenance.addresses.len() {
+            for at in 0..self.addresses.len() {
                 if spent == max_steps {
                     break;
                 }
-                spent += self.maintenance.advance_at(at, 1);
+                spent += self.advance_at(at);
             }
         }
         spent
+    }
+
+    /// One budgeted step on the shard at flat address `at` (one lock
+    /// acquisition), unless the shard's published convergence flag says
+    /// there is nothing to do. Returns the steps performed.
+    fn advance_at(&self, at: usize) -> usize {
+        let (c, s) = self.addresses[at];
+        let column = &self.table.columns()[c];
+        if column.shard_is_converged(s) {
+            0
+        } else {
+            column.advance_shard_by(s, 1)
+        }
     }
 }
 
@@ -751,16 +688,6 @@ mod tests {
         (table, a, b)
     }
 
-    /// A config without idle-cycle maintenance, for tests that assert on
-    /// exact step counts.
-    fn foreground_config(workers: usize) -> ExecutorConfig {
-        ExecutorConfig {
-            worker_threads: workers,
-            maintenance_steps: 0,
-            background_maintenance: false,
-        }
-    }
-
     #[test]
     fn batch_results_match_full_scan() {
         let (table, a, b) = test_table(20_000, 4);
@@ -782,7 +709,7 @@ mod tests {
     fn multi_worker_pool_matches_full_scan() {
         // Forces the pooled dispatch path even on a single-core host.
         let (table, a, b) = test_table(20_000, 8);
-        let executor = Executor::with_config(table, foreground_config(4));
+        let executor = Executor::with_config(table, ExecutorConfig::with_workers(4));
         let batch: Vec<TableQuery> = (0..60)
             .map(|i| {
                 let low = (i * 311) % 18_000;
@@ -821,7 +748,7 @@ mod tests {
         let (table, a, _) = test_table(128_000, 8);
         let executor = Executor::with_metrics(
             Arc::clone(&table),
-            foreground_config(2),
+            ExecutorConfig::with_workers(2),
             Arc::new(MetricsRegistry::new()),
         );
         assert_eq!(dispatch_counts(&executor), (0, 0));
@@ -847,7 +774,7 @@ mod tests {
         let (table, a, _) = test_table(128_000, 8);
         let executor = Executor::with_metrics(
             table,
-            foreground_config(2),
+            ExecutorConfig::with_workers(2),
             Arc::new(MetricsRegistry::new()),
         );
         // Nothing is indexed yet: each of the eight sub-queries scans its
@@ -879,7 +806,7 @@ mod tests {
     #[test]
     fn maintenance_drives_convergence_without_client_queries() {
         let (table, a, _) = test_table(5_000, 4);
-        let executor = Executor::with_config(Arc::clone(&table), foreground_config(2));
+        let executor = Executor::with_config(Arc::clone(&table), ExecutorConfig::with_workers(2));
         let spent = executor.drive_to_convergence(1_000_000);
         assert!(
             table.is_converged(),
@@ -903,7 +830,7 @@ mod tests {
                 Arc::clone(&table),
                 ExecutorConfig {
                     maintenance_steps,
-                    ..foreground_config(2)
+                    ..ExecutorConfig::with_workers(2)
                 },
             );
             // Narrow ranges inside shard 0 of column `a` only.
@@ -933,26 +860,6 @@ mod tests {
         // Column `b` was never queried, so no step refined it.
         assert_eq!(plain_metrics.counter("core.b.refine_steps"), Some(0));
         assert!(plain_metrics.counter("core.a.refine_steps") > Some(0));
-    }
-
-    #[test]
-    fn background_maintenance_converges_an_unqueried_table() {
-        let (table, _, _) = test_table(4_000, 4);
-        let _executor = Executor::with_config(
-            Arc::clone(&table),
-            ExecutorConfig {
-                worker_threads: 2,
-                maintenance_steps: 0,
-                background_maintenance: true,
-            },
-        );
-        // No queries, no explicit maintenance: the pool's idle cycles must
-        // converge every shard on their own.
-        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(60);
-        while !table.is_converged() && std::time::Instant::now() < deadline {
-            std::thread::sleep(std::time::Duration::from_millis(5));
-        }
-        assert!(table.is_converged(), "idle-cycle maintenance stalled");
     }
 
     #[test]

@@ -16,11 +16,14 @@
 //!   threads, fans each query out across the overlapping shards on a
 //!   persistent [`pi_sched::Pool`] (one shared job queue, the caller
 //!   helping) and merges the partial [`pi_storage::ScanResult`]s. A
-//!   batch indexes only through its own queries' δ-slices. The pool's
-//!   idle cycles are donated to round-robin shard maintenance, so the
-//!   whole table converges under any workload pattern — even one that
-//!   never queries a cold shard's range — the engine-level analogue of
-//!   the paper's per-query robustness guarantee.
+//!   batch indexes only through its own queries' δ-slices, on the shards
+//!   they probe. Nothing indexes in the background: a shard is indexed
+//!   by a query, a write or [`Executor::drive_to_convergence`], each on
+//!   the calling thread. So a shard that no query probes does not
+//!   converge until such a call reaches it, unlike a single paper index,
+//!   where every query moves δ of the whole column's work. Spending each
+//!   query's δ over its whole column, not only the shards it probes, is
+//!   the open step that would restore that (see ROADMAP.md).
 //! * **Mutations** — tables are not append-only: [`Table::apply_mutations`]
 //!   and [`Executor::apply_mutations`] take batches of
 //!   [`pi_core::mutation::Mutation`] inserts, deletes and updates and
@@ -28,9 +31,9 @@
 //!   [`pi_core::mutation::MutableIndex`]: answers stay exact at any
 //!   refinement stage via a pending-delta sidecar, per-shard digests are
 //!   updated atomically with the shard (the O(1) covered-shard shortcut
-//!   stays exact under writes), and a mutated converged shard re-enters
-//!   maintenance until its deltas are merged back in — convergence is
-//!   re-established after every write burst. When skewed writes drift the
+//!   stays exact under writes), and a mutated converged shard reports
+//!   unconverged until its deltas are merged back in by the queries that
+//!   probe it or by [`Executor::drive_to_convergence`]. When skewed writes drift the
 //!   shard weights, [`Table::rebalance_if_drifted`] re-draws the
 //!   equi-depth boundaries from the live values.
 //! * **Typed key domains** — [`typed::TypedTable`] and
@@ -95,7 +98,7 @@
 //! let expected = pi_storage::scan::scan_range_sum(&ra, 1_000, 2_000);
 //! assert_eq!(results[0], expected);
 //!
-//! // Batches keep refining the shards; maintenance converges the rest.
+//! // Batches refine the shards they probe; driving converges the rest.
 //! executor.drive_to_convergence(usize::MAX);
 //! assert!(table.is_converged());
 //! ```
@@ -128,7 +131,6 @@ pub use typed::{
 
 /// A [`pi_sched::Server`] front-end over the engine's [`Executor`]:
 /// bounded admission, backpressure and graceful shutdown, each batch run
-/// on its submitter's thread. The server does no indexing of its own;
-/// idle-time maintenance is [`ExecutorConfig::background_maintenance`]'s
-/// alone.
+/// on its submitter's thread. The server does no indexing of its own,
+/// idle or otherwise.
 pub type TableServer = pi_sched::Server<Executor>;

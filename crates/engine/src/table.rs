@@ -516,8 +516,8 @@ impl ShardedColumn {
     /// through [`ShardedColumn::query_shard`]. Exactness does not depend
     /// on indexing progress — mutations update the digest atomically with
     /// the shard they apply to — but the skipped shard performs no
-    /// per-query indexing work: it converges through the executor's idle
-    /// cycles, its queries that do probe it, or
+    /// per-query indexing work: it converges through the queries that do
+    /// probe it, writes that land on it, or
     /// [`crate::Executor::drive_to_convergence`].
     pub(crate) fn covered_total(
         &self,
@@ -557,10 +557,9 @@ impl ShardedColumn {
 
     /// Performs up to `steps` maintenance steps on shard `shard` under a
     /// single lock acquisition; returns the steps actually performed
-    /// (stops early at convergence). Batching matters to background
-    /// maintenance: with N shards each budgeted step is ~N× smaller, and
-    /// taking the shard lock per step would multiply the lock round-trips
-    /// — and the contention with serving threads — by N.
+    /// (stops early at convergence). With N shards each budgeted step is
+    /// ~N× smaller, so a caller that wants a column-δ of work on one shard
+    /// takes N steps under one lock instead of N lock round-trips.
     pub fn advance_shard_by(&self, shard: usize, steps: usize) -> usize {
         self.with_shard(shard, |index| {
             (0..steps).take_while(|_| index.advance()).count()

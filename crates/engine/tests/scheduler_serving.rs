@@ -4,14 +4,13 @@
 //!
 //! * answers through the server are bit-identical to the full-scan oracle,
 //! * graceful shutdown resolves every in-flight ticket,
-//! * background (idle-cycle) maintenance converges shards a skewed
-//!   workload never queries, and
+//! * an idle server over a default executor indexes nothing, and
 //! * the shard-parallel scaling regression: at fixed workload, 8 shards
 //!   must not serve slower than 1 shard now that dispatch runs on a
 //!   persistent pool.
 
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use pi_core::budget::BudgetPolicy;
 use pi_engine::{ColumnSpec, Executor, ExecutorConfig, Table, TableQuery, TableServer};
@@ -121,101 +120,11 @@ fn graceful_shutdown_resolves_inflight_engine_batches() {
     ));
 }
 
-/// The ISSUE acceptance scenario: a skewed workload that only ever
-/// queries the bottom slice of the domain. The cold shards are never
-/// visited by any query, and the per-batch foreground budget is zero —
-/// idle-cycle background maintenance alone must still drive every shard
-/// of every column to convergence while serving continues.
-#[test]
-fn background_maintenance_converges_shards_the_workload_never_queries() {
-    const ROWS: usize = 30_000;
-    const SHARDS: usize = 8;
-    let uniform = data::generate(Distribution::UniformRandom, ROWS, 47);
-    let skewed = data::generate(Distribution::Skewed, ROWS, 48);
-    let table = Arc::new(
-        Table::builder()
-            .column(
-                ColumnSpec::new("hot", uniform.clone())
-                    .with_shards(SHARDS)
-                    .with_policy(BudgetPolicy::FixedDelta(0.25)),
-            )
-            .column(
-                ColumnSpec::new("cold", skewed)
-                    .with_shards(SHARDS)
-                    .with_policy(BudgetPolicy::FixedDelta(0.25)),
-            )
-            .build(),
-    );
-    // Queries stay inside the hot column's first shard: strictly below
-    // its first boundary.
-    let first_boundary = table.column("hot").unwrap().partition().boundaries()[0];
-    assert!(first_boundary > 2, "degenerate first shard");
-    let executor = Arc::new(Executor::with_config(
-        Arc::clone(&table),
-        ExecutorConfig {
-            worker_threads: 2,
-            maintenance_steps: 0,
-            background_maintenance: true,
-        },
-    ));
-    let server = Arc::new(TableServer::new(
-        Arc::clone(&executor),
-        ServerConfig::default(),
-    ));
-
-    // Serve skewed traffic for a while: only (hot, shard 0) is touched.
-    for round in 0..50u64 {
-        let low = round % (first_boundary / 2).max(1);
-        let high = low + first_boundary / 4;
-        let results = server
-            .submit(vec![TableQuery::new(
-                "hot",
-                low,
-                high.min(first_boundary - 1),
-            )])
-            .unwrap()
-            .wait()
-            .unwrap();
-        assert_eq!(
-            results[0],
-            scan_range_sum(&uniform, low, high.min(first_boundary - 1))
-        );
-    }
-
-    // Background maintenance (pool idle cycles + server idle cycles) must
-    // converge everything, including the never-queried cold column.
-    let deadline = Instant::now() + Duration::from_secs(120);
-    while !table.is_converged() && Instant::now() < deadline {
-        std::thread::sleep(Duration::from_millis(10));
-    }
-    for (name, status) in table.status() {
-        assert!(
-            status.converged,
-            "column {name} not converged by background maintenance: {status:?}"
-        );
-    }
-    for name in ["hot", "cold"] {
-        for (i, status) in table
-            .column(name)
-            .unwrap()
-            .shard_statuses()
-            .iter()
-            .enumerate()
-        {
-            assert!(status.converged, "{name} shard {i} not converged");
-        }
-    }
-    // Idle cycles did the work: the pool's idle counter moved even though
-    // the foreground budget was zero.
-    assert!(executor.pool_stats().idle_work > 0);
-    server.shutdown();
-}
-
-/// `background_maintenance: false` is the one switch for idle indexing:
-/// a server in front of the executor adds none of its own, so an idle,
+/// Nothing indexes while no call is made: neither the executor's pool on
+/// its default configuration nor the server in front of it, so an idle,
 /// unconverged table stays exactly where its last batch left it.
 #[test]
-fn an_idle_server_leaves_the_table_alone_with_background_maintenance_off() {
+fn an_idle_server_leaves_the_table_alone() {
     let registry = Arc::new(MetricsRegistry::new());
     let table = Arc::new(
         Table::builder()
@@ -232,11 +141,7 @@ fn an_idle_server_leaves_the_table_alone_with_background_maintenance_off() {
     );
     let executor = Arc::new(Executor::with_config(
         Arc::clone(&table),
-        ExecutorConfig {
-            worker_threads: 2,
-            maintenance_steps: 0,
-            background_maintenance: false,
-        },
+        ExecutorConfig::with_workers(2),
     ));
     let server = TableServer::new(executor, ServerConfig::default());
     server

@@ -2,15 +2,13 @@
 //!
 //! The runtime under the progressive-indexing engine. The paper bounds
 //! the indexing work any single query performs (budget δ); this crate
-//! bounds what the *system* around those queries costs, so the budget
-//! amortization happens continuously instead of only inside a client's
-//! batch:
+//! bounds what the *system* around those queries costs, and adds no
+//! indexing of its own:
 //!
-//! * [`Pool`] — a persistent worker pool: one shared job queue,
-//!   caller-helping batch execution ([`Pool::run`]) and donated idle
-//!   cycles ([`PoolConfig::idle_task`]) for background maintenance.
-//!   Replaces the per-batch `std::thread::scope` fan-out whose spawn cost
-//!   dwarfed the microsecond-scale shard tasks.
+//! * [`Pool`] — a persistent worker pool: one shared job queue and
+//!   caller-helping batch execution ([`Pool::run`]); a worker runs only
+//!   the jobs it is given. Replaces the per-batch `std::thread::scope`
+//!   fan-out whose spawn cost dwarfed the microsecond-scale shard tasks.
 //! * [`Server`] — bounded admission over any [`BatchExecutor`]: at most
 //!   [`ServerConfig::max_in_flight`] batches run at once, each on the
 //!   thread that submitted it; [`Server::try_submit`] returns
@@ -49,7 +47,7 @@
 pub mod pool;
 pub mod server;
 
-pub use pool::{IdleTask, Job, Pool, PoolConfig, PoolStats};
+pub use pool::{Job, Pool, PoolStats};
 pub use server::{
     BatchExecutor, Server, ServerConfig, ServerStats, SubmitError, Ticket, TrySubmitError,
 };

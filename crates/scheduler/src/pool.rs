@@ -17,14 +17,9 @@
 //!   execution plus negligible queueing overhead — the caller simply pops
 //!   its own jobs back — while on a many-core host the workers genuinely
 //!   parallelize the batch.
-//! * **Idle cycles are donated.** An optional [`PoolConfig::idle_task`]
-//!   hook runs whenever a worker finds the queue empty. The engine points
-//!   this at cold-shard maintenance, so background convergence consumes
-//!   exactly the cycles serving leaves free and stops the moment a query
-//!   task arrives (each call performs one bounded slice of work — how
-//!   much is the hook's choice; the engine batches several budgeted steps
-//!   per call to amortise locking). Once the hook reports nothing to do,
-//!   the worker sleeps until a job arrives or 50 ms pass.
+//!
+//! A worker that finds the queue empty waits for a push, untimed: the pool
+//! runs only the jobs it is given, and does no work of its own.
 //!
 //! Every job belongs to a [`Pool::run`] batch, and `run` returns only once
 //! its batch has finished, so [`Pool::shutdown`] (or dropping the pool)
@@ -33,62 +28,11 @@
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
-use std::time::Duration;
 
 use pi_obs::{Counter, Gauge, Histogram, MetricsRegistry};
 
 /// A unit of work executed by the pool.
 pub type Job = Box<dyn FnOnce() + Send + 'static>;
-
-/// Hook run by a worker when the queue is empty. Receives the worker's
-/// id; returns `true` when it performed useful work (the worker will call
-/// again after re-checking the queue) and `false` when there is nothing
-/// to do (the worker sleeps).
-pub type IdleTask = Arc<dyn Fn(usize) -> bool + Send + Sync>;
-
-/// How long a worker whose idle task reported nothing to do sleeps before
-/// asking it again, unless a job wakes it first. New work for the idle
-/// task (a write reopening a shard) announces itself to nobody, so it is
-/// polled for; without an idle task a worker waits for jobs untimed.
-const IDLE_RECHECK: Duration = Duration::from_millis(50);
-
-/// Pool construction parameters.
-#[derive(Clone)]
-pub struct PoolConfig {
-    /// Number of persistent worker threads (at least 1).
-    pub workers: usize,
-    /// Background task donated the workers' idle cycles (see
-    /// [`IdleTask`]).
-    pub idle_task: Option<IdleTask>,
-    /// Registry receiving the pool's `sched.pool.*` metrics (queue depth,
-    /// jobs, caller-helped jobs, donated idle cycles, jobs per run).
-    /// `None` — the default — keeps them in a private registry that only
-    /// [`Pool::stats`] reads; the engine passes its registry down so the
-    /// whole serving stack lands in one snapshot.
-    pub metrics: Option<Arc<MetricsRegistry>>,
-}
-
-impl Default for PoolConfig {
-    fn default() -> Self {
-        PoolConfig {
-            workers: std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(4),
-            idle_task: None,
-            metrics: None,
-        }
-    }
-}
-
-impl std::fmt::Debug for PoolConfig {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("PoolConfig")
-            .field("workers", &self.workers)
-            .field("idle_task", &self.idle_task.as_ref().map(|_| "…"))
-            .field("metrics", &self.metrics.as_ref().map(|_| "…"))
-            .finish()
-    }
-}
 
 /// The pool's counters, read from its `sched.pool.*` metrics. The
 /// counters are read one after another, not as one atomic snapshot, so a
@@ -99,8 +43,6 @@ pub struct PoolStats {
     pub executed: u64,
     /// Jobs executed by helping caller threads inside [`Pool::run`].
     pub helped: u64,
-    /// Idle-task invocations that reported useful work.
-    pub idle_work: u64,
 }
 
 impl PoolStats {
@@ -120,8 +62,6 @@ struct PoolObs {
     jobs: Arc<Counter>,
     /// `sched.pool.helped` — jobs drained by helping `run` callers.
     helped: Arc<Counter>,
-    /// `sched.pool.idle_cycles` — idle-task invocations that did work.
-    idle_cycles: Arc<Counter>,
     /// `sched.pool.jobs_per_run` — batch size distribution of `run`.
     jobs_per_run: Arc<Histogram>,
 }
@@ -136,7 +76,6 @@ impl PoolObs {
             queue_depth: registry.gauge("sched.pool.queue_depth"),
             jobs: registry.counter("sched.pool.jobs"),
             helped: registry.counter("sched.pool.helped"),
-            idle_cycles: registry.counter("sched.pool.idle_cycles"),
             jobs_per_run: registry.histogram("sched.pool.jobs_per_run"),
         }
     }
@@ -150,7 +89,6 @@ struct Shared {
     /// Written under the `queue` lock, so a worker that saw it clear
     /// under that lock is waiting by the time it flips.
     shutdown: AtomicBool,
-    idle_task: Option<IdleTask>,
     obs: PoolObs,
 }
 
@@ -172,7 +110,7 @@ impl Shared {
 
     /// Every popped job is a [`Pool::run`] wrapper that catches its own
     /// panic, so running it never unwinds the worker.
-    fn worker_loop(&self, w: usize) {
+    fn worker_loop(&self) {
         loop {
             let mut queue = self.lock();
             if let Some(job) = self.pop(&mut queue, false) {
@@ -183,22 +121,7 @@ impl Shared {
             if self.shutdown.load(Ordering::Acquire) {
                 return;
             }
-            let Some(idle) = &self.idle_task else {
-                drop(self.wake.wait(queue).expect("pool queue poisoned"));
-                continue;
-            };
-            drop(queue);
-            if idle(w) {
-                self.obs.idle_cycles.inc();
-                continue;
-            }
-            let queue = self.lock();
-            if queue.is_empty() && !self.shutdown.load(Ordering::Acquire) {
-                let _ = self
-                    .wake
-                    .wait_timeout(queue, IDLE_RECHECK)
-                    .expect("pool queue poisoned");
-            }
+            drop(self.wake.wait(queue).expect("pool queue poisoned"));
         }
     }
 }
@@ -249,36 +172,36 @@ pub struct Pool {
 }
 
 impl Pool {
-    /// A pool of `workers` threads, no idle task, private metrics.
-    pub fn new(workers: usize) -> Self {
-        Self::with_config(PoolConfig {
-            workers,
-            ..PoolConfig::default()
-        })
-    }
-
-    /// A pool built from an explicit configuration.
+    /// A pool of `workers` threads whose `sched.pool.*` metrics stay in a
+    /// private registry that only [`Pool::stats`] reads.
     ///
     /// # Panics
-    /// Panics when `config.workers == 0`.
-    pub fn with_config(config: PoolConfig) -> Self {
-        assert!(config.workers > 0, "a pool needs at least one worker");
-        let registry = config
-            .metrics
-            .unwrap_or_else(|| Arc::new(MetricsRegistry::new()));
+    /// Panics when `workers == 0`.
+    pub fn new(workers: usize) -> Self {
+        Self::with_metrics(workers, Arc::new(MetricsRegistry::new()))
+    }
+
+    /// A pool of `workers` threads reporting its `sched.pool.*` metrics
+    /// (queue depth, jobs, caller-helped jobs, jobs per run) into
+    /// `registry`, so the engine's whole serving stack lands in one
+    /// snapshot.
+    ///
+    /// # Panics
+    /// Panics when `workers == 0`.
+    pub fn with_metrics(workers: usize, registry: Arc<MetricsRegistry>) -> Self {
+        assert!(workers > 0, "a pool needs at least one worker");
         let shared = Arc::new(Shared {
             queue: Mutex::new(VecDeque::new()),
             wake: Condvar::new(),
             shutdown: AtomicBool::new(false),
-            idle_task: config.idle_task,
             obs: PoolObs::register(&registry),
         });
-        let handles = (0..config.workers)
+        let handles = (0..workers)
             .map(|w| {
                 let shared = Arc::clone(&shared);
                 std::thread::Builder::new()
                     .name(format!("pi-sched-{w}"))
-                    .spawn(move || shared.worker_loop(w))
+                    .spawn(move || shared.worker_loop())
                     .expect("failed to spawn pool worker")
             })
             .collect();
@@ -360,7 +283,6 @@ impl Pool {
         PoolStats {
             executed: obs.jobs.get().saturating_sub(helped),
             helped,
-            idle_work: obs.idle_cycles.get(),
         }
     }
 
@@ -443,34 +365,9 @@ mod tests {
     }
 
     #[test]
-    fn idle_task_runs_when_pool_is_empty() {
-        let hits = Arc::new(AtomicUsize::new(0));
-        let idle_hits = Arc::clone(&hits);
-        let pool = Pool::with_config(PoolConfig {
-            workers: 1,
-            idle_task: Some(Arc::new(move |_w| {
-                // Report work a bounded number of times, then go idle.
-                idle_hits.fetch_add(1, Ordering::Relaxed) < 10
-            })),
-            metrics: None,
-        });
-        let deadline = std::time::Instant::now() + Duration::from_secs(5);
-        while hits.load(Ordering::Relaxed) <= 10 && std::time::Instant::now() < deadline {
-            std::thread::yield_now();
-        }
-        assert!(hits.load(Ordering::Relaxed) > 10, "idle task never ran");
-        assert!(pool.stats().idle_work >= 10);
-        pool.shutdown();
-    }
-
-    #[test]
     fn pool_metrics_land_in_the_registry() {
         let registry = Arc::new(MetricsRegistry::new());
-        let pool = Pool::with_config(PoolConfig {
-            workers: 2,
-            metrics: Some(Arc::clone(&registry)),
-            ..PoolConfig::default()
-        });
+        let pool = Pool::with_metrics(2, Arc::clone(&registry));
         let counter = Arc::new(AtomicUsize::new(0));
         let jobs: Vec<(usize, Job)> = (0..30)
             .map(|i| {

@@ -63,11 +63,10 @@ fn main() {
             .metrics(Arc::clone(&registry))
             .column(
                 TypedColumnSpec::new("s", keys)
-                    // A small per-query budget and no idle-cycle
-                    // maintenance keep refinement query-driven, so the
-                    // dashboard shows ρ̄ actually climbing round by round
-                    // instead of background idle cycles finishing the
-                    // index before the first line prints.
+                    // A small per-query budget keeps refinement slow,
+                    // so the dashboard shows ρ̄ climbing round by round
+                    // instead of the index converging before the first
+                    // line prints.
                     .with_shards(SHARDS)
                     .with_policy(BudgetPolicy::FixedDelta(0.002)),
             )
@@ -75,10 +74,7 @@ fn main() {
     );
     let executor = Arc::new(TypedExecutor::with_metrics(
         Arc::clone(&table),
-        ExecutorConfig {
-            background_maintenance: false,
-            ..ExecutorConfig::default()
-        },
+        ExecutorConfig::default(),
         Arc::clone(&registry),
     ));
     println!(
@@ -157,10 +153,9 @@ fn main() {
         snap.counter("core.s.bytes_moved").unwrap_or(0),
     );
     println!(
-        "  pool:     {} jobs, {} caller-helped, {} idle maintenance cycles",
+        "  pool:     {} jobs, {} caller-helped",
         snap.counter("sched.pool.jobs").unwrap_or(0),
         snap.counter("sched.pool.helped").unwrap_or(0),
-        snap.counter("sched.pool.idle_cycles").unwrap_or(0),
     );
     println!("  phase timings (count / p50 / p95 / p99):");
     for phase in ["decompose", "scan", "merge"] {

@@ -5,19 +5,18 @@
 //!
 //! Builds a two-column table (uniform and skewed data), lets the Figure-11
 //! decision tree pick each column's algorithm, then drives eight
-//! closed-loop clients — one Figure-6 pattern each — against the server
-//! while the pool's idle cycles converge the shards in the background.
+//! closed-loop clients — one Figure-6 pattern each — against the server,
+//! then converges the shards the clients left unindexed on the main
+//! thread with `drive_to_convergence`.
 //!
 //! ```bash
 //! cargo run --release --example serving_engine
 //! ```
 
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
-use progressive_indexes::engine::{
-    ColumnSpec, Executor, ExecutorConfig, Table, TableQuery, TableServer,
-};
+use progressive_indexes::engine::{ColumnSpec, Executor, Table, TableQuery, TableServer};
 use progressive_indexes::index::budget::BudgetPolicy;
 use progressive_indexes::sched::{ServerConfig, SubmitError};
 use progressive_indexes::workloads::closed_loop::{self, BatchOutcome};
@@ -57,13 +56,7 @@ fn main() {
         );
     }
 
-    let executor = Arc::new(Executor::with_config(
-        Arc::clone(&table),
-        ExecutorConfig {
-            background_maintenance: true,
-            ..ExecutorConfig::default()
-        },
-    ));
+    let executor = Arc::new(Executor::new(Arc::clone(&table)));
     let server = Arc::new(TableServer::new(
         Arc::clone(&executor),
         // Half the clients may run at once, so backpressure shows.
@@ -125,20 +118,19 @@ fn main() {
         );
     }
 
-    // No client traffic any more: idle cycles finish the convergence.
-    print!("\nwaiting for background maintenance to converge the table");
-    std::io::Write::flush(&mut std::io::stdout()).expect("stdout flush");
-    let wait = Instant::now();
-    while !table.is_converged() && wait.elapsed() < Duration::from_secs(600) {
-        std::thread::sleep(Duration::from_millis(20));
-    }
-    println!(" — done in {:.2?}", wait.elapsed());
+    // No client traffic any more: nothing indexes in the background, so
+    // the calling thread drives the rest of the table to convergence.
+    let drive = Instant::now();
+    let steps = executor.drive_to_convergence(usize::MAX);
+    println!(
+        "\nconverged the table on the main thread: {steps} budgeted steps in {:.2?}",
+        drive.elapsed()
+    );
     let pool = executor.pool_stats();
     println!(
-        "  pool: {} jobs executed ({} caller-helped), {} idle maintenance cycles",
+        "  pool: {} jobs executed ({} caller-helped)",
         pool.total_executed(),
-        pool.helped,
-        pool.idle_work
+        pool.helped
     );
     for (name, status) in table.status() {
         println!(

@@ -15,7 +15,7 @@
 # gain (>= 9/10 of the pairs won, medians apart by more than the parent's
 # interquartile distance), worse by the same rule but within the metric's
 # bound, a regression (median worse by more than the bound), or neither.
-# Under each table, one `--trace 1` run per side prints the layer numbers a
+# Under each table, `--trace 1` runs print the layer numbers a
 # cold-path claim rests on (`storage.scan_gb_s`, and per algorithm the bare
 # index's `core.*.first_query_ms`, `core.*.cold_total_s` and
 # `core.*.op_max_ms`), the two counts that must not move
@@ -32,7 +32,16 @@
 # (`durable.snapshot.encode_ms`, `engine.durability.checkpoint_ms`,
 # `durable.recover_s`, `durable.wal.append_us` and
 # `engine.durability.apply_us`), so the layer that moved is on the same
-# page.
+# page. By default that is one traced run per side, each layer's value
+# printed as it reads. TRACE_PAIRS=N (N >= 2) runs N alternating traced
+# pairs instead and prints one table of those layers by the end-to-end
+# rule: each side's median and quartiles, the pairs the change won (in
+# the layer's direction from BENCHMARK.json's per_layer list), and a
+# verdict: gain or worse (>= 9/10 of the pairs, medians apart by more
+# than the parent's interquartile distance), equal, or neither. Layers
+# have no bound, so none reads REGRESSION. A per-layer claim ("the layer
+# that moved") needs that table, not one run a side: one run of
+# `core.radix_msd.cold_total_s` spanned 6.7-9.7 ms on one commit.
 #
 # The run length and the command come from the working tree's
 # BENCHMARK.json and are the same on both sides.
@@ -41,7 +50,7 @@
 # BENCH_history.jsonl at the root of the repo: the commit it measured (the
 # parent's sha; for the change, HEAD's sha and whether the working tree
 # differed from it), the side, seed, workload, pair number (null for the
-# traced run), trace flag, the counts of attempted and failed ops, whether
+# traced runs), trace flag, the counts of attempted and failed ops, whether
 # every answer was right, and every metric's value.
 set -euo pipefail
 
@@ -53,6 +62,7 @@ parent_ref=$1
 workloads=$2
 seed=${3:-1}
 pairs=${PAIRS:-10}
+trace_pairs=${TRACE_PAIRS:-1}
 
 root=$(git rev-parse --show-toplevel)
 cd "$root"
@@ -102,6 +112,89 @@ print(json.dumps({
 EOF
 }
 
+summarise() { # <end_to_end|per_layer> <workload> <pairs>
+    python3 - "$work/runs" "$1" "$2" "$3" "$seed" <<'EOF'
+import json, re, statistics, sys
+runs, kind, workload, pairs, seed = sys.argv[1], sys.argv[2], sys.argv[3], int(sys.argv[4]), sys.argv[5]
+bench = json.load(open("BENCHMARK.json"))
+
+def load(side, pair):
+    if kind == "end_to_end":
+        return json.load(open(f"{runs}/{side}.{workload}.{pair}.json"))
+    return json.loads(open(f"{runs}/{side}.{workload}.traced{pair}.out").read().splitlines()[-1])
+
+side = {s: [load(s, p) for p in range(1, pairs + 1)] for s in ("parent", "change")}
+# Column widths: metric name, unit, one side's median and quartiles.
+name_w, unit_w, side_w = (16, 5, 38) if kind == "end_to_end" else (38, 6, 42)
+
+def quartiles(xs):
+    q1, median, q3 = statistics.quantiles(xs, n=4, method="inclusive")
+    return q1, median, q3
+
+def row(name, unit, higher, bound):
+    parent = [r["metrics"][name]["value"] for r in side["parent"]]
+    change = [r["metrics"][name]["value"] for r in side["change"]]
+    won = sum((c > p) if higher else (c < p) for p, c in zip(parent, change))
+    lost = sum((c < p) if higher else (c > p) for p, c in zip(parent, change))
+    (pq1, pm, pq3), (cq1, cm, cq3) = quartiles(parent), quartiles(change)
+    apart = abs(cm - pm) > pq3 - pq1
+    worse_by = ((pm - cm) if higher else (cm - pm)) / pm if pm else 0.0
+    if bound is not None and worse_by > bound:
+        verdict = f"REGRESSION (bound {bound})"
+    elif apart and worse_by < 0 and won * 10 >= pairs * 9:
+        verdict = "gain"
+    elif apart and worse_by > 0 and lost * 10 >= pairs * 9:
+        verdict = "worse" if bound is None else f"worse, within bound {bound}"
+    elif won == lost == 0:
+        verdict = "equal"
+    else:
+        verdict = "-"
+    fmt = lambda m, a, b: f"{m:.6g} [{a:.6g}, {b:.6g}]"
+    ratio = cm / pm if pm else float("nan")
+    print(f"{name:<{name_w}}{unit:<{unit_w}}{fmt(pm, pq1, pq3):<{side_w}}"
+          f"{fmt(cm, cq1, cq3):<{side_w}}{ratio:>7.3f}  {won:>2}/{pairs}  {verdict}")
+
+def header():
+    print(f"{'metric':<{name_w}}{'unit':<{unit_w}}{'parent median [q1, q3]':<{side_w}}"
+          f"{'change median [q1, q3]':<{side_w}}{'ratio':>7}  won  verdict")
+
+if kind == "end_to_end":
+    print(f"\n== {workload} (seed {seed}, {pairs} pairs) ==")
+    for s, results in side.items():
+        attempted = sum(r["attempted"] for r in results)
+        failed = sum(r["failed"] for r in results)
+        wrong = sum(not r["correct"] for r in results)
+        print(f"{s}: failed {failed} of {attempted} attempted, {wrong} runs with a wrong answer")
+    header()
+    for metric in bench["end_to_end"]:
+        row(metric["name"], metric["unit"], metric["better"] == "higher", metric["bound"])
+    sys.exit()
+
+layers = re.compile(
+    r"storage\.scan_gb_s|core\..*\.(first_query_ms|cold_total_s|op_max_ms)"
+    r"|core\.(refine_steps|bytes_moved|merge_steps)"
+    r"|core\.mutation\.(apply_us|merge_s|sidecar_query_us)"
+    r"|engine\.executor\.(shards_reopened|overhead_us)"
+    r"|engine\.multicol\.execute_us|engine\.kind_share\.conjunction"
+    r"|engine\.planner\.survivors_per_result"
+    r"|storage\.btree\.range_us|storage\.btree_lookup_ns|core\.index\.query_us"
+    r"|driver\.peel_min_self_share"
+    r"|durable\.snapshot\.encode_ms|engine\.durability\.(checkpoint_ms|apply_us)"
+    r"|durable\.recover_s|durable\.wal\.append_us")
+names = [n for n in side["parent"][0]["metrics"] if layers.fullmatch(n)]
+if pairs == 1:
+    for s, (run,) in side.items():
+        for name in names:
+            metric = run["metrics"][name]
+            print(f"  {s:<7} {name:<32} {metric['value']:.6g} {metric['unit']}")
+    sys.exit()
+higher = {m["name"]: m["better"] == "higher" for m in bench["per_layer"]}
+header()
+for name in names:
+    row(name, side["parent"][0]["metrics"][name]["unit"], higher.get(name, False), None)
+EOF
+}
+
 first=${workloads%%[, ]*}
 echo "building both sides (one untimed run each)" >&2
 run parent "$first" warmup
@@ -118,69 +211,24 @@ for workload in ${workloads//,/ }; do
         echo "$workload: pair $pair/$pairs done ($order)" >&2
     done
 
-    python3 - "$work/runs" "$pairs" "$workload" "$seed" <<'EOF'
-import json, statistics, sys
-runs, pairs, workload, seed = sys.argv[1], int(sys.argv[2]), sys.argv[3], sys.argv[4]
-print(f"\n== {workload} (seed {seed}, {pairs} pairs) ==")
-bench = json.load(open("BENCHMARK.json"))
-side = {s: [json.load(open(f"{runs}/{s}.{workload}.{p}.json")) for p in range(1, pairs + 1)]
-        for s in ("parent", "change")}
-for s, results in side.items():
-    attempted = sum(r["attempted"] for r in results)
-    failed = sum(r["failed"] for r in results)
-    wrong = sum(not r["correct"] for r in results)
-    print(f"{s}: failed {failed} of {attempted} attempted, {wrong} runs with a wrong answer")
+    summarise end_to_end "$workload" "$pairs"
 
-def quartiles(xs):
-    q1, median, q3 = statistics.quantiles(xs, n=4, method="inclusive")
-    return q1, median, q3
-
-print(f"{'metric':<16}{'unit':<5}{'parent median [q1, q3]':<38}{'change median [q1, q3]':<38}"
-      f"{'ratio':>7}  won  verdict")
-for metric in bench["end_to_end"]:
-    name, higher = metric["name"], metric["better"] == "higher"
-    parent = [r["metrics"][name]["value"] for r in side["parent"]]
-    change = [r["metrics"][name]["value"] for r in side["change"]]
-    won = sum((c > p) if higher else (c < p) for p, c in zip(parent, change))
-    lost = sum((c < p) if higher else (c > p) for p, c in zip(parent, change))
-    (pq1, pm, pq3), (cq1, cm, cq3) = quartiles(parent), quartiles(change)
-    apart = abs(cm - pm) > pq3 - pq1
-    worse_by = ((pm - cm) if higher else (cm - pm)) / pm if pm else 0.0
-    if worse_by > metric["bound"]:
-        verdict = f"REGRESSION (bound {metric['bound']})"
-    elif apart and worse_by < 0 and won * 10 >= pairs * 9:
-        verdict = "gain"
-    elif apart and worse_by > 0 and lost * 10 >= pairs * 9:
-        verdict = f"worse, within bound {metric['bound']}"
-    elif won == lost == 0:
-        verdict = "equal"
-    else:
-        verdict = "-"
-    fmt = lambda m, a, b: f"{m:.6g} [{a:.6g}, {b:.6g}]"
-    ratio = cm / pm if pm else float("nan")
-    print(f"{name:<16}{metric['unit']:<5}{fmt(pm, pq1, pq3):<38}{fmt(cm, cq1, cq3):<38}"
-          f"{ratio:>7.3f}  {won:>2}/{pairs}  {verdict}")
-EOF
-
-    echo "per layer (one --trace 1 run per side):"
-    for side in parent change; do
-        traced=$work/runs/$side.$workload.traced.out
-        (cd "$work/$side" && "${command[@]}" --workload "$workload" --seed "$seed" \
-            --seconds "$seconds" --trace 1) >"$traced"
-        record "$side" "$workload" traced "$traced"
-        awk -v side="$side" '$1 == "storage.scan_gb_s" ||
-                $1 ~ /^core\..*\.(first_query_ms|cold_total_s|op_max_ms)$/ ||
-                $1 == "core.refine_steps" || $1 == "core.bytes_moved" ||
-                $1 == "core.merge_steps" || $1 ~ /^core\.mutation\.(apply_us|merge_s|sidecar_query_us)$/ ||
-                $1 == "engine.executor.shards_reopened" ||
-                $1 == "engine.multicol.execute_us" || $1 == "engine.kind_share.conjunction" ||
-                $1 == "engine.planner.survivors_per_result" ||
-                $1 == "storage.btree.range_us" || $1 == "storage.btree_lookup_ns" ||
-                $1 == "core.index.query_us" || $1 == "engine.executor.overhead_us" ||
-                $1 == "driver.peel_min_self_share" ||
-                $1 == "durable.snapshot.encode_ms" || $1 == "engine.durability.checkpoint_ms" ||
-                $1 == "durable.recover_s" || $1 == "durable.wal.append_us" ||
-                $1 == "engine.durability.apply_us" {
-                    printf "  %-7s %-32s %.6g %s\n", side, $1, $2, $3 }' "$traced"
+    if [ "$trace_pairs" -eq 1 ]; then
+        echo "per layer (one --trace 1 run per side):"
+    else
+        echo "per layer ($trace_pairs alternating --trace 1 pairs):"
+    fi
+    for pair in $(seq 1 "$trace_pairs"); do
+        if [ $((pair % 2)) -eq 1 ]; then order="parent change"; else order="change parent"; fi
+        for side in $order; do
+            traced=$work/runs/$side.$workload.traced$pair.out
+            (cd "$work/$side" && "${command[@]}" --workload "$workload" --seed "$seed" \
+                --seconds "$seconds" --trace 1) >"$traced"
+            record "$side" "$workload" traced "$traced"
+        done
+        if [ "$trace_pairs" -gt 1 ]; then
+            echo "$workload: traced pair $pair/$trace_pairs done ($order)" >&2
+        fi
     done
+    summarise per_layer "$workload" "$trace_pairs"
 done
