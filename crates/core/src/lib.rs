@@ -104,7 +104,7 @@ pub use cost_model::{CostConstants, CostModel};
 pub use decision::{recommend, Algorithm, DataDistribution, QueryShape, Scenario};
 pub use index::RangeIndex;
 pub use metrics::IndexMetrics;
-pub use mutation::{MergeHook, MutableIndex, Mutation};
+pub use mutation::{MutableIndex, Mutation};
 pub use result::{IndexStatus, Phase, QueryResult};
 pub use tuning::TuningParameters;
 

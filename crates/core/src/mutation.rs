@@ -124,17 +124,6 @@ const MERGE_MIN_PENDING: usize = 256;
 /// Fraction of the merged column's rows emitted per budgeted merge step.
 const MERGE_DELTA: f64 = 0.25;
 
-/// Callback invoked every time a [`MutableIndex`] completes an
-/// incremental sidecar merge (the argument is the index's total completed
-/// merge count). The merge boundary is the natural checkpoint site for a
-/// durability layer — the freshly swapped-in base already contains every
-/// previously pending delta ("log the delta, snapshot the merged base") —
-/// so the hook lets that layer observe the boundary without polling.
-/// Invoked while the index (and, at the engine layer, its shard lock) is
-/// held: implementations must be cheap and must not call back into the
-/// index.
-pub type MergeHook = Arc<dyn Fn(u64) + Send + Sync>;
-
 /// A single write against a mutable progressive index. The column is a
 /// multiset of values; see the [module docs](self) for the exact
 /// semantics of each variant.
@@ -263,8 +252,6 @@ pub struct MutableIndex {
     /// merge steps and cost-model error. `None` records (and costs)
     /// nothing.
     metrics: Option<Arc<IndexMetrics>>,
-    /// Optional merge-boundary callback; see [`MergeHook`].
-    merge_hook: Option<MergeHook>,
 }
 
 impl MutableIndex {
@@ -296,7 +283,6 @@ impl MutableIndex {
             pending: DeltaSidecar::new(),
             merges_completed: 0,
             metrics: None,
-            merge_hook: None,
         }
     }
 
@@ -332,12 +318,6 @@ impl MutableIndex {
             .map_or_else(DeltaSidecar::new, |m| m.frozen.clone());
         sidecar.compose(&self.pending);
         (Arc::clone(&self.column), sidecar)
-    }
-
-    /// Attaches (or detaches) the merge-boundary callback; see
-    /// [`MergeHook`].
-    pub fn set_merge_hook(&mut self, hook: Option<MergeHook>) {
-        self.merge_hook = hook;
     }
 
     /// Attaches (or detaches) an observability sink. See
@@ -527,9 +507,6 @@ impl MutableIndex {
             self.model = CostModel::new(*self.model.constants(), self.column.len());
             self.stage = Stage::sorted(Arc::clone(&self.column));
             self.merges_completed += 1;
-            if let Some(hook) = &self.merge_hook {
-                hook(self.merges_completed);
-            }
         }
         true
     }
@@ -926,30 +903,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn merge_hook_fires_at_every_merge_boundary() {
-        use std::sync::atomic::{AtomicU64, Ordering};
-        let (mut index, _) = fresh(1_000, 2_000, Algorithm::Quicksort);
-        let events = Arc::new(AtomicU64::new(0));
-        let sink = Arc::clone(&events);
-        index.set_merge_hook(Some(Arc::new(move |_| {
-            sink.fetch_add(1, Ordering::SeqCst);
-        })));
-        for i in 0..64u64 {
-            index.apply(&Mutation::Insert(i * 31 % 2_000));
-        }
-        while index.advance() {}
-        assert!(index.is_converged());
-        assert_eq!(events.load(Ordering::SeqCst), index.merges_completed());
-        assert!(events.load(Ordering::SeqCst) >= 1);
-        // Detaching stops the callbacks.
-        index.set_merge_hook(None);
-        index.apply(&Mutation::Insert(7));
-        let before = events.load(Ordering::SeqCst);
-        while index.advance() {}
-        assert_eq!(events.load(Ordering::SeqCst), before);
     }
 
     #[test]

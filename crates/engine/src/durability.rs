@@ -42,8 +42,8 @@
 //! completed [`DurabilityConfig::checkpoint_after_merges`] delta merges
 //! since the last checkpoint (a merge folds sidecar deltas into a new
 //! base, which is precisely when re-snapshotting shrinks the replay
-//! tail the most; the trigger listens through the merge hooks the table
-//! fires at every merge boundary).
+//! tail the most; the trigger sums the merge counts the table's columns
+//! publish under their shard locks).
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::io;
@@ -51,7 +51,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock, Weak};
 use std::time::{Duration, Instant};
 
-use pi_core::mutation::{MergeHook, Mutation};
+use pi_core::mutation::Mutation;
 use pi_durable::snapshot::{
     latest_valid_snapshot, BaseRef, ColumnState, ShardState, SnapshotStore, TableSnapshot,
 };
@@ -221,6 +221,15 @@ impl Snapshots {
     }
 }
 
+/// Pending-delta merges completed over every column of `table`.
+fn merges_completed(table: &Table) -> u64 {
+    table
+        .columns()
+        .iter()
+        .map(ShardedColumn::merges_completed)
+        .sum()
+}
+
 /// A [`Table`] whose mutations are write-ahead logged and whose state is
 /// periodically checkpointed; see the [module docs](self).
 ///
@@ -236,10 +245,8 @@ pub struct DurableTable {
     /// no concurrent mutations, while normal writers never block each
     /// other here (the wal mutex serializes them anyway).
     quiesce: RwLock<()>,
-    /// Total pending-delta merges completed across every shard, bumped
-    /// by the merge hooks; the merge-based checkpoint trigger diffs it
-    /// against `merges_at_checkpoint`.
-    merge_events: Arc<AtomicU64>,
+    /// The table's completed merges at the last checkpoint, or at
+    /// recovery; the merge-based trigger diffs against it.
     merges_at_checkpoint: AtomicU64,
     /// Guards against re-entrant / concurrent opportunistic checkpoints.
     checkpointing: AtomicBool,
@@ -253,21 +260,13 @@ impl DurableTable {
     /// logging. Existing bytes in `wal` are discarded — use
     /// [`DurableTable::recover`] to resume from persisted state instead.
     pub fn create(
-        mut table: Table,
+        table: Table,
         wal: Box<dyn WalStorage>,
         store: Box<dyn SnapshotStore>,
         config: DurabilityConfig,
         registry: Option<&MetricsRegistry>,
     ) -> Result<DurableTable, DurabilityError> {
         let metrics = registry.map(WalMetrics::register);
-        let merge_events = Arc::new(AtomicU64::new(0));
-        let hook: MergeHook = {
-            let merge_events = Arc::clone(&merge_events);
-            Arc::new(move |_merges| {
-                merge_events.fetch_add(1, Ordering::Relaxed);
-            })
-        };
-        table.attach_merge_hooks(hook);
         let mut writer = WalWriter::new(wal, config.fsync, 1);
         writer.set_metrics(metrics.clone());
         let durable = DurableTable {
@@ -278,7 +277,6 @@ impl DurableTable {
             }),
             snapshots: Mutex::new(Snapshots::new(store)),
             quiesce: RwLock::new(()),
-            merge_events,
             merges_at_checkpoint: AtomicU64::new(0),
             checkpointing: AtomicBool::new(false),
             config,
@@ -364,14 +362,6 @@ impl DurableTable {
         }
 
         let metrics = registry.map(WalMetrics::register);
-        let merge_events = Arc::new(AtomicU64::new(0));
-        let hook: MergeHook = {
-            let merge_events = Arc::clone(&merge_events);
-            Arc::new(move |_merges| {
-                merge_events.fetch_add(1, Ordering::Relaxed);
-            })
-        };
-        table.attach_merge_hooks(hook);
         let mut writer = WalWriter::new(wal, config.fsync, last_seq + 1);
         writer.set_metrics(metrics.clone());
         let duration = started.elapsed();
@@ -379,6 +369,9 @@ impl DurableTable {
             metrics.replay_records.add(replayed_records);
             metrics.recovery_ms.set(duration.as_secs_f64() * 1e3);
         }
+        // The merges replay completed do not count towards the next
+        // checkpoint.
+        let merges_at_checkpoint = AtomicU64::new(merges_completed(&table));
         let durable = DurableTable {
             table: Arc::new(table),
             wal: Mutex::new(WalState {
@@ -387,8 +380,7 @@ impl DurableTable {
             }),
             snapshots: Mutex::new(snapshots),
             quiesce: RwLock::new(()),
-            merge_events,
-            merges_at_checkpoint: AtomicU64::new(0),
+            merges_at_checkpoint,
             checkpointing: AtomicBool::new(false),
             config,
             metrics,
@@ -468,8 +460,7 @@ impl DurableTable {
     /// Pending-delta merges completed since the last checkpoint (the
     /// state the merge-based trigger watches).
     fn merges_since_checkpoint(&self) -> u64 {
-        self.merge_events.load(Ordering::Relaxed)
-            - self.merges_at_checkpoint.load(Ordering::Relaxed)
+        merges_completed(&self.table) - self.merges_at_checkpoint.load(Ordering::Relaxed)
     }
 
     /// Checkpoints now: quiesces writers, commits the log, captures a
@@ -506,7 +497,7 @@ impl DurableTable {
         wal.writer.commit()?;
         wal.bytes_at_checkpoint = wal.writer.bytes_appended();
         self.merges_at_checkpoint
-            .store(self.merge_events.load(Ordering::Relaxed), Ordering::SeqCst);
+            .store(merges_completed(&self.table), Ordering::SeqCst);
         if let Some(metrics) = &self.metrics {
             metrics.checkpoints.inc();
         }

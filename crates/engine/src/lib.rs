@@ -55,8 +55,9 @@
 //!   u64/i64/f64/string domains through the column-erased handle
 //!   ([`erased::ErasedColumn`]), and grouped aggregates
 //!   (`SUM/COUNT/MIN/MAX GROUP BY bucket`) are answered from sub-shard
-//!   [`pi_storage::DigestTree`]s behind a hot-range aggregate cache
-//!   invalidated by per-shard mutation counters.
+//!   [`pi_storage::DigestTree`]s behind the table's hot-range aggregate
+//!   cache, whose slots a row write empties under the row store's write
+//!   lock.
 //! * **Durability** — [`durability::DurableTable`] write-ahead logs every
 //!   mutation batch, checkpoints each column as its merged base snapshot
 //!   plus pending sidecar ("log the delta, snapshot the merged base"),

@@ -26,10 +26,9 @@
 //!   the key domain's order, at every refinement stage.
 //! * Grouped aggregates ([`MultiExecutor::grouped`]) —
 //!   `SUM/COUNT/MIN/MAX GROUP BY bucket` answered from per-shard
-//!   [`DigestTree`]s behind a hot-range [`AggregateCache`], invalidated
-//!   through the per-shard mutation counters: a completed write bumps
-//!   the counter before releasing its shard lock, so a later read can
-//!   never serve the pre-mutation digest.
+//!   [`DigestTree`]s behind the table's hot-range [`AggregateCache`],
+//!   whose slots a row write empties for every shard it touches before
+//!   it releases the row store's write lock.
 //!
 //! ## Exactness under concurrency
 //!
@@ -210,6 +209,7 @@ pub struct MultiTable {
     inner: Arc<Table>,
     names: Vec<String>,
     store: RwLock<RowStore>,
+    agg_cache: AggregateCache,
 }
 
 /// Builder for [`MultiTable`].
@@ -275,6 +275,7 @@ impl MultiTableBuilder {
                 live: vec![true; rows],
                 live_count: rows,
             }),
+            agg_cache: AggregateCache::new(),
         }
     }
 }
@@ -303,7 +304,9 @@ impl MultiTable {
     }
 
     /// Applies a batch of row mutations in order, under one row-store
-    /// write lock. Returns the per-mutation applied flags.
+    /// write lock, and empties the aggregate cache's slots of every shard
+    /// the batch wrote to before releasing it. Returns the per-mutation
+    /// applied flags.
     ///
     /// # Panics
     /// Panics when an insert/update's key list does not match the
@@ -313,13 +316,34 @@ impl MultiTable {
     /// and return `false`).
     pub fn apply_rows(&self, mutations: &[RowMutation]) -> Vec<bool> {
         let mut store = self.store.write().expect("row store poisoned");
-        mutations
+        let mut touched = Vec::new();
+        let applied = mutations
             .iter()
-            .map(|m| self.apply_row(&mut store, m))
-            .collect()
+            .map(|m| self.apply_row(&mut store, m, &mut touched))
+            .collect();
+        self.agg_cache.invalidate(touched);
+        applied
     }
 
-    fn apply_row(&self, store: &mut RowStore, mutation: &RowMutation) -> bool {
+    /// Applies one code-space write of a row to column `c`'s index,
+    /// noting the `(column, shard)` pairs it lands on in `touched`.
+    fn apply_code(&self, c: usize, op: Mutation, touched: &mut Vec<(usize, usize)>) {
+        let column = &self.inner.columns()[c];
+        let (a, b) = match op {
+            Mutation::Insert(v) | Mutation::Delete(v) => (v, v),
+            Mutation::Update { old, new } => (old, new),
+        };
+        touched.extend([(c, column.shard_of(a)), (c, column.shard_of(b))]);
+        let applied = column.apply_mutations(std::slice::from_ref(&op));
+        debug_assert_eq!(applied, [true], "a live row's codes are in their indexes");
+    }
+
+    fn apply_row(
+        &self,
+        store: &mut RowStore,
+        mutation: &RowMutation,
+        touched: &mut Vec<(usize, usize)>,
+    ) -> bool {
         match mutation {
             RowMutation::Insert(keys) => {
                 assert_eq!(
@@ -334,9 +358,7 @@ impl MultiTable {
                 for (c, key) in keys.iter().enumerate() {
                     let code = key.to_code();
                     store.columns[c].push(key.clone());
-                    let applied = self.inner.columns()[c]
-                        .apply_mutations(std::slice::from_ref(&Mutation::Insert(code)));
-                    debug_assert_eq!(applied, vec![true], "inserts always apply");
+                    self.apply_code(c, Mutation::Insert(code), touched);
                 }
                 store.live.push(true);
                 store.live_count += 1;
@@ -350,14 +372,7 @@ impl MultiTable {
                 store.live[row] = false;
                 store.live_count -= 1;
                 for (c, column) in store.columns.iter().enumerate() {
-                    let code = column.code_at(row);
-                    let flags = self.inner.columns()[c]
-                        .apply_mutations(std::slice::from_ref(&Mutation::Delete(code)));
-                    debug_assert_eq!(
-                        flags,
-                        vec![true],
-                        "a live row's code must exist in its index"
-                    );
+                    self.apply_code(c, Mutation::Delete(column.code_at(row)), touched);
                 }
                 true
             }
@@ -374,13 +389,7 @@ impl MultiTable {
                 for (c, key) in keys.iter().enumerate() {
                     let new = key.to_code();
                     let old = store.columns[c].replace(row, key.clone());
-                    let flags = self.inner.columns()[c]
-                        .apply_mutations(std::slice::from_ref(&Mutation::Update { old, new }));
-                    debug_assert_eq!(
-                        flags,
-                        vec![true],
-                        "a live row's code must exist in its index"
-                    );
+                    self.apply_code(c, Mutation::Update { old, new }, touched);
                 }
                 true
             }
@@ -415,8 +424,8 @@ struct PlannerObs {
     /// `planner.agg.cache_hits` — grouped-aggregate digest trees served
     /// from the cache.
     agg_cache_hits: Arc<Counter>,
-    /// `planner.agg.cache_invalidations` — cached trees discarded
-    /// because a mutation bumped their shard's counter.
+    /// `planner.agg.cache_invalidations` — cached trees rebuilt because
+    /// a row write had emptied their slot.
     agg_cache_invalidations: Arc<Counter>,
     /// `planner.driving.<column>` — driving-column choices, in column
     /// order.
@@ -441,23 +450,22 @@ impl PlannerObs {
     }
 }
 
-/// A cached per-shard digest tree and the shard-mutation stamp it was
-/// built at.
-struct CacheSlot {
-    stamp: u64,
-    tree: Arc<DigestTree>,
-}
+/// A cached tree's `(column, shard, bucket width)`.
+type SlotKey = (usize, usize, Value);
 
 /// The hot-range aggregate cache: per `(column, shard, width)` digest
-/// trees, each stamped with the shard's mutation counter at build time.
+/// trees, one per [`MultiTable`] and shared by its executors.
 ///
-/// **Invariant:** a slot is served only while its stamp equals the
-/// shard's current mutation count. Writers bump that counter *before*
-/// releasing the shard lock, and builds capture stamp and live values
-/// under one lock acquisition — so once a write completes, no later read
-/// can serve the pre-mutation digest.
+/// **Invariant:** a slot holds a tree only while the shard's live
+/// multiset is the one the tree was folded from. [`MultiTable::apply_rows`]
+/// empties the slots of every shard it wrote to before it releases the row
+/// store's write lock, and [`MultiExecutor::grouped`] holds that lock
+/// shared from lookup to answer, so no write lands between a tree's build
+/// and its use.
 pub struct AggregateCache {
-    slots: Mutex<HashMap<(usize, usize, Value), CacheSlot>>,
+    /// `None` is a slot a write emptied: it still counts in
+    /// [`AggregateCache::len`], and its rebuild counts as an invalidation.
+    slots: Mutex<HashMap<SlotKey, Option<Arc<DigestTree>>>>,
 }
 
 impl AggregateCache {
@@ -467,14 +475,29 @@ impl AggregateCache {
         }
     }
 
-    /// Number of cached per-shard trees.
+    fn slots(&self) -> std::sync::MutexGuard<'_, HashMap<SlotKey, Option<Arc<DigestTree>>>> {
+        self.slots.lock().expect("aggregate cache poisoned")
+    }
+
+    /// Number of cached per-shard trees, emptied slots included.
     pub fn len(&self) -> usize {
-        self.slots.lock().expect("aggregate cache poisoned").len()
+        self.slots().len()
     }
 
     /// `true` when nothing is cached.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
+    }
+
+    /// Empties the slots of every `(column, shard)` pair in `touched`.
+    fn invalidate(&self, mut touched: Vec<(usize, usize)>) {
+        touched.sort_unstable();
+        touched.dedup();
+        for (&(column, shard, _), tree) in self.slots().iter_mut() {
+            if touched.binary_search(&(column, shard)).is_ok() {
+                *tree = None;
+            }
+        }
     }
 
     fn get_or_build(
@@ -486,38 +509,43 @@ impl AggregateCache {
         obs: Option<&PlannerObs>,
     ) -> Arc<DigestTree> {
         let key = (pos, shard, width);
-        {
-            let slots = self.slots.lock().expect("aggregate cache poisoned");
-            if let Some(slot) = slots.get(&key) {
-                if slot.stamp == column.shard_mutation_count(shard) {
-                    if let Some(obs) = obs {
-                        obs.agg_cache_hits.inc();
-                    }
-                    return Arc::clone(&slot.tree);
-                }
+        if let Some(Some(tree)) = self.slots().get(&key) {
+            if let Some(obs) = obs {
+                obs.agg_cache_hits.inc();
             }
+            return Arc::clone(tree);
         }
-        // Build outside the cache lock — the shard lock inside
-        // `digest_tree` is the contended one. Concurrent builders may
-        // both insert; each tree is exact for its stamp, and a stale
-        // last-writer is caught by the stamp check on the next read.
-        let (stamp, tree) = column.digest_tree(shard, width);
-        let tree = Arc::new(tree);
-        let mut slots = self.slots.lock().expect("aggregate cache poisoned");
-        let prior = slots.insert(
-            key,
-            CacheSlot {
-                stamp,
-                tree: Arc::clone(&tree),
-            },
-        );
+        // Build outside the cache lock — the shard lock is the contended
+        // one. Concurrent builders may both insert; no write runs while
+        // the caller holds the row store's read lock, so their trees are
+        // equal.
+        let tree = Arc::new(digest_tree(column, shard, width));
+        let prior = self.slots().insert(key, Some(Arc::clone(&tree)));
         if let Some(obs) = obs {
-            if prior.is_some_and(|p| p.stamp != stamp) {
+            if matches!(prior, Some(None)) {
                 obs.agg_cache_invalidations.inc();
             }
         }
         tree
     }
+}
+
+/// Shard `shard`'s digest tree over the global grid of bucket width
+/// `width`, folded from its live multiset under the shard lock. A tree
+/// does not care about order and only grows by an insert: with no
+/// tombstone pending, the base folds in place and the pending inserts are
+/// absorbed. A tombstone takes the merged copy.
+fn digest_tree(column: &ShardedColumn, shard: usize, width: Value) -> DigestTree {
+    column.with_shard(shard, |index| {
+        let (base, sidecar) = index.snapshot_parts();
+        if sidecar.tombstones().is_empty() {
+            let mut tree = DigestTree::build(base.data(), width);
+            sidecar.inserts().iter().for_each(|&v| tree.absorb(v));
+            tree
+        } else {
+            DigestTree::build(&index.live_values(), width)
+        }
+    })
 }
 
 /// A grouped-aggregate query: `SUM/COUNT/MIN/MAX(column) WHERE column
@@ -558,7 +586,6 @@ impl GroupedQuery {
 pub struct MultiExecutor {
     table: Arc<MultiTable>,
     exec: Executor,
-    agg_cache: AggregateCache,
     obs: Option<PlannerObs>,
 }
 
@@ -574,7 +601,6 @@ impl MultiExecutor {
         MultiExecutor {
             table,
             exec,
-            agg_cache: AggregateCache::new(),
             obs: None,
         }
     }
@@ -593,7 +619,6 @@ impl MultiExecutor {
         MultiExecutor {
             table,
             exec,
-            agg_cache: AggregateCache::new(),
             obs: Some(obs),
         }
     }
@@ -608,10 +633,10 @@ impl MultiExecutor {
         &self.exec
     }
 
-    /// The grouped-aggregate cache (size introspection for tests and
-    /// operators).
+    /// The table's grouped-aggregate cache (size introspection for tests
+    /// and operators).
     pub fn aggregate_cache(&self) -> &AggregateCache {
-        &self.agg_cache
+        &self.table.agg_cache
     }
 
     /// Applies a batch of row mutations (see [`MultiTable::apply_rows`]).
@@ -753,10 +778,9 @@ impl MultiExecutor {
     }
 
     /// Answers a grouped aggregate from the per-shard digest trees,
-    /// serving cached trees where their shard-mutation stamps are still
-    /// current and rebuilding the rest. Buckets are whole grid cells in
-    /// code space (see the module docs); rows come back in ascending
-    /// bucket order.
+    /// serving cached trees no write has emptied since their build and
+    /// rebuilding the rest. Buckets are whole grid cells in code space
+    /// (see the module docs); rows come back in ascending bucket order.
     ///
     /// # Panics
     /// Panics when `bucket_width` is zero.
@@ -782,12 +806,10 @@ impl MultiExecutor {
         let expanded_high = bucket_of(high_code, width)
             .saturating_mul(width)
             .saturating_add(width - 1);
+        let cache = &self.table.agg_cache;
         let mut merged = DigestTree::empty(width);
         for shard in column.overlapping(expanded_low, expanded_high) {
-            let tree = self
-                .agg_cache
-                .get_or_build(column, pos, shard, width, self.obs.as_ref());
-            merged.merge(&tree);
+            merged.merge(&cache.get_or_build(column, pos, shard, width, self.obs.as_ref()));
         }
         Ok(merged
             .cells_overlapping(low_code, high_code)
@@ -812,5 +834,46 @@ fn decode_cell_sum(column: &RowColumn, sum: u128, count: u64) -> Option<ErasedSu
             <i64 as OrderedKey>::decode_sum(ScanResult { sum, count }).map(ErasedSum::I64)
         }
         RowColumn::F64(_) | RowColumn::Str { .. } => None,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use pi_core::testing::random_column;
+
+    #[test]
+    fn digest_trees_fold_the_live_multiset_whatever_is_pending() {
+        let values = random_column(8_000, 8_000, 37).into_vec();
+        let table = Table::builder()
+            .column(
+                ColumnSpec::new("a", values.clone())
+                    .with_shards(4)
+                    .with_policy(BudgetPolicy::FixedDelta(0.5)),
+            )
+            .build();
+        let column = &table.columns()[0];
+        let check = |context: &str| {
+            for shard in 0..4 {
+                let live = column.with_shard(shard, |index| index.live_values());
+                assert_eq!(
+                    digest_tree(column, shard, 64),
+                    DigestTree::build(&live, 64),
+                    "{context}, shard {shard}"
+                );
+            }
+        };
+        check("nothing pending");
+        column.apply_mutations(&[Mutation::Insert(123), Mutation::Delete(123)]);
+        check("an insert and its delete");
+        column.apply_mutations(&[Mutation::Insert(77), Mutation::Insert(values[5])]);
+        check("inserts only");
+        column.apply_mutations(&[Mutation::Delete(values[9])]);
+        check("a tombstone");
+        for shard in 0..4 {
+            column.advance_shard_by(shard, 100);
+        }
+        column.apply_mutations(&[Mutation::Insert(values[3])]);
+        check("advanced shards and one more insert");
     }
 }

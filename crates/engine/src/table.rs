@@ -23,11 +23,10 @@ use std::sync::{Arc, Mutex, RwLock};
 use pi_core::budget::BudgetPolicy;
 use pi_core::decision::{recommend, Algorithm, QueryShape, Scenario};
 use pi_core::metrics::IndexMetrics;
-use pi_core::mutation::{MergeHook, MutableIndex, Mutation};
+use pi_core::mutation::{MutableIndex, Mutation};
 use pi_core::result::{IndexStatus, Phase};
 use pi_obs::{Counter, Gauge, MetricsRegistry};
 use pi_storage::delta::DeltaSidecar;
-use pi_storage::digest::DigestTree;
 use pi_storage::scan::ScanResult;
 use pi_storage::shard::RangePartition;
 use pi_storage::{Column, Value};
@@ -189,13 +188,10 @@ pub struct ShardedColumn {
     /// [`ShardedColumn::with_shard`] while it holds the shard's lock
     /// (`Release`), read lock-free (`Acquire`).
     converged: Vec<AtomicBool>,
-    /// Per-shard applied-mutation counters, bumped **under the shard
-    /// lock** (before it is released) whenever a mutation run touches the
-    /// shard. They stamp derived per-shard artifacts — the aggregate
-    /// cache's digest trees — so a stamp captured together with the
-    /// shard's live values (also under the lock) stays valid exactly
-    /// until the next write to that shard completes.
-    shard_mutations: Vec<AtomicU64>,
+    /// Pending-delta merges the shards completed, added by
+    /// [`ShardedColumn::with_shard`] under the shard lock; a rebalance
+    /// keeps the count.
+    merges: AtomicU64,
     /// Lock-free per-shard ρ cache (f64 bits), published by
     /// [`ShardedColumn::with_shard`] and read by the conjunction planner
     /// and the executor's fan-out price without touching shard or digest
@@ -204,9 +200,6 @@ pub struct ShardedColumn {
     /// Metric handles (see [`TableBuilder::metrics`]); `None` costs
     /// nothing.
     obs: Option<ColumnObs>,
-    /// Merge-boundary callback shared by every shard's index (the
-    /// durability layer's checkpoint trigger); `None` costs nothing.
-    merge_hook: Option<MergeHook>,
 }
 
 impl ShardedColumn {
@@ -282,11 +275,10 @@ impl ShardedColumn {
             shard_rows,
             digests: digests.into_iter().map(RwLock::new).collect(),
             converged: shards.iter().map(|_| AtomicBool::new(false)).collect(),
-            shard_mutations: shards.iter().map(|_| AtomicU64::new(0)).collect(),
+            merges: AtomicU64::new(0),
             rho_cache: shards.iter().map(|_| AtomicU64::new(0)).collect(),
             shards: shards.into_iter().map(Mutex::new).collect(),
             obs: None,
-            merge_hook: None,
         };
         column.reattach();
         column
@@ -357,14 +349,6 @@ impl ShardedColumn {
         (boundaries, shards)
     }
 
-    /// Attaches the merge-boundary callback to every shard's index (the
-    /// durability layer's checkpoint trigger; fires with the shard's
-    /// completed-merge count whenever a pending-delta merge completes).
-    pub(crate) fn attach_merge_hook(&mut self, hook: MergeHook) {
-        self.merge_hook = Some(hook);
-        self.reattach();
-    }
-
     /// Registers this column's convergence and indexing-work metrics in
     /// `registry` and attaches them to every shard:
     ///
@@ -390,28 +374,32 @@ impl ShardedColumn {
         self.reattach();
     }
 
-    /// Pushes the column's metric handles and merge hook into every shard
-    /// and publishes every shard's status (construction, metric and hook
-    /// attachment, re-balance).
+    /// Pushes the column's metric handles into every shard and publishes
+    /// every shard's status (construction, metric attachment, re-balance).
     fn reattach(&self) {
         for s in 0..self.shards.len() {
             self.with_shard(s, |index| {
                 index.set_metrics(self.obs.as_ref().map(|obs| Arc::clone(&obs.index)));
-                index.set_merge_hook(self.merge_hook.clone());
             });
         }
     }
 
     /// Runs `f` on shard `shard` under its lock and, before releasing it,
     /// publishes what the shard now reports: its ρ to the lock-free cache
-    /// and the `engine.rho.*` gauge, and its convergence flag. Every
-    /// locked change to a shard goes through here, so nothing published
-    /// is older than the last call that changed the shard. Only the lock
-    /// holder writes the flag, so a plain load and store suffice: the
-    /// mutex orders the previous holder's store before this load.
-    fn with_shard<R>(&self, shard: usize, f: impl FnOnce(&mut MutableIndex) -> R) -> R {
+    /// and the `engine.rho.*` gauge, its convergence flag, and the merges
+    /// the call completed to the column's merge count. Every locked
+    /// change to a shard goes through here, so nothing published is older
+    /// than the last call that changed the shard. Only the lock holder
+    /// writes the flag, so a plain load and store suffice: the mutex
+    /// orders the previous holder's store before this load.
+    pub(crate) fn with_shard<R>(&self, shard: usize, f: impl FnOnce(&mut MutableIndex) -> R) -> R {
         let mut index = self.shards[shard].lock().expect("shard lock poisoned");
+        let merges_before = index.merges_completed();
         let result = f(&mut index);
+        let merged = index.merges_completed() - merges_before;
+        if merged > 0 {
+            self.merges.fetch_add(merged, Ordering::Relaxed);
+        }
         let status = index.status();
         self.rho_cache[shard].store(status.fraction_indexed.to_bits(), Ordering::Relaxed);
         let was_converged = self.converged[shard].load(Ordering::Relaxed);
@@ -588,11 +576,6 @@ impl ShardedColumn {
                     .write()
                     .expect("digest lock poisoned")
                     .apply(op);
-                // The per-shard counter is bumped while the shard lock is
-                // still held: any digest tree stamped before this write
-                // completes is invalidated before a reader can observe the
-                // new values.
-                self.shard_mutations[shard].fetch_add(1, Ordering::SeqCst);
             }
             applied
         })
@@ -634,13 +617,12 @@ impl ShardedColumn {
         self.converged[shard].load(Ordering::Acquire)
     }
 
-    /// Monotone per-shard applied-mutation counter. Bumped under the shard
-    /// lock before any writer releases it, so a stamp read under that same
-    /// lock (see [`ShardedColumn::digest_tree`]) is valid exactly until
-    /// the next write to the shard completes. The engine's aggregate cache
-    /// compares against this before serving a cached digest tree.
-    pub(crate) fn shard_mutation_count(&self, shard: usize) -> u64 {
-        self.shard_mutations[shard].load(Ordering::SeqCst)
+    /// Pending-delta merges the column's shards have completed since it
+    /// was built or restored, a rebalance included (no lock taken). The
+    /// durability layer's merge-based checkpoint trigger sums it over the
+    /// table.
+    pub(crate) fn merges_completed(&self) -> u64 {
+        self.merges.load(Ordering::Relaxed)
     }
 
     /// Shard `shard`'s cached ρ (the paper's fraction-indexed convergence
@@ -710,29 +692,6 @@ impl ShardedColumn {
         }
     }
 
-    /// Builds shard `shard`'s sub-shard digest tree over the global grid
-    /// of bucket width `width`, returning it with the shard-mutation stamp
-    /// it is valid for. Stamp and live values are captured under one shard
-    /// lock acquisition, and writers bump the counter *before* releasing
-    /// the lock, so: cached stamp == [`ShardedColumn::shard_mutation_count`]
-    /// ⇒ the tree still describes the shard's live multiset exactly.
-    pub(crate) fn digest_tree(&self, shard: usize, width: Value) -> (u64, DigestTree) {
-        let guard = self.shards[shard].lock().expect("shard lock poisoned");
-        let stamp = self.shard_mutations[shard].load(Ordering::SeqCst);
-        // A digest tree does not care about order and only grows by an
-        // insert: with no tombstone pending, fold the base in place and
-        // absorb the pending inserts. A tombstone takes the merged copy.
-        let (base, sidecar) = guard.snapshot_parts();
-        let tree = if sidecar.tombstones().is_empty() {
-            let mut tree = DigestTree::build(base.data(), width);
-            sidecar.inserts().iter().for_each(|&v| tree.absorb(v));
-            tree
-        } else {
-            DigestTree::build(&guard.live_values(), width)
-        };
-        (stamp, tree)
-    }
-
     /// Re-draws equi-depth shard boundaries from the current live values
     /// and re-splits the column into the same number of shards, each with
     /// a new index over its new slice. The live values of shards whose
@@ -755,15 +714,7 @@ impl ShardedColumn {
         let shards = self.partition.shard_count();
         let partition = RangePartition::equi_depth(&live, shards);
         let obs = self.obs.take();
-        let merge_hook = self.merge_hook.take();
-        // A rebalance re-slices every shard: per-shard mutation counters
-        // must keep climbing past their old values so digest trees stamped
-        // before the rebalance read as stale, never as current.
-        let old_mutation_counts: Vec<u64> = self
-            .shard_mutations
-            .iter()
-            .map(|c| c.load(Ordering::SeqCst))
-            .collect();
+        let merges = std::mem::take(&mut self.merges);
         *self = Self::build(
             std::mem::take(&mut self.name),
             Column::from_vec(live),
@@ -773,12 +724,9 @@ impl ShardedColumn {
         );
         // The rebuilt shards keep reporting into the same metric family
         // (same shard count, so the gauge handles stay valid) and keep
-        // firing the same merge hook.
+        // the column's merge count.
         self.obs = obs;
-        self.merge_hook = merge_hook;
-        for (counter, old) in self.shard_mutations.iter().zip(old_mutation_counts) {
-            counter.store(old + 1, Ordering::SeqCst);
-        }
+        self.merges = merges;
         self.reattach();
     }
 
@@ -955,14 +903,6 @@ impl Table {
             );
         }
         Table { columns, by_name }
-    }
-
-    /// Attaches `hook` as the merge-boundary callback of every shard of
-    /// every column (the durability layer's checkpoint trigger).
-    pub(crate) fn attach_merge_hooks(&mut self, hook: MergeHook) {
-        for column in &mut self.columns {
-            column.attach_merge_hook(hook.clone());
-        }
     }
 
     /// Re-balances the named column unconditionally (the durability
@@ -1265,41 +1205,6 @@ mod tests {
     }
 
     #[test]
-    fn digest_trees_fold_the_live_multiset_whatever_is_pending() {
-        let values = uniform_values(8_000, 37);
-        let column = ShardedColumn::from_spec(
-            ColumnSpec::new("a", values.clone())
-                .with_shards(4)
-                .with_policy(BudgetPolicy::FixedDelta(0.5)),
-        );
-        let check = |context: &str| {
-            for shard in 0..4 {
-                let live = column.shards[shard]
-                    .lock()
-                    .expect("shard lock poisoned")
-                    .live_values();
-                assert_eq!(
-                    column.digest_tree(shard, 64).1,
-                    DigestTree::build(&live, 64),
-                    "{context}, shard {shard}"
-                );
-            }
-        };
-        check("nothing pending");
-        column.apply_mutations(&[Mutation::Insert(123), Mutation::Delete(123)]);
-        check("an insert and its delete");
-        column.apply_mutations(&[Mutation::Insert(77), Mutation::Insert(values[5])]);
-        check("inserts only");
-        column.apply_mutations(&[Mutation::Delete(values[9])]);
-        check("a tombstone");
-        for shard in 0..4 {
-            column.advance_shard_by(shard, 100);
-        }
-        column.apply_mutations(&[Mutation::Insert(values[3])]);
-        check("advanced shards and one more insert");
-    }
-
-    #[test]
     fn serial_mutations_match_scan_oracle() {
         let values = uniform_values(5_000, 31);
         let mut oracle = values.clone();
@@ -1539,8 +1444,8 @@ mod tests {
                             "update"
                         }
                         7 => {
-                            column.digest_tree(shard, 64);
-                            "digest_tree"
+                            column.with_shard(shard, |index| index.live_values());
+                            "locked read"
                         }
                         8 if next(4) == 0 => {
                             column.rebalance();

@@ -792,3 +792,53 @@ fn a_checkpoint_after_a_fallback_keeps_a_valid_snapshot() {
     assert_eq!(report.snapshot_id, 7);
     assert_matches_oracle(again.table(), "a", &oracle, 32);
 }
+
+/// The merge-based checkpoint trigger, with the log-bytes trigger off.
+/// Maintenance on the table completes the merges, outside any durable
+/// write, so the durable write after the last of them is the first call
+/// that looks: it checkpoints, and the write after it does not. With the
+/// trigger at `u64::MAX` no write ever checkpoints.
+#[test]
+fn completed_merges_trigger_one_checkpoint() {
+    const MERGES: u64 = 3;
+    for (after_merges, checkpoints) in [(MERGES, 1), (u64::MAX, 0)] {
+        let config = DurabilityConfig {
+            checkpoint_after_merges: after_merges,
+            ..durable_config()
+        };
+        let base = values(2_000, 2_000, 83);
+        let wal = MemWalHandle::new();
+        let store = MemStore::new();
+        let durable = build_durable(base.clone(), 1, &wal, &store, config);
+        let newest = || {
+            latest_valid_snapshot(&store)
+                .unwrap()
+                .unwrap()
+                .0
+                .snapshot_id
+        };
+        let mut rng = TestRng::new(89);
+        let mut oracle = base;
+        // Sorting the fresh shard merges nothing: no write is pending.
+        converge_shard(&durable, 0);
+        for _ in 0..MERGES {
+            write_batch(&durable, &mut rng, &mut oracle, 2_000);
+            // One merge folds the batch into the converged base.
+            converge_shard(&durable, 0);
+        }
+        assert_eq!(newest(), 0, "{after_merges}: merges alone never checkpoint");
+        write_batch(&durable, &mut rng, &mut oracle, 2_000);
+        assert_eq!(
+            newest(),
+            checkpoints,
+            "{after_merges}: the write after the merges"
+        );
+        write_batch(&durable, &mut rng, &mut oracle, 2_000);
+        assert_eq!(
+            newest(),
+            checkpoints,
+            "{after_merges}: the write after that"
+        );
+        recovers_to(&wal, &store, &oracle);
+    }
+}

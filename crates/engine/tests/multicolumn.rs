@@ -392,9 +392,9 @@ fn grouped_aggregates_match_the_oracle_and_reuse_the_cache() {
 
 #[test]
 fn completed_mutation_invalidates_the_aggregate_cache() {
-    // The issue's regression: write-then-read on the same shard must
-    // never serve the pre-mutation digest — the stamp protocol bumps the
-    // shard's mutation counter before the write releases the shard lock.
+    // Write-then-read on the same shard must never serve the
+    // pre-mutation digest: `apply_rows` empties the cache slots of every
+    // shard it writes to before it releases the row store's write lock.
     let values = u64_columns(1, 6_000, 2_048, 29).pop().unwrap();
     let registry = Arc::new(MetricsRegistry::new());
     let table = Arc::new(
@@ -447,6 +447,103 @@ fn completed_mutation_invalidates_the_aggregate_cache() {
     // Deletes of dead rows are rejected and leave the cache current.
     assert_eq!(exec.apply_rows(&[RowMutation::Delete(0)]), vec![false]);
     assert_eq!(exec.grouped(&query).unwrap(), after);
+}
+
+/// A grouped query looped on one thread while another applies a fixed
+/// script of single-row writes: every answer is the oracle after some
+/// prefix of the script, and the prefixes the answers match never go
+/// backwards. The query spans every bucket, so each write changes the
+/// answer. No sleeps: the reader stops once it has read after the
+/// writer finished, or after a fixed number of reads, and one more read
+/// after the writer joined must see the whole script.
+#[test]
+fn grouped_answers_beside_a_writer_follow_the_write_order() {
+    const WRITES: usize = 300;
+    const MAX_READS: usize = 100_000;
+    let values = u64_columns(1, 4_000, 2_048, 37).pop().unwrap();
+    let table = Arc::new(
+        MultiTable::builder()
+            .column(MultiColumnSpec::new("v", ErasedColumn::U64(values.clone())))
+            .build(),
+    );
+    let exec = MultiExecutor::with_config(Arc::clone(&table), foreground());
+    let query = GroupedQuery::new("v", ErasedKey::U64(0), ErasedKey::U64(2_047), 128);
+
+    // The script, and the oracle after each of its prefixes.
+    let mut rng = pi_core::testing::TestRng::new(41);
+    let mut rows: Vec<(u64, bool)> = values.iter().map(|&v| (v, true)).collect();
+    let mut oracles = vec![grouped_oracle(&rows, 0, 2_047, 128)];
+    let mut script = Vec::with_capacity(WRITES);
+    for i in 0..WRITES {
+        let mut live_row = || loop {
+            let row = rng.below(rows.len() as u64) as usize;
+            if rows[row].1 {
+                return row;
+            }
+        };
+        let write = match i % 3 {
+            0 => {
+                let v = rng.below(2_048);
+                rows.push((v, true));
+                RowMutation::Insert(vec![ErasedKey::U64(v)])
+            }
+            1 => {
+                let row = live_row();
+                rows[row].1 = false;
+                RowMutation::Delete(row)
+            }
+            _ => {
+                let row = live_row();
+                let v = (rows[row].0 + 1 + rng.below(2_047)) % 2_048;
+                rows[row].0 = v;
+                RowMutation::Update {
+                    row,
+                    keys: vec![ErasedKey::U64(v)],
+                }
+            }
+        };
+        script.push(write);
+        oracles.push(grouped_oracle(&rows, 0, 2_047, 128));
+    }
+
+    let answer = || -> Vec<(u64, u64, u128)> {
+        exec.grouped(&query)
+            .unwrap()
+            .into_iter()
+            .map(|g| match g.sum {
+                Some(ErasedSum::U64(sum)) => (g.bucket, g.count, sum),
+                other => panic!("u64 groups sum exactly: {other:?}"),
+            })
+            .collect()
+    };
+    // Warm the cache before the writer starts, so every write lands on
+    // cached trees.
+    assert_eq!(answer(), oracles[0]);
+    let done = std::sync::atomic::AtomicBool::new(false);
+    let matched = std::thread::scope(|scope| {
+        scope.spawn(|| {
+            for write in &script {
+                assert_eq!(exec.apply_rows(std::slice::from_ref(write)), vec![true]);
+            }
+            done.store(true, std::sync::atomic::Ordering::Release);
+        });
+        let mut matched = Vec::new();
+        let mut last = 0;
+        for _ in 0..MAX_READS {
+            let finished = done.load(std::sync::atomic::Ordering::Acquire);
+            let answer = answer();
+            last = (last..=WRITES)
+                .find(|&prefix| oracles[prefix] == answer)
+                .unwrap_or_else(|| panic!("an answer matches no prefix from {last} on"));
+            matched.push(last);
+            if finished {
+                break;
+            }
+        }
+        matched
+    });
+    assert!(matched.windows(2).all(|w| w[0] <= w[1]));
+    assert_eq!(answer(), oracles[WRITES], "the read after the writer");
 }
 
 #[test]

@@ -5,8 +5,9 @@
 //! Builds a three-column table (u64 ids, f64 measurements, strings with
 //! a hot shared prefix), plans and runs a skewed-selectivity conjunction
 //! in every predicate order, mutates some rows, and answers a `GROUP BY
-//! bucket` aggregate twice — the second time straight from the
-//! mutation-stamped aggregate cache.
+//! bucket` aggregate twice — the second time straight from the table's
+//! aggregate cache, whose slots every row write empties for the shards it
+//! touches.
 //!
 //! ```bash
 //! cargo run --release --example multicolumn

@@ -3,9 +3,12 @@
 //! when an API change in `crates/*` stops it compiling or makes one of
 //! its oracle-checked answers wrong. This test builds it — release,
 //! offline, into its own `pibench/target` — and runs all four workloads
-//! at `--quick` scale, holding each to `"correct": true` and
-//! `"failed": 0`. Timings are not looked at; `hot_heap_mb`, which repeats
-//! exactly, is: a converged table holds one copy of each column.
+//! at `--quick` scale, once untraced and once at `--trace 1`, holding
+//! each run to `"correct": true` and `"failed": 0`. A traced run also
+//! computes every per-layer metric, and one that turns non-finite reads
+//! `"correct": false`. Timings are not looked at; `hot_heap_mb`, which
+//! repeats exactly, is (untraced): a converged table holds one copy of
+//! each column.
 
 use std::path::Path;
 use std::process::Command;
@@ -47,9 +50,9 @@ fn pibench_builds_and_every_quick_workload_answers_correctly() {
     assert!(built.success(), "pibench no longer builds");
 
     let exe = target.join("release").join("pibench");
-    for workload in WORKLOADS {
+    for (workload, trace) in WORKLOADS.iter().flat_map(|w| [(*w, "0"), (*w, "1")]) {
         let run = Command::new(&exe)
-            .args(["--workload", workload, "--quick"])
+            .args(["--workload", workload, "--quick", "--trace", trace])
             .args(["--seconds", "1", "--seed", "1"])
             .output()
             .expect("pibench runs");
@@ -59,10 +62,13 @@ fn pibench_builds_and_every_quick_workload_answers_correctly() {
             run.status.success()
                 && verdict.contains("\"correct\": true")
                 && verdict.contains("\"failed\": 0"),
-            "{workload}: exit {:?}\n{verdict}\n{}",
+            "{workload} --trace {trace}: exit {:?}\n{verdict}\n{}",
             run.status.code(),
             String::from_utf8_lossy(&run.stderr)
         );
+        if trace == "1" {
+            continue;
+        }
         for (_, ceiling) in HOT_HEAP_MB_BELOW.iter().filter(|(w, _)| *w == workload) {
             let heap_mb: f64 = stdout
                 .lines()
