@@ -288,7 +288,10 @@ impl MultiTable {
 
     /// The inner `u64` table of code indexes. **All writes must go
     /// through [`MultiTable::apply_rows`]** — mutating the inner table
-    /// directly desynchronises it from the row store.
+    /// directly desynchronises it from the row store, and leaves the
+    /// aggregate cache's trees for the shards it touched in place, so
+    /// later grouped answers read the old values: the cache is only
+    /// emptied by `apply_rows`, under the row store's write lock.
     pub fn inner(&self) -> &Arc<Table> {
         &self.inner
     }
@@ -628,7 +631,10 @@ impl MultiExecutor {
         &self.table
     }
 
-    /// The inner `u64` executor (driving scans and maintenance).
+    /// The inner `u64` executor (driving scans and maintenance). Read
+    /// through it only: a write through [`Executor::apply_mutations`]
+    /// bypasses [`MultiTable::apply_rows`], which keeps the row store and
+    /// the aggregate cache in step with the shards.
     pub fn inner(&self) -> &Executor {
         &self.exec
     }

@@ -2,18 +2,19 @@
 """The perf trajectory in BENCH_history.jsonl, one A/B block at a time.
 
     scripts/history.py              # every block in the file
-    scripts/history.py --last 3     # the newest three blocks
 
 `scripts/pibench_ab.sh` appends one JSON line per run. A block is one of
 its invocations: it starts at the parent side's `pair` 1 run of a
 workload when that run's commit or seed differs from the current block's,
-or when the current block already holds the workload. Absolute timings are only comparable inside one block (one
-session, one machine state), so for each block x workload x end-to-end
-metric this prints only what the block itself decides: the change/parent
-median ratio, the pairs the change won, and the verdict by
-`pibench_ab.sh`'s rule (gain or worse: >= 9/10 of the pairs, medians
-apart by more than the parent's interquartile distance; REGRESSION:
-median worse by more than the metric's bound in BENCHMARK.json).
+or when the current block already holds the workload. Absolute timings
+are only comparable inside one block (one session, one machine state), so
+for each block x workload x end-to-end metric this prints only what the
+block itself decides: the change/parent median ratio, the pairs the
+change won, and the verdict by the A/B rule in `verdict()`, which
+`pibench_ab.sh` imports for its tables (gain or worse: >= 9/10 of the
+pairs, medians apart by more than the parent's interquartile distance;
+REGRESSION: median worse by more than the metric's bound in
+BENCHMARK.json).
 
 Under the blocks it prints the baselines table: per workload, the exact
 counts of the newest block that ran it, from its change side
@@ -85,7 +86,11 @@ def label(block):
 
 
 def verdict(parent, change, higher, bound):
-    """pibench_ab.sh's rule over aligned per-pair values."""
+    """The A/B rule over aligned per-pair values, shared with pibench_ab.sh.
+
+    Returns the change/parent median ratio, the pairs the change won, the
+    pair count and the verdict's name. A `bound` of None (the per-layer
+    metrics) never reads REGRESSION."""
     pairs = len(parent)
     won = sum((c > p) if higher else (c < p) for p, c in zip(parent, change))
     lost = sum((c < p) if higher else (c > p) for p, c in zip(parent, change))
@@ -93,7 +98,7 @@ def verdict(parent, change, higher, bound):
     cm = statistics.median(change)
     apart = abs(cm - pm) > pq3 - pq1
     worse_by = ((pm - cm) if higher else (cm - pm)) / pm if pm else 0.0
-    if worse_by > bound:
+    if bound is not None and worse_by > bound:
         name = "REGRESSION"
     elif apart and worse_by < 0 and won * 10 >= pairs * 9:
         name = "gain"
@@ -166,16 +171,14 @@ def print_baselines(all_blocks, workloads):
 def main():
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--file", default=os.path.join(ROOT, "BENCH_history.jsonl"))
-    parser.add_argument("--last", type=int, default=0, help="only the newest N blocks")
     args = parser.parse_args()
     bench = json.load(open(os.path.join(ROOT, "BENCHMARK.json")))
     with open(args.file) as f:
         runs = [json.loads(line) for line in f if line.strip()]
     all_blocks = blocks(runs)
-    first = max(len(all_blocks) - args.last, 0) if args.last else 0
     print("cells: change/parent median ratio, pairs won, verdict "
           "(+ gain, - worse within bound, ! REGRESSION, = equal)")
-    for number, block in enumerate(all_blocks[first:], first + 1):
+    for number, block in enumerate(all_blocks, 1):
         print_block(number, block, bench["end_to_end"])
     print_baselines(all_blocks, [w["name"] for w in bench["workloads"]])
 

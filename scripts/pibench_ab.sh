@@ -115,6 +115,8 @@ EOF
 summarise() { # <end_to_end|per_layer> <workload> <pairs>
     python3 - "$work/runs" "$1" "$2" "$3" "$seed" <<'EOF'
 import json, re, statistics, sys
+sys.path.insert(0, "scripts")
+import history  # the verdict rule, shared with scripts/history.py
 runs, kind, workload, pairs, seed = sys.argv[1], sys.argv[2], sys.argv[3], int(sys.argv[4]), sys.argv[5]
 bench = json.load(open("BENCHMARK.json"))
 
@@ -134,23 +136,13 @@ def quartiles(xs):
 def row(name, unit, higher, bound):
     parent = [r["metrics"][name]["value"] for r in side["parent"]]
     change = [r["metrics"][name]["value"] for r in side["change"]]
-    won = sum((c > p) if higher else (c < p) for p, c in zip(parent, change))
-    lost = sum((c < p) if higher else (c > p) for p, c in zip(parent, change))
-    (pq1, pm, pq3), (cq1, cm, cq3) = quartiles(parent), quartiles(change)
-    apart = abs(cm - pm) > pq3 - pq1
-    worse_by = ((pm - cm) if higher else (cm - pm)) / pm if pm else 0.0
-    if bound is not None and worse_by > bound:
+    ratio, won, _, verdict = history.verdict(parent, change, higher, bound)
+    if verdict == "REGRESSION":
         verdict = f"REGRESSION (bound {bound})"
-    elif apart and worse_by < 0 and won * 10 >= pairs * 9:
-        verdict = "gain"
-    elif apart and worse_by > 0 and lost * 10 >= pairs * 9:
-        verdict = "worse" if bound is None else f"worse, within bound {bound}"
-    elif won == lost == 0:
-        verdict = "equal"
-    else:
-        verdict = "-"
+    elif verdict == "worse" and bound is not None:
+        verdict = f"worse, within bound {bound}"
+    (pq1, pm, pq3), (cq1, cm, cq3) = quartiles(parent), quartiles(change)
     fmt = lambda m, a, b: f"{m:.6g} [{a:.6g}, {b:.6g}]"
-    ratio = cm / pm if pm else float("nan")
     print(f"{name:<{name_w}}{unit:<{unit_w}}{fmt(pm, pq1, pq3):<{side_w}}"
           f"{fmt(cm, cq1, cq3):<{side_w}}{ratio:>7.3f}  {won:>2}/{pairs}  {verdict}")
 
