@@ -18,14 +18,14 @@ use pi_storage::scan::ScanResult;
 use pi_storage::Value;
 
 /// Default number of buckets `b` (one radix digit of `log2 64 = 6` bits).
-pub const DEFAULT_BUCKET_COUNT: usize = 64;
+pub(crate) const DEFAULT_BUCKET_COUNT: usize = 64;
 
 /// Bits of a value one radix level or pass consumes: `log2 b`.
 pub(crate) const RADIX_BITS: u32 = DEFAULT_BUCKET_COUNT.trailing_zeros();
 
 /// Default block capacity `s_b` in elements (128 KiB of 8-byte values per
 /// block).
-pub const DEFAULT_BLOCK_CAPACITY: usize = 16 * 1024;
+pub(crate) const DEFAULT_BLOCK_CAPACITY: usize = 16 * 1024;
 
 /// Width in bits of the **encoded key domain**: every key type served by
 /// the stack — `u64` itself, sign-flipped `i64`, total-ordered `f64`,
@@ -41,13 +41,13 @@ pub const DEFAULT_BLOCK_CAPACITY: usize = 16 * 1024;
 /// Radix planning must therefore size its recursion depth / pass count
 /// from [`domain_bits`] with this as the ceiling, never from the row
 /// count.
-pub const ENCODED_DOMAIN_BITS: u32 = 64;
+pub(crate) const ENCODED_DOMAIN_BITS: u32 = 64;
 
 /// Number of significant bits of the normalised domain `[min, max]` —
 /// the quantity radix bucket planning is sized by (MSD recursion depth,
 /// LSD pass count). `0` when the domain holds a single value; at most
 /// [`ENCODED_DOMAIN_BITS`].
-pub fn domain_bits(min: Value, max: Value) -> u32 {
+pub(crate) fn domain_bits(min: Value, max: Value) -> u32 {
     if max <= min {
         0
     } else {
@@ -62,7 +62,7 @@ pub fn domain_bits(min: Value, max: Value) -> u32 {
 ///
 /// # Panics
 /// Panics when `radix_bits == 0`.
-pub const fn max_radix_levels(radix_bits: u32) -> u32 {
+pub(crate) const fn max_radix_levels(radix_bits: u32) -> u32 {
     assert!(radix_bits > 0, "radix digit must cover at least one bit");
     ENCODED_DOMAIN_BITS.div_ceil(radix_bits)
 }
@@ -75,7 +75,7 @@ pub const fn max_radix_levels(radix_bits: u32) -> u32 {
 ///
 /// # Panics
 /// Panics when `radix_bits == 0`.
-pub const fn radix_rounds(domain_bits: u32, radix_bits: u32) -> u32 {
+pub(crate) const fn radix_rounds(domain_bits: u32, radix_bits: u32) -> u32 {
     let rounds = domain_bits.div_ceil(radix_bits);
     let rounds = if rounds == 0 { 1 } else { rounds };
     let cap = max_radix_levels(radix_bits);
@@ -88,7 +88,7 @@ pub const fn radix_rounds(domain_bits: u32, radix_bits: u32) -> u32 {
 
 /// A bucket stored as a list of fixed-capacity blocks.
 #[derive(Debug, Clone, Default)]
-pub struct BlockBucket {
+pub(crate) struct BlockBucket {
     blocks: Vec<Vec<Value>>,
     block_capacity: usize,
     len: usize,
@@ -100,7 +100,7 @@ impl BlockBucket {
     ///
     /// # Panics
     /// Panics when `block_capacity == 0`.
-    pub fn new(block_capacity: usize) -> Self {
+    pub(crate) fn new(block_capacity: usize) -> Self {
         assert!(block_capacity > 0, "bucket block capacity must be positive");
         BlockBucket {
             blocks: Vec::new(),
@@ -111,49 +111,12 @@ impl BlockBucket {
 
     /// Number of elements stored in the bucket.
     #[inline]
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.len
     }
 
-    /// `true` when the bucket holds no elements.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Number of blocks currently allocated.
-    #[inline]
-    pub fn block_count(&self) -> usize {
-        self.blocks.len()
-    }
-
-    /// The block capacity `s_b` this bucket was created with.
-    #[inline]
-    pub fn block_capacity(&self) -> usize {
-        self.block_capacity
-    }
-
-    /// Element at insertion position `i` (0-based, insertion order).
-    ///
-    /// # Panics
-    /// Panics when `i >= self.len()`.
-    #[inline]
-    pub fn get(&self, i: usize) -> Value {
-        assert!(
-            i < self.len,
-            "bucket index {i} out of bounds (len {})",
-            self.len
-        );
-        self.blocks[i / self.block_capacity][i % self.block_capacity]
-    }
-
-    /// Iterator over the elements in insertion order.
-    pub fn iter(&self) -> impl Iterator<Item = Value> + '_ {
-        self.blocks.iter().flat_map(|b| b.iter().copied())
-    }
-
     /// Predicated range-sum over all elements of the bucket.
-    pub fn range_sum(&self, low: Value, high: Value) -> ScanResult {
+    pub(crate) fn range_sum(&self, low: Value, high: Value) -> ScanResult {
         let mut result = ScanResult::EMPTY;
         for block in &self.blocks {
             result = result.merge(pi_storage::scan::scan_range_sum(block, low, high));
@@ -164,7 +127,7 @@ impl BlockBucket {
     /// Predicated range-sum over the elements at insertion positions
     /// `[from, len)`. Used when a bucket is being drained into the next
     /// structure and only its unconsumed tail still holds live data.
-    pub fn range_sum_from(&self, from: usize, low: Value, high: Value) -> ScanResult {
+    pub(crate) fn range_sum_from(&self, from: usize, low: Value, high: Value) -> ScanResult {
         if from >= self.len {
             return ScanResult::EMPTY;
         }
@@ -182,8 +145,8 @@ impl BlockBucket {
     }
 
     /// Appends a whole run of values block-wise (memcpy-class, no
-    /// per-element capacity branch). Returns the number of block
-    /// allocations performed — the `τ` events of the cost model.
+    /// per-element capacity branch). Each block it opens is one `τ`
+    /// event of the cost model.
     ///
     /// A bucket's *first* block starts at the size of the run that opens
     /// it and grows geometrically to `s_b` as later runs fill it: the
@@ -192,8 +155,7 @@ impl BlockBucket {
     /// query for memory the later ones fill (and a refinement child that
     /// stays small would hold a whole block). Growing a block is not a
     /// `τ` event; blocks after the first are allocated whole.
-    pub fn extend_from_slice(&mut self, mut values: &[Value]) -> u64 {
-        let mut allocations = 0u64;
+    pub(crate) fn extend_from_slice(&mut self, mut values: &[Value]) {
         while !values.is_empty() {
             let spare = match self.blocks.last() {
                 Some(last) if last.len() < self.block_capacity => self.block_capacity - last.len(),
@@ -203,7 +165,6 @@ impl BlockBucket {
                     } else {
                         Vec::with_capacity(self.block_capacity)
                     });
-                    allocations += 1;
                     self.block_capacity
                 }
             };
@@ -220,17 +181,15 @@ impl BlockBucket {
             self.len += take;
             values = &values[take..];
         }
-        allocations
     }
 
     /// Copies the elements at insertion positions `[from, from + out.len())`
     /// into `out`, block-wise. The merge loops use this instead of a
-    /// per-element [`BlockBucket::get`] (which costs an integer division
-    /// per element).
+    /// per-element lookup (which costs an integer division per element).
     ///
     /// # Panics
     /// Panics when the requested range reaches past `self.len()`.
-    pub fn copy_range_to(&self, from: usize, out: &mut [Value]) {
+    pub(crate) fn copy_range_to(&self, from: usize, out: &mut [Value]) {
         assert!(
             from + out.len() <= self.len,
             "copy range {}..{} out of bounds (len {})",
@@ -248,12 +207,11 @@ impl BlockBucket {
     /// Iterator over the contiguous block sub-slices covering insertion
     /// positions `[from, from + len)`. This is the bucket-drain primitive:
     /// the refinement steps pull whole slices out of the source bucket
-    /// and scatter them, instead of calling [`BlockBucket::get`]
-    /// once per element.
+    /// and scatter them, instead of looking up one element at a time.
     ///
     /// # Panics
     /// Panics when `from + len > self.len()`.
-    pub fn block_slices(&self, from: usize, len: usize) -> impl Iterator<Item = &[Value]> {
+    pub(crate) fn block_slices(&self, from: usize, len: usize) -> impl Iterator<Item = &[Value]> {
         assert!(
             from + len <= self.len,
             "slice range {}..{} out of bounds (len {})",
@@ -280,7 +238,7 @@ impl BlockBucket {
     }
 
     /// Drops all blocks, releasing their memory.
-    pub fn clear(&mut self) {
+    pub(crate) fn clear(&mut self) {
         self.blocks.clear();
         self.len = 0;
     }
@@ -291,49 +249,34 @@ impl BlockBucket {
 /// (radix shift, equi-height bounds) lives with the algorithms; this type
 /// only manages storage.
 #[derive(Debug, Clone)]
-pub struct BucketSet {
+pub(crate) struct BucketSet {
     buckets: Vec<BlockBucket>,
     /// Total number of elements across all buckets.
     len: usize,
-    /// Number of block allocations performed so far (for cost accounting).
-    allocations: u64,
 }
 
 impl BucketSet {
     /// Creates `bucket_count` empty buckets with the given block capacity.
-    pub fn new(bucket_count: usize, block_capacity: usize) -> Self {
+    pub(crate) fn new(bucket_count: usize, block_capacity: usize) -> Self {
         assert!(bucket_count > 0, "bucket count must be positive");
         BucketSet {
             buckets: (0..bucket_count)
                 .map(|_| BlockBucket::new(block_capacity))
                 .collect(),
             len: 0,
-            allocations: 0,
         }
     }
 
     /// Number of buckets.
     #[inline]
-    pub fn bucket_count(&self) -> usize {
+    pub(crate) fn bucket_count(&self) -> usize {
         self.buckets.len()
     }
 
     /// Total number of elements across all buckets.
     #[inline]
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.len
-    }
-
-    /// `true` when no bucket holds any element.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Number of block allocations performed so far.
-    #[inline]
-    pub fn allocations(&self) -> u64 {
-        self.allocations
     }
 
     /// Appends a whole run of values to bucket `bucket` block-wise. The
@@ -343,25 +286,25 @@ impl BucketSet {
     /// # Panics
     /// Panics when `bucket` is out of range.
     #[inline]
-    pub fn extend_from_slice(&mut self, bucket: usize, values: &[Value]) {
-        self.allocations += self.buckets[bucket].extend_from_slice(values);
+    pub(crate) fn extend_from_slice(&mut self, bucket: usize, values: &[Value]) {
+        self.buckets[bucket].extend_from_slice(values);
         self.len += values.len();
     }
 
     /// Immutable access to bucket `i`.
     #[inline]
-    pub fn bucket(&self, i: usize) -> &BlockBucket {
+    pub(crate) fn bucket(&self, i: usize) -> &BlockBucket {
         &self.buckets[i]
     }
 
     /// Sizes of all buckets, in bucket order.
-    pub fn sizes(&self) -> Vec<usize> {
+    pub(crate) fn sizes(&self) -> Vec<usize> {
         self.buckets.iter().map(BlockBucket::len).collect()
     }
 
     /// Predicated range-sum over a contiguous range of buckets
     /// `[first, last]` (inclusive).
-    pub fn range_sum_buckets(
+    pub(crate) fn range_sum_buckets(
         &self,
         first: usize,
         last: usize,
@@ -377,18 +320,13 @@ impl BucketSet {
 
     /// Releases the storage of bucket `i` (used once a bucket has been
     /// merged into its successor structure).
-    pub fn clear_bucket(&mut self, i: usize) {
+    pub(crate) fn clear_bucket(&mut self, i: usize) {
         self.len -= self.buckets[i].len();
         self.buckets[i].clear();
     }
 
-    /// Iterator over the buckets in order.
-    pub fn iter(&self) -> impl Iterator<Item = &BlockBucket> {
-        self.buckets.iter()
-    }
-
     /// Consumes the set and returns its buckets in order.
-    pub fn into_buckets(self) -> Vec<BlockBucket> {
+    pub(crate) fn into_buckets(self) -> Vec<BlockBucket> {
         self.buckets
     }
 }
@@ -397,16 +335,52 @@ impl BucketSet {
 mod tests {
     use super::*;
 
-    /// One-element appends: the tests build their buckets value by value.
+    /// One-element appends (the tests build their buckets value by value)
+    /// and the inspection the tests need.
     impl BlockBucket {
+        /// Appends `value`; `true` when that opened a block.
         fn push(&mut self, value: Value) -> bool {
-            self.extend_from_slice(&[value]) == 1
+            let blocks = self.blocks.len();
+            self.extend_from_slice(&[value]);
+            self.blocks.len() > blocks
+        }
+
+        fn is_empty(&self) -> bool {
+            self.len == 0
+        }
+
+        fn block_count(&self) -> usize {
+            self.blocks.len()
+        }
+
+        /// Element at insertion position `i`.
+        fn get(&self, i: usize) -> Value {
+            assert!(
+                i < self.len,
+                "bucket index {i} out of bounds (len {})",
+                self.len
+            );
+            self.blocks[i / self.block_capacity][i % self.block_capacity]
+        }
+
+        pub(crate) fn iter(&self) -> impl Iterator<Item = Value> + '_ {
+            self.blocks.iter().flat_map(|b| b.iter().copied())
         }
     }
 
     impl BucketSet {
-        fn push(&mut self, bucket: usize, value: Value) {
+        pub(crate) fn push(&mut self, bucket: usize, value: Value) {
             self.extend_from_slice(bucket, &[value]);
+        }
+
+        fn is_empty(&self) -> bool {
+            self.len == 0
+        }
+
+        /// Blocks opened so far, the `τ` events (no test clears a bucket
+        /// it counts).
+        pub(crate) fn allocations(&self) -> u64 {
+            self.buckets.iter().map(|b| b.blocks.len() as u64).sum()
         }
     }
 
@@ -415,13 +389,12 @@ mod tests {
         let cap = 64;
         let mut set = BucketSet::new(1, cap);
         let mut alone = BlockBucket::new(cap);
-        let mut reported = 0u64;
         let mut want = Vec::new();
         // Runs that open the first block small, grow it, straddle its end
         // and then fill whole later blocks.
         for (i, run) in [3usize, 1, 9, 40, 30, 64, 200, 1].into_iter().enumerate() {
             let values: Vec<Value> = (0..run as u64).map(|v| v + 1000 * i as u64).collect();
-            reported += alone.extend_from_slice(&values);
+            alone.extend_from_slice(&values);
             set.extend_from_slice(0, &values);
             want.extend_from_slice(&values);
             let bucket = set.bucket(0);
@@ -429,15 +402,18 @@ mod tests {
             // τ stays one event per block, however the first one grew.
             assert_eq!(bucket.block_count(), want.len().div_ceil(cap));
             assert_eq!(set.allocations(), bucket.block_count() as u64);
-            assert_eq!(set.allocations(), reported);
+            assert_eq!(set.allocations(), alone.block_count() as u64);
             assert!(bucket.blocks.iter().all(|b| b.capacity() <= cap));
         }
         let mut small = BlockBucket::new(cap);
-        assert_eq!(small.extend_from_slice(&[1, 2, 3]), 1);
+        small.extend_from_slice(&[1, 2, 3]);
+        assert_eq!(small.block_count(), 1);
         assert_eq!(small.blocks[0].capacity(), 3);
-        assert_eq!(small.extend_from_slice(&[4]), 0);
+        small.extend_from_slice(&[4]);
+        assert_eq!(small.block_count(), 1);
         assert_eq!(small.blocks[0].capacity(), 6);
-        assert_eq!(small.extend_from_slice(&[0; 80]), 1);
+        small.extend_from_slice(&[0; 80]);
+        assert_eq!(small.block_count(), 2);
         assert_eq!(small.blocks[0].capacity(), cap);
         assert_eq!(small.blocks[1].capacity(), cap);
     }
@@ -604,7 +580,9 @@ mod tests {
                         pushed_allocs += 1;
                     }
                 }
-                extended_allocs += extended.extend_from_slice(&values);
+                let blocks = extended.block_count();
+                extended.extend_from_slice(&values);
+                extended_allocs += (extended.block_count() - blocks) as u64;
             }
             assert_eq!(pushed_allocs, extended_allocs, "cap {cap}");
             assert_eq!(pushed.len(), extended.len());

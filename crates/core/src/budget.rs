@@ -86,7 +86,7 @@ impl BudgetController {
     }
 
     /// The policy this controller was created with.
-    pub fn policy(&self) -> BudgetPolicy {
+    pub(crate) fn policy(&self) -> BudgetPolicy {
         self.policy
     }
 
@@ -97,7 +97,7 @@ impl BudgetController {
     ///
     /// For [`BudgetPolicy::FixedBudget`] the first call locks the resulting
     /// δ; later calls return the locked value regardless of phase.
-    pub fn delta_for_query(&mut self, phase_unit_cost: f64) -> f64 {
+    pub(crate) fn delta_for_query(&mut self, phase_unit_cost: f64) -> f64 {
         match self.policy {
             BudgetPolicy::FixedDelta(delta) => delta,
             BudgetPolicy::Adaptive(budget) => clamp_delta(budget / phase_unit_cost),

@@ -157,13 +157,8 @@ impl CostModel {
     }
 
     /// The hardware constants in use.
-    pub fn constants(&self) -> &CostConstants {
+    pub(crate) fn constants(&self) -> &CostConstants {
         &self.constants
-    }
-
-    /// Number of elements the model was built for.
-    pub fn n(&self) -> f64 {
-        self.n
     }
 
     /// `t_scan = ω · N / γ` — full sequential scan of the base column.
@@ -173,24 +168,24 @@ impl CostModel {
 
     /// `t_pivot = (κ + ω) · N / γ` — reading the base column and writing
     /// the pivoted copy (Progressive Quicksort creation).
-    pub fn t_pivot(&self) -> f64 {
+    pub(crate) fn t_pivot(&self) -> f64 {
         (self.constants.kappa + self.constants.omega) * self.n / self.constants.gamma
     }
 
     /// `t_swap = κ · N / γ` — predicated in-place swapping of N elements
     /// (Progressive Quicksort refinement).
-    pub fn t_swap(&self) -> f64 {
+    pub(crate) fn t_swap(&self) -> f64 {
         self.constants.kappa * self.n / self.constants.gamma
     }
 
     /// `t_lookup = h · φ` — descending a binary tree of height `h`.
-    pub fn t_tree_lookup(&self, height: usize) -> f64 {
+    pub(crate) fn t_tree_lookup(&self, height: usize) -> f64 {
         height as f64 * self.constants.phi
     }
 
     /// `t_lookup = log2(n) · φ` — binary search over the sorted array
     /// (consolidation phase, before the B+-tree is finished).
-    pub fn t_binary_search(&self) -> f64 {
+    pub(crate) fn t_binary_search(&self) -> f64 {
         if self.n <= 1.0 {
             0.0
         } else {
@@ -201,26 +196,26 @@ impl CostModel {
     /// `t_bscan = t_scan + φ · N / s_b` — scanning bucketed data: a
     /// sequential scan plus one random access per block of `block_capacity`
     /// elements.
-    pub fn t_bucket_scan(&self, block_capacity: usize) -> f64 {
+    pub(crate) fn t_bucket_scan(&self, block_capacity: usize) -> f64 {
         self.t_scan() + self.constants.phi * self.n / block_capacity as f64
     }
 
     /// `t_bucket = (κ + ω) · N / γ + τ · N / s_b` — radix-clustering N
     /// elements into buckets made of `block_capacity`-element blocks.
-    pub fn t_bucketize(&self, block_capacity: usize) -> f64 {
+    pub(crate) fn t_bucketize(&self, block_capacity: usize) -> f64 {
         (self.constants.kappa + self.constants.omega) * self.n / self.constants.gamma
             + self.constants.tau * self.n / block_capacity as f64
     }
 
     /// `log2(b) · t_bucket` — equi-height bucketing, which pays an extra
     /// binary search over the `bucket_count` boundaries per element.
-    pub fn t_bucketize_equiheight(&self, block_capacity: usize, bucket_count: usize) -> f64 {
+    pub(crate) fn t_bucketize_equiheight(&self, block_capacity: usize, bucket_count: usize) -> f64 {
         (bucket_count.max(2) as f64).log2() * self.t_bucketize(block_capacity)
     }
 
     /// `t_copy = N_copy · κ / γ` — copying `n_copy` elements into the
     /// B+-tree's internal levels (consolidation phase).
-    pub fn t_consolidate(&self, n_copy: usize) -> f64 {
+    pub(crate) fn t_consolidate(&self, n_copy: usize) -> f64 {
         n_copy as f64 * self.constants.kappa / self.constants.gamma
     }
 
@@ -228,25 +223,31 @@ impl CostModel {
 
     /// Creation-phase prediction for Progressive Quicksort:
     /// `(1 - ρ + α - δ) · t_scan + δ · t_pivot`.
-    pub fn quicksort_creation(&self, rho: f64, alpha: f64, delta: f64) -> f64 {
+    pub(crate) fn quicksort_creation(&self, rho: f64, alpha: f64, delta: f64) -> f64 {
         ((1.0 - rho + alpha - delta).max(0.0)) * self.t_scan() + delta * self.t_pivot()
     }
 
     /// Refinement-phase prediction for Progressive Quicksort:
     /// `h·φ + α · t_scan + δ · t_swap`.
-    pub fn quicksort_refinement(&self, tree_height: usize, alpha: f64, delta: f64) -> f64 {
+    pub(crate) fn quicksort_refinement(&self, tree_height: usize, alpha: f64, delta: f64) -> f64 {
         self.t_tree_lookup(tree_height) + alpha * self.t_scan() + delta * self.t_swap()
     }
 
     /// Consolidation-phase prediction (shared by all algorithms):
     /// `log2(n)·φ + α · t_scan + δ · t_copy`.
-    pub fn consolidation(&self, alpha: f64, delta: f64, n_copy: usize) -> f64 {
+    pub(crate) fn consolidation(&self, alpha: f64, delta: f64, n_copy: usize) -> f64 {
         self.t_binary_search() + alpha * self.t_scan() + delta * self.t_consolidate(n_copy)
     }
 
     /// Creation-phase prediction for Progressive Radixsort (MSD and LSD):
     /// `(1 - ρ - δ) · t_scan + α · t_bscan + δ · t_bucket`.
-    pub fn radix_creation(&self, rho: f64, alpha: f64, delta: f64, block_capacity: usize) -> f64 {
+    pub(crate) fn radix_creation(
+        &self,
+        rho: f64,
+        alpha: f64,
+        delta: f64,
+        block_capacity: usize,
+    ) -> f64 {
         ((1.0 - rho - delta).max(0.0)) * self.t_scan()
             + alpha * self.t_bucket_scan(block_capacity)
             + delta * self.t_bucketize(block_capacity)
@@ -254,13 +255,13 @@ impl CostModel {
 
     /// Refinement-phase prediction for Progressive Radixsort (MSD and LSD):
     /// `α · t_bscan + δ · t_bucket`.
-    pub fn radix_refinement(&self, alpha: f64, delta: f64, block_capacity: usize) -> f64 {
+    pub(crate) fn radix_refinement(&self, alpha: f64, delta: f64, block_capacity: usize) -> f64 {
         alpha * self.t_bucket_scan(block_capacity) + delta * self.t_bucketize(block_capacity)
     }
 
     /// Creation-phase prediction for Progressive Bucketsort (Equi-Height):
     /// `(1 - ρ - δ) · t_scan + α · t_bscan + δ · log2(b) · t_bucket`.
-    pub fn bucketsort_creation(
+    pub(crate) fn bucketsort_creation(
         &self,
         rho: f64,
         alpha: f64,
@@ -278,7 +279,7 @@ impl CostModel {
 /// and division blow-ups. A floor of `1e-6` keeps progress strictly
 /// positive so convergence stays deterministic even with absurdly small
 /// budgets.
-pub fn clamp_delta(delta: f64) -> f64 {
+pub(crate) fn clamp_delta(delta: f64) -> f64 {
     if !delta.is_finite() {
         return 1.0;
     }
@@ -288,6 +289,13 @@ pub fn clamp_delta(delta: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl CostModel {
+        /// Number of elements the model was built for.
+        pub(crate) fn n(&self) -> f64 {
+            self.n
+        }
+    }
 
     fn model(n: usize) -> CostModel {
         CostModel::new(CostConstants::synthetic(), n)

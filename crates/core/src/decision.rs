@@ -40,20 +40,20 @@ use pi_storage::Column;
 /// The progressive indexing technique recommended by the decision tree.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Algorithm {
-    /// Progressive Quicksort ([`crate::quicksort`]).
+    /// Progressive Quicksort (§3.1).
     Quicksort,
-    /// Progressive Radixsort MSD ([`crate::radix_msd`]).
+    /// Progressive Radixsort MSD (§3.2).
     RadixsortMsd,
-    /// Progressive Radixsort LSD ([`crate::radix_lsd`]).
+    /// Progressive Radixsort LSD (§3.2).
     RadixsortLsd,
-    /// Progressive Bucketsort, equi-height ([`crate::bucketsort`]).
+    /// Progressive Bucketsort, equi-height (§3.3).
     Bucketsort,
 }
 
 impl Algorithm {
     /// Stable identifier matching [`crate::index::RangeIndex::name`] of the
     /// corresponding index implementation.
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             Algorithm::Quicksort => "progressive-quicksort",
             Algorithm::RadixsortMsd => "progressive-radixsort-msd",

@@ -12,9 +12,9 @@
 //!
 //! [`scatter_scalar`] is the checked reference the tests pin it to.
 //!
-//! The refinement's leaf sorts (nodes of at most
-//! [`DEFAULT_SMALL_NODE_ELEMENTS`](crate::sorter::DEFAULT_SMALL_NODE_ELEMENTS)
-//! values) run `ScatterScratch::sort_leaf`: LSD passes of the same
+//! The refinement's leaf sorts (nodes of at most 4096 values, the
+//! L1-cache-sized cutoff of the crate's internal incremental quicksort)
+//! run `ScatterScratch::sort_leaf`: LSD passes of the same
 //! scatter over the node's actual value range when it is narrow,
 //! `sort_unstable` otherwise.
 //!
@@ -32,7 +32,7 @@ use pi_storage::Value;
 use crate::buckets::BucketSet;
 
 /// Maximum digit fan-out the scatter supports (one byte).
-pub const MAX_SCATTER_BUCKETS: usize = 256;
+pub(crate) const MAX_SCATTER_BUCKETS: usize = 256;
 
 /// Leaf sorts of fewer values go to `sort_unstable`: a radix pass pays
 /// two prefix sums over up to 256 buckets whatever the length. Measured on
@@ -204,7 +204,7 @@ impl ScatterScratch {
     /// one move path of the creation steps (base column → buckets) and of
     /// the bucket-to-bucket refinement steps. Every bucket receives its
     /// share of `values` as one bulk append.
-    pub fn scatter_into<F: Fn(Value) -> u8>(
+    pub(crate) fn scatter_into<F: Fn(Value) -> u8>(
         &mut self,
         values: &[Value],
         set: &mut BucketSet,

@@ -9,12 +9,12 @@
 //!
 //! ## The four algorithms
 //!
-//! | Algorithm | Module | Best suited for |
+//! | Algorithm | [`Algorithm`] variant | Best suited for |
 //! |---|---|---|
-//! | Progressive Quicksort | [`quicksort`] | general-purpose, lowest memory overhead |
-//! | Progressive Radixsort (MSD) | [`radix_msd`] | range queries over roughly uniform data |
-//! | Progressive Bucketsort (Equi-Height) | [`bucketsort`] | range queries over skewed data |
-//! | Progressive Radixsort (LSD) | [`radix_lsd`] | point-query dominated workloads |
+//! | Progressive Quicksort | `Quicksort` | general-purpose, lowest memory overhead |
+//! | Progressive Radixsort (MSD) | `RadixsortMsd` | range queries over roughly uniform data |
+//! | Progressive Bucketsort (Equi-Height) | `Bucketsort` | range queries over skewed data |
+//! | Progressive Radixsort (LSD) | `RadixsortLsd` | point-query dominated workloads |
 //!
 //! [`decision::recommend`] encodes the paper's decision tree (Figure 11)
 //! for choosing among them.
@@ -32,11 +32,25 @@
 //! only its creation and refinement steps and the cost-model line that
 //! prices them. [`Algorithm::build`] boxes that index behind
 //! [`RangeIndex`], the interface it shares with pi-cracking's baselines.
-//! Bucket count, block capacity, small-node cutoff and tree fan-out are
-//! the constants the paper fixes ([`buckets::DEFAULT_BUCKET_COUNT`],
-//! [`buckets::DEFAULT_BLOCK_CAPACITY`],
-//! [`sorter::DEFAULT_SMALL_NODE_ELEMENTS`],
-//! [`pi_storage::btree::DEFAULT_FANOUT`]), not options.
+//! Bucket count (64), block capacity (16 Ki values), small-node cutoff
+//! (4096 values) and tree fan-out
+//! ([`pi_storage::btree::DEFAULT_FANOUT`]) are the constants the paper
+//! fixes, not options.
+//!
+//! ## Modules
+//!
+//! Public: [`budget`], [`cost_model`], [`decision`], [`index`],
+//! [`kernels`] (the scatter and leaf-sort kernels, public for their
+//! property tests), [`metrics`], [`mutation`], [`result`], [`testing`]
+//! and [`tuning`].
+//!
+//! Internal: the four algorithms' creation and refinement steps
+//! (`quicksort`, `radix_msd`, `radix_lsd`, `bucketsort`), the linked-block
+//! buckets they scatter into (`buckets`), the budgeted incremental
+//! quicksort that refines Quicksort and Bucketsort (`sorter`), and the
+//! phase driver (`lifecycle`, `consolidation`). Nothing outside the
+//! crate names them: a caller picks an [`Algorithm`] and queries the
+//! [`MutableIndex`] it builds.
 //!
 //! ## Budgets
 //!
@@ -80,8 +94,8 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod buckets;
-pub mod bucketsort;
+mod buckets;
+mod bucketsort;
 pub mod budget;
 mod consolidation;
 pub mod cost_model;
@@ -91,11 +105,11 @@ pub mod kernels;
 mod lifecycle;
 pub mod metrics;
 pub mod mutation;
-pub mod quicksort;
-pub mod radix_lsd;
-pub mod radix_msd;
+mod quicksort;
+mod radix_lsd;
+mod radix_msd;
 pub mod result;
-pub mod sorter;
+mod sorter;
 pub mod testing;
 pub mod tuning;
 

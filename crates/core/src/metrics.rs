@@ -62,7 +62,7 @@ impl IndexMetrics {
     /// Accounts one query's (or maintenance slice's) indexing work from
     /// its [`QueryResult`]. Pure counter traffic — always on.
     #[inline]
-    pub fn observe_query(&self, result: &QueryResult) {
+    pub(crate) fn observe_query(&self, result: &QueryResult) {
         if result.indexing_ops > 0 {
             self.refine_steps.inc();
             self.bytes_moved
@@ -73,7 +73,7 @@ impl IndexMetrics {
     /// Accounts one budgeted merge step that appended `elements` to the
     /// merged snapshot.
     #[inline]
-    pub fn observe_merge_step(&self, elements: usize) {
+    pub(crate) fn observe_merge_step(&self, elements: usize) {
         self.merge_steps.inc();
         self.bytes_moved.add(elements as u64 * BYTES_PER_ELEMENT);
     }
@@ -84,7 +84,7 @@ impl IndexMetrics {
     /// misses on. Callers gate this on [`pi_obs::ENABLED`] (it needs a
     /// clock); queries without a prediction record nothing.
     #[inline]
-    pub fn observe_cost_error(&self, predicted_seconds: Option<f64>, actual: Duration) {
+    pub(crate) fn observe_cost_error(&self, predicted_seconds: Option<f64>, actual: Duration) {
         let Some(predicted) = predicted_seconds else {
             return;
         };

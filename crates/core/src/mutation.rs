@@ -14,8 +14,8 @@
 //! * every query it asks the budget for one δ, priced by the cost of the
 //!   current phase's unit of work, and spends it on one step;
 //! * while sorting, the step is the algorithm's: its creation and
-//!   refinement states live in [`crate::quicksort`], [`crate::radix_msd`],
-//!   [`crate::radix_lsd`] and [`crate::bucketsort`];
+//!   refinement states live in the crate's internal `quicksort`,
+//!   `radix_msd`, `radix_lsd` and `bucketsort` modules;
 //! * a sorted column (the empty one included) has nothing to sort and
 //!   starts at the consolidation tail;
 //! * the moment the algorithm's array is sorted it *becomes* the base

@@ -41,7 +41,7 @@ use crate::kernels::ScatterScratch;
 /// Number of elements below which a node is sorted outright instead of
 /// being partitioned further ("When we reach a node that is smaller than
 /// the L1 cache, we sort the entire node"): 32 KiB of 8-byte values.
-pub const DEFAULT_SMALL_NODE_ELEMENTS: usize = 4096;
+pub(crate) const DEFAULT_SMALL_NODE_ELEMENTS: usize = 4096;
 
 /// Progress state of one node of the pivot tree.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -83,7 +83,7 @@ struct SortNode {
 
 /// Budgeted incremental quicksort over a region of an external array.
 #[derive(Debug, Clone)]
-pub struct IncrementalSorter {
+pub(crate) struct IncrementalSorter {
     nodes: Vec<SortNode>,
     root: usize,
     small_node: usize,
@@ -96,14 +96,9 @@ pub struct IncrementalSorter {
 
 impl IncrementalSorter {
     /// Creates a sorter for the array region `[start, end)` whose values
-    /// are known to lie in `[min, max]`.
-    pub fn new(start: usize, end: usize, min: Value, max: Value) -> Self {
-        Self::with_small_node(start, end, min, max, DEFAULT_SMALL_NODE_ELEMENTS)
-    }
-
-    /// Like [`IncrementalSorter::new`] with an explicit small-node cutoff
-    /// (the L1-cache-sized leaf threshold).
-    pub fn with_small_node(
+    /// are known to lie in `[min, max]`, sorting nodes of at most
+    /// `small_node` elements outright (the L1-cache-sized leaf threshold).
+    pub(crate) fn with_small_node(
         start: usize,
         end: usize,
         min: Value,
@@ -130,7 +125,7 @@ impl IncrementalSorter {
     /// Progressive Quicksort uses this to carry the pivot boundary
     /// established during its creation phase into the refinement phase
     /// without re-partitioning the array.
-    pub fn with_initial_split(
+    pub(crate) fn with_initial_split(
         start: usize,
         end: usize,
         min: Value,
@@ -195,7 +190,7 @@ impl IncrementalSorter {
     }
 
     /// `true` once the whole region is fully sorted.
-    pub fn is_sorted(&self) -> bool {
+    pub(crate) fn is_sorted(&self) -> bool {
         let (start, end) = self.range();
         self.sorted_elements == end - start
     }
@@ -206,12 +201,12 @@ impl IncrementalSorter {
     }
 
     /// Height of the pivot tree (maximum node depth created so far).
-    pub fn height(&self) -> usize {
+    pub(crate) fn height(&self) -> usize {
         self.max_depth
     }
 
     /// The array region `[start, end)` this sorter covers.
-    pub fn range(&self) -> (usize, usize) {
+    pub(crate) fn range(&self) -> (usize, usize) {
         (self.nodes[self.root].start, self.nodes[self.root].end)
     }
 
@@ -222,7 +217,7 @@ impl IncrementalSorter {
     /// `data` must be the same array on every call; the sorter only
     /// touches positions inside its region. `scratch` holds the leaf
     /// sorts' buffers; any scratch will do.
-    pub fn refine(
+    pub(crate) fn refine(
         &mut self,
         data: &mut [Value],
         scratch: &mut ScatterScratch,
@@ -345,7 +340,7 @@ impl IncrementalSorter {
     /// Answers a range-sum query over the current (possibly partially
     /// sorted) state of `data`, returning the result and the number of
     /// elements that had to be read.
-    pub fn query(&self, data: &[Value], low: Value, high: Value) -> (ScanResult, u64) {
+    pub(crate) fn query(&self, data: &[Value], low: Value, high: Value) -> (ScanResult, u64) {
         if low > high {
             return (ScanResult::EMPTY, 0);
         }
@@ -408,7 +403,7 @@ impl IncrementalSorter {
 
     /// Debug helper: asserts that the region really is sorted once the
     /// sorter claims so.
-    pub fn verify_sorted(&self, data: &[Value]) -> bool {
+    pub(crate) fn verify_sorted(&self, data: &[Value]) -> bool {
         let (start, end) = self.range();
         !self.is_sorted() || sorted::is_sorted(&data[start..end])
     }
@@ -422,6 +417,13 @@ fn midpoint(min: Value, max: Value) -> Value {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl IncrementalSorter {
+        /// A sorter with the default small-node cutoff.
+        fn new(start: usize, end: usize, min: Value, max: Value) -> Self {
+            Self::with_small_node(start, end, min, max, DEFAULT_SMALL_NODE_ELEMENTS)
+        }
+    }
 
     fn pseudo_random(n: usize, domain: u64, seed: u64) -> Vec<Value> {
         let mut state = seed.max(1);

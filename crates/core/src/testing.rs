@@ -1,11 +1,11 @@
 //! Test support shared by the progressive indexes, the adaptive-indexing
 //! baselines and the integration tests.
 //!
-//! The helpers here are deliberately part of the public API (rather than
-//! `#[cfg(test)]`) so that `pi-cracking`, the workspace-level integration
-//! tests and downstream users can reuse the same correctness oracles:
-//! deterministic data generation, a scan-based reference answer and a
-//! "run a workload until convergence, checking every answer" harness.
+//! The public helpers are the ones `pi-cracking`, the workspace-level
+//! integration tests and downstream users share: deterministic data
+//! generation, a scan-based reference answer and a "run a workload,
+//! checking every answer" harness. The "until convergence" harness the
+//! algorithms' unit tests share is compiled for tests only.
 
 use std::sync::Arc;
 
@@ -79,15 +79,46 @@ impl ReferenceIndex {
     }
 }
 
-/// Runs a random range-query workload against an index built by `factory`
-/// over a fresh uniform column of `n` values in `[0, domain)`, asserting
-/// that:
+/// Runs `queries` random range queries, checking correctness but not
+/// requiring convergence. Returns whether the index converged.
+pub fn check_correctness_under_workload<F>(
+    factory: F,
+    n: usize,
+    domain: u64,
+    queries: usize,
+) -> bool
+where
+    F: FnOnce(Arc<Column>) -> Box<dyn RangeIndex>,
+{
+    let column = Arc::new(random_column(n, domain, 0xBEEF));
+    let reference = ReferenceIndex::new(&column);
+    let mut index = factory(Arc::clone(&column));
+    let mut rng = TestRng::new(7);
+    for q in 0..queries {
+        let low = rng.below(domain.max(1));
+        let high = low + rng.below((domain / 20).max(1));
+        let result = index.query(low, high);
+        let expected = reference.query(low, high);
+        assert_eq!(
+            result.scan_result(),
+            expected,
+            "{}: wrong answer for query #{q} [{low}, {high}]",
+            index.name()
+        );
+    }
+    index.is_converged()
+}
+
+#[cfg(test)]
+/// Runs a random range-query workload against an index built by
+/// `factory` over a fresh uniform column of `n` values in `[0, domain)`,
+/// asserting that:
 ///
 /// 1. every single answer matches the scan-based reference, and
 /// 2. the index converges within a generous query bound.
 ///
 /// Panics with a descriptive message when either property is violated.
-pub fn assert_index_converges<F>(factory: F, n: usize, domain: u64)
+pub(crate) fn assert_index_converges<F>(factory: F, n: usize, domain: u64)
 where
     F: FnOnce(Arc<Column>) -> Box<dyn RangeIndex>,
 {
@@ -127,36 +158,6 @@ where
         "{}: did not converge within {max_queries} queries (n = {n})",
         index.name()
     );
-}
-
-/// Runs `queries` random range queries, checking correctness but not
-/// requiring convergence. Returns whether the index converged.
-pub fn check_correctness_under_workload<F>(
-    factory: F,
-    n: usize,
-    domain: u64,
-    queries: usize,
-) -> bool
-where
-    F: FnOnce(Arc<Column>) -> Box<dyn RangeIndex>,
-{
-    let column = Arc::new(random_column(n, domain, 0xBEEF));
-    let reference = ReferenceIndex::new(&column);
-    let mut index = factory(Arc::clone(&column));
-    let mut rng = TestRng::new(7);
-    for q in 0..queries {
-        let low = rng.below(domain.max(1));
-        let high = low + rng.below((domain / 20).max(1));
-        let result = index.query(low, high);
-        let expected = reference.query(low, high);
-        assert_eq!(
-            result.scan_result(),
-            expected,
-            "{}: wrong answer for query #{q} [{low}, {high}]",
-            index.name()
-        );
-    }
-    index.is_converged()
 }
 
 #[cfg(test)]

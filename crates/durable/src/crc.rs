@@ -46,14 +46,14 @@ static TABLES: [[u32; 256]; 16] = {
 };
 
 /// CRC-32/ISO-HDLC over `bytes`.
-pub fn crc32(bytes: &[u8]) -> u32 {
+pub(crate) fn crc32(bytes: &[u8]) -> u32 {
     crc32_update(0xFFFF_FFFF, bytes) ^ 0xFFFF_FFFF
 }
 
 /// Feeds more bytes into a running (pre-final-XOR) CRC state. Start from
 /// `0xFFFF_FFFF`, XOR with `0xFFFF_FFFF` when done; [`crc32`] is the
 /// one-shot form.
-pub fn crc32_update(state: u32, bytes: &[u8]) -> u32 {
+pub(crate) fn crc32_update(state: u32, bytes: &[u8]) -> u32 {
     let mut crc = state;
     let mut steps = bytes.chunks_exact(16);
     for step in &mut steps {

@@ -86,7 +86,7 @@ fn read_mutation(r: &mut ByteReader<'_>) -> Result<Mutation, CodecError> {
 impl WalRecord {
     /// Appends this record's payload encoding (no framing, no checksum —
     /// [`crate::wal::WalWriter`] adds both).
-    pub fn encode(&self, out: &mut Vec<u8>) {
+    pub(crate) fn encode(&self, out: &mut Vec<u8>) {
         match self {
             WalRecord::MutationBatch { column, ops } => {
                 out.push(TAG_MUTATION_BATCH);
@@ -112,7 +112,7 @@ impl WalRecord {
 
     /// Decodes one record payload, requiring the reader to be fully
     /// consumed (a frame must hold exactly one record).
-    pub fn decode(bytes: &[u8]) -> Result<Self, CodecError> {
+    pub(crate) fn decode(bytes: &[u8]) -> Result<Self, CodecError> {
         let mut r = ByteReader::new(bytes);
         let record = match r.take(1)?[0] {
             TAG_MUTATION_BATCH => {

@@ -153,11 +153,6 @@ fn read_policy(r: &mut ByteReader<'_>) -> Result<BudgetPolicy, CodecError> {
 }
 
 impl TableSnapshot {
-    /// Encodes the snapshot self-contained: every base a run in this file.
-    pub fn encode(&self) -> Vec<u8> {
-        self.encode_reusing(|_, _| None).0
-    }
-
     /// Encodes the snapshot as `[magic][version][manifest CRC][manifest]`
     /// followed by the base runs it writes, in one buffer sized up front:
     /// the base of shard `s` of column `c` is stored as `reused(c, s)`,
@@ -245,14 +240,6 @@ impl TableSnapshot {
             }
         }
         len
-    }
-
-    /// Decodes a self-contained snapshot ([`TableSnapshot::encode`]),
-    /// rejecting bad magic, unknown versions, checksum mismatches,
-    /// structural corruption and bases stored in another file.
-    pub fn decode(bytes: &[u8]) -> Result<Self, CodecError> {
-        let elsewhere = |_| Err(CodecError::Invalid("base stored in another snapshot"));
-        Ok(Self::decode_with(bytes, elsewhere)?.0)
     }
 
     /// The one decoder: checks the envelope, parses the manifest, then
@@ -558,6 +545,21 @@ pub fn latest_valid_snapshot(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl TableSnapshot {
+        /// Encodes the snapshot self-contained: every base a run in this file.
+        fn encode(&self) -> Vec<u8> {
+            self.encode_reusing(|_, _| None).0
+        }
+
+        /// Decodes a self-contained snapshot, rejecting bad magic, unknown
+        /// versions, checksum mismatches, structural corruption and bases
+        /// stored in another file.
+        fn decode(bytes: &[u8]) -> Result<Self, CodecError> {
+            let elsewhere = |_| Err(CodecError::Invalid("base stored in another snapshot"));
+            Ok(Self::decode_with(bytes, elsewhere)?.0)
+        }
+    }
 
     fn sample_snapshot() -> TableSnapshot {
         let mut sidecar = DeltaSidecar::new();

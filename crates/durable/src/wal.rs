@@ -10,7 +10,8 @@
 //! ```
 //!
 //! `len` counts the `seq` field plus the payload; `crc` is
-//! CRC-32/ISO-HDLC ([`crate::crc::crc32`]) over those same bytes.
+//! CRC-32/ISO-HDLC (the crate's internal `crc` module) over those same
+//! bytes.
 //! Sequence numbers are assigned by the writer and strictly increase for
 //! the lifetime of the log — across checkpoint truncations too — which is
 //! how the reader rejects duplicated or reordered suffixes (a torn
@@ -161,11 +162,6 @@ impl MemWalHandle {
         self.len() == 0
     }
 
-    /// Length of the durable (fsynced) prefix.
-    pub fn synced_len(&self) -> usize {
-        self.lock().synced_len
-    }
-
     /// Simulates a crash: every byte appended after the last fsync is
     /// lost (the OS page cache never reached the platter).
     pub fn crash(&self) {
@@ -214,13 +210,6 @@ impl MemWalHandle {
 #[derive(Debug, Clone)]
 pub struct MemWal {
     handle: MemWalHandle,
-}
-
-impl MemWal {
-    /// The fault-injection handle sharing this storage's state.
-    pub fn handle(&self) -> MemWalHandle {
-        self.handle.clone()
-    }
 }
 
 impl WalStorage for MemWal {
@@ -413,11 +402,6 @@ impl WalWriter {
         self.buffered_records = 0;
         self.storage.truncate(0)
     }
-
-    /// The underlying storage (e.g. to measure the on-log byte length).
-    pub fn storage(&self) -> &dyn WalStorage {
-        self.storage.as_ref()
-    }
 }
 
 /// How the readable tail of a log ended.
@@ -500,6 +484,13 @@ pub fn scan_wal(bytes: &[u8]) -> WalScan {
 mod tests {
     use super::*;
     use pi_core::mutation::Mutation;
+
+    impl MemWalHandle {
+        /// Length of the durable (fsynced) prefix.
+        fn synced_len(&self) -> usize {
+            self.lock().synced_len
+        }
+    }
 
     fn batch(column: &str, values: &[u64]) -> WalRecord {
         WalRecord::MutationBatch {

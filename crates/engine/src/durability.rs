@@ -259,7 +259,7 @@ impl DurableTable {
     /// recovery baseline (snapshot 0 in an empty store) and starts
     /// logging. Existing bytes in `wal` are discarded — use
     /// [`DurableTable::recover`] to resume from persisted state instead.
-    pub fn create(
+    pub(crate) fn create(
         table: Table,
         wal: Box<dyn WalStorage>,
         store: Box<dyn SnapshotStore>,
@@ -401,11 +401,6 @@ impl DurableTable {
     /// keeps the log and the table in step.
     pub fn table(&self) -> &Arc<Table> {
         &self.table
-    }
-
-    /// The durability configuration.
-    pub fn config(&self) -> DurabilityConfig {
-        self.config
     }
 
     /// Applies a mutation batch durably: the batch is framed into the

@@ -64,7 +64,7 @@ pub enum ErasedKey {
 
 impl ErasedKey {
     /// The key's domain.
-    pub fn domain(&self) -> KeyDomain {
+    pub(crate) fn domain(&self) -> KeyDomain {
         match self {
             ErasedKey::U64(_) => KeyDomain::U64,
             ErasedKey::I64(_) => KeyDomain::I64,

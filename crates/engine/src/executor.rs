@@ -44,20 +44,23 @@ use pi_storage::Value;
 use crate::table::Table;
 
 /// A `SELECT SUM(column), COUNT(column) WHERE column BETWEEN low AND high`
-/// request addressed to a [`Table`] column.
+/// request addressed to a [`Table`] column (`u64` bounds, the default) or
+/// to a [`TypedTable`](crate::typed::TypedTable) column
+/// ([`TypedQuery<K>`](crate::typed::TypedQuery), bounds in the key
+/// domain's total order).
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TableQuery {
+pub struct TableQuery<K = Value> {
     /// Name of the queried column.
     pub column: String,
     /// Lower predicate bound (inclusive).
-    pub low: Value,
+    pub low: K,
     /// Upper predicate bound (inclusive; `low > high` is the empty range).
-    pub high: Value,
+    pub high: K,
 }
 
-impl TableQuery {
+impl<K> TableQuery<K> {
     /// Creates a query.
-    pub fn new(column: impl Into<String>, low: Value, high: Value) -> Self {
+    pub fn new(column: impl Into<String>, low: K, high: K) -> Self {
         TableQuery {
             column: column.into(),
             low,
@@ -218,7 +221,6 @@ struct ShardTask {
 /// persistent [`Pool`].
 pub struct Executor {
     table: Arc<Table>,
-    config: ExecutorConfig,
     /// Flat `(column, shard)` address of every shard; the table shape is
     /// immutable after construction, so this is computed once.
     addresses: Vec<(usize, usize)>,
@@ -299,7 +301,6 @@ impl Executor {
         };
         Executor {
             table,
-            config,
             addresses,
             column_offsets,
             pool,
@@ -317,11 +318,6 @@ impl Executor {
     /// The table this executor serves.
     pub fn table(&self) -> &Arc<Table> {
         &self.table
-    }
-
-    /// The executor's configuration.
-    pub fn config(&self) -> ExecutorConfig {
-        self.config
     }
 
     /// Scheduler counters of the underlying pool (jobs run by workers and

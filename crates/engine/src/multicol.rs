@@ -55,7 +55,6 @@
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, RwLock};
 
-use pi_core::budget::BudgetPolicy;
 use pi_core::mutation::Mutation;
 use pi_obs::{Counter, MetricsRegistry};
 use pi_storage::digest::{bucket_of, DigestTree};
@@ -66,54 +65,11 @@ use pi_storage::Value;
 use crate::erased::{ErasedColumn, ErasedKey, ErasedSum, RowColumn};
 use crate::executor::{EngineError, Executor, ExecutorConfig};
 use crate::planner::{choose_driving, Plan, PredicateStats};
-use crate::table::{AlgorithmChoice, ColumnSpec, ShardedColumn, Table};
+use crate::table::{ColumnSpec, ShardedColumn, Table};
 
-/// Specification of one (possibly heterogeneous) column of a
-/// [`MultiTable`].
-#[derive(Debug, Clone)]
-pub struct MultiColumnSpec {
-    /// Column name used to address predicates.
-    pub name: String,
-    /// The column's full typed keys, in row order.
-    pub keys: ErasedColumn,
-    /// Number of range shards for the inner code index.
-    pub shards: usize,
-    /// Per-shard indexing budget policy.
-    pub policy: BudgetPolicy,
-    /// Algorithm selection for the inner code index.
-    pub choice: AlgorithmChoice,
-}
-
-impl MultiColumnSpec {
-    /// A column with default sharding, budget and algorithm selection.
-    pub fn new(name: impl Into<String>, keys: ErasedColumn) -> Self {
-        MultiColumnSpec {
-            name: name.into(),
-            keys,
-            shards: 4,
-            policy: BudgetPolicy::FixedDelta(0.25),
-            choice: AlgorithmChoice::default(),
-        }
-    }
-
-    /// Sets the shard count (builder style).
-    pub fn with_shards(mut self, shards: usize) -> Self {
-        self.shards = shards;
-        self
-    }
-
-    /// Sets the per-shard budget policy (builder style).
-    pub fn with_policy(mut self, policy: BudgetPolicy) -> Self {
-        self.policy = policy;
-        self
-    }
-
-    /// Sets the algorithm selection (builder style).
-    pub fn with_choice(mut self, choice: AlgorithmChoice) -> Self {
-        self.choice = choice;
-        self
-    }
-}
+/// A [`MultiTable`] column: a [`ColumnSpec`] over one (possibly
+/// heterogeneous) column of full typed keys.
+pub type MultiColumnSpec = ColumnSpec<ErasedColumn>;
 
 /// The row-aligned side of a [`MultiTable`]: each column's keys (strings
 /// as their row keys), plus the live bitmap. Rows are append-only — a delete marks its slot
@@ -244,23 +200,31 @@ impl MultiTableBuilder {
         let mut builder = Table::builder();
         let mut names = Vec::with_capacity(self.specs.len());
         let mut columns: Vec<RowColumn> = Vec::with_capacity(self.specs.len());
-        for spec in self.specs {
-            let column = RowColumn::from(spec.keys);
+        for ColumnSpec {
+            name,
+            keys,
+            shards,
+            policy,
+            choice,
+        } in self.specs
+        {
+            let column = RowColumn::from(keys);
             let rows = columns.first().map_or(column.len(), RowColumn::len);
             assert!(rows <= u32::MAX as usize, "at most u32::MAX rows");
             assert_eq!(
                 column.len(),
                 rows,
-                "column {:?} must hold the same row count as its siblings",
-                spec.name
+                "column {name:?} must hold the same row count as its siblings"
             );
-            builder = builder.column(
-                ColumnSpec::new(spec.name.clone(), column.codes())
-                    .with_shards(spec.shards)
-                    .with_policy(spec.policy)
-                    .with_choice(spec.choice),
-            );
-            names.push(spec.name);
+            let keys = column.codes();
+            builder = builder.column(ColumnSpec {
+                name: name.clone(),
+                keys,
+                shards,
+                policy,
+                choice,
+            });
+            names.push(name);
             columns.push(column);
         }
         let rows = columns[0].len();
@@ -846,6 +810,7 @@ fn decode_cell_sum(column: &RowColumn, sum: u128, count: u64) -> Option<ErasedSu
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pi_core::budget::BudgetPolicy;
     use pi_core::testing::random_column;
 
     #[test]

@@ -49,28 +49,43 @@ impl Default for AlgorithmChoice {
     }
 }
 
-/// Specification of one column of a [`Table`].
+/// Specification of one column: its name, its keys in row order, and how
+/// it is sharded and indexed. The three table facades share it and differ
+/// only in the keys `K`:
+///
+/// * a [`Table`] column holds `u64` values (`ColumnSpec`, the default);
+/// * a [`TypedTable<K>`](crate::typed::TypedTable) column holds typed keys
+///   ([`TypedColumnSpec<K>`](crate::typed::TypedColumnSpec), keys
+///   `Vec<K>`);
+/// * a [`MultiTable`](crate::multicol::MultiTable) column holds one
+///   [`ErasedColumn`](crate::erased::ErasedColumn)
+///   ([`MultiColumnSpec`](crate::multicol::MultiColumnSpec)).
+///
+/// The typed facades encode their keys into the `u64` codes of an inner
+/// [`Table`], so their shard boundaries are drawn equi-depth in encoded
+/// space.
 #[derive(Debug, Clone)]
-pub struct ColumnSpec {
+pub struct ColumnSpec<K = Vec<Value>> {
     /// Column name used to address queries.
     pub name: String,
-    /// The column's values, in row order.
-    pub values: Vec<Value>,
+    /// The column's keys, in row order.
+    pub keys: K,
     /// Number of range shards.
     pub shards: usize,
     /// Per-shard indexing budget policy.
     pub policy: BudgetPolicy,
-    /// Algorithm selection.
+    /// Algorithm selection (the decision tree runs over the encoded
+    /// distribution).
     pub choice: AlgorithmChoice,
 }
 
-impl ColumnSpec {
-    /// A column with decision-tree algorithm selection and no query-shape
-    /// hint.
-    pub fn new(name: impl Into<String>, values: Vec<Value>) -> Self {
+impl<K> ColumnSpec<K> {
+    /// A column of four shards at `FixedDelta(0.25)`, with decision-tree
+    /// algorithm selection and no query-shape hint.
+    pub fn new(name: impl Into<String>, keys: K) -> Self {
         ColumnSpec {
             name: name.into(),
-            values,
+            keys,
             shards: 4,
             policy: BudgetPolicy::FixedDelta(0.25),
             choice: AlgorithmChoice::default(),
@@ -172,8 +187,6 @@ struct ColumnObs {
 /// exactly on every applied mutation.
 pub struct ShardedColumn {
     name: String,
-    rows: usize,
-    domain: (Value, Value),
     algorithm: Algorithm,
     policy: BudgetPolicy,
     partition: RangePartition,
@@ -209,11 +222,11 @@ impl ShardedColumn {
             AlgorithmChoice::Fixed(a) => a,
             AlgorithmChoice::Auto(shape) => recommend(Scenario {
                 query_shape: shape,
-                distribution: estimate_distribution(&spec.values),
+                distribution: estimate_distribution(&spec.keys),
                 extra_memory_allowed: true,
             }),
         };
-        let column = Column::from_vec(spec.values);
+        let column = Column::from_vec(spec.keys);
         let partition = RangePartition::equi_depth(column.data(), spec.shards);
         Self::build(spec.name, column, partition, algorithm, spec.policy)
     }
@@ -257,18 +270,8 @@ impl ShardedColumn {
         shards: Vec<MutableIndex>,
     ) -> Self {
         let shard_rows: Vec<usize> = digests.iter().map(|d| d.total.count as usize).collect();
-        let domain = digests
-            .iter()
-            .filter(|d| d.total.count > 0)
-            .fold(None, |acc: Option<(Value, Value)>, d| match acc {
-                None => Some((d.min, d.max)),
-                Some((lo, hi)) => Some((lo.min(d.min), hi.max(d.max))),
-            })
-            .unwrap_or((0, 0));
         let column = ShardedColumn {
             name,
-            rows: shard_rows.iter().sum(),
-            domain,
             algorithm,
             policy,
             partition,
@@ -422,12 +425,6 @@ impl ShardedColumn {
         &self.name
     }
 
-    /// Number of rows at construction (or the last re-balance). Mutations
-    /// move the live count; see [`ShardedColumn::live_rows`].
-    pub fn rows(&self) -> usize {
-        self.rows
-    }
-
     /// Current number of live rows, summed from the per-shard digests
     /// (no shard locks taken).
     pub fn live_rows(&self) -> usize {
@@ -437,18 +434,13 @@ impl ShardedColumn {
             .sum()
     }
 
-    /// The `[min, max]` value domain of the column (`(0, 0)` when empty).
-    pub fn domain(&self) -> (Value, Value) {
-        self.domain
-    }
-
     /// The algorithm running on every shard of this column.
     pub fn algorithm(&self) -> Algorithm {
         self.algorithm
     }
 
     /// The per-shard indexing budget policy of this column.
-    pub fn policy(&self) -> BudgetPolicy {
+    pub(crate) fn policy(&self) -> BudgetPolicy {
         self.policy
     }
 
@@ -480,12 +472,12 @@ impl ShardedColumn {
     /// Live-row weight drift across shards: `1.0` is perfectly balanced;
     /// values past an operational threshold (≈ `2.0`) call for
     /// [`Table::rebalance_if_drifted`].
-    pub fn weight_drift(&self) -> f64 {
+    pub(crate) fn weight_drift(&self) -> f64 {
         RangePartition::weight_drift(&self.shard_live_rows())
     }
 
     /// The contiguous shard range a `[low, high]` predicate must visit.
-    pub fn overlapping(&self, low: Value, high: Value) -> std::ops::Range<usize> {
+    pub(crate) fn overlapping(&self, low: Value, high: Value) -> std::ops::Range<usize> {
         self.partition.overlapping(low, high)
     }
 
@@ -555,7 +547,7 @@ impl ShardedColumn {
     }
 
     /// The shard a single-value mutation (insert, delete) routes to.
-    pub fn shard_of(&self, v: Value) -> usize {
+    pub(crate) fn shard_of(&self, v: Value) -> usize {
         self.partition.shard_of(v)
     }
 
@@ -706,7 +698,7 @@ impl ShardedColumn {
     /// queries it serves stay exact throughout (answers never depend on
     /// indexing progress); the progress sacrificed is the sorting of shards
     /// that were still unsorted, and every shard's tree.
-    pub fn rebalance(&mut self) {
+    pub(crate) fn rebalance(&mut self) {
         let mut live: Vec<Value> = Vec::new();
         for shard in &self.shards {
             live.extend(shard.lock().expect("shard lock poisoned").live_values());
@@ -963,8 +955,9 @@ impl Table {
     }
 
     /// Re-balances every column whose live-row weight drift exceeds
-    /// `threshold` (see [`ShardedColumn::weight_drift`]; `2.0` is a
-    /// reasonable operational setting). Returns how many columns were
+    /// `threshold` (the heaviest shard's live rows over the mean, see
+    /// [`RangePartition::weight_drift`]; `2.0` is a reasonable
+    /// operational setting). Returns how many columns were
     /// re-balanced. Stop-the-world: requires exclusive access, so it runs
     /// in maintenance windows, not under an attached executor.
     pub fn rebalance_if_drifted(&mut self, threshold: f64) -> usize {

@@ -89,7 +89,6 @@ use std::cmp::Ordering;
 use std::collections::BTreeMap;
 use std::sync::{Arc, RwLock, RwLockReadGuard};
 
-use pi_core::budget::BudgetPolicy;
 use pi_core::mutation::Mutation;
 use pi_obs::{Counter, MetricsRegistry};
 use pi_storage::encoding::OrderedKey;
@@ -97,8 +96,8 @@ use pi_storage::scan::ScanResult;
 use pi_storage::{StrPrefix, Value};
 
 use crate::erased::{str_key, LONG};
-use crate::executor::{EngineError, Executor, ExecutorConfig};
-use crate::table::{AlgorithmChoice, ColumnSpec, Table};
+use crate::executor::{EngineError, Executor, ExecutorConfig, TableQuery};
+use crate::table::{ColumnSpec, Table};
 
 /// How a key domain plugs into the engine: encoding into the `u64` core,
 /// exact key order, and the domain's digest capabilities.
@@ -195,55 +194,8 @@ impl TableKey for String {
     }
 }
 
-/// Specification of one typed column (mirror of
-/// [`ColumnSpec`] in a key domain).
-#[derive(Debug, Clone)]
-pub struct TypedColumnSpec<K: TableKey> {
-    /// Column name used to address queries.
-    pub name: String,
-    /// The column's keys, in row order.
-    pub keys: Vec<K>,
-    /// Number of range shards (boundaries drawn equi-depth in encoded
-    /// space).
-    pub shards: usize,
-    /// Per-shard indexing budget policy.
-    pub policy: BudgetPolicy,
-    /// Algorithm selection (decision tree over the encoded distribution,
-    /// or pinned).
-    pub choice: AlgorithmChoice,
-}
-
-impl<K: TableKey> TypedColumnSpec<K> {
-    /// A typed column with the same defaults as
-    /// [`ColumnSpec::new`](crate::table::ColumnSpec::new).
-    pub fn new(name: impl Into<String>, keys: Vec<K>) -> Self {
-        TypedColumnSpec {
-            name: name.into(),
-            keys,
-            shards: 4,
-            policy: BudgetPolicy::FixedDelta(0.25),
-            choice: AlgorithmChoice::default(),
-        }
-    }
-
-    /// Sets the shard count (builder style).
-    pub fn with_shards(mut self, shards: usize) -> Self {
-        self.shards = shards;
-        self
-    }
-
-    /// Sets the per-shard budget policy (builder style).
-    pub fn with_policy(mut self, policy: BudgetPolicy) -> Self {
-        self.policy = policy;
-        self
-    }
-
-    /// Sets the algorithm selection (builder style).
-    pub fn with_choice(mut self, choice: AlgorithmChoice) -> Self {
-        self.choice = choice;
-        self
-    }
-}
+/// A [`TypedTable`] column: a [`ColumnSpec`] over typed keys.
+pub type TypedColumnSpec<K> = ColumnSpec<Vec<K>>;
 
 /// A typed range-query answer: exact COUNT always, SUM only where the
 /// key domain supports decoding it (see the module's capability matrix).
@@ -257,40 +209,9 @@ pub struct TypedResult<K: TableKey> {
     pub sum: Option<K::Sum>,
 }
 
-impl<K: TableKey> TypedResult<K> {
-    /// The empty answer: zero rows, and the key-domain zero SUM where
-    /// the domain supports SUM at all (so empty ranges and
-    /// non-overlapping ranges answer identically).
-    pub fn empty() -> Self {
-        TypedResult {
-            count: 0,
-            sum: K::decode_sum(ScanResult::EMPTY),
-        }
-    }
-}
-
-/// A typed range query (`SELECT COUNT/SUM WHERE column BETWEEN low AND
-/// high`, bounds inclusive under the key domain's total order).
-#[derive(Debug, Clone, PartialEq)]
-pub struct TypedQuery<K: TableKey> {
-    /// Name of the queried column.
-    pub column: String,
-    /// Lower bound (inclusive).
-    pub low: K,
-    /// Upper bound (inclusive; `low > high` is the empty range).
-    pub high: K,
-}
-
-impl<K: TableKey> TypedQuery<K> {
-    /// Creates a typed query.
-    pub fn new(column: impl Into<String>, low: K, high: K) -> Self {
-        TypedQuery {
-            column: column.into(),
-            low,
-            high,
-        }
-    }
-}
+/// A [`TypedTable`] range query: a [`TableQuery`] over typed bounds,
+/// inclusive under the key domain's total order.
+pub type TypedQuery<K> = TableQuery<K>;
 
 /// A typed mutation in the key domain (mirror of
 /// [`pi_core::mutation::Mutation`]).
@@ -485,17 +406,25 @@ impl<K: TableKey> TypedTableBuilder<K> {
             tie_hits = Some(registry.counter("engine.tie_break_hits"));
         }
         let mut ties = Vec::new();
-        for spec in self.specs {
+        for ColumnSpec {
+            name,
+            keys,
+            shards,
+            policy,
+            choice,
+        } in self.specs
+        {
             if K::PREFIX_ENCODED {
-                ties.push(RwLock::new(TieTable::build(&spec.keys)));
+                ties.push(RwLock::new(TieTable::build(&keys)));
             }
-            let values: Vec<u64> = spec.keys.iter().map(TableKey::to_code).collect();
-            builder = builder.column(
-                ColumnSpec::new(spec.name, values)
-                    .with_shards(spec.shards)
-                    .with_policy(spec.policy)
-                    .with_choice(spec.choice),
-            );
+            let keys = keys.iter().map(TableKey::to_code).collect();
+            builder = builder.column(ColumnSpec {
+                name,
+                keys,
+                shards,
+                policy,
+                choice,
+            });
         }
         TypedTable {
             inner: Arc::new(builder.build()),
@@ -725,6 +654,17 @@ impl<K: TableKey> TypedExecutor<K> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl<K: TableKey> TypedResult<K> {
+        /// The empty answer: zero rows, and the key-domain zero SUM where
+        /// the domain supports SUM at all.
+        fn empty() -> Self {
+            TypedResult {
+                count: 0,
+                sum: K::decode_sum(ScanResult::EMPTY),
+            }
+        }
+    }
 
     /// Ground-truth count over a slice of keys, by key order.
     fn oracle_count<K: TableKey>(keys: &[K], low: &K, high: &K) -> u64 {

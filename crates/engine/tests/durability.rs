@@ -842,3 +842,36 @@ fn completed_merges_trigger_one_checkpoint() {
         recovers_to(&wal, &store, &oracle);
     }
 }
+
+/// A rebalance needs the only handle on the table: while a clone of it
+/// is alive, `rebalance_if_drifted` returns `TableShared` and changes
+/// nothing, neither the log nor any column's shards nor an answer. A
+/// threshold of 0.5 selects every column, since the heaviest shard never
+/// holds fewer than the mean.
+#[test]
+fn a_shared_table_refuses_to_rebalance() {
+    let wal = MemWalHandle::new();
+    let store = MemStore::new();
+    let mut durable = build_durable(values(6_000, 6_000, 97), 4, &wal, &store, durable_config());
+    let boundaries = |table: &Table| -> Vec<Vec<Value>> {
+        table
+            .columns()
+            .iter()
+            .map(|c| c.partition().boundaries().to_vec())
+            .collect()
+    };
+    let shared = Arc::clone(durable.table());
+    let (logged, before, whole) = (
+        wal.len(),
+        boundaries(&shared),
+        shared.query("a", 0, Value::MAX).unwrap(),
+    );
+    assert!(matches!(
+        durable.rebalance_if_drifted(0.5),
+        Err(DurabilityError::TableShared)
+    ));
+    assert_eq!(wal.len(), logged);
+    assert_eq!(boundaries(durable.table()), before);
+    assert_eq!(durable.table().query("a", 0, Value::MAX).unwrap(), whole);
+    drop(shared);
+}

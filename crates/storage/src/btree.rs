@@ -115,18 +115,6 @@ impl StaticBTree {
         Self::build(sorted, DEFAULT_FANOUT)
     }
 
-    /// The fan-out `β` the tree was built with.
-    #[inline]
-    pub fn fanout(&self) -> usize {
-        self.fanout
-    }
-
-    /// Number of internal levels above the leaf array.
-    #[inline]
-    pub fn height(&self) -> usize {
-        self.levels.len()
-    }
-
     /// Total number of keys stored in internal levels
     /// (`N_copy` from the consolidation cost model).
     pub fn internal_key_count(&self) -> usize {
@@ -136,11 +124,6 @@ impl StaticBTree {
     /// Position of the first leaf element `>= key`.
     pub fn lower_bound(&self, leaves: &[Value], key: Value) -> usize {
         self.descend(leaves, [(key, Bound::Lower)])[0]
-    }
-
-    /// Position of the first leaf element `> key`.
-    pub fn upper_bound(&self, leaves: &[Value], key: Value) -> usize {
-        self.descend(leaves, [(key, Bound::Upper)])[0]
     }
 
     /// Answers `SELECT SUM(a), COUNT(a) WHERE a BETWEEN low AND high` over
@@ -431,6 +414,18 @@ impl BTreeBuilder {
 mod tests {
     use super::*;
     use crate::scan::scan_range_sum;
+
+    impl StaticBTree {
+        /// Number of internal levels above the leaf array.
+        fn height(&self) -> usize {
+            self.levels.len()
+        }
+
+        /// Position of the first leaf element `> key`.
+        fn upper_bound(&self, leaves: &[Value], key: Value) -> usize {
+            self.descend(leaves, [(key, Bound::Upper)])[0]
+        }
+    }
 
     fn sorted_data(n: usize) -> Vec<Value> {
         // Deterministic pseudo-random data with duplicates, then sorted.

@@ -115,20 +115,6 @@ impl Column {
         &self.data
     }
 
-    /// Value stored at `row`.
-    ///
-    /// # Panics
-    /// Panics when `row >= self.len()`.
-    #[inline]
-    pub fn get(&self, row: usize) -> Value {
-        self.data[row]
-    }
-
-    /// Iterator over the values in row order.
-    pub fn iter(&self) -> impl Iterator<Item = Value> + '_ {
-        self.data.iter().copied()
-    }
-
     /// Consumes the column and returns the underlying vector.
     pub fn into_vec(self) -> Vec<Value> {
         self.data
@@ -215,9 +201,8 @@ mod tests {
     #[test]
     fn get_and_iter_agree() {
         let c = Column::from_vec(vec![7, 8, 9]);
-        let collected: Vec<Value> = c.iter().collect();
-        assert_eq!(collected, vec![7, 8, 9]);
-        assert_eq!(c.get(1), 8);
+        assert_eq!(c.data(), &[7, 8, 9]);
+        assert_eq!(c.into_vec(), vec![7, 8, 9]);
     }
 
     #[test]

@@ -38,7 +38,7 @@ pub struct GroupCell {
 
 impl GroupCell {
     /// The cell of a single value.
-    pub fn of(v: Value) -> Self {
+    pub(crate) fn of(v: Value) -> Self {
         GroupCell {
             sum: v as u128,
             count: 1,
@@ -48,7 +48,7 @@ impl GroupCell {
     }
 
     /// Folds one more value into the cell.
-    pub fn absorb(&mut self, v: Value) {
+    pub(crate) fn absorb(&mut self, v: Value) {
         self.sum += v as u128;
         self.count += 1;
         self.min = self.min.min(v);
@@ -57,7 +57,7 @@ impl GroupCell {
 
     /// Merges another cell of the *same bucket* into this one (the
     /// cross-shard fold: per-shard trees share the global grid).
-    pub fn merge(&mut self, other: &GroupCell) {
+    pub(crate) fn merge(&mut self, other: &GroupCell) {
         self.sum += other.sum;
         self.count += other.count;
         self.min = self.min.min(other.min);
@@ -142,31 +142,6 @@ impl DigestTree {
             .or_insert_with(|| GroupCell::of(v));
     }
 
-    /// The grid width the tree was built over.
-    pub fn width(&self) -> Value {
-        self.width
-    }
-
-    /// Number of materialised (non-empty) buckets.
-    pub fn len(&self) -> usize {
-        self.cells.len()
-    }
-
-    /// `true` when no bucket is materialised (no live values).
-    pub fn is_empty(&self) -> bool {
-        self.cells.is_empty()
-    }
-
-    /// The cell of bucket `bucket`, when materialised.
-    pub fn cell(&self, bucket: u64) -> Option<&GroupCell> {
-        self.cells.get(&bucket)
-    }
-
-    /// Iterates the non-empty buckets in ascending bucket order.
-    pub fn cells(&self) -> impl Iterator<Item = (u64, &GroupCell)> {
-        self.cells.iter().map(|(&b, cell)| (b, cell))
-    }
-
     /// The non-empty buckets whose grid range overlaps the predicate
     /// `[low, high]` — i.e. every bucket in
     /// `[bucket_of(low), bucket_of(high)]` — in ascending bucket order.
@@ -205,6 +180,23 @@ impl DigestTree {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl DigestTree {
+        /// Number of materialised (non-empty) buckets.
+        fn len(&self) -> usize {
+            self.cells.len()
+        }
+
+        /// `true` when no bucket is materialised (no live values).
+        fn is_empty(&self) -> bool {
+            self.cells.is_empty()
+        }
+
+        /// The cell of bucket `bucket`, when materialised.
+        fn cell(&self, bucket: u64) -> Option<&GroupCell> {
+            self.cells.get(&bucket)
+        }
+    }
 
     #[test]
     fn cells_are_exact_per_bucket() {

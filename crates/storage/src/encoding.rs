@@ -226,11 +226,6 @@ impl StrPrefix {
         prefix[..take].copy_from_slice(&bytes[..take]);
         StrPrefix(prefix)
     }
-
-    /// The padded prefix bytes.
-    pub fn as_bytes(&self) -> &[u8; STR_PREFIX_LEN] {
-        &self.0
-    }
 }
 
 impl From<&str> for StrPrefix {

@@ -324,7 +324,10 @@ mod tests {
         for shard in &shards {
             if !shard.is_empty() {
                 assert!(shard.min() <= shard.max());
-                assert!(shard.iter().all(|v| v >= shard.min() && v <= shard.max()));
+                assert!(shard
+                    .data()
+                    .iter()
+                    .all(|&v| v >= shard.min() && v <= shard.max()));
             }
         }
     }

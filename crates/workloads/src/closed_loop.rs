@@ -48,24 +48,9 @@ pub struct LatencyPercentiles {
 }
 
 impl LatencyPercentiles {
-    /// Computes percentiles from raw per-batch latencies (any order) by
-    /// folding them through a [`pi_obs::Histogram`] — the same estimator
-    /// the serving stack exports, so driver reports and server metrics
-    /// agree on what "p99" means. Each reported percentile is the √2
-    /// bucket upper bound: never below the exact nearest-rank sample and
-    /// at most one bucket above it. Returns all-zero percentiles for an
-    /// empty sample.
-    pub fn from_samples(samples: Vec<Duration>) -> Self {
-        let histogram = Histogram::new();
-        for sample in samples {
-            histogram.record_duration(sample);
-        }
-        LatencyPercentiles::from_histogram(&histogram.snapshot())
-    }
-
     /// Reads percentiles out of an already-aggregated histogram snapshot,
     /// e.g. a server-side `*_ns` latency histogram merged across workers.
-    pub fn from_histogram(snapshot: &HistogramSnapshot) -> Self {
+    pub(crate) fn from_histogram(snapshot: &HistogramSnapshot) -> Self {
         LatencyPercentiles {
             p50: snapshot.quantile_duration(0.50),
             p95: snapshot.quantile_duration(0.95),
@@ -175,6 +160,19 @@ where
 mod tests {
     use super::*;
     use crate::multi_client::{self, MultiClientSpec};
+
+    impl LatencyPercentiles {
+        /// Percentiles of raw latencies (any order), folded through a
+        /// [`pi_obs::Histogram`] the way the serving stack exports them:
+        /// each is the √2 bucket upper bound, all zero for no samples.
+        fn from_samples(samples: Vec<Duration>) -> Self {
+            let histogram = Histogram::new();
+            for sample in samples {
+                histogram.record_duration(sample);
+            }
+            LatencyPercentiles::from_histogram(&histogram.snapshot())
+        }
+    }
 
     #[test]
     fn drives_every_query_of_every_client() {

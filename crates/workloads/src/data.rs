@@ -17,7 +17,7 @@ use rand::{Rng, SeedableRng};
 
 /// Column element type re-exported for convenience (an unsigned 64-bit
 /// integer, as in `pi-storage`).
-pub type Value = u64;
+pub(crate) type Value = u64;
 
 /// The two synthetic data distributions of the paper.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -31,7 +31,7 @@ pub enum Distribution {
 
 impl Distribution {
     /// Short label used in experiment output.
-    pub fn label(self) -> &'static str {
+    pub(crate) fn label(self) -> &'static str {
         match self {
             Distribution::UniformRandom => "uniform-random",
             Distribution::Skewed => "skewed",
@@ -76,7 +76,7 @@ pub fn skewed(n: usize, seed: u64) -> Vec<Value> {
 ///
 /// # Panics
 /// Panics when the fractions are outside `(0, 1]`.
-pub fn skewed_with(n: usize, seed: u64, hot_fraction: f64, hot_width: f64) -> Vec<Value> {
+pub(crate) fn skewed_with(n: usize, seed: u64, hot_fraction: f64, hot_width: f64) -> Vec<Value> {
     assert!(
         hot_fraction > 0.0 && hot_fraction <= 1.0,
         "hot fraction must lie in (0, 1], got {hot_fraction}"

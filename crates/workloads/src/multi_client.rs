@@ -44,18 +44,8 @@ pub struct ClientStream {
 }
 
 impl MultiClientSpec {
-    /// A multi-client workload where every client runs a different
-    /// Figure-6 pattern over the same domain.
-    pub fn mixed(clients: usize, domain: u64, queries_per_client: usize) -> Self {
-        MultiClientSpec {
-            clients,
-            base: WorkloadSpec::range(domain, queries_per_client),
-            assignment: PatternAssignment::AllPatterns,
-        }
-    }
-
     /// The pattern client `client` is assigned.
-    pub fn pattern_for(&self, client: usize) -> Pattern {
+    pub(crate) fn pattern_for(&self, client: usize) -> Pattern {
         match &self.assignment {
             PatternAssignment::Uniform(p) => *p,
             PatternAssignment::RoundRobin(ps) => {
@@ -104,6 +94,18 @@ pub fn generate(spec: &MultiClientSpec) -> Vec<ClientStream> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl MultiClientSpec {
+        /// A multi-client workload where every client runs a different
+        /// Figure-6 pattern over the same domain.
+        pub(crate) fn mixed(clients: usize, domain: u64, queries_per_client: usize) -> Self {
+            MultiClientSpec {
+                clients,
+                base: WorkloadSpec::range(domain, queries_per_client),
+                assignment: PatternAssignment::AllPatterns,
+            }
+        }
+    }
 
     #[test]
     fn every_client_gets_its_own_stream() {

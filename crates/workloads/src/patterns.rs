@@ -46,16 +46,6 @@ impl RangeQuery {
             }
         }
     }
-
-    /// `true` when the query selects a single value.
-    pub fn is_point(&self) -> bool {
-        self.low == self.high
-    }
-
-    /// Width of the selected value range (number of selectable values).
-    pub fn width(&self) -> u64 {
-        self.high - self.low + 1
-    }
 }
 
 /// The eight synthetic workload patterns of Figure 6.
@@ -105,7 +95,7 @@ impl Pattern {
     ];
 
     /// Short label used in experiment output (matches the paper's tables).
-    pub fn label(self) -> &'static str {
+    pub(crate) fn label(self) -> &'static str {
         match self {
             Pattern::SeqOver => "SeqOver",
             Pattern::ZoomOutAlt => "ZoomOutAlt",
@@ -165,19 +155,6 @@ impl WorkloadSpec {
     /// Sets the RNG seed (builder style).
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
-        self
-    }
-
-    /// Sets the selectivity (builder style).
-    ///
-    /// # Panics
-    /// Panics when `selectivity` is not in `(0, 1]`.
-    pub fn with_selectivity(mut self, selectivity: f64) -> Self {
-        assert!(
-            selectivity > 0.0 && selectivity <= 1.0,
-            "selectivity must lie in (0, 1], got {selectivity}"
-        );
-        self.selectivity = selectivity;
         self
     }
 
@@ -308,18 +285,44 @@ pub fn generate(pattern: Pattern, spec: &WorkloadSpec) -> Vec<RangeQuery> {
     queries
 }
 
-/// Generates every pattern of [`Pattern::ALL`] under the same spec —
-/// convenient for experiment sweeps.
-pub fn generate_all(spec: &WorkloadSpec) -> Vec<(Pattern, Vec<RangeQuery>)> {
-    Pattern::ALL
-        .iter()
-        .map(|&p| (p, generate(p, spec)))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl RangeQuery {
+        /// `true` when the query selects a single value.
+        fn is_point(&self) -> bool {
+            self.low == self.high
+        }
+
+        /// Width of the selected value range (number of selectable values).
+        fn width(&self) -> u64 {
+            self.high - self.low + 1
+        }
+    }
+
+    impl WorkloadSpec {
+        /// Sets the selectivity (builder style).
+        ///
+        /// # Panics
+        /// Panics when `selectivity` is not in `(0, 1]`.
+        fn with_selectivity(mut self, selectivity: f64) -> Self {
+            assert!(
+                selectivity > 0.0 && selectivity <= 1.0,
+                "selectivity must lie in (0, 1], got {selectivity}"
+            );
+            self.selectivity = selectivity;
+            self
+        }
+    }
+
+    /// Every pattern of [`Pattern::ALL`] under the same spec.
+    fn generate_all(spec: &WorkloadSpec) -> Vec<(Pattern, Vec<RangeQuery>)> {
+        Pattern::ALL
+            .iter()
+            .map(|&p| (p, generate(p, spec)))
+            .collect()
+    }
 
     const DOMAIN: u64 = 1_000_000;
 

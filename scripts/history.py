@@ -16,7 +16,16 @@ pairs, medians apart by more than the parent's interquartile distance;
 REGRESSION: median worse by more than the metric's bound in
 BENCHMARK.json).
 
-Under the blocks it prints the baselines table: per workload, the exact
+Under the blocks it chains the blocks since the newest `re-anchor @`
+commit in `git log` (those whose parent is that commit or a descendant of
+it): per workload x end-to-end metric, the product of the change/parent
+median ratios, one per parent commit (the newest block of that parent
+that ran the workload, so a rerun replaces the run it repeats). A product
+worse than the metric's bound gets a flag line: a chain of ratios that
+each sit inside the noise also chains that noise, so only a direct pair
+against the anchor confirms or dismisses it.
+
+Then it prints the baselines table: per workload, the exact
 counts of the newest block that ran it, from its change side
 (`ops_to_converge` and `hot_heap_mb` from the paired runs, the `core.*`
 and WAL counts from the traced runs). A count that differs between runs
@@ -111,32 +120,76 @@ def verdict(parent, change, higher, bound):
     return (cm / pm if pm else float("nan")), won, pairs, name
 
 
+def pair_values(block, workload, metric):
+    """The parent and change values of `metric`, aligned by complete pair."""
+    by_pair = {}
+    for run in block["runs"]:
+        if run["workload"] == workload and run["pair"]:
+            by_pair.setdefault(run["pair"], {})[run["side"]] = run
+    pairs = [p for p in sorted(by_pair) if len(by_pair[p]) == 2]
+    return tuple([by_pair[p][s]["metrics"][metric] for p in pairs]
+                 for s in ("parent", "change"))
+
+
 def print_block(number, block, metrics):
     print(f"\nblock {number}: {label(block)} (seed {block['seed']}, "
           f"lines {block['runs'][0]['line']}-{block['runs'][-1]['line']})")
     print(f"  {'workload':<16}" + "".join(f"{m['name'][:15]:>16}" for m in metrics)
           + "  failed/attempted  wrong")
     for workload in block["workloads"]:
-        paired = [r for r in block["runs"] if r["workload"] == workload and r["pair"]]
-        by_pair = {}
-        for run in paired:
-            by_pair.setdefault(run["pair"], {})[run["side"]] = run
-        pairs = [p for p in sorted(by_pair) if len(by_pair[p]) == 2]
-        if len(pairs) < 2:
+        if len(pair_values(block, workload, metrics[0]["name"])[0]) < 2:
             print(f"  {workload:<16}  (fewer than two complete pairs)")
             continue
         cells = []
         for m in metrics:
-            values = {s: [by_pair[p][s]["metrics"][m["name"]] for p in pairs]
-                      for s in ("parent", "change")}
-            ratio, won, n, name = verdict(values["parent"], values["change"],
-                                          m["better"] == "higher", m["bound"])
+            parent, change = pair_values(block, workload, m["name"])
+            ratio, won, n, name = verdict(parent, change, m["better"] == "higher", m["bound"])
             cells.append(f"{ratio:.3f} {won:>2}/{n}{MARK[name]}")
+        paired = [r for r in block["runs"] if r["workload"] == workload and r["pair"]]
         failed = sum(r["failed"] for r in paired)
         attempted = sum(r["attempted"] for r in paired)
         wrong = sum(not r["correct"] for r in paired)
         print(f"  {workload:<16}" + "".join(f"{c:>16}" for c in cells)
               + f"  {failed}/{attempted:<14}  {wrong}")
+
+
+def print_chain(all_blocks, metrics, workloads):
+    anchor = git("log", "-1", "--grep=^re-anchor @", "--format=%H")
+    if not anchor:
+        return
+    since = [(i, b) for i, b in enumerate(all_blocks, 1) if b["parent"]
+             and subprocess.run(["git", "-C", ROOT, "merge-base", "--is-ancestor",
+                                 anchor, b["parent"]]).returncode == 0]
+    print(f"\nchained since re-anchor {anchor[:7]} (product of the per-parent ratios):")
+    print(f"  {'workload':<16}" + "".join(f"{m['name'][:15]:>16}" for m in metrics)
+          + "  blocks")
+    flags = []
+    for workload in workloads:
+        newest = {}
+        for number, block in since:
+            if workload in block["workloads"]:
+                newest[block["parent"]] = (number, block)
+        steps = [(n, b) for n, b in newest.values()
+                 if len(pair_values(b, workload, metrics[0]["name"])[0]) >= 2]
+        if not steps:
+            continue
+        cells = []
+        for m in metrics:
+            product = 1.0
+            for _, block in steps:
+                parent, change = pair_values(block, workload, m["name"])
+                product *= verdict(parent, change, m["better"] == "higher", None)[0]
+            cells.append(f"{product:.3f}")
+            worse_by = (1 - product) if m["better"] == "higher" else (product - 1)
+            if worse_by > m["bound"]:
+                flags.append(f"FLAG {workload} {m['name']}: chained ratio {product:.3f} is "
+                             f"worse than its bound {m['bound']}; a direct pair against the "
+                             f"anchor (scripts/pibench_ab.sh {anchor[:7]} {workload} 1) must "
+                             "confirm or dismiss it")
+        print(f"  {workload:<16}" + "".join(f"{c:>16}" for c in cells)
+              + "  " + ",".join(str(n) for n, _ in steps))
+    for flag in flags:
+        print(flag)
 
 
 def exact(values):
@@ -180,6 +233,7 @@ def main():
           "(+ gain, - worse within bound, ! REGRESSION, = equal)")
     for number, block in enumerate(all_blocks, 1):
         print_block(number, block, bench["end_to_end"])
+    print_chain(all_blocks, bench["end_to_end"], [w["name"] for w in bench["workloads"]])
     print_baselines(all_blocks, [w["name"] for w in bench["workloads"]])
 
 
