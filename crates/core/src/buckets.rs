@@ -369,7 +369,7 @@ mod tests {
     }
 
     impl BucketSet {
-        pub(crate) fn push(&mut self, bucket: usize, value: Value) {
+        fn push(&mut self, bucket: usize, value: Value) {
             self.extend_from_slice(bucket, &[value]);
         }
 
