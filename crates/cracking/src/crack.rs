@@ -1,22 +1,17 @@
-//! Partitioning kernels ("cracking kernels") shared by the adaptive
-//! indexing baselines.
+//! The cracking kernel shared by the adaptive indexing baselines.
 //!
-//! Every kernel partitions a slice region around a pivot with the
-//! predicate `< pivot`: after the call, all elements smaller than the
-//! pivot precede all elements greater than or equal to it, and the
-//! returned split position is the first index of the `>= pivot` region.
+//! The kernel partitions a slice region around a pivot with the predicate
+//! `< pivot`: after the call, all elements smaller than the pivot precede
+//! all elements greater than or equal to it, and the split position is the
+//! first index of the `>= pivot` region.
 //!
-//! Two kernels are provided:
-//!
-//! * [`crack_in_two`] — the classical two-cursor Hoare-style partition used
-//!   by standard cracking. It runs to completion and reports the number of
-//!   element swaps performed (the unit the *progressive stochastic
-//!   cracking* baseline budgets).
-//! * `PartialCrack` (crate-private) — the same partition as a resumable
-//!   state machine. A crack can be advanced by at most `max_swaps` swaps
-//!   per call, which is exactly how progressive stochastic cracking
-//!   (Halim et al.) limits the per-query reorganisation cost on pieces
-//!   larger than the L2 cache.
+//! `PartialCrack` (crate-private) is the classical two-cursor Hoare-style
+//! partition as a resumable state machine. A crack can be advanced by at
+//! most `max_swaps` swaps per call, which is exactly how progressive
+//! stochastic cracking (Halim et al.) limits the per-query reorganisation
+//! cost on pieces larger than the L2 cache. [`crack_in_two`] runs one to
+//! completion and reports the number of element swaps performed (the unit
+//! progressive stochastic cracking budgets).
 
 use pi_storage::Value;
 
@@ -35,28 +30,19 @@ pub struct CrackResult {
 ///
 /// The kernel is the textbook two-cursor partition: advance the left
 /// cursor over elements already `< pivot`, retreat the right cursor over
-/// elements already `>= pivot`, and swap when both cursors stop.
+/// elements already `>= pivot`, and swap when both cursors stop. It is
+/// the crate's resumable crack run without a swap cap.
 ///
 /// # Panics
 /// Panics when `begin > end` or `end > data.len()`.
 pub fn crack_in_two(data: &mut [Value], begin: usize, end: usize, pivot: Value) -> CrackResult {
     assert!(begin <= end && end <= data.len(), "invalid crack range");
-    let mut lo = begin;
-    let mut hi = end;
-    let mut swaps = 0u64;
-    while lo < hi {
-        if data[lo] < pivot {
-            lo += 1;
-        } else if data[hi - 1] >= pivot {
-            hi -= 1;
-        } else {
-            data.swap(lo, hi - 1);
-            swaps += 1;
-            lo += 1;
-            hi -= 1;
-        }
+    let mut crack = PartialCrack::new(begin, end, pivot);
+    let swaps = crack.step(data, u64::MAX);
+    CrackResult {
+        split: crack.split(),
+        swaps,
     }
-    CrackResult { split: lo, swaps }
 }
 
 /// A [`crack_in_two`] partition that can be advanced a bounded number of

@@ -14,24 +14,19 @@ use pi_core::RangeIndex;
 use pi_storage::{scan, Column, StaticBTree, Value, DEFAULT_FANOUT};
 
 /// Full-scan baseline (`FS` in the paper's tables).
-pub struct FullScan {
+pub(crate) struct FullScan {
     column: Arc<Column>,
-    queries_executed: u64,
 }
 
 impl FullScan {
     /// Creates the baseline over `column`.
     pub(crate) fn new(column: Arc<Column>) -> Self {
-        FullScan {
-            column,
-            queries_executed: 0,
-        }
+        FullScan { column }
     }
 }
 
 impl RangeIndex for FullScan {
     fn query(&mut self, low: Value, high: Value) -> QueryResult {
-        self.queries_executed += 1;
         let result = if low > high {
             scan::ScanResult::EMPTY
         } else {
@@ -64,33 +59,25 @@ impl RangeIndex for FullScan {
 
 /// Full-index baseline (`FI` in the paper's tables): sort + bulk-loaded
 /// B+-tree built entirely by the first query.
-pub struct FullIndex {
+pub(crate) struct FullIndex {
     column: Arc<Column>,
     index: Option<(Vec<Value>, StaticBTree)>,
-    fanout: usize,
-    queries_executed: u64,
 }
 
 impl FullIndex {
-    /// Creates the baseline with the default B+-tree fan-out.
+    /// Creates the baseline over `column`, with the default B+-tree
+    /// fan-out.
     pub(crate) fn new(column: Arc<Column>) -> Self {
-        Self::with_fanout(column, DEFAULT_FANOUT)
-    }
-
-    /// Creates the baseline with an explicit B+-tree fan-out.
-    pub(crate) fn with_fanout(column: Arc<Column>, fanout: usize) -> Self {
         FullIndex {
             column,
             index: None,
-            fanout,
-            queries_executed: 0,
         }
     }
 
     fn build(&mut self) -> u64 {
         let mut sorted = self.column.data().to_vec();
         sorted.sort_unstable();
-        let tree = StaticBTree::build(&sorted, self.fanout);
+        let tree = StaticBTree::build(&sorted, DEFAULT_FANOUT);
         let ops = sorted.len() as u64 + tree.internal_key_count() as u64;
         self.index = Some((sorted, tree));
         ops
@@ -99,7 +86,6 @@ impl FullIndex {
 
 impl RangeIndex for FullIndex {
     fn query(&mut self, low: Value, high: Value) -> QueryResult {
-        self.queries_executed += 1;
         if low > high {
             return QueryResult::answer_only(scan::ScanResult::EMPTY, self.status().phase);
         }
@@ -186,6 +172,5 @@ mod tests {
         let a = idx.query(0, 10).elements_scanned;
         let b = idx.query(2_000, 4_999).elements_scanned;
         assert_eq!(a, b);
-        assert_eq!(idx.queries_executed, 2);
     }
 }

@@ -10,10 +10,8 @@ use pi_core::cost_model::CostConstants;
 use pi_core::{Algorithm, RangeIndex};
 use pi_storage::Column;
 
-use crate::{
-    AdaptiveAdaptiveIndexing, CoarseGranularIndex, FullIndex, FullScan,
-    ProgressiveStochasticCracking, StandardCracking, StochasticCracking,
-};
+use crate::cracking::{Cracking, Rule};
+use crate::full::{FullIndex, FullScan};
 
 /// Every indexing technique of the paper's evaluation (Tables 2–5).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -95,13 +93,17 @@ impl AlgorithmId {
             }
             AlgorithmId::FullScan => Box::new(FullScan::new(column)),
             AlgorithmId::FullIndex => Box::new(FullIndex::new(column)),
-            AlgorithmId::StandardCracking => Box::new(StandardCracking::new(column)),
-            AlgorithmId::StochasticCracking => Box::new(StochasticCracking::new(column)),
+            AlgorithmId::StandardCracking => Box::new(Cracking::new(column, Rule::Standard)),
+            AlgorithmId::StochasticCracking => Box::new(Cracking::new(column, Rule::Stochastic)),
             AlgorithmId::ProgressiveStochasticCracking => {
-                Box::new(ProgressiveStochasticCracking::new(column))
+                Box::new(Cracking::new(column, Rule::ProgressiveStochastic))
             }
-            AlgorithmId::CoarseGranularIndex => Box::new(CoarseGranularIndex::new(column)),
-            AlgorithmId::AdaptiveAdaptive => Box::new(AdaptiveAdaptiveIndexing::new(column)),
+            AlgorithmId::CoarseGranularIndex => {
+                Box::new(Cracking::new(column, Rule::CoarseGranular))
+            }
+            AlgorithmId::AdaptiveAdaptive => {
+                Box::new(Cracking::new(column, Rule::AdaptiveAdaptive))
+            }
         }
     }
 }

@@ -331,7 +331,9 @@ fn rebalance_then_recover_keeps_fresh_boundaries() {
         .partition()
         .boundaries()
         .to_vec();
-    let rebalanced = durable.rebalance_if_drifted(0.05).unwrap();
+    // Drift is max/mean shard weight, never below 1.0: the skew leaves
+    // about 1,500/1,500/1,500/3,900 live rows, a drift of about 1.86.
+    let rebalanced = durable.rebalance_if_drifted(1.5).unwrap();
     assert!(rebalanced > 0, "skewed writes must drift the weights");
     let fresh = durable
         .table()
