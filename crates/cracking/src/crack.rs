@@ -56,8 +56,6 @@ pub fn crack_in_two(data: &mut [Value], begin: usize, end: usize, pivot: Value) 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct PartialCrack {
     pivot: Value,
-    begin: usize,
-    end: usize,
     lo: usize,
     hi: usize,
 }
@@ -68,8 +66,6 @@ impl PartialCrack {
         assert!(begin <= end, "invalid crack range");
         PartialCrack {
             pivot,
-            begin,
-            end,
             lo: begin,
             hi: end,
         }

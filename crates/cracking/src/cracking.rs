@@ -20,8 +20,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::crack::PartialCrack;
-use crate::cracked_column::CrackedColumn;
-use crate::cracker_index::Piece;
+use crate::cracked_column::{CrackedColumn, Piece};
 
 /// Stochastic cracking cracks pieces at or below this many elements
 /// exactly at the query bound instead of around another random pivot
@@ -125,7 +124,8 @@ impl Rule {
     }
 }
 
-/// A cracking index over one column, cracked by its [`Rule`].
+/// A cracking index over one column, cracked by its [`Rule`]. It holds
+/// only the decisions; the [`CrackedColumn`] does every crack it decides.
 pub(crate) struct Cracking {
     column: Arc<Column>,
     cracked: Option<CrackedColumn>,
@@ -162,10 +162,10 @@ impl Cracking {
         let moves = match self.rule {
             Rule::Standard | Rule::Stochastic | Rule::ProgressiveStochastic => 0,
             Rule::CoarseGranular => {
-                partition(&mut cracked, whole, min, max, WAYS.min(n));
+                cracked.partition(whole, min, max, WAYS.min(n));
                 n as u64
             }
-            Rule::AdaptiveAdaptive => partition(&mut cracked, whole, min, max, WAYS),
+            Rule::AdaptiveAdaptive => cracked.partition(whole, min, max, WAYS),
         };
         (cracked, moves)
     }
@@ -178,14 +178,11 @@ impl Cracking {
         // pivots depend only on how many bounds came before.
         let random_draw: u64 = self.rng.gen();
         let cracked = self.cracked.as_mut().expect("built by the query");
-        if cracked.index().position_of(bound).is_some() {
+        if cracked.position_of(bound).is_some() {
             return 0;
         }
         let piece = cracked.piece_for(bound);
-        if piece.is_empty() {
-            cracked.index_mut().insert(bound, piece.begin);
-            return 0;
-        }
+        // An empty piece gets its boundary from this exact crack for free.
         if piece.len() <= self.rule.exact_below() {
             return cracked.crack_exact(bound).1;
         }
@@ -210,15 +207,9 @@ impl Cracking {
                     .pending
                     .entry(piece.begin)
                     .or_insert_with(|| PartialCrack::new(piece.begin, piece.end, random_pivot()));
-                let swaps = crack.step(cracked.data_mut(), budget);
+                let swaps = cracked.step_partial(crack, budget);
                 if crack.is_complete() {
-                    let (pivot, split) = (crack.pivot(), crack.split());
                     self.pending.remove(&piece.begin);
-                    // A pivot of 0 cannot create a useful boundary
-                    // (nothing is below it); skip installing it.
-                    if pivot > 0 {
-                        cracked.index_mut().insert(pivot, split);
-                    }
                 }
                 swaps
             }
@@ -228,60 +219,10 @@ impl Cracking {
                 let slice = &cracked.data()[piece.begin..piece.end];
                 let lo = slice.iter().copied().min().expect("non-empty piece");
                 let hi = slice.iter().copied().max().expect("non-empty piece");
-                piece.len() as u64 + partition(cracked, piece, lo, hi, WAYS)
+                piece.len() as u64 + cracked.partition(piece, lo, hi, WAYS)
             }
         }
     }
-}
-
-/// Equal-width range partitioning of `piece`, whose values all lie in
-/// `[lo, hi]`, into `ways` sub-pieces by one counting sort, installing
-/// every boundary. Out of place over the piece, mirroring the software-
-/// managed-buffer partitioning of adaptive adaptive indexing. Returns the
-/// number of element moves. Narrow value ranges produce duplicate
-/// boundaries, which dedup drops; when none is left the piece stays as it
-/// is, and the call returns 0.
-fn partition(cracked: &mut CrackedColumn, piece: Piece, lo: Value, hi: Value, ways: usize) -> u64 {
-    let span = (hi - lo) as u128;
-    let mut bounds: Vec<Value> = (1..ways)
-        .map(|i| lo + (span * i as u128 / ways as u128) as Value)
-        .filter(|&b| b > lo && b <= hi)
-        .collect();
-    bounds.dedup();
-    if bounds.is_empty() {
-        return 0;
-    }
-    // `bounds[i] == v` means v belongs to the sub-piece that starts at
-    // bounds[i] (boundary semantics are `< bound`).
-    let bucket_of = |v: Value| match bounds.binary_search(&v) {
-        Ok(i) => i + 1,
-        Err(i) => i,
-    };
-    let slice = &cracked.data()[piece.begin..piece.end];
-    let mut counts = vec![0usize; bounds.len() + 1];
-    for &v in slice {
-        counts[bucket_of(v)] += 1;
-    }
-    let mut starts = vec![0usize; counts.len()];
-    let mut acc = 0usize;
-    for (i, &c) in counts.iter().enumerate() {
-        starts[i] = acc;
-        acc += c;
-    }
-    let mut out = vec![0 as Value; piece.len()];
-    let mut cursors = starts.clone();
-    for &v in slice {
-        let b = bucket_of(v);
-        out[cursors[b]] = v;
-        cursors[b] += 1;
-    }
-    cracked.data_mut()[piece.begin..piece.end].copy_from_slice(&out);
-    for (i, &bound) in bounds.iter().enumerate() {
-        cracked
-            .index_mut()
-            .insert(bound, piece.begin + starts[i + 1]);
-    }
-    piece.len() as u64
 }
 
 impl RangeIndex for Cracking {
@@ -349,20 +290,17 @@ impl RangeIndex for Cracking {
 impl Cracking {
     /// Crack boundaries installed so far: one fewer than the pieces.
     pub(crate) fn boundary_count(&self) -> usize {
-        self.cracked
-            .as_ref()
-            .map_or(0, |c| c.index().pieces(c.data().len()).len() - 1)
+        self.cracked.as_ref().map_or(0, |c| c.pieces().len() - 1)
     }
 
     /// The boundary position of `bound`, once it is a crack boundary.
     pub(crate) fn boundary_of(&self, bound: Value) -> Option<usize> {
-        self.cracked.as_ref()?.index().position_of(bound)
+        self.cracked.as_ref()?.position_of(bound)
     }
 
     /// Elements in the largest piece of the cracker column.
     pub(crate) fn largest_piece(&self) -> usize {
-        let cracked = self.cracked.as_ref().expect("queried");
-        cracked.index().largest_piece(cracked.data().len())
+        self.cracked.as_ref().expect("queried").largest_piece()
     }
 
     /// `true` while a progressive stochastic crack is in flight.

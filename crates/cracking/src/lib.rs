@@ -51,7 +51,6 @@
 
 pub mod crack;
 pub mod cracked_column;
-mod cracker_index;
 mod cracking;
 mod full;
 mod registry;
