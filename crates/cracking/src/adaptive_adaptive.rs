@@ -68,6 +68,20 @@ mod tests {
     }
 
     #[test]
+    fn one_value_piece_is_cracked_at_the_bound() {
+        // No re-partition of a one-value piece installs a boundary, so the
+        // bound cracks it exactly and repeating the query costs nothing.
+        let col = Arc::new(Column::from_vec(vec![7; 40_000]));
+        let mut idx = Cracking::new(col, Rule::AdaptiveAdaptive);
+        let first = idx.query(7, 7);
+        assert_eq!((first.count, first.sum), (40_000, 280_000));
+        assert!(first.indexing_ops > 0);
+        let again = idx.query(7, 7);
+        assert_eq!((again.count, again.sum), (40_000, 280_000));
+        assert_eq!(again.indexing_ops, 0);
+    }
+
+    #[test]
     fn hot_region_gets_refined() {
         // Half the rows fall into a band narrower than one first-pass
         // partition, so that partition is larger than the L2 threshold.

@@ -101,8 +101,9 @@ pub(crate) enum Rule {
     /// first query performs an out-of-place range partitioning of the
     /// whole column (like a coarse granular index), and later queries
     /// *adaptively* refine only the pieces the workload touches — large
-    /// pieces are split again with the same fan-out, small pieces are
-    /// cracked exactly at the query bounds. This follows the "manual
+    /// pieces are split again with the same fan-out, small pieces (and
+    /// large ones no split divides) are cracked exactly at the query
+    /// bounds. This follows the "manual
     /// configuration" of the Progressive Indexes paper's evaluation: a
     /// [`WAYS`]-way first pass, a [`WAYS`]-way refinement fan-out and exact
     /// cracking at or below [`L2_ELEMENTS`]. The characteristic behaviour
@@ -215,11 +216,16 @@ impl Cracking {
             }
             Rule::AdaptiveAdaptive => {
                 // Split the piece again over the value range it holds,
-                // which a min/max scan finds.
+                // which a min/max scan finds. A piece no split divides (one
+                // value, or two adjacent ones) is cracked at the bound.
                 let slice = &cracked.data()[piece.begin..piece.end];
                 let lo = slice.iter().copied().min().expect("non-empty piece");
                 let hi = slice.iter().copied().max().expect("non-empty piece");
-                piece.len() as u64 + cracked.partition(piece, lo, hi, WAYS)
+                piece.len() as u64
+                    + match cracked.partition(piece, lo, hi, WAYS) {
+                        0 => cracked.crack_exact(bound).1,
+                        moves => moves,
+                    }
             }
         }
     }

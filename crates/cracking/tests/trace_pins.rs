@@ -224,8 +224,8 @@ const PINS: [(&str, AlgorithmId, u64, u64); 35] = [
     (
         "zero_heavy",
         AlgorithmId::AdaptiveAdaptive,
-        0x7a7fe500cf9b30f6,
-        706895,
+        0x82e1ed04a6520837,
+        556895,
     ),
     ("tiny", AlgorithmId::FullScan, 0xcb19b37a7fd8b971, 0),
     ("tiny", AlgorithmId::FullIndex, 0x569bf6fbc6efddfc, 40),
@@ -293,8 +293,8 @@ const PINS: [(&str, AlgorithmId, u64, u64); 35] = [
     (
         "constant",
         AlgorithmId::AdaptiveAdaptive,
-        0x1fe8412cd25f20c5,
-        6440000,
+        0xe7ab12075d339bac,
+        120000,
     ),
     ("empty", AlgorithmId::FullScan, 0x8f3d7cdd611b53f5, 0),
     ("empty", AlgorithmId::FullIndex, 0x223a779ce5044e35, 0),
