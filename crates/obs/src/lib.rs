@@ -24,10 +24,9 @@
 //!   accessors, and
 //!   [`MetricsRegistry::snapshot`] producing a [`MetricsSnapshot`], an
 //!   owned copy that tests, examples and dashboards read by name.
-//! * [`timed!`] / [`ScopeTimer`] — timed scopes that are **feature
-//!   gated**: with the `obs` cargo feature off, [`ENABLED`] is a `false`
-//!   constant, the macro expands to the bare body and the branch folds
-//!   away at compile time. No `Instant::now` syscalls, no histogram
+//! * [`ScopeTimer`] — the timed scope, **feature gated**: with the `obs`
+//!   cargo feature off, [`ENABLED`] is a `false` constant, the timer
+//!   carries no clock and the branch folds away at compile time. No `Instant::now` syscalls, no histogram
 //!   traffic, nothing to mispredict — the zero-cost path is guarded by
 //!   tests in this crate.
 //!
@@ -38,9 +37,8 @@
 //! atomic operations, the same cost class as the scheduler's own
 //! `PoolStats`, and serving-layer APIs (`ServerStats`) are fed from
 //! them. Anything that needs a *clock* — per-phase batch timing, queue
-//! wait, ticket latency, cost-model error — goes through [`timed!`] /
-//! [`ScopeTimer`] / `if pi_obs::ENABLED { .. }` and vanishes when the
-//! feature is off.
+//! wait, ticket latency, cost-model error — goes through [`ScopeTimer`]
+//! or `if pi_obs::ENABLED { .. }` and vanishes when the feature is off.
 //!
 //! ```
 //! use pi_obs::MetricsRegistry;
@@ -50,11 +48,15 @@
 //! let latency = registry.histogram("executor.batch_ns");
 //!
 //! batches.add(1);
-//! let sum = pi_obs::timed!(latency, (0..1000u64).sum::<u64>());
-//! assert_eq!(sum, 499_500);
+//! {
+//!     let _timer = pi_obs::ScopeTimer::new(&latency);
+//!     assert_eq!((0..1000u64).sum::<u64>(), 499_500);
+//! }
 //!
 //! let snap = registry.snapshot();
 //! assert_eq!(snap.counter("executor.batches"), Some(1));
+//! let timed = snap.histogram("executor.batch_ns").unwrap().count;
+//! assert_eq!(timed, u64::from(pi_obs::ENABLED));
 //! ```
 
 #![warn(missing_docs)]
@@ -74,59 +76,10 @@ pub use registry::{sanitize_component, MetricsRegistry, MetricsSnapshot};
 /// feature off the guarded code is removed entirely by the compiler.
 pub const ENABLED: bool = cfg!(feature = "obs");
 
-/// Times an expression into a [`Histogram`] handle — feature-gated.
-///
-/// Two forms:
-/// * `timed!(histogram, expr)` — records `expr`'s wall time (nanoseconds)
-///   into an existing histogram handle; evaluates to `expr`'s value.
-/// * `timed!(registry, "name", expr)` — resolves (get-or-register) the
-///   histogram `name` in `registry` first; prefer the handle form on hot
-///   paths.
-///
-/// With the `obs` feature off both forms expand to the bare expression:
-/// no `Instant::now`, no histogram lookup, no recording.
-///
-/// ```
-/// let registry = pi_obs::MetricsRegistry::new();
-/// let hist = registry.histogram("work_ns");
-/// let out = pi_obs::timed!(hist, { 2 + 2 });
-/// assert_eq!(out, 4);
-/// let out = pi_obs::timed!(registry, "work_ns", 3 * 3);
-/// assert_eq!(out, 9);
-/// if pi_obs::ENABLED {
-///     assert_eq!(registry.snapshot().histogram("work_ns").unwrap().count, 2);
-/// }
-/// ```
-#[macro_export]
-macro_rules! timed {
-    ($hist:expr, $body:expr) => {{
-        if $crate::ENABLED {
-            let __obs_start = ::std::time::Instant::now();
-            let __obs_out = $body;
-            ($hist).record_duration(__obs_start.elapsed());
-            __obs_out
-        } else {
-            $body
-        }
-    }};
-    ($registry:expr, $name:expr, $body:expr) => {{
-        if $crate::ENABLED {
-            let __obs_hist = ($registry).histogram($name);
-            let __obs_start = ::std::time::Instant::now();
-            let __obs_out = $body;
-            __obs_hist.record_duration(__obs_start.elapsed());
-            __obs_out
-        } else {
-            $body
-        }
-    }};
-}
-
-/// A drop-guard timed scope for code with early returns or multiple exit
-/// paths, where [`timed!`]'s expression form is awkward. Records the
-/// elapsed time into the histogram when dropped; feature-gated like the
-/// macro (when `obs` is off, construction and drop are no-ops and the
-/// struct carries no clock).
+/// A drop-guard timed scope, which also times code with early returns or
+/// multiple exit paths. Records the elapsed time into the histogram when
+/// dropped; feature-gated (when `obs` is off, construction and drop are
+/// no-ops and the struct carries no clock).
 ///
 /// ```
 /// let registry = pi_obs::MetricsRegistry::new();
@@ -177,34 +130,6 @@ mod tests {
     }
 
     #[test]
-    fn timed_returns_body_value_and_records_iff_enabled() {
-        let registry = MetricsRegistry::new();
-        let hist = registry.histogram("t");
-        let mut side = 0u32;
-        let out = timed!(hist, {
-            side += 1;
-            "value"
-        });
-        assert_eq!(out, "value");
-        assert_eq!(side, 1, "body must run exactly once");
-        let count = registry.snapshot().histogram("t").unwrap().count;
-        assert_eq!(count, u64::from(ENABLED));
-    }
-
-    #[test]
-    fn timed_registry_form_resolves_by_name() {
-        let registry = MetricsRegistry::new();
-        let out = timed!(registry, "by_name", 21 * 2);
-        assert_eq!(out, 42);
-        let snap = registry.snapshot();
-        if ENABLED {
-            assert_eq!(snap.histogram("by_name").unwrap().count, 1);
-        } else {
-            assert!(snap.histogram("by_name").is_none(), "no lookup when off");
-        }
-    }
-
-    #[test]
     fn scope_timer_records_on_drop() {
         let registry = MetricsRegistry::new();
         let hist = registry.histogram("scope");
@@ -217,7 +142,7 @@ mod tests {
 
     /// The overhead guard for the zero-cost claim: a million timed scopes
     /// around trivial work must cost nanoseconds each, not microseconds.
-    /// With `obs` off the loop is the bare sum (the branch const-folds);
+    /// With `obs` off the loop is the bare sum (the timer carries no clock);
     /// with it on, the bound still holds comfortably on any machine that
     /// can run the test suite (two `Instant::now` calls + one relaxed
     /// atomic add per iteration). The generous ceiling keeps the test
@@ -231,20 +156,21 @@ mod tests {
         let start = std::time::Instant::now();
         let mut acc = 0u64;
         for i in 0..ITERS {
-            acc = acc.wrapping_add(timed!(hist, std::hint::black_box(i)));
+            let _timer = ScopeTimer::new(&hist);
+            acc = acc.wrapping_add(std::hint::black_box(i));
         }
         let elapsed = start.elapsed();
         std::hint::black_box(acc);
         let per_op_ns = elapsed.as_nanos() as f64 / ITERS as f64;
         assert!(
             per_op_ns < 5_000.0,
-            "timed! must stay lightweight: {per_op_ns:.0} ns/op"
+            "ScopeTimer must stay lightweight: {per_op_ns:.0} ns/op"
         );
         if !ENABLED {
             assert_eq!(
                 registry.snapshot().histogram("overhead").unwrap().count,
                 0,
-                "obs off: timed! must not record"
+                "obs off: ScopeTimer must not record"
             );
         }
     }
