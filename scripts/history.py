@@ -84,14 +84,19 @@ def git(*args):
 
 def label(block):
     """The parent's short sha and the subject of the change it measured:
-    the committed change side, else the first commit after the parent."""
+    the committed change side; for a change's own A/B (uncommitted edits
+    on the parent) the first commit after the parent; for an anchor run
+    (uncommitted edits on a later commit) that commit + " + uncommitted"."""
     parent = block["parent"] or "?"
     change, dirty = block["change"] or (parent, True)
-    if dirty:
+    suffix = ""
+    if dirty and change == parent:
         change = git("rev-list", "--ancestry-path", "--reverse", f"{parent}..HEAD")
         change = change.split("\n")[0]
+    elif dirty:
+        suffix = " + uncommitted"
     subject = git("log", "-1", "--format=%s", change) if change else ""
-    return f"{parent[:7]} -> {subject or 'uncommitted change'}"
+    return f"{parent[:7]} -> {subject or 'uncommitted change'}{suffix}"
 
 
 def verdict(parent, change, higher, bound):
