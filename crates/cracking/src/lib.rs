@@ -19,7 +19,8 @@
 //! techniques, is the one way to build any of them. The five adaptive
 //! baselines are one cracking index whose crack rule is the only thing
 //! that differs between them: where the first query partitions, and how
-//! a query bound cracks the piece it falls into.
+//! a query bound cracks the piece it falls into. The rule only decides;
+//! the [`CrackedColumn`] holds the crack boundaries and does every crack.
 //!
 //! The implementations follow the algorithm descriptions in the cited
 //! papers rather than the original C++ sources.
