@@ -103,10 +103,10 @@ pub(crate) enum Rule {
     /// *adaptively* refine only the pieces the workload touches — large
     /// pieces are split again with the same fan-out, small pieces (and
     /// large ones no split divides) are cracked exactly at the query
-    /// bounds. This follows the "manual
-    /// configuration" of the Progressive Indexes paper's evaluation: a
-    /// [`WAYS`]-way first pass, a [`WAYS`]-way refinement fan-out and exact
-    /// cracking at or below [`L2_ELEMENTS`]. The characteristic behaviour
+    /// bounds. This follows the "manual configuration" of the Progressive
+    /// Indexes paper's evaluation: a [`WAYS`]-way first pass, a
+    /// [`WAYS`]-way refinement fan-out and exact cracking at or below
+    /// [`L2_ELEMENTS`]. The characteristic behaviour
     /// — the most expensive first query of the adaptive family, the best
     /// cumulative time on skewed workloads — is preserved.
     AdaptiveAdaptive,
