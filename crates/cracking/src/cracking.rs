@@ -162,10 +162,7 @@ impl Cracking {
         let (min, max) = self.column.domain().expect("non-empty column");
         let moves = match self.rule {
             Rule::Standard | Rule::Stochastic | Rule::ProgressiveStochastic => 0,
-            Rule::CoarseGranular => {
-                cracked.partition(whole, min, max, WAYS.min(n));
-                n as u64
-            }
+            Rule::CoarseGranular => cracked.partition(whole, min, max, WAYS.min(n)),
             Rule::AdaptiveAdaptive => cracked.partition(whole, min, max, WAYS),
         };
         (cracked, moves)

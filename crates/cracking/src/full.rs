@@ -27,11 +27,10 @@ impl FullScan {
 
 impl RangeIndex for FullScan {
     fn query(&mut self, low: Value, high: Value) -> QueryResult {
-        let result = if low > high {
-            scan::ScanResult::EMPTY
-        } else {
-            scan::scan_range_sum(self.column.data(), low, high)
-        };
+        if low > high {
+            return QueryResult::answer_only(scan::ScanResult::EMPTY, Phase::Creation);
+        }
+        let result = scan::scan_range_sum(self.column.data(), low, high);
         QueryResult {
             sum: result.sum,
             count: result.count,

@@ -153,7 +153,7 @@ fn baselines() -> impl Iterator<Item = AlgorithmId> {
 
 /// `(case, technique, trace hash, total indexing ops)`.
 const PINS: [(&str, AlgorithmId, u64, u64); 35] = [
-    ("uniform", AlgorithmId::FullScan, 0x291c1ff3c4ab0778, 0),
+    ("uniform", AlgorithmId::FullScan, 0xdd1999aea3e63e7b, 0),
     (
         "uniform",
         AlgorithmId::FullIndex,
@@ -190,7 +190,7 @@ const PINS: [(&str, AlgorithmId, u64, u64); 35] = [
         0xf5df77589e932322,
         124611,
     ),
-    ("zero_heavy", AlgorithmId::FullScan, 0xeee0d8e32c83d376, 0),
+    ("zero_heavy", AlgorithmId::FullScan, 0xa9b85a8ad69454fd, 0),
     (
         "zero_heavy",
         AlgorithmId::FullIndex,
@@ -227,7 +227,7 @@ const PINS: [(&str, AlgorithmId, u64, u64); 35] = [
         0x82e1ed04a6520837,
         556895,
     ),
-    ("tiny", AlgorithmId::FullScan, 0xcb19b37a7fd8b971, 0),
+    ("tiny", AlgorithmId::FullScan, 0x320b9462d0eb25e9, 0),
     ("tiny", AlgorithmId::FullIndex, 0x569bf6fbc6efddfc, 40),
     (
         "tiny",
@@ -259,7 +259,7 @@ const PINS: [(&str, AlgorithmId, u64, u64); 35] = [
         0x6f1381e0b2dd80fc,
         44,
     ),
-    ("constant", AlgorithmId::FullScan, 0x5a51b26ca1f4ae7d, 0),
+    ("constant", AlgorithmId::FullScan, 0xf6add689c266f199, 0),
     (
         "constant",
         AlgorithmId::FullIndex,
@@ -287,8 +287,8 @@ const PINS: [(&str, AlgorithmId, u64, u64); 35] = [
     (
         "constant",
         AlgorithmId::CoarseGranularIndex,
-        0x4ba2452c674fefa9,
-        40000,
+        0x1834f7a705eb0fad,
+        0,
     ),
     (
         "constant",
