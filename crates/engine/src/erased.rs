@@ -12,16 +12,16 @@
 //! * [`ErasedColumn`] — a row-aligned vector of full typed keys of one
 //!   domain, the input a multi-column table is built from.
 //!
-//! The row store keeps each column as a crate-private `RowColumn`:
-//! fixed-width keys as they are, and a string as one 16-byte row key,
-//! computed once when the row is built or written — its first 15 bytes,
-//! big-endian and zero-padded, over a length byte `min(len, 16)` — with
-//! the full string kept beside the keys only for the rows longer than 15
-//! bytes. Conjunctions evaluate a predicate over a whole column per call
-//! (`select`, `refine`, `sum_selected`), unwrapping domain and bounds
-//! once, never per row. A string predicate compares row keys; only a row
-//! whose key equals a bound's with both longer than 15 bytes compares
-//! full strings — exact, so prefix ties never need a side table here.
+//! The row store keeps each column as a crate-private `RowColumn`, keyed
+//! once when a row is built or written: a fixed-width key as its order
+//! code, a string as one 16-byte row key — its first 15 bytes, big-endian
+//! and zero-padded, over a length byte `min(len, 16)` — with the full
+//! string kept only for the rows longer than 15 bytes. Conjunctions
+//! evaluate a predicate over a whole column per call (`select`, `refine`,
+//! `sum_selected`), encoding its bounds once, never a row; the three
+//! fixed-width domains share one code test. A string predicate compares
+//! row keys; only a row whose key equals a bound's with both longer than
+//! 15 bytes compares full strings, so prefix ties need no side table.
 //!
 //! Sums stay capability-gated exactly like the typed facade's digest
 //! matrix: `u64`/`i64` sums are exact ([`ErasedSum`]), `f64` and
@@ -32,6 +32,7 @@ use std::cmp::Ordering;
 use std::collections::HashMap;
 
 use pi_storage::encoding::OrderedKey;
+use pi_storage::scan::ScanResult;
 use pi_storage::Value;
 
 use crate::typed::TableKey;
@@ -146,13 +147,15 @@ pub(crate) fn str_key(s: &str) -> u128 {
     u128::from_be_bytes(key)
 }
 
-/// A row store's column: fixed-width keys as they are, strings as their
-/// row keys plus the full string of every row whose key is [`LONG`].
+/// A row store's column: `u64`/`i64`/`f64` keys as their order codes (a
+/// code orders as its key and decodes back to it), strings as their row
+/// keys plus the full string of every row whose key is [`LONG`].
 #[derive(Debug)]
 pub(crate) enum RowColumn {
-    U64(Vec<u64>),
-    I64(Vec<i64>),
-    F64(Vec<f64>),
+    Fixed {
+        domain: KeyDomain,
+        codes: Vec<Value>,
+    },
     Str {
         keys: Vec<u128>,
         long: HashMap<usize, String>,
@@ -160,13 +163,14 @@ pub(crate) enum RowColumn {
 }
 
 impl From<ErasedColumn> for RowColumn {
-    /// Keys each string once, dropping it unless it is long (in one pass,
-    /// not row by row through `push`: a new column has no stale long row).
+    /// Encodes each key once (a `u64` column is its own codes), dropping a
+    /// string unless it is long (in one pass, not row by row through
+    /// `push`: a new column has no stale long row).
     fn from(column: ErasedColumn) -> Self {
-        match column {
-            ErasedColumn::U64(v) => RowColumn::U64(v),
-            ErasedColumn::I64(v) => RowColumn::I64(v),
-            ErasedColumn::F64(v) => RowColumn::F64(v),
+        let (domain, codes) = match column {
+            ErasedColumn::U64(v) => (KeyDomain::U64, v),
+            ErasedColumn::I64(v) => (KeyDomain::I64, v.iter().map(TableKey::to_code).collect()),
+            ErasedColumn::F64(v) => (KeyDomain::F64, v.iter().map(TableKey::to_code).collect()),
             ErasedColumn::Str(v) => {
                 let mut long = HashMap::new();
                 let keys = v.into_iter().enumerate().map(|(row, s)| {
@@ -176,12 +180,13 @@ impl From<ErasedColumn> for RowColumn {
                     }
                     key
                 });
-                RowColumn::Str {
+                return RowColumn::Str {
                     keys: keys.collect(),
                     long,
-                }
+                };
             }
-        }
+        };
+        RowColumn::Fixed { domain, codes }
     }
 }
 
@@ -189,9 +194,7 @@ impl RowColumn {
     /// The column's domain.
     pub(crate) fn domain(&self) -> KeyDomain {
         match self {
-            RowColumn::U64(_) => KeyDomain::U64,
-            RowColumn::I64(_) => KeyDomain::I64,
-            RowColumn::F64(_) => KeyDomain::F64,
+            RowColumn::Fixed { domain, .. } => *domain,
             RowColumn::Str { .. } => KeyDomain::Str,
         }
     }
@@ -205,9 +208,7 @@ impl RowColumn {
     /// Number of rows (live and dead — row stores keep rows in place).
     pub(crate) fn len(&self) -> usize {
         match self {
-            RowColumn::U64(v) => v.len(),
-            RowColumn::I64(v) => v.len(),
-            RowColumn::F64(v) => v.len(),
+            RowColumn::Fixed { codes, .. } => codes.len(),
             RowColumn::Str { keys, .. } => keys.len(),
         }
     }
@@ -215,9 +216,7 @@ impl RowColumn {
     /// The key's code at `row` (the delete path's index lookup).
     pub(crate) fn code_at(&self, row: usize) -> Value {
         match self {
-            RowColumn::U64(v) => TableKey::to_code(&v[row]),
-            RowColumn::I64(v) => TableKey::to_code(&v[row]),
-            RowColumn::F64(v) => TableKey::to_code(&v[row]),
+            RowColumn::Fixed { codes, .. } => codes[row],
             RowColumn::Str { keys, .. } => (keys[row] >> 64) as Value,
         }
     }
@@ -226,9 +225,7 @@ impl RowColumn {
     /// `u64` engine indexes).
     pub(crate) fn codes(&self) -> Vec<Value> {
         match self {
-            RowColumn::U64(v) => v.iter().map(TableKey::to_code).collect(),
-            RowColumn::I64(v) => v.iter().map(TableKey::to_code).collect(),
-            RowColumn::F64(v) => v.iter().map(TableKey::to_code).collect(),
+            RowColumn::Fixed { codes, .. } => codes.clone(),
             RowColumn::Str { keys, .. } => keys.iter().map(|key| (key >> 64) as Value).collect(),
         }
     }
@@ -261,9 +258,9 @@ impl RowColumn {
             }
         }
         match (self, key) {
-            (RowColumn::U64(v), ErasedKey::U64(k)) => put(v, row, k),
-            (RowColumn::I64(v), ErasedKey::I64(k)) => put(v, row, k),
-            (RowColumn::F64(v), ErasedKey::F64(k)) => put(v, row, k),
+            (RowColumn::Fixed { domain, codes }, key) if key.domain() == *domain => {
+                put(codes, row, key.to_code())
+            }
             (RowColumn::Str { keys, long }, ErasedKey::Str(k)) => {
                 let key = str_key(&k);
                 if key as u8 == LONG {
@@ -313,24 +310,20 @@ impl RowColumn {
         self.filter(low, high, Rows::Selected(sel));
     }
 
-    /// One domain dispatch and bounds unwrap per predicate, always inlined
-    /// (`select` compiles it twice). Fixed-width domains test in key order
-    /// (for `f64` code space, the total order [`TableKey::key_cmp`]
-    /// realises: `-0.0 < +0.0`, `±inf` ordinary); strings compare row
-    /// keys, and only a row whose key ties a bound's at [`LONG`] compares
-    /// its full string.
+    /// One domain dispatch and bounds encoding per predicate, always
+    /// inlined (`select` compiles it twice). Fixed-width domains test codes
+    /// (code order is key order; for `f64` the total order
+    /// [`TableKey::key_cmp`] realises: `-0.0 < +0.0`, `±inf` ordinary);
+    /// strings compare row keys, and only a row whose key ties a bound's
+    /// at [`LONG`] compares its full string.
     #[inline(always)]
     fn filter(&self, low: &ErasedKey, high: &ErasedKey, rows: Rows<'_>) {
         match (self, low, high) {
-            (RowColumn::U64(v), ErasedKey::U64(lo), ErasedKey::U64(hi)) => {
-                filter_rows(v, rows, |_, k| (lo..=hi).contains(&k))
-            }
-            (RowColumn::I64(v), ErasedKey::I64(lo), ErasedKey::I64(hi)) => {
-                filter_rows(v, rows, |_, k| (lo..=hi).contains(&k))
-            }
-            (RowColumn::F64(v), ErasedKey::F64(lo), ErasedKey::F64(hi)) => {
-                let (lo, hi) = (TableKey::to_code(lo), TableKey::to_code(hi));
-                filter_rows(v, rows, |_, k| (lo..=hi).contains(&TableKey::to_code(k)))
+            (RowColumn::Fixed { domain, codes }, low, high)
+                if low.domain() == *domain && high.domain() == *domain =>
+            {
+                let (lo, hi) = (low.to_code(), high.to_code());
+                filter_rows(codes, rows, |_, k| (lo..=hi).contains(k))
             }
             (RowColumn::Str { keys, long }, ErasedKey::Str(lo), ErasedKey::Str(hi)) => {
                 let (lo_key, hi_key) = (str_key(lo), str_key(hi));
@@ -371,13 +364,24 @@ impl RowColumn {
     /// domain's zero sum).
     pub(crate) fn sum_selected(&self, sel: &[u32]) -> Option<ErasedSum> {
         match self {
-            RowColumn::U64(v) => Some(ErasedSum::U64(
-                sel.iter().map(|&row| v[row as usize] as u128).sum(),
-            )),
-            RowColumn::I64(v) => Some(ErasedSum::I64(
-                sel.iter().map(|&row| v[row as usize] as i128).sum(),
-            )),
-            RowColumn::F64(_) | RowColumn::Str { .. } => None,
+            RowColumn::Fixed { domain, codes } if *domain != KeyDomain::F64 => {
+                let sum = sel.iter().map(|&row| codes[row as usize] as u128).sum();
+                self.decode_sum(sum, sel.len() as u64)
+            }
+            _ => None,
+        }
+    }
+
+    /// Decodes the sum of `count` codes into the column's key domain:
+    /// exact for `u64` (identity) and `i64` (affine shift), `None` for
+    /// `f64` and strings.
+    pub(crate) fn decode_sum(&self, sum: u128, count: u64) -> Option<ErasedSum> {
+        match self.domain() {
+            KeyDomain::U64 => Some(ErasedSum::U64(sum)),
+            KeyDomain::I64 => {
+                <i64 as OrderedKey>::decode_sum(ScanResult { sum, count }).map(ErasedSum::I64)
+            }
+            KeyDomain::F64 | KeyDomain::Str => None,
         }
     }
 
@@ -386,11 +390,11 @@ impl RowColumn {
     /// 8-byte prefix does not determine the full key). Grouped-aggregate
     /// `MIN`/`MAX` cells use this, so string groups serve `COUNT` only.
     pub(crate) fn decode_code(&self, code: Value) -> Option<ErasedKey> {
-        match self {
-            RowColumn::U64(_) => Some(ErasedKey::U64(code)),
-            RowColumn::I64(_) => Some(ErasedKey::I64(<i64 as OrderedKey>::decode(code))),
-            RowColumn::F64(_) => Some(ErasedKey::F64(<f64 as OrderedKey>::decode(code))),
-            RowColumn::Str { .. } => None,
+        match self.domain() {
+            KeyDomain::U64 => Some(ErasedKey::U64(code)),
+            KeyDomain::I64 => Some(ErasedKey::I64(<i64 as OrderedKey>::decode(code))),
+            KeyDomain::F64 => Some(ErasedKey::F64(<f64 as OrderedKey>::decode(code))),
+            KeyDomain::Str => None,
         }
     }
 }
@@ -1131,6 +1135,33 @@ mod tests {
             let col = RowColumn::from(col);
             assert_eq!(col.sum_selected(&[]), None);
             assert_eq!(col.sum_selected(&[0]), None);
+        }
+    }
+
+    /// An `i64` column stores sign-flipped codes; their sum decodes back
+    /// exactly whatever the signs, the extremes and the selection.
+    #[test]
+    fn i64_sums_decode_negative_zero_and_positive_keys() {
+        let keys = vec![-7, 0, 5, i64::MIN, -1, i64::MAX, 0, 3, -12];
+        let col = ErasedColumn::I64(keys.clone());
+        let rows = RowColumn::from(col.clone());
+        let all: Vec<u32> = (0..keys.len() as u32).collect();
+        let selections = [
+            vec![],
+            vec![1, 6],
+            vec![0, 4, 8],
+            vec![2, 7],
+            vec![0, 1, 2],
+            vec![3, 5],
+            vec![3],
+            all,
+        ];
+        for sel in selections {
+            assert_eq!(
+                rows.sum_selected(&sel),
+                reference_sum(&col, &sel),
+                "{sel:?}"
+            );
         }
     }
 

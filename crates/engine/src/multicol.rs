@@ -8,10 +8,11 @@
 //! * [`MultiTable`] — a row store of heterogeneous columns (built from
 //!   [`ErasedColumn`]s: u64 / i64 / f64 / string) kept row-aligned under
 //!   one `RwLock`, wrapping an inner `u64` [`Table`] that indexes each
-//!   column's order-preserving codes. A string column is stored as one
-//!   16-byte order key per row (its first 15 bytes and its length),
-//!   computed once when the row is built or written; the full string is
-//!   kept only for rows longer than 15 bytes. Row mutations
+//!   column's order-preserving codes. A fixed-width column is stored as
+//!   those codes, a string column as one 16-byte order key per row (its
+//!   first 15 bytes and its length), each computed once when the row is
+//!   built or written; the full string is kept only for rows longer than
+//!   15 bytes. Row mutations
 //!   ([`RowMutation`]) update both sides under the write lock, so the
 //!   row store and the shard multisets always agree.
 //! * [`MultiExecutor`] — executes conjunctions
@@ -26,9 +27,10 @@
 //!   the key domain's order, at every refinement stage.
 //! * Grouped aggregates ([`MultiExecutor::grouped`]) —
 //!   `SUM/COUNT/MIN/MAX GROUP BY bucket` answered from per-shard
-//!   [`DigestTree`]s behind the table's hot-range [`AggregateCache`],
-//!   whose slots a row write empties for every shard it touches before
-//!   it releases the row store's write lock.
+//!   [`DigestTree`]s (a sorted shard's cut run by run at partition
+//!   points) behind the table's hot-range [`AggregateCache`], whose slots
+//!   a row write empties for every shard it touches before it releases
+//!   the row store's write lock.
 //!
 //! ## Exactness under concurrency
 //!
@@ -58,8 +60,6 @@ use std::sync::{Arc, Mutex, RwLock};
 use pi_core::mutation::Mutation;
 use pi_obs::{Counter, MetricsRegistry};
 use pi_storage::digest::{bucket_of, DigestTree};
-use pi_storage::encoding::OrderedKey;
-use pi_storage::scan::ScanResult;
 use pi_storage::Value;
 
 use crate::erased::{ErasedColumn, ErasedKey, ErasedSum, RowColumn};
@@ -498,14 +498,18 @@ impl AggregateCache {
 }
 
 /// Shard `shard`'s digest tree over the global grid of bucket width
-/// `width`, folded from its live multiset under the shard lock. A tree
-/// does not care about order and only grows by an insert: with no
-/// tombstone pending, the base folds in place and the pending inserts are
-/// absorbed. A tombstone takes the merged copy.
+/// `width`, folded from its live multiset under the shard lock. A sorted
+/// base is cut into one run per cell ([`DigestTree::build_sorted`]), its
+/// tombstones subtracted per cell and its inserts absorbed. An unsorted
+/// one folds value by value: a tree does not care about order and only
+/// grows by an insert, so with no tombstone pending the base folds in
+/// place and the inserts are absorbed; a tombstone takes the merged copy.
 fn digest_tree(column: &ShardedColumn, shard: usize, width: Value) -> DigestTree {
     column.with_shard(shard, |index| {
         let (base, sidecar) = index.snapshot_parts();
-        if sidecar.tombstones().is_empty() {
+        if base.is_sorted() {
+            DigestTree::build_sorted(base.data(), &sidecar, width)
+        } else if sidecar.tombstones().is_empty() {
             let mut tree = DigestTree::build(base.data(), width);
             sidecar.inserts().iter().for_each(|&v| tree.absorb(v));
             tree
@@ -786,24 +790,11 @@ impl MultiExecutor {
             .map(|(bucket, cell)| GroupRow {
                 bucket,
                 count: cell.count,
-                sum: decode_cell_sum(erased, cell.sum, cell.count),
+                sum: erased.decode_sum(cell.sum, cell.count),
                 min: erased.decode_code(cell.min),
                 max: erased.decode_code(cell.max),
             })
             .collect())
-    }
-}
-
-/// Decodes a code-space `(sum, count)` cell aggregate into the column's
-/// key domain, honouring the capability gate: exact for `u64` (identity)
-/// and `i64` (affine shift), `None` for `f64`/string.
-fn decode_cell_sum(column: &RowColumn, sum: u128, count: u64) -> Option<ErasedSum> {
-    match column {
-        RowColumn::U64(_) => Some(ErasedSum::U64(sum)),
-        RowColumn::I64(_) => {
-            <i64 as OrderedKey>::decode_sum(ScanResult { sum, count }).map(ErasedSum::I64)
-        }
-        RowColumn::F64(_) | RowColumn::Str { .. } => None,
     }
 }
 
@@ -846,5 +837,48 @@ mod tests {
         }
         column.apply_mutations(&[Mutation::Insert(values[3])]);
         check("advanced shards and one more insert");
+        // Driven into the sorted stage, every tree is cut from sorted runs.
+        for shard in 0..4 {
+            column.advance_shard_by(shard, usize::MAX);
+            let sorted = column.with_shard(shard, |index| index.snapshot_parts().0.is_sorted());
+            assert!(sorted, "shard {shard} is sorted");
+        }
+        check("sorted bases");
+        let live = column.with_shard(1, |index| index.live_values());
+        // Every copy of the shard's smallest and largest value goes, so
+        // the end cells' min and max move; one more tombstone and an insert.
+        let (first, last) = (live[0], live[live.len() - 1]);
+        let ends = live.iter().filter(|&&v| v == first || v == last);
+        let writes: Vec<Mutation> = ends
+            .map(|&v| Mutation::Delete(v))
+            .chain([
+                Mutation::Delete(live[live.len() / 2]),
+                Mutation::Insert(live[7]),
+            ])
+            .collect();
+        column.apply_mutations(&writes);
+        check("sorted bases with tombstones pending");
+        // 150 inserts and 150 tombstones on shard 2 freeze a merge (past
+        // the merge threshold), and the last writes wait beside it.
+        let (live, merges) =
+            column.with_shard(2, |index| (index.live_values(), index.merges_completed()));
+        let top = live[live.len() - 1];
+        let writes: Vec<Mutation> = std::iter::repeat_n(Mutation::Insert(top), 150)
+            .chain(live[..300].iter().step_by(2).map(|&v| Mutation::Delete(v)))
+            .collect();
+        column.apply_mutations(&writes);
+        column.advance_shard_by(2, 1);
+        let in_flight = |index: &mut pi_core::mutation::MutableIndex| {
+            index.snapshot_parts().0.is_sorted() && index.has_pending()
+        };
+        assert!(column.with_shard(2, in_flight));
+        check("a merge in flight");
+        // A merge step is a quarter of the merged column: three more end it.
+        column.advance_shard_by(2, 3);
+        assert_eq!(
+            column.with_shard(2, |index| index.merges_completed()),
+            merges + 1
+        );
+        check("the merge completed");
     }
 }

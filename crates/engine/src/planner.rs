@@ -39,6 +39,8 @@ const RHO_WEIGHT: f64 = 0.25;
 /// Per-row cost, in ns, of a fixed-width range test in `refine`, which every predicate
 /// after the first pays: 50k of 100k `u64` rows refined in 59–73 µs (1.2–1.45 ns a row;
 /// the one dense `select` of all 100k, 47–59 µs under AVX2) on the 2-vCPU benchmark box.
+/// It prices `u64`, `i64` and `f64` alike: the row store holds all three as order codes,
+/// and one `u64` code test runs over each.
 const FIXED_WIDTH_ROW_NS: f64 = 1.4;
 /// Per-row cost, in ns, of a string range test (one 16-byte row-key
 /// range test each): 50k of 100k `typed_multicol`-like names refined in

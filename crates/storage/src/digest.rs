@@ -17,10 +17,17 @@
 //! of cells no matter how wide the domain is. Cells keep exact `SUM`,
 //! `COUNT`, `MIN` and `MAX`, and empty cells simply do not exist — the
 //! count guard is structural, never a min/max sentinel.
+//!
+//! A tree is folded value by value from any multiset
+//! ([`DigestTree::build`]), or cut from a sorted base run by run
+//! ([`DigestTree::build_sorted`]): there a cell costs one division and
+//! one binary search, not one division per value.
 
 use std::collections::BTreeMap;
 
 use crate::column::Value;
+use crate::delta::DeltaSidecar;
+use crate::scan::sum_positions;
 
 /// One grid bucket's exact aggregate over the live values it holds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -131,6 +138,62 @@ impl DigestTree {
             .zip(window)
             .filter(|(_, cell)| cell.count > 0);
         tree.cells = cells.collect();
+        tree
+    }
+
+    /// Builds the tree of the live multiset a sorted base and its sidecar
+    /// describe: `sorted` less the sidecar's tombstones plus its inserts.
+    ///
+    /// Each non-empty cell of the base is one run, cut at the partition
+    /// point of the next cell's first value (the run goes to the end when
+    /// that value is past the domain). Its count is the run's length and
+    /// its sum the run's sum, both less the cell's tombstones; its min and
+    /// max are the run's ends past the copies those tombstones cancel, and
+    /// a cell they cancel whole is dropped. The pending inserts are
+    /// absorbed last.
+    ///
+    /// `sorted` must be ascending and the tombstones a sub-multiset of it,
+    /// as a mutable index's are: each cancels one base occurrence.
+    pub fn build_sorted(sorted: &[Value], sidecar: &DeltaSidecar, width: Value) -> Self {
+        debug_assert!(crate::sorted::is_sorted(sorted), "the base must be sorted");
+        let mut tree = Self::empty(width);
+        let mut tombstones = sidecar.tombstones();
+        let mut cells = Vec::new();
+        let mut start = 0;
+        while start < sorted.len() {
+            let bucket = bucket_of(sorted[start], width);
+            let next = bucket.checked_add(1).and_then(|b| b.checked_mul(width));
+            let in_cell = |&v: &Value| next.is_none_or(|next| v < next);
+            let end = start + sorted[start..].partition_point(in_cell);
+            let (cancelled, rest) = tombstones.split_at(tombstones.partition_point(in_cell));
+            tombstones = rest;
+            let run = &sorted[start..end];
+            let sum = sum_positions(sorted, start, end).sum;
+            start = end;
+            if cancelled.len() == run.len() {
+                continue;
+            }
+            // Both runs ascend and every tombstone is a base copy, so the
+            // cancelled copies of the run's smallest (largest) values are
+            // the tombstones' first (last).
+            let lead = run
+                .iter()
+                .zip(cancelled)
+                .take_while(|(v, t)| v == t)
+                .count();
+            let trail = run.iter().rev().zip(cancelled.iter().rev());
+            let trail = trail.take_while(|(v, t)| v == t).count();
+            let cell = GroupCell {
+                sum: sum - cancelled.iter().map(|&t| t as u128).sum::<u128>(),
+                count: (run.len() - cancelled.len()) as u64,
+                min: run[lead],
+                max: run[run.len() - 1 - trail],
+            };
+            cells.push((bucket, cell));
+        }
+        debug_assert!(tombstones.is_empty(), "every tombstone is a base copy");
+        tree.cells = cells.into_iter().collect();
+        sidecar.inserts().iter().for_each(|&v| tree.absorb(v));
         tree
     }
 
@@ -280,6 +343,111 @@ mod tests {
             );
         }
         assert_eq!(DigestTree::build(&sparse, 1).len(), 5);
+    }
+
+    /// `sorted` less `tombstones` plus `inserts`, as a sidecar and as the
+    /// live multiset `DigestTree::build` folds.
+    fn parts(
+        sorted: &[Value],
+        tombstones: &[Value],
+        inserts: &[Value],
+    ) -> (DeltaSidecar, Vec<Value>) {
+        let mut sidecar = DeltaSidecar::new();
+        let mut live = sorted.to_vec();
+        for &t in tombstones {
+            sidecar.add_tombstone(t);
+            let at = live
+                .iter()
+                .position(|&v| v == t)
+                .expect("a tombstone is a base copy");
+            live.remove(at);
+        }
+        for &v in inserts {
+            sidecar.insert(v);
+        }
+        live.extend_from_slice(inserts);
+        (sidecar, live)
+    }
+
+    fn check_sorted(sorted: &[Value], tombstones: &[Value], inserts: &[Value], width: Value) {
+        let (sidecar, live) = parts(sorted, tombstones, inserts);
+        assert_eq!(
+            DigestTree::build_sorted(sorted, &sidecar, width),
+            DigestTree::build(&live, width),
+            "{sorted:?} - {tombstones:?} + {inserts:?}, width {width}"
+        );
+    }
+
+    #[test]
+    fn sorted_runs_fold_to_the_live_multiset() {
+        // Duplicates straddling the edge between cells 0 and 1.
+        let straddling = [3, 9, 9, 9, 10, 10, 10, 14, 19, 20];
+        for tombstones in [&[][..], &[9], &[9, 9, 9], &[9, 10], &[10, 10, 10, 14, 19]] {
+            check_sorted(&straddling, tombstones, &[], 10);
+            check_sorted(&straddling, tombstones, &[9, 10, 25], 10);
+        }
+        // A tombstone cancelling one copy of a cell's min, all of them, its
+        // max, both ends, and every copy in the cell (the cell is dropped).
+        let cell = [20, 21, 21, 25, 28, 28, 29, 30, 35];
+        let cancels: [&[Value]; 7] = [
+            &[21],
+            &[20],
+            &[20, 21, 21],
+            &[29],
+            &[28, 28, 29],
+            &[20, 29],
+            &[20, 21, 21, 25, 28, 28, 29],
+        ];
+        for tombstones in cancels {
+            check_sorted(&cell, tombstones, &[], 10);
+        }
+        let (sidecar, _) = parts(&cell, cancels[6], &[]);
+        let tree = DigestTree::build_sorted(&cell, &sidecar, 10);
+        assert_eq!(tree.cell(2), None, "a cancelled cell is dropped");
+        assert_eq!(tree.len(), 1);
+        // The last bucket under widths that do not divide 2^64, where the
+        // next cell's first value is past the domain.
+        let top = [
+            u64::MAX - 1_500,
+            u64::MAX - 615,
+            u64::MAX - 615,
+            u64::MAX - 1,
+            u64::MAX,
+        ];
+        for width in [3, 1_000, u64::MAX / 2 + 7, u64::MAX] {
+            check_sorted(&top, &[], &[], width);
+            check_sorted(&top, &[u64::MAX], &[u64::MAX - 2], width);
+            check_sorted(&top, &[u64::MAX - 615, u64::MAX - 1], &[], width);
+        }
+        // Width 1: every value its own cell, up to bucket u64::MAX.
+        let ones = [0, 0, 1, 5, 5, 5, 6, u64::MAX - 1, u64::MAX, u64::MAX];
+        check_sorted(&ones, &[], &[], 1);
+        check_sorted(&ones, &[0, 5, u64::MAX], &[7, u64::MAX], 1);
+        check_sorted(&ones, &[0, 0, 6, u64::MAX, u64::MAX], &[], 1);
+        // An empty base: only the inserts.
+        check_sorted(&[], &[], &[], 10);
+        check_sorted(&[], &[], &[4, 4, 17, u64::MAX], 10);
+    }
+
+    #[test]
+    fn sorted_runs_match_the_fold_on_random_parts() {
+        let mut state = 0x9E37_79B9_7F4A_7C15_u64;
+        let mut next = move |bound: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % bound
+        };
+        for round in 0..200 {
+            let n = next(300) as usize;
+            let domain = [50, 1_000, u64::MAX][round % 3];
+            let mut sorted: Vec<Value> = (0..n).map(|_| next(domain)).collect();
+            sorted.sort_unstable();
+            let tombstones: Vec<Value> = sorted.iter().copied().filter(|_| next(4) == 0).collect();
+            let inserts: Vec<Value> = (0..next(20)).map(|_| next(domain)).collect();
+            let width = [1, 7, 64, 1 << 40, u64::MAX][round % 5];
+            check_sorted(&sorted, &tombstones, &inserts, width);
+        }
     }
 
     #[test]
