@@ -79,6 +79,17 @@ pub fn bucket_of(v: Value, width: Value) -> u64 {
     v / width
 }
 
+/// How many of a run's values, walked from one end, its cancelled copies
+/// (walked from the same end) cancel. Both ascend and every tombstone is
+/// a copy in the run, so the copies of the run's smallest (largest)
+/// values are the tombstones' first (last).
+fn cancelled_copies<'a>(
+    run: impl Iterator<Item = &'a Value>,
+    cancelled: impl Iterator<Item = &'a Value>,
+) -> usize {
+    run.zip(cancelled).take_while(|(v, t)| v == t).count()
+}
+
 /// A sparse, grid-aligned aggregate tree over a multiset of values: one
 /// exact [`GroupCell`] per non-empty bucket of width `width`.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -168,23 +179,15 @@ impl DigestTree {
             let (cancelled, rest) = tombstones.split_at(tombstones.partition_point(in_cell));
             tombstones = rest;
             let run = &sorted[start..end];
-            let sum = sum_positions(sorted, start, end).sum;
             start = end;
             if cancelled.len() == run.len() {
                 continue;
             }
-            // Both runs ascend and every tombstone is a base copy, so the
-            // cancelled copies of the run's smallest (largest) values are
-            // the tombstones' first (last).
-            let lead = run
-                .iter()
-                .zip(cancelled)
-                .take_while(|(v, t)| v == t)
-                .count();
-            let trail = run.iter().rev().zip(cancelled.iter().rev());
-            let trail = trail.take_while(|(v, t)| v == t).count();
+            let lead = cancelled_copies(run.iter(), cancelled.iter());
+            let trail = cancelled_copies(run.iter().rev(), cancelled.iter().rev());
             let cell = GroupCell {
-                sum: sum - cancelled.iter().map(|&t| t as u128).sum::<u128>(),
+                sum: sum_positions(run, 0, run.len()).sum
+                    - cancelled.iter().map(|&t| t as u128).sum::<u128>(),
                 count: (run.len() - cancelled.len()) as u64,
                 min: run[lead],
                 max: run[run.len() - 1 - trail],
