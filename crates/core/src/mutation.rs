@@ -240,6 +240,10 @@ pub struct MutableIndex {
     /// afterwards (same values, same min/max). Never mutated; a completed
     /// merge replaces it.
     column: Arc<Column>,
+    /// Sum of the base column's values: folded once where the index is
+    /// built, kept across the hand-over (same values) and moved by each
+    /// completed merge's net sum.
+    base_sum: u128,
     budget: BudgetController,
     model: CostModel,
     stage: Stage,
@@ -279,6 +283,7 @@ impl MutableIndex {
             } else {
                 Stage::Sorting(Sorting::start(algorithm, &column))
             },
+            base_sum: column.total_sum(),
             column,
             pending: DeltaSidecar::new(),
             merges_completed: 0,
@@ -502,6 +507,7 @@ impl MutableIndex {
         if finished {
             // The merged column is sorted: the index starts over at
             // consolidation, and the old base and frozen deltas drop.
+            self.base_sum = (self.base_sum as i128 + merge.frozen.net_sum()) as u128;
             self.column = Arc::new(Column::from_sorted_vec(std::mem::take(&mut merge.out)));
             self.budget = BudgetController::new(self.budget.policy());
             self.model = CostModel::new(*self.model.constants(), self.column.len());
@@ -614,10 +620,10 @@ impl MutableIndex {
         live
     }
 
-    /// Exact sum and count over all live rows, without a lifecycle step
-    /// (used by the engine to maintain per-shard digests).
+    /// Exact sum and count over all live rows in O(1), without a lifecycle
+    /// step (the total the engine publishes in its per-shard digests).
     pub fn live_total(&self) -> ScanResult {
-        let mut sum = self.column.total_sum() as i128;
+        let mut sum = self.base_sum as i128;
         let mut count = self.column.len() as i64;
         if let Some(merge) = self.merge() {
             sum += merge.frozen.net_sum();
@@ -630,6 +636,23 @@ impl MutableIndex {
             sum: sum.max(0) as u128,
             count: count.max(0) as u64,
         }
+    }
+
+    /// Bounds `(min, max)` on every live value in O(1): the base column's
+    /// with the first and last pending and frozen inserts. Tombstones do
+    /// not narrow them, so they may be wider than the live values; a
+    /// completed merge, whose base holds exactly the live values, narrows
+    /// them again. With no base rows and no inserts they are the empty
+    /// column's `(Value::MAX, 0)`.
+    pub fn live_bounds(&self) -> (Value, Value) {
+        let mut bounds = (self.column.min(), self.column.max());
+        let frozen = self.merge().map_or(&[][..], |m| m.frozen.inserts());
+        for run in [frozen, self.pending.inserts()] {
+            if let (Some(&lo), Some(&hi)) = (run.first(), run.last()) {
+                bounds = (bounds.0.min(lo), bounds.1.max(hi));
+            }
+        }
+        bounds
     }
 }
 
@@ -930,8 +953,9 @@ mod tests {
         for algorithm in Algorithm::ALL {
             let (mut index, mut oracle) = fresh(2_000, 4_000, algorithm);
             let mut rng = testing::TestRng::new(5);
-            // Sorting stage, sorted stage, deltas pending, merge in flight.
-            let mut seen = [false; 4];
+            // Sorting stage, sorted stage, deltas pending, merge in flight,
+            // merge completed.
+            let mut seen = [false; 5];
             for round in 0..400 {
                 let writes = match round % 4 {
                     // An insert and its delete: a write that leaves the
@@ -963,13 +987,31 @@ mod tests {
                 live.sort_unstable();
                 want.sort_unstable();
                 assert_eq!(live, want, "{context}");
+                // The O(1) total and bounds against a fold of the values:
+                // the bounds hold every live value, and are exact once
+                // nothing is pending.
+                let total = ScanResult {
+                    sum: live.iter().map(|&v| v as u128).sum(),
+                    count: live.len() as u64,
+                };
+                assert_eq!(index.live_total(), total, "{context}");
+                let (lo, hi) = index.live_bounds();
+                let exact = (
+                    live.first().copied().unwrap_or(Value::MAX),
+                    live.last().copied().unwrap_or(0),
+                );
+                assert!(lo <= exact.0 && exact.1 <= hi, "{context}");
+                if !index.has_pending() {
+                    assert_eq!((lo, hi), exact, "{context}");
+                }
                 seen[0] |= !sorted_stage;
                 seen[1] |= sorted_stage;
                 seen[2] |= !index.pending.is_empty();
                 seen[3] |= index.merge().is_some();
+                seen[4] |= index.merges_completed() > 0;
                 index.advance();
             }
-            assert_eq!(seen, [true; 4], "{algorithm}");
+            assert_eq!(seen, [true; 5], "{algorithm}");
         }
     }
 

@@ -31,7 +31,7 @@ use crate::cost_model::CostModel;
 use crate::kernels::ScatterScratch;
 use crate::lifecycle::Step;
 use crate::result::Phase;
-use crate::sorter::{IncrementalSorter, DEFAULT_SMALL_NODE_ELEMENTS};
+use crate::sorter::{midpoint, IncrementalSorter, DEFAULT_SMALL_NODE_ELEMENTS};
 
 /// Phase-specific state of the strategy.
 #[derive(Debug)]
@@ -229,12 +229,6 @@ impl QuicksortStrategy {
         debug_assert!(sorter.verify_sorted(&self.index));
         Some(std::mem::take(&mut self.index))
     }
-}
-
-/// Overflow-safe midpoint used for pivot selection ("the average value of
-/// the smallest and largest value of the column").
-fn midpoint(min: Value, max: Value) -> Value {
-    ((min as u128 + max as u128) / 2) as Value
 }
 
 #[cfg(test)]

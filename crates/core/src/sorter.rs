@@ -409,8 +409,10 @@ impl IncrementalSorter {
     }
 }
 
-/// Overflow-safe midpoint of a closed value domain.
-fn midpoint(min: Value, max: Value) -> Value {
+/// Overflow-safe midpoint of a closed value domain: the pivot of every
+/// split ("the average value of the smallest and largest value of the
+/// column").
+pub(crate) fn midpoint(min: Value, max: Value) -> Value {
     ((min as u128 + max as u128) / 2) as Value
 }
 

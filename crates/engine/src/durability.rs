@@ -58,6 +58,7 @@ use pi_durable::snapshot::{
 use pi_durable::wal::{scan_wal, FsyncPolicy, TailStatus, WalMetrics, WalStorage, WalWriter};
 use pi_durable::WalRecord;
 use pi_obs::MetricsRegistry;
+use pi_storage::shard::RangePartition;
 use pi_storage::snapshot::CodecError;
 use pi_storage::Column;
 
@@ -266,24 +267,39 @@ impl DurableTable {
         config: DurabilityConfig,
         registry: Option<&MetricsRegistry>,
     ) -> Result<DurableTable, DurabilityError> {
+        let durable = Self::open(table, wal, 1, Snapshots::new(store), config, registry);
+        durable.checkpoint()?;
+        Ok(durable)
+    }
+
+    /// The constructor [`DurableTable::create`] and
+    /// [`DurableTable::recover`] share: logging resumes at `next_seq`, and
+    /// the merges `table` has already completed do not count towards the
+    /// next checkpoint.
+    fn open(
+        table: Table,
+        wal: Box<dyn WalStorage>,
+        next_seq: u64,
+        snapshots: Snapshots,
+        config: DurabilityConfig,
+        registry: Option<&MetricsRegistry>,
+    ) -> DurableTable {
         let metrics = registry.map(WalMetrics::register);
-        let mut writer = WalWriter::new(wal, config.fsync, 1);
+        let mut writer = WalWriter::new(wal, config.fsync, next_seq);
         writer.set_metrics(metrics.clone());
-        let durable = DurableTable {
+        DurableTable {
+            merges_at_checkpoint: AtomicU64::new(merges_completed(&table)),
             table: Arc::new(table),
             wal: Mutex::new(WalState {
                 writer,
                 bytes_at_checkpoint: 0,
             }),
-            snapshots: Mutex::new(Snapshots::new(store)),
+            snapshots: Mutex::new(snapshots),
             quiesce: RwLock::new(()),
-            merges_at_checkpoint: AtomicU64::new(0),
             checkpointing: AtomicBool::new(false),
             config,
             metrics,
-        };
-        durable.checkpoint()?;
-        Ok(durable)
+        }
     }
 
     /// Rebuilds a durable table from persisted state: loads the newest
@@ -321,7 +337,8 @@ impl DurableTable {
                 .into_iter()
                 .map(|ShardState { base, sidecar }| (base, sidecar))
                 .collect();
-            let mut column = ShardedColumn::restore(name, algorithm, policy, boundaries, parts);
+            let partition = RangePartition::from_boundaries(boundaries);
+            let mut column = ShardedColumn::from_parts(name, algorithm, policy, partition, parts);
             if let Some(registry) = registry {
                 column.attach_metrics(registry);
             }
@@ -361,30 +378,12 @@ impl DurableTable {
             }
         }
 
-        let metrics = registry.map(WalMetrics::register);
-        let mut writer = WalWriter::new(wal, config.fsync, last_seq + 1);
-        writer.set_metrics(metrics.clone());
         let duration = started.elapsed();
-        if let Some(metrics) = &metrics {
+        let durable = Self::open(table, wal, last_seq + 1, snapshots, config, registry);
+        if let Some(metrics) = &durable.metrics {
             metrics.replay_records.add(replayed_records);
             metrics.recovery_ms.set(duration.as_secs_f64() * 1e3);
         }
-        // The merges replay completed do not count towards the next
-        // checkpoint.
-        let merges_at_checkpoint = AtomicU64::new(merges_completed(&table));
-        let durable = DurableTable {
-            table: Arc::new(table),
-            wal: Mutex::new(WalState {
-                writer,
-                bytes_at_checkpoint: 0,
-            }),
-            snapshots: Mutex::new(snapshots),
-            quiesce: RwLock::new(()),
-            merges_at_checkpoint,
-            checkpointing: AtomicBool::new(false),
-            config,
-            metrics,
-        };
         let report = RecoveryReport {
             snapshot_id,
             snapshot_wal_seq: wal_seq,

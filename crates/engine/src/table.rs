@@ -111,14 +111,16 @@ impl<K> ColumnSpec<K> {
     }
 }
 
-/// Per-shard summary maintained under mutations: the shard's value bounds
-/// and its full-shard live aggregate. Query answers are always exact over
-/// the live rows regardless of indexing progress, so a predicate that
-/// covers `[min, max]` entirely can be answered from `total` in O(1) — no
-/// shard lock, no index probe (aggregate pushdown; wide queries only pay
-/// real probes on their two boundary shards). Mutations update the totals
-/// exactly and only ever *widen* `[min, max]` (a delete may leave the
-/// bounds stale-wide, which costs shortcut opportunities but never
+/// What a shard publishes for readers that take no shard lock: bounds on
+/// its values and its full-shard live aggregate. Query answers are always
+/// exact over the live rows regardless of indexing progress, so a
+/// predicate that covers `[min, max]` entirely can be answered from
+/// `total` in O(1) — no shard lock, no index probe (aggregate pushdown;
+/// wide queries only pay real probes on their two boundary shards).
+/// [`ShardedColumn::with_shard`] reads both from the index
+/// ([`MutableIndex::live_total`], [`MutableIndex::live_bounds`]): the total
+/// exactly, while `[min, max]` only ever widens (a delete or a merge may
+/// leave it stale-wide, which costs shortcut opportunities but never
 /// correctness).
 #[derive(Debug, Clone, Copy)]
 struct ShardDigest {
@@ -130,36 +132,37 @@ struct ShardDigest {
     total: ScanResult,
 }
 
-impl ShardDigest {
-    /// Folds one *applied* mutation into the digest.
-    fn apply(&mut self, mutation: &Mutation) {
-        match *mutation {
-            Mutation::Insert(v) => {
-                self.total.sum += v as u128;
-                self.total.count += 1;
-                self.widen(v);
-            }
-            Mutation::Delete(v) => {
-                self.total = self.total.subtract(ScanResult {
-                    sum: v as u128,
-                    count: 1,
-                });
-            }
-            Mutation::Update { old, new } => {
-                self.total = self.total.subtract(ScanResult {
-                    sum: old as u128,
-                    count: 1,
-                });
-                self.total.sum += new as u128;
-                self.total.count += 1;
-                self.widen(new);
-            }
+/// One shard: its index behind its own mutex, and what the last call that
+/// held that mutex published from it ([`ShardedColumn::with_shard`]).
+struct Shard {
+    index: Mutex<MutableIndex>,
+    digest: RwLock<ShardDigest>,
+    /// Convergence flag, written only under the shard's lock (`Release`),
+    /// read lock-free (`Acquire`).
+    converged: AtomicBool,
+    /// ρ (f64 bits), read by the conjunction planner and the executor's
+    /// fan-out price without touching shard or digest locks.
+    rho: AtomicU64,
+}
+
+impl Shard {
+    fn new(index: MutableIndex) -> Self {
+        let (min, max) = index.live_bounds();
+        Shard {
+            digest: RwLock::new(ShardDigest {
+                min,
+                max,
+                total: index.live_total(),
+            }),
+            converged: AtomicBool::new(false),
+            rho: AtomicU64::new(0),
+            index: Mutex::new(index),
         }
     }
 
-    fn widen(&mut self, v: Value) {
-        self.min = self.min.min(v);
-        self.max = self.max.max(v);
+    /// The published digest, copied under a brief read lock.
+    fn digest(&self) -> ShardDigest {
+        *self.digest.read().expect("digest lock poisoned")
     }
 }
 
@@ -183,8 +186,9 @@ struct ColumnObs {
 /// Reads and writes are isolated per shard: every shard sits behind its
 /// own mutex, so a writer only ever blocks the readers (and writers) of
 /// the one shard it touches. The shard digests powering the O(1)
-/// covered-shard shortcut live behind per-shard `RwLock`s and are updated
-/// exactly on every applied mutation.
+/// covered-shard shortcut live behind per-shard `RwLock`s; the call that
+/// changes a shard's live multiset publishes its new digest from the
+/// index before it releases the shard.
 pub struct ShardedColumn {
     name: String,
     algorithm: Algorithm,
@@ -195,21 +199,11 @@ pub struct ShardedColumn {
     /// (no shard lock needed to read them). Live counts drift under
     /// mutations; see [`ShardedColumn::shard_live_rows`].
     shard_rows: Vec<usize>,
-    digests: Vec<RwLock<ShardDigest>>,
-    shards: Vec<Mutex<MutableIndex>>,
-    /// Per-shard convergence flags, written only by
-    /// [`ShardedColumn::with_shard`] while it holds the shard's lock
-    /// (`Release`), read lock-free (`Acquire`).
-    converged: Vec<AtomicBool>,
+    shards: Vec<Shard>,
     /// Pending-delta merges the shards completed, added by
     /// [`ShardedColumn::with_shard`] under the shard lock; a rebalance
     /// keeps the count.
     merges: AtomicU64,
-    /// Lock-free per-shard ρ cache (f64 bits), published by
-    /// [`ShardedColumn::with_shard`] and read by the conjunction planner
-    /// and the executor's fan-out price without touching shard or digest
-    /// locks.
-    rho_cache: Vec<AtomicU64>,
     /// Metric handles (see [`TableBuilder::metrics`]); `None` costs
     /// nothing.
     obs: Option<ColumnObs>,
@@ -228,114 +222,53 @@ impl ShardedColumn {
         };
         let column = Column::from_vec(spec.keys);
         let partition = RangePartition::equi_depth(column.data(), spec.shards);
-        Self::build(spec.name, column, partition, algorithm, spec.policy)
+        let parts = fresh_parts(&partition, &column);
+        Self::from_parts(spec.name, algorithm, spec.policy, partition, parts)
     }
 
-    /// Shared constructor for the initial build and re-balances.
-    fn build(
+    /// The one constructor: shard `s` is an index over `parts[s]`, a base
+    /// column plus its pending sidecar, and publishes what it reports. A
+    /// fresh column and a rebalance pass their split sub-columns with empty
+    /// sidecars; recovery passes what [`ShardedColumn::snapshot_state`]
+    /// captured. A shard whose base is sorted — a converged shard's is —
+    /// has nothing left to sort and starts at consolidation, a tree build
+    /// over its array; any other starts at the creation phase. The live
+    /// multiset, and therefore every query answer, is exactly the parts'.
+    ///
+    /// `parts` must hold exactly one entry per shard of `partition`.
+    pub(crate) fn from_parts(
         name: String,
-        column: Column,
-        partition: RangePartition,
         algorithm: Algorithm,
         policy: BudgetPolicy,
+        partition: RangePartition,
+        parts: Vec<(Arc<Column>, DeltaSidecar)>,
     ) -> Self {
-        let sub_columns = partition.split_column(&column);
-        let digests = sub_columns
-            .iter()
-            .map(|sub| ShardDigest {
-                min: sub.min(),
-                max: sub.max(),
-                total: ScanResult {
-                    sum: sub.data().iter().map(|&v| v as u128).sum(),
-                    count: sub.len() as u64,
-                },
+        assert_eq!(
+            parts.len(),
+            partition.shard_count(),
+            "shard count must match the partition"
+        );
+        let shards: Vec<Shard> = parts
+            .into_iter()
+            .map(|(base, sidecar)| {
+                Shard::new(MutableIndex::from_parts(base, sidecar, algorithm, policy))
             })
             .collect();
-        let shards = sub_columns
-            .into_iter()
-            .map(|sub| MutableIndex::new(Arc::new(sub), algorithm, policy))
-            .collect();
-        Self::assemble(name, algorithm, policy, partition, digests, shards)
-    }
-
-    /// The tail every constructor shares: derives the row counts and the
-    /// domain from the shard digests, puts each shard behind its lock and
-    /// publishes every shard's status.
-    fn assemble(
-        name: String,
-        algorithm: Algorithm,
-        policy: BudgetPolicy,
-        partition: RangePartition,
-        digests: Vec<ShardDigest>,
-        shards: Vec<MutableIndex>,
-    ) -> Self {
-        let shard_rows: Vec<usize> = digests.iter().map(|d| d.total.count as usize).collect();
         let column = ShardedColumn {
             name,
             algorithm,
             policy,
             partition,
-            shard_rows,
-            digests: digests.into_iter().map(RwLock::new).collect(),
-            converged: shards.iter().map(|_| AtomicBool::new(false)).collect(),
+            shard_rows: shards
+                .iter()
+                .map(|s| s.digest().total.count as usize)
+                .collect(),
+            shards,
             merges: AtomicU64::new(0),
-            rho_cache: shards.iter().map(|_| AtomicU64::new(0)).collect(),
-            shards: shards.into_iter().map(Mutex::new).collect(),
             obs: None,
         };
         column.reattach();
         column
-    }
-
-    /// Reassembles a column from persisted parts: the shard boundaries
-    /// plus each shard's base snapshot and pending sidecar (the state
-    /// [`ShardedColumn::snapshot_state`] captures). A shard whose base was
-    /// sorted when captured — a converged shard's is — has nothing left to
-    /// sort and restarts at consolidation, a tree build over its array;
-    /// any other restarts at the creation phase. The live multiset — and
-    /// therefore every query answer — is exactly what was captured.
-    ///
-    /// `boundaries` must be strictly ascending and `shards` must hold
-    /// exactly `boundaries.len() + 1` entries (the snapshot codec
-    /// validates both).
-    pub(crate) fn restore(
-        name: String,
-        algorithm: Algorithm,
-        policy: BudgetPolicy,
-        boundaries: Vec<Value>,
-        shard_states: Vec<(Arc<Column>, DeltaSidecar)>,
-    ) -> Self {
-        assert_eq!(
-            shard_states.len(),
-            boundaries.len() + 1,
-            "shard count must match the partition"
-        );
-        let partition = RangePartition::from_boundaries(boundaries);
-        let shards: Vec<MutableIndex> = shard_states
-            .into_iter()
-            .map(|(base, sidecar)| MutableIndex::from_parts(base, sidecar, algorithm, policy))
-            .collect();
-        let digests = shards
-            .iter()
-            .map(|shard| {
-                let (base, sidecar) = shard.snapshot_parts();
-                let mut digest = ShardDigest {
-                    min: base.min(),
-                    max: base.max(),
-                    total: shard.live_total(),
-                };
-                // Pending inserts may lie outside the base bounds; widen
-                // like the live path would have (sorted run: first/last).
-                if let (Some(&lo), Some(&hi)) =
-                    (sidecar.inserts().first(), sidecar.inserts().last())
-                {
-                    digest.widen(lo);
-                    digest.widen(hi);
-                }
-                digest
-            })
-            .collect();
-        Self::assemble(name, algorithm, policy, partition, digests, shards)
     }
 
     /// Captures the column's persistable state: the partition boundaries
@@ -347,7 +280,12 @@ impl ShardedColumn {
         let shards = self
             .shards
             .iter()
-            .map(|s| s.lock().expect("shard lock poisoned").snapshot_parts())
+            .map(|s| {
+                s.index
+                    .lock()
+                    .expect("shard lock poisoned")
+                    .snapshot_parts()
+            })
             .collect();
         (boundaries, shards)
     }
@@ -388,26 +326,42 @@ impl ShardedColumn {
     }
 
     /// Runs `f` on shard `shard` under its lock and, before releasing it,
-    /// publishes what the shard now reports: its ρ to the lock-free cache
-    /// and the `engine.rho.*` gauge, its convergence flag, and the merges
-    /// the call completed to the column's merge count. Every locked
-    /// change to a shard goes through here, so nothing published is older
-    /// than the last call that changed the shard. Only the lock holder
-    /// writes the flag, so a plain load and store suffice: the mutex
-    /// orders the previous holder's store before this load.
+    /// publishes what the shard now reports: its digest, its ρ to the
+    /// lock-free cache and the `engine.rho.*` gauge, its convergence flag,
+    /// and the merges the call completed to the column's merge count.
+    /// Every locked change to a shard goes through here, so nothing
+    /// published is older than the last call that changed the shard. Only
+    /// the lock holder writes the flag, so a plain load and store suffice:
+    /// the mutex orders the previous holder's store before this load.
+    ///
+    /// The digest takes the index's live total and widens `[min, max]` by
+    /// its live bounds. The published bounds hold the index's after every
+    /// call, so only a call that moved the total or widened the bounds
+    /// takes the digest lock, and only a change to the live multiset does
+    /// either.
     pub(crate) fn with_shard<R>(&self, shard: usize, f: impl FnOnce(&mut MutableIndex) -> R) -> R {
-        let mut index = self.shards[shard].lock().expect("shard lock poisoned");
+        let slot = &self.shards[shard];
+        let mut index = slot.index.lock().expect("shard lock poisoned");
         let merges_before = index.merges_completed();
+        let (total_before, (min_before, max_before)) = (index.live_total(), index.live_bounds());
         let result = f(&mut index);
         let merged = index.merges_completed() - merges_before;
         if merged > 0 {
             self.merges.fetch_add(merged, Ordering::Relaxed);
         }
+        let (total, (min, max)) = (index.live_total(), index.live_bounds());
+        if total != total_before || min < min_before || max > max_before {
+            let mut digest = slot.digest.write().expect("digest lock poisoned");
+            digest.total = total;
+            digest.min = digest.min.min(min);
+            digest.max = digest.max.max(max);
+        }
         let status = index.status();
-        self.rho_cache[shard].store(status.fraction_indexed.to_bits(), Ordering::Relaxed);
-        let was_converged = self.converged[shard].load(Ordering::Relaxed);
+        slot.rho
+            .store(status.fraction_indexed.to_bits(), Ordering::Relaxed);
+        let was_converged = slot.converged.load(Ordering::Relaxed);
         if was_converged != status.converged {
-            self.converged[shard].store(status.converged, Ordering::Release);
+            slot.converged.store(status.converged, Ordering::Release);
         }
         if let Some(obs) = &self.obs {
             obs.rho[shard].set(status.fraction_indexed);
@@ -428,9 +382,9 @@ impl ShardedColumn {
     /// Current number of live rows, summed from the per-shard digests
     /// (no shard locks taken).
     pub fn live_rows(&self) -> usize {
-        self.digests
+        self.shards
             .iter()
-            .map(|d| d.read().expect("digest lock poisoned").total.count as usize)
+            .map(|s| s.digest().total.count as usize)
             .sum()
     }
 
@@ -463,9 +417,9 @@ impl ShardedColumn {
 
     /// Current live rows per shard, from the digests (no shard locks).
     fn shard_live_rows(&self) -> Vec<usize> {
-        self.digests
+        self.shards
             .iter()
-            .map(|d| d.read().expect("digest lock poisoned").total.count as usize)
+            .map(|s| s.digest().total.count as usize)
             .collect()
     }
 
@@ -494,8 +448,8 @@ impl ShardedColumn {
     /// full-shard live aggregate, read under a brief digest lock — no
     /// shard mutex, no index probe. `None` means the shard must be probed
     /// through [`ShardedColumn::query_shard`]. Exactness does not depend
-    /// on indexing progress — mutations update the digest atomically with
-    /// the shard they apply to — but the skipped shard performs no
+    /// on indexing progress — a write publishes the digest before it
+    /// releases the shard it applies to — but the skipped shard performs no
     /// per-query indexing work: it converges through the queries that do
     /// probe it, writes that land on it, or
     /// [`crate::Executor::drive_to_convergence`].
@@ -505,7 +459,7 @@ impl ShardedColumn {
         low: Value,
         high: Value,
     ) -> Option<ScanResult> {
-        let digest = self.digests[shard].read().expect("digest lock poisoned");
+        let digest = self.shards[shard].digest();
         if digest.total.count == 0 {
             Some(ScanResult::EMPTY)
         } else if low <= digest.min && digest.max <= high {
@@ -551,28 +505,6 @@ impl ShardedColumn {
         self.partition.shard_of(v)
     }
 
-    /// Applies one mutation to one shard under its lock. Returns whether
-    /// it applied. The shard's digest is updated when it did, and the
-    /// shard's status published, before the shard lock is released — a
-    /// rejected delete's validating lookup refines the index too.
-    ///
-    /// The caller routes: `op` must belong to `shard` under the column's
-    /// partition (for an update, both `old` and `new`;
-    /// [`ShardedColumn::apply_mutations`] decomposes a cross-shard update
-    /// into a delete and a dependent insert).
-    fn apply_shard_op(&self, shard: usize, op: &Mutation) -> bool {
-        self.with_shard(shard, |index| {
-            let applied = index.apply(op);
-            if applied {
-                self.digests[shard]
-                    .write()
-                    .expect("digest lock poisoned")
-                    .apply(op);
-            }
-            applied
-        })
-    }
-
     /// Applies a batch of mutations in request order, serially. Returns
     /// the per-mutation applied flags. Cross-shard updates are atomic:
     /// the delete is attempted first and the insert of the new value only
@@ -583,19 +515,19 @@ impl ShardedColumn {
     /// table all apply their batches through it, so every write lands in
     /// request order — the order the write-ahead log replays.
     pub fn apply_mutations(&self, mutations: &[Mutation]) -> Vec<bool> {
+        // One mutation on the shard it routes to, under that shard's lock
+        // (a rejected delete's validating lookup refines the index too).
+        let apply = |shard: usize, op: &Mutation| self.with_shard(shard, |index| index.apply(op));
         mutations
             .iter()
             .map(|m| match *m {
-                Mutation::Insert(v) | Mutation::Delete(v) => {
-                    self.apply_shard_op(self.shard_of(v), m)
-                }
+                Mutation::Insert(v) | Mutation::Delete(v) => apply(self.shard_of(v), m),
                 Mutation::Update { old, new } => {
                     let (from, to) = (self.shard_of(old), self.shard_of(new));
                     if from == to {
-                        self.apply_shard_op(from, m)
+                        apply(from, m)
                     } else {
-                        self.apply_shard_op(from, &Mutation::Delete(old))
-                            && self.apply_shard_op(to, &Mutation::Insert(new))
+                        apply(from, &Mutation::Delete(old)) && apply(to, &Mutation::Insert(new))
                     }
                 }
             })
@@ -606,7 +538,7 @@ impl ShardedColumn {
     /// that held its lock (no lock taken). A write that reopens the shard
     /// clears the flag before it releases the lock.
     pub(crate) fn shard_is_converged(&self, shard: usize) -> bool {
-        self.converged[shard].load(Ordering::Acquire)
+        self.shards[shard].converged.load(Ordering::Acquire)
     }
 
     /// Pending-delta merges the column's shards have completed since it
@@ -621,7 +553,7 @@ impl ShardedColumn {
     /// measure), read lock-free from the value published by the last call
     /// that held the shard's lock.
     pub(crate) fn shard_rho_estimate(&self, shard: usize) -> f64 {
-        f64::from_bits(self.rho_cache[shard].load(Ordering::Relaxed))
+        f64::from_bits(self.shards[shard].rho.load(Ordering::Relaxed))
     }
 
     /// The column's ρ, row-weighted over the per-shard caches (no locks;
@@ -658,8 +590,8 @@ impl ShardedColumn {
         let visit = self.overlapping(low, high);
         let mut matching = 0.0;
         let mut total = 0.0;
-        for (shard, digest) in self.digests.iter().enumerate() {
-            let digest = digest.read().expect("digest lock poisoned");
+        for (shard, slot) in self.shards.iter().enumerate() {
+            let digest = slot.digest();
             let count = digest.total.count as f64;
             total += count;
             if digest.total.count == 0 || !visit.contains(&shard) {
@@ -701,18 +633,25 @@ impl ShardedColumn {
     pub(crate) fn rebalance(&mut self) {
         let mut live: Vec<Value> = Vec::new();
         for shard in &self.shards {
-            live.extend(shard.lock().expect("shard lock poisoned").live_values());
+            live.extend(
+                shard
+                    .index
+                    .lock()
+                    .expect("shard lock poisoned")
+                    .live_values(),
+            );
         }
         let shards = self.partition.shard_count();
         let partition = RangePartition::equi_depth(&live, shards);
+        let parts = fresh_parts(&partition, &Column::from_vec(live));
         let obs = self.obs.take();
         let merges = std::mem::take(&mut self.merges);
-        *self = Self::build(
+        *self = Self::from_parts(
             std::mem::take(&mut self.name),
-            Column::from_vec(live),
-            partition,
             self.algorithm,
             self.policy,
+            partition,
+            parts,
         );
         // The rebuilt shards keep reporting into the same metric family
         // (same shard count, so the gauge handles stay valid) and keep
@@ -726,7 +665,7 @@ impl ShardedColumn {
     pub fn shard_statuses(&self) -> Vec<IndexStatus> {
         self.shards
             .iter()
-            .map(|s| s.lock().expect("shard lock poisoned").status())
+            .map(|s| s.index.lock().expect("shard lock poisoned").status())
             .collect()
     }
 
@@ -740,7 +679,7 @@ impl ShardedColumn {
         let mut converged = true;
         let mut weight = 0.0;
         for shard in &self.shards {
-            let shard = shard.lock().expect("shard lock poisoned");
+            let shard = shard.index.lock().expect("shard lock poisoned");
             let status = shard.status();
             let rows = shard.live_rows() as f64;
             phase = phase.min(status.phase);
@@ -776,8 +715,20 @@ impl ShardedColumn {
     /// `true` once every shard of the column has converged: every
     /// published convergence flag is set (no shard lock taken).
     pub fn is_converged(&self) -> bool {
-        self.converged.iter().all(|c| c.load(Ordering::Acquire))
+        self.shards
+            .iter()
+            .all(|s| s.converged.load(Ordering::Acquire))
     }
+}
+
+/// `column` split over `partition`'s shards, each sub-column with an empty
+/// sidecar: the parts of a column that has taken no writes.
+fn fresh_parts(partition: &RangePartition, column: &Column) -> Vec<(Arc<Column>, DeltaSidecar)> {
+    partition
+        .split_column(column)
+        .into_iter()
+        .map(|sub| (Arc::new(sub), DeltaSidecar::new()))
+        .collect()
 }
 
 /// A multi-column table of range-sharded progressive indexes.
@@ -834,22 +785,18 @@ impl TableBuilder {
     /// # Panics
     /// Panics on duplicate column names.
     pub fn build(self) -> Table {
-        let mut columns = Vec::with_capacity(self.specs.len());
-        let mut by_name = HashMap::new();
-        for spec in self.specs {
-            let mut column = ShardedColumn::from_spec(spec);
-            if let Some(registry) = &self.metrics {
-                column.attach_metrics(registry);
-            }
-            let previous = by_name.insert(column.name().to_string(), columns.len());
-            assert!(
-                previous.is_none(),
-                "duplicate column name {:?}",
-                column.name()
-            );
-            columns.push(column);
-        }
-        Table { columns, by_name }
+        let columns = self
+            .specs
+            .into_iter()
+            .map(|spec| {
+                let mut column = ShardedColumn::from_spec(spec);
+                if let Some(registry) = &self.metrics {
+                    column.attach_metrics(registry);
+                }
+                column
+            })
+            .collect();
+        Table::from_columns(columns)
     }
 
     /// Builds the table and wraps it in a
@@ -879,8 +826,8 @@ impl Table {
         TableBuilder::default()
     }
 
-    /// Assembles a table from already-constructed columns (the recovery
-    /// path; [`Table::builder`] is the normal constructor).
+    /// Assembles a table from already-constructed columns (what
+    /// [`TableBuilder::build`] and recovery both end with).
     ///
     /// # Panics
     /// Panics on duplicate column names.
@@ -1048,7 +995,7 @@ mod tests {
         assert_eq!(rows.len(), 5);
         assert_eq!(rows.iter().sum::<usize>(), 12_000);
         let locked: Vec<usize> = (0..5)
-            .map(|s| column.shards[s].lock().unwrap().live_rows())
+            .map(|s| column.shards[s].index.lock().unwrap().live_rows())
             .collect();
         assert_eq!(rows, locked);
     }
@@ -1355,20 +1302,49 @@ mod tests {
     }
 
     /// What a column publishes for lock-free readers — each shard's
-    /// convergence flag and cached ρ — is what the shard reports, after
-    /// every call. The first case is a run of rejected deletes: their
-    /// validating lookups refine the index although nothing applies. The
-    /// script is seeded and a failure names algorithm, seed and step.
+    /// convergence flag, cached ρ and digest — is what the shard reports,
+    /// after every call: the digest's total is the index's live total,
+    /// its `[min, max]` holds every live value, and neither bound narrows
+    /// from one call to the next (`bounds` holds the last call's; a
+    /// rebalance clears it). The first case is a run of rejected deletes:
+    /// their validating lookups refine the index although nothing
+    /// applies. The script is seeded and a failure names algorithm, seed
+    /// and step.
     #[test]
     fn publication_matches_the_shard_after_every_call() {
-        fn assert_published(column: &ShardedColumn, context: &str) {
+        fn assert_published(
+            column: &ShardedColumn,
+            bounds: &mut Vec<(Value, Value)>,
+            context: &str,
+        ) {
             for (s, status) in column.shard_statuses().iter().enumerate() {
                 assert_eq!(
                     (column.shard_is_converged(s), column.shard_rho_estimate(s)),
                     (status.converged, status.fraction_indexed),
                     "{context}: shard {s}"
                 );
+                let digest = column.shards[s].digest();
+                let index = column.shards[s].index.lock().unwrap();
+                assert_eq!(digest.total, index.live_total(), "{context}: shard {s}");
+                assert!(
+                    index
+                        .live_values()
+                        .iter()
+                        .all(|v| (digest.min..=digest.max).contains(v)),
+                    "{context}: shard {s} outside {digest:?}"
+                );
+                if let Some(&(min, max)) = bounds.get(s) {
+                    assert!(
+                        digest.min <= min && max <= digest.max,
+                        "{context}: shard {s} narrowed [{min}, {max}] to {digest:?}"
+                    );
+                }
             }
+            *bounds = column
+                .shards
+                .iter()
+                .map(|s| (s.digest().min, s.digest().max))
+                .collect();
         }
         // Even values only, so every odd value is absent.
         let evens = |n: usize, seed: u64| -> Vec<Value> {
@@ -1387,11 +1363,13 @@ mod tests {
                 [false; 6]
             );
             assert!(column.shard_statuses()[0].fraction_indexed > 0.0);
-            assert_published(&column, &format!("{algorithm}: rejected deletes"));
+            let context = format!("{algorithm}: rejected deletes");
+            assert_published(&column, &mut Vec::new(), &context);
 
             for seed in 1..=4u64 {
                 let mut live = evens(400, seed);
                 let mut column = ShardedColumn::from_spec(spec(live.clone(), 4));
+                let mut bounds = Vec::new();
                 let mut state = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15);
                 let mut next = move |bound: u64| {
                     state ^= state << 13;
@@ -1442,12 +1420,14 @@ mod tests {
                         }
                         8 if next(4) == 0 => {
                             column.rebalance();
+                            bounds.clear();
                             "rebalance"
                         }
                         _ => continue,
                     };
                     assert_published(
                         &column,
+                        &mut bounds,
                         &format!("{algorithm} seed {seed} step {step} {op}"),
                     );
                 }

@@ -130,7 +130,8 @@ impl Column {
         }
     }
 
-    /// Exact sum of all values, as used by full-scan sanity checks.
+    /// Exact sum of all values, in one pass (a progressive index folds
+    /// its base column's once, where it is built).
     pub fn total_sum(&self) -> u128 {
         self.data.iter().map(|&v| v as u128).sum()
     }

@@ -39,6 +39,9 @@ pub struct DeltaSidecar {
     /// Values deleted from the base snapshot (sorted); each entry cancels
     /// exactly one live occurrence.
     tombstones: Vec<Value>,
+    /// Sum of `inserts` minus sum of `tombstones`, kept by every method
+    /// that changes either run.
+    net_sum: i128,
 }
 
 /// The net effect of a sidecar on one range predicate: what the sidecar
@@ -61,7 +64,15 @@ impl DeltaScan {
     /// for a value that was never live.
     #[inline]
     pub fn apply_to(self, base: ScanResult) -> ScanResult {
-        base.merge(self.added).subtract(self.removed)
+        let (kept, removed) = (base.merge(self.added), self.removed);
+        debug_assert!(
+            kept.sum >= removed.sum && kept.count >= removed.count,
+            "subtracting an aggregate ({removed:?}) that is not contained in {kept:?}"
+        );
+        ScanResult {
+            sum: kept.sum - removed.sum,
+            count: kept.count - removed.count,
+        }
     }
 }
 
@@ -132,13 +143,20 @@ impl DeltaSidecar {
         if !sorted_remove(&mut self.tombstones, v) {
             sorted_insert(&mut self.inserts, v);
         }
+        // Either way the net sum gains `v`: a cancelled tombstone had
+        // taken it off.
+        self.net_sum += v as i128;
     }
 
     /// Cancels one pending insert of `v`, if any. Returns whether an
     /// insert was consumed — the cheap path of a delete, avoiding a
     /// tombstone for a row the base snapshot never held.
     pub fn cancel_insert(&mut self, v: Value) -> bool {
-        sorted_remove(&mut self.inserts, v)
+        let cancelled = sorted_remove(&mut self.inserts, v);
+        if cancelled {
+            self.net_sum -= v as i128;
+        }
+        cancelled
     }
 
     /// Records a tombstone for `v`.
@@ -148,6 +166,7 @@ impl DeltaSidecar {
     /// check that.
     pub fn add_tombstone(&mut self, v: Value) {
         sorted_insert(&mut self.tombstones, v);
+        self.net_sum -= v as i128;
     }
 
     /// Net effect of the pending mutations on a `[low, high]` predicate
@@ -176,10 +195,9 @@ impl DeltaSidecar {
     }
 
     /// Sum over all pending inserts minus all tombstones, as a signed
-    /// contribution to the column total.
+    /// contribution to the column total (O(1): kept as the runs change).
     pub fn net_sum(&self) -> i128 {
-        self.inserts.iter().map(|&v| v as i128).sum::<i128>()
-            - self.tombstones.iter().map(|&v| v as i128).sum::<i128>()
+        self.net_sum
     }
 
     /// Rebuilds a sidecar from sorted multisets (the decode half of the
@@ -189,7 +207,9 @@ impl DeltaSidecar {
     pub(crate) fn from_sorted_parts(inserts: Vec<Value>, tombstones: Vec<Value>) -> Option<Self> {
         let sorted = |run: &[Value]| run.windows(2).all(|w| w[0] <= w[1]);
         if sorted(&inserts) && sorted(&tombstones) {
+            let sum = |run: &[Value]| run.iter().map(|&v| v as i128).sum::<i128>();
             Some(DeltaSidecar {
+                net_sum: sum(&inserts) - sum(&tombstones),
                 inserts,
                 tombstones,
             })
@@ -220,6 +240,17 @@ impl DeltaSidecar {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::snapshot::{put_sidecar, read_sidecar, ByteReader};
+
+    /// The running net sum equals a fold of both runs.
+    fn assert_net_sum(s: &DeltaSidecar) {
+        let fold = |run: &[Value]| run.iter().map(|&v| v as i128).sum::<i128>();
+        assert_eq!(
+            s.net_sum(),
+            fold(s.inserts()) - fold(s.tombstones()),
+            "{s:?}"
+        );
+    }
 
     #[test]
     fn empty_sidecar_is_neutral() {
@@ -236,8 +267,10 @@ mod tests {
     fn inserts_add_and_tombstones_remove() {
         let mut s = DeltaSidecar::new();
         s.insert(5);
+        assert_net_sum(&s);
         s.insert(15);
         s.add_tombstone(7);
+        assert_net_sum(&s);
         let base = ScanResult { sum: 7, count: 1 }; // base holds {7}
         let r = s.scan(0, 20).apply_to(base);
         assert_eq!(r, ScanResult { sum: 20, count: 2 }); // {5, 15}
@@ -249,9 +282,16 @@ mod tests {
     #[test]
     fn insert_cancels_pending_tombstone() {
         let mut s = DeltaSidecar::new();
+        s.insert(u64::MAX);
         s.add_tombstone(9);
         s.insert(9);
-        assert!(s.is_empty(), "tombstone(9) + insert(9) must cancel");
+        assert_eq!(
+            s.inserts(),
+            &[u64::MAX],
+            "tombstone(9) + insert(9) must cancel"
+        );
+        assert!(s.tombstones().is_empty());
+        assert_net_sum(&s);
     }
 
     #[test]
@@ -261,9 +301,11 @@ mod tests {
         s.insert(4);
         assert!(s.cancel_insert(4));
         assert_eq!(s.net_count_of(4), 1);
+        assert_net_sum(&s);
         assert!(s.cancel_insert(4));
         assert!(!s.cancel_insert(4));
         assert!(s.is_empty());
+        assert_net_sum(&s);
     }
 
     #[test]
@@ -298,6 +340,13 @@ mod tests {
         let s = DeltaSidecar::from_sorted_parts(vec![1, 2, 2], vec![5]).unwrap();
         assert_eq!(s.inserts(), &[1, 2, 2]);
         assert_eq!(s.tombstones(), &[5]);
+        assert_net_sum(&s);
+        // The snapshot codec's decode rebuilds the running sum too.
+        let mut bytes = Vec::new();
+        put_sidecar(&mut bytes, &s);
+        let decoded = read_sidecar(&mut ByteReader::new(&bytes)).unwrap();
+        assert_net_sum(&decoded);
+        assert_eq!(decoded, s);
         assert!(DeltaSidecar::from_sorted_parts(vec![2, 1], vec![]).is_none());
         assert!(DeltaSidecar::from_sorted_parts(vec![], vec![9, 3]).is_none());
     }
@@ -318,6 +367,7 @@ mod tests {
         // Net effect: only the insert of 9 survives.
         assert_eq!(earlier.inserts(), &[9]);
         assert_eq!(earlier.tombstones(), &[] as &[Value]);
+        assert_net_sum(&earlier);
 
         // A later tombstone with no pending insert lands as a tombstone.
         let mut base = DeltaSidecar::new();
@@ -325,5 +375,6 @@ mod tests {
         del.add_tombstone(3);
         base.compose(&del);
         assert_eq!(base.tombstones(), &[3]);
+        assert_net_sum(&base);
     }
 }

@@ -58,23 +58,6 @@ impl ScanResult {
             count: self.count + other.count,
         }
     }
-
-    /// Removes `other` from this result: the tombstone composition of the
-    /// mutation path (`base + inserts - tombstones`).
-    ///
-    /// Tombstones are only admitted for live rows, so `other` is always a
-    /// sub-aggregate of `self`; a debug assertion guards that invariant.
-    #[inline]
-    pub fn subtract(self, other: ScanResult) -> ScanResult {
-        debug_assert!(
-            self.sum >= other.sum && self.count >= other.count,
-            "subtracting an aggregate ({other:?}) that is not contained in {self:?}"
-        );
-        ScanResult {
-            sum: self.sum - other.sum,
-            count: self.count - other.count,
-        }
-    }
 }
 
 /// Elements summed per chunk by the range-sum body. Within a chunk the low

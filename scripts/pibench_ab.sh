@@ -31,8 +31,12 @@
 # floor the peel checks) and the durable path's layers
 # (`durable.snapshot.encode_ms`, `engine.durability.checkpoint_ms`,
 # `durable.recover_s`, `durable.wal.append_us` and
-# `engine.durability.apply_us`), so the layer that moved is on the same
-# page. By default that is one traced run per side, each layer's value
+# `engine.durability.apply_us`) and the covered-shard shortcut's
+# `engine.executor.digest_hits_per_query`, the typed and grouped reads'
+# `engine.typed.string_query_us`, `engine.multicol.grouped_fresh_us`,
+# `engine.multicol.grouped_cached_us`, `engine.kind_share.grouped`,
+# `engine.agg.cache_hit_ratio` and `storage.digest_tree_build_ms`, so the
+# layer that moved is on the same page. By default that is one traced run per side, each layer's value
 # printed as it reads. TRACE_PAIRS=N (N >= 2) runs N alternating traced
 # pairs instead and prints one table of those layers by the end-to-end
 # rule: each side's median and quartiles, the pairs the change won (in
@@ -42,6 +46,10 @@
 # have no bound, so none reads REGRESSION. A per-layer claim ("the layer
 # that moved") needs that table, not one run a side: one run of
 # `core.radix_msd.cold_total_s` spanned 6.7-9.7 ms on one commit.
+# A traced run that exits non-zero (a wrong answer, or the peel's
+# self-time floor) is reported with its side, workload, pair and exit
+# code and still recorded; its pair is left out of the per-layer table,
+# which says so, and the script goes on.
 #
 # The run length and the command come from the working tree's
 # BENCHMARK.json and are the same on both sides.
@@ -112,12 +120,13 @@ print(json.dumps({
 EOF
 }
 
-summarise() { # <end_to_end|per_layer> <workload> <pairs>
-    python3 - "$work/runs" "$1" "$2" "$3" "$seed" <<'EOF'
+summarise() { # <end_to_end|per_layer> <workload> <pairs> [pairs to leave out]
+    python3 - "$work/runs" "$1" "$2" "$3" "$seed" "${4:-}" <<'EOF'
 import json, re, statistics, sys
 sys.path.insert(0, "scripts")
 import history  # the verdict rule, shared with scripts/history.py
 runs, kind, workload, pairs, seed = sys.argv[1], sys.argv[2], sys.argv[3], int(sys.argv[4]), sys.argv[5]
+left_out = sorted(set(map(int, sys.argv[6].split())))
 bench = json.load(open("BENCHMARK.json"))
 
 def load(side, pair):
@@ -125,7 +134,14 @@ def load(side, pair):
         return json.load(open(f"{runs}/{side}.{workload}.{pair}.json"))
     return json.loads(open(f"{runs}/{side}.{workload}.traced{pair}.out").read().splitlines()[-1])
 
-side = {s: [load(s, p) for p in range(1, pairs + 1)] for s in ("parent", "change")}
+for pair in left_out:
+    print(f"  traced pair {pair} left out: a side exited non-zero")
+kept = [p for p in range(1, pairs + 1) if p not in left_out]
+if not kept:
+    print("  no traced pair left")
+    sys.exit()
+pairs = len(kept)
+side = {s: [load(s, p) for p in kept] for s in ("parent", "change")}
 # Column widths: metric name, unit, one side's median and quartiles.
 name_w, unit_w, side_w = (16, 5, 38) if kind == "end_to_end" else (38, 6, 42)
 
@@ -172,13 +188,16 @@ layers = re.compile(
     r"|storage\.btree\.range_us|storage\.btree_lookup_ns|core\.index\.query_us"
     r"|driver\.peel_min_self_share"
     r"|durable\.snapshot\.encode_ms|engine\.durability\.(checkpoint_ms|apply_us)"
-    r"|durable\.recover_s|durable\.wal\.append_us")
+    r"|durable\.recover_s|durable\.wal\.append_us"
+    r"|engine\.executor\.digest_hits_per_query|engine\.typed\.string_query_us"
+    r"|engine\.multicol\.grouped_(fresh|cached)_us|engine\.kind_share\.grouped"
+    r"|engine\.agg\.cache_hit_ratio|storage\.digest_tree_build_ms")
 names = [n for n in side["parent"][0]["metrics"] if layers.fullmatch(n)]
 if pairs == 1:
     for s, (run,) in side.items():
         for name in names:
             metric = run["metrics"][name]
-            print(f"  {s:<7} {name:<32} {metric['value']:.6g} {metric['unit']}")
+            print(f"  {s:<7} {name:<38} {metric['value']:.6g} {metric['unit']}")
     sys.exit()
 higher = {m["name"]: m["better"] == "higher" for m in bench["per_layer"]}
 header()
@@ -210,17 +229,24 @@ for workload in ${workloads//,/ }; do
     else
         echo "per layer ($trace_pairs alternating --trace 1 pairs):"
     fi
+    left_out=""
     for pair in $(seq 1 "$trace_pairs"); do
         if [ $((pair % 2)) -eq 1 ]; then order="parent change"; else order="change parent"; fi
         for side in $order; do
             traced=$work/runs/$side.$workload.traced$pair.out
+            status=0
             (cd "$work/$side" && "${command[@]}" --workload "$workload" --seed "$seed" \
-                --seconds "$seconds" --trace 1) >"$traced"
-            record "$side" "$workload" traced "$traced"
+                --seconds "$seconds" --trace 1) >"$traced" || status=$?
+            if [ "$status" -ne 0 ]; then
+                echo "$side side, $workload, traced pair $pair: pibench exited $status" >&2
+                left_out="$left_out $pair"
+            fi
+            record "$side" "$workload" traced "$traced" ||
+                echo "$side side, $workload, traced pair $pair: no run to record" >&2
         done
         if [ "$trace_pairs" -gt 1 ]; then
             echo "$workload: traced pair $pair/$trace_pairs done ($order)" >&2
         fi
     done
-    summarise per_layer "$workload" "$trace_pairs"
+    summarise per_layer "$workload" "$trace_pairs" "$left_out"
 done
