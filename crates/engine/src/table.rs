@@ -18,7 +18,7 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, Mutex, MutexGuard, RwLock};
 
 use pi_core::budget::BudgetPolicy;
 use pi_core::decision::{recommend, Algorithm, QueryShape, Scenario};
@@ -160,6 +160,11 @@ impl Shard {
         }
     }
 
+    /// The index, locked.
+    fn lock(&self) -> MutexGuard<'_, MutableIndex> {
+        self.index.lock().expect("shard lock poisoned")
+    }
+
     /// The published digest, copied under a brief read lock.
     fn digest(&self) -> ShardDigest {
         *self.digest.read().expect("digest lock poisoned")
@@ -280,12 +285,7 @@ impl ShardedColumn {
         let shards = self
             .shards
             .iter()
-            .map(|s| {
-                s.index
-                    .lock()
-                    .expect("shard lock poisoned")
-                    .snapshot_parts()
-            })
+            .map(|s| s.lock().snapshot_parts())
             .collect();
         (boundaries, shards)
     }
@@ -341,7 +341,7 @@ impl ShardedColumn {
     /// either.
     pub(crate) fn with_shard<R>(&self, shard: usize, f: impl FnOnce(&mut MutableIndex) -> R) -> R {
         let slot = &self.shards[shard];
-        let mut index = slot.index.lock().expect("shard lock poisoned");
+        let mut index = slot.lock();
         let merges_before = index.merges_completed();
         let (total_before, (min_before, max_before)) = (index.live_total(), index.live_bounds());
         let result = f(&mut index);
@@ -633,13 +633,7 @@ impl ShardedColumn {
     pub(crate) fn rebalance(&mut self) {
         let mut live: Vec<Value> = Vec::new();
         for shard in &self.shards {
-            live.extend(
-                shard
-                    .index
-                    .lock()
-                    .expect("shard lock poisoned")
-                    .live_values(),
-            );
+            live.extend(shard.lock().live_values());
         }
         let shards = self.partition.shard_count();
         let partition = RangePartition::equi_depth(&live, shards);
@@ -663,10 +657,7 @@ impl ShardedColumn {
 
     /// Per-shard status snapshots.
     pub fn shard_statuses(&self) -> Vec<IndexStatus> {
-        self.shards
-            .iter()
-            .map(|s| s.index.lock().expect("shard lock poisoned").status())
-            .collect()
+        self.shards.iter().map(|s| s.lock().status()).collect()
     }
 
     /// Aggregate status of the column: the earliest phase any shard is
@@ -679,7 +670,7 @@ impl ShardedColumn {
         let mut converged = true;
         let mut weight = 0.0;
         for shard in &self.shards {
-            let shard = shard.index.lock().expect("shard lock poisoned");
+            let shard = shard.lock();
             let status = shard.status();
             let rows = shard.live_rows() as f64;
             phase = phase.min(status.phase);
@@ -995,7 +986,7 @@ mod tests {
         assert_eq!(rows.len(), 5);
         assert_eq!(rows.iter().sum::<usize>(), 12_000);
         let locked: Vec<usize> = (0..5)
-            .map(|s| column.shards[s].index.lock().unwrap().live_rows())
+            .map(|s| column.shards[s].lock().live_rows())
             .collect();
         assert_eq!(rows, locked);
     }
@@ -1324,7 +1315,7 @@ mod tests {
                     "{context}: shard {s}"
                 );
                 let digest = column.shards[s].digest();
-                let index = column.shards[s].index.lock().unwrap();
+                let index = column.shards[s].lock();
                 assert_eq!(digest.total, index.live_total(), "{context}: shard {s}");
                 assert!(
                     index
