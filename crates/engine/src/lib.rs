@@ -31,9 +31,10 @@
 //!   [`pi_core::mutation::MutableIndex`]: answers stay exact at any
 //!   refinement stage via a pending-delta sidecar, each shard publishes
 //!   its digest from its index before releasing its lock (the O(1)
-//!   covered-shard shortcut stays exact under writes), and a mutated converged shard reports
-//!   unconverged until its deltas are merged back in by the queries that
-//!   probe it or by [`Executor::drive_to_convergence`]. When skewed writes drift the
+//!   covered-shard shortcut stays exact under writes), and a mutated
+//!   converged shard reports unconverged until its deltas are merged back
+//!   in by the queries that probe it or by
+//!   [`Executor::drive_to_convergence`]. When skewed writes drift the
 //!   shard weights, [`Table::rebalance_if_drifted`] re-draws the
 //!   equi-depth boundaries from the live values.
 //! * **Typed key domains** — [`typed::TypedTable`] and
