@@ -85,6 +85,7 @@
 //! assert_eq!(r[0].sum, None); // float SUM is capability-gated off
 //! ```
 
+use std::borrow::Borrow;
 use std::cmp::Ordering;
 use std::collections::BTreeMap;
 use std::sync::{Arc, RwLock, RwLockReadGuard};
@@ -618,17 +619,20 @@ impl<K: TableKey> TypedExecutor<K> {
     }
 
     /// Executes a single typed query: [`Executor::execute_one`] under the
-    /// column's tie read guard, with nothing built around it.
+    /// column's tie read guard, with nothing built around it. The bounds
+    /// are borrowed, as [`TypedTable::query`] takes them; owned keys are
+    /// accepted too.
     pub fn execute_one(
         &self,
         column: &str,
-        low: K,
-        high: K,
+        low: impl Borrow<K>,
+        high: impl Borrow<K>,
     ) -> Result<TypedResult<K>, EngineError> {
+        let (low, high) = (low.borrow(), high.borrow());
         let ties = self.table.read_ties(self.executor.resolve(column)?);
-        let (lo, hi) = code_range(&low, &high);
+        let (lo, hi) = code_range(low, high);
         let raw = self.executor.execute_one(column, lo, hi)?;
-        Ok(self.table.answer(raw, ties.as_deref(), &low, &high))
+        Ok(self.table.answer(raw, ties.as_deref(), low, high))
     }
 
     /// Applies a batch of typed mutations in request order through

@@ -106,8 +106,7 @@ fn a_converged_execute_one_allocates_only_its_routing_scratch() {
     let hits_before = tie_hits.get();
     for (low, high) in &hot {
         let want = names.iter().filter(|n| (low..=high).contains(n)).count() as u64;
-        let (low_key, high_key) = (low.clone(), high.clone());
-        let (result, allocated) = allocations(|| typed.execute_one("name", low_key, high_key));
+        let (result, allocated) = allocations(|| typed.execute_one("name", low, high));
         assert_eq!(result.unwrap().count, want, "[{low:?}, {high:?}]");
         assert!(
             allocated <= 3,

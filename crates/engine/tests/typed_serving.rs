@@ -122,9 +122,7 @@ fn string_table_serves_hot_prefix_streams_exactly_through_convergence() {
     executor.drive_to_convergence(usize::MAX);
     assert!(table.inner().is_converged());
     let (low, high) = &queries[0];
-    let r = executor
-        .execute_one("s", low.clone(), high.clone())
-        .unwrap();
+    let r = executor.execute_one("s", low, high).unwrap();
     assert_eq!(r.count, string_oracle(&keys, low, high));
 }
 
@@ -220,9 +218,7 @@ fn check_every_path(
     for (&(low, high), batched) in pairs.iter().zip(&batched) {
         let want = string_oracle(keys, low, high);
         let served = executor.table().query("s", low, high).unwrap();
-        let one = executor
-            .execute_one("s", low.clone(), high.clone())
-            .unwrap();
+        let one = executor.execute_one("s", low, high).unwrap();
         assert_eq!(batched.count, want, "{stage} batch [{low:?}, {high:?}]");
         assert_eq!(served.count, want, "{stage} query [{low:?}, {high:?}]");
         assert_eq!(one.count, want, "{stage} execute_one [{low:?}, {high:?}]");
