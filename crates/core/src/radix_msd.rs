@@ -22,6 +22,14 @@
 //!   passes over the bucket's value range when that range is narrow. A
 //!   tree over the buckets answers queries on the intermediate structure.
 //!
+//! A re-partitioning pass also counts the values equal to the node's
+//! lowest and highest value, and hands each count to the child that
+//! shares that value. A child in which that value holds at least half of
+//! its elements gives the value's run a child of its own, of width 0, in
+//! its next pass. A width-0 child is copied into place as a sorted run.
+//! A heavy value at a node's edge (a column or shard minimum) therefore
+//! costs one extra pass, not one pass per 6-bit level.
+//!
 //! Once every bucket is merged the lifecycle takes the sorted array.
 
 use std::collections::VecDeque;
@@ -36,7 +44,7 @@ use crate::cost_model::CostModel;
 use crate::kernels::ScatterScratch;
 use crate::lifecycle::{BucketCreation, Step};
 use crate::result::Phase;
-use crate::sorter::DEFAULT_SMALL_NODE_ELEMENTS;
+use crate::sorter::{Edges, DEFAULT_SMALL_NODE_ELEMENTS};
 
 /// One node of the refinement tree. Values are *normalised* (the column
 /// minimum is subtracted) so nodes cover the normalised range
@@ -51,18 +59,39 @@ struct MsdNode {
     len: usize,
     /// Start offset of this node's value range in the final sorted array.
     offset: usize,
+    /// Values known to equal the node's lowest (`at_min`) and highest
+    /// (`at_max`, see [`MsdTree::top`]) value, counted by its parent's
+    /// pass.
+    edges: Edges,
     state: MsdNodeState,
+}
+
+/// How a re-partitioning node routes a value to a child.
+#[derive(Debug, Clone, Copy)]
+struct Route {
+    /// The digit is the normalised value's bits from `shift` up.
+    shift: u32,
+    /// Number of digit children, `2^shift` values wide each.
+    digits: usize,
+    /// The node's lowest value has a width-0 child of its own, first.
+    low_run: bool,
+    /// The node's highest value has a width-0 child of its own, last
+    /// (the digit children above it are empty).
+    high_run: bool,
 }
 
 #[derive(Debug)]
 enum MsdNodeState {
     /// Raw bucket, not yet processed by the refinement phase.
     Pending { bucket: BlockBucket },
-    /// Bucket being re-partitioned into `children` by `shift`.
+    /// Bucket being re-partitioned into `children` (in value order) by
+    /// `route`; `counted` holds the edge counts of the consumed values.
     Refining {
         source: BlockBucket,
         consumed: usize,
         children: Vec<usize>,
+        route: Route,
+        counted: Edges,
     },
     /// All elements written (sorted) into the final array at
     /// `[offset, offset + len)`.
@@ -89,6 +118,8 @@ struct MsdTree {
     merged: Vec<Value>,
     /// Total elements already written into `merged`.
     merged_len: usize,
+    /// Normalised column maximum (`max − min`): no node holds more.
+    span: u64,
     /// Reused scratch of the re-partitioning scatter and the leaf sorts.
     scratch: Box<ScatterScratch>,
 }
@@ -152,7 +183,8 @@ impl RadixMsdStrategy {
         let price = |rho, alpha| model.radix_creation(rho, alpha, delta, DEFAULT_BLOCK_CAPACITY);
         let (step, filled) = creation.step(column, low, high, delta, Some(lookup), &digit, price);
         if let Some(buckets) = filled {
-            self.state = State::Refinement(MsdTree::new(buckets, shift));
+            let span = column.max() - min;
+            self.state = State::Refinement(MsdTree::new(buckets, shift, span));
         }
         step
     }
@@ -171,8 +203,9 @@ impl RadixMsdStrategy {
 
 impl MsdTree {
     /// Builds the tree's top level from the creation buckets, each
-    /// `2^shift` normalised values wide.
-    fn new(buckets: BucketSet, shift: u32) -> Self {
+    /// `2^shift` normalised values wide, over a column whose normalised
+    /// maximum is `span`.
+    fn new(buckets: BucketSet, shift: u32, span: u64) -> Self {
         let n = buckets.len();
         let mut nodes = Vec::new();
         let mut top = Vec::new();
@@ -185,6 +218,7 @@ impl MsdTree {
                 width_bits: shift,
                 len,
                 offset,
+                edges: Edges::default(),
                 state: MsdNodeState::Pending { bucket },
             };
             offset += len;
@@ -201,8 +235,17 @@ impl MsdTree {
             pending,
             merged: vec![0; n],
             merged_len: 0,
+            span,
             scratch: Box::default(),
         }
+    }
+
+    /// The highest normalised value node `id` can hold, relative to its
+    /// base: the top of its range, or the column maximum where that lies
+    /// inside the range.
+    fn top(&self, id: usize) -> u64 {
+        let node = &self.nodes[id];
+        node_upper(node).min(self.span) - node.base
     }
 
     /// Executes one refinement-phase query.
@@ -266,36 +309,59 @@ impl MsdTree {
             if node_len <= DEFAULT_SMALL_NODE_ELEMENTS || node_width == 0 {
                 let out = &mut self.merged[node_offset..node_offset + node_len];
                 bucket.copy_range_to(0, out);
-                self.scratch.sort_leaf(out);
+                // A node of one value is a sorted run as it stands.
+                if node_width > 0 {
+                    self.scratch.sort_leaf(out);
+                }
                 self.merged_len += node_len;
                 return (true, node_len.max(1));
             }
             // Begin re-partitioning: convert Pending into Refining with
             // freshly allocated child nodes.
+            let edges = self.nodes[id].edges;
             let shift = node_width.saturating_sub(RADIX_BITS);
-            let child_count = DEFAULT_BUCKET_COUNT.min(1usize << (node_width - shift).min(63));
-            let mut children = Vec::with_capacity(child_count);
-            for c in 0..child_count {
-                let child = MsdNode {
-                    base: node_base + ((c as u64) << shift),
-                    width_bits: shift,
-                    len: 0,
-                    offset: 0, // fixed up when the re-partitioning completes
-                    state: MsdNodeState::Pending {
-                        bucket: BlockBucket::new(DEFAULT_BLOCK_CAPACITY),
-                    },
-                };
-                children.push(self.nodes.len());
-                self.nodes.push(child);
+            let route = Route {
+                shift,
+                digits: DEFAULT_BUCKET_COUNT.min(1usize << (node_width - shift).min(63)),
+                low_run: 2 * edges.at_min >= node_len,
+                high_run: 2 * edges.at_max >= node_len,
+            };
+            let mut children = Vec::with_capacity(route.digits + 2);
+            if route.low_run {
+                children.push(self.pending_child(node_base, 0));
+            }
+            for c in 0..route.digits {
+                children.push(self.pending_child(node_base + ((c as u64) << shift), shift));
+            }
+            if route.high_run {
+                let highest = node_base + self.top(id);
+                children.push(self.pending_child(highest, 0));
             }
             self.nodes[id].state = MsdNodeState::Refining {
                 source: bucket,
                 consumed: 0,
                 children,
+                route,
+                counted: Edges::default(),
             };
         }
 
         self.refine_step(id, min, budget)
+    }
+
+    /// A new, empty pending child over `[base, base + 2^width_bits)`.
+    fn pending_child(&mut self, base: u64, width_bits: u32) -> usize {
+        self.nodes.push(MsdNode {
+            base,
+            width_bits,
+            len: 0,
+            offset: 0, // fixed up when the re-partitioning completes
+            edges: Edges::default(),
+            state: MsdNodeState::Pending {
+                bucket: BlockBucket::new(DEFAULT_BLOCK_CAPACITY),
+            },
+        });
+        self.nodes.len() - 1
     }
 
     /// Moves up to `budget` elements of a `Refining` node from its source
@@ -303,7 +369,7 @@ impl MsdTree {
     /// children when the source is exhausted.
     fn refine_step(&mut self, id: usize, min: Value, budget: usize) -> (bool, usize) {
         let node_base = self.nodes[id].base;
-        let node_width = self.nodes[id].width_bits;
+        let top = self.top(id);
         let node_offset = self.nodes[id].offset;
 
         // Take the state out to side-step simultaneous borrows of the arena.
@@ -312,24 +378,55 @@ impl MsdTree {
             source,
             mut consumed,
             children,
+            route,
+            mut counted,
         } = std::mem::replace(&mut self.nodes[id].state, placeholder)
         else {
             unreachable!("refine_step requires a Refining node");
         };
 
-        let radix_bits = (children.len().max(1)).next_power_of_two().trailing_zeros();
-        let shift = node_width.saturating_sub(radix_bits);
-        let child_count = children.len();
+        let Route {
+            shift,
+            digits,
+            low_run,
+            high_run,
+        } = route;
+        let high_child = (children.len() - 1) as u8;
+        // The digit children that hold the node's lowest and highest value
+        // (both bound the column, so neither sum overflows).
+        let (lowest, highest) = (min + node_base, min + node_base + top);
+        let first = low_run as usize;
+        let top_child = first + ((top >> shift) as usize).min(digits - 1);
         // Drain the source bucket block-wise, group each slice by child digit
         // (the value's next radix digit relative to the node's normalised
-        // base), then land each group in its child with one bulk append.
+        // base, after the lowest value's run child if there is one), then
+        // land each group in its child with one bulk append.
         let take = (source.len() - consumed).min(budget);
         let digit = |v: Value| {
-            let local = ((v - min) - node_base) >> shift;
-            (local as usize).min(child_count - 1) as u8
+            let local = (v - min) - node_base;
+            let d = ((local >> shift) as usize).min(digits - 1) + low_run as usize;
+            if low_run && local == 0 {
+                0
+            } else if high_run && local == top {
+                high_child
+            } else {
+                d as u8
+            }
         };
         for slice in source.block_slices(consumed, take) {
-            let (grouped, offsets) = self.scratch.scatter(slice, child_count, &digit);
+            let (grouped, offsets) = self.scratch.scatter(slice, children.len(), &digit);
+            // Only those two children's groups can hold the edge values, so
+            // the count reads about 2/64 of a slice of spread values.
+            let count = |c: usize, value| {
+                let group = &grouped[offsets[c]..offsets[c + 1]];
+                group.iter().filter(|&&v| v == value).count()
+            };
+            if !low_run {
+                counted.at_min += count(first, lowest);
+            }
+            if !high_run {
+                counted.at_max += count(top_child, highest);
+            }
             for (c, &child_id) in children.iter().enumerate() {
                 let group = &grouped[offsets[c]..offsets[c + 1]];
                 if group.is_empty() {
@@ -345,6 +442,14 @@ impl MsdTree {
         consumed += take;
 
         if consumed == source.len() {
+            // The digit children holding the node's lowest and highest
+            // value inherit the edge counts no run child took.
+            if !low_run {
+                self.nodes[children[first]].edges.at_min = counted.at_min;
+            }
+            if !high_run {
+                self.nodes[children[top_child]].edges.at_max = counted.at_max;
+            }
             // Fix up child offsets (value order == child order) and enqueue
             // non-empty children for further refinement.
             let mut offset = node_offset;
@@ -361,6 +466,8 @@ impl MsdTree {
                 source: BlockBucket::new(1),
                 consumed: 0,
                 children,
+                route,
+                counted,
             };
             (true, take)
         } else {
@@ -368,6 +475,8 @@ impl MsdTree {
                 source,
                 consumed,
                 children,
+                route,
+                counted,
             };
             (false, take)
         }
@@ -406,6 +515,7 @@ fn query_msd_node(
             source,
             consumed,
             children,
+            ..
         } => {
             // Unconsumed elements still sit in the source bucket.
             let mut result = source.range_sum_from(*consumed, low, high);

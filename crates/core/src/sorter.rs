@@ -32,6 +32,19 @@
 //! data-dependent branch for a pivot to mispredict. A finished node splits
 //! at the count of its values ≤ pivot whatever order they were visited in,
 //! so the indexing schedule depends on the values alone.
+//!
+//! A node pivots at the midpoint of the bounds it inherits, with one
+//! exception. The same pass counts the values equal to the node's `min`
+//! and to its `max` ([`Edges`]): one compare against constants, and a
+//! branch only a bound value takes. Each count passes to the child that
+//! inherits that bound. A child in which its inherited bound value holds
+//! at least half of the elements pivots at that value (`min`, or
+//! `max − 1`), so its run of equal values becomes a `min == max` child,
+//! sorted by definition. Split keys land on a heavy value (an equi-depth
+//! shard, an equi-height bucket, a column minimum), so the heavy value
+//! sits at a node's edge. Such a run then costs one extra pass, not one
+//! pass per level of midpoints. The counts are a function of the node's
+//! values alone, like the split itself.
 
 use pi_storage::scan::{scan_range_sum, ScanResult};
 use pi_storage::{sorted, Value};
@@ -51,11 +64,13 @@ enum NodeState {
     ///
     /// Invariant over the node's range `[start, end)` of the external
     /// array: `data[start..lo]` ≤ pivot, `data[lo..next]` > pivot,
-    /// `data[next..end]` not yet examined.
+    /// `data[next..end]` not yet examined. `edges` counts the examined
+    /// values equal to the node's `min` and to its `max`.
     Partitioning {
         pivot: Value,
         lo: usize,
         next: usize,
+        edges: Edges,
     },
     /// Partition finished; the node has two children.
     Split {
@@ -67,9 +82,56 @@ enum NodeState {
     Sorted,
 }
 
+/// How many values of a node equal its `min` and its `max`. A partition
+/// pass counts them over the node's own values; a child inherits the
+/// count of the bound it shares with its parent, and 0 for the bound its
+/// parent's pivot made.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct Edges {
+    pub(crate) at_min: usize,
+    pub(crate) at_max: usize,
+}
+
+impl Edges {
+    /// Counts `value`, one of a node's values in `[min, max]`, if it
+    /// equals a bound. `value − min − 1` wraps past `max − min − 1` for
+    /// `min` and equals it for `max`, so values strictly inside pay one
+    /// compare and a branch that is not taken: data without a run at a
+    /// bound keeps the pass it had (a predicated count per bound cost the
+    /// partition 13%).
+    #[inline]
+    pub(crate) fn count(&mut self, value: Value, min: Value, max: Value) {
+        if value.wrapping_sub(min).wrapping_sub(1) >= max.wrapping_sub(min).wrapping_sub(1) {
+            if value == min {
+                self.at_min += 1;
+            } else {
+                self.at_max += 1;
+            }
+        }
+    }
+
+    /// The left child's counts: it keeps `min`, and its `max` is the pivot.
+    fn left(self) -> Self {
+        Edges {
+            at_min: self.at_min,
+            at_max: 0,
+        }
+    }
+
+    /// The right child's counts: it keeps `max`, and its `min` is the
+    /// pivot's successor.
+    fn right(self) -> Self {
+        Edges {
+            at_min: 0,
+            at_max: self.at_max,
+        }
+    }
+}
+
 /// One node of the pivot tree, covering `[start, end)` of the external
 /// array with value domain `[min, max]` (inherited from its parent, not
-/// recomputed from the data).
+/// recomputed from the data; only the counts of values equal to an
+/// inherited bound come from the parent's pass, see [`Edges`]).
 #[derive(Debug, Clone)]
 struct SortNode {
     start: usize,
@@ -114,7 +176,7 @@ impl IncrementalSorter {
             sorted_elements: 0,
             max_depth: 0,
         };
-        sorter.root = sorter.alloc_node(start, end, min, max, None, 0);
+        sorter.root = sorter.alloc_node(start, end, min, max, None, 0, Edges::default());
         sorter
     }
 
@@ -124,7 +186,8 @@ impl IncrementalSorter {
     ///
     /// Progressive Quicksort uses this to carry the pivot boundary
     /// established during its creation phase into the refinement phase
-    /// without re-partitioning the array.
+    /// without re-partitioning the array. The creation pass counts no
+    /// bound values, so the two children pivot at their midpoints.
     pub(crate) fn with_initial_split(
         start: usize,
         end: usize,
@@ -144,13 +207,40 @@ impl IncrementalSorter {
             return sorter;
         }
         let root = sorter.root;
-        let left = sorter.alloc_node(start, boundary, min, pivot, Some(root), 1);
-        let right = sorter.alloc_node(boundary, end, pivot.saturating_add(1), max, Some(root), 1);
-        sorter.nodes[root].state = NodeState::Split { pivot, left, right };
-        sorter.try_prune(root);
+        sorter.split(root, boundary, pivot, Edges::default());
         sorter
     }
 
+    /// Splits `node_id` at `boundary` around `pivot` into two children,
+    /// handing each the `edges` count of the bound it inherits.
+    fn split(&mut self, node_id: usize, boundary: usize, pivot: Value, edges: Edges) {
+        let SortNode {
+            start,
+            end,
+            min,
+            max,
+            depth,
+            ..
+        } = self.nodes[node_id];
+        let parent = Some(node_id);
+        let left = self.alloc_node(start, boundary, min, pivot, parent, depth + 1, edges.left());
+        let right_min = pivot.saturating_add(1);
+        let right = self.alloc_node(
+            boundary,
+            end,
+            right_min,
+            max,
+            parent,
+            depth + 1,
+            edges.right(),
+        );
+        self.nodes[node_id].state = NodeState::Split { pivot, left, right };
+        // Children that were born sorted may immediately complete the
+        // parent (e.g. an empty child plus a single-element child).
+        self.try_prune(node_id);
+    }
+
+    #[allow(clippy::too_many_arguments)]
     fn alloc_node(
         &mut self,
         start: usize,
@@ -159,6 +249,7 @@ impl IncrementalSorter {
         max: Value,
         parent: Option<usize>,
         depth: usize,
+        edges: Edges,
     ) -> usize {
         let len = end - start;
         // Nodes that cannot contain more than one distinct value — or no
@@ -167,9 +258,10 @@ impl IncrementalSorter {
             NodeState::Sorted
         } else {
             NodeState::Partitioning {
-                pivot: midpoint(min, max),
+                pivot: pivot_of(min, max, len, edges),
                 lo: start,
                 next: start,
+                edges: Edges::default(),
             }
         };
         if state == NodeState::Sorted {
@@ -262,9 +354,9 @@ impl IncrementalSorter {
         scratch: &mut ScatterScratch,
         budget: usize,
     ) -> usize {
-        let (start, end, min, max, depth) = {
+        let (start, end, min, max) = {
             let n = &self.nodes[node_id];
-            (n.start, n.end, n.min, n.max, n.depth)
+            (n.start, n.end, n.min, n.max)
         };
         let len = end - start;
 
@@ -284,39 +376,36 @@ impl IncrementalSorter {
             pivot,
             mut lo,
             next,
+            mut edges,
         } = self.nodes[node_id].state
         else {
             return 0;
         };
 
         let stop = next + budget.min(end - next);
+        // Counting into a local over a slice that ends at `stop` keeps the
+        // counts in registers and the swap unchecked; counting into
+        // `edges` over `data` cost the pass ~15%.
+        let region = &mut data[..stop];
+        let mut counted = Edges::default();
         for i in next..stop {
-            let below = data[i] <= pivot;
-            data.swap(lo, i);
-            lo += below as usize;
+            let value = region[i];
+            counted.count(value, min, max);
+            region.swap(lo, i);
+            lo += (value <= pivot) as usize;
         }
+        edges.at_min += counted.at_min;
+        edges.at_max += counted.at_max;
 
         if stop == end {
             // Partition complete: split into children.
-            let boundary = lo;
-            let left = self.alloc_node(start, boundary, min, pivot, Some(node_id), depth + 1);
-            let right = self.alloc_node(
-                boundary,
-                end,
-                pivot.saturating_add(1),
-                max,
-                Some(node_id),
-                depth + 1,
-            );
-            self.nodes[node_id].state = NodeState::Split { pivot, left, right };
-            // Children that were born sorted may immediately complete the
-            // parent (e.g. an empty child plus a single-element child).
-            self.try_prune(node_id);
+            self.split(node_id, lo, pivot, edges);
         } else {
             self.nodes[node_id].state = NodeState::Partitioning {
                 pivot,
                 lo,
                 next: stop,
+                edges,
             };
         }
         stop - next
@@ -380,7 +469,9 @@ impl IncrementalSorter {
                 }
                 (result, scanned)
             }
-            NodeState::Partitioning { pivot, lo, next } => {
+            NodeState::Partitioning {
+                pivot, lo, next, ..
+            } => {
                 let mut result = ScanResult::EMPTY;
                 let mut scanned = 0u64;
                 // Elements known to be ≤ pivot.
@@ -414,6 +505,20 @@ impl IncrementalSorter {
 /// column").
 pub(crate) fn midpoint(min: Value, max: Value) -> Value {
     ((min as u128 + max as u128) / 2) as Value
+}
+
+/// The pivot of a node of `len` values in `[min, max]` (`min < max`): the
+/// midpoint, unless `edges` shows a bound value holding at least half of
+/// the node. Then the node splits at that value, `min` first, and the
+/// value's run becomes a child with one distinct value.
+fn pivot_of(min: Value, max: Value, len: usize, edges: Edges) -> Value {
+    if 2 * edges.at_min >= len {
+        min
+    } else if 2 * edges.at_max >= len {
+        max - 1
+    } else {
+        midpoint(min, max)
+    }
 }
 
 #[cfg(test)]
@@ -610,7 +715,10 @@ mod tests {
     /// partitioning.
     fn assert_partitions_hold(sorter: &IncrementalSorter, data: &[Value], context: &str) {
         for node in &sorter.nodes {
-            if let NodeState::Partitioning { pivot, lo, next } = node.state {
+            if let NodeState::Partitioning {
+                pivot, lo, next, ..
+            } = node.state
+            {
                 assert!(node.start <= lo && lo <= next && next <= node.end);
                 assert!(
                     data[node.start..lo].iter().all(|&v| v <= pivot),
@@ -751,7 +859,10 @@ mod tests {
             sorter.refine(&mut data, &mut ScatterScratch::new(), n / 2, None),
             n / 2
         );
-        let NodeState::Partitioning { pivot, lo, next } = sorter.nodes[sorter.root].state else {
+        let NodeState::Partitioning {
+            pivot, lo, next, ..
+        } = sorter.nodes[sorter.root].state
+        else {
             panic!("the root must still be partitioning");
         };
         assert_eq!(next, n / 2);

@@ -10,10 +10,12 @@ use std::sync::Arc;
 use proptest::prelude::*;
 
 use pi_core::budget::BudgetPolicy;
+use pi_core::testing::TestRng;
+use pi_core::Algorithm;
 use pi_engine::typed::{
     TableKey, TypedColumnSpec, TypedExecutor, TypedMutation, TypedQuery, TypedTable,
 };
-use pi_engine::{EngineError, ExecutorConfig};
+use pi_engine::{AlgorithmChoice, EngineError, ExecutorConfig};
 use pi_workloads::domains;
 use pi_workloads::Distribution;
 
@@ -528,4 +530,65 @@ proptest! {
             }
         }
     }
+}
+
+/// 4 to 11 random lower-case letters.
+fn random_word(rng: &mut TestRng) -> String {
+    let len = 4 + rng.below(8) as usize;
+    (0..len)
+        .map(|_| (b'a' + rng.below(26) as u8) as char)
+        .collect()
+}
+
+/// The shard of a string column with the most rows, the steps
+/// `advance_shard_by` took it to convergence from cold, and the column's
+/// algorithm.
+fn converge_biggest_shard(table: &TypedTable<String>) -> (usize, usize, Algorithm) {
+    let column = table.inner().column("s").unwrap();
+    let (shard, &rows) = column
+        .shard_rows()
+        .iter()
+        .enumerate()
+        .max_by_key(|&(_, &rows)| rows)
+        .unwrap();
+    let steps = column.advance_shard_by(shard, usize::MAX);
+    assert!(column.shard_statuses()[shard].converged);
+    (rows, steps, column.algorithm())
+}
+
+#[test]
+fn a_hot_prefix_shard_converges_within_twice_a_uniform_shard() {
+    // pibench's `typed_multicol` names: 90% are `customer` plus six
+    // digits, one 8-byte prefix code. The equi-depth split keys land on
+    // that code, so it is the minimum of one big shard.
+    let mut rng = TestRng::new(29);
+    let names: Vec<String> = (0..100_000)
+        .map(|_| {
+            if rng.below(10) < 9 {
+                format!("customer{:06}", rng.below(1_000_000))
+            } else {
+                random_word(&mut rng)
+            }
+        })
+        .collect();
+    let table = TypedTable::builder()
+        .column(TypedColumnSpec::new("s", names).with_shards(4))
+        .build();
+    let (rows, hot_steps, algorithm) = converge_biggest_shard(&table);
+    assert_eq!(algorithm, Algorithm::Quicksort, "the decision tree's pick");
+    assert!(rows > 90_000, "{rows} rows in the biggest shard");
+
+    let words: Vec<String> = (0..rows).map(|_| random_word(&mut rng)).collect();
+    let table = TypedTable::builder()
+        .column(
+            TypedColumnSpec::new("s", words)
+                .with_shards(1)
+                .with_choice(AlgorithmChoice::Fixed(Algorithm::Quicksort)),
+        )
+        .build();
+    let (_, uniform_steps, _) = converge_biggest_shard(&table);
+    assert!(
+        hot_steps <= 2 * uniform_steps,
+        "{hot_steps} steps on the hot shard, {uniform_steps} on a uniform one"
+    );
 }
