@@ -17,8 +17,9 @@
 # bound, a regression (median worse by more than the bound), or neither.
 # Under each table, `--trace 1` runs print the layer numbers a
 # cold-path claim rests on (`storage.scan_gb_s`, and per algorithm the bare
-# index's `core.*.first_query_ms`, `core.*.cold_total_s` and
-# `core.*.op_max_ms`), the two counts that must not move
+# index's `core.*.first_query_ms`, `core.*.cold_total_s`,
+# `core.*.op_max_ms` and `core.*.ops_to_converge`, with the driver's
+# `driver.ops_to_last_shard`), the two counts that must not move
 # (`core.refine_steps`, `core.bytes_moved`) and the mutation path's layers
 # (`core.merge_steps`, `core.mutation.apply_us`, `core.mutation.merge_s`,
 # `core.mutation.sidecar_query_us`, and `engine.executor.shards_reopened`,
@@ -45,7 +46,11 @@
 # than the parent's interquartile distance), equal, or neither. Layers
 # have no bound, so none reads REGRESSION. A per-layer claim ("the layer
 # that moved") needs that table, not one run a side: one run of
-# `core.radix_msd.cold_total_s` spanned 6.7-9.7 ms on one commit.
+# `core.radix_msd.cold_total_s` spanned 6.7-9.7 ms on one commit. Below
+# ten pairs the table prints the ratio and the pairs won but no gain or
+# worse, and says so under it: layers that share a process move together,
+# and five pairs of one tree read "worse" on twelve timed layers once and
+# on none in a rerun.
 # A traced run that exits non-zero (a wrong answer, or the peel's
 # self-time floor) is reported with its side, workload, pair and exit
 # code and still recorded; its pair is left out of the per-layer table,
@@ -149,10 +154,15 @@ def quartiles(xs):
     q1, median, q3 = statistics.quantiles(xs, n=4, method="inclusive")
     return q1, median, q3
 
+# A per-layer verdict needs ten pairs (see the header).
+layer_verdicts = kind == "end_to_end" or pairs >= 10
+
 def row(name, unit, higher, bound):
     parent = [r["metrics"][name]["value"] for r in side["parent"]]
     change = [r["metrics"][name]["value"] for r in side["change"]]
     ratio, won, _, verdict = history.verdict(parent, change, higher, bound)
+    if verdict in ("gain", "worse") and not layer_verdicts:
+        verdict = "-"
     if verdict == "REGRESSION":
         verdict = f"REGRESSION (bound {bound})"
     elif verdict == "worse" and bound is not None:
@@ -179,7 +189,8 @@ if kind == "end_to_end":
     sys.exit()
 
 layers = re.compile(
-    r"storage\.scan_gb_s|core\..*\.(first_query_ms|cold_total_s|op_max_ms)"
+    r"storage\.scan_gb_s|core\..*\.(first_query_ms|cold_total_s|op_max_ms|ops_to_converge)"
+    r"|driver\.ops_to_last_shard"
     r"|core\.(refine_steps|bytes_moved|merge_steps)"
     r"|core\.mutation\.(apply_us|merge_s|sidecar_query_us)"
     r"|engine\.executor\.(shards_reopened|overhead_us)"
@@ -203,6 +214,8 @@ higher = {m["name"]: m["better"] == "higher" for m in bench["per_layer"]}
 header()
 for name in names:
     row(name, side["parent"][0]["metrics"][name]["unit"], higher.get(name, False), None)
+if not layer_verdicts:
+    print(f"  no gain or worse on {pairs} pairs: a per-layer verdict needs ten (TRACE_PAIRS=10)")
 EOF
 }
 
