@@ -109,23 +109,6 @@ impl Edges {
             }
         }
     }
-
-    /// The left child's counts: it keeps `min`, and its `max` is the pivot.
-    fn left(self) -> Self {
-        Edges {
-            at_min: self.at_min,
-            at_max: 0,
-        }
-    }
-
-    /// The right child's counts: it keeps `max`, and its `min` is the
-    /// pivot's successor.
-    fn right(self) -> Self {
-        Edges {
-            at_min: 0,
-            at_max: self.at_max,
-        }
-    }
 }
 
 /// One node of the pivot tree, covering `[start, end)` of the external
@@ -223,7 +206,11 @@ impl IncrementalSorter {
             ..
         } = self.nodes[node_id];
         let parent = Some(node_id);
-        let left = self.alloc_node(start, boundary, min, pivot, parent, depth + 1, edges.left());
+        // The left child keeps `min`, the right one `max`; the pivot made
+        // the other two bounds, and nothing counted them.
+        let (left_edges, right_edges) =
+            (Edges { at_max: 0, ..edges }, Edges { at_min: 0, ..edges });
+        let left = self.alloc_node(start, boundary, min, pivot, parent, depth + 1, left_edges);
         let right_min = pivot.saturating_add(1);
         let right = self.alloc_node(
             boundary,
@@ -232,7 +219,7 @@ impl IncrementalSorter {
             max,
             parent,
             depth + 1,
-            edges.right(),
+            right_edges,
         );
         self.nodes[node_id].state = NodeState::Split { pivot, left, right };
         // Children that were born sorted may immediately complete the
