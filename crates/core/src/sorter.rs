@@ -98,7 +98,7 @@ impl Edges {
     /// `min` and equals it for `max`, so values strictly inside pay one
     /// compare and a branch that is not taken: data without a run at a
     /// bound keeps the pass it had (a predicated count per bound cost the
-    /// partition 13%).
+    /// pass 30% or more; PERFORMANCE.md, "A heavy value: one pass").
     #[inline]
     pub(crate) fn count(&mut self, value: Value, min: Value, max: Value) {
         if value.wrapping_sub(min).wrapping_sub(1) >= max.wrapping_sub(min).wrapping_sub(1) {
